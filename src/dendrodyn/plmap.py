@@ -16,6 +16,7 @@ projections to follow a map through a growing chain of hulls.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (
@@ -73,7 +74,7 @@ class PLTreeMap:
     two trees coincide for self-maps, which is the common case.
     """
 
-    __slots__ = ("domain", "codomain", "_table", "_vimg", "_pieces", "_image")
+    __slots__ = ("domain", "codomain", "_table", "_vimg", "_pieces", "_edge_index", "_image")
 
     def __init__(self, domain: MetricTree, table, codomain: MetricTree | None = None):
         codomain = domain if codomain is None else codomain
@@ -116,16 +117,23 @@ class PLTreeMap:
                 )
 
         pieces = []
+        edge_index = {}
         for eid in domain.edge_ids:
             bps = clean[eid]
-            for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
-                pieces.append(_Piece(eid, t0, t1, p0, p1, codomain.arc(p0, p1)))
+            mine = tuple(
+                _Piece(eid, t0, t1, p0, p1, codomain.arc(p0, p1))
+                for (t0, p0), (t1, p1) in zip(bps, bps[1:])
+            )
+            pieces.extend(mine)
+            edge_index[eid] = (tuple(t for t, _ in bps), mine)
 
         self.domain = domain
         self.codomain = codomain
         self._table = clean
         self._vimg = vimg
         self._pieces = tuple(pieces)
+        # per edge: breakpoint parameters, and the pieces between them
+        self._edge_index = edge_index
         self._image = None
 
     # -- inspection --------------------------------------------------------
@@ -157,13 +165,10 @@ class PLTreeMap:
         self.domain.validate_point(p)
         if p.is_vertex:
             return self._vimg[p.vertex]
-        for (t0, p0), (t1, p1) in zip(self._table[p.edge], self._table[p.edge][1:]):
-            if t0 <= p.t <= t1:
-                if p0 == p1:
-                    return p0
-                arc = self.codomain.arc(p0, p1)
-                return arc.point_at(arc.length * (p.t - t0) / (t1 - t0))
-        raise ConsistencyError("parameter escaped the breakpoint grid")
+        params, pieces = self._edge_index[p.edge]
+        # the first piece with p.t <= t1, so a breakpoint belongs to the
+        # piece that ends there
+        return self._eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
 
     def orbit(self, p: TreePoint, length: int) -> list:
         """p, f(p), ..., f^length(p); requires a self-map."""
@@ -283,6 +288,43 @@ class PLTreeMap:
     def is_injective(self) -> tuple:
         """Exact decision, with a witness pair of distinct points on failure.
 
+        A sweep decides: the map is injective exactly when no piece is
+        constant and no two pieces' image arcs overlap in positive length.
+        Only when the sweep finds a collision does the pairwise scan run,
+        so the witness is always the one `_first_collision` picks.
+        """
+        if self._sweep_is_injective():
+            return (True, None)
+        return self._first_collision()
+
+    def _sweep_is_injective(self) -> bool:
+        """Bucket image segments by codomain edge, sort, compare neighbours.
+
+        Overlaps of positive length are the only collisions to look for,
+        because the domain is connected.  Say f(x) = f(y) with x != y and
+        no piece constant; f maps the arc [x, y] onto a closed path in the
+        codomain.  Take a point z of that path inside an edge, off f(x)
+        and off every breakpoint image.  The path cannot turn at z, so it
+        changes sides of z at each visit, and it has to visit z twice to
+        get back.  Each piece is injective, so two distinct pieces pass
+        through z, and both image arcs cover a neighbourhood of z.
+        """
+        by_edge: dict = {}
+        for piece in self._pieces:
+            if piece.is_constant:
+                return False
+            for eid, u0, u1 in piece.arc.segments:
+                by_edge.setdefault(eid, []).append((u0, u1) if u0 < u1 else (u1, u0))
+        for segs in by_edge.values():
+            segs.sort()
+            for (_, hi), (lo, _) in zip(segs, segs[1:]):
+                if lo < hi:
+                    return False
+        return True
+
+    def _first_collision(self) -> tuple:
+        """The pairwise scan: the first pair of pieces, in order, that collide.
+
         A constant piece is immediately non-injective.  Otherwise every
         pair of pieces whose image arcs meet is examined at one canonical
         shared image point; comparing the exact preimages there finds a
@@ -307,7 +349,7 @@ class PLTreeMap:
                     if self.evaluate(xi) != self.evaluate(xj):
                         raise ConsistencyError("witness images disagree")
                     return (False, (xi, xj))
-        return (True, None)
+        raise ConsistencyError("the sweep found a collision the pairwise scan did not")
 
     def _preimage_in_piece(self, piece: _Piece, q: TreePoint) -> TreePoint:
         s = piece.arc.arclength_of(q)
@@ -658,6 +700,13 @@ def find_periodic_in_hull(
     true fixed point, higher powers of the return map are searched, and
     as a last resort the exact fixed-point set of f^n is intersected
     with the hull.
+
+    Covering guarantees a point of period n in the hull on an interval,
+    not on other trees: on a tripod, a map that swaps two ends and sends
+    the centre out the third leg covers the hull of those two ends and
+    fixes none of its points.  When f^n fixes no point of the hull this
+    raises ConsistencyError("no fixed point of the n-th iterate in the
+    hull").
     """
     f._require_self_map()
     maps, chart, hulls = iterated_extension(f, points, n, piece_cap)

@@ -89,7 +89,9 @@ class MetricTree:
     forms (serialization uses strings throughout).
     """
 
-    __slots__ = ("_vertices", "_edges", "_adj", "_dist", "_up", "_vkeys", "_ekeys")
+    __slots__ = (
+        "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout"
+    )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         vs = list(vertices)
@@ -126,28 +128,33 @@ class MetricTree:
         self._vkeys = tuple(sorted(vs, key=str))
         self._ekeys = tuple(sorted(edict, key=str))
 
-        # All-pairs vertex distances and parent pointers, one search per root.
-        # Trees stay small here, so the quadratic table is cheap and makes
-        # every later arc and distance query a table walk.
-        dist: dict[object, dict] = {}
-        up: dict[object, dict] = {}
-        for root in self._vkeys:
-            d = {root: ZERO}
-            parent = {root: None}
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for eid, y in self._adj[x]:
-                    if y not in d:
-                        d[y] = d[x] + edict[eid].length
-                        parent[y] = (x, eid)
-                        stack.append(y)
-            if len(d) != len(vs):
-                raise StructureError("tree is not connected")
-            dist[root] = d
-            up[root] = parent
-        self._dist = dist
+        # One rooting, linear in the vertex count: each vertex keeps its
+        # parent edge, its distance from the root, and the preorder window
+        # [tin, tout) that numbers exactly its subtree, so "u is an
+        # ancestor of w" is two integer comparisons.
+        root = self._vkeys[0]
+        up = {root: None}
+        rdist = {root: ZERO}
+        order = []
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for eid, y in self._adj[x]:
+                if y not in up:
+                    up[y] = (x, eid)
+                    rdist[y] = rdist[x] + edict[eid].length
+                    stack.append(y)
+        if len(order) != len(vs):
+            raise StructureError("tree is not connected")
+        tin = {x: i for i, x in enumerate(order)}
+        size = dict.fromkeys(order, 1)
+        for x in reversed(order[1:]):
+            size[up[x][0]] += size[x]
         self._up = up
+        self._rdist = rdist
+        self._tin = tin
+        self._tout = {x: tin[x] + size[x] for x in order}
 
     # -- basic accessors -------------------------------------------------
 
@@ -181,6 +188,8 @@ class MetricTree:
             raise StructureError(f"unknown edge: {eid!r}") from None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, MetricTree):
             return NotImplemented
         return self._vertices == other._vertices and self._edges == other._edges
@@ -221,39 +230,52 @@ class MetricTree:
 
     # -- metric ----------------------------------------------------------
 
-    def _vertex_dist(self, u, w) -> Fraction:
-        return self._dist[u][w]
+    def _is_ancestor(self, u, w) -> bool:
+        """Whether vertex u lies on the path from the root to vertex w."""
+        return self._tin[u] <= self._tin[w] < self._tout[u]
 
-    def _point_exits(self, p: TreePoint):
-        """Vertices a path may leave p through, with the offsets to reach them."""
+    def _lca(self, u, w):
+        while not self._is_ancestor(u, w):
+            u = self._up[u][0]
+        return u
+
+    def _lower_end(self, p: TreePoint) -> tuple:
+        """The vertex p sits on or just above, with p's height above it.
+
+        For an edge point this is the edge's end farther from the root.
+        """
         if p.is_vertex:
-            return ((p.vertex, ZERO),)
+            return (p.vertex, ZERO)
         e = self._edge(p.edge)
-        return ((e.u, p.t * e.length), (e.w, (ONE - p.t) * e.length))
+        if self._tin[e.w] > self._tin[e.u]:
+            return (e.w, (ONE - p.t) * e.length)
+        return (e.u, p.t * e.length)
 
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
         self.validate_point(b)
-        if a == b:
-            return ZERO
-        if not a.is_vertex and not b.is_vertex and a.edge == b.edge:
-            return abs(a.t - b.t) * self._edge(a.edge).length
-        return min(
-            oa + self._dist[va][vb] + ob
-            for va, oa in self._point_exits(a)
-            for vb, ob in self._point_exits(b)
-        )
+        ca, ha = self._lower_end(a)
+        cb, hb = self._lower_end(b)
+        ra = self._rdist[ca] - ha
+        rb = self._rdist[cb] - hb
+        # The root paths of a and b merge at whichever of a, b and the lca
+        # of their lower ends lies nearest the root.
+        meet = min(ra, rb, self._rdist[self._lca(ca, cb)])
+        return ra + rb - 2 * meet
 
     def _vertex_path(self, u, w):
         """Edges from u to w as (edge_id, from_vertex, to_vertex) triples."""
-        parent = self._up[u]
         steps = []
-        x = w
-        while x != u:
-            px, eid = parent[x]
-            steps.append((eid, px, x))
-            x = px
-        steps.reverse()
+        while not self._is_ancestor(u, w):
+            pu, eid = self._up[u]
+            steps.append((eid, u, pu))
+            u = pu
+        down = []
+        while w != u:
+            pw, eid = self._up[w]
+            down.append((eid, pw, w))
+            w = pw
+        steps.extend(reversed(down))
         return steps
 
     # -- arcs ------------------------------------------------------------
@@ -264,44 +286,28 @@ class MetricTree:
         self.validate_point(b)
         if a == b:
             return Arc(self, a, b, ())
+        if not a.is_vertex and not b.is_vertex and a.edge == b.edge:
+            return Arc(self, a, b, ((a.edge, a.t, b.t),))
         segs: list[tuple] = []
-        start = a
+        start, _ = self._lower_end(a)
+        low_b, _ = self._lower_end(b)
         if not a.is_vertex:
-            e = self._edge(a.edge)
-            if not b.is_vertex and b.edge == a.edge:
-                return Arc(self, a, b, ((a.edge, a.t, b.t),))
-            # leave a's edge through the endpoint that lies toward b
-            du = a.t * e.length + self.distance(self.vertex_point(e.u), b)
-            dw = (ONE - a.t) * e.length + self.distance(self.vertex_point(e.w), b)
-            if du < dw:
-                segs.append((a.edge, a.t, ZERO))
-                start = self.vertex_point(e.u)
-            elif dw < du:
-                segs.append((a.edge, a.t, ONE))
-                start = self.vertex_point(e.w)
-            else:
-                raise ConsistencyError("ambiguous exit from an edge")
-        # start is now a vertex
+            # leave a's edge through its lower end exactly when b lies below it
+            e = self._edges[a.edge]
+            if not self._is_ancestor(start, low_b):
+                start = e.u if start == e.w else e.w
+            segs.append((a.edge, a.t, ZERO if start == e.u else ONE))
         tail: tuple | None = None
-        target = b
+        target = low_b
         if not b.is_vertex:
-            e = self._edge(b.edge)
-            su = self._dist[start.vertex][e.u] + b.t * e.length
-            sw = self._dist[start.vertex][e.w] + (ONE - b.t) * e.length
-            if su < sw:
-                tail = (b.edge, ZERO, b.t)
-                target = self.vertex_point(e.u)
-            elif sw < su:
-                tail = (b.edge, ONE, b.t)
-                target = self.vertex_point(e.w)
-            else:
-                raise ConsistencyError("ambiguous entry into an edge")
-        for eid, fr, to in self._vertex_path(start.vertex, target.vertex):
-            e = self._edges[eid]
-            if fr == e.u:
-                segs.append((eid, ZERO, ONE))
-            else:
-                segs.append((eid, ONE, ZERO))
+            # enter b's edge through its lower end exactly when the walk
+            # starts below it
+            e = self._edges[b.edge]
+            if not self._is_ancestor(low_b, start):
+                target = e.u if low_b == e.w else e.w
+            tail = (b.edge, ZERO if target == e.u else ONE, b.t)
+        for eid, fr, _to in self._vertex_path(start, target):
+            segs.append((eid, ZERO, ONE) if fr == self._edges[eid].u else (eid, ONE, ZERO))
         if tail is not None:
             segs.append(tail)
         return Arc(self, a, b, tuple(segs))

@@ -4,11 +4,14 @@ from fractions import Fraction as F
 import pytest
 
 from dendrodyn import (
+    ConsistencyError,
     MetricTree,
     PreconditionError,
     ResourceLimitError,
     StructureError,
+    Subtree,
 )
+from dendrodyn.fixtures import random_finite_order_map, random_folding_map, rotation_star
 from dendrodyn.plmap import (
     PLTreeMap,
     compose,
@@ -332,6 +335,83 @@ def test_injectivity_claims_match_grid_sampling():
             assert f.evaluate(a) == f.evaluate(b)
 
 
+def pairwise_is_injective(f):
+    """Oracle: intersect every pair of piece image arcs.
+
+    A constant piece is immediately non-injective.  Otherwise the first
+    pair, in piece order, whose arcs meet with different preimages at one
+    canonical shared point gives the witness.
+    """
+    pieces = f._pieces
+    for piece in pieces:
+        if piece.is_constant:
+            return (False, (f.domain.edge_point(piece.edge, piece.t0),
+                            f.domain.edge_point(piece.edge, piece.t1)))
+
+    def canonical(sub):
+        for eid in sorted(sub.segments, key=str):
+            lo, hi = sub.segments[eid][0]
+            if lo < hi:
+                return f.codomain.edge_point(eid, (lo + hi) / 2)
+        return sub.corner_points()[0]
+
+    def preimage(piece, q):
+        s = piece.arc.arclength_of(q)
+        return f.domain.edge_point(piece.edge, piece.param_at_arclength(s))
+
+    subs = [p.arc.as_subtree() for p in pieces]
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            meet = subs[i].intersect(subs[j])
+            if meet.is_empty():
+                continue
+            q = canonical(meet)
+            xi, xj = preimage(pieces[i], q), preimage(pieces[j], q)
+            if xi != xj:
+                return (False, (xi, xj))
+    return (True, None)
+
+
+def interval_involution(rng, k):
+    """Breakpoints 0 = t_0 < ... < t_k = 1 with t_i sent to t_{k-i}."""
+    t = interval()
+    ts = [F(0)] + sorted(rng.sample([F(j, 4 * k) for j in range(1, 4 * k)], k - 1)) + [F(1)]
+    return PLTreeMap(t, {"e": [(ts[i], t.edge_point("e", ts[k - i])) for i in range(k + 1)]})
+
+
+def test_injectivity_sweep_matches_pairwise_oracle():
+    rng = random.Random(8080)
+    maps = []
+    for _ in range(150):
+        f = random_map(rng, random_tree(rng, rng.randint(3, 7)))
+        maps += [f, compose(f, f)]
+    for i in range(150):
+        maps.append(random_finite_order_map(i, i + 9000)[1])
+        maps.append(random_folding_map(i + 9000)[1])
+    for k in range(1, 40):
+        maps.append(interval_involution(rng, k))
+    verdicts = set()
+    for f in maps:
+        expected = pairwise_is_injective(f)
+        assert f.is_injective() == expected
+        verdicts.add(expected[0])
+    assert verdicts == {True, False}
+
+
+def test_injective_star_intersects_no_pair(monkeypatch):
+    calls = []
+    plain = Subtree.intersect
+
+    def counted(self, other):
+        calls.append(1)
+        return plain(self, other)
+
+    monkeypatch.setattr(Subtree, "intersect", counted)
+    _, rot = rotation_star(400)
+    assert rot.is_injective() == (True, None)
+    assert not calls
+
+
 # -- fixed points -------------------------------------------------------------------
 
 
@@ -473,6 +553,31 @@ def test_find_periodic_requires_covering():
     # the shifted hull of [0, 1/4] moves away and never covers it
     with pytest.raises(PreconditionError):
         find_periodic_in_hull(shift, [t.vertex_point("v0"), t.edge_point("e", F(1, 4))], 1)
+
+
+def test_find_periodic_covering_without_periodic_point():
+    # tripod with centre c: f swaps the ends a and b, sends c to the
+    # midpoint of c-d and fixes d; the images of a and b span [a, b]
+    # again, yet f fixes no point of [a, b]
+    t = MetricTree(
+        ["a", "b", "c", "d"],
+        [("ca", ("c", "a"), 1), ("cb", ("c", "b"), 1), ("cd", ("c", "d"), 1)],
+    )
+    f = map_from_vertex_images(
+        t,
+        {
+            "a": t.vertex_point("b"),
+            "b": t.vertex_point("a"),
+            "c": t.edge_point("cd", F(1, 2)),
+            "d": t.vertex_point("d"),
+        },
+    )
+    ends = [t.vertex_point("a"), t.vertex_point("b")]
+    hull = t.connected_hull(ends)
+    assert t.connected_hull([f.evaluate(p) for p in ends]).contains_subtree(hull)
+    assert f.fixed_point_set().intersect(hull).is_empty()
+    with pytest.raises(ConsistencyError, match="no fixed point of the n-th iterate in the hull"):
+        find_periodic_in_hull(f, ends, 1)
 
 
 def test_single_point_domain_maps():

@@ -47,6 +47,33 @@ def random_tree(rng, n_vertices=8):
     return MetricTree(verts, edges)
 
 
+def deep_trees(rng):
+    """A 200-vertex path and a 100-joint caterpillar, names shuffled.
+
+    Random trees above are shallow; these put the root (the least vertex
+    name) mid-path and make root walks long, with random edge orientations.
+    """
+    out = []
+    names = [f"n{i}" for i in range(200)]
+    rng.shuffle(names)
+    edges = []
+    for i in range(1, 200):
+        ends = (names[i - 1], names[i]) if rng.random() < 0.5 else (names[i], names[i - 1])
+        edges.append((f"e{i}", ends, F(rng.randint(1, 6), rng.randint(1, 4))))
+    out.append(MetricTree(names, edges))
+    names = [f"n{i}" for i in range(200)]
+    rng.shuffle(names)
+    spine, legs = names[:100], names[100:]
+    edges = []
+    for i in range(1, 100):
+        edges.append((f"s{i}", (spine[i - 1], spine[i]), F(rng.randint(1, 6), rng.randint(1, 4))))
+    for i in range(100):
+        ends = (spine[i], legs[i]) if rng.random() < 0.5 else (legs[i], spine[i])
+        edges.append((f"l{i}", ends, F(rng.randint(1, 6), rng.randint(1, 4))))
+    out.append(MetricTree(names, edges))
+    return out
+
+
 def random_point(rng, tree):
     if rng.random() < 0.4:
         return tree.vertex_point(rng.choice(tree.vertex_ids))
@@ -165,6 +192,12 @@ def test_distance_matches_dijkstra_oracle():
         a = random_point(rng, t)
         b = random_point(rng, t)
         assert t.distance(a, b) == brute_distance(t, a, b)
+    rng = random.Random(1002)
+    for t in deep_trees(rng):
+        for _ in range(8):
+            a = random_point(rng, t)
+            b = random_point(rng, t)
+            assert t.distance(a, b) == brute_distance(t, a, b)
 
 
 def test_distance_metric_axioms():
@@ -217,24 +250,30 @@ def test_arc_frozen_shapes():
     assert same_edge.segments == (("b", F(2, 3), F(1, 6)),)
 
 
+def check_arc_between(t, a, b):
+    arc = t.arc(a, b)
+    check_arc_wellformed(t, arc)
+    rev = arc.reversed()
+    assert rev.a == b and rev.b == a and rev.length == arc.length
+    check_arc_wellformed(t, rev)
+    # interior sample points sit on the arc, and point_at inverts arclength
+    for k in (1, 2, 3):
+        s = arc.length * k / 4
+        p = arc.point_at(s)
+        assert arc.contains(p)
+        assert t.distance(a, p) == s
+        assert arc.arclength_of(p) == s
+
+
 def test_arc_random_sweep():
     rng = random.Random(2002)
     for _ in range(60):
         t = random_tree(rng, rng.randint(2, 9))
-        a = random_point(rng, t)
-        b = random_point(rng, t)
-        arc = t.arc(a, b)
-        check_arc_wellformed(t, arc)
-        rev = arc.reversed()
-        assert rev.a == b and rev.b == a and rev.length == arc.length
-        check_arc_wellformed(t, rev)
-        # interior sample points sit on the arc, and point_at inverts arclength
-        for k in (1, 2, 3):
-            s = arc.length * k / 4
-            p = arc.point_at(s)
-            assert arc.contains(p)
-            assert t.distance(a, p) == s
-            assert arc.arclength_of(p) == s
+        check_arc_between(t, random_point(rng, t), random_point(rng, t))
+    rng = random.Random(2003)
+    for t in deep_trees(rng):
+        for _ in range(30):
+            check_arc_between(t, random_point(rng, t), random_point(rng, t))
 
 
 def test_point_at_bounds():
