@@ -17,6 +17,7 @@ from . import io as dio
 from .dynamics import (
     HORIZON_DEFAULT,
     MAX_PERIOD_DEFAULT,
+    _eventual_cycle,
     decide_pointwise_recurrent,
     periodic_structure,
 )
@@ -70,18 +71,6 @@ def _check_json(name, result, undecided=False):
     if undecided:
         out["undecided"] = True
     return out
-
-
-def _orbit_shape(f, x, bound):
-    """(preperiod, period) of the orbit of x, or None within the bound."""
-    seen = {x: 0}
-    z = x
-    for k in range(1, bound + 1):
-        z = f.evaluate(z)
-        if z in seen:
-            return seen[z], k - seen[z]
-        seen[z] = k
-    return None
 
 
 def _run_recurrence(tree, f, args):
@@ -195,7 +184,7 @@ def _run_classify(tree, f, args):
         "eventual_period": None,
     }
     if f is not None:
-        shape = _orbit_shape(f, x, args.max_period)
+        shape = _eventual_cycle(f, x, args.max_period)
         if shape is not None:
             preperiod, period = shape
             report["preperiod"] = preperiod

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError, PreconditionError, UndecidedError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
@@ -158,7 +159,6 @@ def decide_pointwise_recurrent(
        fixes, and such a point drifts monotonically, never to return;
        the midpoint of a moved gap is the witness.
     """
-    f._require_self_map()
     tree = f.domain
 
     injective, pair = f.is_injective()
@@ -212,7 +212,7 @@ def decide_pointwise_recurrent(
             cycle.append(w)
             w = images[w]
         seen.update(cycle)
-        power = _lcm(power, len(cycle))
+        power = lcm(power, len(cycle))
         if power > cap:
             raise UndecidedError(
                 f"the candidate identity power exceeds the bound ({power} > {cap})"
@@ -244,12 +244,6 @@ def decide_pointwise_recurrent(
     )
 
 
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
-
-
 # -- orbit demonstrations ------------------------------------------------------
 
 
@@ -263,7 +257,6 @@ def returns_to_components(
     """Whether the f^power-orbit of x re-enters x's own side of the tree
     minus y, within the horizon.  A False is horizon-relative.
     """
-    f._require_self_map()
     tree = f.domain
     tree.validate_point(x)
     tree.validate_point(y)
@@ -284,7 +277,6 @@ def forward_component(f: PLTreeMap, n: int, x: TreePoint) -> Component:
     Membership in the returned component amounts to: x does not lie on
     the arc from the queried point to f^n(x).
     """
-    f._require_self_map()
     f.domain.validate_point(x)
     q = x
     for _ in range(n):
@@ -305,7 +297,6 @@ def omega_limit_estimate(
 ) -> OmegaEstimate:
     """Limit set of an orbit: exact on detected repetition, else a labeled
     estimate consisting of the post-burn-in orbit points."""
-    f._require_self_map()
     seen = {x: 0}
     traj = [x]
     z = x
@@ -343,7 +334,6 @@ def check_full_invariance(
 ) -> CheckResult:
     """Surjectivity plus: no sampled point feeds into a periodic orbit
     from outside.  Periodic orbits of such a map own their preimages."""
-    f._require_self_map()
     tree = f.domain
     if f.image() != tree.full_subtree():
         gap = tree.components_minus(f.image())[0].repr_point
@@ -391,7 +381,6 @@ def check_no_preperiodic(
     """No sampled point is strictly preperiodic.  A violation also yields
     a separator lying strictly between the point and where its orbit
     settles, showing the point never comes back to its own side."""
-    f._require_self_map()
     tree = f.domain
     pts = tuple(samples) if samples is not None else tree.grid_points(3)
     horizon = min(horizon, max_period)
@@ -431,7 +420,6 @@ def check_no_radial_stretch(
     """No sampled point is pushed radially outward through itself from a
     fixed anchor of the n-th power: the arc [anchor, t] never sits inside
     [anchor, f^n(t)).  Pointwise-recurrent maps can never do this."""
-    f._require_self_map()
     tree = f.domain
     h = f.iterate(n, piece_cap)
     fixed = h.fixed_point_set()
@@ -478,7 +466,6 @@ def check_escape(
     far side, in the component of its first image (or back at the point
     itself).  Reports "skipped" when periodic cutpoints exist, since the
     containment claim assumes there are none."""
-    f._require_self_map()
     tree = f.domain
     periodic = periodic_union(f, cutpoint_bound, piece_cap)
     if periodic.segments:

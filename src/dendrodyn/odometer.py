@@ -152,7 +152,6 @@ def detect_cycles_of_sets(
     """
     if depth < 1:
         raise PreconditionError("depth must be at least 1")
-    f._require_self_map()
     injective, pair = f.is_injective()
     if not injective:
         raise PreconditionError(

@@ -1,21 +1,21 @@
-"""Piecewise-linear maps between finite metric trees.
+"""Piecewise-linear self-maps of finite metric trees.
 
-A map is described per domain edge by breakpoints 0 = t_0 < ... < t_k = 1
+A map is described per edge by breakpoints 0 = t_0 < ... < t_k = 1
 with a target point at each; between consecutive breakpoints the edge
 piece traverses the unique arc joining the two images at constant speed.
-Composition, iteration, injectivity, and fixed-point sets are computed
-exactly, so every answer here is a decision, not an approximation.
+Every map sends a tree into itself.  Composition, iteration,
+injectivity, and fixed-point sets are computed exactly, so every answer
+here is a decision, not an approximation.
 
-Maps whose domain and codomain differ appear when a map is restricted to
-a subtree materialized as a chart (`Subtree.to_chart`); the public
-entry points `extend_through_hull`, `project_onto`, `iterated_extension`
-and `find_periodic_in_hull` combine those restrictions with nearest-point
-projections to follow a map through a growing chain of hulls.
+`project_onto` composes a map with the nearest-point retraction onto a
+connected subtree.  `find_periodic_in_hull` starts from that retraction
+and composes with f n times, which equals f^n on the hull and stays
+constant on each component off it, so the fixed points of f^n in the
+hull come from pieces over the hull alone.
 """
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -31,13 +31,9 @@ from .tree import (
     Arc,
     MetricTree,
     Subtree,
-    SubtreeChart,
     TreePoint,
     as_fraction,
-    point_key,
 )
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_PIECE_CAP = 100_000
 
@@ -67,17 +63,15 @@ class _Piece:
 
 
 class PLTreeMap:
-    """An exact piecewise-linear map from one metric tree to another.
+    """An exact piecewise-linear self-map of a metric tree.
 
-    `table` maps each domain edge id to its breakpoint list; breakpoints
-    are ``(t, point)`` pairs with the point living in the codomain.  The
-    two trees coincide for self-maps, which is the common case.
+    `table` maps each edge id to its breakpoint list; breakpoints are
+    ``(t, point)`` pairs with the point in the same tree.
     """
 
-    __slots__ = ("domain", "codomain", "_table", "_vimg", "_pieces", "_edge_index", "_image")
+    __slots__ = ("domain", "_table", "_vimg", "_pieces", "_edge_index", "_image")
 
-    def __init__(self, domain: MetricTree, table, codomain: MetricTree | None = None):
-        codomain = domain if codomain is None else codomain
+    def __init__(self, domain: MetricTree, table):
         clean: dict = {}
         vimg: dict = {}
         for eid in domain.edge_ids:
@@ -89,7 +83,7 @@ class PLTreeMap:
             bps = []
             for t, p in raw:
                 t = as_fraction(t)
-                codomain.validate_point(p)
+                domain.validate_point(p)
                 bps.append((t, p))
             if bps[0][0] != ZERO or bps[-1][0] != ONE:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
@@ -107,7 +101,7 @@ class PLTreeMap:
             img = table.get(only) if isinstance(table, dict) else None
             if img is None:
                 raise StructureError("single-vertex domain needs its vertex image")
-            codomain.validate_point(img)
+            domain.validate_point(img)
             vimg[only] = img
         else:
             extra = set(table) - set(domain.edge_ids)
@@ -121,14 +115,13 @@ class PLTreeMap:
         for eid in domain.edge_ids:
             bps = clean[eid]
             mine = tuple(
-                _Piece(eid, t0, t1, p0, p1, codomain.arc(p0, p1))
+                _Piece(eid, t0, t1, p0, p1, domain.arc(p0, p1))
                 for (t0, p0), (t1, p1) in zip(bps, bps[1:])
             )
             pieces.extend(mine)
             edge_index[eid] = (tuple(t for t, _ in bps), mine)
 
         self.domain = domain
-        self.codomain = codomain
         self._table = clean
         self._vimg = vimg
         self._pieces = tuple(pieces)
@@ -146,13 +139,8 @@ class PLTreeMap:
         self.domain._edge(eid)
         return self._table[eid]
 
-    @property
-    def is_self_map(self) -> bool:
-        return self.domain == self.codomain
-
     def __repr__(self):
-        kind = "self-map" if self.is_self_map else "map"
-        return f"PLTreeMap({kind}, {self.piece_count} pieces)"
+        return f"PLTreeMap({self.piece_count} pieces)"
 
     # -- evaluation ---------------------------------------------------------
 
@@ -171,15 +159,14 @@ class PLTreeMap:
         return self._eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
 
     def orbit(self, p: TreePoint, length: int) -> list:
-        """p, f(p), ..., f^length(p); requires a self-map."""
-        self._require_self_map()
+        """p, f(p), ..., f^length(p)."""
         out = [p]
         for _ in range(length):
             out.append(self.evaluate(out[-1]))
         return out
 
     def image(self) -> Subtree:
-        """The exact image of the whole domain, as a subtree of the codomain."""
+        """The exact image of the whole tree, as a subtree."""
         if self._image is None:
             segs = []
             verts = []
@@ -192,14 +179,15 @@ class PLTreeMap:
                     verts.append(img.vertex)
                 else:
                     segs.append((img.edge, img.t, img.t))
-            self._image = Subtree.build(self.codomain, segs, verts)
+            self._image = Subtree.build(self.domain, segs, verts)
         return self._image
 
     def image_of_arc(self, arc: Arc) -> Subtree:
-        """Exact image of an arc of the domain."""
+        """Exact image of an arc of the tree."""
+        tree = self.domain
         if arc.is_degenerate():
-            return self.codomain.point_subtree(self.evaluate(arc.a))
-        out = Subtree.empty(self.codomain)
+            return tree.point_subtree(self.evaluate(arc.a))
+        out = Subtree.empty(tree)
         for eid, t0, t1 in arc.segments:
             lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
             for piece in self._pieces:
@@ -210,34 +198,31 @@ class PLTreeMap:
                     continue
                 pa = self._eval_in_piece(piece, a)
                 pb = self._eval_in_piece(piece, b)
-                out = out.union(self.codomain.arc(pa, pb).as_subtree())
-                out = out.union(self.codomain.point_subtree(pa))
+                out = out.union(tree.arc(pa, pb).as_subtree())
+                out = out.union(tree.point_subtree(pa))
         return out
 
     def image_of_subtree(self, sub: Subtree) -> Subtree:
-        """Exact image of a closed subtree of the domain."""
-        out = Subtree.empty(self.codomain)
+        """Exact image of a closed subtree."""
+        tree = self.domain
+        out = Subtree.empty(tree)
         for v in sub.vertices:
-            img = self.evaluate(self.domain.vertex_point(v))
-            out = out.union(self.codomain.point_subtree(img))
+            img = self.evaluate(tree.vertex_point(v))
+            out = out.union(tree.point_subtree(img))
         for eid, intervals in sub.segments.items():
             for lo, hi in intervals:
-                a = self.domain.edge_point(eid, lo)
-                b = self.domain.edge_point(eid, hi)
+                a = tree.edge_point(eid, lo)
+                b = tree.edge_point(eid, hi)
                 if a == b:
-                    out = out.union(self.codomain.point_subtree(self.evaluate(a)))
+                    out = out.union(tree.point_subtree(self.evaluate(a)))
                 else:
-                    out = out.union(self.image_of_arc(self.domain.arc(a, b)))
+                    out = out.union(self.image_of_arc(tree.arc(a, b)))
         return out
 
     def _eval_in_piece(self, piece: _Piece, t: Fraction) -> TreePoint:
         if piece.is_constant:
             return piece.p0
         return piece.arc.point_at(piece.arclength_at_param(t))
-
-    def _require_self_map(self):
-        if not self.is_self_map:
-            raise PreconditionError("operation needs a self-map")
 
     # -- normal form and equality --------------------------------------------
 
@@ -248,7 +233,7 @@ class PLTreeMap:
         lies on the arc [A, C] and both pieces run at the same speed;
         the merged piece then traverses [A, C] at constant speed.
         """
-        d = self.codomain.distance
+        d = self.domain.distance
         table: dict = {}
         changed = False
         for eid, bps in self._table.items():
@@ -268,20 +253,20 @@ class PLTreeMap:
             table[eid] = tuple(out)
         if not changed:
             return self
-        return PLTreeMap(self.domain, table, self.codomain)
+        return PLTreeMap(self.domain, table)
 
     def equals(self, other: "PLTreeMap") -> bool:
         """Pointwise equality, decided through normal forms."""
         if not isinstance(other, PLTreeMap):
             raise PreconditionError("can only compare PL maps")
-        if self.domain != other.domain or self.codomain != other.codomain:
+        if self.domain != other.domain:
             return False
         a = self.normalize()
         b = other.normalize()
         return a._table == b._table and a._vimg == b._vimg
 
     def is_identity(self) -> bool:
-        return self.is_self_map and self.equals(identity_map(self.domain))
+        return self.equals(identity_map(self.domain))
 
     # -- injectivity -----------------------------------------------------------
 
@@ -298,12 +283,12 @@ class PLTreeMap:
         return self._first_collision()
 
     def _sweep_is_injective(self) -> bool:
-        """Bucket image segments by codomain edge, sort, compare neighbours.
+        """Bucket image segments by edge, sort, compare neighbours.
 
         Overlaps of positive length are the only collisions to look for,
         because the domain is connected.  Say f(x) = f(y) with x != y and
         no piece constant; f maps the arc [x, y] onto a closed path in the
-        codomain.  Take a point z of that path inside an edge, off f(x)
+        tree.  Take a point z of that path inside an edge, off f(x)
         and off every breakpoint image.  The path cannot turn at z, so it
         changes sides of z at each visit, and it has to visit z twice to
         get back.  Each piece is injective, so two distinct pieces pass
@@ -342,7 +327,7 @@ class PLTreeMap:
                 meet = subs[i].intersect(subs[j])
                 if meet.is_empty():
                     continue
-                q = _canonical_point(self.codomain, meet)
+                q = _canonical_point(self.domain, meet)
                 xi = self._preimage_in_piece(self._pieces[i], q)
                 xj = self._preimage_in_piece(self._pieces[j], q)
                 if xi != xj:
@@ -359,7 +344,6 @@ class PLTreeMap:
 
     def fixed_point_set(self) -> Subtree:
         """All points with f(x) = x, exactly; may be empty or disconnected."""
-        self._require_self_map()
         tree = self.domain
         segs = []
         verts = []
@@ -400,7 +384,6 @@ class PLTreeMap:
 
     def iterate(self, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> "PLTreeMap":
         """The n-th compositional power, by squaring, with a piece budget."""
-        self._require_self_map()
         if n < 0:
             raise PreconditionError("iteration count must be nonnegative")
         if n == 0:
@@ -458,9 +441,8 @@ def identity_map(tree: MetricTree) -> PLTreeMap:
     return PLTreeMap(tree, table)
 
 
-def map_from_vertex_images(tree: MetricTree, images, codomain: MetricTree | None = None) -> PLTreeMap:
+def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:
     """The map sending each edge linearly onto the arc between vertex images."""
-    codomain = tree if codomain is None else codomain
     table = {}
     for eid in tree.edge_ids:
         u, w = tree.edge_ends(eid)
@@ -471,39 +453,39 @@ def map_from_vertex_images(tree: MetricTree, images, codomain: MetricTree | None
     if not tree.edge_ids:
         only = tree.vertex_ids[0]
         table[only] = images[only]
-    return PLTreeMap(tree, table, codomain)
+    return PLTreeMap(tree, table)
 
 
 def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     """The exact composition outer(inner(.)), refined and normalized.
 
-    Each inner piece is cut wherever its image arc crosses a codomain
-    vertex or an outer breakpoint; between cuts the composite is again a
+    Each inner piece is cut wherever its image arc crosses a vertex or
+    an outer breakpoint; between cuts the composite is again a
     constant-speed arc traversal, so the result is a valid PL map.
     """
-    if inner.codomain != outer.domain:
-        raise PreconditionError("inner codomain must match outer domain")
-    mid = outer.domain
+    if inner.domain != outer.domain:
+        raise PreconditionError("composed maps must live on the same tree")
+    tree = outer.domain
     table: dict = {}
-    for eid in inner.domain.edge_ids:
+    for eid in tree.edge_ids:
         bps: list = []
         for (t0, p0), (t1, p1) in zip(inner._table[eid], inner._table[eid][1:]):
-            piece_bps = _compose_piece(outer, mid, t0, p0, t1, p1)
+            piece_bps = _compose_piece(outer, tree, t0, p0, t1, p1)
             if bps:
                 piece_bps = piece_bps[1:]  # shared breakpoint already present
             bps.extend(piece_bps)
         table[eid] = bps
-    if not inner.domain.edge_ids:
-        only = inner.domain.vertex_ids[0]
+    if not tree.edge_ids:
+        only = tree.vertex_ids[0]
         table[only] = outer.evaluate(inner.vertex_image(only))
-    return PLTreeMap(inner.domain, table, outer.codomain).normalize()
+    return PLTreeMap(tree, table).normalize()
 
 
-def _compose_piece(outer: PLTreeMap, mid: MetricTree, t0, p0, t1, p1) -> list:
+def _compose_piece(outer: PLTreeMap, tree: MetricTree, t0, p0, t1, p1) -> list:
     if p0 == p1:
         q = outer.evaluate(p0)
         return [(t0, q), (t1, q)]
-    arc = mid.arc(p0, p1)
+    arc = tree.arc(p0, p1)
     cuts = set()
     offsets = arc.segment_offsets
     for s in offsets[1:-1]:
@@ -512,7 +494,7 @@ def _compose_piece(outer: PLTreeMap, mid: MetricTree, t0, p0, t1, p1) -> list:
         lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
         for tb, _ in outer._table[aeid][1:-1]:
             if lo < tb < hi:
-                cuts.add(offsets[k] + abs(tb - u0) * mid.edge_length(aeid))
+                cuts.add(offsets[k] + abs(tb - u0) * tree.edge_length(aeid))
     bps = [(t0, outer.evaluate(p0))]
     for s in sorted(cuts):
         t = t0 + (t1 - t0) * s / arc.length
@@ -521,32 +503,7 @@ def _compose_piece(outer: PLTreeMap, mid: MetricTree, t0, p0, t1, p1) -> list:
     return bps
 
 
-# -- hull restriction and projection ---------------------------------------
-
-
-def restrict_to_chart(f: PLTreeMap, chart: SubtreeChart) -> PLTreeMap:
-    """The map's restriction to a charted subtree of its domain.
-
-    The result runs from the chart tree into f's codomain; it is only
-    meaningful when the subtree is contained in f's domain tree, which
-    the chart guarantees by construction.
-    """
-    if chart.subtree.tree != f.domain:
-        raise PreconditionError("chart does not live in the map's domain")
-    host = f.domain
-    table: dict = {}
-    for ceid in chart.tree.edge_ids:
-        eid, lo, hi = chart._host_of_edge[ceid]
-        bps = [(ZERO, f.evaluate(host.edge_point(eid, lo)))]
-        for tb, img in f._table[eid]:
-            if lo < tb < hi:
-                bps.append(((tb - lo) / (hi - lo), img))
-        bps.append((ONE, f.evaluate(host.edge_point(eid, hi))))
-        table[ceid] = bps
-    if not chart.tree.edge_ids:
-        only = chart.tree.vertex_ids[0]
-        table[only] = f.evaluate(chart.to_ambient(chart.tree.vertex_point(only)))
-    return PLTreeMap(chart.tree, table, f.codomain)
+# -- hulls -------------------------------------------------------------------
 
 
 def project_onto(f: PLTreeMap, target: Subtree) -> PLTreeMap:
@@ -557,34 +514,34 @@ def project_onto(f: PLTreeMap, target: Subtree) -> PLTreeMap:
     point, inside it the traversal passes through unchanged, after it
     the projection is pinned at the exit point.
     """
-    if target.tree != f.codomain:
-        raise PreconditionError("projection target must live in the codomain")
+    if target.tree != f.domain:
+        raise PreconditionError("projection target must live in the map's tree")
     if target.is_empty() or not target.is_connected():
         raise PreconditionError("projection target must be nonempty and connected")
-    cod = f.codomain
+    tree = f.domain
     table: dict = {}
-    for eid in f.domain.edge_ids:
+    for eid in tree.edge_ids:
         bps: list = []
         for (t0, p0), (t1, p1) in zip(f._table[eid], f._table[eid][1:]):
-            part = _project_piece(cod, target, t0, p0, t1, p1)
+            part = _project_piece(tree, target, t0, p0, t1, p1)
             if bps:
                 part = part[1:]
             bps.extend(part)
         table[eid] = bps
-    if not f.domain.edge_ids:
-        only = f.domain.vertex_ids[0]
-        table[only] = cod.retract(target, f.vertex_image(only))
-    return PLTreeMap(f.domain, table, cod).normalize()
+    if not tree.edge_ids:
+        only = tree.vertex_ids[0]
+        table[only] = tree.retract(target, f.vertex_image(only))
+    return PLTreeMap(tree, table).normalize()
 
 
-def _project_piece(cod: MetricTree, target: Subtree, t0, p0, t1, p1) -> list:
+def _project_piece(tree: MetricTree, target: Subtree, t0, p0, t1, p1) -> list:
     if p0 == p1:
-        q = cod.retract(target, p0)
+        q = tree.retract(target, p0)
         return [(t0, q), (t1, q)]
-    arc = cod.arc(p0, p1)
+    arc = tree.arc(p0, p1)
     hits = target.intersect_arc(arc)
     if not hits:
-        q = cod.retract(target, p0)
+        q = tree.retract(target, p0)
         return [(t0, q), (t1, q)]
     if len(hits) > 1:
         raise ConsistencyError("connected target met an arc in several windows")
@@ -605,101 +562,23 @@ def _project_piece(cod: MetricTree, target: Subtree, t0, p0, t1, p1) -> list:
     return bps
 
 
-def pull_codomain_into_chart(f: PLTreeMap, chart: SubtreeChart) -> PLTreeMap:
-    """Rewrite a map whose image lies in a charted subtree in chart coordinates."""
-    if chart.subtree.tree != f.codomain:
-        raise PreconditionError("chart does not live in the map's codomain")
-    table: dict = {}
-    for eid in f.domain.edge_ids:
-        table[eid] = [(t, chart.to_hull(p)) for t, p in f._table[eid]]
-    if not f.domain.edge_ids:
-        only = f.domain.vertex_ids[0]
-        table[only] = chart.to_hull(f.vertex_image(only))
-    return PLTreeMap(f.domain, table, chart.tree)
-
-
-def extend_between_subtrees(f: PLTreeMap, source: Subtree, target: Subtree):
-    """Restrict f to a source subtree and project into a target subtree.
-
-    Returns ``(g, source_chart, target_chart)`` where g maps the source
-    chart tree into the target chart tree and agrees with the projected
-    restriction of f under the chart identifications.
-    """
-    f._require_self_map()
-    src_chart = source.to_chart()
-    tgt_chart = target.to_chart()
-    g = restrict_to_chart(f, src_chart)
-    g = project_onto(g, target)
-    return (pull_codomain_into_chart(g, tgt_chart), src_chart, tgt_chart)
-
-
-def extend_through_hull(f: PLTreeMap, points):
-    """Restriction of f to the hull of the points, projected into the
-    hull of their one-step images.
-
-    Where f already lands inside the image hull the result agrees with
-    f; pieces that overshoot are pinned at the nearest point of the
-    image hull, so the result is constant on each overshooting stretch.
-    Returns ``(g, source_chart, target_chart)``.
-    """
-    f._require_self_map()
-    pts = [f.domain.validate_point(p) for p in points]
-    if not pts:
-        raise PreconditionError("need at least one point")
-    source = f.domain.connected_hull(pts)
-    target = f.domain.connected_hull([f.evaluate(p) for p in pts])
-    return extend_between_subtrees(f, source, target)
-
-
-def iterated_extension(f: PLTreeMap, points, n: int, piece_cap: int = DEFAULT_PIECE_CAP):
-    """Follow f for n steps through the hulls of the iterated point images.
-
-    Step k produces a map from the chart of the points' hull into the
-    ambient tree whose image lies in the hull of the k-times-advanced
-    points.  Returns ``(maps, source_chart, hulls)`` with ``maps[k-1]``
-    the k-step map and ``hulls[k-1]`` its containing hull.
-    """
-    f._require_self_map()
-    if n < 1:
-        raise PreconditionError("need at least one step")
-    pts = [f.domain.validate_point(p) for p in points]
-    if not pts:
-        raise PreconditionError("need at least one point")
-    source = f.domain.connected_hull(pts)
-    chart = source.to_chart()
-    current = restrict_to_chart(identity_map(f.domain), chart)
-    maps = []
-    hulls = []
-    advanced = pts
-    for _ in range(n):
-        advanced = [f.evaluate(p) for p in advanced]
-        hull = f.domain.connected_hull(advanced)
-        current = project_onto(compose(f, current), hull)
-        if current.piece_count > piece_cap:
-            raise ResourceLimitError(
-                f"extension exceeded the piece budget ({current.piece_count} > {piece_cap})"
-            )
-        maps.append(current)
-        hulls.append(hull)
-    return (maps, chart, hulls)
-
-
 def find_periodic_in_hull(
     f: PLTreeMap,
     points,
     n: int,
-    fallback_cap: int = 3,
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> TreePoint:
     """A point x in the hull of the given points with f^n(x) = x.
 
-    Requires the n-times-advanced hull to contain the original one; the
-    n-step extension then maps the hull over itself, so a fixed point of
-    the projected return map exists, and candidate fixed points are
-    checked against f^n directly.  If projection artifacts hide every
-    true fixed point, higher powers of the return map are searched, and
-    as a last resort the exact fixed-point set of f^n is intersected
-    with the hull.
+    Requires the n-times-advanced hull to contain the original one.  The
+    search starts from the nearest-point retraction r onto the hull and
+    composes with f n times.  The result h = f^n . r equals f^n on the
+    hull and is constant on each component off it, so only pieces over
+    the hull grow, and the fixed points of h in the hull are exactly
+    those of f^n there.  The answer is the canonical point of that set:
+    the midpoint of its first interval, else its first corner.  A
+    composition with more than `piece_cap` pieces raises
+    ResourceLimitError.
 
     Covering guarantees a point of period n in the hull on an interval,
     not on other trees: on a tripod, a map that swaps two ends and sends
@@ -708,49 +587,24 @@ def find_periodic_in_hull(
     raises ConsistencyError("no fixed point of the n-th iterate in the
     hull").
     """
-    f._require_self_map()
-    maps, chart, hulls = iterated_extension(f, points, n, piece_cap)
-    source = chart.subtree
-    if not hulls[-1].contains_subtree(source):
+    tree = f.domain
+    if n < 1:
+        raise PreconditionError("need at least one step")
+    pts = list(points)
+    hull = tree.connected_hull(pts)  # validates the points and rejects none
+    advanced = pts
+    for _ in range(n):
+        advanced = [f.evaluate(p) for p in advanced]
+    if not tree.connected_hull(advanced).contains_subtree(hull):
         raise PreconditionError("advanced hull does not cover the original hull")
-    back = project_onto(maps[-1], source)
-    g = pull_codomain_into_chart(back, chart)
-
-    def check(candidates) -> TreePoint | None:
-        for c in candidates:
-            x = chart.to_ambient(c)
-            y = x
-            for _ in range(n):
-                y = f.evaluate(y)
-            if y == x:
-                return x
-        return None
-
-    found = check(_fixed_candidates(g))
-    if found is not None:
-        return found
-    power = g
-    for m in range(2, fallback_cap + 1):
-        power = compose(g, power)
-        found = check(_fixed_candidates(power))
-        if found is not None:
-            logger.warning("hull search needed the %d-th power of the return map", m)
-            return found
-    direct = f.iterate(n, piece_cap).fixed_point_set().intersect(source)
-    if not direct.is_empty():
-        logger.warning("hull search fell back to the exact fixed-point set")
-        return _canonical_point(f.domain, direct)
-    raise ConsistencyError("no fixed point of the n-th iterate in the hull")
-
-
-def _fixed_candidates(g: PLTreeMap):
-    """Deterministic candidate points from a return map's fixed-point set."""
-    fixed = g.fixed_point_set()
-    candidates = list(fixed.corner_points())
-    tree = g.domain
-    for eid in sorted(fixed.segments, key=str):
-        for lo, hi in fixed.segments[eid]:
-            if lo < hi:
-                candidates.append(tree.edge_point(eid, (lo + hi) / 2))
-    candidates.sort(key=point_key)
-    return candidates
+    h = project_onto(identity_map(tree), hull)
+    for _ in range(n):
+        h = compose(f, h)
+        if h.piece_count > piece_cap:
+            raise ResourceLimitError(
+                f"hull search exceeded the piece budget ({h.piece_count} > {piece_cap})"
+            )
+    fixed = h.fixed_point_set().intersect(hull)
+    if fixed.is_empty():
+        raise ConsistencyError("no fixed point of the n-th iterate in the hull")
+    return _canonical_point(tree, fixed)

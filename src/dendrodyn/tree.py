@@ -700,33 +700,19 @@ class Subtree:
         return total
 
     def is_connected(self) -> bool:
-        """Union-find over segments and vertices; empty counts as connected."""
-        parent: dict = {}
+        """Whether the set is connected; empty counts as connected.
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for v in self.vertices:
-            parent[("vx", v)] = ("vx", v)
-        for eid, ivs in self.segments.items():
-            u, w = self.tree.edge_ends(eid)
+        Vertices and interval segments, linked where a segment reaches an
+        edge end (whose vertex the canonical form always carries), form a
+        forest inside the tree, so it has nodes minus links components.
+        """
+        nodes = len(self.vertices)
+        links = 0
+        for ivs in self.segments.values():
+            nodes += len(ivs)
             for lo, hi in ivs:
-                key = ("seg", eid, lo, hi)
-                parent[key] = key
-                if lo == ZERO:
-                    union(key, ("vx", u))
-                if hi == ONE:
-                    union(key, ("vx", w))
-        roots = {find(k) for k in parent}
-        return len(roots) <= 1
+                links += (lo == ZERO) + (hi == ONE)
+        return nodes - links <= 1
 
     def corner_points(self) -> tuple[TreePoint, ...]:
         """Vertices and interval endpoints, as points, in deterministic order."""
@@ -775,9 +761,6 @@ class Subtree:
                 merged.append([lo, hi])
         return tuple((lo, hi) for lo, hi in merged)
 
-    def to_chart(self) -> "SubtreeChart":
-        return SubtreeChart(self)
-
 
 @dataclass(frozen=True, slots=True)
 class Component:
@@ -802,78 +785,3 @@ class Component:
             )
         return self.boundary[0]
 
-
-class SubtreeChart:
-    """A connected subtree materialized as a metric tree of its own.
-
-    Chart vertices are the subtree's corner points; chart edges are the
-    interval pieces, isometrically parameterized.  `to_hull` and
-    `to_ambient` convert points both ways exactly.
-    """
-
-    __slots__ = ("subtree", "tree", "_amb_of_vertex", "_host_of_edge", "_vertex_of_point")
-
-    def __init__(self, subtree: Subtree):
-        if subtree.is_empty():
-            raise PreconditionError("cannot chart an empty subtree")
-        if not subtree.is_connected():
-            raise PreconditionError("cannot chart a disconnected subtree")
-        host = subtree.tree
-        amb_of_vertex: dict = {}
-        vertex_of_point: dict = {}
-
-        def node_for(eid, t) -> str:
-            if t == ZERO or t == ONE:
-                u, w = host.edge_ends(eid)
-                v = u if t == ZERO else w
-                name = f"v:{v}"
-                pt = host.vertex_point(v)
-            else:
-                name = f"p:{eid}:{t}"
-                pt = TreePoint(edge=eid, t=t)
-            amb_of_vertex[name] = pt
-            vertex_of_point[pt] = name
-            return name
-
-        for v in sorted(subtree.vertices, key=str):
-            node_for_name = f"v:{v}"
-            amb_of_vertex[node_for_name] = host.vertex_point(v)
-            vertex_of_point[host.vertex_point(v)] = node_for_name
-
-        edges = []
-        host_of_edge: dict = {}
-        for eid in sorted(subtree.segments, key=str):
-            for lo, hi in subtree.segments[eid]:
-                if lo == hi:
-                    node_for(eid, lo)
-                    continue
-                a = node_for(eid, lo)
-                b = node_for(eid, hi)
-                name = f"s:{eid}:{lo}"
-                edges.append((name, (a, b), (hi - lo) * host.edge_length(eid)))
-                host_of_edge[name] = (eid, lo, hi)
-
-        self.subtree = subtree
-        self.tree = MetricTree(sorted(amb_of_vertex, key=str), edges)
-        self._amb_of_vertex = amb_of_vertex
-        self._host_of_edge = host_of_edge
-        self._vertex_of_point = vertex_of_point
-
-    def to_ambient(self, p: TreePoint) -> TreePoint:
-        self.tree.validate_point(p)
-        if p.is_vertex:
-            return self._amb_of_vertex[p.vertex]
-        eid, lo, hi = self._host_of_edge[p.edge]
-        return self.subtree.tree.edge_point(eid, lo + p.t * (hi - lo))
-
-    def to_hull(self, p: TreePoint) -> TreePoint:
-        """Convert an ambient point of the subtree into chart coordinates."""
-        if p in self._vertex_of_point:
-            return self.tree.vertex_point(self._vertex_of_point[p])
-        if p.is_vertex or not self.subtree.contains(p):
-            raise PreconditionError(f"point {p!r} is not in the subtree")
-        for lo, hi in self.subtree.segments.get(p.edge, ()):
-            if lo <= p.t <= hi:
-                name = f"s:{p.edge}:{lo}"
-                return self.tree.edge_point(name, (p.t - lo) / (hi - lo))
-        raise PreconditionError(f"point {p!r} is not in the subtree")

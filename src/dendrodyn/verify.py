@@ -169,7 +169,6 @@ def run_checks(
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> list[CheckRecord]:
     """Run every named check against a self-map of a tree."""
-    f._require_self_map()
     upto = max(2, min(depth, 4))
     plan = (
         ("recurrence-verdict-consistency",

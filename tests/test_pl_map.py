@@ -15,13 +15,10 @@ from dendrodyn.fixtures import random_finite_order_map, random_folding_map, rota
 from dendrodyn.plmap import (
     PLTreeMap,
     compose,
-    extend_through_hull,
     find_periodic_in_hull,
     identity_map,
-    iterated_extension,
     map_from_vertex_images,
     project_onto,
-    restrict_to_chart,
 )
 
 
@@ -352,7 +349,7 @@ def pairwise_is_injective(f):
         for eid in sorted(sub.segments, key=str):
             lo, hi = sub.segments[eid][0]
             if lo < hi:
-                return f.codomain.edge_point(eid, (lo + hi) / 2)
+                return f.domain.edge_point(eid, (lo + hi) / 2)
         return sub.corner_points()[0]
 
     def preimage(piece, q):
@@ -447,13 +444,19 @@ def test_fixed_set_matches_grid_scan():
             assert (f.evaluate(x) == x) == fixed.contains(x)
 
 
-def test_fixed_set_of_non_self_map_rejected():
+def test_compose_rejects_maps_on_different_trees():
     s = star3()
-    sub = s.connected_hull([s.vertex_point("c"), s.vertex_point("l1")])
-    chart = sub.to_chart()
-    g = restrict_to_chart(identity_map(s), chart)
+    t = star3()
+    rot = rotation_on(s)
+    assert compose(rot, identity_map(t)).equals(rot)  # equal trees, distinct objects
+    t2 = MetricTree(
+        ["c", "l1", "l2", "l3"],
+        [("a1", ("c", "l1"), 2), ("a2", ("c", "l2"), 1), ("a3", ("c", "l3"), 1)],
+    )
     with pytest.raises(PreconditionError):
-        g.fixed_point_set()
+        compose(rot, identity_map(t2))
+    with pytest.raises(PreconditionError):
+        compose(identity_map(t2), rot)
 
 
 # -- hull machinery ------------------------------------------------------------------
@@ -471,60 +474,48 @@ def test_project_onto_matches_pointwise_retraction():
         assert z.contains_subtree(g.image())
 
 
-def test_restrict_to_chart_agrees_with_host():
-    rng = random.Random(888)
-    for _ in range(12):
-        t = random_tree(rng, rng.randint(3, 6))
-        f = random_map(rng, t)
-        sub = t.connected_hull([random_point(rng, t), random_point(rng, t)])
-        chart = sub.to_chart()
-        g = restrict_to_chart(f, chart)
-        for x in sub.corner_points():
-            assert g.evaluate(chart.to_hull(x)) == f.evaluate(x)
-        for eid, ivs in sub.segments.items():
-            for lo, hi in ivs:
-                if lo < hi:
-                    x = t.edge_point(eid, lo + (hi - lo) * F(2, 5))
-                    assert g.evaluate(chart.to_hull(x)) == f.evaluate(x)
-
-
-def test_extend_through_hull_rotation():
-    s = star3()
-    rot = rotation_on(s)
-    g, cy, cz = extend_through_hull(rot, [s.vertex_point("c"), s.vertex_point("l1")])
-    for t in (F(1, 4), F(1, 2), F(3, 4)):
-        x = s.edge_point("a1", t)
-        assert cz.to_ambient(g.evaluate(cy.to_hull(x))) == s.edge_point("a2", t)
-
-
-def test_extend_through_hull_pins_overshooting_pieces():
+def test_project_onto_pins_overshooting_pieces():
     t = interval()
     tent = tent_on(t)
-    # hull of {0, 3/4} maps over [0, 1]; restricting to the image hull of
-    # the two points [0, 1/2] pins the middle stretch at the hull's far end
-    g, cy, cz = extend_through_hull(tent, [t.vertex_point("v0"), t.edge_point("e", F(3, 4))])
+    # the tent maps [1/4, 3/4] over [1/2, 1]; retracting onto [0, 1/2]
+    # pins that whole stretch at the target's far end
+    target = t.connected_hull([t.vertex_point("v0"), t.edge_point("e", F(1, 2))])
+    g = project_onto(tent, target)
     far = t.edge_point("e", F(1, 2))
-    for x in (F(1, 4), F(3, 8), F(1, 2), F(5, 8)):
-        amb = cz.to_ambient(g.evaluate(cy.to_hull(t.edge_point("e", x))))
+    for x in (F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4), F(7, 8)):
         expect = tent.evaluate(t.edge_point("e", x))
-        if x <= F(1, 4) or x >= F(3, 4):
-            assert amb == expect
-        else:
-            assert amb == far
+        if F(1, 4) < x < F(3, 4):
+            expect = far
+        assert g.evaluate(t.edge_point("e", x)) == expect
+    assert g.breakpoints("e") == (
+        (F(0), t.vertex_point("v0")),
+        (F(1, 4), far),
+        (F(3, 4), far),
+        (F(1), t.vertex_point("v0")),
+    )
 
 
-def test_iterated_extension_images_stay_in_hulls():
-    s = star3()
-    rot = rotation_on(s)
-    pts = [s.edge_point("a1", F(1, 2)), s.vertex_point("c")]
-    maps, chart, hulls = iterated_extension(rot, pts, 3)
-    assert len(maps) == 3 and len(hulls) == 3
-    for fk, hull in zip(maps, hulls):
-        assert hull.contains_subtree(fk.image())
-    # after a full turn the extension is the identity inclusion again
-    final = maps[-1]
-    for x in chart.subtree.corner_points():
-        assert final.evaluate(chart.to_hull(x)) == x
+def test_retracted_power_is_the_power_on_the_hull():
+    # the hull solver's map: f composed n times onto the retraction to the
+    # hull agrees with f^n there and is constant on each component off it
+    rng = random.Random(999)
+    for _ in range(30):
+        t = random_tree(rng, rng.randint(3, 6))
+        f = random_map(rng, t)
+        n = rng.randint(1, 3)
+        hull = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 3))])
+        h = project_onto(identity_map(t), hull)
+        for _ in range(n):
+            h = compose(f, h)
+        fn = f.iterate(n)
+        for x in domain_samples(t):
+            if hull.contains(x):
+                assert h.evaluate(x) == fn.evaluate(x)
+        for comp in t.components_minus(hull):
+            value = fn.evaluate(comp.attachment)
+            for x in domain_samples(t):
+                if comp.contains(x):
+                    assert h.evaluate(x) == value
 
 
 def test_find_periodic_in_hull_cases():
@@ -580,10 +571,34 @@ def test_find_periodic_covering_without_periodic_point():
         find_periodic_in_hull(f, ends, 1)
 
 
+def test_find_periodic_piece_budget():
+    t = interval()
+    tent = tent_on(t)
+    # 0 and 2/3 are fixed, so the hull [0, 2/3] covers itself; the
+    # tent's n-th power has about 2^n pieces over it
+    pts = [t.vertex_point("v0"), t.edge_point("e", F(2, 3))]
+    x = find_periodic_in_hull(tent, pts, 6)
+    assert tent.orbit(x, 6)[-1] == x
+    with pytest.raises(ResourceLimitError):
+        find_periodic_in_hull(tent, pts, 6, piece_cap=20)
+
+
+def test_find_periodic_rejects_bad_arguments():
+    t = interval()
+    tent = tent_on(t)
+    with pytest.raises(PreconditionError):
+        find_periodic_in_hull(tent, [t.vertex_point("v0")], 0)
+    with pytest.raises(PreconditionError):
+        find_periodic_in_hull(tent, [], 1)
+
+
 def test_single_point_domain_maps():
-    t = star3()
-    single = t.point_subtree(t.vertex_point("l1"))
-    chart = single.to_chart()
-    g = restrict_to_chart(rotation_on(t), chart)
-    v = chart.tree.vertex_point(chart.tree.vertex_ids[0])
-    assert g.evaluate(v) == t.vertex_point("l2")
+    t = MetricTree(["o"], [])
+    o = t.vertex_point("o")
+    f = PLTreeMap(t, {"o": o})
+    assert f.piece_count == 0
+    assert f.evaluate(o) == o
+    assert f.iterate(3).evaluate(o) == o
+    assert f.iterate(3).is_identity()
+    assert f.fixed_point_set() == t.full_subtree()
+    assert f.fixed_point_set().vertices == frozenset({"o"})

@@ -342,6 +342,67 @@ def test_subtree_contains():
     assert not s.is_connected()
 
 
+def union_find_is_connected(sub):
+    """Union-find over segments and vertices; empty counts as connected.
+
+    The oracle for `Subtree.is_connected`, which counts instead.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for v in sub.vertices:
+        parent[("vx", v)] = ("vx", v)
+    for eid, ivs in sub.segments.items():
+        u, w = sub.tree.edge_ends(eid)
+        for lo, hi in ivs:
+            key = ("seg", eid, lo, hi)
+            parent[key] = key
+            if lo == 0:
+                union(key, ("vx", u))
+            if hi == 1:
+                union(key, ("vx", w))
+    roots = {find(k) for k in parent}
+    return len(roots) <= 1
+
+
+def random_subtree(rng, tree):
+    """Raw intervals, often reaching an edge end, plus a few vertices."""
+    params = [F(0), F(1), F(1, 3), F(1, 2), F(2, 3)]
+    segs = []
+    for eid in rng.sample(tree.edge_ids, rng.randint(0, len(tree.edge_ids))):
+        for _ in range(rng.randint(1, 2)):
+            a, b = sorted((rng.choice(params), rng.choice(params)))
+            segs.append((eid, a, b))
+    return Subtree.build(tree, segs, rng.sample(tree.vertex_ids, rng.randint(0, 2)))
+
+
+def test_is_connected_matches_union_find_oracle():
+    rng = random.Random(3113)
+    verdicts = set()
+    for _ in range(400):
+        t = random_tree(rng, rng.randint(2, 8))
+        subs = [random_subtree(rng, t) for _ in range(3)]
+        subs.append(subs[0].union(subs[1]))
+        subs.append(subs[1].intersect(subs[2]))
+        hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(2)]
+        subs += [hulls[0].union(hulls[1]), hulls[0].intersect(hulls[1])]
+        for sub in subs:
+            expected = union_find_is_connected(sub)
+            assert sub.is_connected() == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_connected_hull_equals_pairwise_arc_union():
     rng = random.Random(3003)
     for _ in range(25):
@@ -474,37 +535,6 @@ def test_components_minus_point_star():
     assert len(comps) == 2
     comps = t.components_minus_point(t.vertex_point("l1"))
     assert len(comps) == 1
-
-
-# -- charts ----------------------------------------------------------------
-
-
-def test_chart_is_isometric_and_invertible():
-    rng = random.Random(7007)
-    for _ in range(20):
-        t = random_tree(rng, rng.randint(2, 8))
-        pts = [random_point(rng, t) for _ in range(3)]
-        sub = t.connected_hull(pts)
-        chart = sub.to_chart()
-        samples = list(sub.corner_points())
-        for eid, ivs in sub.segments.items():
-            for lo, hi in ivs:
-                if lo < hi:
-                    samples.append(t.edge_point(eid, lo + (hi - lo) * F(1, 3)))
-        for x in samples:
-            assert chart.to_ambient(chart.to_hull(x)) == x
-        for x in samples:
-            for y in samples:
-                dc = chart.tree.distance(chart.to_hull(x), chart.to_hull(y))
-                assert dc == t.distance(x, y)
-
-
-def test_chart_rejects_outside_points():
-    t = star3()
-    sub = t.connected_hull([t.vertex_point("l1"), t.vertex_point("c0")])
-    chart = sub.to_chart()
-    with pytest.raises(PreconditionError):
-        chart.to_hull(t.vertex_point("l2"))
 
 
 def test_grid_points_deterministic():
