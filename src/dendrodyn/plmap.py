@@ -7,6 +7,11 @@ Every map sends a tree into itself.  Composition, iteration,
 injectivity, and fixed-point sets are computed exactly, so every answer
 here is a decision, not an approximation.
 
+`PLTreeMap.image_of_subtree` is the one image routine: the image of the
+whole tree and of an arc are that routine on the full subtree and on the
+arc's subtree.  Each map also carries the fixed sets of its powers once
+`dynamics.fixed_set` has computed them; the power maps are not kept.
+
 `project_onto` composes a map with the nearest-point retraction onto a
 connected subtree.  `find_periodic_in_hull` starts from that retraction
 and composes with f n times, which equals f^n on the hull and stays
@@ -16,7 +21,7 @@ hull come from pieces over the hull alone.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import (
@@ -69,7 +74,7 @@ class PLTreeMap:
     ``(t, point)`` pairs with the point in the same tree.
     """
 
-    __slots__ = ("domain", "_table", "_vimg", "_pieces", "_edge_index", "_image")
+    __slots__ = ("domain", "_table", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets")
 
     def __init__(self, domain: MetricTree, table):
         clean: dict = {}
@@ -128,6 +133,7 @@ class PLTreeMap:
         # per edge: breakpoint parameters, and the pieces between them
         self._edge_index = edge_index
         self._image = None
+        self._fixed_sets = {}  # (n, piece_cap) -> fixed set, kept by dynamics.fixed_set
 
     # -- inspection --------------------------------------------------------
 
@@ -168,56 +174,52 @@ class PLTreeMap:
     def image(self) -> Subtree:
         """The exact image of the whole tree, as a subtree."""
         if self._image is None:
-            segs = []
-            verts = []
-            for piece in self._pieces:
-                sub = piece.arc.as_subtree()
-                segs += [(e, lo, hi) for e, ivs in sub.segments.items() for lo, hi in ivs]
-                verts += list(sub.vertices)
-            for img in self._vimg.values():
-                if img.is_vertex:
-                    verts.append(img.vertex)
-                else:
-                    segs.append((img.edge, img.t, img.t))
-            self._image = Subtree.build(self.domain, segs, verts)
+            self._image = self.image_of_subtree(self.domain.full_subtree())
         return self._image
 
     def image_of_arc(self, arc: Arc) -> Subtree:
         """Exact image of an arc of the tree."""
-        tree = self.domain
-        if arc.is_degenerate():
-            return tree.point_subtree(self.evaluate(arc.a))
-        out = Subtree.empty(tree)
-        for eid, t0, t1 in arc.segments:
-            lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-            for piece in self._pieces:
-                if piece.edge != eid:
-                    continue
-                a, b = max(lo, piece.t0), min(hi, piece.t1)
-                if a > b or (a == b and not (a == lo == hi)):
-                    continue
-                pa = self._eval_in_piece(piece, a)
-                pb = self._eval_in_piece(piece, b)
-                out = out.union(tree.arc(pa, pb).as_subtree())
-                out = out.union(tree.point_subtree(pa))
-        return out
+        return self.image_of_subtree(arc.as_subtree())
 
     def image_of_subtree(self, sub: Subtree) -> Subtree:
-        """Exact image of a closed subtree."""
+        """Exact image of a closed subtree, built in one pass.
+
+        Each vertex adds its image and each single point its value.  An
+        interval adds the image arcs of the pieces it meets in positive
+        length, found by bisecting the edge's breakpoints and cut to the
+        interval; a piece it covers whole adds its stored arc.
+        """
         tree = self.domain
-        out = Subtree.empty(tree)
+        if sub.tree != tree:
+            raise PreconditionError("the subtree must live in the map's tree")
+        segs = []
+        verts = []
+
+        def add_point(p):
+            if p.is_vertex:
+                verts.append(p.vertex)
+            else:
+                segs.append((p.edge, p.t, p.t))
+
         for v in sub.vertices:
-            img = self.evaluate(tree.vertex_point(v))
-            out = out.union(tree.point_subtree(img))
+            add_point(self._vimg[v])
         for eid, intervals in sub.segments.items():
+            params, pieces = self._edge_index[eid]
             for lo, hi in intervals:
-                a = tree.edge_point(eid, lo)
-                b = tree.edge_point(eid, hi)
-                if a == b:
-                    out = out.union(tree.point_subtree(self.evaluate(a)))
-                else:
-                    out = out.union(self.image_of_arc(tree.arc(a, b)))
-        return out
+                if lo == hi:
+                    add_point(self.evaluate(tree.edge_point(eid, lo)))
+                    continue
+                # the pieces with t0 < hi and t1 > lo
+                for piece in pieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]:
+                    if piece.is_constant:
+                        add_point(piece.p0)
+                        continue
+                    arc = piece.arc
+                    if lo > piece.t0 or hi < piece.t1:
+                        ends = (max(lo, piece.t0), min(hi, piece.t1))
+                        arc = tree.arc(*(self._eval_in_piece(piece, t) for t in ends))
+                    segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1 in arc.segments]
+        return Subtree.build(tree, segs, verts)
 
     def _eval_in_piece(self, piece: _Piece, t: Fraction) -> TreePoint:
         if piece.is_constant:
@@ -431,14 +433,7 @@ def _canonical_point(tree: MetricTree, sub: Subtree) -> TreePoint:
 
 
 def identity_map(tree: MetricTree) -> PLTreeMap:
-    table = {}
-    for eid in tree.edge_ids:
-        u, w = tree.edge_ends(eid)
-        table[eid] = [(ZERO, tree.vertex_point(u)), (ONE, tree.vertex_point(w))]
-    if not tree.edge_ids:
-        only = tree.vertex_ids[0]
-        table[only] = tree.vertex_point(only)
-    return PLTreeMap(tree, table)
+    return map_from_vertex_images(tree, {v: tree.vertex_point(v) for v in tree.vertex_ids})
 
 
 def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:

@@ -56,8 +56,8 @@ CHECK_NAMES = (
 )
 
 
-def _recurrence_verdict_consistency(f, max_period, piece_cap) -> CheckResult:
-    verdict = decide_pointwise_recurrent(f, max_period, piece_cap)
+def _recurrence_verdict_consistency(f, decided, max_period, piece_cap) -> CheckResult:
+    verdict = decided()
     if verdict.pointwise_recurrent:
         n = verdict.identity_power
         if not n or n < 1:
@@ -112,8 +112,8 @@ def _periodic_union_monotone(f, upto, piece_cap) -> CheckResult:
     return CheckResult("pass", detail=f"powers 1..{upto}")
 
 
-def _power_recurrence_consistency(f, max_period, piece_cap) -> CheckResult:
-    base = decide_pointwise_recurrent(f, max_period, piece_cap).pointwise_recurrent
+def _power_recurrence_consistency(f, decided, max_period, piece_cap) -> CheckResult:
+    base = decided().pointwise_recurrent
     for k in (2, 3):
         g = f.iterate(k, piece_cap)
         got = decide_pointwise_recurrent(g, max_period, piece_cap).pointwise_recurrent
@@ -168,16 +168,32 @@ def run_checks(
     depth: int = 4,
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> list[CheckRecord]:
-    """Run every named check against a self-map of a tree."""
+    """Run every named check against a self-map of a tree.
+
+    The verdict on f is decided once, on first use; a bound it hits marks
+    every check that uses it.
+    """
     upto = max(2, min(depth, 4))
+    verdict = []  # the decision on f, or the bound error it raised
+
+    def decided():
+        if not verdict:
+            try:
+                verdict.append(decide_pointwise_recurrent(f, max_period, piece_cap))
+            except (UndecidedError, ResourceLimitError) as exc:
+                verdict.append(exc)
+        if isinstance(verdict[0], Exception):
+            raise verdict[0]
+        return verdict[0]
+
     plan = (
         ("recurrence-verdict-consistency",
-         lambda: _recurrence_verdict_consistency(f, max_period, piece_cap)),
+         lambda: _recurrence_verdict_consistency(f, decided, max_period, piece_cap)),
         ("fixed-sets-connected", lambda: _fixed_sets_connected(f, upto, piece_cap)),
         ("periodic-union-monotone",
          lambda: _periodic_union_monotone(f, upto, piece_cap)),
         ("power-recurrence-consistency",
-         lambda: _power_recurrence_consistency(f, max_period, piece_cap)),
+         lambda: _power_recurrence_consistency(f, decided, max_period, piece_cap)),
         ("surjectivity-and-orbit-invariance",
          lambda: check_full_invariance(f, horizon=min(horizon, 200))),
         ("no-preperiodic-samples",

@@ -156,6 +156,26 @@ def test_bad_flags_exit_three(tmp_path):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--horizon", "-1"],
+        ["recurrence", "--max-period", "-5"],
+        ["recurrence", "--piece-cap", "0"],
+        ["classify", "--point", "l0", "--max-period", "-1"],
+        ["verify", "--depth", "0"],
+    ],
+)
+def test_bounds_below_one_exit_three(tmp_path, capsys, argv):
+    path = write_fixture(tmp_path, "rotation", {"arms": "3"})
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [path])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_fixture_command_emits_loadable_instances(tmp_path, capsys):
     out = tmp_path / "rot.json"
     assert main(["fixture", "rotation", "--param", "arms=4", "-o", str(out)]) == 0
@@ -173,6 +193,29 @@ def test_fixture_param_validation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fixture", "rotation", "--param", "bogus=1"]) == 3
     assert "unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["fixture", "rotation", "--param", "arms=abc"], "'arms'"),
+        (["fixture", "rotation", "--param", "arm_length=1/0"], "'arm_length'"),
+        (["fixture", "tower", "--param", "periods=2,x"], "'periods'"),
+        (["fixture", "random_folding", "--seed", "abc"], "'seed'"),
+    ],
+)
+def test_fixture_parameters_that_are_not_numbers_exit_three(capsys, argv, name):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert f"parameter {name} is not a number" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_fixture_seed_env_that_is_not_a_number_exits_three(capsys, monkeypatch):
+    monkeypatch.setenv("DENDRODYN_SEED", "zz")
+    assert main(["fixture", "random_finite_order"]) == 3
+    assert "parameter 'seed' is not a number: 'zz'" in capsys.readouterr().err
 
 
 def test_fixture_seed_env(tmp_path, capsys, monkeypatch):

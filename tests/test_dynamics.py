@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, UndecidedError
+from dendrodyn import MetricTree, PreconditionError, ResourceLimitError, UndecidedError
 from dendrodyn.dynamics import (
     check_escape,
     check_full_invariance,
@@ -17,6 +17,12 @@ from dendrodyn.dynamics import (
     periodic_union,
     returns_to_components,
     vertex_period,
+)
+from dendrodyn.fixtures import (
+    odometer_tower,
+    random_finite_order_map,
+    random_folding_map,
+    rotation_star,
 )
 from dendrodyn.plmap import PLTreeMap, identity_map, map_from_vertex_images
 
@@ -98,6 +104,27 @@ def test_fixed_set_agrees_with_orbit_scan():
             assert fix.contains(p) == (z == p)
 
 
+def test_fixed_set_matches_the_fixed_set_of_the_power():
+    rng = random.Random(77)
+    maps = [random_finite_order_map(i, i + 40)[1] for i in range(12)]
+    maps += [random_folding_map(i + 40)[1] for i in range(12)]
+    maps += [permuted_star_map(rng, rng.randint(2, 6))[1] for _ in range(6)]
+    for f in maps:
+        for n in (1, 2, 3, 4):
+            expected = f.iterate(n, 5000).fixed_point_set()
+            assert fixed_set(f, n, 5000) == expected
+            assert fixed_set(f, n, 5000) == expected  # served from the map's store
+
+
+def test_fixed_set_budget_errors_are_not_stored():
+    tent = tent_on(interval())
+    with pytest.raises(ResourceLimitError):
+        fixed_set(tent, 12, piece_cap=100)
+    assert fixed_set(tent, 12).vertices == frozenset({"v0"})
+    with pytest.raises(ResourceLimitError):
+        fixed_set(tent, 12, piece_cap=100)
+
+
 def test_fixed_set_rejects_zero_power():
     with pytest.raises(PreconditionError):
         fixed_set(tent_on(interval()), 0)
@@ -139,6 +166,35 @@ def test_vertex_period_matches_orbit_oracle():
     rot = rotation_on(s, 4)
     for v in s.vertex_ids:
         assert vertex_period(rot, v, 20) == orbit_period(rot, s.vertex_point(v), 20)
+
+
+def loop_vertex_period(f, v, max_period):
+    """The former `vertex_period` loop, kept as the oracle of the walker."""
+    start = f.domain.vertex_point(v)
+    seen = {start: 0}
+    x = start
+    for k in range(1, max_period + 1):
+        x = f.evaluate(x)
+        if x == start:
+            return k
+        if x in seen:
+            return None
+        seen[x] = k
+    return None
+
+
+def test_vertex_period_matches_the_former_loop():
+    maps = [odometer_tower(d, ps)[1] for d, ps in ((2, (2, 4)), (3, (2, 6, 12)), (4, (2, 4, 8, 16)))]
+    maps += [rotation_star(k)[1] for k in (2, 3, 7)]
+    maps += [random_folding_map(seed)[1] for seed in range(20)]
+    periods = set()
+    for f in maps:
+        for v in f.domain.vertex_ids:
+            for bound in (1, 2, 5, 16, 100):
+                got = vertex_period(f, v, bound)
+                assert got == loop_vertex_period(f, v, bound)
+                periods.add(got)
+    assert None in periods and {1, 2, 16} <= periods
 
 
 # -- the decision procedure ---------------------------------------------------

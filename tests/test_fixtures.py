@@ -256,3 +256,21 @@ def test_build_fixture_rejects_bad_input():
         build_fixture("rotation", {"arms": 4, "extra": 1})
     with pytest.raises(PreconditionError):
         build_fixture("rotation", {"arms": 1})
+
+
+@pytest.mark.parametrize(
+    "kind, params, name",
+    [
+        ("rotation", {"arms": "abc"}, "arms"),
+        ("rotation", {"arm_length": "1/0"}, "arm_length"),
+        ("tower", {"periods": "2,x"}, "periods"),
+        ("tower", {"depth": None}, "depth"),
+        ("random_folding", {"seed": "abc"}, "seed"),
+        ("random_finite_order", {"seed": "zz"}, "seed"),
+        ("random_finite_order", {"order_seed": "1.5"}, "order_seed"),
+        ("star", {"k": "four"}, "k"),
+    ],
+)
+def test_build_fixture_names_a_parameter_that_is_not_a_number(kind, params, name):
+    with pytest.raises(PreconditionError, match=f"parameter '{name}' is not a number"):
+        build_fixture(kind, params)

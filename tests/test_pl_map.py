@@ -602,3 +602,128 @@ def test_single_point_domain_maps():
     assert f.iterate(3).is_identity()
     assert f.fixed_point_set() == t.full_subtree()
     assert f.fixed_point_set().vertices == frozenset({"o"})
+
+
+# -- images -------------------------------------------------------------------------
+
+
+def oracle_image(f):
+    """The former `image`: every piece arc as a subtree, plus vertex images."""
+    segs, verts = [], []
+    for piece in f._pieces:
+        sub = piece.arc.as_subtree()
+        segs += [(e, lo, hi) for e, ivs in sub.segments.items() for lo, hi in ivs]
+        verts += list(sub.vertices)
+    for img in f._vimg.values():
+        if img.is_vertex:
+            verts.append(img.vertex)
+        else:
+            segs.append((img.edge, img.t, img.t))
+    return Subtree.build(f.domain, segs, verts)
+
+
+def oracle_image_of_arc(f, arc):
+    """The former `image_of_arc`: every piece scanned per arc segment."""
+    tree = f.domain
+    if arc.is_degenerate():
+        return tree.point_subtree(f.evaluate(arc.a))
+    out = Subtree.empty(tree)
+    for eid, t0, t1 in arc.segments:
+        lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
+        for piece in f._pieces:
+            if piece.edge != eid:
+                continue
+            a, b = max(lo, piece.t0), min(hi, piece.t1)
+            if a > b or (a == b and not (a == lo == hi)):
+                continue
+            pa = f._eval_in_piece(piece, a)
+            pb = f._eval_in_piece(piece, b)
+            out = out.union(tree.arc(pa, pb).as_subtree())
+            out = out.union(tree.point_subtree(pa))
+    return out
+
+
+def oracle_image_of_subtree(f, sub):
+    """The former `image_of_subtree`: one union per vertex and interval."""
+    tree = f.domain
+    out = Subtree.empty(tree)
+    for v in sub.vertices:
+        out = out.union(tree.point_subtree(f.evaluate(tree.vertex_point(v))))
+    for eid, intervals in sub.segments.items():
+        for lo, hi in intervals:
+            a = tree.edge_point(eid, lo)
+            b = tree.edge_point(eid, hi)
+            if a == b:
+                out = out.union(tree.point_subtree(f.evaluate(a)))
+            else:
+                out = out.union(oracle_image_of_arc(f, tree.arc(a, b)))
+    return out
+
+
+def random_subtree(rng, tree):
+    """A closed, possibly disconnected set: intervals, single points, bare vertices."""
+    grid = [F(k, 8) for k in range(9)]
+    segs = []
+    for _ in range(rng.randint(0, 3)):
+        lo, hi = sorted(rng.sample(grid, 2)) if rng.random() < 0.7 else [rng.choice(grid)] * 2
+        segs.append((rng.choice(tree.edge_ids), lo, hi))
+    verts = rng.sample(tree.vertex_ids, rng.randint(0, 2))
+    return Subtree.build(tree, segs, verts)
+
+
+def any_point(rng, tree):
+    return random_point(rng, tree) if tree.edge_ids else tree.vertex_point(tree.vertex_ids[0])
+
+
+def test_image_routines_match_the_former_ones():
+    rng = random.Random(4242)
+    maps = []
+    for _ in range(60):
+        f = random_map(rng, random_tree(rng, rng.randint(2, 7)))
+        maps += [f, compose(f, f)]
+    for i in range(20):
+        maps.append(random_finite_order_map(i, i + 300)[1])
+        maps.append(random_folding_map(i + 300)[1])
+    point = MetricTree(["o"], [])
+    maps.append(PLTreeMap(point, {"o": point.vertex_point("o")}))
+    onto = set()
+    for f in maps:
+        tree = f.domain
+        assert f.image() == oracle_image(f)
+        onto.add(f.image() == tree.full_subtree())
+        subs = [random_subtree(rng, tree) for _ in range(4)] if tree.edge_ids else []
+        subs += [tree.full_subtree(), tree.point_subtree(any_point(rng, tree))]
+        for sub in subs:
+            assert f.image_of_subtree(sub) == oracle_image_of_subtree(f, sub)
+        for _ in range(4):
+            a = any_point(rng, tree)
+            b = a if rng.random() < 0.25 else any_point(rng, tree)
+            arc = tree.arc(a, b)
+            assert f.image_of_arc(arc) == oracle_image_of_arc(f, arc)
+    assert onto == {True, False}
+
+
+def test_image_of_whole_pieces_reuses_their_arcs(monkeypatch):
+    _, rot = rotation_star(50)
+    calls = []
+    plain = MetricTree.arc
+
+    def counted(self, a, b):
+        calls.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(MetricTree, "arc", counted)
+    assert rot.image() == rot.domain.full_subtree()
+    assert not calls
+
+
+def test_image_of_subtree_rejects_another_tree():
+    t = interval()
+    other = interval()
+    other_star = star3()
+    f = tent_on(t)
+    assert f.image_of_subtree(other.full_subtree()) == t.full_subtree()  # an equal tree
+    with pytest.raises(PreconditionError):
+        f.image_of_subtree(other_star.full_subtree())
+    with pytest.raises(PreconditionError):
+        f.image_of_arc(other_star.arc(other_star.vertex_point("c"), other_star.vertex_point("l1")))

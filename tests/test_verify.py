@@ -2,7 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import dendrodyn.verify
 from dendrodyn import MetricTree, PLTreeMap, build_fixture
+from dendrodyn.fixtures import odometer_tower
 from dendrodyn.verify import CHECK_NAMES, run_checks
 
 
@@ -82,6 +84,44 @@ def test_undecided_marks_the_record():
     assert rec.undecided
     assert rec.result.status == "skipped"
     assert "bound" in rec.result.detail
+
+
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the first argument of each call."""
+    seen = []
+    plain = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        seen.append(args[0])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return seen
+
+
+def test_tower_checks_compute_each_power_once(monkeypatch):
+    _, f = odometer_tower(4, (2, 4, 8, 16))
+    fixed = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
+    decided = count_calls(monkeypatch, dendrodyn.verify, "decide_pointwise_recurrent")
+    recs = run_checks(f)
+    assert all(r.result.status != "fail" and not r.undecided for r in recs)
+    assert len(fixed) == 5  # powers 1..5, each once
+    assert len(decided) == 3
+    assert decided[0] is f
+    assert decided[1].equals(f.iterate(2))
+    assert decided[2].equals(f.iterate(3))
+
+
+def test_undecided_verdict_is_shared(monkeypatch):
+    tree, f = build_fixture("rotation", {"arms": "5"})
+    decided = count_calls(monkeypatch, dendrodyn.verify, "decide_pointwise_recurrent")
+    recs = by_name(run_checks(f, max_period=3))
+    assert len(decided) == 1
+    first = recs["recurrence-verdict-consistency"]
+    second = recs["power-recurrence-consistency"]
+    assert first.undecided and second.undecided
+    assert first.result == second.result
+    assert first.result.detail == "bound reached: the candidate identity power exceeds the bound (5 > 3)"
 
 
 def test_finite_order_sweep_has_no_failures():
