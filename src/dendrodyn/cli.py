@@ -335,13 +335,14 @@ def _bound(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    output.add_argument("-o", "--output", default=None)
     bounds = _Parser(add_help=False)
     bounds.add_argument("--max-period", type=_bound, default=MAX_PERIOD_DEFAULT)
     bounds.add_argument("--horizon", type=_bound, default=HORIZON_DEFAULT)
     bounds.add_argument("--depth", type=_bound, default=DEPTH_DEFAULT)
     bounds.add_argument("--piece-cap", type=_bound, default=DEFAULT_PIECE_CAP)
-    bounds.add_argument("--format", choices=("text", "json"), default="text")
-    bounds.add_argument("-o", "--output", default=None)
 
     parser = _Parser(
         prog="dendrodyn",
@@ -355,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("classify", True),
         ("verify", True),
     ):
-        p = sub.add_parser(name, parents=[bounds])
+        p = sub.add_parser(name, parents=[bounds, output])
         p.add_argument("input", help="instance file (tree plus map)")
         if name == "classify":
             p.add_argument(
@@ -364,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="a vertex id or a point object such as "
                 '\'{"edge": "e", "t": "1/3"}\'',
             )
-    p = sub.add_parser("fixture", parents=[bounds])
+    p = sub.add_parser("fixture", parents=[output])
     p.add_argument("kind", choices=FIXTURE_KINDS)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
     p.add_argument("--seed", default=None)

@@ -3,8 +3,9 @@
 The central question answered here: does every point of the tree come
 back to itself under iteration?  On a finite tree this is equivalent to
 some power of the map being the identity, which makes the question
-decidable in exact arithmetic.  The decision procedure never samples
-orbits; sampling-based operations exist alongside it to demonstrate,
+decidable in exact arithmetic.  The decision procedure walks only the
+finitely many exact orbits of the vertices and breakpoints and never
+samples; sampling-based operations exist alongside it to demonstrate,
 falsify, and cross-check, and their negatives are horizon-relative.
 
 Every "false" answer ships a witness that can be re-verified with a
@@ -13,7 +14,8 @@ assertion from a hypothesis that never applied (status "skipped").
 
 `fixed_set` is the one path to the fixed set of a power and computes it
 once per map; `_walk` is the one orbit walker, whose walked orbit answers
-periods, eventual cycles, limit sets and the sampled orbit checks.
+periods, eventual cycles, limit sets, the sampled orbit checks and the
+recurrence decision's certificate.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def decide_pointwise_recurrent(
 ) -> RecurrenceVerdict:
     """Decide whether every point returns to itself under iteration.
 
-    The route is exact and never walks orbits:
+    The route is exact and samples nothing:
 
     1. A non-injective map has a collapsing pair; fail with it.
     2. A non-surjective map leaves a gap no orbit re-enters; fail with a
@@ -159,7 +161,15 @@ def decide_pointwise_recurrent(
        non-cutpoint valence (leaves, branch vertices, an isolated
        vertex); N is the least common multiple of their periods, and the
        map is pointwise recurrent exactly when f^N is the identity.
-       Otherwise f^N moves some point on an arc whose endpoints it
+       That is certified without composing: walk the orbit of every
+       vertex and interior breakpoint, and succeed when each returns to
+       its start with a period dividing N.  The union O of these orbits
+       is finite and f(O) = O, so f maps each open interval of T minus O
+       linearly onto another one; f^N fixes both ends of each interval,
+       so it is the identity there too.
+       When some orbit fails, f^N moves that point, and only then is f^N
+       composed (within `piece_cap` pieces, the only place the budget
+       applies): f^N moves some point on an arc whose endpoints it
        fixes, and such a point drifts monotonically, never to return;
        the midpoint of a moved gap is the witness.
     """
@@ -178,8 +188,7 @@ def decide_pointwise_recurrent(
         )
 
     image = f.image()
-    full = tree.full_subtree()
-    if image != full:
+    if image != tree.full_subtree():
         gaps = tree.components_minus(image)
         q = gaps[0].repr_point
         return RecurrenceVerdict(
@@ -222,15 +231,18 @@ def decide_pointwise_recurrent(
                 f"the candidate identity power exceeds the bound ({power} > {cap})"
             )
 
-    h = f.iterate(power, piece_cap)
-    if h.is_identity():
+    if _orbits_certify_identity(f, power):
         return RecurrenceVerdict(
             pointwise_recurrent=True,
             identity_power=power,
             reason="identity-power",
         )
 
+    # some vertex or breakpoint is moved by f^N, so f^N is not the identity
+    h = f.iterate(power, piece_cap)
     moved = tree.components_minus(h.fixed_point_set())
+    if not moved:
+        raise ConsistencyError("a power that moves a point fixes the whole tree")
     q = moved[0].repr_point
     if h.evaluate(q) == q:
         raise ConsistencyError("complement of the fixed set contains a fixed point")
@@ -320,6 +332,28 @@ def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
         seen[z] = len(orbit)
         orbit.append(z)
     return orbit, None
+
+
+def _orbits_certify_identity(f: PLTreeMap, n: int) -> bool:
+    """Whether every vertex and interior breakpoint has a period dividing n.
+
+    Stops at the first orbit that fails; each point of the walked orbits
+    is evaluated once.  For a homeomorphism f this holds exactly when f^n
+    is the identity (see `decide_pointwise_recurrent`).
+    """
+    tree = f.domain
+    starts = [tree.vertex_point(v) for v in tree.vertex_ids]
+    for eid in tree.edge_ids:
+        starts += [tree.edge_point(eid, t) for t, _ in f.breakpoints(eid)[1:-1]]
+    walked = set()
+    for s in starts:
+        if s in walked:
+            continue
+        orbit, back = _walk(f, s, n)
+        if back != 0 or n % len(orbit):
+            return False
+        walked.update(orbit)
+    return True
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):

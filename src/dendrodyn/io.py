@@ -22,7 +22,7 @@ def fraction_to_str(x) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise StructureError(f"expected a rational string, got {s!r}")
@@ -76,6 +76,8 @@ def tree_from_json(obj) -> MetricTree:
     for key in ("vertices", "edges"):
         if key not in obj:
             raise StructureError(f"instance is missing {key!r}")
+    if not isinstance(obj["vertices"], list):
+        raise StructureError(f"'vertices' must be a list, got {obj['vertices']!r}")
     edges = []
     for i, e in enumerate(obj["edges"]):
         try:

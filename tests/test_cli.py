@@ -176,6 +176,31 @@ def test_bounds_below_one_exit_three(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", [["--horizon", "5"], ["--depth", "0"], ["--piece-cap", "9"]])
+def test_fixture_takes_no_bound_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["fixture", "flip"] + flag)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "vertices, length",
+    [(["a", "b"], True), ("ab", "1/1")],
+    ids=["boolean-length", "string-vertices"],
+)
+def test_malformed_instance_exits_three(tmp_path, capsys, vertices, length):
+    path = tmp_path / "bad.json"
+    obj = {"vertices": vertices, "edges": [{"id": "e", "ends": ["a", "b"], "length": length}]}
+    path.write_text(json.dumps(obj))
+    assert main(["classify", str(path), "--point", "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_fixture_command_emits_loadable_instances(tmp_path, capsys):
     out = tmp_path / "rot.json"
     assert main(["fixture", "rotation", "--param", "arms=4", "-o", str(out)]) == 0

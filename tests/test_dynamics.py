@@ -1,10 +1,21 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, ResourceLimitError, UndecidedError
+from dendrodyn import (
+    MetricTree,
+    PreconditionError,
+    ResourceLimitError,
+    UndecidedError,
+    plmap,
+)
 from dendrodyn.dynamics import (
+    ABSOLUTE_POWER_CAP,
+    MAX_PERIOD_DEFAULT,
+    RecurrenceVerdict,
+    Witness,
     check_escape,
     check_full_invariance,
     check_no_preperiodic,
@@ -24,7 +35,7 @@ from dendrodyn.fixtures import (
     random_folding_map,
     rotation_star,
 )
-from dendrodyn.plmap import PLTreeMap, identity_map, map_from_vertex_images
+from dendrodyn.plmap import DEFAULT_PIECE_CAP, PLTreeMap, identity_map, map_from_vertex_images
 
 
 def interval():
@@ -293,6 +304,166 @@ def test_decide_raises_undecided_past_period_bound():
     verdict = decide_pointwise_recurrent(rot, max_period=20_000)
     assert verdict.pointwise_recurrent
     assert verdict.identity_power == 15015
+
+
+def composing_decide(f, max_period=MAX_PERIOD_DEFAULT, piece_cap=DEFAULT_PIECE_CAP):
+    """The former decision, which composed f^N and tested it for the
+    identity; kept as the oracle of the orbit certificate."""
+    tree = f.domain
+    injective, pair = f.is_injective()
+    if not injective:
+        return RecurrenceVerdict(
+            pointwise_recurrent=False,
+            witness=Witness(
+                kind="non-injective",
+                points=pair,
+                detail="both points map to the same image; one evaluate call each",
+            ),
+            reason="not-injective",
+        )
+    image = f.image()
+    if image != tree.full_subtree():
+        q = tree.components_minus(image)[0].repr_point
+        return RecurrenceVerdict(
+            pointwise_recurrent=False,
+            witness=Witness(
+                kind="escaping-orbit",
+                points=(q,),
+                detail="the point is outside the image, so no orbit ever revisits it",
+            ),
+            reason="not-surjective",
+        )
+    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
+    images = {v: f.vertex_image(v).vertex for v in intrinsic}
+    cap = min(max_period, ABSOLUTE_POWER_CAP)
+    power = 1
+    seen = set()
+    for v in intrinsic:
+        if v in seen:
+            continue
+        cycle = [v]
+        w = images[v]
+        while w != v:
+            cycle.append(w)
+            w = images[w]
+        seen.update(cycle)
+        power = lcm(power, len(cycle))
+        if power > cap:
+            raise UndecidedError(
+                f"the candidate identity power exceeds the bound ({power} > {cap})"
+            )
+    h = f.iterate(power, piece_cap)
+    if h.is_identity():
+        return RecurrenceVerdict(
+            pointwise_recurrent=True, identity_power=power, reason="identity-power"
+        )
+    q = tree.components_minus(h.fixed_point_set())[0].repr_point
+    return RecurrenceVerdict(
+        pointwise_recurrent=False,
+        witness=Witness(
+            kind="non-periodic-cutpoint",
+            points=(q,),
+            detail=(
+                f"the {power}-th power moves this point along an arc with "
+                "fixed ends, so it drifts one way forever"
+            ),
+        ),
+        reason="power-not-identity",
+    )
+
+
+def random_involution(rng, k):
+    """The unit interval with k seeded pieces, t_i sent to t_(k-i)."""
+    t = interval()
+    cuts = [0]
+    for _ in range(k):
+        cuts.append(cuts[-1] + rng.randint(1, 9))
+    ts = [F(c, cuts[-1]) for c in cuts]
+    return PLTreeMap(t, {"e": [(ts[i], pt(t, ts[k - i])) for i in range(k + 1)]})
+
+
+def sagged(rng, f):
+    """f with a new breakpoint inside one piece, its image moved off the
+    piece's midpoint along the image arc; a homeomorphism stays one."""
+    tree = f.domain
+    eid = rng.choice(tree.edge_ids)
+    bps = list(f.breakpoints(eid))
+    i = rng.randrange(len(bps) - 1)
+    (t0, p0), (t1, p1) = bps[i], bps[i + 1]
+    arc = tree.arc(p0, p1)
+    share = F(rng.choice([1, 2, 3, 5, 6, 7]), 8)
+    bps.insert(i + 1, ((t0 + t1) / 2, arc.point_at(arc.length * share)))
+    table = {e: f.breakpoints(e) for e in tree.edge_ids}
+    table[eid] = bps
+    return PLTreeMap(tree, table)
+
+
+def test_orbit_certificate_matches_the_composing_oracle():
+    rng = random.Random(4242)
+    finite = [random_finite_order_map(seed, seed + 500)[1] for seed in range(150)]
+    towers = [
+        odometer_tower(len(ps), ps)[1]
+        for ps in ((2, 4), (3, 6), (2, 6, 12), (2, 4, 8), (2, 4, 8, 16), (2, 4, 8, 16, 32))
+    ]
+    rotations = [rotation_star(k)[1] for k in range(2, 31)]
+    homeos = finite + towers + rotations
+    homeos += [random_involution(rng, rng.randint(1, 12)) for _ in range(40)]
+    maps = homeos + [random_folding_map(seed)[1] for seed in range(100)]
+    with_edges = [f for f in homeos if f.domain.edge_ids]
+    sags = [sagged(rng, rng.choice(with_edges)) for _ in range(150)]
+    reasons = {}
+    for f in maps + sags:
+        verdict = decide_pointwise_recurrent(f)
+        assert verdict == composing_decide(f)
+        reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
+    assert reasons["identity-power"] >= len(homeos)
+    assert reasons["not-injective"] == 100
+    assert reasons["power-not-identity"] >= 100
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    plain = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_positive_decision_composes_nothing(monkeypatch):
+    composed = count_calls(monkeypatch, plmap, "compose")
+    verdict = decide_pointwise_recurrent(rotation_star(200)[1])
+    assert verdict == RecurrenceVerdict(True, identity_power=200, reason="identity-power")
+    assert not composed
+
+
+def test_interior_drift_still_takes_the_composing_route(monkeypatch):
+    t = interval()
+    sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    expected = composing_decide(sag)
+    iterated = count_calls(monkeypatch, PLTreeMap, "iterate")
+    assert decide_pointwise_recurrent(sag) == expected
+    assert [args[1:] for args in iterated] == [(1, DEFAULT_PIECE_CAP)]
+    # the same drift behind a flip: N = 2, so f^N is composed
+    swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
+    expected = composing_decide(swung)
+    composed = count_calls(monkeypatch, plmap, "compose")
+    verdict = decide_pointwise_recurrent(swung)
+    assert verdict == expected and verdict.reason == "power-not-identity"
+    assert len(composed) == 1
+
+
+def test_piece_cap_bounds_only_the_negative_route():
+    _, rot = rotation_star(3)
+    with pytest.raises(ResourceLimitError):
+        composing_decide(rot, piece_cap=1)
+    verdict = decide_pointwise_recurrent(rot, piece_cap=1)
+    assert verdict.pointwise_recurrent and verdict.identity_power == 3
+    with pytest.raises(ResourceLimitError):
+        decide_pointwise_recurrent(sagged(random.Random(5), rot), piece_cap=1)
 
 
 def test_decide_is_deterministic():

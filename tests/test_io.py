@@ -90,6 +90,27 @@ def test_tree_json_rejects_bad_input():
         )
 
 
+def test_boolean_length_is_not_a_rational():
+    with pytest.raises(StructureError, match="rational"):
+        fraction_from_str(True)
+    obj = tree_to_json(interval())
+    obj["edges"][0]["length"] = True
+    with pytest.raises(StructureError):
+        tree_from_json(obj)
+    with pytest.raises(StructureError):
+        point_from_json({"edge": "e", "t": False}, interval())
+
+
+@pytest.mark.parametrize("vertices", ["ab", {"a": 1, "b": 2}, None, 2])
+def test_vertices_must_be_a_list(vertices):
+    obj = {
+        "vertices": vertices,
+        "edges": [{"id": "e", "ends": ["a", "b"], "length": "1/1"}],
+    }
+    with pytest.raises(StructureError, match="'vertices' must be a list"):
+        tree_from_json(obj)
+
+
 def test_non_string_ids_rejected_on_dump():
     t = MetricTree([0, 1], [("e", (0, 1), 1)])
     with pytest.raises(StructureError):

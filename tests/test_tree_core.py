@@ -331,6 +331,25 @@ def test_subtree_algebra():
     assert i.measure() == 1
 
 
+def test_full_subtree_is_canonicalized_once(monkeypatch):
+    t = spider()
+    expected = Subtree.build(t, [(e, F(0), F(1)) for e in t.edge_ids], t.vertex_ids)
+    builds = []
+    plain = Subtree.build
+
+    def counted(cls, *args):
+        builds.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(Subtree, "build", classmethod(counted))
+    for _ in range(3):
+        full = t.full_subtree()
+        assert full == expected and full.tree is t
+        assert full.segments == expected.segments and full.vertices == expected.vertices
+        full.segments.clear()  # a caller's copy, not the tree's
+    assert len(builds) == 1
+
+
 def test_subtree_contains():
     t = star3()
     s = Subtree.build(t, [("a1", F(1, 4), F(3, 4))], ["l2"])
