@@ -336,8 +336,9 @@ def _bound(text: str) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     output = _Parser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
     output.add_argument("-o", "--output", default=None)
+    report = _Parser(add_help=False, parents=[output])
+    report.add_argument("--format", choices=("text", "json"), default="text")
     bounds = _Parser(add_help=False)
     bounds.add_argument("--max-period", type=_bound, default=MAX_PERIOD_DEFAULT)
     bounds.add_argument("--horizon", type=_bound, default=HORIZON_DEFAULT)
@@ -356,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("classify", True),
         ("verify", True),
     ):
-        p = sub.add_parser(name, parents=[bounds, output])
+        p = sub.add_parser(name, parents=[bounds, report])
         p.add_argument("input", help="instance file (tree plus map)")
         if name == "classify":
             p.add_argument(

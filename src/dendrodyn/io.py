@@ -42,9 +42,10 @@ def point_from_json(obj, tree: MetricTree) -> TreePoint:
     if not isinstance(obj, dict):
         raise StructureError(f"a point must be an object, got {obj!r}")
     if "vertex" in obj:
-        if not tree.has_vertex(obj["vertex"]):
-            raise StructureError(f"unknown vertex {obj['vertex']!r}")
-        return tree.vertex_point(obj["vertex"])
+        v = obj["vertex"]
+        if not isinstance(v, str) or not tree.has_vertex(v):
+            raise StructureError(f"unknown vertex {v!r}")
+        return tree.vertex_point(v)
     if "edge" in obj:
         eid = obj["edge"]
         if eid not in tree.edge_ids:
@@ -53,10 +54,15 @@ def point_from_json(obj, tree: MetricTree) -> TreePoint:
     raise StructureError(f"a point needs 'vertex' or 'edge', got {sorted(obj)}")
 
 
-def tree_to_json(tree: MetricTree) -> dict:
-    bad = [x for x in (*tree.vertex_ids, *tree.edge_ids) if not isinstance(x, str)]
+def _string_ids(ids) -> list:
+    bad = [x for x in ids if not isinstance(x, str)]
     if bad:
         raise StructureError(f"the file format uses string ids, got {bad[0]!r}")
+    return list(ids)
+
+
+def tree_to_json(tree: MetricTree) -> dict:
+    _string_ids((*tree.vertex_ids, *tree.edge_ids))
     return {
         "vertices": list(tree.vertex_ids),
         "edges": [
@@ -76,18 +82,26 @@ def tree_from_json(obj) -> MetricTree:
     for key in ("vertices", "edges"):
         if key not in obj:
             raise StructureError(f"instance is missing {key!r}")
-    if not isinstance(obj["vertices"], list):
-        raise StructureError(f"'vertices' must be a list, got {obj['vertices']!r}")
+        if not isinstance(obj[key], list):
+            raise StructureError(f"{key!r} must be a list, got {obj[key]!r}")
     edges = []
     for i, e in enumerate(obj["edges"]):
         try:
             eid, ends, length = e["id"], e["ends"], e["length"]
         except (TypeError, KeyError) as exc:
             raise StructureError(f"edge #{i} is missing {exc}") from None
-        if len(ends) != 2:
+        if not isinstance(ends, list) or len(ends) != 2:
             raise StructureError(f"edge {eid!r} needs exactly two ends")
+        _string_ids([eid, *ends])
         edges.append((eid, (ends[0], ends[1]), fraction_from_str(length)))
-    return MetricTree(obj["vertices"], edges)
+    return MetricTree(_string_ids(obj["vertices"]), edges)
+
+
+def _object_field(obj, key):
+    value = obj.get(key, {})
+    if not isinstance(value, dict):
+        raise StructureError(f"{key!r} must be an object, got {value!r}")
+    return value
 
 
 def subtree_to_json(sub: Subtree) -> dict:
@@ -119,8 +133,7 @@ def map_from_json(obj) -> tuple:
     tree = tree_from_json(obj)
     if "edge_pieces" not in obj and "vertex_images" not in obj:
         return tree, None
-    vimg_raw = obj.get("vertex_images", {})
-    vimg = {v: point_from_json(p, tree) for v, p in vimg_raw.items()}
+    vimg = {v: point_from_json(p, tree) for v, p in _object_field(obj, "vertex_images").items()}
     for v in tree.vertex_ids:
         if v not in vimg:
             raise StructureError(f"vertex {v!r} has no image")
@@ -129,11 +142,11 @@ def map_from_json(obj) -> tuple:
         only = tree.vertex_ids[0]
         return tree, PLTreeMap(tree, {only: vimg[only]})
 
-    pieces_raw = obj.get("edge_pieces", {})
+    pieces_raw = _object_field(obj, "edge_pieces")
     table = {}
     for eid in tree.edge_ids:
-        if eid not in pieces_raw:
-            raise StructureError(f"edge {eid!r} has no breakpoint list")
+        if not isinstance(pieces_raw.get(eid), list):
+            raise StructureError(f"edge {eid!r} needs a breakpoint list")
         bps = []
         for bp in pieces_raw[eid]:
             if not isinstance(bp, dict) or "t" not in bp or "image" not in bp:

@@ -275,68 +275,66 @@ class PLTreeMap:
     def is_injective(self) -> tuple:
         """Exact decision, with a witness pair of distinct points on failure.
 
-        A sweep decides: the map is injective exactly when no piece is
-        constant and no two pieces' image arcs overlap in positive length.
-        Only when the sweep finds a collision does the pairwise scan run,
-        so the witness is always the one `_first_collision` picks.
-        """
-        if self._sweep_is_injective():
-            return (True, None)
-        return self._first_collision()
+        The witness is the window ends of the first constant piece, else
+        the first pair of pieces i < j whose arcs meet at distinct
+        preimages of the canonical point of their meet.  Arcs in a tree
+        meet in an arc, each non-constant piece is injective, and a point
+        inside a window is the preimage for that piece alone; so i and j
+        collide unless their arcs are disjoint or meet only in f(x) for a
+        domain point x that ends both windows.
 
-    def _sweep_is_injective(self) -> bool:
-        """Bucket image segments by edge, sort, compare neighbours.
-
-        Overlaps of positive length are the only collisions to look for,
-        because the domain is connected.  Say f(x) = f(y) with x != y and
-        no piece constant; f maps the arc [x, y] onto a closed path in the
-        tree.  Take a point z of that path inside an edge, off f(x)
-        and off every breakpoint image.  The path cannot turn at z, so it
-        changes sides of z at each visit, and it has to visit z twice to
-        get back.  Each piece is injective, so two distinct pieces pass
-        through z, and both image arcs cover a neighbourhood of z.
+        With no piece constant, f(x) = f(y) for x != y maps [x, y] onto a
+        closed path, which cannot turn at a point z inside an edge off f(x)
+        and off every breakpoint image; so two pieces overlap in positive
+        length near z.  A per-edge sweep marks every piece overlapping
+        another in positive length, and no mark means injective.  Otherwise
+        segment ends are bucketed by point, since arcs meeting in one point
+        q both end a segment there, and a bucket holding two preimages of q
+        marks its pieces.  The marked pieces are exactly the colliding ones.
         """
-        by_edge: dict = {}
+        tree = self.domain
         for piece in self._pieces:
             if piece.is_constant:
-                return False
+                ends = (piece.t0, piece.t1)
+                return (False, tuple(tree.edge_point(piece.edge, t) for t in ends))
+        marked = set()
+        by_edge: dict = {}
+        for i, piece in enumerate(self._pieces):
             for eid, u0, u1 in piece.arc.segments:
-                by_edge.setdefault(eid, []).append((u0, u1) if u0 < u1 else (u1, u0))
+                by_edge.setdefault(eid, []).append((u0, u1, i) if u0 < u1 else (u1, u0, i))
         for segs in by_edge.values():
             segs.sort()
-            for (_, hi), (lo, _) in zip(segs, segs[1:]):
-                if lo < hi:
-                    return False
-        return True
-
-    def _first_collision(self) -> tuple:
-        """The pairwise scan: the first pair of pieces, in order, that collide.
-
-        A constant piece is immediately non-injective.  Otherwise every
-        pair of pieces whose image arcs meet is examined at one canonical
-        shared image point; comparing the exact preimages there finds a
-        collision whenever any exists.
-        """
-        for piece in self._pieces:
-            if piece.is_constant:
-                x1 = self.domain.edge_point(piece.edge, piece.t0)
-                x2 = self.domain.edge_point(piece.edge, piece.t1)
-                return (False, (x1, x2))
-        subs = [p.arc.as_subtree() for p in self._pieces]
-        n = len(self._pieces)
-        for i in range(n):
-            for j in range(i + 1, n):
-                meet = subs[i].intersect(subs[j])
-                if meet.is_empty():
-                    continue
-                q = _canonical_point(self.domain, meet)
-                xi = self._preimage_in_piece(self._pieces[i], q)
-                xj = self._preimage_in_piece(self._pieces[j], q)
-                if xi != xj:
-                    if self.evaluate(xi) != self.evaluate(xj):
-                        raise ConsistencyError("witness images disagree")
-                    return (False, (xi, xj))
-        raise ConsistencyError("the sweep found a collision the pairwise scan did not")
+            _, reach, holder = segs[0]  # the farthest segment end so far
+            for lo, hi, i in segs[1:]:
+                if lo < reach:
+                    marked.update((i, holder))
+                if hi > reach:
+                    reach, holder = hi, i
+        if not marked:
+            return (True, None)
+        preimages: dict = {}  # image point -> [(piece, its preimage there)]
+        for i, piece in enumerate(self._pieces):
+            # a window end is an edge end vertex or an (edge, parameter) pair;
+            # a vertex the arc passes through has its preimage inside the window
+            u, w = (tree.vertex_point(v) for v in tree.edge_ends(piece.edge))
+            x0 = (piece.edge, piece.t0) if piece.t0 else u
+            x1 = (piece.edge, piece.t1) if piece.t1 < ONE else w
+            passed = [(tree.edge_point(eid, u1), i) for eid, _, u1 in piece.arc.segments[:-1]]
+            for q, x in [(piece.p0, x0), (piece.p1, x1)] + passed:
+                preimages.setdefault(q, []).append((i, x))
+        for hits in preimages.values():
+            if len({x for _, x in hits}) > 1:
+                marked.update(i for i, _ in hits)
+        first, *later = sorted(marked)
+        a = self._pieces[first]
+        for b in (self._pieces[j] for j in later):
+            meet = a.arc.as_subtree().intersect(b.arc.as_subtree())
+            if not meet.is_empty():
+                q = _canonical_point(tree, meet)
+                xa, xb = self._preimage_in_piece(a, q), self._preimage_in_piece(b, q)
+                if xa != xb:
+                    return (False, (xa, xb))
+        raise ConsistencyError(f"marked piece {first} collides with no later piece")
 
     def _preimage_in_piece(self, piece: _Piece, q: TreePoint) -> TreePoint:
         s = piece.arc.arclength_of(q)

@@ -176,7 +176,10 @@ def test_bounds_below_one_exit_three(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag", [["--horizon", "5"], ["--depth", "0"], ["--piece-cap", "9"]])
+@pytest.mark.parametrize(
+    "flag",
+    [["--horizon", "5"], ["--depth", "0"], ["--piece-cap", "9"], ["--format", "text"]],
+)
 def test_fixture_takes_no_bound_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["fixture", "flip"] + flag)
@@ -186,14 +189,50 @@ def test_fixture_takes_no_bound_flags(capsys, flag):
     assert captured.out == ""
 
 
+def instance_with(**changes):
+    """A valid map on the interval a-b, with top-level fields replaced."""
+    a, b = {"vertex": "a"}, {"vertex": "b"}
+    obj = {
+        "vertices": ["a", "b"],
+        "edges": [{"id": "e", "ends": ["a", "b"], "length": "1/1"}],
+        "vertex_images": {"a": b, "b": a},
+        "edge_pieces": {"e": [{"t": "0/1", "image": b}, {"t": "1/1", "image": a}]},
+    }
+    obj.update(changes)
+    return obj
+
+
 @pytest.mark.parametrize(
-    "vertices, length",
-    [(["a", "b"], True), ("ab", "1/1")],
-    ids=["boolean-length", "string-vertices"],
+    "obj",
+    [
+        instance_with(edges=[{"id": "e", "ends": ["a", "b"], "length": True}]),
+        instance_with(vertices="ab"),
+        instance_with(edges=5),
+        instance_with(edges=[{"id": "e", "ends": 5, "length": "1/1"}]),
+        instance_with(vertices=[["a"]]),
+        instance_with(vertex_images=5),
+        instance_with(edge_pieces=5),
+        instance_with(edge_pieces={"e": 5}),
+        {"vertices": ["a", 1], "edges": [{"id": "e", "ends": ["a", 1], "length": "1/1"}]},
+        instance_with(edges=[{"id": "e", "ends": [["a"], "b"], "length": "1/1"}]),
+        instance_with(vertex_images={"a": {"vertex": ["b"]}, "b": {"vertex": "a"}}),
+    ],
+    ids=[
+        "boolean-length",
+        "string-vertices",
+        "edges-number",
+        "ends-number",
+        "list-vertex",
+        "vertex-images-number",
+        "edge-pieces-number",
+        "edge-piece-list-number",
+        "int-vertex-id",
+        "list-end",
+        "list-vertex-image",
+    ],
 )
-def test_malformed_instance_exits_three(tmp_path, capsys, vertices, length):
+def test_malformed_instance_exits_three(tmp_path, capsys, obj):
     path = tmp_path / "bad.json"
-    obj = {"vertices": vertices, "edges": [{"id": "e", "ends": ["a", "b"], "length": length}]}
     path.write_text(json.dumps(obj))
     assert main(["classify", str(path), "--point", "a"]) == 3
     captured = capsys.readouterr()
@@ -281,3 +320,41 @@ def test_text_rendering_mentions_the_essentials(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "recurrence-verdict-consistency: pass" in out
     assert "passed" in out
+
+
+def test_text_rendering_of_analyze_classify_and_inconclusive(tmp_path, capsys):
+    tent = write_fixture(tmp_path, "tent", name="tent.json")
+    rot3 = write_fixture(tmp_path, "rotation", {"arms": "3"}, name="rot3.json")
+
+    def text(argv, code):
+        assert main(argv) == code
+        return capsys.readouterr().out.splitlines()
+
+    lines = text(["analyze", tent], 0)
+    assert lines[:3] == [
+        "fixed sets up to power 4:",
+        "  power 1: 1 vertices, 1 segments",
+        "  power 2: 1 vertices, 3 segments",
+    ]
+    assert lines[-3:] == ["vertices:", "  v0: endpoint, period 1", "  v1: endpoint, period none found"]
+    assert text(["classify", tent, "--point", "v1"], 0) == [
+        "vertex v1: endpoint (order 1)",
+        "preperiodic: enters a period-1 cycle after 1 steps",
+    ]
+    assert text(["classify", tent, "--point", '{"edge": "e", "t": "2/3"}'], 0) == [
+        "edge e @ 2/3: cutpoint (order 2)",
+        "periodic with period 1",
+    ]
+
+    bound = ["--max-period", "2"]
+    assert text(["recurrence", rot3] + bound, 2) == [
+        "inconclusive: the candidate identity power exceeds the bound (3 > 2)"
+    ]
+    lines = text(["analyze", rot3] + bound, 0)
+    assert "  power 3: 4 vertices, 3 segments" in lines
+    assert "  c: branchpoint, period 1" in lines
+    assert "  l0: endpoint, period none found" in lines
+    assert text(["classify", rot3, "--point", "l0"] + bound, 0) == [
+        "vertex l0: endpoint (order 1)",
+        "no periodicity found within the bound",
+    ]

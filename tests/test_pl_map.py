@@ -376,6 +376,14 @@ def interval_involution(rng, k):
     return PLTreeMap(t, {"e": [(ts[i], t.edge_point("e", ts[k - i])) for i in range(k + 1)]})
 
 
+def late_collision_star(arms):
+    """The rotation star with its last two arms both sent onto arm a0."""
+    tree, rot = rotation_star(arms)
+    images = {v: rot.vertex_image(v) for v in tree.vertex_ids}
+    images[f"l{arms - 2}"] = images[f"l{arms - 1}"] = tree.vertex_point("l0")
+    return map_from_vertex_images(tree, images)
+
+
 def test_injectivity_sweep_matches_pairwise_oracle():
     rng = random.Random(8080)
     maps = []
@@ -387,6 +395,7 @@ def test_injectivity_sweep_matches_pairwise_oracle():
         maps.append(random_folding_map(i + 9000)[1])
     for k in range(1, 40):
         maps.append(interval_involution(rng, k))
+    maps += [tent_on(interval()).iterate(6), late_collision_star(60)]
     verdicts = set()
     for f in maps:
         expected = pairwise_is_injective(f)
@@ -395,7 +404,7 @@ def test_injectivity_sweep_matches_pairwise_oracle():
     assert verdicts == {True, False}
 
 
-def test_injective_star_intersects_no_pair(monkeypatch):
+def count_intersections(monkeypatch):
     calls = []
     plain = Subtree.intersect
 
@@ -404,9 +413,24 @@ def test_injective_star_intersects_no_pair(monkeypatch):
         return plain(self, other)
 
     monkeypatch.setattr(Subtree, "intersect", counted)
+    return calls
+
+
+def test_injective_star_intersects_no_pair(monkeypatch):
+    calls = count_intersections(monkeypatch)
     _, rot = rotation_star(400)
     assert rot.is_injective() == (True, None)
     assert not calls
+
+
+def test_late_collision_intersects_one_pair(monkeypatch):
+    """The first colliding pair comes last, after about 80,000 pairs that do not collide."""
+    calls = count_intersections(monkeypatch)
+    f = late_collision_star(400)
+    ok, (a, b) = f.is_injective()
+    assert not ok
+    assert (a, b) == (f.domain.edge_point("a398", F(1, 2)), f.domain.edge_point("a399", F(1, 2)))
+    assert len(calls) <= 1
 
 
 # -- fixed points -------------------------------------------------------------------

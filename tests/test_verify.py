@@ -4,8 +4,9 @@ import pytest
 
 import dendrodyn.verify
 from dendrodyn import MetricTree, PLTreeMap, build_fixture
+from dendrodyn.dynamics import MAX_PERIOD_DEFAULT, RecurrenceVerdict, decide_pointwise_recurrent
 from dendrodyn.fixtures import odometer_tower
-from dendrodyn.verify import CHECK_NAMES, run_checks
+from dendrodyn.verify import CHECK_NAMES, _recurrence_verdict_consistency, run_checks
 
 
 def by_name(records):
@@ -84,6 +85,48 @@ def test_undecided_marks_the_record():
     assert rec.undecided
     assert rec.result.status == "skipped"
     assert "bound" in rec.result.detail
+
+
+def test_positive_verdict_rechecks_within_any_piece_cap():
+    # the decision on the 3-arm rotation composes nothing, nor does its re-check
+    tree, f = build_fixture("rotation", {"arms": "3"})
+    rec = by_name(run_checks(f, piece_cap=1))["recurrence-verdict-consistency"]
+    assert not rec.undecided
+    assert rec.result.status == "pass"
+    assert rec.result.detail == "identity power 3"
+
+
+def interval():
+    return MetricTree(["v0", "v1"], [("e", ("v0", "v1"), 1)])
+
+
+@pytest.mark.parametrize("case", ["rotation-power-2", "folding-orbits-return"])
+def test_forged_positive_verdict_fails_the_recheck(case):
+    if case == "rotation-power-2":
+        tree, f = build_fixture("rotation", {"arms": "3"})
+    else:
+        # v0 and the midpoint swap and v1 is fixed, so every vertex and
+        # breakpoint has period dividing 2, yet the map folds
+        t = interval()
+        mid = t.edge_point("e", F(1, 2))
+        v0, v1 = t.vertex_point("v0"), t.vertex_point("v1")
+        f = PLTreeMap(t, {"e": [(0, mid), (F(1, 2), v0), (1, v1)]})
+    forged = RecurrenceVerdict(pointwise_recurrent=True, identity_power=2, reason="identity-power")
+    result = _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT)
+    assert result.status == "fail"
+    assert result.detail == "claimed power 2 is not the identity"
+
+
+def test_drift_witness_reverifies_by_orbit():
+    # fixes both endpoints, pushes everything between toward v0
+    t = interval()
+    v0, v1 = t.vertex_point("v0"), t.vertex_point("v1")
+    sag = PLTreeMap(t, {"e": [(0, v0), (F(1, 2), t.edge_point("e", F(1, 4))), (1, v1)]})
+    verdict = decide_pointwise_recurrent(sag)
+    assert verdict.witness.kind == "non-periodic-cutpoint"
+    result = _recurrence_verdict_consistency(sag, lambda: verdict, MAX_PERIOD_DEFAULT)
+    assert result.status == "pass"
+    assert result.detail == "negative verdict re-verified (non-periodic-cutpoint)"
 
 
 def count_calls(monkeypatch, owner, name):
