@@ -239,12 +239,11 @@ def decide_pointwise_recurrent(
         )
 
     # some vertex or breakpoint is moved by f^N, so f^N is not the identity
-    h = f.iterate(power, piece_cap)
-    moved = tree.components_minus(h.fixed_point_set())
+    moved = tree.components_minus(fixed_set(f, power, piece_cap))
     if not moved:
         raise ConsistencyError("a power that moves a point fixes the whole tree")
     q = moved[0].repr_point
-    if h.evaluate(q) == q:
+    if f.orbit(q, power)[-1] == q:
         raise ConsistencyError("complement of the fixed set contains a fixed point")
     return RecurrenceVerdict(
         pointwise_recurrent=False,

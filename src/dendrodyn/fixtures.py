@@ -21,6 +21,7 @@ import random
 from fractions import Fraction
 
 from .errors import PreconditionError, StructureError
+from .io import fraction_from_str
 from .odometer import OdometerType
 from .plmap import PLTreeMap, identity_map, map_from_vertex_images
 from .tree import MetricTree, TreePoint
@@ -376,7 +377,7 @@ def build_fixture(kind: str, params: dict | None = None):
     def number(name, value, convert=int):
         try:
             return convert(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, StructureError):
             raise PreconditionError(
                 f"fixture {kind!r} parameter {name!r} is not a number: {value!r}"
             ) from None
@@ -397,7 +398,7 @@ def build_fixture(kind: str, params: dict | None = None):
     elif kind == "rotation":
         pair = rotation_star(
             number("arms", want("arms", 3)),
-            number("arm_length", want("arm_length", 1), Fraction),
+            number("arm_length", want("arm_length", 1), fraction_from_str),
         )
     elif kind == "tower":
         periods = want("periods", (2, 4))

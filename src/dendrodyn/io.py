@@ -3,12 +3,17 @@
 One instance is one JSON object.  A bare tree carries "vertices" and
 "edges"; adding a map contributes "vertex_images" and "edge_pieces".
 Every rational is a "p/q" string in lowest terms, so values survive a
-round trip bit for bit; nothing is ever written as a float.
+round trip bit for bit; nothing is ever written as a float.  On input a
+rational is a JSON integer or a string of decimal digits with an optional
+sign and "/digits" part, each part at most `MAX_DIGITS` digits: enough for
+any exact instance, and far below both the cost of expanding exponents
+("1e100000000") and Python's limit on writing long integers back out.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import StructureError
@@ -21,14 +26,27 @@ def fraction_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
 def fraction_from_str(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
+        if abs(s) >= 10**MAX_DIGITS:
+            raise StructureError(f"an integer longer than {MAX_DIGITS} digits")
         return Fraction(s)
     if not isinstance(s, str):
         raise StructureError(f"expected a rational string, got {s!r}")
+    if not _RATIONAL.fullmatch(s):
+        shown = s if len(s) <= 40 else s[:40] + "..."
+        raise StructureError(
+            f"not a rational: {shown!r} (want [sign]digits[/digits], "
+            f"at most {MAX_DIGITS} digits a part)"
+        )
+    num, _, den = s.partition("/")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
         raise StructureError(f"not a rational: {s!r}") from None
 
 
@@ -170,7 +188,7 @@ def dump_instance(tree: MetricTree, f: PLTreeMap | None = None) -> str:
 def load_instance(text: str) -> tuple:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's digit limit
         raise StructureError(f"not valid JSON: {exc}") from None
     return map_from_json(obj)
 

@@ -107,7 +107,21 @@ class CycleOfSets:
 
 def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, start: Component):
     """Order the components reachable from `start` by repeated application
-    of the map, verifying exact containment at every step."""
+    of the map, verifying exact containment at every step.
+
+    A set of a tower hangs off the periodic set at a single point; a
+    component on the cycle that touches it at any other number of points
+    (an open arc between two fixed points, say) means there is no tower.
+    """
+
+    def attachment(comp: Component) -> TreePoint:
+        if len(comp.boundary) != 1:
+            raise PreconditionError(
+                f"a component on the cycle touches the periodic set at "
+                f"{len(comp.boundary)} points, so it is no set of an adding machine"
+            )
+        return comp.boundary[0]
+
     cycle = [start]
     cur = start
     while True:
@@ -119,7 +133,7 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, start: Component):
         nxt = next((c for c in comps if c.contains(img)), None)
         if nxt is None:
             raise ConsistencyError("image point escaped every component")
-        if f.evaluate(cur.attachment) != nxt.attachment:
+        if f.evaluate(attachment(cur)) != attachment(nxt):
             raise ConsistencyError(
                 "attachment points are not carried onto each other"
             )
@@ -149,6 +163,8 @@ def detect_cycles_of_sets(
     returned periods strictly increase.  The root defaults to the
     component with the smallest canonical key at the deepest level that
     still has one; pass `root_at` to follow a specific point instead.
+    A component on a followed cycle that touches the removed set at other
+    than one point raises `PreconditionError`: no tower passes through it.
     """
     if depth < 1:
         raise PreconditionError("depth must be at least 1")

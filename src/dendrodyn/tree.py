@@ -382,90 +382,70 @@ class MetricTree:
 
         Each component is returned through its closure together with the
         boundary points where that closure meets the removed set.
+
+        On each edge the removed intervals leave open gaps.  A gap ends
+        either at a contact point of the removed set or at a free vertex
+        (one outside it), and through a free vertex it continues into
+        the gaps at that vertex on its other edges.  So a component is
+        what one stack walk over gaps reaches, passing free vertices.  A
+        free vertex of an edge always has a gap there: a removed interval
+        reaching an edge end carries that end's vertex.  Only a vertex
+        with no edge at all, in a one-vertex tree with nothing removed,
+        is a component without a gap, and that raises.
+
+        Gaps are numbered in edge-id order, and a walk starts from the
+        least gap not yet reached, so the start lies on the component's
+        least edge and its midpoint is the representative point.
         """
         if removed.tree is not self and removed.tree != self:
             raise PreconditionError("subtree belongs to a different tree")
-        parent: dict = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        units: list = []
-        contacts: dict = {}
-
-        free = [v for v in self._vkeys if v not in removed.vertices]
-        for v in free:
-            key = ("vx", v)
-            parent[key] = key
-            units.append(key)
-            contacts[key] = []
-
+        gaps: list = []
+        gaps_at = {v: [] for v in self._vkeys if v not in removed.vertices}
         for eid in self._ekeys:
             e = self._edges[eid]
-            ivs = removed.segments.get(eid, ())
-            gaps = []
             prev = ZERO
-            for lo, hi in ivs:
+            # the sentinel (1, 1) closes the gap that runs to the edge's end
+            for lo, hi in (*removed.segments.get(eid, ()), (ONE, ONE)):
                 if prev < lo:
-                    gaps.append((prev, lo))
+                    if prev == ZERO and e.u in gaps_at:
+                        gaps_at[e.u].append(len(gaps))
+                    if lo == ONE and e.w in gaps_at:
+                        gaps_at[e.w].append(len(gaps))
+                    gaps.append((eid, prev, lo))
                 prev = hi
-            if prev < ONE:
-                gaps.append((prev, ONE))
-            for glo, ghi in gaps:
-                key = ("seg", eid, glo, ghi)
-                parent[key] = key
-                units.append(key)
-                cts = []
-                if glo == ZERO:
-                    if e.u in removed.vertices:
-                        cts.append(self.vertex_point(e.u))
-                    else:
-                        union(key, ("vx", e.u))
-                else:
-                    cts.append(TreePoint(edge=eid, t=glo))
-                if ghi == ONE:
-                    if e.w in removed.vertices:
-                        cts.append(self.vertex_point(e.w))
-                    else:
-                        union(key, ("vx", e.w))
-                else:
-                    cts.append(TreePoint(edge=eid, t=ghi))
-                contacts[key] = cts
 
-        groups: dict = {}
-        for key in units:
-            groups.setdefault(find(key), []).append(key)
-
+        reached = [False] * len(gaps)
         comps = []
-        for members in groups.values():
-            segs = []
-            verts = []
-            cts: list[TreePoint] = []
-            rep = None
-            for key in sorted(members, key=lambda k: (k[0], str(k[1]))):
-                if key[0] == "vx":
-                    verts.append(key[1])
-                else:
-                    _, eid, glo, ghi = key
-                    segs.append((eid, glo, ghi))
-                    if rep is None:
-                        rep = self.edge_point(eid, (glo + ghi) / 2)
-                cts.extend(contacts[key])
-            closure = Subtree.build(self, segs, verts)
-            boundary = tuple(sorted(set(cts), key=point_key))
-            if rep is None:
-                # a bare vertex with every incident edge removed cannot occur:
-                # closed removal covering an edge carries both endpoints
-                raise ConsistencyError("component without an interior segment")
-            comps.append(Component(closure=closure, boundary=boundary, repr_point=rep))
+        for start, (eid, glo, ghi) in enumerate(gaps):
+            if reached[start]:
+                continue
+            reached[start] = True
+            stack = [start]
+            segs, verts, contacts = [], [], set()
+            while stack:
+                seg = gaps[stack.pop()]
+                segs.append(seg)
+                sid, lo, hi = seg
+                e = self._edges[sid]
+                for t, v in ((lo, e.u), (hi, e.w)):
+                    if ZERO < t < ONE:
+                        contacts.add(TreePoint(edge=sid, t=t))
+                    elif v in removed.vertices:
+                        contacts.add(TreePoint(vertex=v))
+                    elif v in gaps_at:
+                        # the first arrival at a free vertex takes its gaps
+                        verts.append(v)
+                        for j in gaps_at.pop(v):
+                            if not reached[j]:
+                                reached[j] = True
+                                stack.append(j)
+            comps.append(Component(
+                closure=Subtree.build(self, segs, verts),
+                boundary=tuple(sorted(contacts, key=point_key)),
+                repr_point=TreePoint(edge=eid, t=(glo + ghi) / 2),
+            ))
+        if gaps_at:
+            raise ConsistencyError("component without an interior segment")
         comps.sort(key=lambda c: c.closure.canonical_key)
         return tuple(comps)
 

@@ -1,8 +1,9 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import build_fixture, save_instance_file
+from dendrodyn import MetricTree, PLTreeMap, build_fixture, save_instance_file
 from dendrodyn.cli import main
 
 
@@ -216,6 +217,10 @@ def instance_with(**changes):
         {"vertices": ["a", 1], "edges": [{"id": "e", "ends": ["a", 1], "length": "1/1"}]},
         instance_with(edges=[{"id": "e", "ends": [["a"], "b"], "length": "1/1"}]),
         instance_with(vertex_images={"a": {"vertex": ["b"]}, "b": {"vertex": "a"}}),
+        instance_with(edges=[{"id": "e", "ends": ["a", "b"], "length": "1e100000000"}]),
+        instance_with(edges=[{"id": "e", "ends": ["a", "b"], "length": "1/" + "3" * 1001}]),
+        instance_with(edges=[{"id": "e", "ends": ["a", "b"], "length": 10**1001}]),
+        instance_with(edges=[{"id": "e", "ends": ["a", "b"], "length": "1.5"}]),
     ],
     ids=[
         "boolean-length",
@@ -229,6 +234,10 @@ def instance_with(**changes):
         "int-vertex-id",
         "list-end",
         "list-vertex-image",
+        "exponent-length",
+        "overlong-length",
+        "overlong-integer-length",
+        "decimal-length",
     ],
 )
 def test_malformed_instance_exits_three(tmp_path, capsys, obj):
@@ -238,6 +247,24 @@ def test_malformed_instance_exits_three(tmp_path, capsys, obj):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, code", [("odometer", 3), ("verify", 1)])
+def test_drift_between_fixed_ends_has_no_tower(tmp_path, capsys, command, code):
+    tree = MetricTree(["v0", "v1"], [("e", ("v0", "v1"), 1)])
+    v0, v1 = tree.vertex_point("v0"), tree.vertex_point("v1")
+    sag = PLTreeMap(tree, {"e": [(0, v0), (F(1, 2), tree.edge_point("e", F(1, 4))), (1, v1)]})
+    path = tmp_path / "sag.json"
+    save_instance_file(path, tree, sag)
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if command == "odometer":
+        assert captured.err.startswith("error: a component on the cycle touches")
+        assert captured.out == ""
+    else:
+        assert "adding-machine-semiconjugacy: skipped" in captured.out
+        assert "2 failed" in captured.out
 
 
 def test_fixture_command_emits_loadable_instances(tmp_path, capsys):
@@ -266,6 +293,7 @@ def test_fixture_param_validation(tmp_path, capsys):
         (["fixture", "rotation", "--param", "arm_length=1/0"], "'arm_length'"),
         (["fixture", "tower", "--param", "periods=2,x"], "'periods'"),
         (["fixture", "random_folding", "--seed", "abc"], "'seed'"),
+        (["fixture", "rotation", "--param", "arm_length=1e100000000"], "'arm_length'"),
     ],
 )
 def test_fixture_parameters_that_are_not_numbers_exit_three(capsys, argv, name):

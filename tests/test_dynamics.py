@@ -447,6 +447,10 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     iterated = count_calls(monkeypatch, PLTreeMap, "iterate")
     assert decide_pointwise_recurrent(sag) == expected
     assert [args[1:] for args in iterated] == [(1, DEFAULT_PIECE_CAP)]
+    # the decision stored the fixed set it computed on the map
+    solved = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
+    fixed_set(sag, 1)
+    assert solved == []
     # the same drift behind a flip: N = 2, so f^N is composed
     swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
     expected = composing_decide(swung)

@@ -35,15 +35,31 @@ def test_fraction_strings_lowest_terms():
     assert fraction_to_str(0) == "0/1"
     assert fraction_from_str("7/21") == F(1, 3)
     assert fraction_from_str("5") == F(5)
+    assert fraction_from_str("-" + "9" * 1000) == -(10**1000 - 1)
+    assert fraction_from_str("+2/" + "4" * 1000) == F(2, int("4" * 1000))
+    assert fraction_from_str(10**1000 - 1) == 10**1000 - 1
 
 
 def test_fraction_rejects_garbage():
     with pytest.raises(StructureError):
         fraction_from_str("a/b")
+    # only [sign]digits[/digits], at most 1000 digits a part, loads
+    for bad in ("1e5", "0.5", " 1", "1_0", "1/", "/2", "1/2/3", "9" * 1001, "1/" + "9" * 1001):
+        with pytest.raises(StructureError, match="not a rational"):
+            fraction_from_str(bad)
+    with pytest.raises(StructureError, match="longer than 1000 digits"):
+        fraction_from_str(-(10**1000))
     with pytest.raises(StructureError):
         fraction_from_str("1/0")
     with pytest.raises(StructureError):
         fraction_from_str([1, 2])
+
+
+def test_integer_past_the_json_digit_limit_is_malformed():
+    # Python's int parsing refuses more than 4300 digits inside json.loads
+    text = '{"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a", "b"], "length": %s}]}'
+    with pytest.raises(StructureError, match="not valid JSON|longer than 1000 digits"):
+        load_instance(text % ("1" * 5000))
 
 
 def test_point_round_trip():

@@ -17,7 +17,7 @@ from dendrodyn.odometer import (
     validate_address,
     verify_semiconjugacy,
 )
-from dendrodyn.plmap import identity_map
+from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Component, Subtree
 
 
@@ -138,6 +138,16 @@ def test_detect_rejects_non_injective_maps():
     _, tent = shift_and_tent()["tent"]
     with pytest.raises(PreconditionError):
         detect_cycles_of_sets(tent, 2)
+
+
+def test_detect_drift_between_two_fixed_ends_is_no_tower():
+    # v0 and v1 fixed, the open edge drifts toward v0: its one component
+    # touches the fixed set at both ends
+    tree = MetricTree(["v0", "v1"], [("e", ("v0", "v1"), 1)])
+    v0, v1 = tree.vertex_point("v0"), tree.vertex_point("v1")
+    sag = PLTreeMap(tree, {"e": [(0, v0), (F(1, 2), tree.edge_point("e", F(1, 4))), (1, v1)]})
+    with pytest.raises(PreconditionError, match="touches the periodic set at 2 points"):
+        detect_cycles_of_sets(sag, 4)
 
 
 def test_detect_root_at_selects_the_component():

@@ -3,8 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, StructureError, Subtree
-from dendrodyn.tree import point_key
+from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, Subtree
+from dendrodyn.tree import Component, point_key
 
 
 def path_tree():
@@ -75,7 +75,7 @@ def deep_trees(rng):
 
 
 def random_point(rng, tree):
-    if rng.random() < 0.4:
+    if not tree.edge_ids or rng.random() < 0.4:
         return tree.vertex_point(rng.choice(tree.vertex_ids))
     eid = rng.choice(tree.edge_ids)
     return tree.edge_point(eid, F(rng.randint(1, 11), 12))
@@ -402,7 +402,8 @@ def random_subtree(rng, tree):
         for _ in range(rng.randint(1, 2)):
             a, b = sorted((rng.choice(params), rng.choice(params)))
             segs.append((eid, a, b))
-    return Subtree.build(tree, segs, rng.sample(tree.vertex_ids, rng.randint(0, 2)))
+    nverts = rng.randint(0, min(2, len(tree.vertex_ids)))
+    return Subtree.build(tree, segs, rng.sample(tree.vertex_ids, nverts))
 
 
 def test_is_connected_matches_union_find_oracle():
@@ -527,6 +528,121 @@ def test_components_partition_random_sweep():
             assert d.contains(c.attachment)
             assert c.closure.contains(c.attachment)
             assert not c.contains(c.attachment)
+
+
+def union_find_components(tree, removed):
+    """Union-find over free vertices and gaps, linked where a gap reaches
+    a free vertex.  The oracle for `MetricTree.components_minus`, which
+    walks instead; returns the same components in the same order.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    units: list = []
+    contacts: dict = {}
+    for v in tree.vertex_ids:
+        if v not in removed.vertices:
+            key = ("vx", v)
+            parent[key] = key
+            units.append(key)
+            contacts[key] = []
+    for eid in tree.edge_ids:
+        u, w = tree.edge_ends(eid)
+        gaps = []
+        prev = F(0)
+        for lo, hi in removed.segments.get(eid, ()):
+            if prev < lo:
+                gaps.append((prev, lo))
+            prev = hi
+        if prev < 1:
+            gaps.append((prev, F(1)))
+        for glo, ghi in gaps:
+            key = ("seg", eid, glo, ghi)
+            parent[key] = key
+            units.append(key)
+            cts = []
+            for t, v in ((glo, u), (ghi, w)):
+                if 0 < t < 1:
+                    cts.append(tree.edge_point(eid, t))
+                elif v in removed.vertices:
+                    cts.append(tree.vertex_point(v))
+                else:
+                    union(key, ("vx", v))
+            contacts[key] = cts
+
+    groups: dict = {}
+    for key in units:
+        groups.setdefault(find(key), []).append(key)
+    comps = []
+    for members in groups.values():
+        segs, verts, cts = [], [], []
+        rep = None
+        for key in sorted(members, key=lambda k: (k[0], str(k[1]))):
+            if key[0] == "vx":
+                verts.append(key[1])
+            else:
+                _, eid, glo, ghi = key
+                segs.append((eid, glo, ghi))
+                if rep is None:
+                    rep = tree.edge_point(eid, (glo + ghi) / 2)
+            cts.extend(contacts[key])
+        if rep is None:
+            raise ConsistencyError("component without an interior segment")
+        comps.append(
+            Component(
+                closure=Subtree.build(tree, segs, verts),
+                boundary=tuple(sorted(set(cts), key=point_key)),
+                repr_point=rep,
+            )
+        )
+    comps.sort(key=lambda c: c.closure.canonical_key)
+    return tuple(comps)
+
+
+def component_fields(comps):
+    return [(c.closure, c.closure.segments, c.boundary, c.repr_point) for c in comps]
+
+
+def test_components_walk_matches_union_find_oracle():
+    rng = random.Random(6116)
+    cases = []
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(1, 10))
+        subs = [Subtree.empty(t), t.full_subtree(), random_subtree(rng, t), random_subtree(rng, t)]
+        hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(2)]
+        subs += hulls + [hulls[0].union(hulls[1]), t.point_subtree(random_point(rng, t))]
+        cases += [(t, sub) for sub in subs]
+    for t in deep_trees(rng):
+        cases += [(t, Subtree.empty(t)), (t, t.full_subtree())]
+        cases += [(t, random_subtree(rng, t)) for _ in range(3)]
+        cases += [(t, t.point_subtree(random_point(rng, t))) for _ in range(3)]
+        hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(3)]
+        cases += [(t, hulls[0].union(hulls[1]).union(hulls[2]))]
+    multi = errors = 0
+    for t, sub in cases:
+        try:
+            expected = component_fields(union_find_components(t, sub))
+        except ConsistencyError as exc:
+            with pytest.raises(ConsistencyError, match=str(exc)):
+                t.components_minus(sub)
+            errors += 1
+            continue
+        comps = t.components_minus(sub)
+        assert component_fields(comps) == expected
+        multi += any(len(c.boundary) > 1 for c in comps)
+    # every kind of removal shows up: several contacts, and the one-vertex
+    # tree with nothing removed, the only component without a gap
+    assert multi > 100 and errors > 0
 
 
 def test_components_of_disconnected_removal():

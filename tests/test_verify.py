@@ -129,6 +129,18 @@ def test_drift_witness_reverifies_by_orbit():
     assert result.detail == "negative verdict re-verified (non-periodic-cutpoint)"
 
 
+def test_drift_between_fixed_ends_fails_two_checks_and_skips_the_tower():
+    t = interval()
+    v0, v1 = t.vertex_point("v0"), t.vertex_point("v1")
+    sag = PLTreeMap(t, {"e": [(0, v0), (F(1, 2), t.edge_point("e", F(1, 4))), (1, v1)]})
+    recs = by_name(run_checks(sag))
+    failed = sorted(name for name, r in recs.items() if r.result.status == "fail")
+    assert failed == ["fixed-sets-connected", "no-radial-stretch"]
+    tower = recs["adding-machine-semiconjugacy"].result
+    assert tower.status == "skipped"
+    assert "touches the periodic set at 2 points" in tower.detail
+
+
 def count_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that records the first argument of each call."""
     seen = []
