@@ -350,13 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact dynamics of piecewise-linear tree self-maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("recurrence", True),
-        ("analyze", True),
-        ("odometer", True),
-        ("classify", True),
-        ("verify", True),
-    ):
+    for name in ("recurrence", "analyze", "odometer", "classify", "verify"):
         p = sub.add_parser(name, parents=[bounds, report])
         p.add_argument("input", help="instance file (tree plus map)")
         if name == "classify":

@@ -31,6 +31,7 @@ from .tree import Component, Subtree, TreePoint, point_key
 MAX_PERIOD_DEFAULT = 10_000
 HORIZON_DEFAULT = 1_000
 ABSOLUTE_POWER_CAP = 1_000_000
+CUTPOINT_POWER_BOUND = 5  # check_escape skips on a periodic cutpoint up to this power
 
 
 @dataclass(frozen=True, slots=True)
@@ -366,7 +367,6 @@ def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):
 
 def check_full_invariance(
     f: PLTreeMap,
-    samples=None,
     horizon: int = 200,
 ) -> CheckResult:
     """Surjectivity plus: no sampled point feeds into a periodic orbit
@@ -382,9 +382,8 @@ def check_full_invariance(
                 detail="not surjective: the point has no preimage",
             ),
         )
-    pts = tuple(samples) if samples is not None else tree.grid_points(3)
     unresolved = 0
-    for x in pts:
+    for x in tree.grid_points(3):
         orbit, preperiod = _walk(f, x, horizon)
         if preperiod is None:
             unresolved += 1
@@ -408,16 +407,14 @@ def check_full_invariance(
 def check_no_preperiodic(
     f: PLTreeMap,
     max_period: int = MAX_PERIOD_DEFAULT,
-    samples=None,
     horizon: int = 200,
 ) -> CheckResult:
     """No sampled point is strictly preperiodic.  A violation also yields
     a separator lying strictly between the point and where its orbit
     settles, showing the point never comes back to its own side."""
     tree = f.domain
-    pts = tuple(samples) if samples is not None else tree.grid_points(3)
     horizon = min(horizon, max_period)
-    for x in pts:
+    for x in tree.grid_points(3):
         orbit, preperiod = _walk(f, x, horizon)
         if not preperiod:
             continue
@@ -444,7 +441,6 @@ def check_no_preperiodic(
 def check_no_radial_stretch(
     f: PLTreeMap,
     n: int = 1,
-    samples=None,
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> CheckResult:
     """No sampled point is pushed radially outward through itself from a
@@ -460,7 +456,7 @@ def check_no_radial_stretch(
     if not anchors:
         return CheckResult(status="skipped", detail="the n-th power has no fixed point")
     h = f.iterate(n, piece_cap)
-    pts = tuple(samples) if samples is not None else tree.grid_points(3)
+    pts = tree.grid_points(3)
     for anchor in anchors:
         for t in pts:
             if t == anchor:
@@ -486,25 +482,24 @@ def check_no_radial_stretch(
 def check_escape(
     f: PLTreeMap,
     n: int = 1,
-    samples=None,
     horizon: int = 100,
-    cutpoint_bound: int = 5,
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> CheckResult:
     """For maps with no periodic cutpoints: once a point moves under the
     n-th power, its whole forward orbit under that power stays on the
     far side, in the component of its first image (or back at the point
     itself).  Reports "skipped" when periodic cutpoints exist, since the
-    containment claim assumes there are none."""
+    containment claim assumes there are none.  The powers are tried in
+    order and the first fixed set with a cutpoint answers."""
     tree = f.domain
-    periodic = periodic_union(f, cutpoint_bound, piece_cap)
-    if periodic.segments or any(tree.degree(v) >= 2 for v in periodic.vertices):
-        return CheckResult(
-            status="skipped",
-            detail=f"periodic cutpoints exist within power {cutpoint_bound}",
-        )
-    pts = tuple(samples) if samples is not None else tree.grid_points(3)
-    for x in pts:
+    for k in range(1, CUTPOINT_POWER_BOUND + 1):
+        fixed = fixed_set(f, k, piece_cap)
+        if fixed.segments or any(tree.degree(v) >= 2 for v in fixed.vertices):
+            return CheckResult(
+                status="skipped",
+                detail=f"periodic cutpoints exist within power {CUTPOINT_POWER_BOUND}",
+            )
+    for x in tree.grid_points(3):
         q = f.orbit(x, n)[-1]
         if q == x:
             continue

@@ -156,10 +156,6 @@ def map_from_json(obj) -> tuple:
         if v not in vimg:
             raise StructureError(f"vertex {v!r} has no image")
 
-    if len(tree.edge_ids) == 0:
-        only = tree.vertex_ids[0]
-        return tree, PLTreeMap(tree, {only: vimg[only]})
-
     pieces_raw = _object_field(obj, "edge_pieces")
     table = {}
     for eid in tree.edge_ids:

@@ -237,19 +237,15 @@ def address_of(cycles, x: TreePoint) -> OdometerAddress:
     return OdometerAddress(otype, tuple(digits))
 
 
-def verify_semiconjugacy(f: PLTreeMap, cycles, samples=None) -> CheckResult:
+def verify_semiconjugacy(f: PLTreeMap, cycles) -> CheckResult:
     """Does applying the map advance every address by one?
 
-    Defaults to one sample per deepest set.  Each failure is reported
-    with the point and the two addresses that should have matched.
+    The samples are one point of each deepest set.  Each failure is
+    reported with the point and the two addresses that should have matched.
     """
     if not cycles:
         raise PreconditionError("no cycle levels to verify against")
-    pts = (
-        tuple(samples)
-        if samples is not None
-        else tuple(c.repr_point for c in cycles[-1].sets)
-    )
+    pts = tuple(c.repr_point for c in cycles[-1].sets)
     failures = []
     for x in pts:
         try:

@@ -71,7 +71,8 @@ class PLTreeMap:
     """An exact piecewise-linear self-map of a metric tree.
 
     `table` maps each edge id to its breakpoint list; breakpoints are
-    ``(t, point)`` pairs with the point in the same tree.
+    ``(t, point)`` pairs with the point in the same tree.  A one-vertex
+    tree has one self-map, the identity, so its table is empty.
     """
 
     __slots__ = ("domain", "_table", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets")
@@ -100,20 +101,12 @@ class PLTreeMap:
             for v, img in ((u, bps[0][1]), (w, bps[-1][1])):
                 if vimg.setdefault(v, img) != img:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
-        if len(domain.edge_ids) == 0:
-            # a single-vertex domain is a bare point assignment
+        extra = set(table) - set(domain.edge_ids)
+        if extra:
+            raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
+        if not domain.edge_ids:
             only = domain.vertex_ids[0]
-            img = table.get(only) if isinstance(table, dict) else None
-            if img is None:
-                raise StructureError("single-vertex domain needs its vertex image")
-            domain.validate_point(img)
-            vimg[only] = img
-        else:
-            extra = set(table) - set(domain.edge_ids)
-            if extra:
-                raise StructureError(
-                    f"breakpoints for unknown edges: {sorted(map(str, extra))}"
-                )
+            vimg[only] = domain.vertex_point(only)
 
         pieces = []
         edge_index = {}
@@ -443,10 +436,22 @@ def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:
             if v not in images:
                 raise StructureError(f"no image for vertex {v!r}")
         table[eid] = [(ZERO, images[u]), (ONE, images[w])]
-    if not tree.edge_ids:
-        only = tree.vertex_ids[0]
-        table[only] = images[only]
     return PLTreeMap(tree, table)
+
+
+def _derive(f: PLTreeMap, rewrite) -> PLTreeMap:
+    """The normalized map whose breakpoints are f's pieces, each rewritten.
+
+    `rewrite(piece)` gives the breakpoints over one piece's window, both
+    ends included; the breakpoint two neighbouring pieces share is kept once.
+    """
+    table: dict = {}
+    for eid, (_, pieces) in f._edge_index.items():
+        bps: list = []
+        for piece in pieces:
+            bps.extend(rewrite(piece)[1 if bps else 0 :])
+        table[eid] = bps
+    return PLTreeMap(f.domain, table).normalize()
 
 
 def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
@@ -458,27 +463,15 @@ def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     """
     if inner.domain != outer.domain:
         raise PreconditionError("composed maps must live on the same tree")
-    tree = outer.domain
-    table: dict = {}
-    for eid in tree.edge_ids:
-        bps: list = []
-        for (t0, p0), (t1, p1) in zip(inner._table[eid], inner._table[eid][1:]):
-            piece_bps = _compose_piece(outer, tree, t0, p0, t1, p1)
-            if bps:
-                piece_bps = piece_bps[1:]  # shared breakpoint already present
-            bps.extend(piece_bps)
-        table[eid] = bps
-    if not tree.edge_ids:
-        only = tree.vertex_ids[0]
-        table[only] = outer.evaluate(inner.vertex_image(only))
-    return PLTreeMap(tree, table).normalize()
+    return _derive(inner, lambda piece: _compose_piece(outer, piece))
 
 
-def _compose_piece(outer: PLTreeMap, tree: MetricTree, t0, p0, t1, p1) -> list:
-    if p0 == p1:
-        q = outer.evaluate(p0)
+def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
+    t0, t1 = piece.t0, piece.t1
+    if piece.is_constant:
+        q = outer.evaluate(piece.p0)
         return [(t0, q), (t1, q)]
-    arc = tree.arc(p0, p1)
+    arc = piece.arc
     cuts = set()
     offsets = arc.segment_offsets
     for s in offsets[1:-1]:
@@ -487,12 +480,12 @@ def _compose_piece(outer: PLTreeMap, tree: MetricTree, t0, p0, t1, p1) -> list:
         lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
         for tb, _ in outer._table[aeid][1:-1]:
             if lo < tb < hi:
-                cuts.add(offsets[k] + abs(tb - u0) * tree.edge_length(aeid))
-    bps = [(t0, outer.evaluate(p0))]
+                cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
+    bps = [(t0, outer.evaluate(piece.p0))]
     for s in sorted(cuts):
         t = t0 + (t1 - t0) * s / arc.length
         bps.append((t, outer.evaluate(arc.point_at(s))))
-    bps.append((t1, outer.evaluate(p1)))
+    bps.append((t1, outer.evaluate(piece.p1)))
     return bps
 
 
@@ -511,33 +504,18 @@ def project_onto(f: PLTreeMap, target: Subtree) -> PLTreeMap:
         raise PreconditionError("projection target must live in the map's tree")
     if target.is_empty() or not target.is_connected():
         raise PreconditionError("projection target must be nonempty and connected")
-    tree = f.domain
-    table: dict = {}
-    for eid in tree.edge_ids:
-        bps: list = []
-        for (t0, p0), (t1, p1) in zip(f._table[eid], f._table[eid][1:]):
-            part = _project_piece(tree, target, t0, p0, t1, p1)
-            if bps:
-                part = part[1:]
-            bps.extend(part)
-        table[eid] = bps
-    if not tree.edge_ids:
-        only = tree.vertex_ids[0]
-        table[only] = tree.retract(target, f.vertex_image(only))
-    return PLTreeMap(tree, table).normalize()
+    return _derive(f, lambda piece: _project_piece(target, piece))
 
 
-def _project_piece(tree: MetricTree, target: Subtree, t0, p0, t1, p1) -> list:
-    if p0 == p1:
-        q = tree.retract(target, p0)
-        return [(t0, q), (t1, q)]
-    arc = tree.arc(p0, p1)
-    hits = target.intersect_arc(arc)
+def _project_piece(target: Subtree, piece: _Piece) -> list:
+    t0, t1 = piece.t0, piece.t1
+    hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
     if not hits:
-        q = tree.retract(target, p0)
+        q = target.tree.retract(target, piece.p0)
         return [(t0, q), (t1, q)]
     if len(hits) > 1:
         raise ConsistencyError("connected target met an arc in several windows")
+    arc = piece.arc
     s1, s2 = hits[0]
     a1, a2 = arc.point_at(s1), arc.point_at(s2)
     span = t1 - t0
@@ -549,8 +527,6 @@ def _project_piece(tree: MetricTree, target: Subtree, t0, p0, t1, p1) -> list:
     if tb > ta:
         bps.append((tb, a2))
     if t1 > tb:
-        bps.append((t1, a2))
-    if bps[-1][0] != t1:
         bps.append((t1, a2))
     return bps
 

@@ -127,6 +127,19 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "surjectivity-and-orbit-invariance" in failed
 
 
+def test_escape_check_skips_before_the_piece_budget(tmp_path, capsys):
+    # the rotation's centre is fixed by f itself, so the escape check skips
+    # without composing the powers a budget of one piece cannot hold
+    path = write_fixture(tmp_path, "rotation")
+    code, report = run_json(capsys, ["verify", "--piece-cap", "1", path])
+    assert code == 2
+    escape = {c["name"]: c for c in report["checks"]}["escape-containment"]
+    assert escape["status"] == "skipped"
+    assert escape["detail"] == "periodic cutpoints exist within power 5"
+    assert "undecided" not in escape
+    assert report["summary"]["undecided"] == 5
+
+
 def test_inconclusive_exit_two(tmp_path, capsys):
     path = write_fixture(tmp_path, "rotation", {"arms": "3"})
     code, report = run_json(capsys, ["recurrence", path, "--max-period", "2"])

@@ -200,7 +200,7 @@ def test_load_rejects_syntax_errors_with_position():
 
 def test_single_vertex_instance_round_trips():
     t = MetricTree(["only"], [])
-    f = PLTreeMap(t, {"only": t.vertex_point("only")})
+    f = PLTreeMap(t, {})
     text = dump_instance(t, f)
     t2, f2 = load_instance(text)
     assert t2 == t

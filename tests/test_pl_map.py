@@ -619,13 +619,42 @@ def test_find_periodic_rejects_bad_arguments():
 def test_single_point_domain_maps():
     t = MetricTree(["o"], [])
     o = t.vertex_point("o")
-    f = PLTreeMap(t, {"o": o})
+    f = PLTreeMap(t, {})
     assert f.piece_count == 0
     assert f.evaluate(o) == o
     assert f.iterate(3).evaluate(o) == o
     assert f.iterate(3).is_identity()
     assert f.fixed_point_set() == t.full_subtree()
     assert f.fixed_point_set().vertices == frozenset({"o"})
+
+
+def test_one_vertex_tree_has_only_the_identity():
+    t = MetricTree(["o"], [])
+    o = t.vertex_point("o")
+    f = PLTreeMap(t, {})
+    derived = [
+        f,
+        map_from_vertex_images(t, {}),
+        identity_map(t),
+        compose(f, f),
+        project_onto(f, t.full_subtree()),
+        f.iterate(0),
+        f.iterate(5),
+    ]
+    for g in derived:
+        assert g.vertex_image("o") == o
+        assert g.evaluate(o) == o
+        assert g.is_identity()
+
+
+def test_vertex_keyed_table_is_rejected():
+    t = MetricTree(["o"], [])
+    with pytest.raises(StructureError, match="'o'"):
+        PLTreeMap(t, {"o": t.vertex_point("o")})
+    s = star3()
+    table = {eid: identity_map(s).breakpoints(eid) for eid in s.edge_ids}
+    with pytest.raises(StructureError, match="'c'"):
+        PLTreeMap(s, {**table, "c": s.vertex_point("c")})
 
 
 # -- images -------------------------------------------------------------------------
@@ -709,7 +738,7 @@ def test_image_routines_match_the_former_ones():
         maps.append(random_finite_order_map(i, i + 300)[1])
         maps.append(random_folding_map(i + 300)[1])
     point = MetricTree(["o"], [])
-    maps.append(PLTreeMap(point, {"o": point.vertex_point("o")}))
+    maps.append(PLTreeMap(point, {}))
     onto = set()
     for f in maps:
         tree = f.domain
@@ -739,6 +768,23 @@ def test_image_of_whole_pieces_reuses_their_arcs(monkeypatch):
     monkeypatch.setattr(MetricTree, "arc", counted)
     assert rot.image() == rot.domain.full_subtree()
     assert not calls
+
+
+def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
+    # one arc per piece of the result, built by its constructor; the inner
+    # pieces' arcs are read, not rebuilt
+    _, rot = rotation_star(50)
+    calls = []
+    plain = MetricTree.arc
+
+    def counted(self, a, b):
+        calls.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(MetricTree, "arc", counted)
+    h = compose(rot, rot)
+    assert h.piece_count == 50
+    assert len(calls) == h.piece_count
 
 
 def test_image_of_subtree_rejects_another_tree():
