@@ -187,14 +187,10 @@ def detect_cycles_of_sets(
 
     if root_at is not None:
         tree.validate_point(root_at)
-        root_comp = None
-        for n, removed, comps in reversed(levels):
-            if removed.contains(root_at):
-                raise PreconditionError(
-                    f"the root point is periodic within power {n}"
-                )
-            root_comp = next(c for c in comps if c.contains(root_at))
-            break
+        n, removed, comps = levels[-1]
+        if removed.contains(root_at):
+            raise PreconditionError(f"the root point is periodic within power {n}")
+        root_comp = next(c for c in comps if c.contains(root_at))
     else:
         _, _, deepest = levels[-1]
         root_comp = min(deepest, key=lambda c: c.closure.canonical_key)

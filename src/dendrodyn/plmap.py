@@ -75,32 +75,34 @@ class PLTreeMap:
     tree has one self-map, the identity, so its table is empty.
     """
 
-    __slots__ = ("domain", "_table", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets")
+    __slots__ = ("domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets")
 
     def __init__(self, domain: MetricTree, table):
-        clean: dict = {}
         vimg: dict = {}
+        pieces = []
+        edge_index = {}
         for eid in domain.edge_ids:
             if eid not in table:
                 raise StructureError(f"no breakpoints for edge {eid!r}")
             raw = list(table[eid])
             if len(raw) < 2:
                 raise StructureError(f"edge {eid!r} needs at least two breakpoints")
-            bps = []
-            for t, p in raw:
-                t = as_fraction(t)
-                domain.validate_point(p)
-                bps.append((t, p))
-            if bps[0][0] != ZERO or bps[-1][0] != ONE:
+            bps = [(as_fraction(t), domain.validate_point(p)) for t, p in raw]
+            params = tuple(t for t, _ in bps)
+            if params[0] != ZERO or params[-1] != ONE:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
-            for (ta, _), (tb, _) in zip(bps, bps[1:]):
-                if not ta < tb:
-                    raise StructureError(f"edge {eid!r} breakpoints must increase")
-            clean[eid] = tuple(bps)
+            if any(not ta < tb for ta, tb in zip(params, params[1:])):
+                raise StructureError(f"edge {eid!r} breakpoints must increase")
             u, w = domain.edge_ends(eid)
             for v, img in ((u, bps[0][1]), (w, bps[-1][1])):
                 if vimg.setdefault(v, img) != img:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
+            mine = tuple(
+                _Piece(eid, t0, t1, p0, p1, domain.arc(p0, p1))
+                for (t0, p0), (t1, p1) in zip(bps, bps[1:])
+            )
+            pieces.extend(mine)
+            edge_index[eid] = (params, mine)
         extra = set(table) - set(domain.edge_ids)
         if extra:
             raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
@@ -108,22 +110,10 @@ class PLTreeMap:
             only = domain.vertex_ids[0]
             vimg[only] = domain.vertex_point(only)
 
-        pieces = []
-        edge_index = {}
-        for eid in domain.edge_ids:
-            bps = clean[eid]
-            mine = tuple(
-                _Piece(eid, t0, t1, p0, p1, domain.arc(p0, p1))
-                for (t0, p0), (t1, p1) in zip(bps, bps[1:])
-            )
-            pieces.extend(mine)
-            edge_index[eid] = (tuple(t for t, _ in bps), mine)
-
         self.domain = domain
-        self._table = clean
         self._vimg = vimg
         self._pieces = tuple(pieces)
-        # per edge: breakpoint parameters, and the pieces between them
+        # per edge: breakpoint parameters, and the pieces between them (the map's one form)
         self._edge_index = edge_index
         self._image = None
         self._fixed_sets = {}  # (n, piece_cap) -> fixed set, kept by dynamics.fixed_set
@@ -136,7 +126,8 @@ class PLTreeMap:
 
     def breakpoints(self, eid) -> tuple:
         self.domain._edge(eid)
-        return self._table[eid]
+        params, pieces = self._edge_index[eid]
+        return tuple(zip(params, [pieces[0].p0] + [piece.p1 for piece in pieces]))
 
     def __repr__(self):
         return f"PLTreeMap({self.piece_count} pieces)"
@@ -224,30 +215,17 @@ class PLTreeMap:
     def normalize(self) -> "PLTreeMap":
         """Remove breakpoints where adjacent pieces continue the same traversal.
 
-        A breakpoint B between pieces A->B and B->C is redundant when B
-        lies on the arc [A, C] and both pieces run at the same speed;
-        the merged piece then traverses [A, C] at constant speed.
+        Pieces A->B and B->C continue one traversal when they run at the
+        same speed and do not turn back at B (see `_continues`); in a tree
+        they then form the arc [A, C].  A merged run keeps the speed and
+        last segment of its last piece, so neighbouring pieces decide.
         """
-        d = self.domain.distance
-        table: dict = {}
-        changed = False
-        for eid, bps in self._table.items():
-            out = [bps[0]]
-            for t, p in bps[1:]:
-                while len(out) >= 2:
-                    t0, a = out[-2]
-                    t1, b = out[-1]
-                    dab, dbc = d(a, b), d(b, p)
-                    if dab + dbc != d(a, p):
-                        break
-                    if dab * (t - t1) != dbc * (t1 - t0):
-                        break
-                    out.pop()
-                    changed = True
-                out.append((t, p))
-            table[eid] = tuple(out)
-        if not changed:
-            return self
+        table = {}
+        for eid, (_, pieces) in self._edge_index.items():
+            starts = [pieces[0], *(b for a, b in zip(pieces, pieces[1:]) if not _continues(a, b))]
+            table[eid] = [(p.t0, p.p0) for p in starts] + [(ONE, pieces[-1].p1)]
+        if sum(map(len, table.values())) == len(self._pieces) + len(table):
+            return self  # no breakpoint dropped
         return PLTreeMap(self.domain, table)
 
     def equals(self, other: "PLTreeMap") -> bool:
@@ -258,7 +236,9 @@ class PLTreeMap:
             return False
         a = self.normalize()
         b = other.normalize()
-        return a._table == b._table and a._vimg == b._vimg
+        return a._vimg == b._vimg and all(
+            a.breakpoints(eid) == b.breakpoints(eid) for eid in self.domain.edge_ids
+        )
 
     def is_identity(self) -> bool:
         return self.equals(identity_map(self.domain))
@@ -402,6 +382,21 @@ class PLTreeMap:
         return result
 
 
+def _continues(a: _Piece, b: _Piece) -> bool:
+    """Same speed, and no turn back at the shared breakpoint.
+
+    Both pieces are constant, or the last segment of a's arc and the
+    first of b's lie on different edges, or on one edge the same way.
+    """
+    if a.arc.length * (b.t1 - b.t0) != b.arc.length * (a.t1 - a.t0):
+        return False
+    if a.is_constant:  # then b is constant too, at the same point
+        return True
+    ea, u0, u1 = a.arc.segments[-1]
+    eb, v0, v1 = b.arc.segments[0]
+    return ea != eb or (u1 > u0) == (v1 > v0)
+
+
 def _param_on_edge(tree: MetricTree, p: TreePoint, eid) -> Fraction | None:
     """Parameter of p on the given edge, or None if it does not lie there."""
     u, w = tree.edge_ends(eid)
@@ -478,7 +473,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
         cuts.add(s)
     for k, (aeid, u0, u1) in enumerate(arc.segments):
         lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
-        for tb, _ in outer._table[aeid][1:-1]:
+        for tb in outer._edge_index[aeid][0][1:-1]:
             if lo < tb < hi:
                 cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
     bps = [(t0, outer.evaluate(piece.p0))]

@@ -12,6 +12,7 @@ No floating point enters any computation in this module.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -22,17 +23,35 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+MAX_DIGITS = 1000
+_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, strings like '3/4', and Fractions to an exact Fraction."""
+    """An exact Fraction from a Fraction, an int, or a rational string.
+
+    A string must read [sign]digits[/digits] with at most `MAX_DIGITS`
+    digits a part: enough for any exact instance, and far below both the
+    cost of expanding exponents ("1e100000000") and Python's limit on
+    writing long integers back out.  Booleans, floats, decimals and
+    padded strings are refused.
+    """
+    if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            shown = value if len(value) <= 40 else value[:40] + "..."
+            raise StructureError(
+                f"not a rational: {shown!r} (want [sign]digits[/digits], "
+                f"at most {MAX_DIGITS} digits a part)"
+            )
+        num, _, den = value.partition("/")
+        try:
+            return Fraction(int(num), int(den or 1))
+        except ZeroDivisionError:
+            raise StructureError(f"not a rational: {value!r}") from None
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructureError(f"not a rational: {value!r}") from exc
     raise StructureError(f"not a rational: {value!r}")
 
 
@@ -600,16 +619,9 @@ class Subtree:
             verts.add(v)
         canon: dict[object, tuple] = {}
         for eid, ivs in by_edge.items():
-            ivs.sort()
-            merged: list[list] = []
-            for lo, hi in ivs:
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
             u, w = tree.edge_ends(eid)
             out = []
-            for lo, hi in merged:
+            for lo, hi in _merge_intervals(ivs):
                 if lo == ZERO:
                     verts.add(u)
                 if hi == ONE:
@@ -743,14 +755,20 @@ class Subtree:
                     if v in self.vertices:
                         hits.append((pos, pos))
             c += seglen
-        hits.sort()
-        merged: list[list] = []
-        for lo, hi in hits:
-            if merged and lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        return tuple((lo, hi) for lo, hi in merged)
+        return tuple(_merge_intervals(hits))
+
+
+def _merge_intervals(intervals: list) -> list:
+    """Sort closed intervals in place; return them with those that overlap or touch merged."""
+    intervals.sort()
+    out: list[tuple] = []
+    for lo, hi in intervals:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -109,9 +109,9 @@ def _fixed_sets_connected(f, upto, piece_cap) -> CheckResult:
 
 
 def _periodic_union_monotone(f, upto, piece_cap) -> CheckResult:
-    prev = periodic_union(f, 1, piece_cap)
+    prev = fixed_set(f, 1, piece_cap)
     for n in range(2, upto + 1):
-        cur = periodic_union(f, n, piece_cap)
+        cur = prev.union(fixed_set(f, n, piece_cap))
         if not cur.contains_subtree(prev):
             return CheckResult("fail", detail=f"union shrank between {n - 1} and {n}")
         prev = cur
@@ -176,21 +176,19 @@ def run_checks(
 ) -> list[CheckRecord]:
     """Run every named check against a self-map of a tree.
 
-    The verdict on f is decided once, on first use; a bound it hits marks
-    every check that uses it.
+    The verdict on f is decided once, before the checks; a bound it hits
+    marks every check that uses it.
     """
     upto = max(2, min(depth, 4))
-    verdict = []  # the decision on f, or the bound error it raised
+    try:
+        verdict = decide_pointwise_recurrent(f, max_period, piece_cap)
+    except (UndecidedError, ResourceLimitError) as exc:
+        verdict = exc
 
     def decided():
-        if not verdict:
-            try:
-                verdict.append(decide_pointwise_recurrent(f, max_period, piece_cap))
-            except (UndecidedError, ResourceLimitError) as exc:
-                verdict.append(exc)
-        if isinstance(verdict[0], Exception):
-            raise verdict[0]
-        return verdict[0]
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
 
     plan = (
         ("recurrence-verdict-consistency",

@@ -5,6 +5,7 @@ import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, build_fixture, save_instance_file
 from dendrodyn.cli import main
+from dendrodyn.io import MAX_VERTICES
 
 
 def write_fixture(tmp_path, kind, params=None, name="inst.json"):
@@ -259,6 +260,29 @@ def test_malformed_instance_exits_three(tmp_path, capsys, obj):
     assert main(["classify", str(path), "--point", "a"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def identity_star_instance(arms):
+    leaves = [f"l{i}" for i in range(arms)]
+    return {
+        "vertices": ["c", *leaves],
+        "edges": [{"id": f"a{i}", "ends": ["c", v], "length": "1/1"} for i, v in enumerate(leaves)],
+        "vertex_images": {v: {"vertex": v} for v in ["c", *leaves]},
+        "edge_pieces": {
+            f"a{i}": [{"t": "0/1", "image": {"vertex": "c"}}, {"t": "1/1", "image": {"vertex": v}}]
+            for i, v in enumerate(leaves)
+        },
+    }
+
+
+def test_instance_past_the_vertex_limit_exits_three(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(identity_star_instance(MAX_VERTICES)))
+    assert main(["recurrence", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert f"{MAX_VERTICES + 1} entries" in captured.err and "20000 vertices" in captured.err
     assert captured.out == ""
 
 

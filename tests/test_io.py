@@ -7,6 +7,7 @@ from dendrodyn import MetricTree, PLTreeMap, StructureError, build_fixture
 from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import (
     dump_instance,
+    MAX_VERTICES,
     fraction_from_str,
     fraction_to_str,
     load_instance,
@@ -104,6 +105,21 @@ def test_tree_json_rejects_bad_input():
         tree_from_json(
             {"vertices": ["a", "b"], "edges": [{"id": "e", "ends": ["a"], "length": "1/1"}]}
         )
+
+
+def test_vertex_limit():
+    def star(arms):
+        return {
+            "vertices": ["c", *(f"l{i}" for i in range(arms))],
+            "edges": [{"id": f"a{i}", "ends": ["c", f"l{i}"], "length": 1} for i in range(arms)],
+        }
+
+    assert len(tree_from_json(star(MAX_VERTICES - 1)).vertex_ids) == MAX_VERTICES
+    for key in ("vertices", "edges"):
+        obj = star(1)
+        obj[key] = [None] * (MAX_VERTICES + 1)  # rejected before any element is read
+        with pytest.raises(StructureError, match=f"{key!r} has {MAX_VERTICES + 1} entries"):
+            tree_from_json(obj)
 
 
 def test_boolean_length_is_not_a_rational():

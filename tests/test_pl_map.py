@@ -275,6 +275,150 @@ def test_constant_map_normal_form():
     assert len(c.normalize().breakpoints("e")) == 2
 
 
+def metric_normalize_table(f):
+    """The former normal form, decided through the tree metric: the oracle.
+
+    Breakpoint B between A->B and B->C is dropped when d(A, B) + d(B, C)
+    = d(A, C) and both pieces run at the same speed; after each drop the
+    run behind is tested again.
+    """
+    d = f.domain.distance
+    table = {}
+    for eid in f.domain.edge_ids:
+        bps = f.breakpoints(eid)
+        out = [bps[0]]
+        for t, p in bps[1:]:
+            while len(out) >= 2:
+                t0, a = out[-2]
+                t1, b = out[-1]
+                dab, dbc = d(a, b), d(b, p)
+                if dab + dbc != d(a, p):
+                    break
+                if dab * (t - t1) != dbc * (t1 - t0):
+                    break
+                out.pop()
+            out.append((t, p))
+        table[eid] = tuple(out)
+    return table
+
+
+def refine(rng, f):
+    """f with breakpoints added at a few random parameters: the same map."""
+    table = {}
+    for eid in f.domain.edge_ids:
+        bps = dict(f.breakpoints(eid))
+        for t in rng.sample([F(k, 21) for k in range(1, 21)], rng.randint(1, 3)):
+            bps.setdefault(t, f.evaluate(f.domain.edge_point(eid, t)))
+        table[eid] = sorted(bps.items())
+    return PLTreeMap(f.domain, table)
+
+
+def hand_built_normal_forms():
+    """Maps given by the breakpoints of their first edge, each with that
+    edge's breakpoint count in normal form; the other edges are constant."""
+    t, s = interval(), star3()
+
+    def path(right):  # v0 -e1- v1 -e2- v2, with v1 of degree 2
+        return MetricTree(
+            ["v0", "v1", "v2"], [("e1", ("v0", "v1"), 1), ("e2", ("v1", "v2"), right)]
+        )
+
+    def e(x):
+        return t.edge_point("e", x)
+
+    def a2(x):
+        return s.edge_point("a2", x)
+
+    v0, v1 = t.vertex_point("v0"), t.vertex_point("v1")
+    c, l1, l2 = (s.vertex_point(v) for v in ("c", "l1", "l2"))
+    cases = [
+        # collinear splits inside an edge
+        (t, [(0, v0), (F(1, 2), e(F(1, 2))), (1, v1)], 2),
+        (s, [(0, c), (F(1, 3), a2(F(1, 4))), (1, a2(F(3, 4)))], 2),
+        # through a degree-2 vertex and through the centre of the star, at
+        # equal and at unequal speeds
+        (path(1), [(0, "v0"), (F(1, 2), "v1"), (1, "v2")], 2),
+        (path(2), [(0, "v0"), (F(1, 2), "v1"), (1, "v2")], 3),
+        (s, [(0, l1), (F(1, 2), c), (1, l2)], 2),
+        (s, [(0, l1), (F(1, 3), c), (1, l2)], 3),
+        (t, [(0, v0), (F(1, 2), e(F(1, 4))), (1, v1)], 3),
+        # turn-backs at a leaf, at the centre, and at an interior point
+        (t, [(0, v0), (F(1, 2), v1), (1, v0)], 3),
+        (s, [(0, l1), (F(1, 2), c), (1, l1)], 3),
+        (t, [(0, e(F(1, 4))), (F(1, 2), e(F(3, 4))), (1, e(F(1, 4)))], 3),
+        # runs of constant pieces, and constant pieces beside moving ones
+        (t, [(0, e(F(1, 2))), (F(1, 3), e(F(1, 2))), (F(2, 3), e(F(1, 2))), (1, e(F(1, 2)))], 2),
+        (t, [(0, v0), (F(1, 3), v0), (F(2, 3), v0), (1, v1)], 3),
+        (t, [(0, v0), (F(1, 3), v1), (1, v1)], 3),
+        # a three-piece run, and two runs meeting at a turn-back
+        (t, [(0, v0), (F(1, 4), e(F(1, 4))), (F(1, 2), e(F(1, 2))), (1, v1)], 2),
+        (t, [(0, v0), (F(1, 4), e(F(1, 4))), (F(1, 2), e(F(1, 2))), (F(3, 4), e(F(1, 4))), (1, v0)], 3),
+    ]
+    out = []
+    for tree, bps, count in cases:
+        bps = [(x, tree.vertex_point(p) if isinstance(p, str) else p) for x, p in bps]
+        first, *rest = tree.edge_ids
+        ends = dict(zip(tree.edge_ends(first), (bps[0][1], bps[-1][1])))
+        table = {first: bps}
+        for eid in rest:  # constant at the image of the end it shares with `first`
+            q = next(ends[v] for v in tree.edge_ends(eid) if v in ends)
+            table[eid] = [(0, q), (1, q)]
+        out.append((PLTreeMap(tree, table), first, count))
+    return out
+
+
+def normalize_inputs():
+    rng = random.Random(5150)
+    maps = [f for f, _, _ in hand_built_normal_forms()]
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(2, 7))
+        f, g = random_map(rng, t), random_map(rng, t)
+        hull = t.connected_hull([random_point(rng, t), random_point(rng, t)])
+        derived = [compose(f, f), compose(f, g), project_onto(f, hull)]
+        maps += [f, *derived, *(refine(rng, h) for h in derived)]
+    for i in range(40):
+        for f in (random_finite_order_map(i, i + 9000)[1], random_folding_map(i + 9000)[1]):
+            maps += [f, compose(f, f), refine(rng, compose(f, f))]
+    tent = tent_on(interval())
+    maps += [tent.iterate(n) for n in range(1, 7)]
+    maps += [refine(rng, tent.iterate(n)) for n in range(1, 7)]
+    return maps
+
+
+def test_normalize_matches_the_metric_oracle():
+    dropped = kept = 0
+    for f in normalize_inputs():
+        expected = metric_normalize_table(f)
+        g = f.normalize()
+        for eid in f.domain.edge_ids:
+            assert g.breakpoints(eid) == expected[eid]
+        same = all(expected[eid] == f.breakpoints(eid) for eid in f.domain.edge_ids)
+        assert (g is f) == same
+        dropped += not same
+        kept += same
+    assert dropped > 100 and kept > 100
+
+
+def test_hand_built_normal_forms():
+    for f, eid, count in hand_built_normal_forms():
+        assert len(f.normalize().breakpoints(eid)) == count
+
+
+def test_normalize_asks_the_metric_nothing(monkeypatch):
+    rng = random.Random(6)
+    f = refine(rng, tent_on(interval()).iterate(4))
+    calls = []
+    plain = MetricTree.distance
+
+    def counted(self, a, b):
+        calls.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(MetricTree, "distance", counted)
+    assert f.normalize().piece_count == 16 < f.piece_count
+    assert not calls
+
+
 # -- injectivity ------------------------------------------------------------------
 
 

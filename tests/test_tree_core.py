@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, Subtree
-from dendrodyn.tree import Component, point_key
+from dendrodyn.tree import Component, as_fraction, point_key
 
 
 def path_tree():
@@ -143,6 +143,20 @@ def test_rejects_bad_lengths_and_ids():
         MetricTree(["a", "a"], [("e1", ("a", "a"), 1)])
     with pytest.raises(StructureError):
         MetricTree(["a", "b"], [("e1", ("a", "x"), 1)])
+
+
+def test_rationals_take_the_file_grammar():
+    assert as_fraction("-6/8") == F(-3, 4)
+    assert as_fraction("+7") == 7
+    assert as_fraction(F(1, 3)) == F(1, 3)
+    assert as_fraction(-2) == -2
+    for bad in (True, "0.5", " 3/4", "1e5", 0.5, "1/0", "9" * 1001):
+        with pytest.raises(StructureError, match="not a rational"):
+            as_fraction(bad)
+    with pytest.raises(StructureError, match="not a rational"):
+        MetricTree(["a", "b"], [("e", ("a", "b"), "0.5")])
+    with pytest.raises(StructureError, match="not a rational"):
+        path_tree().edge_point("e1", "1e5")
 
 
 def test_single_vertex_tree():
