@@ -369,8 +369,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, path) -> None:
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PreconditionError(f"cannot write {path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -387,11 +390,9 @@ def main(argv=None) -> int:
         try:
             tree, f = dio.load_instance_file(args.input)
         except OSError as exc:
-            print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-            return 3
+            raise PreconditionError(f"cannot read {args.input}: {exc}") from None
         if f is None and args.command != "classify":
-            print("the instance file carries no map", file=sys.stderr)
-            return 3
+            raise PreconditionError("the instance file carries no map")
 
         runner = {
             "recurrence": _run_recurrence,
@@ -409,16 +410,16 @@ def main(argv=None) -> int:
                 "error": str(exc),
             }
             code = 2
+
+        rendered = (
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
+            if args.format == "json"
+            else _render_text(report)
+        )
+        _emit(rendered, args.output)
     except (StructureError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-    rendered = (
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-        if args.format == "json"
-        else _render_text(report)
-    )
-    _emit(rendered, args.output)
     return code
 
 

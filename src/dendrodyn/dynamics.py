@@ -13,15 +13,21 @@ handful of evaluate calls, and every check distinguishes a failed
 assertion from a hypothesis that never applied (status "skipped").
 
 `fixed_set` is the one path to the fixed set of a power and computes it
-once per map; `_walk` is the one orbit walker, whose walked orbit answers
-periods, eventual cycles, limit sets, the sampled orbit checks and the
-recurrence decision's certificate.
+once per map.  `_walk` is the one orbit walker.  It keeps one orbit store
+per map: the successors it has evaluated, and a label (preperiod, cycle,
+entry) on every point whose orbit it has seen repeat.  A walk stops at
+the first labelled point and labels the points it passed, so over all
+the samples of a map each orbit point is evaluated once, and periods,
+eventual cycles, limit sets, the sampled orbit checks and the recurrence
+decision's certificate are read off the labels.  The store holds at most
+a fixed multiple of the map's vertices plus pieces; past that, walks go
+on without storing and answer the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from itertools import count, islice
 from math import lcm
 
 from .errors import ConsistencyError, PreconditionError, UndecidedError
@@ -32,6 +38,7 @@ MAX_PERIOD_DEFAULT = 10_000
 HORIZON_DEFAULT = 1_000
 ABSOLUTE_POWER_CAP = 1_000_000
 CUTPOINT_POWER_BOUND = 5  # check_escape skips on a periodic cutpoint up to this power
+ORBIT_STORE_PER_ITEM = 8  # orbit store entries per vertex and per piece of the map
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,8 +125,8 @@ def vertex_period(f: PLTreeMap, v, max_period: int = MAX_PERIOD_DEFAULT) -> int 
     The orbit is walked with repetition detection, so a vertex that falls
     into a cycle not containing it is reported non-periodic immediately.
     """
-    orbit, back = _walk(f, f.domain.vertex_point(v), max_period)
-    return len(orbit) if back == 0 else None
+    label = _walk(f, f.domain.vertex_point(v), max_period)
+    return len(label[1]) if label is not None and label[0] == 0 else None
 
 
 def periodic_structure(
@@ -272,15 +279,18 @@ def returns_to_components(
 ) -> bool:
     """Whether the f^power-orbit of x re-enters x's own side of the tree
     minus y, within the horizon.  A False is horizon-relative.
+
+    The points f^(k*power)(x) for k > preperiod + period repeat earlier
+    ones, so no more of them are looked at.
     """
     tree = f.domain
     tree.validate_point(x)
     tree.validate_point(y)
     if x == y:
         raise PreconditionError("the separating point must differ from the start")
-    z = x
-    for _ in range(horizon):
-        z = f.orbit(z, power)[-1]
+    label = _walk(f, x, power * horizon)
+    steps = horizon if label is None else min(horizon, label[0] + len(label[1]))
+    for z in islice(_orbit_points(f, x), power, power * steps + 1, power):
         if z != y and not tree.on_arc(y, z, x):
             return True
     return False
@@ -310,56 +320,144 @@ def omega_limit_estimate(
 ) -> OmegaEstimate:
     """Limit set of an orbit: exact on detected repetition, else a labeled
     estimate consisting of the post-burn-in orbit points."""
-    orbit, back = _walk(f, x, burn_in + window)
-    if back is None:
-        return OmegaEstimate(points=tuple(orbit[burn_in + 1 :]), exact=False)
-    return OmegaEstimate(points=tuple(orbit[back:]), exact=True, period=len(orbit) - back)
+    horizon = burn_in + window
+    label = _walk(f, x, horizon)
+    if label is None:
+        points = islice(_orbit_points(f, x), burn_in + 1, horizon + 1)
+        return OmegaEstimate(points=tuple(points), exact=False)
+    _, cycle, entry = label
+    return OmegaEstimate(points=cycle[entry:] + cycle[:entry], exact=True, period=len(cycle))
+
+
+class _OrbitStore:
+    """The orbit points of one map: labels once resolved, and successors.
+
+    `labels` maps a point whose orbit has been seen to repeat to
+    (preperiod, cycle, entry): `cycle` is the tuple of the points of the
+    cycle the orbit settles on, shared by every point that reaches it,
+    and `entry` is the index in it of the first cycle point the orbit
+    meets (a cycle point's own index).  `succ` maps a point off every
+    known cycle to its image: the points of a labelled tail, and those of
+    walks that ended unresolved.  Labels and successors together never
+    exceed `budget` entries, a fixed multiple of the map's vertices plus
+    pieces; once it is reached, walks go on without storing.  Only
+    `_walk` and `_orbit_points` read and fill it.
+    """
+
+    __slots__ = ("succ", "labels", "budget")
+
+    def __init__(self, f: PLTreeMap):
+        self.succ = {}
+        self.labels = {}
+        self.budget = ORBIT_STORE_PER_ITEM * (len(f.domain.vertex_ids) + f.piece_count)
+
+    @staticmethod
+    def of(f: PLTreeMap) -> "_OrbitStore":
+        """The map's store, made on first use."""
+        if f._orbits is None:
+            f._orbits = _OrbitStore(f)
+        return f._orbits
+
+    def room(self) -> int:
+        return self.budget - len(self.succ) - len(self.labels)
+
+    def keep(self, table: dict, entries) -> None:
+        """Add (point, value) entries to one of the tables while the budget lasts."""
+        table.update(islice(entries, max(0, self.room())))
 
 
 def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
-    """The orbit x, f(x), ... up to its first repeat or `horizon` steps.
+    """The label (preperiod, cycle, entry) of x's orbit, or None when the
+    orbit does not repeat within `horizon` steps.
 
-    Returns (orbit, back): the next step after the orbit's last point
-    lands on `orbit[back]`, or `back` is None when no point repeated
-    within the horizon.  The orbit points are distinct.
+    An orbit repeats within the horizon exactly when preperiod + period
+    <= horizon.  The walk stops at the first point already labelled, or
+    when it closes a cycle, and labels every point it passed; so while
+    the budget lasts, each orbit point of a map is evaluated and labelled
+    once over all walks.
+    Past the horizon a walk goes on only while the store has room for
+    what it walked, which bounds the extra steps by the store's budget:
+    that lets one walk label a long cycle that many samples share.
     """
-    seen = {x: 0}
-    orbit = [x]
-    for _ in range(horizon):
-        z = f.evaluate(orbit[-1])
-        if z in seen:
-            return orbit, seen[z]
-        seen[z] = len(orbit)
-        orbit.append(z)
-    return orbit, None
+    store = _OrbitStore.of(f)
+    labels, succ = store.labels, store.succ
+    label = labels.get(x)
+    if label is None:
+        room = store.room()
+        path = []
+        index = {}  # point -> its place on the path
+        z = x
+        while True:
+            j = index.setdefault(z, len(path))
+            if j < len(path):  # back at path[j]: the rest of the path is a cycle
+                cycle = tuple(path[j:])
+                store.keep(labels, ((p, (0, cycle, k)) for k, p in enumerate(cycle)))
+                label = (0, cycle, 0)
+                del path[j:]
+                break
+            path.append(z)
+            if len(path) > horizon and 2 * len(path) >= room:
+                store.keep(succ, zip(path, path[1:]))
+                return None
+            y = succ.get(z) if succ else None
+            z = f.evaluate(z) if y is None else y
+            label = labels.get(z)
+            if label is not None:
+                break
+        if path:  # a tail, each point labelled and linked to the next
+            pre, cycle, entry = label
+            n = len(path)
+            store.keep(labels, ((p, (pre + n - i, cycle, entry)) for i, p in enumerate(path)))
+            store.keep(succ, zip(path, path[1:] + [z]))
+            label = (pre + n, cycle, entry)
+    if label[0] + len(label[1]) > horizon:
+        return None
+    return label
+
+
+def _orbit_points(f: PLTreeMap, x: TreePoint):
+    """x, f(x), f^2(x), ... without end, read from the orbit store where
+    it can be: successors along the way, and a labelled cycle once the
+    orbit is on one."""
+    store = _OrbitStore.of(f)
+    z = x
+    while True:
+        label = store.labels.get(z)
+        if label is not None and label[0] == 0:
+            _, cycle, entry = label
+            for k in count(entry):
+                yield cycle[k % len(cycle)]
+        yield z
+        y = store.succ.get(z)
+        if y is None:
+            y = f.evaluate(z)
+            store.keep(store.succ, [(z, y)])
+        z = y
 
 
 def _orbits_certify_identity(f: PLTreeMap, n: int) -> bool:
     """Whether every vertex and interior breakpoint has a period dividing n.
 
     Stops at the first orbit that fails; each point of the walked orbits
-    is evaluated once.  For a homeomorphism f this holds exactly when f^n
-    is the identity (see `decide_pointwise_recurrent`).
+    is evaluated once, and a start already labelled costs no step.  For a
+    homeomorphism f this holds exactly when f^n is the identity (see
+    `decide_pointwise_recurrent`).
     """
     tree = f.domain
     starts = [tree.vertex_point(v) for v in tree.vertex_ids]
     for eid in tree.edge_ids:
         starts += [tree.edge_point(eid, t) for t, _ in f.breakpoints(eid)[1:-1]]
-    walked = set()
     for s in starts:
-        if s in walked:
-            continue
-        orbit, back = _walk(f, s, n)
-        if back != 0 or n % len(orbit):
+        label = _walk(f, s, n)
+        if label is None or label[0] or n % len(label[1]):
             return False
-        walked.update(orbit)
     return True
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):
     """(preperiod, period) of an orbit if it repeats within the horizon."""
-    orbit, back = _walk(f, x, horizon)
-    return None if back is None else (back, len(orbit) - back)
+    label = _walk(f, x, horizon)
+    return None if label is None else (label[0], len(label[1]))
 
 
 # -- property checks ------------------------------------------------------------
@@ -384,18 +482,19 @@ def check_full_invariance(
         )
     unresolved = 0
     for x in tree.grid_points(3):
-        orbit, preperiod = _walk(f, x, horizon)
-        if preperiod is None:
+        label = _walk(f, x, horizon)
+        if label is None:
             unresolved += 1
             continue
+        preperiod, cycle, entry = label
         if preperiod > 0:
             return CheckResult(
                 status="fail",
                 witness=Witness(
                     kind="preperiodic-sample",
-                    points=(x, orbit[preperiod]),
+                    points=(x, cycle[entry]),
                     detail=(
-                        f"the sample reaches a period-{len(orbit) - preperiod} orbit "
+                        f"the sample reaches a period-{len(cycle)} orbit "
                         f"after {preperiod} steps without belonging to it"
                     ),
                 ),
@@ -415,13 +514,15 @@ def check_no_preperiodic(
     tree = f.domain
     horizon = min(horizon, max_period)
     for x in tree.grid_points(3):
-        orbit, preperiod = _walk(f, x, horizon)
-        if not preperiod:
+        label = _walk(f, x, horizon)
+        if label is None or not label[0]:
             continue
-        period = len(orbit) - preperiod
-        # the least multiple of the period covering the approach: < len(orbit)
+        preperiod, cycle, entry = label
+        period = len(cycle)
+        # the least multiple of the period covering the approach, so the
+        # orbit rests on its cycle there
         steps = period * -(-preperiod // period)
-        r = orbit[steps]
+        r = cycle[(entry + steps - preperiod) % period]
         path = tree.arc(x, r)
         z = path.point_at(path.length / 2)
         return CheckResult(
@@ -445,7 +546,14 @@ def check_no_radial_stretch(
 ) -> CheckResult:
     """No sampled point is pushed radially outward through itself from a
     fixed anchor of the n-th power: the arc [anchor, t] never sits inside
-    [anchor, f^n(t)).  Pointwise-recurrent maps can never do this."""
+    [anchor, f^n(t)).  Pointwise-recurrent maps can never do this.
+
+    Each sample's image is computed once (for n = 1 through the orbit
+    store).  The anchors that t pushes outward are those outside the
+    component of the tree minus t that holds the image, and the least of
+    them comes from `MetricTree.first_separated`.  The witness is the
+    least such anchor, with the first sample that it serves.
+    """
     tree = f.domain
     fixed = fixed_set(f, n, piece_cap)
     anchors = list(fixed.corner_points())
@@ -455,28 +563,34 @@ def check_no_radial_stretch(
                 anchors.append(tree.edge_point(eid, (lo + hi) / 2))
     if not anchors:
         return CheckResult(status="skipped", detail="the n-th power has no fixed point")
-    h = f.iterate(n, piece_cap)
-    pts = tree.grid_points(3)
-    for anchor in anchors:
-        for t in pts:
-            if t == anchor:
-                continue
-            y = h.evaluate(t)
-            if y == t:
-                continue
-            if tree.on_arc(t, anchor, y):
-                return CheckResult(
-                    status="fail",
-                    witness=Witness(
-                        kind="radial-stretch",
-                        points=(anchor, t, y),
-                        detail=(
-                            "the middle point lies strictly between the fixed "
-                            f"anchor and its image under power {n}"
-                        ),
-                    ),
-                )
-    return CheckResult(status="pass")
+    if n == 1:
+        def image(t):
+            return next(islice(_orbit_points(f, t), 1, None))
+    else:
+        image = f.iterate(n, piece_cap).evaluate
+    beyond = tree.first_separated(anchors)
+    best = None  # (anchor index, sample, image)
+    for t in tree.grid_points(3):
+        y = image(t)
+        if y == t:
+            continue
+        i = beyond(t, y)
+        if i is not None and (best is None or i < best[0]):
+            best = (i, t, y)
+    if best is None:
+        return CheckResult(status="pass")
+    i, t, y = best
+    return CheckResult(
+        status="fail",
+        witness=Witness(
+            kind="radial-stretch",
+            points=(anchors[i], t, y),
+            detail=(
+                "the middle point lies strictly between the fixed "
+                f"anchor and its image under power {n}"
+            ),
+        ),
+    )
 
 
 def check_escape(
@@ -500,12 +614,12 @@ def check_escape(
                 detail=f"periodic cutpoints exist within power {CUTPOINT_POWER_BOUND}",
             )
     for x in tree.grid_points(3):
-        q = f.orbit(x, n)[-1]
+        # f^n(x), f^2n(x), ..., f^(horizon*n)(x)
+        images = islice(_orbit_points(f, x), n, n * horizon + 1, n)
+        q = next(images)
         if q == x:
             continue
-        z = q
-        for m in range(2, horizon + 1):
-            z = f.orbit(z, n)[-1]
+        for m, z in enumerate(images, 2):
             if z == x:
                 continue
             if tree.on_arc(x, z, q):

@@ -14,7 +14,7 @@ limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .dynamics import CheckResult, Witness, fixed_set
@@ -90,6 +90,30 @@ def tau(a: OdometerAddress) -> OdometerAddress:
 # -- cycles of sets --------------------------------------------------------
 
 
+def _locator(comps):
+    """A lookup from a point to the index of the first component holding it.
+
+    A component holds an edge point only if its closure has an interval
+    on that edge, and a vertex only if the vertex is in its closure and
+    not on its boundary.  So each lookup tries the few components filed
+    under the point's edge or vertex, not every component.
+    """
+    filed: dict = {}
+    for i, c in enumerate(comps):
+        for eid in c.closure.segments:
+            filed.setdefault(("edge", eid), []).append(i)
+        boundary = set(c.boundary)
+        for v in c.closure.vertices:
+            if TreePoint(vertex=v) not in boundary:
+                filed.setdefault(("vertex", v), []).append(i)
+
+    def locate(p: TreePoint):
+        key = ("vertex", p.vertex) if p.is_vertex else ("edge", p.edge)
+        return next((i for i in filed.get(key, ()) if comps[i].contains(p)), None)
+
+    return locate
+
+
 @dataclass(frozen=True, slots=True)
 class CycleOfSets:
     """Components cyclically permuted by the map at one depth.
@@ -103,11 +127,20 @@ class CycleOfSets:
     period: int
     sets: tuple
     attachments: tuple
+    _locate: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_locate", _locator(self.sets))
+
+    def index_of(self, x: TreePoint):
+        """The index of the first set holding x, or None."""
+        return self._locate(x)
 
 
-def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, start: Component):
+def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, locate, start: Component):
     """Order the components reachable from `start` by repeated application
-    of the map, verifying exact containment at every step.
+    of the map, verifying exact containment at every step.  `locate` is
+    the `_locator` of `comps`.
 
     A set of a tower hangs off the periodic set at a single point; a
     component on the cycle that touches it at any other number of points
@@ -130,9 +163,10 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, start: Component):
             raise ConsistencyError(
                 "a component of the complement maps into the periodic set"
             )
-        nxt = next((c for c in comps if c.contains(img)), None)
-        if nxt is None:
+        i = locate(img)
+        if i is None:
             raise ConsistencyError("image point escaped every component")
+        nxt = comps[i]
         if f.evaluate(attachment(cur)) != attachment(nxt):
             raise ConsistencyError(
                 "attachment points are not carried onto each other"
@@ -175,34 +209,43 @@ def detect_cycles_of_sets(
         )
     tree = f.domain
 
-    levels = []  # (n, removed, components)
+    levels = []  # (n, removed, components, their locator)
     removed = Subtree.empty(tree)
     for n in range(1, depth + 1):
         removed = removed.union(fixed_set(f, n, piece_cap))
         if removed == tree.full_subtree():
             break
-        levels.append((n, removed, tree.components_minus(removed)))
+        if levels and removed == levels[-1][1]:
+            # the same components, so the same cycle: it is not followed again
+            levels.append((n, *levels[-1][1:]))
+            continue
+        comps = tree.components_minus(removed)
+        levels.append((n, removed, comps, _locator(comps)))
     if not levels:
         return ()
 
     if root_at is not None:
         tree.validate_point(root_at)
-        n, removed, comps = levels[-1]
+        n, removed, comps, locate = levels[-1]
         if removed.contains(root_at):
             raise PreconditionError(f"the root point is periodic within power {n}")
-        root_comp = next(c for c in comps if c.contains(root_at))
+        root_comp = comps[locate(root_at)]
     else:
-        _, _, deepest = levels[-1]
+        _, _, deepest, _ = levels[-1]
         root_comp = min(deepest, key=lambda c: c.closure.canonical_key)
 
     anchor = root_comp.repr_point
     out = []
     last_period = 0
-    for n, removed, comps in levels:
-        start = next((c for c in comps if c.contains(anchor)), None)
-        if start is None:
+    followed = None
+    for n, removed, comps, locate in levels:
+        if comps is followed:
+            continue  # its cycle is no longer than the last one kept
+        followed = comps
+        i = locate(anchor)
+        if i is None:
             raise ConsistencyError("the root chain broke between depths")
-        cycle = _follow_cycle(f, removed, comps, start)
+        cycle = _follow_cycle(f, removed, comps, locate, comps[i])
         if len(cycle) <= last_period:
             continue
         last_period = len(cycle)
@@ -223,7 +266,7 @@ def address_of(cycles, x: TreePoint) -> OdometerAddress:
         raise PreconditionError("no cycle levels to address against")
     digits = []
     for cyc in cycles:
-        hit = next((i for i, c in enumerate(cyc.sets) if c.contains(x)), None)
+        hit = cyc.index_of(x)
         if hit is None:
             raise PreconditionError(
                 f"the point is outside every set at level {cyc.level}"
@@ -275,6 +318,42 @@ class AddingMachineReport:
     detected_periods: tuple
 
 
+def _meet_only_at_boundaries(tree, sets) -> bool:
+    """Whether every two of the closures meet in at most finitely many
+    points, each on the boundary of one of the two sets.
+
+    Every point lying in two closures is found by one sweep.  Shared
+    vertices are read off the vertex sets.  On each edge the intervals
+    of all closures are taken by left end, keeping the one that reaches
+    farthest so far: an interval starting before that reach overlaps it
+    in positive length unless the interval is a single point or only
+    touches the reach, and then the point is shared.  A point fails when
+    two of the closures holding it lack it on their boundary.
+    """
+    holders: dict = {}  # point -> indices of the closures holding it
+    by_edge: dict = {}
+    for i, s in enumerate(sets):
+        for v in s.closure.vertices:
+            holders.setdefault(TreePoint(vertex=v), set()).add(i)
+        for eid, intervals in s.closure.segments.items():
+            by_edge.setdefault(eid, []).extend((lo, hi, i) for lo, hi in intervals)
+    for eid, intervals in by_edge.items():
+        intervals.sort()
+        reach, holder = None, None
+        for lo, hi, i in intervals:
+            if reach is not None and reach >= lo:
+                if reach > lo and hi > lo:
+                    return False
+                holders.setdefault(tree.edge_point(eid, lo), set()).update((holder, i))
+            if reach is None or hi > reach:
+                reach, holder = hi, i
+    return not any(
+        sum(p not in sets[i].boundary for i in held) > 1
+        for p, held in holders.items()
+        if len(held) > 1
+    )
+
+
 def classify_adding_machine(cycles, expected_type: OdometerType | None = None) -> AddingMachineReport:
     """Grade the tower evidence at its available depth.
 
@@ -284,40 +363,34 @@ def classify_adding_machine(cycles, expected_type: OdometerType | None = None) -
     attachments.  All three together justify "topological"; "full" needs
     the deepest period to exhaust the address space of the detected type
     (and to match `expected_type` when one is given).
+
+    The tree is split once per distinct attachment point, and
+    disjointness is one sweep over all the deepest closures (see
+    `_meet_only_at_boundaries`).
     """
     if not cycles:
         raise PreconditionError("no cycle levels to classify")
     tree = cycles[0].sets[0].closure.tree
 
     openness_ok = True
+    split = {}  # attachment -> the components of the tree minus it, and their locator
     for cyc in cycles:
         for comp in cyc.sets:
             if comp.closure.is_empty():
                 openness_ok = False
                 continue
-            others = tree.components_minus_point(comp.attachment)
-            rederived = next(
-                (c for c in others if c.contains(comp.repr_point)), None
-            )
-            if rederived is None or rederived.closure != comp.closure:
+            at = comp.attachment
+            if at not in split:
+                others = tree.components_minus_point(at)
+                split[at] = (others, _locator(others))
+            others, locate = split[at]
+            i = locate(comp.repr_point)
+            if i is None or others[i].closure != comp.closure:
                 openness_ok = False
 
     deepest = cycles[-1]
     chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
-
-    disjoint_ok = True
-    for i in range(len(deepest.sets)):
-        for j in range(i + 1, len(deepest.sets)):
-            si, sj = deepest.sets[i], deepest.sets[j]
-            inter = si.closure.intersect(sj.closure)
-            if inter.is_empty():
-                continue
-            if inter.measure() != 0:
-                disjoint_ok = False
-                continue
-            allowed = set(si.boundary) | set(sj.boundary)
-            if any(p not in allowed for p in inter.corner_points()):
-                disjoint_ok = False
+    disjoint_ok = _meet_only_at_boundaries(tree, deepest.sets)
 
     periods = tuple(c.period for c in cycles)
     keys = {c.closure.canonical_key for c in deepest.sets}

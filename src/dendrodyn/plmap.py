@@ -10,7 +10,8 @@ here is a decision, not an approximation.
 `PLTreeMap.image_of_subtree` is the one image routine: the image of the
 whole tree and of an arc are that routine on the full subtree and on the
 arc's subtree.  Each map also carries the fixed sets of its powers once
-`dynamics.fixed_set` has computed them; the power maps are not kept.
+`dynamics.fixed_set` has computed them (the power maps are not kept),
+and the labelled orbit points that `dynamics._walk` has resolved.
 
 `project_onto` composes a map with the nearest-point retraction onto a
 connected subtree.  `find_periodic_in_hull` starts from that retraction
@@ -75,7 +76,9 @@ class PLTreeMap:
     tree has one self-map, the identity, so its table is empty.
     """
 
-    __slots__ = ("domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets")
+    __slots__ = (
+        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets", "_orbits",
+    )
 
     def __init__(self, domain: MetricTree, table):
         vimg: dict = {}
@@ -117,6 +120,7 @@ class PLTreeMap:
         self._edge_index = edge_index
         self._image = None
         self._fixed_sets = {}  # (n, piece_cap) -> fixed set, kept by dynamics.fixed_set
+        self._orbits = None  # the orbit store, made and kept by dynamics._walk
 
     # -- inspection --------------------------------------------------------
 

@@ -13,6 +13,7 @@ No floating point enters any computation in this module.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -345,6 +346,71 @@ class MetricTree:
         if a == b:
             return False
         return self.on_arc(x, a, b)
+
+    def first_separated(self, points: Sequence[TreePoint]):
+        """A query (t, y) -> the least i with t strictly inside the arc from
+        points[i] to y, or None; t and y must differ.
+
+        That holds when points[i] differs from t and lies in another
+        component of the tree minus t than y does.  Each point is keyed by
+        its lower end's preorder number and its height above that end.  In
+        key order the part of the tree below t is at most two runs: the
+        points under t on its own edge, then the window [tin, tout) of
+        the vertices strictly below.  The other components are the runs
+        around those.  A sparse table gives the least index in each run,
+        so a query is a few bisections and range minima.
+        """
+        keyed = sorted(
+            (self._tin[w], h, i)
+            for i, (w, h) in enumerate(self._lower_end(self.validate_point(p)) for p in points)
+        )
+        keys = [(a, h) for a, h, _ in keyed]
+        table = [[i for _, _, i in keyed]]
+        while 2 ** len(table) <= len(keyed):
+            prev, span = table[-1], 2 ** (len(table) - 1)
+            table.append([min(prev[j], prev[j + span]) for j in range(len(prev) - span)])
+
+        def least(runs):
+            best = None
+            for lo, hi in runs:
+                if lo < hi:
+                    k = (hi - lo).bit_length() - 1  # two rows of span 2**k cover the run
+                    i = min(table[k][lo], table[k][hi - 2**k])
+                    best = i if best is None else min(best, i)
+            return best
+
+        def start(*key):
+            """The first key position at or after the given key prefix."""
+            return bisect_left(keys, key)
+
+        kids = {}  # vertex -> its children's windows (tin, tout), in preorder
+
+        def query(t: TreePoint, y: TreePoint):
+            if t == y:
+                raise PreconditionError("the separating point must differ from the image")
+            wt, ht = self._lower_end(self.validate_point(t))
+            wy, hy = self._lower_end(self.validate_point(y))
+            a, b = self._tin[wt], self._tout[wt]
+            if not (a <= self._tin[wy] < b and (wy != wt or hy < ht)):
+                # y is not below t: the points below t
+                return least(((start(a), start(a, ht)), (start(a + 1), start(b))))
+            past_t = bisect_right(keys, (a, ht))
+            if ht:
+                # t inside an edge and y below it: the points above t
+                return least(((0, start(a)), (past_t, start(a + 1)), (start(b), len(keys))))
+            # t a vertex and y below it, under the child whose window holds
+            # y's lower end: every point but t and those in that window
+            if wt not in kids:
+                kids[wt] = sorted(
+                    (self._tin[x], self._tout[x])
+                    for _, x in self._adj[wt]
+                    if self._up[x] is not None and self._up[x][0] == wt
+                )
+            windows = kids[wt]
+            c_in, c_out = windows[bisect_left(windows, (self._tin[wy] + 1,)) - 1]
+            return least(((0, start(a)), (past_t, start(c_in)), (start(c_out), len(keys))))
+
+        return query
 
     # -- local structure ---------------------------------------------------
 

@@ -136,7 +136,7 @@ def _periodic_points_totally_return(f, horizon, piece_cap) -> CheckResult:
         return CheckResult("skipped", detail="no low-period points found")
     others = f.domain.grid_points(1)
     for x in anchors:
-        probes = [y for y in others if y != x][:4]
+        probes = [y for y in others[:5] if y != x][:4]  # x is at most one of them
         for y in probes:
             if not returns_to_components(f, x, y, power=1, horizon=horizon):
                 return CheckResult(

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import lcm
 
 import pytest
@@ -14,8 +15,13 @@ from dendrodyn import (
 from dendrodyn.dynamics import (
     ABSOLUTE_POWER_CAP,
     MAX_PERIOD_DEFAULT,
+    ORBIT_STORE_PER_ITEM,
+    CheckResult,
+    OmegaEstimate,
     RecurrenceVerdict,
     Witness,
+    _orbit_points,
+    _walk,
     check_escape,
     check_full_invariance,
     check_no_preperiodic,
@@ -646,3 +652,216 @@ def test_decide_agrees_with_orbit_checks_on_star_permutations():
             for _ in range(n):
                 z = f.evaluate(z)
             assert z == p
+
+
+# -- the labelled orbit store ----------------------------------------------------
+
+
+def former_walk(f, x, horizon):
+    """The former orbit walker, one evaluate call a step; the oracle of `_walk`."""
+    seen = {x: 0}
+    orbit = [x]
+    for _ in range(horizon):
+        z = f.evaluate(orbit[-1])
+        if z in seen:
+            return orbit, seen[z]
+        seen[z] = len(orbit)
+        orbit.append(z)
+    return orbit, None
+
+
+def former_omega(f, x, burn_in=100, window=100):
+    orbit, back = former_walk(f, x, burn_in + window)
+    if back is None:
+        return OmegaEstimate(points=tuple(orbit[burn_in + 1 :]), exact=False)
+    return OmegaEstimate(points=tuple(orbit[back:]), exact=True, period=len(orbit) - back)
+
+
+def former_full_invariance(f, horizon=200):
+    tree = f.domain
+    if f.image() != tree.full_subtree():
+        gap = tree.components_minus(f.image())[0].repr_point
+        return CheckResult(
+            status="fail",
+            witness=Witness(
+                kind="escaping-orbit",
+                points=(gap,),
+                detail="not surjective: the point has no preimage",
+            ),
+        )
+    unresolved = 0
+    for x in tree.grid_points(3):
+        orbit, preperiod = former_walk(f, x, horizon)
+        if preperiod is None:
+            unresolved += 1
+            continue
+        if preperiod > 0:
+            return CheckResult(
+                status="fail",
+                witness=Witness(
+                    kind="preperiodic-sample",
+                    points=(x, orbit[preperiod]),
+                    detail=(
+                        f"the sample reaches a period-{len(orbit) - preperiod} orbit "
+                        f"after {preperiod} steps without belonging to it"
+                    ),
+                ),
+            )
+    detail = f"{unresolved} sample orbits undetermined at horizon {horizon}" if unresolved else ""
+    return CheckResult(status="pass", detail=detail)
+
+
+def former_no_preperiodic(f, horizon=200):
+    tree = f.domain
+    for x in tree.grid_points(3):
+        orbit, preperiod = former_walk(f, x, horizon)
+        if not preperiod:
+            continue
+        period = len(orbit) - preperiod
+        steps = period * -(-preperiod // period)
+        r = orbit[steps]
+        path = tree.arc(x, r)
+        z = path.point_at(path.length / 2)
+        return CheckResult(
+            status="fail",
+            witness=Witness(
+                kind="preperiodic-sample",
+                points=(x, z, r),
+                detail=(
+                    f"after {steps} steps the sample rests on its cycle at the "
+                    "third point; the second point separates the two forever"
+                ),
+            ),
+        )
+    return CheckResult(status="pass")
+
+
+def walk_maps():
+    t = interval()
+    maps = [tent_on(t), shift_on(t), flip_on(t)]
+    maps += [random_folding_map(seed)[1] for seed in range(10)]
+    maps += [random_finite_order_map(seed, seed + 7)[1] for seed in range(4)]
+    maps += [odometer_tower(2, (2, 4))[1], rotation_star(5)[1]]
+    return maps
+
+
+def test_labelled_walk_matches_the_former_loop():
+    """Seeded maps, each sample at horizons around its preperiod + period,
+    asked in a shuffled order on one store and again on a fresh store per
+    question; the points the store lists match `PLTreeMap.orbit` too."""
+    rng = random.Random(1105)
+    boundary = preperiodic = unresolved = 0
+    for f in walk_maps():
+        samples = f.domain.grid_points(2)
+        questions = []
+        for x in samples:
+            orbit, back = former_walk(f, x, 30)
+            ends = {len(orbit) - 1, len(orbit), len(orbit) + 1} if back is not None else set()
+            questions += [(x, h) for h in {0, 1, 30} | ends]
+        rng.shuffle(questions)
+        for fresh in (False, True):
+            f._orbits = None
+            for x, h in questions:
+                if fresh:
+                    f._orbits = None
+                orbit, back = former_walk(f, x, h)
+                label = _walk(f, x, h)
+                if back is None:
+                    assert label is None
+                    unresolved += 1
+                else:
+                    pre, cycle, entry = label
+                    assert pre == back
+                    assert cycle[entry:] + cycle[:entry] == tuple(orbit[back:])
+                    boundary += len(orbit) == h
+                    preperiodic += pre > 0
+                if back is not None:  # the former orbit goes round its cycle
+                    period = len(orbit) - back
+                    orbit += [orbit[back + (i - back) % period] for i in range(len(orbit), h + 1)]
+                assert list(islice(_orbit_points(f, x), h + 1)) == orbit
+    assert boundary > 200 and preperiodic > 100 and unresolved > 200
+
+
+def test_orbit_checks_match_the_former_loop():
+    rng = random.Random(77)
+    maps = walk_maps() + [sagged(rng, rotation_star(3)[1]) for _ in range(6)]
+    outcomes = set()
+    for f in maps:
+        for horizon in (1, 4, 60):
+            got = check_full_invariance(f, horizon), check_no_preperiodic(f, horizon=horizon)
+            assert got == (former_full_invariance(f, horizon), former_no_preperiodic(f, horizon))
+            outcomes.update((r.status, r.detail != "") for r in got)
+        for x in f.domain.grid_points(1):
+            for burn_in, window in ((0, 1), (3, 5), (20, 30)):
+                assert omega_limit_estimate(f, x, burn_in, window) == former_omega(
+                    f, x, burn_in, window
+                )
+    assert {("pass", True), ("pass", False), ("fail", False)} <= outcomes
+
+
+def test_store_stays_within_its_budget_where_orbits_never_repeat():
+    """The shift, and an interval drift with fixed ends (surjective, so
+    the sampled orbits are walked), at horizon 1,000."""
+    t = interval()
+    drift = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    for f in (shift_on(t), drift):
+        samples = t.grid_points(3)
+        for v in t.vertex_ids:
+            assert vertex_period(f, v, 1000) == loop_vertex_period(f, v, 1000)
+        for x in samples:
+            assert omega_limit_estimate(f, x, 400, 600) == former_omega(f, x, 400, 600)
+        assert check_full_invariance(f, 1000) == former_full_invariance(f, 1000)
+        store = f._orbits
+        assert store.budget == ORBIT_STORE_PER_ITEM * (len(t.vertex_ids) + f.piece_count)
+        assert len(store.succ) + len(store.labels) == store.budget
+    result = check_full_invariance(drift, 1000)
+    assert result.detail == "3 sample orbits undetermined at horizon 1000"
+
+
+def former_radial(f, n=1, piece_cap=DEFAULT_PIECE_CAP):
+    """The former anchor-by-sample loop, the oracle of the radial check."""
+    tree = f.domain
+    fixed = fixed_set(f, n, piece_cap)
+    anchors = list(fixed.corner_points())
+    for eid in sorted(fixed.segments, key=str):
+        for lo, hi in fixed.segments[eid]:
+            if lo < hi:
+                anchors.append(tree.edge_point(eid, (lo + hi) / 2))
+    if not anchors:
+        return CheckResult(status="skipped", detail="the n-th power has no fixed point")
+    h = f.iterate(n, piece_cap)
+    pts = tree.grid_points(3)
+    for anchor in anchors:
+        for t in pts:
+            if t == anchor:
+                continue
+            y = h.evaluate(t)
+            if y == t:
+                continue
+            if tree.on_arc(t, anchor, y):
+                return CheckResult(
+                    status="fail",
+                    witness=Witness(
+                        kind="radial-stretch",
+                        points=(anchor, t, y),
+                        detail=(
+                            "the middle point lies strictly between the fixed "
+                            f"anchor and its image under power {n}"
+                        ),
+                    ),
+                )
+    return CheckResult(status="pass")
+
+
+def test_radial_witness_matches_the_former_loop():
+    rng = random.Random(3407)
+    maps = walk_maps() + [random_folding_map(seed)[1] for seed in range(16, 60)]
+    maps += [sagged(rng, rotation_star(4)[1]) for _ in range(6)]
+    maps += [permuted_star_map(rng, rng.randint(2, 7))[1] for _ in range(6)]
+    statuses = {}
+    for f in maps:
+        for n in (1, 2):
+            got = check_no_radial_stretch(f, n)
+            assert got == former_radial(f, n)
+            statuses[got.status] = statuses.get(got.status, 0) + 1
+    assert statuses["fail"] > 20 and statuses["pass"] > 20

@@ -1,19 +1,22 @@
-"""Seeded fuzzing of malformed instance files through the CLI.
+"""Seeded fuzzing of malformed instance files and flags through the CLI.
 
-Each case is a fixture instance with one or two random mutations: a
-value replaced by junk or by a value that fits the instance, a key or
-list item deleted, or an item appended to a list.  Most cases are
-refused by the loader.  A file the loader refuses must exit 3; any other
-file must end
-in one of the CLI's exit codes, and nothing may escape `cli.main` or
-print a traceback.
+Each instance case is a fixture instance with one or two random
+mutations: a value replaced by junk or by a value that fits the
+instance, a key or list item deleted, or an item appended to a list.
+Most cases are refused by the loader.  A file the loader refuses must
+exit 3; any other file must end in one of the CLI's exit codes, and
+nothing may escape `cli.main` or print a traceback.
+
+Each flag case is an argv built from the real subcommands and flags,
+with values drawn from junk and from values that fit.  It either exits
+3 with `error: ` on standard error, or runs and exits 0, 1 or 2.
 """
 
 import copy
 import json
 import random
 
-from dendrodyn import StructureError, build_fixture
+from dendrodyn import FIXTURE_KINDS, StructureError, build_fixture, save_instance_file
 from dendrodyn.cli import main
 from dendrodyn.io import load_instance, map_to_json
 
@@ -84,3 +87,78 @@ def test_malformed_instances_never_escape_the_cli(tmp_path, capsys):
                 assert code == 3 and err.startswith("error: "), text
             codes.add(code)
     assert refused > 500 and codes >= {0, 1, 3}
+
+
+BOUND_VALUES = ("0", "-1", "1", "2", "3", "12", "abc", "1e5", "1/2", "", " 3", "9" * 30)
+POINTS = ("c", "l0", "zz", '{"edge": "a0", "t": "1/2"}', '{"edge": "a0", "t": "2"}',
+          '{"vertex": 3}', "[]", "{}", "null", "1", "")
+PARAMS = ("arms=3", "arms=5", "arms=-2", "arms=abc", "arms=", "arm_length=1/3", "arm_length=0",
+          "arm_length=1/0", "k=3", "k=1", "k=x", "periods=2,4", "periods=2,x", "periods=4,2",
+          "periods=", "depth=2", "depth=9", "seed=1", "seed=x", "order_seed=2", "x=1", "arms",
+          "=", "")
+SEEDS = ("1", "7", "-3", "abc", "", "1/2")
+
+
+def flag_values(tmp_path):
+    """Each flag of each subcommand, with the values it is tried with."""
+    outputs = (str(tmp_path / "out.txt"), str(tmp_path / "no_dir" / "out.txt"), str(tmp_path), "")
+    report = {
+        "--max-period": BOUND_VALUES,
+        "--horizon": BOUND_VALUES,
+        "--depth": BOUND_VALUES,
+        "--piece-cap": BOUND_VALUES,
+        "--format": ("json", "text", "xml", ""),
+        "-o": outputs,
+        "--output": outputs,
+        "--bogus": ("1",),
+    }
+    fixture = {
+        "--param": PARAMS,
+        "--seed": SEEDS,
+        "-o": outputs,
+        "--output": outputs,
+        "--format": ("json",),
+    }
+    return report, fixture
+
+
+def flag_case(rng, instance, tmp_path):
+    report, fixture = flag_values(tmp_path)
+    command = rng.choice(("recurrence", "analyze", "odometer", "classify", "verify", "fixture"))
+    if command == "fixture":
+        argv = [command, rng.choice(FIXTURE_KINDS + ("zz", ""))]
+        flags = dict(fixture)
+    else:
+        argv = [command, rng.choice((instance,) * 6 + (str(tmp_path / "missing.json"), ""))]
+        flags = dict(report)
+        if command == "classify" or rng.random() < 0.1:
+            flags["--point"] = POINTS
+    for _ in range(rng.randint(0, 4)):
+        flag = rng.choice(sorted(flags))
+        argv.append(flag)
+        if rng.random() < 0.95:  # sometimes the value is missing
+            argv.append(rng.choice(flags[flag]))
+    if command == "classify" and "--point" not in argv and rng.random() < 0.8:
+        argv += ["--point", rng.choice(POINTS)]
+    rng.shuffle(argv[2:])
+    return argv
+
+
+def test_flags_never_escape_the_cli(tmp_path, capsys):
+    rng = random.Random(30_011)
+    instance = str(tmp_path / "rotation.json")
+    save_instance_file(instance, *build_fixture("rotation"))
+    codes = {}
+    for _ in range(400):
+        argv = flag_case(rng, instance, tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            code = exc.code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        assert code in (0, 1, 2, 3), argv
+        if code == 3:
+            assert "error: " in err, argv
+        codes[code] = codes.get(code, 0) + 1
+    assert codes[3] > 100 and codes[0] > 50 and codes.get(1, 0) + codes.get(2, 0) > 0

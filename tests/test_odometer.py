@@ -1,11 +1,19 @@
+import random
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, StructureError
-from dendrodyn.fixtures import interval_flip, odometer_tower, rotation_star, shift_and_tent
+from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError
+from dendrodyn.fixtures import (
+    interval_flip,
+    odometer_tower,
+    random_finite_order_map,
+    rotation_star,
+    shift_and_tent,
+)
 from dendrodyn.odometer import (
+    AddingMachineReport,
     CycleOfSets,
     OdometerAddress,
     OdometerType,
@@ -291,3 +299,124 @@ def test_classify_short_tower_against_deeper_expectation():
 def test_classify_requires_cycles():
     with pytest.raises(PreconditionError):
         classify_adding_machine(())
+
+
+def former_classify(cycles, expected_type=None):
+    """The former per-set openness loop and pairwise disjointness loop,
+    the oracle of `classify_adding_machine`."""
+    if not cycles:
+        raise PreconditionError("no cycle levels to classify")
+    tree = cycles[0].sets[0].closure.tree
+    openness_ok = True
+    for cyc in cycles:
+        for comp in cyc.sets:
+            if comp.closure.is_empty():
+                openness_ok = False
+                continue
+            others = tree.components_minus_point(comp.attachment)
+            rederived = next((c for c in others if c.contains(comp.repr_point)), None)
+            if rederived is None or rederived.closure != comp.closure:
+                openness_ok = False
+    deepest = cycles[-1]
+    chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
+    disjoint_ok = True
+    for i in range(len(deepest.sets)):
+        for j in range(i + 1, len(deepest.sets)):
+            si, sj = deepest.sets[i], deepest.sets[j]
+            inter = si.closure.intersect(sj.closure)
+            if inter.is_empty():
+                continue
+            if inter.measure() != 0:
+                disjoint_ok = False
+                continue
+            allowed = set(si.boundary) | set(sj.boundary)
+            if any(p not in allowed for p in inter.corner_points()):
+                disjoint_ok = False
+    periods = tuple(c.period for c in cycles)
+    keys = {c.closure.canonical_key for c in deepest.sets}
+    full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
+    if expected_type is not None:
+        full_ok = full_ok and periods == expected_type.periods
+    if not (openness_ok and chains_ok and disjoint_ok):
+        label = "weak"
+    elif full_ok:
+        label = "topological (full)"
+    else:
+        label = "topological weak"
+    return AddingMachineReport(label, openness_ok, chains_ok, disjoint_ok, full_ok, periods)
+
+
+def tampered(rng, cycles):
+    """The cycles with one set of one level replaced: hollowed, duplicated,
+    grown by a point or an arc of another set, given another set's
+    boundary or representative point, or swapped with a set of another
+    level."""
+    tree = cycles[0].sets[0].closure.tree
+    k = rng.randrange(len(cycles))
+    cyc = cycles[k]
+    sets = list(cyc.sets)
+    i = rng.randrange(len(sets))
+    comp = sets[i]
+    other = rng.choice([c for level in cycles for c in level.sets])
+    far = other.closure.corner_points() + (other.repr_point,)
+    action = rng.randrange(6)
+    if action == 0:
+        comp = Component(Subtree.empty(tree), comp.boundary, comp.repr_point)
+    elif action == 1:
+        comp = other
+    elif action == 2:
+        grown = tree.point_subtree(rng.choice(far))
+        if rng.random() < 0.5:
+            grown = tree.arc(comp.repr_point, rng.choice(far)).as_subtree()
+        comp = Component(comp.closure.union(grown), comp.boundary, comp.repr_point)
+    elif action == 3:
+        comp = Component(comp.closure, other.boundary, comp.repr_point)
+    elif action == 4:
+        comp = Component(comp.closure, comp.boundary, other.repr_point)
+    else:
+        sets[rng.randrange(len(sets))] = other
+    sets[i] = comp
+    level = CycleOfSets(cyc.level, cyc.period, tuple(sets), cyc.attachments)
+    return cycles[:k] + (level,) + cycles[k + 1 :]
+
+
+def outcome(classify, cycles, expected_type):
+    try:
+        return classify(cycles, expected_type)
+    except (ConsistencyError, PreconditionError) as exc:  # the same refusal from both
+        return type(exc), str(exc)
+
+
+def test_classify_matches_the_former_loops():
+    rng = random.Random(911)
+    towers = [rotation_star(k)[1] for k in (2, 3, 5, 8)]
+    towers += [odometer_tower(d, ps)[1] for d, ps in ((2, (2, 4)), (2, (3, 6)), (3, (2, 4, 8)))]
+    towers += [random_finite_order_map(seed, seed + 3)[1] for seed in range(30)]
+    real = []
+    for f in towers:
+        try:
+            cycles = detect_cycles_of_sets(f, 4)
+        except PreconditionError:
+            continue
+        if cycles:
+            real.append(cycles)
+    labels = {}
+    cases = list(real) + [tampered(rng, rng.choice(real)) for _ in range(300)]
+    for cycles in cases:
+        for expected in (None, OdometerType(tuple(c.period for c in cycles))):
+            got = outcome(classify_adding_machine, cycles, expected)
+            assert got == outcome(former_classify, cycles, expected)
+            if isinstance(got, AddingMachineReport):
+                labels[got.label] = labels.get(got.label, 0) + 1
+                labels[got.disjoint_ok, got.openness_ok] = 1
+    assert len(real) >= 15
+    assert labels["weak"] > 50 and labels["topological (full)"] > 50
+    assert {(True, False), (False, True), (False, False)} <= set(labels)
+
+
+def test_classify_maimed_matches_the_former_loops():
+    tree, rot = rotation_star(3)
+    good = detect_cycles_of_sets(rot, 1)[0]
+    hollow = Component(Subtree.empty(tree), (tree.vertex_point("c"),), good.sets[1].repr_point)
+    maimed = CycleOfSets(1, 3, (good.sets[0], hollow, good.sets[2]), good.attachments)
+    assert classify_adding_machine((maimed,)) == former_classify((maimed,))

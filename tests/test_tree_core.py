@@ -693,3 +693,32 @@ def test_grid_points_deterministic():
     assert g1 == g2
     assert len(g1) == 4 + 3 * 3
     assert sorted(g1, key=point_key) != []
+
+
+def test_first_separated_matches_the_brute_scan():
+    """The range-minimum query against the scan it replaces: the least i
+    with t strictly inside the arc from points[i] to y."""
+    rng = random.Random(1311)
+    trees = [random_tree(rng, rng.randint(1, 12)) for _ in range(40)]
+    trees += [star3(), spider()]
+    found = 0
+    for tree in trees + deep_trees(rng):
+        grid = list(tree.grid_points(2))
+        for _ in range(3):
+            points = rng.sample(grid, rng.randint(0, min(len(grid), 40)))
+            points += [random_point(rng, tree) for _ in range(rng.randint(0, 4))]
+            first = tree.first_separated(points)
+            probes = grid + [random_point(rng, tree) for _ in range(10)]
+            for _ in range(20):
+                t, y = rng.choice(probes), rng.choice(probes)
+                if t == y:
+                    with pytest.raises(PreconditionError):
+                        first(t, y)
+                    continue
+                expected = next(
+                    (i for i, a in enumerate(points) if a != t and tree.on_arc(t, a, y)),
+                    None,
+                )
+                assert first(t, y) == expected
+                found += expected is not None
+    assert found > 500
