@@ -391,7 +391,11 @@ def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
             j = index.setdefault(z, len(path))
             if j < len(path):  # back at path[j]: the rest of the path is a cycle
                 cycle = tuple(path[j:])
-                store.keep(labels, ((p, (0, cycle, k)) for k, p in enumerate(cycle)))
+                # a cycle is labelled whole or not at all: a walk that met a
+                # labelled cycle point off a partly labelled cycle would take
+                # the unlabelled ones for a tail
+                if store.room() >= len(cycle):
+                    labels.update((p, (0, cycle, k)) for k, p in enumerate(cycle))
                 label = (0, cycle, 0)
                 del path[j:]
                 break
@@ -605,6 +609,8 @@ def check_escape(
     itself).  Reports "skipped" when periodic cutpoints exist, since the
     containment claim assumes there are none.  The powers are tried in
     order and the first fixed set with a cutpoint answers."""
+    if n < 1:
+        raise PreconditionError("power must be at least 1")
     tree = f.domain
     for k in range(1, CUTPOINT_POWER_BOUND + 1):
         fixed = fixed_set(f, k, piece_cap)
@@ -614,8 +620,8 @@ def check_escape(
                 detail=f"periodic cutpoints exist within power {CUTPOINT_POWER_BOUND}",
             )
     for x in tree.grid_points(3):
-        # f^n(x), f^2n(x), ..., f^(horizon*n)(x)
-        images = islice(_orbit_points(f, x), n, n * horizon + 1, n)
+        # f^n(x), f^2n(x), ..., f^(horizon*n)(x); the first image even at horizon 0
+        images = islice(_orbit_points(f, x), n, n * max(horizon, 1) + 1, n)
         q = next(images)
         if q == x:
             continue

@@ -21,6 +21,7 @@ from dendrodyn.dynamics import (
     RecurrenceVerdict,
     Witness,
     _orbit_points,
+    _OrbitStore,
     _walk,
     check_escape,
     check_full_invariance,
@@ -626,6 +627,15 @@ def test_escape_respects_power_argument():
     assert res.status == "pass"
 
 
+def test_escape_at_horizon_zero_takes_only_the_first_image():
+    t = interval()
+    drift = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    for f in (shift_on(t), drift):
+        assert check_escape(f, horizon=0) == check_escape(f, horizon=1)
+    with pytest.raises(PreconditionError):
+        check_escape(shift_on(t), n=0)
+
+
 # -- sweeps over random homeomorphisms -----------------------------------------
 
 
@@ -816,6 +826,52 @@ def test_store_stays_within_its_budget_where_orbits_never_repeat():
         assert len(store.succ) + len(store.labels) == store.budget
     result = check_full_invariance(drift, 1000)
     assert result.detail == "3 sample orbits undetermined at horizon 1000"
+
+
+def nearly_full_store(f, room):
+    """A fresh store on f padded with entries no walk looks up, so that
+    exactly `room` entries are left."""
+    f._orbits = None
+    store = _OrbitStore.of(f)
+    store.succ.update((("pad", i), None) for i in range(store.room() - room))
+    assert store.room() == room
+    return store
+
+
+def test_a_cycle_met_with_the_store_nearly_full_is_labelled_whole():
+    """A k-cycle closed with room for only 1..k-1 labels, walked first
+    from each of its points; then every start on it, at the horizon
+    preperiod + period = k and past it, answers as the former loop."""
+    rng = random.Random(1131)
+    maps = [rotation_on(star(3), 3), rotation_on(star(5), 5), sagged(rng, rotation_star(4)[1])]
+    checked = 0
+    for f in maps:
+        tree = f.domain
+        leaf = tree.vertex_point("l0") if "l0" in tree.vertex_ids else None
+        cycle = former_walk(f, leaf or tree.grid_points(3)[1], 100)[0]
+        k = len(cycle)
+        assert k >= 3 and f.evaluate(cycle[-1]) == cycle[0]
+        for room in range(1, k):
+            for first in cycle:
+                nearly_full_store(f, room)
+                _walk(f, first, k)
+                for s in cycle:
+                    for h in (k - 1, k, 30):
+                        orbit, back = former_walk(f, s, h)
+                        label = _walk(f, s, h)
+                        if back is None:
+                            assert label is None
+                        else:
+                            pre, cyc, entry = label
+                            assert (pre, cyc[entry:] + cyc[:entry]) == (back, tuple(orbit))
+                            checked += 1
+                for v in tree.vertex_ids:
+                    assert vertex_period(f, v, k) == loop_vertex_period(f, v, k)
+                assert check_full_invariance(f, k) == former_full_invariance(f, k)
+            nearly_full_store(f, room)
+            assert check_full_invariance(f, 30) == former_full_invariance(f, 30)
+            assert check_no_preperiodic(f, horizon=30) == former_no_preperiodic(f, 30)
+    assert checked > 100
 
 
 def former_radial(f, n=1, piece_cap=DEFAULT_PIECE_CAP):
