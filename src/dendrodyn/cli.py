@@ -239,8 +239,6 @@ def _run_fixture(args):
 
 
 def _point_text(p) -> str:
-    if p is None:
-        return "-"
     if "vertex" in p:
         return f"vertex {p['vertex']}"
     return f"edge {p['edge']} @ {p['t']}"
@@ -315,8 +313,6 @@ def _render_text(report) -> str:
         lines.append(
             f"{t['pass']} passed, {t['fail']} failed, {t['skipped']} skipped"
         )
-    else:
-        lines.append(json.dumps(report, sort_keys=True, indent=2))
     return "\n".join(lines) + "\n"
 
 

@@ -13,15 +13,17 @@ handful of evaluate calls, and every check distinguishes a failed
 assertion from a hypothesis that never applied (status "skipped").
 
 `fixed_set` is the one path to the fixed set of a power and computes it
-once per map.  `_walk` is the one orbit walker.  It keeps one orbit store
-per map: the successors it has evaluated, and a label (preperiod, cycle,
-entry) on every point whose orbit it has seen repeat.  A walk stops at
-the first labelled point and labels the points it passed, so over all
-the samples of a map each orbit point is evaluated once, and periods,
-eventual cycles, limit sets, the sampled orbit checks and the recurrence
-decision's certificate are read off the labels.  The store holds at most
-a fixed multiple of the map's vertices plus pieces; past that, walks go
-on without storing and answer the same.
+once per map; `_periodic_levels` is the one running union P_n of the
+first n of them.  `_walk` is the one orbit walker.  It keeps one orbit
+store per map: the successors it has evaluated, and a label (preperiod,
+cycle, entry) on every point whose orbit it has seen repeat.  A walk
+stops at the first labelled point and labels the points it passed, so
+over all the samples of a map each orbit point is evaluated once.
+Periods, eventual cycles, limit sets, the sampled orbit checks and the
+recurrence decision's certificate are read off the labels, and every
+image f^n(x) off the store (`_power_image`), never off a power map.
+The store holds at most a fixed multiple of the map's vertices plus
+pieces; past that, walks go on without storing and answer the same.
 """
 
 from __future__ import annotations
@@ -111,12 +113,20 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     return f._fixed_sets[key]
 
 
+def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP):
+    """(n, Fix(f^n), P_n) for n = 1, ..., upto, P_n the union of the first n
+    fixed sets.  Lazy: a caller that stops at level n composes no later power."""
+    union = Subtree.empty(f.domain)
+    for n in range(1, upto + 1):
+        fixed = fixed_set(f, n, piece_cap)
+        union = union.union(fixed)
+        yield n, fixed, union
+
+
 def periodic_union(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """Union of the fixed sets of the first n powers."""
-    out = Subtree.empty(f.domain)
-    for k in range(1, n + 1):
-        out = out.union(fixed_set(f, k, piece_cap))
-    return out
+    levels = list(_periodic_levels(f, n, piece_cap))
+    return levels[-1][2] if levels else Subtree.empty(f.domain)
 
 
 def vertex_period(f: PLTreeMap, v, max_period: int = MAX_PERIOD_DEFAULT) -> int | None:
@@ -138,13 +148,9 @@ def periodic_structure(
     """Fixed sets and cumulative unions for powers 1..upto, plus vertex periods."""
     if upto < 1:
         raise PreconditionError("need at least one power")
-    fixed = {}
-    cumulative = {}
-    acc = Subtree.empty(f.domain)
-    for n in range(1, upto + 1):
-        fixed[n] = fixed_set(f, n, piece_cap)
-        acc = acc.union(fixed[n])
-        cumulative[n] = acc
+    levels = list(_periodic_levels(f, upto, piece_cap))
+    fixed = {n: sub for n, sub, _ in levels}
+    cumulative = {n: union for n, _, union in levels}
     periods = {v: vertex_period(f, v, max_period) for v in f.domain.vertex_ids}
     return PeriodicStructure(fixed_sets=fixed, cumulative=cumulative, vertex_periods=periods)
 
@@ -251,7 +257,7 @@ def decide_pointwise_recurrent(
     if not moved:
         raise ConsistencyError("a power that moves a point fixes the whole tree")
     q = moved[0].repr_point
-    if f.orbit(q, power)[-1] == q:
+    if _power_image(f, q, power) == q:
         raise ConsistencyError("complement of the fixed set contains a fixed point")
     return RecurrenceVerdict(
         pointwise_recurrent=False,
@@ -303,7 +309,7 @@ def forward_component(f: PLTreeMap, n: int, x: TreePoint) -> Component:
     the arc from the queried point to f^n(x).
     """
     f.domain.validate_point(x)
-    q = f.orbit(x, n)[-1]
+    q = _power_image(f, x, n)
     if q == x:
         raise PreconditionError("the point is fixed by the n-th power")
     for comp in f.domain.components_minus_point(x):
@@ -439,6 +445,11 @@ def _orbit_points(f: PLTreeMap, x: TreePoint):
         z = y
 
 
+def _power_image(f: PLTreeMap, x: TreePoint, n: int) -> TreePoint:
+    """f^n(x) from the orbit store; x itself when n <= 0, as `PLTreeMap.orbit` gives."""
+    return next(islice(_orbit_points(f, x), max(n, 0), None))
+
+
 def _orbits_certify_identity(f: PLTreeMap, n: int) -> bool:
     """Whether every vertex and interior breakpoint has a period dividing n.
 
@@ -552,11 +563,11 @@ def check_no_radial_stretch(
     fixed anchor of the n-th power: the arc [anchor, t] never sits inside
     [anchor, f^n(t)).  Pointwise-recurrent maps can never do this.
 
-    Each sample's image is computed once (for n = 1 through the orbit
-    store).  The anchors that t pushes outward are those outside the
-    component of the tree minus t that holds the image, and the least of
-    them comes from `MetricTree.first_separated`.  The witness is the
-    least such anchor, with the first sample that it serves.
+    Each sample's image f^n(t) is read from the orbit store once.  The
+    anchors that t pushes outward are those outside the component of the
+    tree minus t that holds the image, and the least of them comes from
+    `MetricTree.first_separated`.  The witness is the least such anchor,
+    with the first sample that it serves.
     """
     tree = f.domain
     fixed = fixed_set(f, n, piece_cap)
@@ -567,15 +578,10 @@ def check_no_radial_stretch(
                 anchors.append(tree.edge_point(eid, (lo + hi) / 2))
     if not anchors:
         return CheckResult(status="skipped", detail="the n-th power has no fixed point")
-    if n == 1:
-        def image(t):
-            return next(islice(_orbit_points(f, t), 1, None))
-    else:
-        image = f.iterate(n, piece_cap).evaluate
     beyond = tree.first_separated(anchors)
     best = None  # (anchor index, sample, image)
     for t in tree.grid_points(3):
-        y = image(t)
+        y = _power_image(f, t, n)
         if y == t:
             continue
         i = beyond(t, y)

@@ -19,34 +19,24 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 
 from .errors import PreconditionError, StructureError
-from .io import fraction_from_str
+from .io import MAX_VERTICES, fraction_from_str
 from .odometer import OdometerType
 from .plmap import PLTreeMap, identity_map, map_from_vertex_images
-from .tree import MetricTree, TreePoint
+from .tree import MAX_DIGITS, MetricTree
 
 
 def interval_tree() -> MetricTree:
     return MetricTree(["v0", "v1"], [("e", ("v0", "v1"), 1)])
 
 
-def _interval_point(tree: MetricTree, t) -> TreePoint:
-    t = Fraction(t)
-    if t == 0:
-        return tree.vertex_point("v0")
-    if t == 1:
-        return tree.vertex_point("v1")
-    return tree.edge_point("e", t)
-
-
 def interval_flip():
     """x maps to 1 - x; the square is the identity."""
     tree = interval_tree()
-    f = PLTreeMap(
-        tree, {"e": [(0, _interval_point(tree, 1)), (1, _interval_point(tree, 0))]}
-    )
-    return tree, f
+    at = partial(tree.edge_point, "e")
+    return tree, PLTreeMap(tree, {"e": [(0, at(1)), (1, at(0))]})
 
 
 def shift_and_tent():
@@ -55,26 +45,13 @@ def shift_and_tent():
     The shift x -> (x+1)/2 slides everything toward 1 and misses half
     the interval; the tent folds the interval over itself.
     """
-    out = {}
     tree = interval_tree()
-    shift = PLTreeMap(
-        tree,
-        {"e": [(0, _interval_point(tree, Fraction(1, 2))), (1, _interval_point(tree, 1))]},
-    )
-    out["shift"] = (tree, shift)
+    at = partial(tree.edge_point, "e")
+    shift = PLTreeMap(tree, {"e": [(0, at(Fraction(1, 2))), (1, at(1))]})
     tree2 = interval_tree()
-    tent = PLTreeMap(
-        tree2,
-        {
-            "e": [
-                (0, _interval_point(tree2, 0)),
-                (Fraction(1, 2), _interval_point(tree2, 1)),
-                (1, _interval_point(tree2, 0)),
-            ]
-        },
-    )
-    out["tent"] = (tree2, tent)
-    return out
+    at = partial(tree2.edge_point, "e")
+    tent = PLTreeMap(tree2, {"e": [(0, at(0)), (Fraction(1, 2), at(1)), (1, at(0))]})
+    return {"shift": (tree, shift), "tent": (tree2, tent)}
 
 
 def rotation_star(arms: int, arm_length=1):
@@ -115,8 +92,16 @@ def stem_collapse_map(k: int):
     """
     tree = star_dendrite(k)
     s = tree.vertex_point("s")
+    table = {"stem": [(0, s), (1, s)], **_arm_table(tree, k)}
+    return tree, PLTreeMap(tree, table)
+
+
+def _arm_table(tree: MetricTree, k: int) -> dict:
+    """Arms 2..k of a star dendrite in the collapse and sweep maps: each
+    inner part stretches over the stem, and each outer half stands still."""
+    s = tree.vertex_point("s")
     c = tree.vertex_point("c")
-    table = {"stem": [(0, s), (1, s)]}
+    table = {}
     for j in range(2, k + 1):
         mid = tree.edge_point(f"arm{j}", Fraction(1, 2))
         tip = tree.vertex_point(f"l{j}")
@@ -126,7 +111,7 @@ def stem_collapse_map(k: int):
             (Fraction(1, 2), mid),
             (1, tip),
         ]
-    return tree, PLTreeMap(tree, table)
+    return table
 
 
 def stem_sweep_map(k: int):
@@ -156,17 +141,7 @@ def stem_sweep_map(k: int):
         bps.append(((lo + hi) / 2, tree.vertex_point(f"l{m + 1}")))
         bps.append((hi, c))
     bps.append((Fraction(1), s))
-    table = {"stem": bps}
-    for j in range(2, k + 2):
-        mid = tree.edge_point(f"arm{j}", Fraction(1, 2))
-        tip = tree.vertex_point(f"l{j}")
-        table[f"arm{j}"] = [
-            (0, s),
-            (Fraction(j, 2 * j + 1), c),
-            (Fraction(1, 2), mid),
-            (1, tip),
-        ]
-    return tree, PLTreeMap(tree, table)
+    return tree, PLTreeMap(tree, {"stem": bps, **_arm_table(tree, k + 1)})
 
 
 def stem_sweep_spread(k: int, radius=None) -> Fraction:
@@ -382,13 +357,34 @@ def build_fixture(kind: str, params: dict | None = None):
                 f"fixture {kind!r} parameter {name!r} is not a number: {value!r}"
             ) from None
 
+    def bounded(name, vertices):
+        """Refuse, before anything is built, a size parameter whose instance
+        would have more vertices than an instance file may hold."""
+        if vertices > MAX_VERTICES:
+            raise PreconditionError(
+                f"fixture {kind!r} parameter {name!r} makes {vertices} vertices; "
+                f"an instance holds at most {MAX_VERTICES} vertices"
+            )
+
     if kind == "star":
-        tree = star_dendrite(number("k", want("k", 4)))
+        k = number("k", want("k", 4))
+        bounded("k", k + 1)
+        tree = star_dendrite(k)
         pair = tree, identity_map(tree)
     elif kind == "stem_collapse":
-        pair = stem_collapse_map(number("k", want("k", 4)))
+        k = number("k", want("k", 4))
+        bounded("k", k + 1)
+        pair = stem_collapse_map(k)
     elif kind == "stem_sweep":
-        pair = stem_sweep_map(number("k", want("k", 4)))
+        k = number("k", want("k", 4))
+        # 2^(k+2), the deepest cut's denominator, has more than MAX_DIGITS
+        # digits once k + 2 reaches the bit length of 10^MAX_DIGITS: k = 3320
+        if k + 2 >= (10**MAX_DIGITS).bit_length():
+            raise PreconditionError(
+                f"fixture {kind!r} parameter 'k' makes the denominator 2^{k + 2}, "
+                f"longer than {MAX_DIGITS} digits"
+            )
+        pair = stem_sweep_map(k)
     elif kind == "flip":
         pair = interval_flip()
     elif kind == "shift":
@@ -396,8 +392,10 @@ def build_fixture(kind: str, params: dict | None = None):
     elif kind == "tent":
         pair = shift_and_tent()["tent"]
     elif kind == "rotation":
+        arms = number("arms", want("arms", 3))
+        bounded("arms", arms + 1)
         pair = rotation_star(
-            number("arms", want("arms", 3)),
+            arms,
             number("arm_length", want("arm_length", 1), fraction_from_str),
         )
     elif kind == "tower":
@@ -405,6 +403,7 @@ def build_fixture(kind: str, params: dict | None = None):
         if isinstance(periods, str):
             periods = [p for p in periods.split(",") if p]
         periods = tuple(number("periods", p) for p in periods)
+        bounded("periods", 2 + sum(periods))
         pair = odometer_tower(number("depth", want("depth", len(periods))), periods)
     elif kind == "random_finite_order":
         seed = number("seed", want("seed", 0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .dynamics import CheckResult, Witness, fixed_set
+from .dynamics import CheckResult, Witness, _periodic_levels
 from .errors import ConsistencyError, PreconditionError, StructureError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
 from .tree import Component, Subtree, TreePoint
@@ -209,39 +209,34 @@ def detect_cycles_of_sets(
         )
     tree = f.domain
 
+    # each distinct periodic set once, with the first power giving it: a
+    # repeat has the same components, so the same cycle
     levels = []  # (n, removed, components, their locator)
-    removed = Subtree.empty(tree)
-    for n in range(1, depth + 1):
-        removed = removed.union(fixed_set(f, n, piece_cap))
-        if removed == tree.full_subtree():
+    reached = 0  # the last power whose periodic set is not the whole tree
+    full = tree.full_subtree()
+    for n, _, removed in _periodic_levels(f, depth, piece_cap):
+        if removed == full:
             break
-        if levels and removed == levels[-1][1]:
-            # the same components, so the same cycle: it is not followed again
-            levels.append((n, *levels[-1][1:]))
-            continue
-        comps = tree.components_minus(removed)
-        levels.append((n, removed, comps, _locator(comps)))
+        reached = n
+        if not levels or removed != levels[-1][1]:
+            comps = tree.components_minus(removed)
+            levels.append((n, removed, comps, _locator(comps)))
     if not levels:
         return ()
 
+    _, removed, deepest, locate = levels[-1]
     if root_at is not None:
         tree.validate_point(root_at)
-        n, removed, comps, locate = levels[-1]
         if removed.contains(root_at):
-            raise PreconditionError(f"the root point is periodic within power {n}")
-        root_comp = comps[locate(root_at)]
+            raise PreconditionError(f"the root point is periodic within power {reached}")
+        root_comp = deepest[locate(root_at)]
     else:
-        _, _, deepest, _ = levels[-1]
         root_comp = min(deepest, key=lambda c: c.closure.canonical_key)
 
     anchor = root_comp.repr_point
     out = []
     last_period = 0
-    followed = None
     for n, removed, comps, locate in levels:
-        if comps is followed:
-            continue  # its cycle is no longer than the last one kept
-        followed = comps
         i = locate(anchor)
         if i is None:
             raise ConsistencyError("the root chain broke between depths")

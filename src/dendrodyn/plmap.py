@@ -341,13 +341,12 @@ class PLTreeMap:
                 if aeid != eid:
                     continue
                 c = offsets[k]
-                lam = offsets[k + 1] - c
                 sign = 1 if u1 > u0 else -1
                 # u(t) = u0 + sign*(rate*(t - t0) - c)/length on the window
                 alpha = Fraction(sign) * rate / length
                 beta = u0 - Fraction(sign) * (rate * piece.t0 + c) / length
-                x_lo = piece.t0 + c / rate
-                x_hi = piece.t0 + (c + lam) / rate
+                x_lo = piece.param_at_arclength(c)
+                x_hi = piece.param_at_arclength(offsets[k + 1])
                 if alpha == 1:
                     if beta == 0:
                         segs.append((eid, x_lo, x_hi))
@@ -367,12 +366,7 @@ class PLTreeMap:
             return identity_map(self.domain)
 
         def guarded(a, b):
-            out = compose(a, b)
-            if out.piece_count > piece_cap:
-                raise ResourceLimitError(
-                    f"iterate exceeded the piece budget ({out.piece_count} > {piece_cap})"
-                )
-            return out
+            return _within_budget(compose(a, b), piece_cap, "iterate")
 
         result = None
         base = self
@@ -384,6 +378,15 @@ class PLTreeMap:
             if k:
                 base = guarded(base, base)
         return result
+
+
+def _within_budget(g: PLTreeMap, piece_cap: int, what: str) -> PLTreeMap:
+    """g, or ResourceLimitError naming `what` when g has more than piece_cap pieces."""
+    if g.piece_count > piece_cap:
+        raise ResourceLimitError(
+            f"{what} exceeded the piece budget ({g.piece_count} > {piece_cap})"
+        )
+    return g
 
 
 def _continues(a: _Piece, b: _Piece) -> bool:
@@ -482,8 +485,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
                 cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
     bps = [(t0, outer.evaluate(piece.p0))]
     for s in sorted(cuts):
-        t = t0 + (t1 - t0) * s / arc.length
-        bps.append((t, outer.evaluate(arc.point_at(s))))
+        bps.append((piece.param_at_arclength(s), outer.evaluate(arc.point_at(s))))
     bps.append((t1, outer.evaluate(piece.p1)))
     return bps
 
@@ -517,10 +519,8 @@ def _project_piece(target: Subtree, piece: _Piece) -> list:
     arc = piece.arc
     s1, s2 = hits[0]
     a1, a2 = arc.point_at(s1), arc.point_at(s2)
-    span = t1 - t0
     bps = [(t0, a1)]
-    ta = t0 + span * s1 / arc.length
-    tb = t0 + span * s2 / arc.length
+    ta, tb = piece.param_at_arclength(s1), piece.param_at_arclength(s2)
     if ta > t0:
         bps.append((ta, a1))
     if tb > ta:
@@ -567,11 +567,7 @@ def find_periodic_in_hull(
         raise PreconditionError("advanced hull does not cover the original hull")
     h = project_onto(identity_map(tree), hull)
     for _ in range(n):
-        h = compose(f, h)
-        if h.piece_count > piece_cap:
-            raise ResourceLimitError(
-                f"hull search exceeded the piece budget ({h.piece_count} > {piece_cap})"
-            )
+        h = _within_budget(compose(f, h), piece_cap, "hull search")
     fixed = h.fixed_point_set().intersect(hull)
     if fixed.is_empty():
         raise ConsistencyError("no fixed point of the n-th iterate in the hull")

@@ -15,6 +15,8 @@ from .dynamics import (
     CheckResult,
     Witness,
     _orbits_certify_identity,
+    _periodic_levels,
+    _power_image,
     check_escape,
     check_full_invariance,
     check_no_preperiodic,
@@ -92,7 +94,7 @@ def _recurrence_verdict_consistency(f, decided, max_period) -> CheckResult:
                 periods.append(p)
         n = math.lcm(*periods) if periods else 1
         x = w.points[0]
-        ok = f.orbit(x, n)[-1] != x
+        ok = _power_image(f, x, n) != x
     else:
         return CheckResult("fail", witness=w, detail=f"unknown witness kind {w.kind!r}")
     if not ok:
@@ -109,12 +111,10 @@ def _fixed_sets_connected(f, upto, piece_cap) -> CheckResult:
 
 
 def _periodic_union_monotone(f, upto, piece_cap) -> CheckResult:
-    prev = fixed_set(f, 1, piece_cap)
-    for n in range(2, upto + 1):
-        cur = prev.union(fixed_set(f, n, piece_cap))
+    levels = list(_periodic_levels(f, upto, piece_cap))
+    for (_, _, prev), (n, _, cur) in zip(levels, levels[1:]):
         if not cur.contains_subtree(prev):
             return CheckResult("fail", detail=f"union shrank between {n - 1} and {n}")
-        prev = cur
     return CheckResult("pass", detail=f"powers 1..{upto}")
 
 

@@ -1,11 +1,13 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, build_fixture, save_instance_file
 from dendrodyn.cli import main
-from dendrodyn.io import MAX_VERTICES
+from dendrodyn.io import MAX_VERTICES, load_instance_file
+from dendrodyn.tree import MAX_DIGITS
 
 
 def write_fixture(tmp_path, kind, params=None, name="inst.json"):
@@ -339,6 +341,36 @@ def test_fixture_parameters_that_are_not_numbers_exit_three(capsys, argv, name):
     assert f"parameter {name} is not a number" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, param, limit",
+    [
+        ("star", "k=20000", "20001 vertices"),
+        ("stem_collapse", "k=20000", "20001 vertices"),
+        ("stem_sweep", "k=3320", "1000 digits"),
+        ("stem_sweep", "k=" + "9" * 30, "1000 digits"),
+        ("rotation", "arms=20000", "20001 vertices"),
+        ("tower", "periods=19999", "20001 vertices"),
+        ("tower", "periods=" + "9" * 30, "vertices"),
+    ],
+)
+def test_fixture_sizes_no_file_may_hold_exit_three_at_once(tmp_path, capsys, kind, param, limit):
+    out = tmp_path / "big.json"
+    start = time.perf_counter()
+    assert main(["fixture", kind, "--param", param, "-o", str(out)]) == 3
+    assert time.perf_counter() - start < 1  # refused before anything is built
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fixture '{kind}' parameter") and limit in err
+    assert not out.exists()
+
+
+def test_the_largest_stem_sweep_still_loads(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["fixture", "stem_sweep", "--param", "k=3319", "-o", str(out)]) == 0
+    tree, f = load_instance_file(str(out))
+    assert len(tree.vertex_ids) == 3321
+    assert max(len(str(t.denominator)) for t, _ in f.breakpoints("stem")) == MAX_DIGITS
 
 
 def test_fixture_seed_env_that_is_not_a_number_exits_three(capsys, monkeypatch):

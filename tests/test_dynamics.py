@@ -22,6 +22,7 @@ from dendrodyn.dynamics import (
     Witness,
     _orbit_points,
     _OrbitStore,
+    _power_image,
     _walk,
     check_escape,
     check_full_invariance,
@@ -872,6 +873,51 @@ def test_a_cycle_met_with_the_store_nearly_full_is_labelled_whole():
             assert check_full_invariance(f, 30) == former_full_invariance(f, 30)
             assert check_no_preperiodic(f, horizon=30) == former_no_preperiodic(f, 30)
     assert checked > 100
+
+
+def test_power_images_from_the_store_match_the_orbit_oracle():
+    """f^n(x) from the orbit store equals `PLTreeMap.orbit(x, n)[-1]` for
+    n = 0..30 and the period +- 1, in a shuffled order, on one store per
+    map (which fills on the maps whose orbits run long) and on a fresh
+    store per sample; and at n = 0, 1, the period +- 1 and 30 on a store
+    left with room for two entries, where most steps are evaluated."""
+    rng = random.Random(1212)
+    filled = 0
+    for f in walk_maps():
+        cases = []  # (sample, the powers asked, its orbit as far as the largest)
+        for x in f.domain.grid_points(2):
+            orbit, back = former_walk(f, x, 30)
+            ends = [0, 1, 30]
+            if back is not None:
+                period = len(orbit) - back
+                ends += [period - 1, period, period + 1]
+            ns = sorted(set(range(31)) | set(ends))
+            rng.shuffle(ns)
+            cases.append((x, ns, ends, f.orbit(x, max(ns))))
+        for store in ("shared", "fresh", "nearly full"):
+            f._orbits = None
+            if store == "nearly full":
+                nearly_full_store(f, 2)
+            for x, ns, ends, expected in cases:
+                if store == "fresh":
+                    f._orbits = None
+                for n in ends if store == "nearly full" else ns:
+                    assert _power_image(f, x, n) == expected[n]
+            if store == "shared":
+                filled += f._orbits.room() == 0
+    assert filled >= 2
+
+
+def test_radial_check_composes_only_for_the_fixed_set(monkeypatch):
+    """At power 2 the images come from the orbit store, so a fresh map
+    composes once: f^2, for its fixed set."""
+    composed = count_calls(monkeypatch, plmap, "compose")
+    t = interval()
+    for f in (tent_on(t), flip_on(t), rotation_star(4)[1]):
+        composed.clear()
+        got = check_no_radial_stretch(f, 2)
+        assert len(composed) == 1
+        assert got == former_radial(f, 2)
 
 
 def former_radial(f, n=1, piece_cap=DEFAULT_PIECE_CAP):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError
+from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, plmap
 from dendrodyn.fixtures import (
     interval_flip,
     odometer_tower,
@@ -170,6 +170,27 @@ def test_detect_root_at_rejects_periodic_points():
     tree, rot = rotation_star(3)
     with pytest.raises(PreconditionError):
         detect_cycles_of_sets(rot, 2, root_at=tree.vertex_point("c"))
+
+
+def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
+    """The flip's P_2 is the whole interval, so depth 5 composes f^2 only;
+    the rotation's P_1 = P_2 = P_3 is one level, kept at power 1, and the
+    root error names the last power reached."""
+    composed = []
+    plain = plmap.compose
+
+    def counted(*args):
+        composed.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(plmap, "compose", counted)
+    _, flip = interval_flip()
+    assert [c.period for c in detect_cycles_of_sets(flip, 5)] == [2]
+    assert len(composed) == 1
+    tree, rot = rotation_star(4)
+    assert [(c.level, c.period) for c in detect_cycles_of_sets(rot, 3)] == [(1, 4)]
+    with pytest.raises(PreconditionError, match="periodic within power 3"):
+        detect_cycles_of_sets(rot, 3, root_at=tree.vertex_point("c"))
 
 
 def test_cycle_sets_map_into_successors():
