@@ -38,6 +38,9 @@ from .plmap import DEFAULT_PIECE_CAP
 from .verify import run_checks
 
 DEPTH_DEFAULT = 4
+# `--depth` composes and reports one power per level, so it is bounded like
+# an input: 1,000 levels already write a report of about half a megabyte.
+MAX_DEPTH = 1_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,6 +333,14 @@ def _bound(text: str) -> int:
     return value
 
 
+def _depth(text: str) -> int:
+    """`--depth`: a bound of at least 1 and at most `MAX_DEPTH`."""
+    value = _bound(text)
+    if value > MAX_DEPTH:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DEPTH}, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     output = _Parser(add_help=False)
     output.add_argument("-o", "--output", default=None)
@@ -338,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds = _Parser(add_help=False)
     bounds.add_argument("--max-period", type=_bound, default=MAX_PERIOD_DEFAULT)
     bounds.add_argument("--horizon", type=_bound, default=HORIZON_DEFAULT)
-    bounds.add_argument("--depth", type=_bound, default=DEPTH_DEFAULT)
+    bounds.add_argument("--depth", type=_depth, default=DEPTH_DEFAULT)
     bounds.add_argument("--piece-cap", type=_bound, default=DEFAULT_PIECE_CAP)
 
     parser = _Parser(

@@ -13,6 +13,15 @@ arc's subtree.  Each map also carries the fixed sets of its powers once
 `dynamics.fixed_set` has computed them (the power maps are not kept),
 and the labelled orbit points that `dynamics._walk` has resolved.
 
+A map is built two ways.  The table constructor validates breakpoints
+and asks the tree for each piece's arc; it is the entry point for files,
+fixtures and users.  Derived maps (`compose`, `project_onto` and
+`normalize`) are built pieces first, from pieces whose arcs are cut
+(`Arc.window`), reversed or joined from arcs the map already stores, so
+they ask the tree for no arc and validate nothing again.  `normalize` is
+the one merge routine: derived maps go through it, and it keeps the
+pieces it does not merge.
+
 `project_onto` composes a map with the nearest-point retraction onto a
 connected subtree.  `find_periodic_in_hull` starts from that retraction
 and composes with f n times, which equals f^n on the hull and stays
@@ -59,7 +68,7 @@ class _Piece:
 
     @property
     def is_constant(self) -> bool:
-        return self.p0 == self.p1
+        return not self.arc.segments  # p0 == p1, without comparing points
 
     def param_at_arclength(self, s: Fraction) -> Fraction:
         return self.t0 + (self.t1 - self.t0) * s / self.arc.length
@@ -109,10 +118,32 @@ class PLTreeMap:
         extra = set(table) - set(domain.edge_ids)
         if extra:
             raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
+        self._fill(domain, vimg, pieces, edge_index)
+
+    @classmethod
+    def _from_pieces(cls, domain: MetricTree, by_edge) -> "PLTreeMap":
+        """The map made of pieces already built, as derived maps are.
+
+        `by_edge` gives each edge of the domain, in its order, the pieces
+        over it in order; they are trusted, not checked.
+        """
+        vimg: dict = {}
+        pieces = []
+        edge_index = {}
+        for eid, mine in by_edge.items():
+            u, w = domain.edge_ends(eid)
+            vimg.setdefault(u, mine[0].p0)
+            vimg.setdefault(w, mine[-1].p1)
+            pieces.extend(mine)
+            edge_index[eid] = ((*(piece.t0 for piece in mine), ONE), tuple(mine))
+        f = cls.__new__(cls)
+        f._fill(domain, vimg, pieces, edge_index)
+        return f
+
+    def _fill(self, domain, vimg, pieces, edge_index):
         if not domain.edge_ids:
             only = domain.vertex_ids[0]
             vimg[only] = domain.vertex_point(only)
-
         self.domain = domain
         self._vimg = vimg
         self._pieces = tuple(pieces)
@@ -174,8 +205,8 @@ class PLTreeMap:
 
         Each vertex adds its image and each single point its value.  An
         interval adds the image arcs of the pieces it meets in positive
-        length, found by bisecting the edge's breakpoints and cut to the
-        interval; a piece it covers whole adds its stored arc.
+        length, found by bisecting the edge's breakpoints: a window of each
+        one's stored arc, or the whole arc where the interval covers it.
         """
         tree = self.domain
         if sub.tree != tree:
@@ -205,7 +236,7 @@ class PLTreeMap:
                     arc = piece.arc
                     if lo > piece.t0 or hi < piece.t1:
                         ends = (max(lo, piece.t0), min(hi, piece.t1))
-                        arc = tree.arc(*(self._eval_in_piece(piece, t) for t in ends))
+                        arc = arc.window(*map(piece.arclength_at_param, ends))
                     segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1 in arc.segments]
         return Subtree.build(tree, segs, verts)
 
@@ -223,14 +254,21 @@ class PLTreeMap:
         same speed and do not turn back at B (see `_continues`); in a tree
         they then form the arc [A, C].  A merged run keeps the speed and
         last segment of its last piece, so neighbouring pieces decide.
+        A run becomes one piece whose arc is its pieces' arcs joined
+        (`_joined`); a piece that continues neither neighbour is kept.
         """
-        table = {}
+        by_edge = {}
         for eid, (_, pieces) in self._edge_index.items():
-            starts = [pieces[0], *(b for a, b in zip(pieces, pieces[1:]) if not _continues(a, b))]
-            table[eid] = [(p.t0, p.p0) for p in starts] + [(ONE, pieces[-1].p1)]
-        if sum(map(len, table.values())) == len(self._pieces) + len(table):
+            runs = [[pieces[0]]]
+            for a, b in zip(pieces, pieces[1:]):
+                if _continues(a, b):
+                    runs[-1].append(b)
+                else:
+                    runs.append([b])
+            by_edge[eid] = [_joined(run) for run in runs]
+        if sum(map(len, by_edge.values())) == len(self._pieces):
             return self  # no breakpoint dropped
-        return PLTreeMap(self.domain, table)
+        return PLTreeMap._from_pieces(self.domain, by_edge)
 
     def equals(self, other: "PLTreeMap") -> bool:
         """Pointwise equality, decided through normal forms."""
@@ -395,13 +433,12 @@ def _continues(a: _Piece, b: _Piece) -> bool:
     Both pieces are constant, or the last segment of a's arc and the
     first of b's lie on different edges, or on one edge the same way.
     """
-    if a.arc.length * (b.t1 - b.t0) != b.arc.length * (a.t1 - a.t0):
+    if a.is_constant or b.is_constant:
+        return a.is_constant and b.is_constant
+    (ea, u0, u1), (eb, v0, v1) = a.arc.segments[-1], b.arc.segments[0]
+    if ea == eb and (u1 > u0) != (v1 > v0):
         return False
-    if a.is_constant:  # then b is constant too, at the same point
-        return True
-    ea, u0, u1 = a.arc.segments[-1]
-    eb, v0, v1 = b.arc.segments[0]
-    return ea != eb or (u1 > u0) == (v1 > v0)
+    return a.arc.length * (b.t1 - b.t0) == b.arc.length * (a.t1 - a.t0)
 
 
 def _param_on_edge(tree: MetricTree, p: TreePoint, eid) -> Fraction | None:
@@ -442,18 +479,17 @@ def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:
 
 
 def _derive(f: PLTreeMap, rewrite) -> PLTreeMap:
-    """The normalized map whose breakpoints are f's pieces, each rewritten.
+    """The normalized map made of f's pieces, each rewritten.
 
-    `rewrite(piece)` gives the breakpoints over one piece's window, both
-    ends included; the breakpoint two neighbouring pieces share is kept once.
+    `rewrite(piece)` gives the pieces over one piece's window, in order,
+    each with its image arc; the result is built from them directly, and
+    nothing in it is looked up in the tree again.
     """
-    table: dict = {}
-    for eid, (_, pieces) in f._edge_index.items():
-        bps: list = []
-        for piece in pieces:
-            bps.extend(rewrite(piece)[1 if bps else 0 :])
-        table[eid] = bps
-    return PLTreeMap(f.domain, table).normalize()
+    by_edge = {
+        eid: [new for piece in pieces for new in rewrite(piece)]
+        for eid, (_, pieces) in f._edge_index.items()
+    }
+    return PLTreeMap._from_pieces(f.domain, by_edge).normalize()
 
 
 def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
@@ -461,7 +497,9 @@ def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
 
     Each inner piece is cut wherever its image arc crosses a vertex or
     an outer breakpoint; between cuts the composite is again a
-    constant-speed arc traversal, so the result is a valid PL map.
+    constant-speed arc traversal, so the result is a valid PL map.  The
+    image arc of each cut piece is a window of one outer piece's arc,
+    reversed where the inner arc runs its edge backwards.
     """
     if inner.domain != outer.domain:
         raise PreconditionError("composed maps must live on the same tree")
@@ -469,25 +507,72 @@ def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
 
 
 def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
-    t0, t1 = piece.t0, piece.t1
+    """The pieces of outer . piece: one per outer piece each inner segment meets."""
+    tree = outer.domain
     if piece.is_constant:
-        q = outer.evaluate(piece.p0)
-        return [(t0, q), (t1, q)]
+        return [_constant(tree, piece.edge, piece.t0, piece.t1, outer.evaluate(piece.p0))]
+    out = []
     arc = piece.arc
-    cuts = set()
     offsets = arc.segment_offsets
-    for s in offsets[1:-1]:
-        cuts.add(s)
+    scale = (piece.t1 - piece.t0) / arc.length  # domain parameter per unit of arclength
+    ta = piece.t0
     for k, (aeid, u0, u1) in enumerate(arc.segments):
-        lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
-        for tb in outer._edge_index[aeid][0][1:-1]:
-            if lo < tb < hi:
-                cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
-    bps = [(t0, outer.evaluate(piece.p0))]
-    for s in sorted(cuts):
-        bps.append((piece.param_at_arclength(s), outer.evaluate(arc.point_at(s))))
-    bps.append((t1, outer.evaluate(piece.p1)))
-    return bps
+        params, opieces = outer._edge_index[aeid]
+        length = tree.edge_length(aeid)
+        forward = u0 < u1
+        lo, hi = (u0, u1) if forward else (u1, u0)
+        # the outer pieces with t0 < hi and t1 > lo, in the segment's direction
+        met = opieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]
+        for op in met if forward else reversed(met):
+            a, b = max(lo, op.t0), min(hi, op.t1)
+            # the cut where this piece ends: a vertex the inner arc passes,
+            # the inner piece's end, or an outer breakpoint
+            end = b if forward else a
+            s = offsets[k + 1] if end == u1 else offsets[k] + abs(end - u0) * length
+            tb = piece.t1 if s == arc.length else piece.t0 + s * scale
+            if op.is_constant:
+                out.append(_constant(tree, piece.edge, ta, tb, op.p0))
+            else:
+                image = op.arc
+                if a != op.t0 or b != op.t1:
+                    image = image.window(op.arclength_at_param(a), op.arclength_at_param(b))
+                if not forward:
+                    image = image.reversed()
+                out.append(_Piece(piece.edge, ta, tb, image.a, image.b, image))
+            ta = tb
+    return out
+
+
+def _constant(tree: MetricTree, eid, t0: Fraction, t1: Fraction, q: TreePoint) -> _Piece:
+    return _Piece(eid, t0, t1, q, q, Arc(tree, q, q, (), (ZERO,)))
+
+
+def _joined(run: list) -> _Piece:
+    """One piece for a run of pieces that continue one traversal.
+
+    Its arc is theirs laid end to end.  No piece turns back into the one
+    before it (`_continues`), so that is the arc between the run's ends,
+    with a segment continued along its edge across a junction made one.
+    """
+    first, last = run[0], run[-1]
+    if len(run) == 1:
+        return first
+    arc = first.arc  # a constant run stays at its one point
+    if not first.is_constant:
+        segs = list(arc.segments)
+        cums = list(arc.segment_offsets)
+        for piece in run[1:]:
+            more, offsets = piece.arc.segments, piece.arc.segment_offsets
+            shift = cums[-1]
+            k = 0
+            if segs[-1][0] == more[0][0]:  # one segment across the junction
+                segs[-1] = (more[0][0], segs[-1][1], more[0][2])
+                cums[-1] = shift + offsets[1]
+                k = 1
+            segs.extend(more[k:])
+            cums.extend(shift + c for c in offsets[k + 1 :])
+        arc = Arc(arc.tree, first.p0, last.p1, tuple(segs), tuple(cums))
+    return _Piece(first.edge, first.t0, last.t1, first.p0, last.p1, arc)
 
 
 # -- hulls -------------------------------------------------------------------
@@ -510,24 +595,27 @@ def project_onto(f: PLTreeMap, target: Subtree) -> PLTreeMap:
 
 def _project_piece(target: Subtree, piece: _Piece) -> list:
     t0, t1 = piece.t0, piece.t1
+    tree = target.tree
     hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
     if not hits:
-        q = target.tree.retract(target, piece.p0)
-        return [(t0, q), (t1, q)]
+        return [_constant(tree, piece.edge, t0, t1, tree.retract(target, piece.p0))]
     if len(hits) > 1:
         raise ConsistencyError("connected target met an arc in several windows")
     arc = piece.arc
     s1, s2 = hits[0]
-    a1, a2 = arc.point_at(s1), arc.point_at(s2)
-    bps = [(t0, a1)]
     ta, tb = piece.param_at_arclength(s1), piece.param_at_arclength(s2)
+    out = []
+    if s1 == s2:
+        a1 = a2 = arc.point_at(s1)
+    else:
+        inside = arc.window(s1, s2)
+        a1, a2 = inside.a, inside.b
+        out.append(_Piece(piece.edge, ta, tb, a1, a2, inside))
     if ta > t0:
-        bps.append((ta, a1))
-    if tb > ta:
-        bps.append((tb, a2))
+        out.insert(0, _constant(tree, piece.edge, t0, ta, a1))
     if t1 > tb:
-        bps.append((t1, a2))
-    return bps
+        out.append(_constant(tree, piece.edge, tb, t1, a2))
+    return out
 
 
 def find_periodic_in_hull(

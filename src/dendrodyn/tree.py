@@ -550,7 +550,10 @@ class MetricTree:
         """Nearest-point retraction onto a closed connected nonempty subset.
 
         Returns the unique w in the target with the half-open arc (w, z]
-        disjoint from it; the identity on points already inside.
+        disjoint from it; the identity on points already inside.  Every
+        other point q of the target has d(z, q) = d(z, w) + d(w, q), and w
+        is a vertex of the target or an end of one of its intervals, so it
+        is the corner point nearest z.
         """
         if target.is_empty():
             raise PreconditionError("cannot retract onto an empty set")
@@ -559,12 +562,7 @@ class MetricTree:
         self.validate_point(z)
         if target.contains(z):
             return z
-        anchor = target.corner_points()[0]
-        path = self.arc(z, anchor)
-        hits = target.intersect_arc(path)
-        if not hits:
-            raise ConsistencyError("retraction found no boundary hit")
-        return path.point_at(hits[0][0])
+        return min(target.corner_points(), key=lambda w: self.distance(z, w))
 
 
 class Arc:
@@ -572,23 +570,47 @@ class Arc:
 
     Segments are ``(edge_id, t_from, t_to)`` with exact rational
     parameters; a degenerate arc has no segments.  Arcs are created by
-    `MetricTree.arc` and are immutable.
+    `MetricTree.arc`, or cut, reversed and joined from arcs it made, and
+    are immutable.
     """
 
     __slots__ = ("tree", "a", "b", "segments", "length", "_cums")
 
-    def __init__(self, tree: MetricTree, a: TreePoint, b: TreePoint, segments: tuple):
+    def __init__(self, tree: MetricTree, a: TreePoint, b: TreePoint, segments: tuple, _cums=None):
+        if _cums is None:  # the offsets, unless cut from an arc that knows them
+            _cums = [ZERO]
+            for eid, t0, t1 in segments:
+                _cums.append(_cums[-1] + abs(t1 - t0) * tree.edge_length(eid))
+            _cums = tuple(_cums)
         self.tree = tree
         self.a = a
         self.b = b
         self.segments = segments
-        cums = [ZERO]
-        total = ZERO
-        for eid, t0, t1 in segments:
-            total += abs(t1 - t0) * tree.edge_length(eid)
-            cums.append(total)
-        self.length = total
-        self._cums = tuple(cums)
+        self.length = _cums[-1]
+        self._cums = _cums
+
+    def window(self, sa: Fraction, sb: Fraction) -> "Arc":
+        """The sub-arc from arclength sa to sb, for 0 <= sa < sb <= length.
+
+        It equals ``tree.arc(point_at(sa), point_at(sb))`` and is read off
+        this arc's segments: those the window meets, the first and last cut
+        at its ends unless they are vertices.  The whole window is this arc.
+        """
+        if not ZERO <= sa < sb <= self.length:
+            raise PreconditionError(f"window [{sa}, {sb}] outside [0, {self.length}]")
+        if sa == ZERO and sb == self.length:
+            return self
+        cums = self._cums
+        i = bisect_right(cums, sa) - 1
+        j = bisect_left(cums, sb, i + 1) - 1
+        a, b = self.point_at(sa), self.point_at(sb)
+        segs = list(self.segments[i : j + 1])
+        if not a.is_vertex:
+            segs[0] = (a.edge, a.t, segs[0][2])
+        if not b.is_vertex:
+            segs[-1] = (b.edge, segs[-1][1], b.t)
+        offsets = (ZERO, *(c - sa for c in cums[i + 1 : j + 1]), sb - sa)
+        return Arc(self.tree, a, b, tuple(segs), offsets)
 
     def is_degenerate(self) -> bool:
         return not self.segments
@@ -605,16 +627,10 @@ class Arc:
             raise PreconditionError(f"arclength {s} outside [0, {self.length}]")
         if not self.segments:
             return self.a
-        for i, (eid, t0, t1) in enumerate(self.segments):
-            lo, hi = self._cums[i], self._cums[i + 1]
-            if s <= hi:
-                length = self.tree.edge_length(eid)
-                if t1 >= t0:
-                    t = t0 + (s - lo) / length
-                else:
-                    t = t0 - (s - lo) / length
-                return self.tree.edge_point(eid, t)
-        raise ConsistencyError("arclength walk fell off the arc")
+        i = bisect_left(self._cums, s, 1) - 1  # the first segment ending at or past s
+        eid, t0, t1 = self.segments[i]
+        step = (s - self._cums[i]) / self.tree.edge_length(eid)
+        return self.tree.edge_point(eid, t0 + step if t1 >= t0 else t0 - step)
 
     def contains(self, x: TreePoint) -> bool:
         d = self.tree.distance
@@ -628,7 +644,8 @@ class Arc:
 
     def reversed(self) -> "Arc":
         segs = tuple((eid, t1, t0) for eid, t0, t1 in reversed(self.segments))
-        return Arc(self.tree, self.b, self.a, segs)
+        cums = tuple(self.length - c for c in reversed(self._cums))
+        return Arc(self.tree, self.b, self.a, segs, cums)
 
     def as_subtree(self) -> "Subtree":
         segs = []

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PLTreeMap, build_fixture, save_instance_file
-from dendrodyn.cli import main
+from dendrodyn import MetricTree, PLTreeMap, build_fixture, plmap, save_instance_file
+from dendrodyn.cli import MAX_DEPTH, _build_parser, main
 from dendrodyn.io import MAX_VERTICES, load_instance_file
 from dendrodyn.tree import MAX_DIGITS
 
@@ -191,6 +191,22 @@ def test_bounds_below_one_exit_three(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert "must be at least 1" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["analyze", "odometer", "verify"])
+def test_depth_above_the_limit_exits_three_before_composing(tmp_path, capsys, monkeypatch, command):
+    path = write_fixture(tmp_path, "rotation", {"arms": "3"})
+    composed = []
+    monkeypatch.setattr(plmap, "compose", lambda *args: composed.append(1))
+    for depth in (MAX_DEPTH + 1, 10**12):
+        with pytest.raises(SystemExit) as exc:
+            main([command, path, "--depth", str(depth)])
+        assert exc.value.code == 3
+        captured = capsys.readouterr()
+        assert f"must be at most {MAX_DEPTH}, got {depth}" in captured.err
+        assert captured.out == ""
+    assert not composed
+    assert _build_parser().parse_args([command, path, "--depth", str(MAX_DEPTH)]).depth == MAX_DEPTH
 
 
 @pytest.mark.parametrize(

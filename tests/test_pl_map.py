@@ -11,9 +11,11 @@ from dendrodyn import (
     StructureError,
     Subtree,
 )
+from dendrodyn import fixtures
 from dendrodyn.fixtures import random_finite_order_map, random_folding_map, rotation_star
 from dendrodyn.plmap import (
     PLTreeMap,
+    _continues,
     compose,
     find_periodic_in_hull,
     identity_map,
@@ -914,10 +916,7 @@ def test_image_of_whole_pieces_reuses_their_arcs(monkeypatch):
     assert not calls
 
 
-def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
-    # one arc per piece of the result, built by its constructor; the inner
-    # pieces' arcs are read, not rebuilt
-    _, rot = rotation_star(50)
+def count_arc_calls(monkeypatch):
     calls = []
     plain = MetricTree.arc
 
@@ -926,9 +925,36 @@ def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
         return plain(self, a, b)
 
     monkeypatch.setattr(MetricTree, "arc", counted)
+    return calls
+
+
+def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
+    # every result piece's arc is cut, reversed or joined from the outer
+    # pieces' stored arcs; the tree is asked for none
+    _, rot = rotation_star(50)
+    calls = count_arc_calls(monkeypatch)
     h = compose(rot, rot)
     assert h.piece_count == 50
-    assert len(calls) == h.piece_count
+    assert len(calls) == 0
+
+
+def test_project_onto_and_normalize_ask_the_tree_for_no_arc(monkeypatch):
+    rng = random.Random(8)
+    cases = []
+    for _ in range(20):
+        t = random_tree(rng, rng.randint(3, 7))
+        f = random_map(rng, t)
+        hull = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 3))])
+        cases.append((f, hull, refine(rng, compose(f, f))))
+    # pieces whose arcs miss the hull take the retraction
+    missing = sum(not hull.intersect_arc(p.arc) for f, hull, _ in cases for p in f._pieces)
+    calls = count_arc_calls(monkeypatch)
+    dropped = 0
+    for f, hull, refined in cases:
+        project_onto(f, hull)
+        dropped += refined.normalize().piece_count < refined.piece_count
+    assert missing > 20 and dropped == len(cases)
+    assert len(calls) == 0
 
 
 def test_image_of_subtree_rejects_another_tree():
@@ -941,3 +967,165 @@ def test_image_of_subtree_rejects_another_tree():
         f.image_of_subtree(other_star.full_subtree())
     with pytest.raises(PreconditionError):
         f.image_of_arc(other_star.arc(other_star.vertex_point("c"), other_star.vertex_point("l1")))
+
+
+# -- pieces-first composition against the table route ----------------------------------
+
+
+def table_normalize(f):
+    """The former `normalize`: the merged breakpoints rebuilt through the table."""
+    table = {}
+    for eid, (_, pieces) in f._edge_index.items():
+        starts = [pieces[0], *(b for a, b in zip(pieces, pieces[1:]) if not _continues(a, b))]
+        table[eid] = [(p.t0, p.p0) for p in starts] + [(F(1), pieces[-1].p1)]
+    if sum(map(len, table.values())) == len(f._pieces) + len(table):
+        return f
+    return PLTreeMap(f.domain, table)
+
+
+def table_derive(f, rewrite):
+    """The former `_derive`: rewritten breakpoints, built and normalized as a table."""
+    table = {}
+    for eid, (_, pieces) in f._edge_index.items():
+        bps = []
+        for piece in pieces:
+            bps.extend(rewrite(piece)[1 if bps else 0 :])
+        table[eid] = bps
+    return table_normalize(PLTreeMap(f.domain, table))
+
+
+def table_compose(outer, inner):
+    return table_derive(inner, lambda piece: table_compose_piece(outer, piece))
+
+
+def table_compose_piece(outer, piece):
+    """The former `_compose_piece`: `evaluate` at every cut of the inner arc."""
+    t0, t1 = piece.t0, piece.t1
+    if piece.is_constant:
+        q = outer.evaluate(piece.p0)
+        return [(t0, q), (t1, q)]
+    arc = piece.arc
+    cuts = set()
+    offsets = arc.segment_offsets
+    for s in offsets[1:-1]:
+        cuts.add(s)
+    for k, (aeid, u0, u1) in enumerate(arc.segments):
+        lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
+        for tb in outer._edge_index[aeid][0][1:-1]:
+            if lo < tb < hi:
+                cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
+    bps = [(t0, outer.evaluate(piece.p0))]
+    for s in sorted(cuts):
+        bps.append((piece.param_at_arclength(s), outer.evaluate(arc.point_at(s))))
+    bps.append((t1, outer.evaluate(piece.p1)))
+    return bps
+
+
+def arc_retract(tree, target, z):
+    """The former `MetricTree.retract`: the first hit of the arc to a corner."""
+    if target.contains(z):
+        return z
+    path = tree.arc(z, target.corner_points()[0])
+    return path.point_at(target.intersect_arc(path)[0][0])
+
+
+def table_project_onto(f, target):
+    def rewrite(piece):
+        t0, t1 = piece.t0, piece.t1
+        hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
+        if not hits:
+            q = arc_retract(f.domain, target, piece.p0)
+            return [(t0, q), (t1, q)]
+        s1, s2 = hits[0]
+        a1, a2 = piece.arc.point_at(s1), piece.arc.point_at(s2)
+        bps = [(t0, a1)]
+        ta, tb = piece.param_at_arclength(s1), piece.param_at_arclength(s2)
+        if ta > t0:
+            bps.append((ta, a1))
+        if tb > ta:
+            bps.append((tb, a2))
+        if t1 > tb:
+            bps.append((t1, a2))
+        return bps
+
+    return table_derive(f, rewrite)
+
+
+def assert_same_pieces(g, h):
+    assert g._vimg == h._vimg
+    assert g._edge_index.keys() == h._edge_index.keys()
+    for (params, pieces), (h_params, h_pieces) in zip(
+        g._edge_index.values(), h._edge_index.values()
+    ):
+        assert params == h_params
+        assert len(pieces) == len(h_pieces)
+        for p, q in zip(pieces, h_pieces):
+            assert (p.edge, p.t0, p.t1, p.p0, p.p1) == (q.edge, q.t0, q.t1, q.p0, q.p1)
+            assert (p.arc.a, p.arc.b, p.arc.segments) == (q.arc.a, q.arc.b, q.arc.segments)
+            assert p.arc.length == q.arc.length
+            assert p.arc.segment_offsets == q.arc.segment_offsets
+    assert g._pieces == tuple(p for _, pieces in g._edge_index.values() for p in pieces)
+
+
+def analysis_maps():
+    """The maps the `analysis` benchmark runs its CLI commands on."""
+    return [
+        fixtures.odometer_tower(3, (2, 4, 8))[1],
+        fixtures.odometer_tower(3, (3, 6, 12))[1],
+        fixtures.odometer_tower(4, (2, 4, 8, 16))[1],
+        fixtures.odometer_tower(5, (2, 4, 8, 16, 32))[1],
+        rotation_star(6)[1],
+        fixtures.stem_collapse_map(5)[1],
+        fixtures.stem_sweep_map(3)[1],
+        fixtures.shift_and_tent()["tent"][1],
+    ]
+
+
+def test_compose_matches_the_table_route():
+    rng = random.Random(1313)
+    pairs = []
+    for _ in range(80):
+        t = random_tree(rng, rng.randint(2, 7))
+        f, g = random_map(rng, t), random_map(rng, t)
+        pairs += [(f, g), (g, f), (f, f)]
+    for i in range(25):
+        for f in (random_finite_order_map(i, i + 700)[1], random_folding_map(i + 700)[1]):
+            pairs += [(f, f), (f, compose(f, f)), (compose(f, f), f)]
+    for f in analysis_maps():
+        f2 = compose(f, f)
+        pairs += [(f, f), (f, f2), (f2, f)]
+    pairs.append((tent_on(interval()).iterate(5), tent_on(interval()).iterate(3)))
+    pairs.append((PLTreeMap(MetricTree(["o"], []), {}),) * 2)
+    for outer, inner in pairs:
+        assert_same_pieces(compose(outer, inner), table_compose(outer, inner))
+
+
+def test_compose_matches_the_table_route_on_large_powers():
+    # big . small and small . big, about 2,000 pieces each
+    _, f = fixtures.stem_sweep_map(3)
+    f4 = f.iterate(4)
+    assert f4.piece_count == 576
+    for outer, inner in [(f4, f), (f, f4)]:
+        g = compose(outer, inner)
+        assert g.piece_count == 1977
+        assert_same_pieces(g, table_compose(outer, inner))
+
+
+def test_project_onto_and_normalize_match_the_table_route():
+    rng = random.Random(2323)
+    maps = [f for f, _, _ in hand_built_normal_forms()] + analysis_maps()
+    for _ in range(60):
+        maps.append(random_map(rng, random_tree(rng, rng.randint(2, 7))))
+    for i in range(20):
+        maps += [random_finite_order_map(i, i + 800)[1], random_folding_map(i + 800)[1]]
+    pinned = 0
+    for f in maps:
+        t = f.domain
+        for _ in range(3):
+            hull = t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 3))])
+            g = project_onto(f, hull)
+            assert_same_pieces(g, table_project_onto(f, hull))
+            pinned += sum(not hull.contains(p) for p in (f.evaluate(x) for x in t.grid_points(2)))
+        refined = refine(rng, compose(f, f))
+        assert_same_pieces(refined.normalize(), table_normalize(refined))
+    assert pinned > 100

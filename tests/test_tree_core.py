@@ -290,6 +290,37 @@ def test_arc_random_sweep():
             check_arc_between(t, random_point(rng, t), random_point(rng, t))
 
 
+def same_arc(x, y):
+    return (x.a, x.b, x.segments, x.length, x.segment_offsets) == (
+        y.a, y.b, y.segments, y.length, y.segment_offsets
+    )
+
+
+def test_arc_window_is_the_arc_between_its_ends():
+    rng = random.Random(2004)
+    trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(40)]
+    trees += deep_trees(rng)
+    windows = 0
+    for t in trees:
+        for _ in range(8):
+            arc = t.arc(random_point(rng, t), random_point(rng, t))
+            assert arc.reversed() is not arc and same_arc(arc.reversed(), t.arc(arc.b, arc.a))
+            if arc.is_degenerate():
+                continue
+            assert arc.window(0, arc.length) is arc
+            # window ends on a grid, at segment boundaries (vertices), and inside segments
+            grid = {arc.length * k / 12 for k in range(13)} | set(arc.segment_offsets)
+            grid = sorted(grid | {arc.length * F(rng.randint(1, 97), 98) for _ in range(2)})
+            for sa, sb in rng.sample([(a, b) for a in grid for b in grid if a < b], 6):
+                cut = arc.window(sa, sb)
+                assert same_arc(cut, t.arc(arc.point_at(sa), arc.point_at(sb)))
+                windows += 1
+            for sa, sb in [(-arc.length, arc.length), (0, 2 * arc.length), (arc.length, 0), (0, 0)]:
+                with pytest.raises(PreconditionError):
+                    arc.window(sa, sb)
+    assert windows > 1000
+
+
 def test_point_at_bounds():
     t = path_tree()
     arc = t.arc(t.vertex_point("a"), t.vertex_point("d"))
@@ -502,6 +533,18 @@ def test_retract_is_gate_point():
             assert t.distance(z, w) <= t.distance(z, q)
         if y.contains(z):
             assert w == z
+
+
+def test_retract_matches_the_first_hit_of_an_arc_into_the_target():
+    # the former route: walk the arc to a corner of the target, take its first hit
+    rng = random.Random(5006)
+    trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(40)] + deep_trees(rng)
+    for t in trees:
+        for _ in range(10):
+            y = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 4))])
+            z = random_point(rng, t)
+            path = t.arc(z, y.corner_points()[0])
+            assert t.retract(y, z) == path.point_at(y.intersect_arc(path)[0][0])
 
 
 def test_retract_rejects_bad_targets():
