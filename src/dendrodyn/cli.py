@@ -9,6 +9,7 @@ answer, 3 for input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -341,7 +342,10 @@ def _depth(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state on it, and each call gets a fresh namespace with its defaults."""
     output = _Parser(add_help=False)
     output.add_argument("-o", "--output", default=None)
     report = _Parser(add_help=False, parents=[output])

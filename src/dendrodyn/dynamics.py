@@ -14,7 +14,32 @@ assertion from a hypothesis that never applied (status "skipped").
 
 `fixed_set` is the one path to the fixed set of a power and computes it
 once per map; `_periodic_levels` is the one running union P_n of the
-first n of them.  `_walk` is the one orbit walker.  It keeps one orbit
+first n of them.  `fixed_set` takes one of two routes, chosen from the
+map.
+
+A certified map is one the recurrence decision proves pointwise
+recurrent: injective, surjective, and every vertex and interior
+breakpoint back at itself after N steps, N the least common multiple of
+the periods of its leaves and branch vertices.  Then f^N is the identity
+(see `decide_pointwise_recurrent`), and for every n
+
+    Fix(f^n) = Fix(f^gcd(n, N)),
+
+since the k with f^k(x) = x form a subgroup of the integers once f is
+invertible, and it holds n exactly when it holds gcd(n, N).  Let O be
+the union of the orbits of the vertices and interior breakpoints: finite,
+with f(O) = O.  Each component J of the tree minus O is an open arc of
+one edge, inside one piece of f, so f maps J affinely onto the component
+whose ends are the images of J's ends; two components with the same ends
+are one, as arcs in a tree are unique.  So f^n fixes a point of O when
+its period divides n; on J it is the identity when it fixes both ends of
+J, fixes only the midpoint of J when it swaps them, and otherwise moves J
+off itself.  The map's certificate (`_Certificate`) keeps N and O, and
+each Fix(f^n) is read off it without composing.  Every other map has its
+powers composed, within a piece budget; the map keeps only the last
+power composed, so f^n after f^(n-1) costs one composition.
+
+`_walk` is the one orbit walker.  It keeps one orbit
 store per map: the successors it has evaluated, and a label (preperiod,
 cycle, entry) on every point whose orbit it has seen repeat.  A walk
 stops at the first labelled point and labels the points it passed, so
@@ -30,17 +55,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ConsistencyError, PreconditionError, UndecidedError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
-from .tree import Component, Subtree, TreePoint, point_key
+from .tree import ONE, ZERO, Component, Subtree, TreePoint, point_key
 
 MAX_PERIOD_DEFAULT = 10_000
 HORIZON_DEFAULT = 1_000
 ABSOLUTE_POWER_CAP = 1_000_000
 CUTPOINT_POWER_BOUND = 5  # check_escape skips on a periodic cutpoint up to this power
 ORBIT_STORE_PER_ITEM = 8  # orbit store entries per vertex and per piece of the map
+_UNDECIDED = object()  # a map's certificate before it is looked for
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,17 +126,44 @@ class OmegaEstimate:
 def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """The exact set of points with f^n(x) = x, computed once per map.
 
-    Only this function reads or fills the store on f, keyed (n, piece_cap):
-    a smaller budget may raise where a larger one succeeds, and a call that
-    raises stores nothing.  The map f^n is not kept: keeping every power
-    on the map raised peak memory by about 9% on odometer-tower analyses.
+    On a certified map (`_certificate`, with f^N the identity) this is
+    Fix(f^gcd(n, N)), read off the finite invariant set O of the orbits of
+    the vertices and interior breakpoints, and no budget applies: the
+    points of O whose period divides n, the closure of each interval of
+    the tree minus O whose two ends f^n fixes, and the midpoint of each
+    one whose ends it swaps (the module docstring has the proof).
+
+    Any other map composes f^n within `piece_cap` pieces: one composition
+    f^(n-1) . f when f^(n-1) is the last power composed here with the same
+    budget, else by squaring.  The map keeps f^n in its place, and no other
+    power: keeping every power raised peak memory by about 9% on
+    odometer-tower analyses.  Only this function reads or fills the store
+    of fixed sets on f, keyed (n, piece_cap) on this route: a smaller
+    budget may raise where a larger one succeeds, and a call that raises
+    stores nothing.
     """
     if n < 1:
         raise PreconditionError("power must be at least 1")
-    key = (n, piece_cap)
+    cert = _certificate(f)
+    key = (n, piece_cap) if cert is None else (gcd(n, cert.power), None)
     if key not in f._fixed_sets:
-        f._fixed_sets[key] = f.iterate(n, piece_cap).fixed_point_set()
+        if cert is not None:
+            f._fixed_sets[key] = cert.fixed_set(f.domain, key[0])
+        else:
+            f._fixed_sets[key] = _composed_power(f, n, piece_cap).fixed_point_set()
     return f._fixed_sets[key]
+
+
+def _composed_power(f: PLTreeMap, n: int, piece_cap: int) -> PLTreeMap:
+    """f^n within the budget, kept on f as its last power when composed."""
+    last = f._last_power
+    if last is not None and last[:2] == (n - 1, piece_cap):
+        g = f.next_power(last[2], piece_cap)
+    else:
+        g = f.iterate(n, piece_cap)
+    if n > 1:
+        f._last_power = (n, piece_cap, g)
+    return g
 
 
 def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP):
@@ -188,9 +241,11 @@ def decide_pointwise_recurrent(
        the midpoint of a moved gap is the witness.
     """
     tree = f.domain
+    store = _OrbitStore.of(f)
 
     injective, pair = f.is_injective()
     if not injective:
+        store.certificate = None
         return RecurrenceVerdict(
             pointwise_recurrent=False,
             witness=Witness(
@@ -203,6 +258,7 @@ def decide_pointwise_recurrent(
 
     image = f.image()
     if image != tree.full_subtree():
+        store.certificate = None
         gaps = tree.components_minus(image)
         q = gaps[0].repr_point
         return RecurrenceVerdict(
@@ -215,37 +271,9 @@ def decide_pointwise_recurrent(
             reason="not-surjective",
         )
 
-    # continuous bijection of a compact tree: a homeomorphism, so the
-    # points of valence != 2 are permuted among themselves
-    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
-    images = {}
-    for v in intrinsic:
-        img = f.vertex_image(v)
-        if not img.is_vertex or tree.degree(img.vertex) == 2:
-            raise ConsistencyError(
-                "a bijective PL map moved a leaf or branch vertex onto a cutpoint"
-            )
-        images[v] = img.vertex
-
-    cap = min(max_period, ABSOLUTE_POWER_CAP)
-    power = 1
-    seen = set()
-    for v in intrinsic:
-        if v in seen:
-            continue
-        cycle = [v]
-        w = images[v]
-        while w != v:
-            cycle.append(w)
-            w = images[w]
-        seen.update(cycle)
-        power = lcm(power, len(cycle))
-        if power > cap:
-            raise UndecidedError(
-                f"the candidate identity power exceeds the bound ({power} > {cap})"
-            )
-
-    if _orbits_certify_identity(f, power):
+    power = _intrinsic_period(f, min(max_period, ABSOLUTE_POWER_CAP))
+    store.certificate = _certify(f, power)
+    if store.certificate is not None:
         return RecurrenceVerdict(
             pointwise_recurrent=True,
             identity_power=power,
@@ -287,7 +315,8 @@ def returns_to_components(
     minus y, within the horizon.  A False is horizon-relative.
 
     The points f^(k*power)(x) for k > preperiod + period repeat earlier
-    ones, so no more of them are looked at.
+    ones, so no more of them are looked at.  An orbit point equal to x
+    answers at once, since y is not on the one-point arc [x, x].
     """
     tree = f.domain
     tree.validate_point(x)
@@ -297,7 +326,7 @@ def returns_to_components(
     label = _walk(f, x, power * horizon)
     steps = horizon if label is None else min(horizon, label[0] + len(label[1]))
     for z in islice(_orbit_points(f, x), power, power * steps + 1, power):
-        if z != y and not tree.on_arc(y, z, x):
+        if z == x or (z != y and not tree.on_arc(y, z, x)):
             return True
     return False
 
@@ -347,15 +376,18 @@ class _OrbitStore:
     walks that ended unresolved.  Labels and successors together never
     exceed `budget` entries, a fixed multiple of the map's vertices plus
     pieces; once it is reached, walks go on without storing.  Only
-    `_walk` and `_orbit_points` read and fill it.
+    `_walk` and `_orbit_points` read and fill them.  `certificate` is the
+    map's `_Certificate`, kept apart from the budget, or None once the map
+    is known to have none; only `_certificate` and the decision set it.
     """
 
-    __slots__ = ("succ", "labels", "budget")
+    __slots__ = ("succ", "labels", "budget", "certificate")
 
     def __init__(self, f: PLTreeMap):
         self.succ = {}
         self.labels = {}
         self.budget = ORBIT_STORE_PER_ITEM * (len(f.domain.vertex_ids) + f.piece_count)
+        self.certificate = _UNDECIDED  # a _Certificate, or None once f is known to have none
 
     @staticmethod
     def of(f: PLTreeMap) -> "_OrbitStore":
@@ -450,8 +482,42 @@ def _power_image(f: PLTreeMap, x: TreePoint, n: int) -> TreePoint:
     return next(islice(_orbit_points(f, x), max(n, 0), None))
 
 
-def _orbits_certify_identity(f: PLTreeMap, n: int) -> bool:
-    """Whether every vertex and interior breakpoint has a period dividing n.
+def _intrinsic_period(f: PLTreeMap, cap: int) -> int:
+    """N for a homeomorphism f: the least common multiple of the periods of
+    the leaves and branch vertices (an isolated vertex too), which f
+    permutes.  UndecidedError when it exceeds `cap`."""
+    tree = f.domain
+    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
+    images = {}
+    for v in intrinsic:
+        img = f.vertex_image(v)
+        if not img.is_vertex or tree.degree(img.vertex) == 2:
+            raise ConsistencyError(
+                "a bijective PL map moved a leaf or branch vertex onto a cutpoint"
+            )
+        images[v] = img.vertex
+    power = 1
+    seen = set()
+    for v in intrinsic:
+        if v in seen:
+            continue
+        cycle = [v]
+        w = images[v]
+        while w != v:
+            cycle.append(w)
+            w = images[w]
+        seen.update(cycle)
+        power = lcm(power, len(cycle))
+        if power > cap:
+            raise UndecidedError(
+                f"the candidate identity power exceeds the bound ({power} > {cap})"
+            )
+    return power
+
+
+def _certified_cycles(f: PLTreeMap, n: int) -> list | None:
+    """The cycle of each vertex and interior breakpoint, one per start, when
+    every one of them has a period dividing n; else None.
 
     Stops at the first orbit that fails; each point of the walked orbits
     is evaluated once, and a start already labelled costs no step.  For a
@@ -462,11 +528,91 @@ def _orbits_certify_identity(f: PLTreeMap, n: int) -> bool:
     starts = [tree.vertex_point(v) for v in tree.vertex_ids]
     for eid in tree.edge_ids:
         starts += [tree.edge_point(eid, t) for t, _ in f.breakpoints(eid)[1:-1]]
+    cycles = []
     for s in starts:
         label = _walk(f, s, n)
         if label is None or label[0] or n % len(label[1]):
-            return False
-    return True
+            return None
+        cycles.append(label[1])
+    return cycles
+
+
+class _Certificate:
+    """A proof that f^power is the identity, and the orbit partition it
+    rests on, the cycles of the vertices and interior breakpoints.  The
+    first `fixed_set` call lays it out: `orbits` maps each point of O to
+    (its cycle, its index there), and `edges` lists per edge, in the
+    tree's order, the points of O on it with their parameters, in order
+    from 0 to 1; the intervals between neighbours are the components of
+    the tree minus O."""
+
+    __slots__ = ("power", "cycles", "orbits", "edges")
+
+    def __init__(self, power: int, cycles: list):
+        self.power = power
+        self.cycles = cycles
+        self.orbits = None
+        self.edges = None
+
+    def _lay_out(self, tree) -> None:
+        self.orbits = {}
+        for cycle in self.cycles:
+            if cycle[0] not in self.orbits:  # a cycle met again, maybe rotated
+                self.orbits.update((p, (cycle, k)) for k, p in enumerate(cycle))
+        on_edge = {eid: [] for eid in tree.edge_ids}
+        for p in self.orbits:
+            if not p.is_vertex:
+                on_edge[p.edge].append((p.t, p))
+        self.edges = []
+        for eid, inner in on_edge.items():
+            u, w = tree.edge_ends(eid)
+            ends = [(ZERO, tree.vertex_point(u)), *sorted(inner), (ONE, tree.vertex_point(w))]
+            self.edges.append((eid, ends))
+
+    def fixed_set(self, tree, n: int) -> Subtree:
+        """Fix(f^n), read off O in one pass (see `fixed_set`)."""
+        if self.orbits is None:
+            self._lay_out(tree)
+        orbits = self.orbits
+
+        def image(p):
+            cycle, k = orbits[p]
+            return cycle[(k + n) % len(cycle)]
+
+        verts = [v for v in tree.vertex_ids if n % len(orbits[TreePoint(vertex=v)][0]) == 0]
+        segs = []
+        for eid, ends in self.edges:
+            for (ta, a), (tb, b) in zip(ends, ends[1:]):
+                fa, fb = image(a), image(b)
+                if fa == a and not a.is_vertex:
+                    segs.append((eid, ta, ta))
+                if (fa, fb) == (a, b):
+                    segs.append((eid, ta, tb))
+                elif (fa, fb) == (b, a):
+                    mid = (ta + tb) / 2
+                    segs.append((eid, mid, mid))
+        return Subtree.build(tree, segs, verts)
+
+
+def _certify(f: PLTreeMap, power: int) -> _Certificate | None:
+    """The certificate that the homeomorphism f^power is the identity, or None."""
+    cycles = _certified_cycles(f, power)
+    return None if cycles is None else _Certificate(power, cycles)
+
+
+def _certificate(f: PLTreeMap) -> _Certificate | None:
+    """The map's certificate, or None when f has none.  Decided once per
+    map: by `decide_pointwise_recurrent`, under its `max_period`, or here
+    on first use, under `MAX_PERIOD_DEFAULT`."""
+    store = _OrbitStore.of(f)
+    if store.certificate is _UNDECIDED:
+        store.certificate = None
+        if f.is_injective()[0] and f.image() == f.domain.full_subtree():
+            try:
+                store.certificate = _certify(f, _intrinsic_period(f, MAX_PERIOD_DEFAULT))
+            except UndecidedError:
+                pass
+    return store.certificate
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):

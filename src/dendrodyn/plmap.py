@@ -9,9 +9,12 @@ here is a decision, not an approximation.
 
 `PLTreeMap.image_of_subtree` is the one image routine: the image of the
 whole tree and of an arc are that routine on the full subtree and on the
-arc's subtree.  Each map also carries the fixed sets of its powers once
-`dynamics.fixed_set` has computed them (the power maps are not kept),
-and the labelled orbit points that `dynamics._walk` has resolved.
+arc's subtree.  Each map also carries what `dynamics` has learnt of it:
+the fixed sets of its powers once `dynamics.fixed_set` has computed
+them, at most one power map (the last one that function composed, so
+the next power costs one composition), and its orbit store, with the
+labelled orbit points `dynamics._walk` has resolved and the certificate
+that f^N is the identity when the map has one.
 
 A map is built two ways.  The table constructor validates breakpoints
 and asks the tree for each piece's arc; it is the entry point for files,
@@ -86,7 +89,8 @@ class PLTreeMap:
     """
 
     __slots__ = (
-        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets", "_orbits",
+        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets", "_last_power",
+        "_orbits",
     )
 
     def __init__(self, domain: MetricTree, table):
@@ -150,7 +154,10 @@ class PLTreeMap:
         # per edge: breakpoint parameters, and the pieces between them (the map's one form)
         self._edge_index = edge_index
         self._image = None
-        self._fixed_sets = {}  # (n, piece_cap) -> fixed set, kept by dynamics.fixed_set
+        # (n, piece_cap), or (gcd(n, N), None) on a certified map -> fixed set,
+        # kept by dynamics.fixed_set
+        self._fixed_sets = {}
+        self._last_power = None  # (n, piece_cap, f^n): the last power dynamics.fixed_set composed
         self._orbits = None  # the orbit store, made and kept by dynamics._walk
 
     # -- inspection --------------------------------------------------------
@@ -416,6 +423,11 @@ class PLTreeMap:
             if k:
                 base = guarded(base, base)
         return result
+
+    def next_power(self, prev: "PLTreeMap", piece_cap: int = DEFAULT_PIECE_CAP) -> "PLTreeMap":
+        """f^(n+1) from prev = f^n: one composition prev . f, within the
+        budget `iterate` applies."""
+        return _within_budget(compose(prev, self), piece_cap, "iterate")
 
 
 def _within_budget(g: PLTreeMap, piece_cap: int, what: str) -> PLTreeMap:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .dynamics import (
     CheckResult,
     Witness,
-    _orbits_certify_identity,
+    _certified_cycles,
     _periodic_levels,
     _power_image,
     check_escape,
@@ -70,7 +70,7 @@ def _recurrence_verdict_consistency(f, decided, max_period) -> CheckResult:
         n = verdict.identity_power
         if not n or n < 1:
             return CheckResult("fail", detail="positive verdict carries no power")
-        if not (f.is_injective()[0] and _orbits_certify_identity(f, n)):
+        if not (f.is_injective()[0] and _certified_cycles(f, n) is not None):
             return CheckResult("fail", detail=f"claimed power {n} is not the identity")
         return CheckResult("pass", detail=f"identity power {n}")
 

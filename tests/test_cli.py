@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, build_fixture, plmap, save_instance_file
-from dendrodyn.cli import MAX_DEPTH, _build_parser, main
+from dendrodyn.cli import DEPTH_DEFAULT, MAX_DEPTH, _build_parser, main
+from dendrodyn.dynamics import MAX_PERIOD_DEFAULT
 from dendrodyn.io import MAX_VERTICES, load_instance_file
 from dendrodyn.tree import MAX_DIGITS
 
@@ -132,15 +133,30 @@ def test_verify_exit_codes(tmp_path, capsys):
 
 def test_escape_check_skips_before_the_piece_budget(tmp_path, capsys):
     # the rotation's centre is fixed by f itself, so the escape check skips
-    # without composing the powers a budget of one piece cannot hold
+    # without composing the powers a budget of one piece cannot hold; the
+    # rotation is certified, so its fixed sets are read off its orbits and
+    # only the check that composes f^2 and f^3 itself meets the budget
     path = write_fixture(tmp_path, "rotation")
     code, report = run_json(capsys, ["verify", "--piece-cap", "1", path])
     assert code == 2
-    escape = {c["name"]: c for c in report["checks"]}["escape-containment"]
+    checks = {c["name"]: c for c in report["checks"]}
+    escape = checks["escape-containment"]
     assert escape["status"] == "skipped"
     assert escape["detail"] == "periodic cutpoints exist within power 5"
     assert "undecided" not in escape
-    assert report["summary"]["undecided"] == 5
+    assert report["summary"] == {"pass": 8, "fail": 0, "skipped": 2, "undecided": 1}
+    undecided = [name for name, c in checks.items() if c.get("undecided")]
+    assert undecided == ["power-recurrence-consistency"]
+    assert checks["power-recurrence-consistency"]["detail"] == (
+        "bound reached: iterate exceeded the piece budget (3 > 1)"
+    )
+    passed = {name for name, c in checks.items() if c["status"] == "pass"}
+    assert passed >= {
+        "fixed-sets-connected",
+        "periodic-union-monotone",
+        "periodic-points-totally-return",
+        "adding-machine-semiconjugacy",
+    }
 
 
 def test_inconclusive_exit_two(tmp_path, capsys):
@@ -471,3 +487,50 @@ def test_text_rendering_of_analyze_classify_and_inconclusive(tmp_path, capsys):
         "vertex l0: endpoint (order 1)",
         "no periodicity found within the bound",
     ]
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """The parser is built once per process; each call still gets its own
+    defaults and its own exit code."""
+    assert _build_parser() is _build_parser()
+    path = write_fixture(tmp_path, "tent")
+    code, report = run_json(capsys, ["classify", path, "--point", "v0", "--max-period", "3"])
+    assert code == 0 and report["period"] == 1
+    code, report = run_json(capsys, ["recurrence", path])
+    assert code == 1 and report["verdict"]["reason"] == "not-injective"
+    args = _build_parser().parse_args(["recurrence", path])
+    assert args.max_period == MAX_PERIOD_DEFAULT and not hasattr(args, "point")
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", path, "--max-period", "0", "--point", "v0"])
+    assert exc.value.code == 3
+    assert "must be at least 1" in capsys.readouterr().err
+    code, report = run_json(capsys, ["classify", path, "--point", "v1"])
+    assert code == 0 and report["point"] == {"vertex": "v1"}
+    assert report["preperiod"] == 1 and report["eventual_period"] == 1
+    code, report = run_json(capsys, ["recurrence", path, "--piece-cap", "5"])
+    assert code == 1
+    assert _build_parser().parse_args(["analyze", path]).depth == DEPTH_DEFAULT
+
+
+@pytest.mark.parametrize("command, compositions", [("odometer", 0), ("analyze", 0), ("verify", 3)])
+def test_deep_tower_composes_no_power(tmp_path, capsys, monkeypatch, command, compositions):
+    """A tower is certified, so `--depth 64` reads every fixed set off its
+    orbits; `verify` composes only f^2 and f^3, for the power check."""
+    path = write_fixture(tmp_path, "tower", {"periods": "2,4,8,16,32,64"})
+    composed = []
+    plain = plmap.compose
+
+    def counted(*args):
+        composed.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(plmap, "compose", counted)
+    code, report = run_json(capsys, [command, path, "--depth", "64"])
+    assert code == 0
+    assert len(composed) == compositions
+    if command == "odometer":
+        assert [c["period"] for c in report["cycles"]] == [2, 4, 8, 16, 32, 64]
+        assert report["classification"]["label"] == "topological (full)"
+    if command == "analyze":
+        assert len(report["fixed_sets"]) == 64
+        assert report["cumulative"]["64"]["segments"] == report["fixed_sets"]["64"]["segments"]

@@ -10,6 +10,7 @@ from dendrodyn import (
     PreconditionError,
     ResourceLimitError,
     UndecidedError,
+    dynamics,
     plmap,
 )
 from dendrodyn.dynamics import (
@@ -20,6 +21,8 @@ from dendrodyn.dynamics import (
     OmegaEstimate,
     RecurrenceVerdict,
     Witness,
+    HORIZON_DEFAULT,
+    _certificate,
     _orbit_points,
     _OrbitStore,
     _power_image,
@@ -42,6 +45,7 @@ from dendrodyn.fixtures import (
     random_finite_order_map,
     random_folding_map,
     rotation_star,
+    stem_sweep_map,
 )
 from dendrodyn.plmap import DEFAULT_PIECE_CAP, PLTreeMap, identity_map, map_from_vertex_images
 
@@ -459,6 +463,12 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     solved = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
     fixed_set(sag, 1)
     assert solved == []
+    # later powers in sequence: f^2 by squaring, then one composition each
+    stepped = count_calls(monkeypatch, plmap, "compose")
+    for n in (2, 3, 4):
+        fixed_set(sag, n)
+    assert [args[1:] for args in iterated] == [(1, DEFAULT_PIECE_CAP), (2, DEFAULT_PIECE_CAP)]
+    assert len(stepped) == 3 and len(solved) == 3
     # the same drift behind a flip: N = 2, so f^N is composed
     swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
     expected = composing_decide(swung)
@@ -909,14 +919,15 @@ def test_power_images_from_the_store_match_the_orbit_oracle():
 
 
 def test_radial_check_composes_only_for_the_fixed_set(monkeypatch):
-    """At power 2 the images come from the orbit store, so a fresh map
-    composes once: f^2, for its fixed set."""
+    """At power 2 the images come from the orbit store, so a fresh tent
+    composes once: f^2, for its fixed set.  The flip and the rotation are
+    certified, so their fixed sets come from their orbits: no composition."""
     composed = count_calls(monkeypatch, plmap, "compose")
     t = interval()
-    for f in (tent_on(t), flip_on(t), rotation_star(4)[1]):
+    for f, compositions in ((tent_on(t), 1), (flip_on(t), 0), (rotation_star(4)[1], 0)):
         composed.clear()
         got = check_no_radial_stretch(f, 2)
-        assert len(composed) == 1
+        assert len(composed) == compositions
         assert got == former_radial(f, 2)
 
 
@@ -967,3 +978,134 @@ def test_radial_witness_matches_the_former_loop():
             assert got == former_radial(f, n)
             statuses[got.status] = statuses.get(got.status, 0) + 1
     assert statuses["fail"] > 20 and statuses["pass"] > 20
+
+
+# -- fixed sets of certified maps, read off the orbit partition -------------------
+
+
+def fresh_copy(f):
+    """The same map built anew from its table, sharing no store with f."""
+    return PLTreeMap(f.domain, {eid: f.breakpoints(eid) for eid in f.domain.edge_ids})
+
+
+def certified_maps(rng):
+    t = interval()
+    maps = [flip_on(t), identity_map(t), identity_map(MetricTree(["o"], []))]
+    maps += [random_finite_order_map(seed, seed + 31)[1] for seed in range(10)]
+    maps += [rotation_star(k)[1] for k in range(2, 7)]
+    maps += [odometer_tower(2, (2, 4))[1], odometer_tower(3, (2, 4, 8))[1]]
+    maps += [odometer_tower(2, (3, 6))[1]]
+    maps += [random_involution(rng, rng.randint(1, 7)) for _ in range(8)]
+    maps += [permuted_star_map(rng, rng.randint(2, 6))[1] for _ in range(6)]
+    return maps
+
+
+def test_orbit_route_fixed_sets_match_the_composing_oracle(monkeypatch):
+    """Fix(f^n) read off the orbits, against the fixed points of f^n composed
+    on a fresh copy of f, for n = 1, ..., 2N."""
+    rng = random.Random(8191)
+    composed = count_calls(monkeypatch, plmap, "compose")
+    shapes = {"interval": 0, "midpoint": 0}
+    for f in certified_maps(rng):
+        cert = _certificate(f)
+        assert cert is not None
+        assert cert.power == decide_pointwise_recurrent(fresh_copy(f)).identity_power
+        got = {}
+        for n in range(1, 2 * cert.power + 1):
+            got[n] = fixed_set(f, n)
+        assert composed == []
+        for n, sub in got.items():
+            assert sub == fresh_copy(f).iterate(n).fixed_point_set(), (f, n)
+            shapes["interval"] += any(lo < hi for ivs in sub.segments.values() for lo, hi in ivs)
+            shapes["midpoint"] += n % 2 == 1 and cert.power % 2 == 0 and bool(sub.segments)
+        composed.clear()
+    assert shapes["interval"] > 20 and shapes["midpoint"] > 5
+
+
+def test_the_certificate_is_decided_once_and_only_for_recurrent_maps(monkeypatch):
+    rng = random.Random(6007)
+    t = interval()
+    for f in (tent_on(t), shift_on(t), sagged(rng, flip_on(t)), sagged(rng, rotation_star(3)[1])):
+        assert _certificate(f) is None
+        assert fixed_set(f, 2) == fresh_copy(f).iterate(2).fixed_point_set()
+    # a decision fills the certificate, so fixed_set walks nothing again
+    _, rot = rotation_star(5)
+    decide_pointwise_recurrent(rot)
+    walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
+    assert _certificate(rot).power == 5
+    assert fixed_set(rot, 5) == rot.domain.full_subtree()
+    assert fixed_set(rot, 7) == fixed_set(rot, 1)
+    assert walked == []
+    # a period past the default bound leaves the map to the composing route
+    big = rotation_star(3)[1]
+    monkeypatch.setattr(dynamics, "MAX_PERIOD_DEFAULT", 2)
+    assert _certificate(big) is None
+
+
+def test_powers_composed_in_sequence_match_iterate():
+    """f^n kept after f^(n-1) . f equals f^n by squaring, piece for piece."""
+
+    def pieces(g):
+        return [
+            (p.edge, p.t0, p.t1, p.p0, p.p1, p.arc.segments, p.arc.length)
+            for p in g._pieces
+        ]
+
+    t = interval()
+    sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    for f, upto in ((stem_sweep_map(3)[1], 6), (tent_on(t), 8), (sag, 8)):
+        for n in range(1, upto + 1):
+            fixed_set(f, n)
+            if n > 1:
+                assert f._last_power[:2] == (n, DEFAULT_PIECE_CAP)
+                assert pieces(f._last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
+    # out of order, only a power right after the last one takes the step
+    for f in (tent_on(t), fresh_copy(sag)):
+        for n in (5, 3, 4, 7, 6, 2):
+            assert fixed_set(f, n) == fresh_copy(f).iterate(n).fixed_point_set(), n
+            assert pieces(f._last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
+
+
+def former_returns(f, x, y, power=1, horizon=HORIZON_DEFAULT):
+    """The former loop of `returns_to_components`, with no shortcut at x."""
+    tree = f.domain
+    z = x
+    for _ in range(horizon):
+        for _ in range(power):
+            z = f.evaluate(z)
+        if z != y and not tree.on_arc(y, z, x):
+            return True
+    return False
+
+
+def test_returns_to_components_answers_at_the_start_without_measuring(monkeypatch):
+    s = star(40)
+    f = identity_map(s)
+    anchors = [s.vertex_point(v) for v in s.vertex_ids]
+    probes = s.grid_points(1)[:5]
+    measured = count_calls(monkeypatch, MetricTree, "distance")
+    for x in anchors:
+        for y in probes:
+            if y != x:
+                assert returns_to_components(f, x, y)
+    assert measured == []
+    # a leaf of the rotation is back after 6 steps: the 5 other leaves are
+    # measured (3 distances each), the return itself is not
+    _, rot = rotation_star(6)
+    x, y = rot.domain.vertex_point("l0"), rot.domain.vertex_point("c")
+    assert returns_to_components(rot, x, y)
+    assert len(measured) == 3 * 5
+
+
+def test_returns_to_components_matches_the_former_loop():
+    rng = random.Random(1213)
+    answers = {True: 0, False: 0}
+    for f in walk_maps() + [sagged(rng, rotation_star(4)[1]) for _ in range(4)]:
+        pts = f.domain.grid_points(2)
+        for _ in range(12 if len(pts) > 1 else 0):
+            x, y = rng.sample(pts, 2)
+            for power in (1, 2):
+                got = returns_to_components(f, x, y, power, horizon=30)
+                assert got == former_returns(f, x, y, power, horizon=30)
+                answers[got] += 1
+    assert answers[True] > 50 and answers[False] > 20

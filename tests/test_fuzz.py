@@ -122,14 +122,14 @@ def flag_values(tmp_path):
     return report, fixture
 
 
-def flag_case(rng, instance, tmp_path):
+def flag_case(rng, instances, tmp_path):
     report, fixture = flag_values(tmp_path)
     command = rng.choice(("recurrence", "analyze", "odometer", "classify", "verify", "fixture"))
     if command == "fixture":
         argv = [command, rng.choice(FIXTURE_KINDS + ("zz", ""))]
         flags = dict(fixture)
     else:
-        argv = [command, rng.choice((instance,) * 6 + (str(tmp_path / "missing.json"), ""))]
+        argv = [command, rng.choice(instances * 3 + (str(tmp_path / "missing.json"), ""))]
         flags = dict(report)
         if command == "classify" or rng.random() < 0.1:
             flags["--point"] = POINTS
@@ -145,12 +145,16 @@ def flag_case(rng, instance, tmp_path):
 
 
 def test_flags_never_escape_the_cli(tmp_path, capsys):
+    """On the rotation, a certified map, no bound flag ends a run early, so
+    the tent, which composes and fails its checks, stands next to it."""
     rng = random.Random(30_011)
-    instance = str(tmp_path / "rotation.json")
-    save_instance_file(instance, *build_fixture("rotation"))
+    instances = ()
+    for kind in ("rotation", "tent"):
+        instances += (str(tmp_path / f"{kind}.json"),)
+        save_instance_file(instances[-1], *build_fixture(kind))
     codes = {}
     for _ in range(400):
-        argv = flag_case(rng, instance, tmp_path)
+        argv = flag_case(rng, instances, tmp_path)
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refuses the argv

@@ -173,9 +173,12 @@ def test_detect_root_at_rejects_periodic_points():
 
 
 def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
-    """The flip's P_2 is the whole interval, so depth 5 composes f^2 only;
-    the rotation's P_1 = P_2 = P_3 is one level, kept at power 1, and the
-    root error names the last power reached."""
+    """The flip's P_2 is the whole interval, so depth 5 stops there, and the
+    flip is certified, so it composes nothing at all; the rotation's
+    P_1 = P_2 = P_3 is one level, kept at power 1, and the root error names
+    the last power reached.  The tent is refused as not injective before
+    any power is composed; an injective map that is not certified (the
+    flip with a drift inside) composes one power per level past the first."""
     composed = []
     plain = plmap.compose
 
@@ -186,7 +189,18 @@ def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
     monkeypatch.setattr(plmap, "compose", counted)
     _, flip = interval_flip()
     assert [c.period for c in detect_cycles_of_sets(flip, 5)] == [2]
-    assert len(composed) == 1
+    assert not composed
+    tent = shift_and_tent()["tent"][1]
+    with pytest.raises(PreconditionError, match="injective"):
+        detect_cycles_of_sets(tent, 5)
+    assert not composed
+    t = tent.domain
+    drift = [(0, t.vertex_point("v1")), (F(1, 2), t.edge_point("e", F(1, 4))), (1, t.vertex_point("v0"))]
+    swung = PLTreeMap(t, {"e": drift})
+    with pytest.raises(PreconditionError, match="touches the periodic set at 2 points"):
+        detect_cycles_of_sets(swung, 4)
+    assert len(composed) == 3  # f^2 = f . f, then f^3 and f^4 one composition each
+    composed.clear()
     tree, rot = rotation_star(4)
     assert [(c.level, c.period) for c in detect_cycles_of_sets(rot, 3)] == [(1, 4)]
     with pytest.raises(PreconditionError, match="periodic within power 3"):

@@ -157,12 +157,15 @@ def count_calls(monkeypatch, owner, name):
 def test_tower_checks_compute_each_power_once(monkeypatch):
     _, f = odometer_tower(4, (2, 4, 8, 16))
     fixed = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
+    composed = count_calls(monkeypatch, dendrodyn.plmap, "compose")
     decided = count_calls(monkeypatch, dendrodyn.verify, "decide_pointwise_recurrent")
     recs = run_checks(f)
     assert all(r.result.status != "fail" and not r.undecided for r in recs)
-    # powers 1..4, each once: the escape check stops at power 1, whose
-    # fixed set already holds a cutpoint, so power 5 is never composed
-    assert len(fixed) == 4
+    # the tower is certified, so every fixed set is read off its orbits:
+    # no power is solved for its fixed points, and the only compositions
+    # are f^2 and f^3 for the power-recurrence check
+    assert len(fixed) == 0
+    assert len(composed) == 3
     assert len(decided) == 3
     assert decided[0] is f
     assert decided[1].equals(f.iterate(2))
