@@ -35,20 +35,21 @@ are one, as arcs in a tree are unique.  So f^n fixes a point of O when
 its period divides n; on J it is the identity when it fixes both ends of
 J, fixes only the midpoint of J when it swaps them, and otherwise moves J
 off itself.  The map's certificate (`_Certificate`) keeps N and O, and
-each Fix(f^n) is read off it without composing.  Every other map has its
-powers composed, within a piece budget; the map keeps only the last
-power composed, so f^n after f^(n-1) costs one composition.
+each Fix(f^n) is read off it without composing; `_certificate` alone
+decides it, and the verdict and `fixed_set` read it there.  Every other
+map has its powers composed, within a piece budget.
 
-`_walk` is the one orbit walker.  It keeps one orbit
-store per map: the successors it has evaluated, and a label (preperiod,
-cycle, entry) on every point whose orbit it has seen repeat.  A walk
-stops at the first labelled point and labels the points it passed, so
-over all the samples of a map each orbit point is evaluated once.
-Periods, eventual cycles, limit sets, the sampled orbit checks and the
-recurrence decision's certificate are read off the labels, and every
-image f^n(x) off the store (`_power_image`), never off a power map.
-The store holds at most a fixed multiple of the map's vertices plus
-pieces; past that, walks go on without storing and answer the same.
+What this module learns of a map is kept in one store per map
+(`_OrbitStore`).  `_walk` is the one orbit walker: it keeps the
+successors it has evaluated, and a label (preperiod, cycle, entry) on
+every point whose orbit it has seen repeat.  A walk stops at the first
+labelled point and labels the points it passed, so over all the samples
+of a map each orbit point is evaluated once.  Periods, eventual cycles,
+limit sets, the sampled orbit checks and the recurrence decision's
+certificate are read off the labels, and every image f^n(x) off the
+store (`_power_image`), never off a power map.  The store's orbit
+entries are at most a fixed multiple of the map's vertices plus pieces;
+past that, walks go on without storing and answer the same.
 """
 
 from __future__ import annotations
@@ -126,7 +127,8 @@ class OmegaEstimate:
 def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """The exact set of points with f^n(x) = x, computed once per map.
 
-    On a certified map (`_certificate`, with f^N the identity) this is
+    On a certified map (`_certificate`: f^N is the identity, N at most
+    `MAX_PERIOD_DEFAULT`) this is
     Fix(f^gcd(n, N)), read off the finite invariant set O of the orbits of
     the vertices and interior breakpoints, and no budget applies: the
     points of O whose period divides n, the closure of each interval of
@@ -135,34 +137,38 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
 
     Any other map composes f^n within `piece_cap` pieces: one composition
     f^(n-1) . f when f^(n-1) is the last power composed here with the same
-    budget, else by squaring.  The map keeps f^n in its place, and no other
-    power: keeping every power raised peak memory by about 9% on
-    odometer-tower analyses.  Only this function reads or fills the store
-    of fixed sets on f, keyed (n, piece_cap) on this route: a smaller
-    budget may raise where a larger one succeeds, and a call that raises
-    stores nothing.
+    budget, else by squaring.  f's store keeps f^n in its place, and no
+    other power: keeping every power raised peak memory by about 9% on
+    odometer-tower analyses.  The fixed sets are kept in f's store, keyed
+    (n, piece_cap) on this route: a smaller budget may raise where a
+    larger one succeeds, and a call that raises stores nothing.
     """
     if n < 1:
         raise PreconditionError("power must be at least 1")
-    cert = _certificate(f)
+    try:
+        cert = _certificate(f, MAX_PERIOD_DEFAULT)
+    except UndecidedError:
+        cert = None
+    fixed_sets = _OrbitStore.of(f).fixed_sets
     key = (n, piece_cap) if cert is None else (gcd(n, cert.power), None)
-    if key not in f._fixed_sets:
+    if key not in fixed_sets:
         if cert is not None:
-            f._fixed_sets[key] = cert.fixed_set(f.domain, key[0])
+            fixed_sets[key] = cert.fixed_set(f.domain, key[0])
         else:
-            f._fixed_sets[key] = _composed_power(f, n, piece_cap).fixed_point_set()
-    return f._fixed_sets[key]
+            fixed_sets[key] = _composed_power(f, n, piece_cap).fixed_point_set()
+    return fixed_sets[key]
 
 
 def _composed_power(f: PLTreeMap, n: int, piece_cap: int) -> PLTreeMap:
-    """f^n within the budget, kept on f as its last power when composed."""
-    last = f._last_power
+    """f^n within the budget, kept in f's store as its last power."""
+    store = _OrbitStore.of(f)
+    last = store.last_power
     if last is not None and last[:2] == (n - 1, piece_cap):
         g = f.next_power(last[2], piece_cap)
     else:
         g = f.iterate(n, piece_cap)
     if n > 1:
-        f._last_power = (n, piece_cap, g)
+        store.last_power = (n, piece_cap, g)
     return g
 
 
@@ -218,7 +224,8 @@ def decide_pointwise_recurrent(
 ) -> RecurrenceVerdict:
     """Decide whether every point returns to itself under iteration.
 
-    The route is exact and samples nothing:
+    The route is exact and samples nothing; whether f is certified is
+    decided once per map, by `_certificate`, and read here:
 
     1. A non-injective map has a collapsing pair; fail with it.
     2. A non-surjective map leaves a gap no orbit re-enters; fail with a
@@ -241,11 +248,15 @@ def decide_pointwise_recurrent(
        the midpoint of a moved gap is the witness.
     """
     tree = f.domain
-    store = _OrbitStore.of(f)
+    cap = min(max_period, ABSOLUTE_POWER_CAP)
+    cert = _certificate(f, cap)
+    if cert is not None:
+        return RecurrenceVerdict(
+            pointwise_recurrent=True, identity_power=cert.power, reason="identity-power"
+        )
 
     injective, pair = f.is_injective()
     if not injective:
-        store.certificate = None
         return RecurrenceVerdict(
             pointwise_recurrent=False,
             witness=Witness(
@@ -258,7 +269,6 @@ def decide_pointwise_recurrent(
 
     image = f.image()
     if image != tree.full_subtree():
-        store.certificate = None
         gaps = tree.components_minus(image)
         q = gaps[0].repr_point
         return RecurrenceVerdict(
@@ -271,16 +281,8 @@ def decide_pointwise_recurrent(
             reason="not-surjective",
         )
 
-    power = _intrinsic_period(f, min(max_period, ABSOLUTE_POWER_CAP))
-    store.certificate = _certify(f, power)
-    if store.certificate is not None:
-        return RecurrenceVerdict(
-            pointwise_recurrent=True,
-            identity_power=power,
-            reason="identity-power",
-        )
-
-    # some vertex or breakpoint is moved by f^N, so f^N is not the identity
+    # a homeomorphism whose f^N moves some vertex or breakpoint
+    power = _intrinsic_period(f, cap)
     moved = tree.components_minus(fixed_set(f, power, piece_cap))
     if not moved:
         raise ConsistencyError("a power that moves a point fixes the whole tree")
@@ -365,7 +367,8 @@ def omega_limit_estimate(
 
 
 class _OrbitStore:
-    """The orbit points of one map: labels once resolved, and successors.
+    """What this module keeps of one map: orbit points, certificate, and
+    the fixed sets and last composed power of `fixed_set`.
 
     `labels` maps a point whose orbit has been seen to repeat to
     (preperiod, cycle, entry): `cycle` is the tuple of the points of the
@@ -378,16 +381,18 @@ class _OrbitStore:
     pieces; once it is reached, walks go on without storing.  Only
     `_walk` and `_orbit_points` read and fill them.  `certificate` is the
     map's `_Certificate`, kept apart from the budget, or None once the map
-    is known to have none; only `_certificate` and the decision set it.
+    is known to have none; only `_certificate` sets it.
     """
 
-    __slots__ = ("succ", "labels", "budget", "certificate")
+    __slots__ = ("succ", "labels", "budget", "certificate", "fixed_sets", "last_power")
 
     def __init__(self, f: PLTreeMap):
         self.succ = {}
         self.labels = {}
         self.budget = ORBIT_STORE_PER_ITEM * (len(f.domain.vertex_ids) + f.piece_count)
-        self.certificate = _UNDECIDED  # a _Certificate, or None once f is known to have none
+        self.certificate = _UNDECIDED  # until `_certificate` decides it
+        self.fixed_sets = {}  # (n, piece_cap), or (gcd(n, N), None) when certified
+        self.last_power = None  # (n, piece_cap, f^n): the last power composed
 
     @staticmethod
     def of(f: PLTreeMap) -> "_OrbitStore":
@@ -497,17 +502,13 @@ def _intrinsic_period(f: PLTreeMap, cap: int) -> int:
             )
         images[v] = img.vertex
     power = 1
-    seen = set()
     for v in intrinsic:
-        if v in seen:
-            continue
-        cycle = [v]
-        w = images[v]
-        while w != v:
-            cycle.append(w)
-            w = images[w]
-        seen.update(cycle)
-        power = lcm(power, len(cycle))
+        length = 0
+        while v in images:  # round v's cycle, taking each vertex off once
+            v = images.pop(v)
+            length += 1
+        if length:
+            power = lcm(power, length)
         if power > cap:
             raise UndecidedError(
                 f"the candidate identity power exceeds the bound ({power} > {cap})"
@@ -594,25 +595,26 @@ class _Certificate:
         return Subtree.build(tree, segs, verts)
 
 
-def _certify(f: PLTreeMap, power: int) -> _Certificate | None:
-    """The certificate that the homeomorphism f^power is the identity, or None."""
-    cycles = _certified_cycles(f, power)
-    return None if cycles is None else _Certificate(power, cycles)
-
-
-def _certificate(f: PLTreeMap) -> _Certificate | None:
-    """The map's certificate, or None when f has none.  Decided once per
-    map: by `decide_pointwise_recurrent`, under its `max_period`, or here
-    on first use, under `MAX_PERIOD_DEFAULT`."""
+def _certificate(f: PLTreeMap, cap: int) -> _Certificate | None:
+    """The map's certificate that f^N is the identity, or None when f has
+    none: injective, surjective, N within `cap`, and every vertex and
+    interior breakpoint back after N steps.  Decided once per map, here
+    alone.  An N past the cap raises UndecidedError and stores nothing,
+    so a larger cap may still certify f; a certificate found is returned
+    only under a cap it fits, and otherwise raises the same error."""
     store = _OrbitStore.of(f)
-    if store.certificate is _UNDECIDED:
-        store.certificate = None
+    cert = store.certificate
+    if cert is _UNDECIDED:
+        cert = None
         if f.is_injective()[0] and f.image() == f.domain.full_subtree():
-            try:
-                store.certificate = _certify(f, _intrinsic_period(f, MAX_PERIOD_DEFAULT))
-            except UndecidedError:
-                pass
-    return store.certificate
+            power = _intrinsic_period(f, cap)
+            cycles = _certified_cycles(f, power)
+            if cycles is not None:
+                cert = _Certificate(power, cycles)
+        store.certificate = cert
+    elif cert is not None and cert.power > cap:
+        _intrinsic_period(f, cap)  # raises the bound's UndecidedError
+    return cert
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):

@@ -9,12 +9,10 @@ here is a decision, not an approximation.
 
 `PLTreeMap.image_of_subtree` is the one image routine: the image of the
 whole tree and of an arc are that routine on the full subtree and on the
-arc's subtree.  Each map also carries what `dynamics` has learnt of it:
-the fixed sets of its powers once `dynamics.fixed_set` has computed
-them, at most one power map (the last one that function composed, so
-the next power costs one composition), and its orbit store, with the
-labelled orbit points `dynamics._walk` has resolved and the certificate
-that f^N is the identity when the map has one.
+arc's subtree.  A map keeps the two facts about it decided here, its
+image and its injectivity, once asked; and it holds one slot for
+`dynamics`, whose per-map store (orbits, certificate, fixed sets of
+powers) is opaque to this module.
 
 A map is built two ways.  The table constructor validates breakpoints
 and asks the tree for each piece's arc; it is the entry point for files,
@@ -89,8 +87,7 @@ class PLTreeMap:
     """
 
     __slots__ = (
-        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_fixed_sets", "_last_power",
-        "_orbits",
+        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_injective", "_orbits",
     )
 
     def __init__(self, domain: MetricTree, table):
@@ -154,11 +151,8 @@ class PLTreeMap:
         # per edge: breakpoint parameters, and the pieces between them (the map's one form)
         self._edge_index = edge_index
         self._image = None
-        # (n, piece_cap), or (gcd(n, N), None) on a certified map -> fixed set,
-        # kept by dynamics.fixed_set
-        self._fixed_sets = {}
-        self._last_power = None  # (n, piece_cap, f^n): the last power dynamics.fixed_set composed
-        self._orbits = None  # the orbit store, made and kept by dynamics._walk
+        self._injective = None
+        self._orbits = None  # the store made and kept by dynamics
 
     # -- inspection --------------------------------------------------------
 
@@ -296,6 +290,13 @@ class PLTreeMap:
 
     def is_injective(self) -> tuple:
         """Exact decision, with a witness pair of distinct points on failure.
+        Decided once per map, by `_decide_injective`, and kept."""
+        if self._injective is None:
+            self._injective = self._decide_injective()
+        return self._injective
+
+    def _decide_injective(self) -> tuple:
+        """The one injectivity sweep.
 
         The witness is the window ends of the first constant piece, else
         the first pair of pieces i < j whose arcs meet at distinct

@@ -8,15 +8,17 @@ confirmations nor refutations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .dynamics import (
+    ABSOLUTE_POWER_CAP,
     CheckResult,
     Witness,
     _certified_cycles,
+    _intrinsic_period,
     _periodic_levels,
     _power_image,
+    _walk,
     check_escape,
     check_full_invariance,
     check_no_preperiodic,
@@ -25,7 +27,6 @@ from .dynamics import (
     fixed_set,
     periodic_union,
     returns_to_components,
-    vertex_period,
     HORIZON_DEFAULT,
     MAX_PERIOD_DEFAULT,
 )
@@ -83,16 +84,7 @@ def _recurrence_verdict_consistency(f, decided, max_period) -> CheckResult:
     elif w.kind == "escaping-orbit":
         ok = not f.image().contains(w.points[0])
     elif w.kind == "non-periodic-cutpoint":
-        periods = []
-        for v in f.domain.vertex_ids:
-            if f.domain.degree(v) != 2:
-                p = vertex_period(f, v, max_period)
-                if p is None:
-                    return CheckResult(
-                        "fail", witness=w, detail=f"vertex {v!r} period did not recur"
-                    )
-                periods.append(p)
-        n = math.lcm(*periods) if periods else 1
+        n = _intrinsic_period(f, min(max_period, ABSOLUTE_POWER_CAP))  # the decision's N
         x = w.points[0]
         ok = _power_image(f, x, n) != x
     else:
@@ -139,6 +131,10 @@ def _periodic_points_totally_return(f, horizon, piece_cap) -> CheckResult:
         probes = [y for y in others[:5] if y != x][:4]  # x is at most one of them
         for y in probes:
             if not returns_to_components(f, x, y, power=1, horizon=horizon):
+                if _walk(f, x, horizon) is None:
+                    raise UndecidedError(
+                        f"a periodic point's orbit does not close within the horizon ({horizon})"
+                    )
                 return CheckResult(
                     "fail",
                     witness=Witness("missing-return", (x, y)),

@@ -131,6 +131,34 @@ def test_verify_exit_codes(tmp_path, capsys):
     assert "surjectivity-and-orbit-invariance" in failed
 
 
+def test_verify_horizon_below_the_period_is_undecided(tmp_path, capsys):
+    # the rotation's leaves have period 3: at horizon 1 or 2 their orbits
+    # have not closed, which is a bound reached, not a failed check
+    path = write_fixture(tmp_path, "rotation")
+    for horizon, code in (("1", 2), ("2", 2), ("3", 0)):
+        got, report = run_json(capsys, ["verify", "--horizon", horizon, path])
+        assert got == code, horizon
+        assert report["summary"]["fail"] == 0
+
+
+@pytest.mark.parametrize("command, sweeps", [("verify", 3), ("odometer", 1)])
+def test_one_injectivity_sweep_per_map(tmp_path, capsys, monkeypatch, command, sweeps):
+    # verify decides f, f^2 and f^3; odometer asks only of f
+    path = write_fixture(tmp_path, "tower", {"periods": "2,4,8,16"})
+    swept = []
+    plain = PLTreeMap._decide_injective
+
+    def counted(f):
+        swept.append(f)
+        return plain(f)
+
+    monkeypatch.setattr(PLTreeMap, "_decide_injective", counted)
+    assert main([command, path]) == 0
+    capsys.readouterr()
+    assert len(swept) == sweeps
+    assert len({id(f) for f in swept}) == sweeps
+
+
 def test_escape_check_skips_before_the_piece_budget(tmp_path, capsys):
     # the rotation's centre is fixed by f itself, so the escape check skips
     # without composing the powers a budget of one piece cannot hold; the

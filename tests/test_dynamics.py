@@ -1007,7 +1007,7 @@ def test_orbit_route_fixed_sets_match_the_composing_oracle(monkeypatch):
     composed = count_calls(monkeypatch, plmap, "compose")
     shapes = {"interval": 0, "midpoint": 0}
     for f in certified_maps(rng):
-        cert = _certificate(f)
+        cert = _certificate(f, MAX_PERIOD_DEFAULT)
         assert cert is not None
         assert cert.power == decide_pointwise_recurrent(fresh_copy(f)).identity_power
         got = {}
@@ -1026,20 +1026,53 @@ def test_the_certificate_is_decided_once_and_only_for_recurrent_maps(monkeypatch
     rng = random.Random(6007)
     t = interval()
     for f in (tent_on(t), shift_on(t), sagged(rng, flip_on(t)), sagged(rng, rotation_star(3)[1])):
-        assert _certificate(f) is None
+        assert _certificate(f, MAX_PERIOD_DEFAULT) is None
         assert fixed_set(f, 2) == fresh_copy(f).iterate(2).fixed_point_set()
     # a decision fills the certificate, so fixed_set walks nothing again
     _, rot = rotation_star(5)
     decide_pointwise_recurrent(rot)
     walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
-    assert _certificate(rot).power == 5
+    assert _certificate(rot, MAX_PERIOD_DEFAULT).power == 5
     assert fixed_set(rot, 5) == rot.domain.full_subtree()
     assert fixed_set(rot, 7) == fixed_set(rot, 1)
     assert walked == []
-    # a period past the default bound leaves the map to the composing route
+    # a period past the default bound leaves the map undecided and to the
+    # composing route; a larger cap still certifies it, and a certificate
+    # found is refused under a cap it does not fit
     big = rotation_star(3)[1]
     monkeypatch.setattr(dynamics, "MAX_PERIOD_DEFAULT", 2)
-    assert _certificate(big) is None
+    bound = r"^the candidate identity power exceeds the bound \(3 > 2\)$"
+    with pytest.raises(UndecidedError, match=bound):
+        _certificate(big, 2)
+    composed = count_calls(monkeypatch, plmap, "compose")
+    assert fixed_set(big, 2) == fresh_copy(big).iterate(2).fixed_point_set()
+    assert composed
+    assert _certificate(big, 3).power == 3
+    with pytest.raises(UndecidedError, match=bound):
+        _certificate(big, 2)
+
+
+@pytest.mark.parametrize("decide_first", [True, False])
+def test_the_decision_and_fixed_set_share_one_certificate(monkeypatch, decide_first):
+    t = interval()
+    sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    maps = [rotation_star(5)[1], odometer_tower(3, (2, 4, 8))[1], flip_on(t), sag]
+    certified = count_calls(monkeypatch, dynamics, "_certified_cycles")
+    swept = count_calls(monkeypatch, PLTreeMap, "_decide_injective")
+    walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
+    asks = [lambda f: decide_pointwise_recurrent(f), lambda f: fixed_set(f, 2)]
+    if not decide_first:
+        asks.reverse()
+    for f in maps:
+        asks[0](f)
+        assert len(certified) == len(swept) == 1
+        walked.clear()
+        asks[1](f)
+        assert len(certified) == len(swept) == 1
+        if f is not sag:  # the drift's witness walks its own orbit
+            assert walked == []
+        certified.clear()
+        swept.clear()
 
 
 def test_powers_composed_in_sequence_match_iterate():
@@ -1057,13 +1090,14 @@ def test_powers_composed_in_sequence_match_iterate():
         for n in range(1, upto + 1):
             fixed_set(f, n)
             if n > 1:
-                assert f._last_power[:2] == (n, DEFAULT_PIECE_CAP)
-                assert pieces(f._last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
+                last = _OrbitStore.of(f).last_power
+                assert last[:2] == (n, DEFAULT_PIECE_CAP)
+                assert pieces(last[2]) == pieces(fresh_copy(f).iterate(n)), n
     # out of order, only a power right after the last one takes the step
     for f in (tent_on(t), fresh_copy(sag)):
         for n in (5, 3, 4, 7, 6, 2):
             assert fixed_set(f, n) == fresh_copy(f).iterate(n).fixed_point_set(), n
-            assert pieces(f._last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
+            assert pieces(_OrbitStore.of(f).last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
 
 
 def former_returns(f, x, y, power=1, horizon=HORIZON_DEFAULT):

@@ -158,6 +158,26 @@ def test_detect_drift_between_two_fixed_ends_is_no_tower():
         detect_cycles_of_sets(sag, 4)
 
 
+def test_detect_drops_a_level_that_does_not_refine_the_cycle():
+    # arms a0, a1 swapped and b0, b1, b2 rotated about a fixed centre: level
+    # 1 leaves the five arms, and the root's cycle is the three b-arms; level
+    # 2 removes the a-arms too and leaves the same period-3 cycle, which is
+    # dropped; level 3 removes the whole tree
+    arms = ["a0", "a1", "b0", "b1", "b2"]
+    tree = MetricTree(["c"] + arms, [(f"e{v}", ("c", v), 1) for v in arms])
+    turn = {"a0": "a1", "a1": "a0", "b0": "b1", "b1": "b2", "b2": "b0", "c": "c"}
+    f = PLTreeMap(
+        tree,
+        {
+            f"e{v}": [(0, tree.vertex_point("c")), (1, tree.vertex_point(turn[v]))]
+            for v in arms
+        },
+    )
+    cycles = detect_cycles_of_sets(f, 4)
+    assert [(c.level, c.period) for c in cycles] == [(1, 3)]
+    assert {s.attachment for s in cycles[0].sets} == {tree.vertex_point("c")}
+
+
 def test_detect_root_at_selects_the_component():
     tree, rot = rotation_star(3)
     p = tree.edge_point("a2", F(1, 3))
@@ -287,6 +307,19 @@ def test_semiconjugacy_flags_a_mis_ordered_cycle():
     report = verify_semiconjugacy(rot, (bad,))
     assert report.status == "fail"
     assert report.witness.kind == "semiconjugacy-mismatch"
+
+
+def test_semiconjugacy_fails_where_the_image_has_no_address():
+    # the constant map onto the centre sends every sample off every set
+    tree, rot = rotation_star(3)
+    cycles = detect_cycles_of_sets(rot, 1)
+    c = tree.vertex_point("c")
+    collapse = PLTreeMap(tree, {eid: [(0, c), (1, c)] for eid in tree.edge_ids})
+    report = verify_semiconjugacy(collapse, cycles)
+    assert report.status == "fail"
+    assert report.detail == "3 of 3 samples failed"
+    assert report.witness.kind == "semiconjugacy-mismatch"
+    assert report.witness.detail.startswith("address undefined:")
 
 
 def test_classify_rotation_is_full_at_depth_one():

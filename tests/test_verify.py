@@ -4,7 +4,13 @@ import pytest
 
 import dendrodyn.verify
 from dendrodyn import MetricTree, PLTreeMap, build_fixture
-from dendrodyn.dynamics import MAX_PERIOD_DEFAULT, RecurrenceVerdict, decide_pointwise_recurrent
+from dendrodyn.dynamics import (
+    MAX_PERIOD_DEFAULT,
+    CheckResult,
+    RecurrenceVerdict,
+    Witness,
+    decide_pointwise_recurrent,
+)
 from dendrodyn.fixtures import odometer_tower
 from dendrodyn.verify import CHECK_NAMES, _recurrence_verdict_consistency, run_checks
 
@@ -117,6 +123,16 @@ def test_forged_positive_verdict_fails_the_recheck(case):
     assert result.detail == "claimed power 2 is not the identity"
 
 
+def test_forged_drift_witness_fails_the_recheck():
+    # a leaf of the 3-arm rotation moves under f but not under f^N, N = 3
+    tree, f = build_fixture("rotation", {"arms": "3"})
+    witness = Witness(kind="non-periodic-cutpoint", points=(tree.vertex_point("l0"),))
+    forged = RecurrenceVerdict(pointwise_recurrent=False, witness=witness)
+    result = _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT)
+    assert result.status == "fail"
+    assert result.detail == "witness did not re-verify"
+
+
 def test_drift_witness_reverifies_by_orbit():
     # fixes both endpoints, pushes everything between toward v0
     t = interval()
@@ -202,11 +218,26 @@ def test_folding_sweep_reverifies_negative_verdicts():
         assert "re-verified" in rec.result.detail
 
 
-def test_totally_return_catches_a_planted_failure():
-    # a point of period 3 probed with horizon 1 means the single probed
-    # image stays on the far side of some separator, which must fail
+def test_totally_return_catches_a_planted_failure(monkeypatch):
+    # a point of period 3 probed with horizon 1 or 2 has not come back yet:
+    # the negative is horizon-relative, so the check hit a bound, not a fault
     tree, f = build_fixture("rotation", {"arms": "3"})
-    recs = by_name(run_checks(f, horizon=1))
-    rec = recs["periodic-points-totally-return"]
+    for horizon in (1, 2):
+        rec = by_name(run_checks(f, horizon=horizon))["periodic-points-totally-return"]
+        assert rec.undecided
+        assert rec.result == CheckResult(
+            "skipped",
+            detail=(
+                "bound reached: a periodic point's orbit does not close "
+                f"within the horizon ({horizon})"
+            ),
+        )
+    rec = by_name(run_checks(f, horizon=3))["periodic-points-totally-return"]
+    assert not rec.undecided
+    assert rec.result == CheckResult("pass", detail="4 periodic points probed")
+    # a missing return from an orbit that closed within the horizon fails
+    monkeypatch.setattr(dendrodyn.verify, "returns_to_components", lambda *a, **k: False)
+    rec = by_name(run_checks(f, horizon=3))["periodic-points-totally-return"]
+    assert not rec.undecided
     assert rec.result.status == "fail"
     assert rec.result.witness.kind == "missing-return"
