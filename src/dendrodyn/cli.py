@@ -224,14 +224,15 @@ def _run_verify(tree, f, args):
 
 def _run_fixture(args):
     params = {}
-    for item in args.param or []:
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    for item in [*(args.param or []), *seed]:
         if "=" not in item:
             raise PreconditionError(f"parameters take the form key=value, got {item!r}")
         key, _, value = item.partition("=")
+        if key in params:
+            raise PreconditionError(f"fixture parameter {key!r} is given twice")
         params[key] = value
-    if args.seed is not None:
-        params.setdefault("seed", args.seed)
-    elif args.kind.startswith("random") and "seed" not in params:
+    if args.kind.startswith("random") and "seed" not in params:
         env = os.environ.get("DENDRODYN_SEED")
         if env is not None:
             params["seed"] = env

@@ -45,11 +45,11 @@ successors it has evaluated, and a label (preperiod, cycle, entry) on
 every point whose orbit it has seen repeat.  A walk stops at the first
 labelled point and labels the points it passed, so over all the samples
 of a map each orbit point is evaluated once.  Periods, eventual cycles,
-limit sets, the sampled orbit checks and the recurrence decision's
-certificate are read off the labels, and every image f^n(x) off the
-store (`_power_image`), never off a power map.  The store's orbit
-entries are at most a fixed multiple of the map's vertices plus pieces;
-past that, walks go on without storing and answer the same.
+the sampled orbit checks and the recurrence decision's certificate are
+read off the labels, and every image f^n(x) off the store
+(`_power_image`), never off a power map.  The store's orbit entries are
+at most a fixed multiple of the map's vertices plus pieces; past that,
+walks go on without storing and answer the same.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from math import gcd, lcm
 
 from .errors import ConsistencyError, PreconditionError, UndecidedError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
-from .tree import ONE, ZERO, Component, Subtree, TreePoint, point_key
+from .tree import ONE, ZERO, Subtree, TreePoint
 
 MAX_PERIOD_DEFAULT = 10_000
 HORIZON_DEFAULT = 1_000
@@ -103,10 +103,6 @@ class CheckResult:
     witness: Witness | None = None
     detail: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.status != "fail"
-
 
 @dataclass(frozen=True, slots=True)
 class PeriodicStructure:
@@ -115,13 +111,6 @@ class PeriodicStructure:
     fixed_sets: dict
     cumulative: dict
     vertex_periods: dict
-
-
-@dataclass(frozen=True, slots=True)
-class OmegaEstimate:
-    points: tuple
-    exact: bool
-    period: int | None = None
 
 
 def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
@@ -331,39 +320,6 @@ def returns_to_components(
         if z == x or (z != y and not tree.on_arc(y, z, x)):
             return True
     return False
-
-
-def forward_component(f: PLTreeMap, n: int, x: TreePoint) -> Component:
-    """The component of the tree minus x that the n-th image of x lands in.
-
-    Membership in the returned component amounts to: x does not lie on
-    the arc from the queried point to f^n(x).
-    """
-    f.domain.validate_point(x)
-    q = _power_image(f, x, n)
-    if q == x:
-        raise PreconditionError("the point is fixed by the n-th power")
-    for comp in f.domain.components_minus_point(x):
-        if comp.contains(q):
-            return comp
-    raise ConsistencyError("image point escaped every component")
-
-
-def omega_limit_estimate(
-    f: PLTreeMap,
-    x: TreePoint,
-    burn_in: int = 100,
-    window: int = 100,
-) -> OmegaEstimate:
-    """Limit set of an orbit: exact on detected repetition, else a labeled
-    estimate consisting of the post-burn-in orbit points."""
-    horizon = burn_in + window
-    label = _walk(f, x, horizon)
-    if label is None:
-        points = islice(_orbit_points(f, x), burn_in + 1, horizon + 1)
-        return OmegaEstimate(points=tuple(points), exact=False)
-    _, cycle, entry = label
-    return OmegaEstimate(points=cycle[entry:] + cycle[:entry], exact=True, period=len(cycle))
 
 
 class _OrbitStore:

@@ -152,7 +152,7 @@ def stem_sweep_spread(k: int, radius=None) -> Fraction:
     if not 0 < radius <= 1:
         raise PreconditionError("radius must lie in (0, 1]")
     ball = tree.arc(tree.vertex_point("s"), tree.edge_point("stem", radius))
-    once = f.image_of_arc(ball)
+    once = f.image_of_subtree(ball.as_subtree())
     twice = f.image_of_subtree(once)
     corners = twice.corner_points()
     return max(
@@ -342,13 +342,6 @@ def build_fixture(kind: str, params: dict | None = None):
     """
     params = dict(params or {})
 
-    def want(name, default=None):
-        if name in params:
-            return params.pop(name)
-        if default is None:
-            raise PreconditionError(f"fixture {kind!r} needs parameter {name!r}")
-        return default
-
     def number(name, value, convert=int):
         try:
             return convert(value)
@@ -367,16 +360,16 @@ def build_fixture(kind: str, params: dict | None = None):
             )
 
     if kind == "star":
-        k = number("k", want("k", 4))
+        k = number("k", params.pop("k", 4))
         bounded("k", k + 1)
         tree = star_dendrite(k)
         pair = tree, identity_map(tree)
     elif kind == "stem_collapse":
-        k = number("k", want("k", 4))
+        k = number("k", params.pop("k", 4))
         bounded("k", k + 1)
         pair = stem_collapse_map(k)
     elif kind == "stem_sweep":
-        k = number("k", want("k", 4))
+        k = number("k", params.pop("k", 4))
         # 2^(k+2), the deepest cut's denominator, has more than MAX_DIGITS
         # digits once k + 2 reaches the bit length of 10^MAX_DIGITS: k = 3320
         if k + 2 >= (10**MAX_DIGITS).bit_length():
@@ -392,24 +385,25 @@ def build_fixture(kind: str, params: dict | None = None):
     elif kind == "tent":
         pair = shift_and_tent()["tent"]
     elif kind == "rotation":
-        arms = number("arms", want("arms", 3))
+        arms = number("arms", params.pop("arms", 3))
         bounded("arms", arms + 1)
         pair = rotation_star(
             arms,
-            number("arm_length", want("arm_length", 1), fraction_from_str),
+            number("arm_length", params.pop("arm_length", 1), fraction_from_str),
         )
     elif kind == "tower":
-        periods = want("periods", (2, 4))
+        periods = params.pop("periods", (2, 4))
         if isinstance(periods, str):
             periods = [p for p in periods.split(",") if p]
         periods = tuple(number("periods", p) for p in periods)
         bounded("periods", 2 + sum(periods))
-        pair = odometer_tower(number("depth", want("depth", len(periods))), periods)
+        pair = odometer_tower(number("depth", params.pop("depth", len(periods))), periods)
     elif kind == "random_finite_order":
-        seed = number("seed", want("seed", 0))
-        pair = random_finite_order_map(seed, number("order_seed", want("order_seed", seed + 1)))
+        seed = number("seed", params.pop("seed", 0))
+        order_seed = number("order_seed", params.pop("order_seed", seed + 1))
+        pair = random_finite_order_map(seed, order_seed)
     elif kind == "random_folding":
-        pair = random_folding_map(number("seed", want("seed", 0)))
+        pair = random_folding_map(number("seed", params.pop("seed", 0)))
     else:
         raise StructureError(f"unknown fixture kind {kind!r}")
     if params:

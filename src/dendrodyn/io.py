@@ -48,19 +48,23 @@ def point_to_json(p: TreePoint) -> dict:
 
 
 def point_from_json(obj, tree: MetricTree) -> TreePoint:
+    """A point from one of the two forms `point_to_json` writes:
+    {"vertex": v} or {"edge": e, "t": p/q}, with no other key."""
     if not isinstance(obj, dict):
         raise StructureError(f"a point must be an object, got {obj!r}")
-    if "vertex" in obj:
+    if len(obj) == 1 and "vertex" in obj:
         v = obj["vertex"]
         if not isinstance(v, str) or not tree.has_vertex(v):
             raise StructureError(f"unknown vertex {v!r}")
         return tree.vertex_point(v)
-    if "edge" in obj:
+    if len(obj) == 2 and "edge" in obj and "t" in obj:
         eid = obj["edge"]
         if eid not in tree.edge_ids:
             raise StructureError(f"unknown edge {eid!r}")
-        return tree.edge_point(eid, fraction_from_str(obj.get("t", "0/1")))
-    raise StructureError(f"a point needs 'vertex' or 'edge', got {sorted(obj)}")
+        return tree.edge_point(eid, fraction_from_str(obj["t"]))
+    raise StructureError(
+        f"a point has the keys ['vertex'] or ['edge', 't'], got {sorted(map(str, obj))}"
+    )
 
 
 def _string_ids(ids) -> list:

@@ -376,7 +376,7 @@ def classify_adding_machine(cycles, expected_type: OdometerType | None = None) -
                 continue
             at = comp.attachment
             if at not in split:
-                others = tree.components_minus_point(at)
+                others = tree.components_minus(tree.point_subtree(at))
                 split[at] = (others, _locator(others))
             others, locate = split[at]
             i = locate(comp.repr_point)

@@ -7,12 +7,11 @@ Every map sends a tree into itself.  Composition, iteration,
 injectivity, and fixed-point sets are computed exactly, so every answer
 here is a decision, not an approximation.
 
-`PLTreeMap.image_of_subtree` is the one image routine: the image of the
-whole tree and of an arc are that routine on the full subtree and on the
-arc's subtree.  A map keeps the two facts about it decided here, its
-image and its injectivity, once asked; and it holds one slot for
-`dynamics`, whose per-map store (orbits, certificate, fixed sets of
-powers) is opaque to this module.
+`PLTreeMap.image_of_subtree` is the one image routine; the image of the
+whole tree is that routine on the full subtree.  A map keeps the two
+facts about it decided here, its image and its injectivity, once asked;
+and it holds one slot for `dynamics`, whose per-map store (orbits,
+certificate, fixed sets of powers) is opaque to this module.
 
 A map is built two ways.  The table constructor validates breakpoints
 and asks the tree for each piece's arc; it is the entry point for files,
@@ -184,22 +183,11 @@ class PLTreeMap:
         # piece that ends there
         return self._eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
 
-    def orbit(self, p: TreePoint, length: int) -> list:
-        """p, f(p), ..., f^length(p)."""
-        out = [p]
-        for _ in range(length):
-            out.append(self.evaluate(out[-1]))
-        return out
-
     def image(self) -> Subtree:
         """The exact image of the whole tree, as a subtree."""
         if self._image is None:
             self._image = self.image_of_subtree(self.domain.full_subtree())
         return self._image
-
-    def image_of_arc(self, arc: Arc) -> Subtree:
-        """Exact image of an arc of the tree."""
-        return self.image_of_subtree(arc.as_subtree())
 
     def image_of_subtree(self, sub: Subtree) -> Subtree:
         """Exact image of a closed subtree, built in one pass.
@@ -246,7 +234,7 @@ class PLTreeMap:
             return piece.p0
         return piece.arc.point_at(piece.arclength_at_param(t))
 
-    # -- normal form and equality --------------------------------------------
+    # -- normal form ---------------------------------------------------------
 
     def normalize(self) -> "PLTreeMap":
         """Remove breakpoints where adjacent pieces continue the same traversal.
@@ -270,21 +258,6 @@ class PLTreeMap:
         if sum(map(len, by_edge.values())) == len(self._pieces):
             return self  # no breakpoint dropped
         return PLTreeMap._from_pieces(self.domain, by_edge)
-
-    def equals(self, other: "PLTreeMap") -> bool:
-        """Pointwise equality, decided through normal forms."""
-        if not isinstance(other, PLTreeMap):
-            raise PreconditionError("can only compare PL maps")
-        if self.domain != other.domain:
-            return False
-        a = self.normalize()
-        b = other.normalize()
-        return a._vimg == b._vimg and all(
-            a.breakpoints(eid) == b.breakpoints(eid) for eid in self.domain.edge_ids
-        )
-
-    def is_identity(self) -> bool:
-        return self.equals(identity_map(self.domain))
 
     # -- injectivity -----------------------------------------------------------
 

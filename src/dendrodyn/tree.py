@@ -338,15 +338,6 @@ class MetricTree:
         """Whether x lies on the closed arc [a, b]."""
         return self.distance(a, x) + self.distance(x, b) == self.distance(a, b)
 
-    def separates(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
-        """Whether x lies strictly inside the arc (a, b)."""
-        self.validate_point(x)
-        if x == a or x == b:
-            raise PreconditionError("separation point must differ from the arc ends")
-        if a == b:
-            return False
-        return self.on_arc(x, a, b)
-
     def first_separated(self, points: Sequence[TreePoint]):
         """A query (t, y) -> the least i with t strictly inside the arc from
         points[i] to y, or None; t and y must differ.
@@ -457,10 +448,6 @@ class MetricTree:
         return tuple(pts)
 
     # -- complements -------------------------------------------------------
-
-    def components_minus_point(self, x: TreePoint) -> tuple["Component", ...]:
-        """Path components of the tree with one point removed."""
-        return self.components_minus(self.point_subtree(x))
 
     def components_minus(self, removed: "Subtree") -> tuple["Component", ...]:
         """Path components of the complement of a closed subset.
@@ -776,14 +763,6 @@ class Subtree:
                     if lo2 <= hi2:
                         segs.append((eid, lo2, hi2))
         return Subtree.build(self.tree, segs, self.vertices & other.vertices)
-
-    def measure(self) -> Fraction:
-        total = ZERO
-        for eid, ivs in self.segments.items():
-            length = self.tree.edge_length(eid)
-            for lo, hi in ivs:
-                total += (hi - lo) * length
-        return total
 
     def is_connected(self) -> bool:
         """Whether the set is connected; empty counts as connected.

@@ -111,6 +111,14 @@ def _periodic_union_monotone(f, upto, piece_cap) -> CheckResult:
 
 
 def _power_recurrence_consistency(f, decided, max_period, piece_cap) -> CheckResult:
+    """The verdicts on f^2 and f^3, each composed and decided afresh, agree
+    with the verdict on f.
+
+    This is the one check that reads nothing off f's certificate, so it
+    composes the powers on purpose: an independent cross-check of the
+    decision, at the price of being the one check that a piece budget can
+    stop on a certified map.
+    """
     base = decided().pointwise_recurrent
     for k in (2, 3):
         g = f.iterate(k, piece_cap)

@@ -94,6 +94,17 @@ def test_classify_vertex_and_edge_point(tmp_path, capsys):
     assert report["eventual_period"] == 2
 
 
+@pytest.mark.parametrize(
+    "point", ['{"edge": "e"}', '{"vertex": "v0", "edge": "e", "t": "1/2"}', '{"vertex": "v0", "x": 1}']
+)
+def test_classify_refuses_a_point_object_of_neither_form(tmp_path, capsys, point):
+    path = write_fixture(tmp_path, "flip")
+    assert main(["classify", path, "--point", point]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a point has the keys ['vertex'] or ['edge', 't']")
+
+
 def test_classify_works_without_a_map(tmp_path, capsys):
     tree, _ = build_fixture("star", {"k": "3"})
     path = tmp_path / "tree.json"
@@ -383,6 +394,23 @@ def test_fixture_param_validation(tmp_path, capsys):
     capsys.readouterr()
     assert main(["fixture", "rotation", "--param", "bogus=1"]) == 3
     assert "unexpected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["--param", "arms=3", "--param", "arms=4"], "arms"),
+        (["--param", "arms=4", "--param", "arms=4"], "arms"),
+        (["--seed", "5", "--param", "seed=6"], "seed"),
+        (["--param", "seed=6", "--seed", "6"], "seed"),
+    ],
+)
+def test_fixture_parameter_given_twice_exits_three(tmp_path, capsys, argv, key):
+    out = tmp_path / "twice.json"
+    kind = "random_folding" if key == "seed" else "rotation"
+    assert main(["fixture", kind, *argv, "-o", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: fixture parameter {key!r} is given twice\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

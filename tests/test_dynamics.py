@@ -18,7 +18,6 @@ from dendrodyn.dynamics import (
     MAX_PERIOD_DEFAULT,
     ORBIT_STORE_PER_ITEM,
     CheckResult,
-    OmegaEstimate,
     RecurrenceVerdict,
     Witness,
     HORIZON_DEFAULT,
@@ -33,8 +32,6 @@ from dendrodyn.dynamics import (
     check_no_radial_stretch,
     decide_pointwise_recurrent,
     fixed_set,
-    forward_component,
-    omega_limit_estimate,
     periodic_structure,
     periodic_union,
     returns_to_components,
@@ -48,6 +45,7 @@ from dendrodyn.fixtures import (
     stem_sweep_map,
 )
 from dendrodyn.plmap import DEFAULT_PIECE_CAP, PLTreeMap, identity_map, map_from_vertex_images
+from oracles import is_identity, orbit
 
 
 def interval():
@@ -151,6 +149,11 @@ def test_fixed_set_budget_errors_are_not_stored():
 def test_fixed_set_rejects_zero_power():
     with pytest.raises(PreconditionError):
         fixed_set(tent_on(interval()), 0)
+
+
+def test_periodic_structure_rejects_zero_powers():
+    with pytest.raises(PreconditionError, match="need at least one power"):
+        periodic_structure(tent_on(interval()), 0)
 
 
 def test_periodic_union_is_union_of_fixed_sets():
@@ -365,7 +368,7 @@ def composing_decide(f, max_period=MAX_PERIOD_DEFAULT, piece_cap=DEFAULT_PIECE_C
                 f"the candidate identity power exceeds the bound ({power} > {cap})"
             )
     h = f.iterate(power, piece_cap)
-    if h.is_identity():
+    if is_identity(h):
         return RecurrenceVerdict(
             pointwise_recurrent=True, identity_power=power, reason="identity-power"
         )
@@ -517,40 +520,6 @@ def test_returns_to_components_rejects_equal_points():
         returns_to_components(flip_on(t), pt(t, F(1, 4)), pt(t, F(1, 4)))
 
 
-def test_forward_component_flip():
-    t = interval()
-    fl = flip_on(t)
-    comp = forward_component(fl, 1, pt(t, F(1, 4)))
-    assert comp.contains(pt(t, F(3, 4)))
-    assert not comp.contains(pt(t, 0))
-    with pytest.raises(PreconditionError):
-        forward_component(fl, 2, pt(t, F(1, 4)))
-
-
-def test_omega_limit_exact_cycles():
-    t = interval()
-    om = omega_limit_estimate(flip_on(t), pt(t, F(1, 4)))
-    assert om.exact and om.period == 2
-    assert set(om.points) == {pt(t, F(1, 4)), pt(t, F(3, 4))}
-
-    om = omega_limit_estimate(tent_on(t), pt(t, F(1, 5)))
-    assert om.exact and om.period == 2
-    assert set(om.points) == {pt(t, F(2, 5)), pt(t, F(4, 5))}
-
-    om = omega_limit_estimate(tent_on(t), pt(t, F(1, 3)))
-    assert om.exact and om.period == 1
-    assert om.points == (pt(t, F(2, 3)),)
-
-
-def test_omega_limit_labels_unresolved_orbits():
-    t = interval()
-    om = omega_limit_estimate(shift_on(t), pt(t, F(1, 4)), burn_in=4, window=6)
-    assert not om.exact
-    assert om.period is None
-    params = [p.t for p in om.points]
-    assert params == sorted(params)  # the orbit drifts monotonically
-
-
 # -- property checks ------------------------------------------------------------
 
 
@@ -691,11 +660,22 @@ def former_walk(f, x, horizon):
     return orbit, None
 
 
-def former_omega(f, x, burn_in=100, window=100):
-    orbit, back = former_walk(f, x, burn_in + window)
+def assert_tail_matches_former_walk(f, x, burn_in, window):
+    """Where the orbit of x ends up within burn_in + window steps, from
+    `_walk`'s label and `_orbit_points`, against `former_walk`: the
+    eventual cycle, entered where the former orbit enters it, when the
+    orbit repeats; otherwise the orbit points after the burn-in."""
+    horizon = burn_in + window
+    orbit, back = former_walk(f, x, horizon)
+    label = _walk(f, x, horizon)
     if back is None:
-        return OmegaEstimate(points=tuple(orbit[burn_in + 1 :]), exact=False)
-    return OmegaEstimate(points=tuple(orbit[back:]), exact=True, period=len(orbit) - back)
+        assert label is None
+        tail = islice(_orbit_points(f, x), burn_in + 1, horizon + 1)
+        assert tuple(tail) == tuple(orbit[burn_in + 1 :])
+    else:
+        pre, cycle, entry = label
+        assert pre == back
+        assert cycle[entry:] + cycle[:entry] == tuple(orbit[back:])
 
 
 def former_full_invariance(f, horizon=200):
@@ -769,7 +749,7 @@ def walk_maps():
 def test_labelled_walk_matches_the_former_loop():
     """Seeded maps, each sample at horizons around its preperiod + period,
     asked in a shuffled order on one store and again on a fresh store per
-    question; the points the store lists match `PLTreeMap.orbit` too."""
+    question; the points the store lists match the former orbit too."""
     rng = random.Random(1105)
     boundary = preperiodic = unresolved = 0
     for f in walk_maps():
@@ -814,9 +794,7 @@ def test_orbit_checks_match_the_former_loop():
             outcomes.update((r.status, r.detail != "") for r in got)
         for x in f.domain.grid_points(1):
             for burn_in, window in ((0, 1), (3, 5), (20, 30)):
-                assert omega_limit_estimate(f, x, burn_in, window) == former_omega(
-                    f, x, burn_in, window
-                )
+                assert_tail_matches_former_walk(f, x, burn_in, window)
     assert {("pass", True), ("pass", False), ("fail", False)} <= outcomes
 
 
@@ -830,7 +808,7 @@ def test_store_stays_within_its_budget_where_orbits_never_repeat():
         for v in t.vertex_ids:
             assert vertex_period(f, v, 1000) == loop_vertex_period(f, v, 1000)
         for x in samples:
-            assert omega_limit_estimate(f, x, 400, 600) == former_omega(f, x, 400, 600)
+            assert_tail_matches_former_walk(f, x, 400, 600)
         assert check_full_invariance(f, 1000) == former_full_invariance(f, 1000)
         store = f._orbits
         assert store.budget == ORBIT_STORE_PER_ITEM * (len(t.vertex_ids) + f.piece_count)
@@ -886,7 +864,7 @@ def test_a_cycle_met_with_the_store_nearly_full_is_labelled_whole():
 
 
 def test_power_images_from_the_store_match_the_orbit_oracle():
-    """f^n(x) from the orbit store equals `PLTreeMap.orbit(x, n)[-1]` for
+    """f^n(x) from the orbit store equals `oracles.orbit(f, x, n)[-1]` for
     n = 0..30 and the period +- 1, in a shuffled order, on one store per
     map (which fills on the maps whose orbits run long) and on a fresh
     store per sample; and at n = 0, 1, the period +- 1 and 30 on a store
@@ -896,14 +874,14 @@ def test_power_images_from_the_store_match_the_orbit_oracle():
     for f in walk_maps():
         cases = []  # (sample, the powers asked, its orbit as far as the largest)
         for x in f.domain.grid_points(2):
-            orbit, back = former_walk(f, x, 30)
+            walked, back = former_walk(f, x, 30)
             ends = [0, 1, 30]
             if back is not None:
-                period = len(orbit) - back
+                period = len(walked) - back
                 ends += [period - 1, period, period + 1]
             ns = sorted(set(range(31)) | set(ends))
             rng.shuffle(ns)
-            cases.append((x, ns, ends, f.orbit(x, max(ns))))
+            cases.append((x, ns, ends, orbit(f, x, max(ns))))
         for store in ("shared", "fresh", "nearly full"):
             f._orbits = None
             if store == "nearly full":

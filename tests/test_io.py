@@ -19,6 +19,7 @@ from dendrodyn.io import (
     tree_from_json,
     tree_to_json,
 )
+from oracles import maps_equal
 
 
 def interval():
@@ -82,6 +83,35 @@ def test_point_parse_errors():
         point_from_json({"something": 1}, t)
     with pytest.raises(StructureError):
         point_from_json("v0", t)
+
+
+POINT_FORMS = r"the keys \['vertex'\] or \['edge', 't'\]"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"edge": "e"},  # no t: not the point at t = 0
+        {"t": "1/2"},
+        {"vertex": "v0", "edge": "e", "t": "1/2"},  # not the vertex alone
+        {"vertex": "v0", "t": "1/2"},
+        {"vertex": "v0", "label": "x"},
+        {"edge": "e", "t": "1/2", "label": "x"},
+        {},
+    ],
+)
+def test_point_has_exactly_one_of_the_two_forms(obj):
+    with pytest.raises(StructureError, match=POINT_FORMS):
+        point_from_json(obj, interval())
+
+
+def test_breakpoint_image_without_t_is_malformed():
+    t = interval()
+    obj = json.loads(dump_instance(t, tent_on(t)))
+    assert load_instance(json.dumps(obj))  # the file as written loads
+    obj["edge_pieces"]["e"][1]["image"] = {"edge": "e"}
+    with pytest.raises(StructureError, match=POINT_FORMS):
+        load_instance(json.dumps(obj))
 
 
 def test_tree_json_shape():
@@ -155,7 +185,7 @@ def test_map_round_trip_is_bit_exact():
     text = dump_instance(t, f)
     t2, f2 = load_instance(text)
     assert t2 == t
-    assert f2.equals(f)
+    assert maps_equal(f2, f)
     assert dump_instance(t2, f2) == text
 
 
@@ -166,7 +196,7 @@ def test_every_fixture_round_trips_bit_exactly():
         text = dump_instance(tree, f)
         tree2, f2 = load_instance(text)
         assert tree2 == tree, kind
-        assert f2.equals(f), kind
+        assert maps_equal(f2, f), kind
         assert dump_instance(tree2, f2) == text, kind
 
 
@@ -220,7 +250,7 @@ def test_single_vertex_instance_round_trips():
     text = dump_instance(t, f)
     t2, f2 = load_instance(text)
     assert t2 == t
-    assert f2.equals(f)
+    assert maps_equal(f2, f)
     assert dump_instance(t2, f2) == text
 
 
@@ -230,7 +260,7 @@ def test_file_round_trip(tmp_path):
     save_instance_file(path, tree, f)
     tree2, f2 = load_instance_file(path)
     assert tree2 == tree
-    assert f2.equals(f)
+    assert maps_equal(f2, f)
 
 
 def test_subtree_json_is_sorted_and_exact():

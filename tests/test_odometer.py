@@ -27,6 +27,7 @@ from dendrodyn.odometer import (
 )
 from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Component, Subtree
+from oracles import measure
 
 
 def compatible(digits, periods):
@@ -54,6 +55,8 @@ def test_type_validation():
         OdometerType((2, 2))
     with pytest.raises(StructureError):
         OdometerType((2, 3))
+    with pytest.raises(StructureError, match="periods must be positive"):
+        OdometerType((0, 2))
 
 
 def test_validate_address_frozen_cases():
@@ -146,6 +149,14 @@ def test_detect_rejects_non_injective_maps():
     _, tent = shift_and_tent()["tent"]
     with pytest.raises(PreconditionError):
         detect_cycles_of_sets(tent, 2)
+
+
+def test_detect_and_semiconjugacy_reject_empty_requests():
+    _, rot = rotation_star(3)
+    with pytest.raises(PreconditionError, match="depth must be at least 1"):
+        detect_cycles_of_sets(rot, 0)
+    with pytest.raises(PreconditionError, match="no cycle levels to verify against"):
+        verify_semiconjugacy(rot, ())
 
 
 def test_detect_drift_between_two_fixed_ends_is_no_tower():
@@ -381,7 +392,7 @@ def former_classify(cycles, expected_type=None):
             if comp.closure.is_empty():
                 openness_ok = False
                 continue
-            others = tree.components_minus_point(comp.attachment)
+            others = tree.components_minus(tree.point_subtree(comp.attachment))
             rederived = next((c for c in others if c.contains(comp.repr_point)), None)
             if rederived is None or rederived.closure != comp.closure:
                 openness_ok = False
@@ -394,7 +405,7 @@ def former_classify(cycles, expected_type=None):
             inter = si.closure.intersect(sj.closure)
             if inter.is_empty():
                 continue
-            if inter.measure() != 0:
+            if measure(inter) != 0:
                 disjoint_ok = False
                 continue
             allowed = set(si.boundary) | set(sj.boundary)

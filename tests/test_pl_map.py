@@ -22,6 +22,7 @@ from dendrodyn.plmap import (
     map_from_vertex_images,
     project_onto,
 )
+from oracles import is_identity, maps_equal, orbit
 
 
 def interval():
@@ -168,7 +169,7 @@ def test_evaluate_frozen_tent_values():
 def test_orbit():
     t = interval()
     f = tent_on(t)
-    orb = f.orbit(t.edge_point("e", F(1, 5)), 4)
+    orb = orbit(f, t.edge_point("e", F(1, 5)), 4)
     vals = [p.t if not p.is_vertex else p.vertex for p in orb]
     assert vals == [F(1, 5), F(2, 5), F(4, 5), F(2, 5), F(4, 5)]
 
@@ -194,8 +195,8 @@ def test_iterate_pointwise():
     f3 = f.iterate(3)
     for x in domain_samples(t):
         assert f3.evaluate(x) == f.evaluate(f.evaluate(f.evaluate(x)))
-    assert f.iterate(0).is_identity()
-    assert f.iterate(1).equals(f)
+    assert is_identity(f.iterate(0))
+    assert maps_equal(f.iterate(1), f)
 
 
 def test_tent_square_breakpoints():
@@ -218,6 +219,11 @@ def test_iterate_piece_budget():
     f = tent_on(t)
     with pytest.raises(ResourceLimitError):
         f.iterate(12, piece_cap=100)
+
+
+def test_iterate_rejects_a_negative_count():
+    with pytest.raises(PreconditionError, match="iteration count must be nonnegative"):
+        tent_on(interval()).iterate(-1)
 
 
 def test_compose_refines_at_vertex_crossing():
@@ -246,8 +252,8 @@ def test_normalize_merges_redundant_breakpoint():
     wavy = PLTreeMap(t, {"e": [(0, p0), (F(1, 2), t.edge_point("e", F(1, 2))), (1, p1)]})
     norm = wavy.normalize()
     assert len(norm.breakpoints("e")) == 2
-    assert norm.is_identity()
-    assert wavy.equals(identity_map(t))
+    assert is_identity(norm)
+    assert maps_equal(wavy, identity_map(t))
 
 
 def test_normalize_keeps_speed_changes():
@@ -257,7 +263,7 @@ def test_normalize_keeps_speed_changes():
         t, {"e": [(0, p0), (F(1, 2), t.edge_point("e", F(1, 4))), (1, t.vertex_point("v1"))]}
     )
     assert len(slowfast.normalize().breakpoints("e")) == 3
-    assert not slowfast.equals(identity_map(t))
+    assert not maps_equal(slowfast, identity_map(t))
 
 
 def test_normalize_is_pointwise_invariant():
@@ -618,7 +624,7 @@ def test_compose_rejects_maps_on_different_trees():
     s = star3()
     t = star3()
     rot = rotation_on(s)
-    assert compose(rot, identity_map(t)).equals(rot)  # equal trees, distinct objects
+    assert maps_equal(compose(rot, identity_map(t)), rot)  # equal trees, distinct objects
     t2 = MetricTree(
         ["c", "l1", "l2", "l3"],
         [("a1", ("c", "l1"), 2), ("a2", ("c", "l2"), 1), ("a3", ("c", "l3"), 1)],
@@ -642,6 +648,15 @@ def test_project_onto_matches_pointwise_retraction():
         for x in domain_samples(t):
             assert g.evaluate(x) == t.retract(z, f.evaluate(x))
         assert z.contains_subtree(g.image())
+
+
+def test_project_onto_rejects_empty_and_disconnected_targets():
+    s = star3()
+    f = rotation_on(s)
+    ends = Subtree.build(s, [], ["l1", "l2"])
+    for target in (Subtree.build(s, [], []), ends):
+        with pytest.raises(PreconditionError, match="nonempty and connected"):
+            project_onto(f, target)
 
 
 def test_project_onto_pins_overshooting_pieces():
@@ -748,7 +763,7 @@ def test_find_periodic_piece_budget():
     # tent's n-th power has about 2^n pieces over it
     pts = [t.vertex_point("v0"), t.edge_point("e", F(2, 3))]
     x = find_periodic_in_hull(tent, pts, 6)
-    assert tent.orbit(x, 6)[-1] == x
+    assert orbit(tent, x, 6)[-1] == x
     with pytest.raises(ResourceLimitError):
         find_periodic_in_hull(tent, pts, 6, piece_cap=20)
 
@@ -769,7 +784,7 @@ def test_single_point_domain_maps():
     assert f.piece_count == 0
     assert f.evaluate(o) == o
     assert f.iterate(3).evaluate(o) == o
-    assert f.iterate(3).is_identity()
+    assert is_identity(f.iterate(3))
     assert f.fixed_point_set() == t.full_subtree()
     assert f.fixed_point_set().vertices == frozenset({"o"})
 
@@ -790,7 +805,7 @@ def test_one_vertex_tree_has_only_the_identity():
     for g in derived:
         assert g.vertex_image("o") == o
         assert g.evaluate(o) == o
-        assert g.is_identity()
+        assert is_identity(g)
 
 
 def test_vertex_keyed_table_is_rejected():
@@ -898,7 +913,7 @@ def test_image_routines_match_the_former_ones():
             a = any_point(rng, tree)
             b = a if rng.random() < 0.25 else any_point(rng, tree)
             arc = tree.arc(a, b)
-            assert f.image_of_arc(arc) == oracle_image_of_arc(f, arc)
+            assert f.image_of_subtree(arc.as_subtree()) == oracle_image_of_arc(f, arc)
     assert onto == {True, False}
 
 
@@ -965,8 +980,6 @@ def test_image_of_subtree_rejects_another_tree():
     assert f.image_of_subtree(other.full_subtree()) == t.full_subtree()  # an equal tree
     with pytest.raises(PreconditionError):
         f.image_of_subtree(other_star.full_subtree())
-    with pytest.raises(PreconditionError):
-        f.image_of_arc(other_star.arc(other_star.vertex_point("c"), other_star.vertex_point("l1")))
 
 
 # -- pieces-first composition against the table route ----------------------------------

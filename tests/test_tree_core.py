@@ -5,6 +5,7 @@ import pytest
 
 from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, Subtree
 from dendrodyn.tree import Component, as_fraction, point_key
+from oracles import measure
 
 
 def path_tree():
@@ -335,10 +336,13 @@ def test_point_at_bounds():
 def test_separates():
     t = path_tree()
     mid = t.edge_point("e2", F(1, 2))
-    assert t.separates(mid, t.vertex_point("a"), t.vertex_point("d"))
-    assert not t.separates(t.vertex_point("d"), t.vertex_point("a"), mid)
+    a, d = t.vertex_point("a"), t.vertex_point("d")
+    separated = t.first_separated([a])
+    assert separated(mid, d) == 0  # mid lies strictly inside the arc (a, d)
+    assert separated(d, mid) is None
+    assert t.first_separated([mid])(mid, a) is None  # an arc end is not inside it
     with pytest.raises(PreconditionError):
-        t.separates(mid, mid, t.vertex_point("a"))
+        separated(mid, mid)
 
 
 # -- subtrees -------------------------------------------------------------
@@ -372,8 +376,8 @@ def test_subtree_algebra():
     assert i.segments == {"b": ((F(1, 3), F(2, 3)),)}
     assert i.vertices == frozenset()
     assert x.contains_subtree(i) and y.contains_subtree(i)
-    assert u.measure() == F(3) + 1 + F(1, 2)
-    assert i.measure() == 1
+    assert measure(u) == F(3) + 1 + F(1, 2)
+    assert measure(i) == 1
 
 
 def test_full_subtree_is_canonicalized_once(monkeypatch):
@@ -490,7 +494,7 @@ def test_hull_of_single_point():
     t = star3()
     p = t.edge_point("a2", F(1, 3))
     h = t.connected_hull([p])
-    assert h.contains(p) and h.measure() == 0
+    assert h.contains(p) and measure(h) == 0
     with pytest.raises(PreconditionError):
         t.connected_hull([])
 
@@ -567,8 +571,8 @@ def test_components_partition_random_sweep():
         d = t.connected_hull(pts)
         comps = t.components_minus(d)
         # closures plus the removed set tile the tree by measure
-        total = d.measure() + sum((c.closure.measure() for c in comps), F(0))
-        assert total == t.full_subtree().measure()
+        total = measure(d) + sum((measure(c.closure) for c in comps), F(0))
+        assert total == measure(t.full_subtree())
         for g in t.grid_points(4):
             holders = [c for c in comps if c.contains(g)]
             if d.contains(g):
@@ -719,13 +723,13 @@ def test_components_of_disconnected_removal():
 
 def test_components_minus_point_star():
     t = star3()
-    comps = t.components_minus_point(t.vertex_point("c0"))
+    comps = t.components_minus(t.point_subtree(t.vertex_point("c0")))
     assert len(comps) == 3
     leaves = sorted(str(c.closure.vertices - {"c0"}) for c in comps)
     assert leaves == ["frozenset({'l1'})", "frozenset({'l2'})", "frozenset({'l3'})"]
-    comps = t.components_minus_point(t.edge_point("a1", F(1, 2)))
+    comps = t.components_minus(t.point_subtree(t.edge_point("a1", F(1, 2))))
     assert len(comps) == 2
-    comps = t.components_minus_point(t.vertex_point("l1"))
+    comps = t.components_minus(t.point_subtree(t.vertex_point("l1")))
     assert len(comps) == 1
 
 

@@ -13,6 +13,7 @@ from dendrodyn.dynamics import (
 )
 from dendrodyn.fixtures import odometer_tower
 from dendrodyn.verify import CHECK_NAMES, _recurrence_verdict_consistency, run_checks
+from oracles import maps_equal
 
 
 def by_name(records):
@@ -123,6 +124,35 @@ def test_forged_positive_verdict_fails_the_recheck(case):
     assert result.detail == "claimed power 2 is not the identity"
 
 
+@pytest.mark.parametrize(
+    "forged, expected",
+    [
+        (
+            RecurrenceVerdict(pointwise_recurrent=True, identity_power=None),
+            CheckResult("fail", detail="positive verdict carries no power"),
+        ),
+        (
+            RecurrenceVerdict(pointwise_recurrent=True, identity_power=0),
+            CheckResult("fail", detail="positive verdict carries no power"),
+        ),
+        (
+            RecurrenceVerdict(pointwise_recurrent=False),
+            CheckResult("fail", detail="negative verdict carries no witness"),
+        ),
+        (
+            RecurrenceVerdict(pointwise_recurrent=False, witness=Witness("bogus", ())),
+            CheckResult(
+                "fail", witness=Witness("bogus", ()), detail="unknown witness kind 'bogus'"
+            ),
+        ),
+    ],
+    ids=["no-power", "power-zero", "no-witness", "unknown-kind"],
+)
+def test_forged_verdict_without_evidence_fails_the_recheck(forged, expected):
+    _, f = build_fixture("rotation", {"arms": "3"})
+    assert _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT) == expected
+
+
 def test_forged_drift_witness_fails_the_recheck():
     # a leaf of the 3-arm rotation moves under f but not under f^N, N = 3
     tree, f = build_fixture("rotation", {"arms": "3"})
@@ -184,8 +214,8 @@ def test_tower_checks_compute_each_power_once(monkeypatch):
     assert len(composed) == 3
     assert len(decided) == 3
     assert decided[0] is f
-    assert decided[1].equals(f.iterate(2))
-    assert decided[2].equals(f.iterate(3))
+    assert maps_equal(decided[1], f.iterate(2))
+    assert maps_equal(decided[2], f.iterate(3))
 
 
 def test_undecided_verdict_is_shared(monkeypatch):
