@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import io as dio
@@ -123,7 +122,7 @@ def _run_odometer(tree, f, args):
             {
                 "level": c.level,
                 "period": c.period,
-                "attachments": [dio.point_to_json(p) for p in c.attachments],
+                "attachments": [dio.point_to_json(s.attachment) for s in c.sets],
                 "sets": [
                     {
                         "repr": dio.point_to_json(s.repr_point),
@@ -224,18 +223,13 @@ def _run_verify(tree, f, args):
 
 def _run_fixture(args):
     params = {}
-    seed = [] if args.seed is None else [f"seed={args.seed}"]
-    for item in [*(args.param or []), *seed]:
+    for item in args.param or []:
         if "=" not in item:
             raise PreconditionError(f"parameters take the form key=value, got {item!r}")
         key, _, value = item.partition("=")
         if key in params:
             raise PreconditionError(f"fixture parameter {key!r} is given twice")
         params[key] = value
-    if args.kind.startswith("random") and "seed" not in params:
-        env = os.environ.get("DENDRODYN_SEED")
-        if env is not None:
-            params["seed"] = env
     tree, f = build_fixture(args.kind, params)
     return dio.dump_instance(tree, f), 0
 
@@ -343,6 +337,22 @@ def _depth(text: str) -> int:
     return value
 
 
+# each analysis command: its runner, and the bound flags that runner reads
+_COMMANDS = {
+    "recurrence": (_run_recurrence, ("--max-period", "--piece-cap")),
+    "analyze": (_run_analyze, ("--max-period", "--depth", "--piece-cap")),
+    "odometer": (_run_odometer, ("--depth", "--piece-cap")),
+    "classify": (_run_classify, ("--max-period",)),
+    "verify": (_run_verify, ("--max-period", "--horizon", "--depth", "--piece-cap")),
+}
+_BOUNDS = {
+    "--max-period": (_bound, MAX_PERIOD_DEFAULT),
+    "--horizon": (_bound, HORIZON_DEFAULT),
+    "--depth": (_depth, DEPTH_DEFAULT),
+    "--piece-cap": (_bound, DEFAULT_PIECE_CAP),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
@@ -351,19 +361,16 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("-o", "--output", default=None)
     report = _Parser(add_help=False, parents=[output])
     report.add_argument("--format", choices=("text", "json"), default="text")
-    bounds = _Parser(add_help=False)
-    bounds.add_argument("--max-period", type=_bound, default=MAX_PERIOD_DEFAULT)
-    bounds.add_argument("--horizon", type=_bound, default=HORIZON_DEFAULT)
-    bounds.add_argument("--depth", type=_depth, default=DEPTH_DEFAULT)
-    bounds.add_argument("--piece-cap", type=_bound, default=DEFAULT_PIECE_CAP)
-
     parser = _Parser(
         prog="dendrodyn",
         description="Exact dynamics of piecewise-linear tree self-maps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("recurrence", "analyze", "odometer", "classify", "verify"):
-        p = sub.add_parser(name, parents=[bounds, report])
+    for name, (_, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[report])
+        for flag in flags:
+            kind, default = _BOUNDS[flag]
+            p.add_argument(flag, type=kind, default=default)
         p.add_argument("input", help="instance file (tree plus map)")
         if name == "classify":
             p.add_argument(
@@ -375,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", parents=[output])
     p.add_argument("kind", choices=FIXTURE_KINDS)
     p.add_argument("--param", action="append", metavar="KEY=VALUE")
-    p.add_argument("--seed", default=None)
     return parser
 
 
@@ -406,13 +412,7 @@ def main(argv=None) -> int:
         if f is None and args.command != "classify":
             raise PreconditionError("the instance file carries no map")
 
-        runner = {
-            "recurrence": _run_recurrence,
-            "analyze": _run_analyze,
-            "odometer": _run_odometer,
-            "classify": _run_classify,
-            "verify": _run_verify,
-        }[args.command]
+        runner, _ = _COMMANDS[args.command]
         try:
             report, code = runner(tree, f, args)
         except (UndecidedError, ResourceLimitError) as exc:

@@ -121,8 +121,7 @@ def stem_sweep_map(k: int):
     endpoint; the top segment maps over the whole stem and each lower
     segment sweeps out and back across one arm, deeper segments
     reaching further-indexed arms.  Every edge restriction is plain PL;
-    the tear only shows in the second iterate, which `stem_sweep_spread`
-    quantifies.
+    the tear only shows in the second iterate.
     """
     if k < 2:
         raise PreconditionError("the sweep needs at least two stem segments")
@@ -142,23 +141,6 @@ def stem_sweep_map(k: int):
         bps.append((hi, c))
     bps.append((Fraction(1), s))
     return tree, PLTreeMap(tree, {"stem": bps, **_arm_table(tree, k + 1)})
-
-
-def stem_sweep_spread(k: int, radius=None) -> Fraction:
-    """Diameter of the second-iterate image of the stem piece within
-    `radius` of the far endpoint (default: the deepest cut height)."""
-    tree, f = stem_sweep_map(k)
-    radius = Fraction(1, 2**k) if radius is None else Fraction(radius)
-    if not 0 < radius <= 1:
-        raise PreconditionError("radius must lie in (0, 1]")
-    ball = tree.arc(tree.vertex_point("s"), tree.edge_point("stem", radius))
-    once = f.image_of_subtree(ball.as_subtree())
-    twice = f.image_of_subtree(once)
-    corners = twice.corner_points()
-    return max(
-        (tree.distance(a, b) for a in corners for b in corners),
-        default=Fraction(0),
-    )
 
 
 # -- odometer towers -------------------------------------------------------------

@@ -15,7 +15,6 @@ limit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .dynamics import CheckResult, Witness, _periodic_levels
 from .errors import ConsistencyError, PreconditionError, StructureError
@@ -69,16 +68,6 @@ def validate_address(a: OdometerAddress) -> bool:
     return all(jn % m == j for j, jn, m in zip(js, js[1:], ms))
 
 
-def valid_addresses(otype: OdometerType) -> tuple:
-    """Every valid address of the type, in lexicographic digit order."""
-    out = []
-    for js in product(*(range(m) for m in otype.periods)):
-        a = OdometerAddress(otype, js)
-        if validate_address(a):
-            out.append(a)
-    return tuple(out)
-
-
 def tau(a: OdometerAddress) -> OdometerAddress:
     """Add one to every digit modulo its own period."""
     if not validate_address(a):
@@ -118,15 +107,14 @@ def _locator(comps):
 class CycleOfSets:
     """Components cyclically permuted by the map at one depth.
 
-    `sets[i]` maps into `sets[(i + 1) % period]`; `attachments[i]` is the
-    single point where `sets[i]` touches the removed periodic set.
+    `sets[i]` maps into `sets[(i + 1) % period]` and touches the removed
+    periodic set in the single point `sets[i].attachment`.
     `level` records the power bound that produced the removed set.
     """
 
     level: int
     period: int
     sets: tuple
-    attachments: tuple
     _locate: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -244,14 +232,7 @@ def detect_cycles_of_sets(
         if len(cycle) <= last_period:
             continue
         last_period = len(cycle)
-        out.append(
-            CycleOfSets(
-                level=n,
-                period=len(cycle),
-                sets=cycle,
-                attachments=tuple(c.attachment for c in cycle),
-            )
-        )
+        out.append(CycleOfSets(level=n, period=len(cycle), sets=cycle))
     return tuple(out)
 
 

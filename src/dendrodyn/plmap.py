@@ -15,18 +15,18 @@ certificate, fixed sets of powers) is opaque to this module.
 
 A map is built two ways.  The table constructor validates breakpoints
 and asks the tree for each piece's arc; it is the entry point for files,
-fixtures and users.  Derived maps (`compose`, `project_onto` and
+fixtures and users, and it refuses a table whose pieces and image arcs
+together pass `MAX_TABLE_SIZE`.  Derived maps (`compose` and
 `normalize`) are built pieces first, from pieces whose arcs are cut
 (`Arc.window`), reversed or joined from arcs the map already stores, so
 they ask the tree for no arc and validate nothing again.  `normalize` is
-the one merge routine: derived maps go through it, and it keeps the
+the one merge routine: `compose` goes through it, and it keeps the
 pieces it does not merge.
 
-`project_onto` composes a map with the nearest-point retraction onto a
-connected subtree.  `find_periodic_in_hull` starts from that retraction
-and composes with f n times, which equals f^n on the hull and stays
-constant on each component off it, so the fixed points of f^n in the
-hull come from pieces over the hull alone.
+`find_periodic_in_hull` starts from the nearest-point retraction onto
+the hull, built as a table, and composes with f n times, which equals
+f^n on the hull and stays constant on each component off it, so the
+fixed points of f^n in the hull come from pieces over the hull alone.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ from .tree import (
 )
 
 DEFAULT_PIECE_CAP = 100_000
+# pieces plus image-arc segments a breakpoint table may build: five times
+# the largest fixture's, and far below the quadratic worst case of a file
+MAX_TABLE_SIZE = 200_000
 
 
 class _Piece:
@@ -93,6 +96,7 @@ class PLTreeMap:
         vimg: dict = {}
         pieces = []
         edge_index = {}
+        size = 0
         for eid in domain.edge_ids:
             if eid not in table:
                 raise StructureError(f"no breakpoints for edge {eid!r}")
@@ -109,12 +113,17 @@ class PLTreeMap:
             for v, img in ((u, bps[0][1]), (w, bps[-1][1])):
                 if vimg.setdefault(v, img) != img:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
-            mine = tuple(
-                _Piece(eid, t0, t1, p0, p1, domain.arc(p0, p1))
-                for (t0, p0), (t1, p1) in zip(bps, bps[1:])
-            )
+            mine = []
+            for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
+                arc = domain.arc(p0, p1)
+                size += 1 + len(arc.segments)
+                if size > MAX_TABLE_SIZE:
+                    raise StructureError(
+                        f"the map has more than {MAX_TABLE_SIZE} pieces and image-arc segments"
+                    )
+                mine.append(_Piece(eid, t0, t1, p0, p1, arc))
             pieces.extend(mine)
-            edge_index[eid] = (params, mine)
+            edge_index[eid] = (params, tuple(mine))
         extra = set(table) - set(domain.edge_ids)
         if extra:
             raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
@@ -464,20 +473,6 @@ def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:
     return PLTreeMap(tree, table)
 
 
-def _derive(f: PLTreeMap, rewrite) -> PLTreeMap:
-    """The normalized map made of f's pieces, each rewritten.
-
-    `rewrite(piece)` gives the pieces over one piece's window, in order,
-    each with its image arc; the result is built from them directly, and
-    nothing in it is looked up in the tree again.
-    """
-    by_edge = {
-        eid: [new for piece in pieces for new in rewrite(piece)]
-        for eid, (_, pieces) in f._edge_index.items()
-    }
-    return PLTreeMap._from_pieces(f.domain, by_edge).normalize()
-
-
 def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     """The exact composition outer(inner(.)), refined and normalized.
 
@@ -485,11 +480,17 @@ def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     an outer breakpoint; between cuts the composite is again a
     constant-speed arc traversal, so the result is a valid PL map.  The
     image arc of each cut piece is a window of one outer piece's arc,
-    reversed where the inner arc runs its edge backwards.
+    reversed where the inner arc runs its edge backwards.  The result is
+    built from those pieces directly: nothing in it is looked up in the
+    tree again.
     """
     if inner.domain != outer.domain:
         raise PreconditionError("composed maps must live on the same tree")
-    return _derive(inner, lambda piece: _compose_piece(outer, piece))
+    by_edge = {
+        eid: [new for piece in pieces for new in _compose_piece(outer, piece)]
+        for eid, (_, pieces) in inner._edge_index.items()
+    }
+    return PLTreeMap._from_pieces(inner.domain, by_edge).normalize()
 
 
 def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
@@ -564,44 +565,29 @@ def _joined(run: list) -> _Piece:
 # -- hulls -------------------------------------------------------------------
 
 
-def project_onto(f: PLTreeMap, target: Subtree) -> PLTreeMap:
-    """Compose f with the nearest-point retraction onto a connected subtree.
+def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
+    """The nearest-point retraction onto a connected subtree, in normal form.
 
-    Every piece's image arc meets the target in at most one arclength
-    window; before the window the projection is pinned at the entry
-    point, inside it the traversal passes through unchanged, after it
-    the projection is pinned at the exit point.
+    A connected subtree holds at most one interval of an edge: the map is
+    the identity on it and constant at its ends beyond it.  An edge the
+    hull holds in no interval of positive length retracts to one point.
     """
-    if target.tree != f.domain:
-        raise PreconditionError("projection target must live in the map's tree")
-    if target.is_empty() or not target.is_connected():
-        raise PreconditionError("projection target must be nonempty and connected")
-    return _derive(f, lambda piece: _project_piece(target, piece))
-
-
-def _project_piece(target: Subtree, piece: _Piece) -> list:
-    t0, t1 = piece.t0, piece.t1
-    tree = target.tree
-    hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
-    if not hits:
-        return [_constant(tree, piece.edge, t0, t1, tree.retract(target, piece.p0))]
-    if len(hits) > 1:
-        raise ConsistencyError("connected target met an arc in several windows")
-    arc = piece.arc
-    s1, s2 = hits[0]
-    ta, tb = piece.param_at_arclength(s1), piece.param_at_arclength(s2)
-    out = []
-    if s1 == s2:
-        a1 = a2 = arc.point_at(s1)
-    else:
-        inside = arc.window(s1, s2)
-        a1, a2 = inside.a, inside.b
-        out.append(_Piece(piece.edge, ta, tb, a1, a2, inside))
-    if ta > t0:
-        out.insert(0, _constant(tree, piece.edge, t0, ta, a1))
-    if t1 > tb:
-        out.append(_constant(tree, piece.edge, tb, t1, a2))
-    return out
+    table = {}
+    for eid in tree.edge_ids:
+        ivs = hull.segments.get(eid, ())
+        if ivs and ivs[0][0] < ivs[0][1]:
+            ((lo, hi),) = ivs
+            a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
+            bps = [(ZERO, a)]
+            if lo > ZERO:
+                bps.append((lo, a))
+            if hi < ONE:
+                bps.append((hi, b))
+            table[eid] = bps + [(ONE, b)]
+        else:
+            q = tree.retract(hull, tree.vertex_point(tree.edge_ends(eid)[0]))
+            table[eid] = [(ZERO, q), (ONE, q)]
+    return PLTreeMap(tree, table)
 
 
 def find_periodic_in_hull(
@@ -639,7 +625,7 @@ def find_periodic_in_hull(
         advanced = [f.evaluate(p) for p in advanced]
     if not tree.connected_hull(advanced).contains_subtree(hull):
         raise PreconditionError("advanced hull does not cover the original hull")
-    h = project_onto(identity_map(tree), hull)
+    h = _retraction(tree, hull)
     for _ in range(n):
         h = _within_budget(compose(f, h), piece_cap, "hull search")
     fixed = h.fixed_point_set().intersect(hull)

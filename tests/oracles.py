@@ -6,7 +6,11 @@ the package runs.
 """
 
 from fractions import Fraction
+from itertools import product
 
+from dendrodyn.errors import PreconditionError
+from dendrodyn.fixtures import stem_sweep_map
+from dendrodyn.odometer import OdometerAddress, validate_address
 from dendrodyn.plmap import identity_map
 
 
@@ -41,3 +45,30 @@ def measure(sub):
         for lo, hi in intervals:
             total += (hi - lo) * length
     return total
+
+
+def valid_addresses(otype):
+    """Every valid address of the type, in lexicographic digit order."""
+    out = []
+    for js in product(*(range(m) for m in otype.periods)):
+        a = OdometerAddress(otype, js)
+        if validate_address(a):
+            out.append(a)
+    return tuple(out)
+
+
+def stem_sweep_spread(k, radius=None):
+    """Diameter of the second-iterate image of the stem piece within
+    `radius` of the far endpoint (default: the deepest cut height)."""
+    tree, f = stem_sweep_map(k)
+    radius = Fraction(1, 2**k) if radius is None else Fraction(radius)
+    if not 0 < radius <= 1:
+        raise PreconditionError("radius must lie in (0, 1]")
+    ball = tree.arc(tree.vertex_point("s"), tree.edge_point("stem", radius))
+    once = f.image_of_subtree(ball.as_subtree())
+    twice = f.image_of_subtree(once)
+    corners = twice.corner_points()
+    return max(
+        (tree.distance(a, b) for a in corners for b in corners),
+        default=Fraction(0),
+    )

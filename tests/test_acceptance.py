@@ -25,7 +25,6 @@ from dendrodyn import (
     find_periodic_in_hull,
     fixed_set,
     tau,
-    valid_addresses,
     validate_address,
     verify_semiconjugacy,
     vertex_period,
@@ -38,9 +37,8 @@ from dendrodyn.fixtures import (
     shift_and_tent,
     stem_collapse_map,
     stem_sweep_map,
-    stem_sweep_spread,
 )
-from oracles import is_identity
+from oracles import is_identity, stem_sweep_spread, valid_addresses
 
 
 @contextmanager
@@ -296,7 +294,7 @@ def test_criterion_6_cycle_detection_and_semiconjugacy():
         cycles = detect_cycles_of_sets(f, 4)
         assert [c.period for c in cycles] == [2, 4, 8]
         for c in cycles:
-            for p in c.attachments:
+            for p in (s.attachment for s in c.sets):
                 assert p.is_vertex
                 assert tree.degree(p.vertex) >= 3
 

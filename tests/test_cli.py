@@ -52,6 +52,10 @@ def test_odometer_tower_depth_two(tmp_path, capsys):
     code, report = run_json(capsys, ["odometer", "--depth", "2", path])
     assert code == 0
     assert [c["period"] for c in report["cycles"]] == [2, 4]
+    # each set's attachment, in the cycle's order
+    assert report["cycles"][1]["attachments"] == [
+        {"vertex": v} for v in ("n1_0", "n1_1", "n1_0", "n1_1")
+    ]
     assert report["semiconjugacy"]["status"] == "pass"
     assert report["classification"]["label"] == "topological (full)"
     assert report["classification"]["periods"] == [2, 4]
@@ -266,7 +270,13 @@ def test_depth_above_the_limit_exits_three_before_composing(tmp_path, capsys, mo
 
 @pytest.mark.parametrize(
     "flag",
-    [["--horizon", "5"], ["--depth", "0"], ["--piece-cap", "9"], ["--format", "text"]],
+    [
+        ["--horizon", "5"],
+        ["--depth", "0"],
+        ["--piece-cap", "9"],
+        ["--format", "text"],
+        ["--seed", "1"],
+    ],
 )
 def test_fixture_takes_no_bound_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
@@ -275,6 +285,81 @@ def test_fixture_takes_no_bound_flags(capsys, flag):
     captured = capsys.readouterr()
     assert "unrecognized arguments" in captured.err
     assert captured.out == ""
+
+
+# the bound flags each analysis command reads
+READS = {
+    "recurrence": ("--max-period", "--piece-cap"),
+    "analyze": ("--max-period", "--depth", "--piece-cap"),
+    "odometer": ("--depth", "--piece-cap"),
+    "classify": ("--max-period",),
+    "verify": ("--max-period", "--horizon", "--depth", "--piece-cap"),
+}
+BOUND_FLAGS = ("--max-period", "--horizon", "--depth", "--piece-cap")
+# for each flag a command reads, a value and an instance on which it changes
+# the JSON report or the exit code
+CHANGED_BY = [
+    ("recurrence", "--max-period", "2", "rotation"),
+    ("recurrence", "--piece-cap", "1", "sagged"),
+    ("analyze", "--max-period", "2", "rotation"),
+    ("analyze", "--depth", "1", "rotation"),
+    ("analyze", "--piece-cap", "1", "sagged"),
+    ("odometer", "--depth", "1", "tower"),
+    ("odometer", "--piece-cap", "1", "sagged"),
+    ("classify", "--max-period", "2", "rotation"),
+    ("verify", "--max-period", "2", "rotation"),
+    ("verify", "--horizon", "1", "rotation"),
+    ("verify", "--depth", "1", "rotation"),
+    ("verify", "--piece-cap", "1", "sagged"),
+]
+
+
+def write_named_instance(tmp_path, name):
+    """The 3-arm rotation, the (2, 4) tower, or the rotation with one arm
+    sagged: injective, not recurrent, so its powers are composed."""
+    if name == "tower":
+        return write_fixture(tmp_path, "tower", {"periods": "2,4"}, name="tower.json")
+    tree, rot = build_fixture("rotation", {"arms": "3"})
+    if name == "sagged":
+        table = {eid: list(rot.breakpoints(eid)) for eid in tree.edge_ids}
+        table["a0"].insert(1, (F(1, 2), tree.edge_point("a1", F(1, 4))))
+        rot = PLTreeMap(tree, table)
+    path = tmp_path / f"{name}.json"
+    save_instance_file(path, tree, rot)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, flag) for c, reads in READS.items() for flag in BOUND_FLAGS if flag not in reads],
+)
+def test_each_command_refuses_the_bound_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    path = write_named_instance(tmp_path, "rotation")
+    point = ["--point", "c"] if command == "classify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, *point, flag, "5"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} 5" in captured.err
+    assert captured.out == ""
+
+
+def test_every_flag_a_command_reads_has_an_instance_it_changes():
+    assert sorted((c, flag) for c, flag, _, _ in CHANGED_BY) == sorted(
+        (c, flag) for c, reads in READS.items() for flag in reads
+    )
+
+
+@pytest.mark.parametrize("command, flag, value, instance", CHANGED_BY)
+def test_each_bound_flag_a_command_reads_changes_its_answer(
+    tmp_path, capsys, command, flag, value, instance
+):
+    path = write_named_instance(tmp_path, instance)
+    point = ["--point", "l0"] if command == "classify" else []
+    argv = [command, path, *point, "--format", "json"]
+    default = (main(argv), capsys.readouterr().out)
+    bounded = (main(argv + [flag, value]), capsys.readouterr().out)
+    assert bounded != default
 
 
 def instance_with(**changes):
@@ -401,8 +486,8 @@ def test_fixture_param_validation(tmp_path, capsys):
     [
         (["--param", "arms=3", "--param", "arms=4"], "arms"),
         (["--param", "arms=4", "--param", "arms=4"], "arms"),
-        (["--seed", "5", "--param", "seed=6"], "seed"),
-        (["--param", "seed=6", "--seed", "6"], "seed"),
+        (["--param", "seed=5", "--param", "seed=6"], "seed"),
+        (["--param", "seed=6", "--param", "seed=6"], "seed"),
     ],
 )
 def test_fixture_parameter_given_twice_exits_three(tmp_path, capsys, argv, key):
@@ -419,7 +504,7 @@ def test_fixture_parameter_given_twice_exits_three(tmp_path, capsys, argv, key):
         (["fixture", "rotation", "--param", "arms=abc"], "'arms'"),
         (["fixture", "rotation", "--param", "arm_length=1/0"], "'arm_length'"),
         (["fixture", "tower", "--param", "periods=2,x"], "'periods'"),
-        (["fixture", "random_folding", "--seed", "abc"], "'seed'"),
+        (["fixture", "random_folding", "--param", "seed=abc"], "'seed'"),
         (["fixture", "rotation", "--param", "arm_length=1e100000000"], "'arm_length'"),
     ],
 )
@@ -461,23 +546,14 @@ def test_the_largest_stem_sweep_still_loads(tmp_path):
     assert max(len(str(t.denominator)) for t, _ in f.breakpoints("stem")) == MAX_DIGITS
 
 
-def test_fixture_seed_env_that_is_not_a_number_exits_three(capsys, monkeypatch):
-    monkeypatch.setenv("DENDRODYN_SEED", "zz")
-    assert main(["fixture", "random_finite_order"]) == 3
-    assert "parameter 'seed' is not a number: 'zz'" in capsys.readouterr().err
-
-
-def test_fixture_seed_env(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    c = tmp_path / "c.json"
-    monkeypatch.setenv("DENDRODYN_SEED", "21")
-    assert main(["fixture", "random_folding", "-o", str(a)]) == 0
-    assert main(["fixture", "random_folding", "-o", str(b)]) == 0
-    monkeypatch.setenv("DENDRODYN_SEED", "22")
-    assert main(["fixture", "random_folding", "-o", str(c)]) == 0
-    assert a.read_text() == b.read_text()
-    assert a.read_text() != c.read_text()
+def test_fixture_seed_is_a_parameter(tmp_path, capsys):
+    # an absent seed is 0
+    texts = []
+    for extra in ([], ["--param", "seed=0"], ["--param", "seed=1"]):
+        out = tmp_path / "random.json"
+        assert main(["fixture", "random_folding", *extra, "-o", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] != texts[2]
 
 
 def test_reports_are_byte_identical(tmp_path, capsys):

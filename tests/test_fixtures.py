@@ -20,9 +20,8 @@ from dendrodyn.fixtures import (
     star_dendrite,
     stem_collapse_map,
     stem_sweep_map,
-    stem_sweep_spread,
 )
-from oracles import is_identity, maps_equal
+from oracles import is_identity, maps_equal, stem_sweep_spread
 
 
 # -- interval instances ----------------------------------------------------------

@@ -96,13 +96,30 @@ PARAMS = ("arms=3", "arms=5", "arms=-2", "arms=abc", "arms=", "arm_length=1/3", 
           "arm_length=1/0", "k=3", "k=1", "k=x", "periods=2,4", "periods=2,x", "periods=4,2",
           "periods=", "depth=2", "depth=9", "seed=1", "seed=x", "order_seed=2", "x=1", "arms",
           "=", "")
-SEEDS = ("1", "7", "-3", "abc", "", "1/2")
+REPORT = ("--format", "-o", "--output")
+# the flags each command accepts, and one that only another command accepts
+ACCEPTS = {
+    "recurrence": ("--max-period", "--piece-cap", *REPORT),
+    "analyze": ("--max-period", "--depth", "--piece-cap", *REPORT),
+    "odometer": ("--depth", "--piece-cap", *REPORT),
+    "classify": ("--max-period", "--point", *REPORT),
+    "verify": ("--max-period", "--horizon", "--depth", "--piece-cap", *REPORT),
+    "fixture": ("--param", "-o", "--output"),
+}
+FOREIGN = {
+    "recurrence": "--horizon",
+    "analyze": "--horizon",
+    "odometer": "--max-period",
+    "classify": "--depth",
+    "verify": "--param",
+    "fixture": "--format",
+}
 
 
 def flag_values(tmp_path):
-    """Each flag of each subcommand, with the values it is tried with."""
+    """The values each flag is tried with."""
     outputs = (str(tmp_path / "out.txt"), str(tmp_path / "no_dir" / "out.txt"), str(tmp_path), "")
-    report = {
+    return {
         "--max-period": BOUND_VALUES,
         "--horizon": BOUND_VALUES,
         "--depth": BOUND_VALUES,
@@ -110,34 +127,24 @@ def flag_values(tmp_path):
         "--format": ("json", "text", "xml", ""),
         "-o": outputs,
         "--output": outputs,
-        "--bogus": ("1",),
-    }
-    fixture = {
+        "--point": POINTS,
         "--param": PARAMS,
-        "--seed": SEEDS,
-        "-o": outputs,
-        "--output": outputs,
-        "--format": ("json",),
     }
-    return report, fixture
 
 
 def flag_case(rng, instances, tmp_path):
-    report, fixture = flag_values(tmp_path)
+    values = flag_values(tmp_path)
     command = rng.choice(("recurrence", "analyze", "odometer", "classify", "verify", "fixture"))
     if command == "fixture":
         argv = [command, rng.choice(FIXTURE_KINDS + ("zz", ""))]
-        flags = dict(fixture)
     else:
         argv = [command, rng.choice(instances * 3 + (str(tmp_path / "missing.json"), ""))]
-        flags = dict(report)
-        if command == "classify" or rng.random() < 0.1:
-            flags["--point"] = POINTS
+    flags = (*ACCEPTS[command], FOREIGN[command])
     for _ in range(rng.randint(0, 4)):
-        flag = rng.choice(sorted(flags))
+        flag = rng.choice(flags)
         argv.append(flag)
         if rng.random() < 0.95:  # sometimes the value is missing
-            argv.append(rng.choice(flags[flag]))
+            argv.append(rng.choice(values[flag]))
     if command == "classify" and "--point" not in argv and rng.random() < 0.8:
         argv += ["--point", rng.choice(POINTS)]
     rng.shuffle(argv[2:])

@@ -21,13 +21,12 @@ from dendrodyn.odometer import (
     classify_adding_machine,
     detect_cycles_of_sets,
     tau,
-    valid_addresses,
     validate_address,
     verify_semiconjugacy,
 )
 from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Component, Subtree
-from oracles import measure
+from oracles import measure, valid_addresses
 
 
 def compatible(digits, periods):
@@ -131,7 +130,7 @@ def test_detect_rotation_single_level():
     assert len(cycles) == 1
     assert cycles[0].period == 3
     assert cycles[0].level == 1
-    assert all(p == tree.vertex_point("c") for p in cycles[0].attachments)
+    assert all(s.attachment == tree.vertex_point("c") for s in cycles[0].sets)
 
 
 def test_detect_flip_stops_after_one_level():
@@ -313,7 +312,6 @@ def test_semiconjugacy_flags_a_mis_ordered_cycle():
         level=good.level,
         period=good.period,
         sets=good.sets[::-1],
-        attachments=good.attachments[::-1],
     )
     report = verify_semiconjugacy(rot, (bad,))
     assert report.status == "fail"
@@ -360,7 +358,6 @@ def test_classify_emptied_chain_is_weak():
         level=1,
         period=3,
         sets=(good.sets[0], hollow, good.sets[2]),
-        attachments=good.attachments,
     )
     report = classify_adding_machine((maimed,))
     assert report.label == "weak"
@@ -455,7 +452,7 @@ def tampered(rng, cycles):
     else:
         sets[rng.randrange(len(sets))] = other
     sets[i] = comp
-    level = CycleOfSets(cyc.level, cyc.period, tuple(sets), cyc.attachments)
+    level = CycleOfSets(cyc.level, cyc.period, tuple(sets))
     return cycles[:k] + (level,) + cycles[k + 1 :]
 
 
@@ -497,5 +494,5 @@ def test_classify_maimed_matches_the_former_loops():
     tree, rot = rotation_star(3)
     good = detect_cycles_of_sets(rot, 1)[0]
     hollow = Component(Subtree.empty(tree), (tree.vertex_point("c"),), good.sets[1].repr_point)
-    maimed = CycleOfSets(1, 3, (good.sets[0], hollow, good.sets[2]), good.attachments)
+    maimed = CycleOfSets(1, 3, (good.sets[0], hollow, good.sets[2]))
     assert classify_adding_machine((maimed,)) == former_classify((maimed,))

@@ -11,16 +11,17 @@ from dendrodyn import (
     StructureError,
     Subtree,
 )
-from dendrodyn import fixtures
+from dendrodyn import fixtures, plmap
 from dendrodyn.fixtures import random_finite_order_map, random_folding_map, rotation_star
 from dendrodyn.plmap import (
+    MAX_TABLE_SIZE,
     PLTreeMap,
     _continues,
+    _retraction,
     compose,
     find_periodic_in_hull,
     identity_map,
     map_from_vertex_images,
-    project_onto,
 )
 from oracles import is_identity, maps_equal, orbit
 
@@ -122,6 +123,33 @@ def test_shared_vertex_consistency():
     }
     with pytest.raises(StructureError):
         PLTreeMap(s, table)
+
+
+def alternating_path(n):
+    """A path of n vertices whose vertices map alternately to its two ends,
+    so every edge's image arc is the whole path."""
+    verts = [f"p{i}" for i in range(n)]
+    tree = MetricTree(verts, [(f"e{i}", (verts[i], verts[i + 1]), 1) for i in range(n - 1)])
+    ends = [tree.vertex_point(verts[0]), tree.vertex_point(verts[-1])]
+    return tree, {f"e{i}": [(0, ends[i % 2]), (1, ends[(i + 1) % 2])] for i in range(n - 1)}
+
+
+def test_table_size_is_bounded_while_the_arcs_are_built(monkeypatch):
+    # 1,999 pieces of 1,999 segments each: refused on the 101st arc built
+    tree, table = alternating_path(2_000)
+    calls = count_arc_calls(monkeypatch)
+    with pytest.raises(StructureError, match=f"more than {MAX_TABLE_SIZE} pieces"):
+        PLTreeMap(tree, table)
+    assert len(calls) == MAX_TABLE_SIZE // 2_000 + 1
+    # the bound counts pieces plus segments: a 3-arm rotation has 3 + 3
+    s = star3()
+    c = s.vertex_point("c")
+    rotation = {f"a{i}": [(0, c), (1, s.vertex_point(f"l{i % 3 + 1}"))] for i in (1, 2, 3)}
+    monkeypatch.setattr(plmap, "MAX_TABLE_SIZE", 6)
+    assert PLTreeMap(s, rotation).piece_count == 3
+    monkeypatch.setattr(plmap, "MAX_TABLE_SIZE", 5)
+    with pytest.raises(StructureError, match="more than 5 pieces"):
+        PLTreeMap(s, rotation)
 
 
 def test_map_from_vertex_images_requires_all_vertices():
@@ -382,7 +410,7 @@ def normalize_inputs():
         t = random_tree(rng, rng.randint(2, 7))
         f, g = random_map(rng, t), random_map(rng, t)
         hull = t.connected_hull([random_point(rng, t), random_point(rng, t)])
-        derived = [compose(f, f), compose(f, g), project_onto(f, hull)]
+        derived = [compose(f, f), compose(f, g), compose(_retraction(t, hull), f)]
         maps += [f, *derived, *(refine(rng, h) for h in derived)]
     for i in range(40):
         for f in (random_finite_order_map(i, i + 9000)[1], random_folding_map(i + 9000)[1]):
@@ -639,24 +667,16 @@ def test_compose_rejects_maps_on_different_trees():
 
 
 def test_project_onto_matches_pointwise_retraction():
+    # a map projected onto a connected subtree: the retraction composed after it
     rng = random.Random(777)
     for _ in range(12):
         t = random_tree(rng, rng.randint(3, 6))
         f = random_map(rng, t)
         z = t.connected_hull([random_point(rng, t), random_point(rng, t)])
-        g = project_onto(f, z)
+        g = compose(_retraction(t, z), f)
         for x in domain_samples(t):
             assert g.evaluate(x) == t.retract(z, f.evaluate(x))
         assert z.contains_subtree(g.image())
-
-
-def test_project_onto_rejects_empty_and_disconnected_targets():
-    s = star3()
-    f = rotation_on(s)
-    ends = Subtree.build(s, [], ["l1", "l2"])
-    for target in (Subtree.build(s, [], []), ends):
-        with pytest.raises(PreconditionError, match="nonempty and connected"):
-            project_onto(f, target)
 
 
 def test_project_onto_pins_overshooting_pieces():
@@ -665,7 +685,7 @@ def test_project_onto_pins_overshooting_pieces():
     # the tent maps [1/4, 3/4] over [1/2, 1]; retracting onto [0, 1/2]
     # pins that whole stretch at the target's far end
     target = t.connected_hull([t.vertex_point("v0"), t.edge_point("e", F(1, 2))])
-    g = project_onto(tent, target)
+    g = compose(_retraction(t, target), tent)
     far = t.edge_point("e", F(1, 2))
     for x in (F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(5, 8), F(3, 4), F(7, 8)):
         expect = tent.evaluate(t.edge_point("e", x))
@@ -689,7 +709,7 @@ def test_retracted_power_is_the_power_on_the_hull():
         f = random_map(rng, t)
         n = rng.randint(1, 3)
         hull = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 3))])
-        h = project_onto(identity_map(t), hull)
+        h = _retraction(t, hull)
         for _ in range(n):
             h = compose(f, h)
         fn = f.iterate(n)
@@ -798,7 +818,7 @@ def test_one_vertex_tree_has_only_the_identity():
         map_from_vertex_images(t, {}),
         identity_map(t),
         compose(f, f),
-        project_onto(f, t.full_subtree()),
+        _retraction(t, t.full_subtree()),
         f.iterate(0),
         f.iterate(5),
     ]
@@ -954,19 +974,20 @@ def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
 
 
 def test_project_onto_and_normalize_ask_the_tree_for_no_arc(monkeypatch):
+    # the retraction is a table, built before counting; composing after it is not
     rng = random.Random(8)
     cases = []
     for _ in range(20):
         t = random_tree(rng, rng.randint(3, 7))
         f = random_map(rng, t)
         hull = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 3))])
-        cases.append((f, hull, refine(rng, compose(f, f))))
+        cases.append((f, hull, _retraction(t, hull), refine(rng, compose(f, f))))
     # pieces whose arcs miss the hull take the retraction
-    missing = sum(not hull.intersect_arc(p.arc) for f, hull, _ in cases for p in f._pieces)
+    missing = sum(not hull.intersect_arc(p.arc) for f, hull, _, _ in cases for p in f._pieces)
     calls = count_arc_calls(monkeypatch)
     dropped = 0
-    for f, hull, refined in cases:
-        project_onto(f, hull)
+    for f, _, r, refined in cases:
+        compose(r, f)
         dropped += refined.normalize().piece_count < refined.piece_count
     assert missing > 20 and dropped == len(cases)
     assert len(calls) == 0
@@ -1136,9 +1157,29 @@ def test_project_onto_and_normalize_match_the_table_route():
         t = f.domain
         for _ in range(3):
             hull = t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 3))])
-            g = project_onto(f, hull)
+            g = compose(_retraction(t, hull), f)
             assert_same_pieces(g, table_project_onto(f, hull))
             pinned += sum(not hull.contains(p) for p in (f.evaluate(x) for x in t.grid_points(2)))
         refined = refine(rng, compose(f, f))
         assert_same_pieces(refined.normalize(), table_normalize(refined))
     assert pinned > 100
+
+
+def test_retraction_matches_the_table_route():
+    # the hull solver's retraction, against projecting the identity onto the hull
+    rng = random.Random(4545)
+    trees = [f.domain for f in analysis_maps()] + [star3(), interval()]
+    trees += [random_tree(rng, rng.randint(2, 8)) for _ in range(40)]
+    cases = 0
+    for t in trees:
+        hulls = [t.full_subtree(), t.point_subtree(any_point(rng, t))]
+        for _ in range(4):
+            hulls.append(t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 4))]))
+        for hull in hulls:
+            r = _retraction(t, hull)
+            assert_same_pieces(r, table_project_onto(identity_map(t), hull))
+            assert r.normalize() is r
+            for x in domain_samples(t):
+                assert r.evaluate(x) == t.retract(hull, x)
+            cases += 1
+    assert cases == 6 * len(trees)
