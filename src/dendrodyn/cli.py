@@ -169,6 +169,8 @@ def _parse_point(text, tree):
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = text
+    except (ValueError, RecursionError) as exc:  # past the digit limit or the stack
+        raise StructureError(f"the point is not valid JSON: {exc}") from None
     if isinstance(obj, str):
         obj = {"vertex": obj}
     return dio.point_from_json(obj, tree)

@@ -184,7 +184,7 @@ def dump_instance(tree: MetricTree, f: PLTreeMap | None = None) -> str:
 def load_instance(text: str) -> tuple:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # also an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # also past the digit limit or the stack
         raise StructureError(f"not valid JSON: {exc}") from None
     return map_from_json(obj)
 
@@ -196,4 +196,8 @@ def save_instance_file(path, tree: MetricTree, f: PLTreeMap | None = None) -> No
 
 def load_instance_file(path) -> tuple:
     with open(path, encoding="utf-8") as fh:
-        return load_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise StructureError(f"not UTF-8 text: {exc}") from None
+    return load_instance(text)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .dynamics import CheckResult, Witness, _periodic_levels
 from .errors import ConsistencyError, PreconditionError, StructureError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
-from .tree import Component, Subtree, TreePoint
+from .tree import Component, TreePoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,7 +125,7 @@ class CycleOfSets:
         return self._locate(x)
 
 
-def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, locate, start: Component):
+def _follow_cycle(f: PLTreeMap, comps, locate, start: Component):
     """Order the components reachable from `start` by repeated application
     of the map, verifying exact containment at every step.  `locate` is
     the `_locator` of `comps`.
@@ -146,12 +146,7 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, locate, start: Componen
     cycle = [start]
     cur = start
     while True:
-        img = f.evaluate(cur.repr_point)
-        if removed.contains(img):
-            raise ConsistencyError(
-                "a component of the complement maps into the periodic set"
-            )
-        i = locate(img)
+        i = locate(f.evaluate(cur.repr_point))
         if i is None:
             raise ConsistencyError("image point escaped every component")
         nxt = comps[i]
@@ -172,19 +167,16 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, comps, locate, start: Componen
 
 
 def detect_cycles_of_sets(
-    f: PLTreeMap,
-    depth: int,
-    root_at: TreePoint | None = None,
-    piece_cap: int = DEFAULT_PIECE_CAP,
+    f: PLTreeMap, depth: int, piece_cap: int = DEFAULT_PIECE_CAP
 ) -> tuple:
     """Nested cycles of components of the complement of the periodic set.
 
     For each n up to `depth` the points of period at most n are removed
     and the component containing the root is followed around its cycle.
     Levels that do not refine the previous period are dropped, so the
-    returned periods strictly increase.  The root defaults to the
-    component with the smallest canonical key at the deepest level that
-    still has one; pass `root_at` to follow a specific point instead.
+    returned periods strictly increase.  The root is the component with
+    the smallest canonical key at the deepest level that still has one.
+    The tree is split once per distinct periodic set.
     A component on a followed cycle that touches the removed set at other
     than one point raises `PreconditionError`: no tower passes through it.
     """
@@ -200,35 +192,24 @@ def detect_cycles_of_sets(
     # each distinct periodic set once, with the first power giving it: a
     # repeat has the same components, so the same cycle
     levels = []  # (n, removed, components, their locator)
-    reached = 0  # the last power whose periodic set is not the whole tree
     full = tree.full_subtree()
     for n, _, removed in _periodic_levels(f, depth, piece_cap):
         if removed == full:
             break
-        reached = n
         if not levels or removed != levels[-1][1]:
             comps = tree.components_minus(removed)
             levels.append((n, removed, comps, _locator(comps)))
     if not levels:
         return ()
 
-    _, removed, deepest, locate = levels[-1]
-    if root_at is not None:
-        tree.validate_point(root_at)
-        if removed.contains(root_at):
-            raise PreconditionError(f"the root point is periodic within power {reached}")
-        root_comp = deepest[locate(root_at)]
-    else:
-        root_comp = min(deepest, key=lambda c: c.closure.canonical_key)
-
-    anchor = root_comp.repr_point
+    anchor = min(levels[-1][2], key=lambda c: c.closure.canonical_key).repr_point
     out = []
     last_period = 0
-    for n, removed, comps, locate in levels:
+    for n, _, comps, locate in levels:
         i = locate(anchor)
         if i is None:
             raise ConsistencyError("the root chain broke between depths")
-        cycle = _follow_cycle(f, removed, comps, locate, comps[i])
+        cycle = _follow_cycle(f, comps, locate, comps[i])
         if len(cycle) <= last_period:
             continue
         last_period = len(cycle)
@@ -330,39 +311,53 @@ def _meet_only_at_boundaries(tree, sets) -> bool:
     )
 
 
-def classify_adding_machine(cycles, expected_type: OdometerType | None = None) -> AddingMachineReport:
+def _is_branch(tree, comp: Component) -> bool:
+    """Whether a set is a whole branch at its attachment a: the closure C
+    of the component of the tree minus a that holds its representative p.
+
+    That holds exactly when C holds p != a, every interval of C ending
+    inside an edge ends at a, every other vertex of C has all its edges
+    starting in C, and one edge germ at a leads into C.  Then C minus a
+    is open and closed in the tree minus a, so it is one component and
+    needs no connectedness test.  Germs are counted as interval ends, so
+    an a strictly inside an interval of C counts none.
+    """
+    c, a, p = comp.closure, comp.attachment, comp.repr_point
+    if p == a or not c.contains(p):
+        return False
+    germs = dict.fromkeys([a, *map(tree.vertex_point, c.vertices)], 0)
+    for eid, intervals in c.segments.items():
+        for lo, hi in intervals:
+            for end in (tree.edge_point(eid, lo), tree.edge_point(eid, hi)):
+                if end not in germs:
+                    return False
+                germs[end] += 1
+    return all(n == (1 if q == a else tree.degree(q.vertex)) for q, n in germs.items())
+
+
+def classify_adding_machine(cycles) -> AddingMachineReport:
     """Grade the tower evidence at its available depth.
 
-    Openness re-derives each set as a full component of the complement
-    of its own attachment point; the chain check demands every deepest
-    set be non-empty; disjointness lets closures meet only at
-    attachments.  All three together justify "topological"; "full" needs
-    the deepest period to exhaust the address space of the detected type
-    (and to match `expected_type` when one is given).
+    Openness asks whether each set is a whole branch of the tree minus
+    its own attachment point, read off the set's closure alone (see
+    `_is_branch`); the chain check demands every deepest set be
+    non-empty; disjointness lets closures meet only at attachments.  All
+    three together justify "topological"; "full" needs the deepest
+    period to exhaust the address space of the detected type.
 
-    The tree is split once per distinct attachment point, and
-    disjointness is one sweep over all the deepest closures (see
-    `_meet_only_at_boundaries`).
+    Each level costs time linear in the tree, and disjointness is one
+    sweep over all the deepest closures (see `_meet_only_at_boundaries`).
     """
     if not cycles:
         raise PreconditionError("no cycle levels to classify")
     tree = cycles[0].sets[0].closure.tree
 
-    openness_ok = True
-    split = {}  # attachment -> the components of the tree minus it, and their locator
-    for cyc in cycles:
-        for comp in cyc.sets:
-            if comp.closure.is_empty():
-                openness_ok = False
-                continue
-            at = comp.attachment
-            if at not in split:
-                others = tree.components_minus(tree.point_subtree(at))
-                split[at] = (others, _locator(others))
-            others, locate = split[at]
-            i = locate(comp.repr_point)
-            if i is None or others[i].closure != comp.closure:
-                openness_ok = False
+    # a list, not a generator: every set's attachment is read, in order
+    openness_ok = all([
+        not comp.closure.is_empty() and _is_branch(tree, comp)
+        for cyc in cycles
+        for comp in cyc.sets
+    ])
 
     deepest = cycles[-1]
     chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
@@ -371,8 +366,6 @@ def classify_adding_machine(cycles, expected_type: OdometerType | None = None) -
     periods = tuple(c.period for c in cycles)
     keys = {c.closure.canonical_key for c in deepest.sets}
     full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
-    if expected_type is not None:
-        full_ok = full_ok and periods == expected_type.periods
 
     if not (openness_ok and chains_ok and disjoint_ok):
         label = "weak"

@@ -301,7 +301,7 @@ def test_criterion_6_cycle_detection_and_semiconjugacy():
         result = verify_semiconjugacy(f, cycles)
         assert result.status == "pass"
 
-        report = classify_adding_machine(cycles, OdometerType((2, 4, 8)))
+        report = classify_adding_machine(cycles)
         assert report.full_ok
         assert report.label == "topological (full)"
         assert report.detected_periods == (2, 4, 8)

@@ -222,6 +222,31 @@ def test_input_errors_exit_three(tmp_path, capsys):
     assert "line" in err
 
 
+def one_error_line(capsys, start):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {start}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, start",
+    [(b'{"vertices": ["\xff"], "edges": []}', "not UTF-8 text"), (b"[" * 100_000, "not valid JSON")],
+    ids=["not-utf8", "nested"],
+)
+def test_instance_that_cannot_be_decoded_exits_three(tmp_path, capsys, content, start):
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    assert main(["recurrence", str(path)]) == 3
+    one_error_line(capsys, start)
+
+
+@pytest.mark.parametrize("point", ["[" * 20_000, "1" * 5_000], ids=["nested", "long-number"])
+def test_point_that_cannot_be_decoded_exits_three(tmp_path, capsys, point):
+    path = write_fixture(tmp_path, "flip")
+    assert main(["classify", path, "--point", point]) == 3
+    one_error_line(capsys, "the point is not valid JSON")
+
+
 def test_bad_flags_exit_three(tmp_path):
     path = write_fixture(tmp_path, "flip")
     with pytest.raises(SystemExit) as exc:

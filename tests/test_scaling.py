@@ -4,16 +4,19 @@ Rotation, identity and half-rotated stars at 200 and 400 arms go through
 `run_checks` and `cli.main odometer`, counting `PLTreeMap.evaluate`,
 `MetricTree.components_minus` and `Component.contains` calls.  There is
 no time budget: a quadratic step shows as a count that about quadruples
-when the star doubles.  On a star every set of a tower hangs off the
-centre and the periodic set is the same at every level, so the tree is
-split once for the levels and once for the openness test, whatever the
-number of arms.
+when the star doubles.  On a star the periodic set is the same at every
+level, so the tree is split at most once, whatever the number of arms.
+On towers the tree is split once per distinct periodic set, and the
+openness test of the classification splits it not at all: it reads each
+set's own closure.
 """
 
 import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, save_instance_file
 from dendrodyn.cli import main
+from dendrodyn.fixtures import odometer_tower
+from dendrodyn.odometer import classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component
 from dendrodyn.verify import run_checks
@@ -60,7 +63,7 @@ def calls(monkeypatch, run, arms, build):
 def assert_linear(small, large):
     for name in small:
         assert large[name] <= 2.1 * small[name] + 2, (name, small, large)
-    assert large["components_minus"] == small["components_minus"] <= 2, (small, large)
+    assert large["components_minus"] == small["components_minus"] <= 1, (small, large)
 
 
 def checks(tree, f):
@@ -84,3 +87,21 @@ def test_odometer_command_grows_linearly(monkeypatch, tmp_path, shape, capsys):
 
     small, large = (calls(monkeypatch, odometer, arms, SHAPES[shape]) for arms in (200, 400))
     assert_linear(small, large)
+
+
+@pytest.mark.parametrize(
+    "periods, depth",
+    [((2, 4), 4), ((2, 4, 8), 4), ((2, 4, 8), 8), ((2, 4, 8, 16, 32, 64), 64)],
+    ids=["t2-depth4", "t3-depth4", "t3-depth8", "t6-depth64"],
+)
+def test_towers_split_once_per_level_and_never_to_classify(monkeypatch, periods, depth):
+    # P_1 is the stem and P_p adds the level of period p; the last level
+    # makes P the whole tree, which is not split
+    _, f = odometer_tower(len(periods), periods)
+    tally = {"components_minus": 0}
+    counted(monkeypatch, MetricTree, "components_minus", tally)
+    cycles = detect_cycles_of_sets(f, depth)
+    assert tally["components_minus"] == 1 + sum(p <= depth for p in periods[:-1])
+    tally["components_minus"] = 0
+    assert classify_adding_machine(cycles).label == "topological (full)"
+    assert tally["components_minus"] == 0
