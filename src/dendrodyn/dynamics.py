@@ -163,11 +163,18 @@ def _composed_power(f: PLTreeMap, n: int, piece_cap: int) -> PLTreeMap:
 
 def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP):
     """(n, Fix(f^n), P_n) for n = 1, ..., upto, P_n the union of the first n
-    fixed sets.  Lazy: a caller that stops at level n composes no later power."""
+    fixed sets.  Lazy: a caller that stops at level n composes no later power.
+
+    Each fixed set is merged once: `fixed_set` hands out the one it keeps
+    for a key, and on a certified map every n with the same gcd(n, N)
+    shares it, so P_n is P_(n-1) itself when Fix(f^n) was merged before."""
     union = Subtree.empty(f.domain)
+    merged = {}  # id -> fixed set already in the union; holding it keeps the id its own
     for n in range(1, upto + 1):
         fixed = fixed_set(f, n, piece_cap)
-        union = union.union(fixed)
+        if id(fixed) not in merged:
+            merged[id(fixed)] = fixed
+            union = union.union(fixed)
         yield n, fixed, union
 
 

@@ -21,7 +21,6 @@ from .tree import MAX_DIGITS, MetricTree, Subtree, TreePoint, as_fraction
 
 
 def fraction_to_str(x) -> str:
-    x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -35,8 +34,7 @@ def fraction_from_str(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         if abs(s) >= _INTEGER_LIMIT:
             raise StructureError(f"an integer longer than {MAX_DIGITS} digits")
-        return Fraction(s)
-    if not isinstance(s, str):
+    elif not isinstance(s, str):
         raise StructureError(f"expected a rational string, got {s!r}")
     return as_fraction(s)
 
@@ -122,6 +120,13 @@ def _object_field(obj, key):
     return value
 
 
+def _known_keys(field: dict, ids, key: str, what: str) -> None:
+    """Refuse a key of `field` that names none of `ids`: it would be dropped."""
+    unknown = sorted(set(field) - set(ids))
+    if unknown:
+        raise StructureError(f"{key!r} names unknown {what}: {unknown}")
+
+
 def subtree_to_json(sub: Subtree) -> dict:
     return {
         "vertices": sorted(sub.vertices, key=str),
@@ -151,12 +156,15 @@ def map_from_json(obj) -> tuple:
     tree = tree_from_json(obj)
     if "edge_pieces" not in obj and "vertex_images" not in obj:
         return tree, None
-    vimg = {v: point_from_json(p, tree) for v, p in _object_field(obj, "vertex_images").items()}
+    vimg_raw = _object_field(obj, "vertex_images")
+    _known_keys(vimg_raw, tree.vertex_ids, "vertex_images", "vertices")
+    vimg = {v: point_from_json(p, tree) for v, p in vimg_raw.items()}
     for v in tree.vertex_ids:
         if v not in vimg:
             raise StructureError(f"vertex {v!r} has no image")
 
     pieces_raw = _object_field(obj, "edge_pieces")
+    _known_keys(pieces_raw, tree.edge_ids, "edge_pieces", "edges")
     table = {}
     for eid in tree.edge_ids:
         if not isinstance(pieces_raw.get(eid), list):

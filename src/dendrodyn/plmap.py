@@ -371,8 +371,8 @@ class PLTreeMap:
                 c = offsets[k]
                 sign = 1 if u1 > u0 else -1
                 # u(t) = u0 + sign*(rate*(t - t0) - c)/length on the window
-                alpha = Fraction(sign) * rate / length
-                beta = u0 - Fraction(sign) * (rate * piece.t0 + c) / length
+                alpha = sign * rate / length
+                beta = u0 - sign * (rate * piece.t0 + c) / length
                 x_lo = piece.param_at_arclength(c)
                 x_hi = piece.param_at_arclength(offsets[k + 1])
                 if alpha == 1:

@@ -6,22 +6,172 @@ edge, addressed by a rational parameter in (0, 1); the parameter values
 0 and 1 normalize to the incident vertex, so point equality is plain
 structural equality.  Every pair of points is joined by a unique arc,
 and all derived notions (distance, separation, hulls, retractions,
-complement components) are computed exactly with `fractions.Fraction`.
+complement components) are computed exactly in rational arithmetic.
 No floating point enters any computation in this module.
+
+Every rational the program makes is a `_Q`, a `fractions.Fraction`
+whose arithmetic and comparisons with its own kind, `Fraction` and
+`int` skip `Fraction`'s generic dispatch: `as_fraction`, `ZERO` and
+`ONE` hand them out, and whatever is computed from them stays one.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsistencyError, PreconditionError, StructureError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+# -- exact rationals: `_Q` and the integer formulas it runs -------------------
+
+_new = object.__new__
+
+
+def _q(n: int, d: int) -> _Q:
+    """The rational n/d for coprime n and d > 0, built as it stands."""
+    x = _new(_Q)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+# The formulas of `Fraction` (Knuth, TAOCP 4.5.1) on numerator and
+# denominator pairs in lowest terms, denominators positive: each result is
+# in lowest terms already.
+
+
+def _add(na, da, nb, db):
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return _q(t, s * db)
+    return _q(t // g2, s * (db // g2))
+
+
+def _sub(na, da, nb, db):
+    return _add(na, da, -nb, db)
+
+
+def _mul(na, da, nb, db):
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _q(na * nb, db * da)
+
+
+def _div(na, da, nb, db):
+    if not nb:
+        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(db, da)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    if d < 0:
+        n, d = -n, -d
+    return _q(n, d)
+
+
+def _operators(op, forward_fallback, reverse_fallback):
+    def forward(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            return op(a._numerator, a._denominator, b, 1)
+        return forward_fallback(a, b)
+
+    def reverse(b, a):  # a op b, with b the _Q
+        ta = type(a)
+        if ta is Fraction:
+            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+        if ta is int:
+            return op(a, 1, b._numerator, b._denominator)
+        return reverse_fallback(b, a)
+
+    return forward, reverse
+
+
+def _comparison(cmp, fallback):
+    def compare(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            return cmp(a._numerator * b._denominator, b._numerator * a._denominator)
+        if tb is int:
+            return cmp(a._numerator, b * a._denominator)
+        return fallback(a, b)
+
+    return compare
+
+
+class _Q(Fraction):
+    """A `Fraction` with a fast path for exact operands.
+
+    When the other operand's type is exactly `_Q`, `Fraction` or `int`,
+    `+ - * /` (either side), `-`, `abs`, `==` and the order comparisons
+    read the numerators and denominators directly, reduce with the gcd
+    formulas `Fraction` uses, and build a `_Q` without normalizing again.
+    Any other operand (bool, float, Decimal, complex) goes to
+    `Fraction`'s own method.  Value, `str`, `repr` and `hash` are those of
+    the equal `Fraction`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        # what Fraction accepts; its __reduce__ and __copy__ call the class
+        f = Fraction(numerator, denominator)
+        return _q(f._numerator, f._denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    __hash__ = Fraction.__hash__
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _q(abs(a._numerator), a._denominator)
+
+    __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
+    __sub__, __rsub__ = _operators(_sub, Fraction.__sub__, Fraction.__rsub__)
+    __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
+    __truediv__, __rtruediv__ = _operators(_div, Fraction.__truediv__, Fraction.__rtruediv__)
+    __lt__ = _comparison(operator.lt, Fraction.__lt__)
+    __le__ = _comparison(operator.le, Fraction.__le__)
+    __gt__ = _comparison(operator.gt, Fraction.__gt__)
+    __ge__ = _comparison(operator.ge, Fraction.__ge__)
+
+
+ZERO = _q(0, 1)
+ONE = _q(1, 1)
 
 
 MAX_DIGITS = 1000
@@ -29,7 +179,7 @@ _RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})
 
 
 def as_fraction(value) -> Fraction:
-    """An exact Fraction from a Fraction, an int, or a rational string.
+    """An exact rational, as a `_Q`, from a Fraction, an int, or a rational string.
 
     A string must read [sign]digits[/digits] with at most `MAX_DIGITS`
     digits a part: enough for any exact instance, and far below both the
@@ -37,6 +187,8 @@ def as_fraction(value) -> Fraction:
     writing long integers back out.  Booleans, floats, decimals and
     padded strings are refused.
     """
+    if type(value) is _Q:
+        return value
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             shown = value if len(value) <= 40 else value[:40] + "..."
@@ -46,13 +198,13 @@ def as_fraction(value) -> Fraction:
             )
         num, _, den = value.partition("/")
         try:
-            return Fraction(int(num), int(den or 1))
+            return _Q(int(num), int(den or 1))
         except ZeroDivisionError:
             raise StructureError(f"not a rational: {value!r}") from None
     if isinstance(value, Fraction):
-        return value
+        return _q(value.numerator, value.denominator)
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return _q(int(value), 1)
     raise StructureError(f"not a rational: {value!r}")
 
 
@@ -444,7 +596,7 @@ class MetricTree:
         pts = [self.vertex_point(v) for v in self._vkeys]
         for eid in self._ekeys:
             for i in range(1, per_edge + 1):
-                pts.append(self.edge_point(eid, Fraction(i, per_edge + 1)))
+                pts.append(self.edge_point(eid, _Q(i, per_edge + 1)))
         return tuple(pts)
 
     # -- complements -------------------------------------------------------

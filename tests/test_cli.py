@@ -240,6 +240,20 @@ def test_instance_that_cannot_be_decoded_exits_three(tmp_path, capsys, content, 
     one_error_line(capsys, start)
 
 
+@pytest.mark.parametrize(
+    "key, unknown, copied", [("vertex_images", "zz", "c"), ("edge_pieces", "ghost", "a0")]
+)
+def test_instance_naming_an_unknown_id_exits_three(tmp_path, capsys, key, unknown, copied):
+    path = write_fixture(tmp_path, "rotation")
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj[key][unknown] = obj[key][copied]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    assert main(["recurrence", path]) == 3
+    one_error_line(capsys, f"{key!r} names unknown")
+
+
 @pytest.mark.parametrize("point", ["[" * 20_000, "1" * 5_000], ids=["nested", "long-number"])
 def test_point_that_cannot_be_decoded_exits_three(tmp_path, capsys, point):
     path = write_fixture(tmp_path, "flip")

@@ -239,6 +239,18 @@ def test_load_rejects_missing_pieces_and_images():
         load_instance(json.dumps(broken))
 
 
+@pytest.mark.parametrize(
+    "key, unknown", [("vertex_images", "zz"), ("edge_pieces", "ghost")]
+)
+def test_load_rejects_unknown_ids(key, unknown):
+    # a key naming no vertex or edge would be dropped, so the file could not round-trip
+    t = interval()
+    obj = json.loads(dump_instance(t, tent_on(t)))
+    obj[key][unknown] = obj[key]["v0" if key == "vertex_images" else "e"]
+    with pytest.raises(StructureError, match=f"{key!r} names unknown .*{unknown!r}"):
+        load_instance(json.dumps(obj))
+
+
 def test_load_rejects_syntax_errors_with_position():
     with pytest.raises(StructureError, match="line"):
         load_instance('{"vertices": [')

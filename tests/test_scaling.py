@@ -8,17 +8,19 @@ when the star doubles.  On a star the periodic set is the same at every
 level, so the tree is split at most once, whatever the number of arms.
 On towers the tree is split once per distinct periodic set, and the
 openness test of the classification splits it not at all: it reads each
-set's own closure.
+set's own closure.  The running union of the fixed sets merges each
+distinct fixed set once.
 """
 
 import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, save_instance_file
 from dendrodyn.cli import main
+from dendrodyn.dynamics import _periodic_levels
 from dendrodyn.fixtures import odometer_tower
 from dendrodyn.odometer import classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
-from dendrodyn.tree import Component
+from dendrodyn.tree import Component, Subtree
 from dendrodyn.verify import run_checks
 
 
@@ -105,3 +107,18 @@ def test_towers_split_once_per_level_and_never_to_classify(monkeypatch, periods,
     tally["components_minus"] = 0
     assert classify_adding_machine(cycles).label == "topological (full)"
     assert tally["components_minus"] == 0
+
+
+def test_tower_union_merges_each_distinct_fixed_set_once(monkeypatch):
+    # the 64-tower is certified with N = 64, so Fix(f^n) = Fix(f^gcd(n, 64)):
+    # seven fixed sets for n = 1, ..., 64
+    _, f = odometer_tower(6, (2, 4, 8, 16, 32, 64))
+    tally = {"union": 0}
+    with monkeypatch.context() as patch:
+        counted(patch, Subtree, "union", tally)
+        levels = list(_periodic_levels(f, 64))
+    assert tally["union"] == len({id(fixed) for _, fixed, _ in levels}) == 7
+    running = Subtree.empty(f.domain)
+    for _, fixed, union in levels:
+        running = running.union(fixed)
+        assert union == running
