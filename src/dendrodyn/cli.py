@@ -41,6 +41,9 @@ DEPTH_DEFAULT = 4
 # `--depth` composes and reports one power per level, so it is bounded like
 # an input: 1,000 levels already write a report of about half a megabyte.
 MAX_DEPTH = 1_000
+# `analyze` writes two whole subtrees per level, so its report grows as depth
+# times tree size; this bound keeps the default depth on every file that loads.
+MAX_ANALYZE_SIZE = DEPTH_DEFAULT * 2 * dio.MAX_VERTICES
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,6 +94,12 @@ def _run_recurrence(tree, f, args):
 
 
 def _run_analyze(tree, f, args):
+    size = len(tree.vertex_ids) + len(tree.edge_ids)
+    if args.depth * size > MAX_ANALYZE_SIZE:
+        raise PreconditionError(
+            f"analyze reports two subtrees per level: --depth {args.depth} times "
+            f"{size} vertices and edges passes {MAX_ANALYZE_SIZE}"
+        )
     ps = periodic_structure(f, args.depth, args.max_period, args.piece_cap)
     vertices = []
     for v in tree.vertex_ids:

@@ -683,8 +683,8 @@ def check_no_radial_stretch(
     tree = f.domain
     fixed = fixed_set(f, n, piece_cap)
     anchors = list(fixed.corner_points())
-    for eid in sorted(fixed.segments, key=str):
-        for lo, hi in fixed.segments[eid]:
+    for eid, intervals in fixed.segments.items():
+        for lo, hi in intervals:
             if lo < hi:
                 anchors.append(tree.edge_point(eid, (lo + hi) / 2))
     if not anchors:

@@ -57,7 +57,7 @@ def point_from_json(obj, tree: MetricTree) -> TreePoint:
         return tree.vertex_point(v)
     if len(obj) == 2 and "edge" in obj and "t" in obj:
         eid = obj["edge"]
-        if eid not in tree.edge_ids:
+        if not isinstance(eid, str) or not tree.has_edge(eid):
             raise StructureError(f"unknown edge {eid!r}")
         return tree.edge_point(eid, fraction_from_str(obj["t"]))
     raise StructureError(
@@ -132,7 +132,7 @@ def subtree_to_json(sub: Subtree) -> dict:
         "vertices": sorted(sub.vertices, key=str),
         "segments": {
             str(eid): [[fraction_to_str(lo), fraction_to_str(hi)] for lo, hi in ivs]
-            for eid, ivs in sorted(sub.segments.items(), key=lambda kv: str(kv[0]))
+            for eid, ivs in sub.segments.items()
         },
     }
 

@@ -158,7 +158,7 @@ def _follow_cycle(f: PLTreeMap, comps, locate, start: Component):
             raise ConsistencyError(
                 "a component leaks outside its successor under the map"
             )
-        if nxt.closure.canonical_key == start.closure.canonical_key:
+        if nxt is start:
             return tuple(cycle)
         if len(cycle) == len(comps):
             raise ConsistencyError("component orbit never returns to its start")
@@ -174,8 +174,8 @@ def detect_cycles_of_sets(
     For each n up to `depth` the points of period at most n are removed
     and the component containing the root is followed around its cycle.
     Levels that do not refine the previous period are dropped, so the
-    returned periods strictly increase.  The root is the component with
-    the smallest canonical key at the deepest level that still has one.
+    returned periods strictly increase.  The root is the first component
+    (in `components_minus` order) of the deepest level that has any.
     The tree is split once per distinct periodic set.
     A component on a followed cycle that touches the removed set at other
     than one point raises `PreconditionError`: no tower passes through it.
@@ -202,7 +202,7 @@ def detect_cycles_of_sets(
     if not levels:
         return ()
 
-    anchor = min(levels[-1][2], key=lambda c: c.closure.canonical_key).repr_point
+    anchor = levels[-1][2][0].repr_point
     out = []
     last_period = 0
     for n, _, comps, locate in levels:
@@ -364,8 +364,8 @@ def classify_adding_machine(cycles) -> AddingMachineReport:
     disjoint_ok = _meet_only_at_boundaries(tree, deepest.sets)
 
     periods = tuple(c.period for c in cycles)
-    keys = {c.closure.canonical_key for c in deepest.sets}
-    full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
+    distinct = {c.closure for c in deepest.sets}
+    full_ok = chains_ok and disjoint_ok and len(distinct) == deepest.period
 
     if not (openness_ok and chains_ok and disjoint_ok):
         label = "weak"

@@ -450,8 +450,8 @@ def _param_on_edge(tree: MetricTree, p: TreePoint, eid) -> Fraction | None:
 
 def _canonical_point(tree: MetricTree, sub: Subtree) -> TreePoint:
     """A deterministic representative: first interval midpoint, else a corner."""
-    for eid in sorted(sub.segments, key=str):
-        lo, hi = sub.segments[eid][0]
+    for eid, intervals in sub.segments.items():
+        lo, hi = intervals[0]
         if lo < hi:
             return tree.edge_point(eid, (lo + hi) / 2)
     return sub.corner_points()[0]

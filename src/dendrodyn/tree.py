@@ -263,7 +263,6 @@ class MetricTree:
 
     __slots__ = (
         "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout",
-        "_full",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -297,7 +296,7 @@ class MetricTree:
 
         self._vertices = frozenset(vs)
         self._edges = edict
-        self._adj = {v: tuple(sorted(nbrs, key=lambda it: str(it[0]))) for v, nbrs in adj.items()}
+        self._adj = {v: tuple(nbrs) for v, nbrs in adj.items()}
         self._vkeys = tuple(sorted(vs, key=str))
         self._ekeys = tuple(sorted(edict, key=str))
 
@@ -328,7 +327,6 @@ class MetricTree:
         self._rdist = rdist
         self._tin = tin
         self._tout = {x: tin[x] + size[x] for x in order}
-        self._full = None  # the canonical data of the whole tree, built on first use
 
     # -- basic accessors -------------------------------------------------
 
@@ -354,6 +352,9 @@ class MetricTree:
 
     def has_vertex(self, v) -> bool:
         return v in self._vertices
+
+    def has_edge(self, eid) -> bool:
+        return eid in self._edges
 
     def _edge(self, eid) -> _Edge:
         try:
@@ -572,18 +573,9 @@ class MetricTree:
         return (deg, "branchpoint")
 
     def full_subtree(self) -> "Subtree":
-        """The whole tree as a Subtree, canonicalized once per tree.
-
-        The tree keeps the canonical data, not the Subtree: a Subtree
-        points back at its tree, and that cycle would leave every tree to
-        the cyclic garbage collector (peak memory rose 1.7% on the star
-        ladder).  Each call gets its own copy of the per-edge dict.
-        """
-        if self._full is None:
-            full = Subtree.build(self, [(e, ZERO, ONE) for e in self._ekeys], self._vkeys)
-            self._full = (full.segments, full.vertices, full.canonical_key)
-        segments, vertices, key = self._full
-        return Subtree(self, dict(segments), vertices, key)
+        """The whole tree as a Subtree, in canonical form with no
+        `Subtree.build`; each call gets its own per-edge dict."""
+        return Subtree(self, {eid: ((ZERO, ONE),) for eid in self._ekeys}, self._vertices)
 
     def point_subtree(self, p: TreePoint) -> "Subtree":
         self.validate_point(p)
@@ -619,7 +611,8 @@ class MetricTree:
 
         Gaps are numbered in edge-id order, and a walk starts from the
         least gap not yet reached, so the start lies on the component's
-        least edge and its midpoint is the representative point.
+        least edge and its midpoint is the representative point.  The
+        components come out in the order of their least gaps.
         """
         if removed.tree is not self and removed.tree != self:
             raise PreconditionError("subtree belongs to a different tree")
@@ -670,7 +663,6 @@ class MetricTree:
             ))
         if gaps_at:
             raise ConsistencyError("component without an interior segment")
-        comps.sort(key=lambda c: c.closure.canonical_key)
         return tuple(comps)
 
     # -- hulls and retractions ----------------------------------------------
@@ -807,21 +799,22 @@ class Subtree:
     """A closed subset of a tree in canonical interval form.
 
     Per edge the set is a disjoint union of closed rational intervals
-    (merged and sorted; a full edge is [0, 1]); vertices are carried in
-    a separate set, and any interval endpoint lying at an edge end has
-    its vertex included, so the represented set is genuinely closed.
+    (merged and sorted; a full edge is [0, 1]), and `segments` lists the
+    edges in the tree's edge order; vertices are carried in a separate
+    set, and any interval endpoint lying at an edge end has its vertex
+    included, so the represented set is genuinely closed.  Equality and
+    hash read this canonical form.
     The class itself tolerates disconnected values -- fixed-point sets
     of badly behaved maps are honest unions -- and `is_connected`
     reports which case holds.
     """
 
-    __slots__ = ("tree", "segments", "vertices", "_key")
+    __slots__ = ("tree", "segments", "vertices")
 
-    def __init__(self, tree: MetricTree, segments: Mapping, vertices: frozenset, _key):
+    def __init__(self, tree: MetricTree, segments: Mapping, vertices: frozenset):
         self.tree = tree
         self.segments = segments
         self.vertices = vertices
-        self._key = _key
 
     @classmethod
     def build(cls, tree: MetricTree, segments: Iterable, vertices: Iterable) -> "Subtree":
@@ -840,10 +833,10 @@ class Subtree:
                 raise StructureError(f"unknown vertex: {v!r}")
             verts.add(v)
         canon: dict[object, tuple] = {}
-        for eid, ivs in by_edge.items():
+        for eid in sorted(by_edge, key=str):  # the order of `tree.edge_ids`
             u, w = tree.edge_ends(eid)
             out = []
-            for lo, hi in _merge_intervals(ivs):
+            for lo, hi in _merge_intervals(by_edge[eid]):
                 if lo == ZERO:
                     verts.add(u)
                 if hi == ONE:
@@ -853,27 +846,19 @@ class Subtree:
                 out.append((lo, hi))
             if out:
                 canon[eid] = tuple(out)
-        key = (
-            tuple(sorted(((str(e), ivs) for e, ivs in canon.items()))),
-            tuple(sorted(verts, key=str)),
-        )
-        return cls(tree, canon, frozenset(verts), key)
+        return cls(tree, canon, frozenset(verts))
 
     @classmethod
     def empty(cls, tree: MetricTree) -> "Subtree":
         return cls.build(tree, [], [])
 
-    @property
-    def canonical_key(self):
-        return self._key
-
     def __eq__(self, other):
         if not isinstance(other, Subtree):
             return NotImplemented
-        return self._key == other._key
+        return self.vertices == other.vertices and self.segments == other.segments
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.vertices, tuple(self.segments.items())))
 
     def __repr__(self):
         nseg = sum(len(v) for v in self.segments.values())

@@ -47,6 +47,16 @@ def measure(sub):
     return total
 
 
+def canonical_key(sub):
+    """A subtree's intervals by the `str` of their edge, then its vertices
+    by `str`: an order worked out apart from the package, for sorting
+    oracle output."""
+    return (
+        tuple(sorted((str(e), ivs) for e, ivs in sub.segments.items())),
+        tuple(sorted(sub.vertices, key=str)),
+    )
+
+
 def valid_addresses(otype):
     """Every valid address of the type, in lexicographic digit order."""
     out = []

@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PLTreeMap, build_fixture, plmap, save_instance_file
-from dendrodyn.cli import DEPTH_DEFAULT, MAX_DEPTH, _build_parser, main
+from dendrodyn import MetricTree, PLTreeMap, build_fixture, cli, plmap, save_instance_file
+from dendrodyn.cli import DEPTH_DEFAULT, MAX_ANALYZE_SIZE, MAX_DEPTH, _build_parser, main
 from dendrodyn.dynamics import MAX_PERIOD_DEFAULT
 from dendrodyn.io import MAX_VERTICES, load_instance_file
 from dendrodyn.tree import MAX_DIGITS
@@ -126,6 +126,13 @@ def test_classify_rejects_unknown_point(tmp_path, capsys):
     path = write_fixture(tmp_path, "tent")
     assert main(["classify", path, "--point", "nope"]) == 3
     assert "unknown vertex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ['"x"', '["e"]', "1"])
+def test_classify_rejects_a_point_on_an_unknown_edge(tmp_path, capsys, edge):
+    path = write_fixture(tmp_path, "tent")
+    assert main(["classify", path, "--point", '{"edge": %s, "t": "1/2"}' % edge]) == 3
+    one_error_line(capsys, "unknown edge")
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -305,6 +312,36 @@ def test_depth_above_the_limit_exits_three_before_composing(tmp_path, capsys, mo
         assert captured.out == ""
     assert not composed
     assert _build_parser().parse_args([command, path, "--depth", str(MAX_DEPTH)]).depth == MAX_DEPTH
+
+
+def test_analyze_refuses_depth_times_size_above_the_bound_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    # the default depth passes on the largest file that loads
+    assert DEPTH_DEFAULT * (2 * MAX_VERTICES - 1) <= MAX_ANALYZE_SIZE == DEPTH_DEFAULT * 2 * MAX_VERTICES
+    path = write_fixture(tmp_path, "rotation", {"arms": "100"})  # 101 vertices, 100 edges
+    depths = []
+
+    class Reached(Exception):
+        pass
+
+    def reached(f, depth, *bounds):
+        depths.append(depth)
+        raise Reached
+
+    monkeypatch.setattr(cli, "periodic_structure", reached)
+    most = MAX_ANALYZE_SIZE // 201
+    for depth in (most + 1, MAX_DEPTH):
+        assert main(["analyze", path, "--depth", str(depth)]) == 3
+        one_error_line(
+            capsys,
+            f"analyze reports two subtrees per level: --depth {depth} times 201 "
+            f"vertices and edges passes {MAX_ANALYZE_SIZE}",
+        )
+    assert not depths
+    with pytest.raises(Reached):
+        main(["analyze", path, "--depth", str(most)])
+    assert depths == [most]
 
 
 @pytest.mark.parametrize(
@@ -658,6 +695,13 @@ def test_text_rendering_of_analyze_classify_and_inconclusive(tmp_path, capsys):
         "vertex l0: endpoint (order 1)",
         "no periodicity found within the bound",
     ]
+
+
+def test_odometer_text_on_the_identity_star_has_no_cycles(tmp_path, capsys):
+    """The identity fixes the whole tree, so no level has a component."""
+    path = write_fixture(tmp_path, "star")
+    assert main(["odometer", path]) == 0
+    assert capsys.readouterr().out == "no nested cycles of sets\n"
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

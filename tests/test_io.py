@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,51 @@ def test_point_parse_errors():
         point_from_json({"something": 1}, t)
     with pytest.raises(StructureError):
         point_from_json("v0", t)
+
+
+@pytest.mark.parametrize("eid", ["x", ["e"], {"e": 1}, 1, None])
+def test_point_on_an_unknown_edge_is_malformed(eid):
+    with pytest.raises(StructureError, match=re.escape(f"unknown edge {eid!r}") + "$"):
+        point_from_json({"edge": eid, "t": "1/2"}, interval())
+
+
+def midpoint_path(n):
+    """A path of n vertices whose vertex and breakpoint images are all edge
+    midpoints: each vertex goes to the midpoint of the edge after it."""
+    vs = [f"p{i}" for i in range(n)]
+
+    def mid(i):
+        return {"edge": f"e{min(i, n - 2)}", "t": "1/2"}
+
+    return json.dumps({
+        "vertices": vs,
+        "edges": [{"id": f"e{i}", "ends": [vs[i], vs[i + 1]], "length": "1"} for i in range(n - 1)],
+        "vertex_images": {v: mid(i) for i, v in enumerate(vs)},
+        "edge_pieces": {
+            f"e{i}": [{"t": "0", "image": mid(i)}, {"t": "1", "image": mid(i + 1)}]
+            for i in range(n - 1)
+        },
+    })
+
+
+def test_loading_edge_points_does_not_scan_the_edge_ids(monkeypatch):
+    """Each edge-point image is looked up by hash, not found by scanning
+    `edge_ids`, so loading stays linear in the file."""
+    reads = []
+    plain = MetricTree.edge_ids
+
+    def counted(tree):
+        reads.append(1)
+        return plain.fget(tree)
+
+    monkeypatch.setattr(MetricTree, "edge_ids", property(counted))
+    counts = []
+    for n in (50, 500):
+        reads.clear()
+        tree, f = load_instance(midpoint_path(n))
+        assert f.vertex_image("p0") == tree.edge_point("e0", F(1, 2))
+        counts.append(len(reads))
+    assert counts[0] == counts[1]
 
 
 POINT_FORMS = r"the keys \['vertex'\] or \['edge', 't'\]"

@@ -26,7 +26,7 @@ from dendrodyn.odometer import (
 )
 from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Component, Subtree
-from oracles import measure, valid_addresses
+from oracles import canonical_key, measure, valid_addresses
 
 
 def compatible(digits, periods):
@@ -393,7 +393,7 @@ def former_classify(cycles):
             if any(p not in allowed for p in inter.corner_points()):
                 disjoint_ok = False
     periods = tuple(c.period for c in cycles)
-    keys = {c.closure.canonical_key for c in deepest.sets}
+    keys = {canonical_key(c.closure) for c in deepest.sets}
     full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
     if not (openness_ok and chains_ok and disjoint_ok):
         label = "weak"

@@ -4,8 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, Subtree
+from dendrodyn.dynamics import fixed_set
+from dendrodyn.fixtures import odometer_tower, rotation_star
+from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, as_fraction, point_key
-from oracles import measure
+from oracles import canonical_key, measure
 
 
 def path_tree():
@@ -380,7 +383,7 @@ def test_subtree_algebra():
     assert measure(i) == 1
 
 
-def test_full_subtree_is_canonicalized_once(monkeypatch):
+def test_full_subtree_builds_nothing(monkeypatch):
     t = spider()
     expected = Subtree.build(t, [(e, F(0), F(1)) for e in t.edge_ids], t.vertex_ids)
     builds = []
@@ -396,7 +399,47 @@ def test_full_subtree_is_canonicalized_once(monkeypatch):
         assert full == expected and full.tree is t
         assert full.segments == expected.segments and full.vertices == expected.vertices
         full.segments.clear()  # a caller's copy, not the tree's
-    assert len(builds) == 1
+    assert not builds
+
+
+def in_edge_order(sub):
+    return list(sub.segments) == [e for e in sub.tree.edge_ids if e in sub.segments]
+
+
+def test_every_subtree_lists_its_edges_in_the_tree_order():
+    """`Subtree.build` alone orders a subtree: whatever made it, its
+    segments follow `edge_ids` (e1, e10, e11, e2, ... on these trees), and
+    the same intervals listed in any order give an equal subtree with an
+    equal hash."""
+    rng = random.Random(2020)
+    made = []
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(2, 14))
+        params = [F(0), F(1, 3), F(1, 2), F(2, 3), F(1)]
+        raw = []
+        for eid in rng.sample(t.edge_ids, rng.randint(1, len(t.edge_ids))):
+            a, b = sorted(rng.sample(params, 2))
+            raw.append((eid, a, b))
+        verts = rng.sample(t.vertex_ids, rng.randint(0, 2))
+        first = Subtree.build(t, rng.sample(raw, len(raw)), verts)
+        second = Subtree.build(t, rng.sample(raw, len(raw)), verts[::-1])
+        assert first == second and hash(first) == hash(second)
+        eid, a, b = raw[0]
+        other = Subtree.build(t, [(eid, a, (a + b) / 2), *raw[1:]], verts)
+        assert other != first
+
+        f = map_from_vertex_images(t, {v: random_point(rng, t) for v in t.vertex_ids})
+        hulls = [t.connected_hull([random_point(rng, t) for _ in range(3)]) for _ in range(2)]
+        subs = [first, other, random_subtree(rng, t), *hulls, t.full_subtree()]
+        made += subs + [first.union(other), hulls[0].union(hulls[1]), hulls[0].intersect(first)]
+        made += [f.image_of_subtree(s) for s in subs]
+        made += [f.fixed_point_set(), t.arc(random_point(rng, t), random_point(rng, t)).as_subtree()]
+        made += [c.closure for s in subs[2:] for c in t.components_minus(s)]
+    for tree, f in (rotation_star(12), odometer_tower(3, (2, 4, 8))):
+        fixed = [fixed_set(f, n) for n in range(1, 9)]
+        made += fixed + [c.closure for s in fixed for c in tree.components_minus(s)]
+    assert sum(len(s.segments) > 1 for s in made) > 200
+    assert all(in_edge_order(s) for s in made)
 
 
 def test_subtree_contains():
@@ -666,7 +709,7 @@ def union_find_components(tree, removed):
                 repr_point=rep,
             )
         )
-    comps.sort(key=lambda c: c.closure.canonical_key)
+    comps.sort(key=lambda c: canonical_key(c.closure))
     return tuple(comps)
 
 
