@@ -8,6 +8,15 @@ rational is a JSON integer of at most `MAX_DIGITS` digits, or a string in
 `tree.as_fraction`'s grammar: decimal digits with an optional sign and
 "/digits" part, each part at most `MAX_DIGITS` digits.  The library takes
 the same grammar for every rational it is handed.
+
+A file states the same values many times over: "0/1" and "1/1" on every
+edge, and each vertex image again as a breakpoint image on every edge at
+that vertex.  One load reads through one `_Reader`, which parses and
+validates each distinct rational string and each distinct point object
+once and hands out the same value for every repeat.  A value that is
+not a string, or a point with a field that is not, is never kept (a list
+or an object could not be a key): it is read afresh wherever it stands,
+so a malformed one is refused there.
 """
 
 from __future__ import annotations
@@ -48,21 +57,7 @@ def point_to_json(p: TreePoint) -> dict:
 def point_from_json(obj, tree: MetricTree) -> TreePoint:
     """A point from one of the two forms `point_to_json` writes:
     {"vertex": v} or {"edge": e, "t": p/q}, with no other key."""
-    if not isinstance(obj, dict):
-        raise StructureError(f"a point must be an object, got {obj!r}")
-    if len(obj) == 1 and "vertex" in obj:
-        v = obj["vertex"]
-        if not isinstance(v, str) or not tree.has_vertex(v):
-            raise StructureError(f"unknown vertex {v!r}")
-        return tree.vertex_point(v)
-    if len(obj) == 2 and "edge" in obj and "t" in obj:
-        eid = obj["edge"]
-        if not isinstance(eid, str) or not tree.has_edge(eid):
-            raise StructureError(f"unknown edge {eid!r}")
-        return tree.edge_point(eid, fraction_from_str(obj["t"]))
-    raise StructureError(
-        f"a point has the keys ['vertex'] or ['edge', 't'], got {sorted(map(str, obj))}"
-    )
+    return _Reader().point(obj, tree)
 
 
 def _string_ids(ids) -> list:
@@ -87,7 +82,65 @@ def tree_to_json(tree: MetricTree) -> dict:
     }
 
 
+class _Reader:
+    """The rationals and points of one load, each distinct one read once.
+
+    Only a string, or a point object whose fields are all strings, is
+    kept: it is hashable, and what it reads as depends only on the tree,
+    which is fixed for the load.  Anything else is read afresh each time.
+    """
+
+    __slots__ = ("_rationals", "_points")
+
+    def __init__(self):
+        self._rationals: dict = {}
+        self._points: dict = {}
+
+    def rational(self, value) -> Fraction:
+        if type(value) is not str:
+            return fraction_from_str(value)
+        q = self._rationals.get(value)
+        if q is None:
+            q = self._rationals[value] = as_fraction(value)
+        return q
+
+    def point(self, obj, tree: MetricTree) -> TreePoint:
+        key = None  # {"vertex": v} is kept under v, {"edge": e, "t": t} under (e, t)
+        if type(obj) is dict:
+            if len(obj) == 1 and type(obj.get("vertex")) is str:
+                key = obj["vertex"]
+            elif len(obj) == 2 and type(obj.get("edge")) is str and type(obj.get("t")) is str:
+                key = (obj["edge"], obj["t"])
+        if key is None:
+            return self._read_point(obj, tree)
+        p = self._points.get(key)
+        if p is None:
+            p = self._points[key] = self._read_point(obj, tree)
+        return p
+
+    def _read_point(self, obj, tree: MetricTree) -> TreePoint:
+        if not isinstance(obj, dict):
+            raise StructureError(f"a point must be an object, got {obj!r}")
+        if len(obj) == 1 and "vertex" in obj:
+            v = obj["vertex"]
+            if not isinstance(v, str) or not tree.has_vertex(v):
+                raise StructureError(f"unknown vertex {v!r}")
+            return tree.vertex_point(v)
+        if len(obj) == 2 and "edge" in obj and "t" in obj:
+            eid = obj["edge"]
+            if not isinstance(eid, str) or not tree.has_edge(eid):
+                raise StructureError(f"unknown edge {eid!r}")
+            return tree.edge_point(eid, self.rational(obj["t"]))
+        raise StructureError(
+            f"a point has the keys ['vertex'] or ['edge', 't'], got {sorted(map(str, obj))}"
+        )
+
+
 def tree_from_json(obj) -> MetricTree:
+    return _tree_from_json(obj, _Reader())
+
+
+def _tree_from_json(obj, reader: _Reader) -> MetricTree:
     if not isinstance(obj, dict):
         raise StructureError("an instance must be a JSON object")
     for key in ("vertices", "edges"):
@@ -109,7 +162,7 @@ def tree_from_json(obj) -> MetricTree:
         if not isinstance(ends, list) or len(ends) != 2:
             raise StructureError(f"edge {eid!r} needs exactly two ends")
         _string_ids([eid, *ends])
-        edges.append((eid, (ends[0], ends[1]), fraction_from_str(length)))
+        edges.append((eid, (ends[0], ends[1]), reader.rational(length)))
     return MetricTree(_string_ids(obj["vertices"]), edges)
 
 
@@ -153,12 +206,18 @@ def map_to_json(f: PLTreeMap) -> dict:
 
 
 def map_from_json(obj) -> tuple:
-    tree = tree_from_json(obj)
+    """The tree of an instance, and its map or None, in one pass.
+
+    Every value goes through one `_Reader`, so a repeated rational or
+    point is parsed and validated once for the whole load.
+    """
+    reader = _Reader()
+    tree = _tree_from_json(obj, reader)
     if "edge_pieces" not in obj and "vertex_images" not in obj:
         return tree, None
     vimg_raw = _object_field(obj, "vertex_images")
     _known_keys(vimg_raw, tree.vertex_ids, "vertex_images", "vertices")
-    vimg = {v: point_from_json(p, tree) for v, p in vimg_raw.items()}
+    vimg = {v: reader.point(p, tree) for v, p in vimg_raw.items()}
     for v in tree.vertex_ids:
         if v not in vimg:
             raise StructureError(f"vertex {v!r} has no image")
@@ -173,7 +232,7 @@ def map_from_json(obj) -> tuple:
         for bp in pieces_raw[eid]:
             if not isinstance(bp, dict) or "t" not in bp or "image" not in bp:
                 raise StructureError(f"bad breakpoint on edge {eid!r}: {bp!r}")
-            bps.append((fraction_from_str(bp["t"]), point_from_json(bp["image"], tree)))
+            bps.append((reader.rational(bp["t"]), reader.point(bp["image"], tree)))
         table[eid] = bps
     f = PLTreeMap(tree, table)
     for v in tree.vertex_ids:

@@ -115,7 +115,7 @@ class PLTreeMap:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
             mine = []
             for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
-                arc = domain.arc(p0, p1)
+                arc = domain._arc(p0, p1)  # both ends validated above
                 size += 1 + len(arc.segments)
                 if size > MAX_TABLE_SIZE:
                     raise StructureError(
@@ -184,13 +184,22 @@ class PLTreeMap:
         return self._vimg[v]
 
     def evaluate(self, p: TreePoint) -> TreePoint:
+        """f(p), read off the map where it stores it.
+
+        A vertex's image and a breakpoint's image (the end `p1` of the
+        piece ending there) are stored; any other point lies inside one
+        piece and is found on that piece's arc at the same share of its
+        length.
+        """
         self.domain.validate_point(p)
         if p.is_vertex:
             return self._vimg[p.vertex]
         params, pieces = self._edge_index[p.edge]
-        # the first piece with p.t <= t1, so a breakpoint belongs to the
-        # piece that ends there
-        return self._eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
+        i = bisect_left(params, p.t, 1)  # the first breakpoint at or past p.t
+        piece = pieces[i - 1]
+        if params[i] == p.t or piece.is_constant:
+            return piece.p1
+        return piece.arc.point_at(piece.arclength_at_param(p.t))
 
     def image(self) -> Subtree:
         """The exact image of the whole tree, as a subtree."""
@@ -237,11 +246,6 @@ class PLTreeMap:
                         arc = arc.window(*map(piece.arclength_at_param, ends))
                     segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1 in arc.segments]
         return Subtree.build(tree, segs, verts)
-
-    def _eval_in_piece(self, piece: _Piece, t: Fraction) -> TreePoint:
-        if piece.is_constant:
-            return piece.p0
-        return piece.arc.point_at(piece.arclength_at_param(t))
 
     # -- normal form ---------------------------------------------------------
 

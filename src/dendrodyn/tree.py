@@ -197,10 +197,11 @@ def as_fraction(value) -> Fraction:
                 f"at most {MAX_DIGITS} digits a part)"
             )
         num, _, den = value.partition("/")
-        try:
-            return _Q(int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise StructureError(f"not a rational: {value!r}") from None
+        n, d = int(num), int(den or 1)  # the grammar gives d no sign
+        if not d:
+            raise StructureError(f"not a rational: {value!r}")
+        g = gcd(n, d)
+        return _q(n // g, d // g)
     if isinstance(value, Fraction):
         return _q(value.numerator, value.denominator)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -263,6 +264,7 @@ class MetricTree:
 
     __slots__ = (
         "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout",
+        "_grids",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -327,6 +329,7 @@ class MetricTree:
         self._rdist = rdist
         self._tin = tin
         self._tout = {x: tin[x] + size[x] for x in order}
+        self._grids = {}  # per_edge -> grid_points(per_edge), made on first use
 
     # -- basic accessors -------------------------------------------------
 
@@ -456,9 +459,18 @@ class MetricTree:
     # -- arcs ------------------------------------------------------------
 
     def arc(self, a: TreePoint, b: TreePoint) -> "Arc":
-        """The unique arc from a to b, as an ordered edge-segment traversal."""
+        """The unique arc from a to b, as an ordered edge-segment traversal.
+
+        Both points are validated here and the arc is built by `_arc`,
+        which callers holding points already validated in this tree (the
+        table constructor of a map) call directly.
+        """
         self.validate_point(a)
         self.validate_point(b)
+        return self._arc(a, b)
+
+    def _arc(self, a: TreePoint, b: TreePoint) -> "Arc":
+        """`arc` for two points known to be valid in this tree."""
         if a == b:
             return Arc(self, a, b, ())
         if not a.is_vertex and not b.is_vertex and a.edge == b.edge:
@@ -584,12 +596,17 @@ class MetricTree:
         return Subtree.build(self, [(p.edge, p.t, p.t)], [])
 
     def grid_points(self, per_edge: int = 3) -> tuple[TreePoint, ...]:
-        """Vertices plus an evenly spaced rational sample inside each edge."""
-        pts = [self.vertex_point(v) for v in self._vkeys]
-        for eid in self._ekeys:
-            for i in range(1, per_edge + 1):
-                pts.append(self.edge_point(eid, _Q(i, per_edge + 1)))
-        return tuple(pts)
+        """Vertices plus an evenly spaced rational sample inside each edge.
+
+        The tree is immutable, so each sample is built once and kept.
+        """
+        if per_edge not in self._grids:
+            pts = [self.vertex_point(v) for v in self._vkeys]
+            for eid in self._ekeys:
+                for i in range(1, per_edge + 1):
+                    pts.append(self.edge_point(eid, _Q(i, per_edge + 1)))
+            self._grids[per_edge] = tuple(pts)
+        return self._grids[per_edge]
 
     # -- complements -------------------------------------------------------
 
@@ -711,7 +728,10 @@ class Arc:
         if _cums is None:  # the offsets, unless cut from an arc that knows them
             _cums = [ZERO]
             for eid, t0, t1 in segments:
-                _cums.append(_cums[-1] + abs(t1 - t0) * tree.edge_length(eid))
+                step = tree.edge_length(eid)
+                if not (t0 == ZERO and t1 == ONE or t0 == ONE and t1 == ZERO):  # part of an edge
+                    step = abs(t1 - t0) * step
+                _cums.append(_cums[-1] + step)
             _cums = tuple(_cums)
         self.tree = tree
         self.a = a

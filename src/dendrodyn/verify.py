@@ -117,11 +117,13 @@ def _power_recurrence_consistency(f, decided, max_period, piece_cap) -> CheckRes
     This is the one check that reads nothing off f's certificate, so it
     composes the powers on purpose: an independent cross-check of the
     decision, at the price of being the one check that a piece budget can
-    stop on a certified map.
+    stop on a certified map.  f^3 is composed from f^2, so the two powers
+    take two compositions.
     """
     base = decided().pointwise_recurrent
+    g = f
     for k in (2, 3):
-        g = f.iterate(k, piece_cap)
+        g = f.next_power(g, piece_cap)
         got = decide_pointwise_recurrent(g, max_period, piece_cap).pointwise_recurrent
         if got != base:
             return CheckResult(

@@ -5,13 +5,23 @@ each answers by the most direct route, for comparison with the routines
 the package runs.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
-from dendrodyn.errors import PreconditionError
+from dendrodyn.errors import PreconditionError, StructureError
 from dendrodyn.fixtures import stem_sweep_map
+from dendrodyn.io import (
+    MAX_VERTICES,
+    _known_keys,
+    _object_field,
+    _string_ids,
+    fraction_from_str,
+    map_from_json,
+)
 from dendrodyn.odometer import OdometerAddress, validate_address
-from dendrodyn.plmap import identity_map
+from dendrodyn.plmap import PLTreeMap, identity_map
+from dendrodyn.tree import MetricTree
 
 
 def orbit(f, p, length):
@@ -82,3 +92,129 @@ def stem_sweep_spread(k, radius=None):
         (tree.distance(a, b) for a in corners for b in corners),
         default=Fraction(0),
     )
+
+
+def eval_in_piece(piece, t):
+    """The image of parameter t of a piece's window, on the piece's arc at
+    the same share of its length: never read off a stored breakpoint."""
+    if piece.is_constant:
+        return piece.p0
+    return piece.arc.point_at(piece.arclength_at_param(t))
+
+
+def evaluate_on_arcs(f, p):
+    """f(p) by `eval_in_piece` on the first piece whose window ends at or
+    past p, with a vertex's stored image."""
+    if p.is_vertex:
+        return f.vertex_image(p.vertex)
+    params, pieces = f._edge_index[p.edge]
+    return eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
+
+
+def load_map_directly(obj):
+    """`io.map_from_json` read value by value: every rational string and
+    every point object parsed and validated wherever it appears."""
+
+    def point(o, tree):
+        if not isinstance(o, dict):
+            raise StructureError(f"a point must be an object, got {o!r}")
+        if len(o) == 1 and "vertex" in o:
+            v = o["vertex"]
+            if not isinstance(v, str) or not tree.has_vertex(v):
+                raise StructureError(f"unknown vertex {v!r}")
+            return tree.vertex_point(v)
+        if len(o) == 2 and "edge" in o and "t" in o:
+            eid = o["edge"]
+            if not isinstance(eid, str) or not tree.has_edge(eid):
+                raise StructureError(f"unknown edge {eid!r}")
+            return tree.edge_point(eid, fraction_from_str(o["t"]))
+        raise StructureError(
+            f"a point has the keys ['vertex'] or ['edge', 't'], got {sorted(map(str, o))}"
+        )
+
+    if not isinstance(obj, dict):
+        raise StructureError("an instance must be a JSON object")
+    for key in ("vertices", "edges"):
+        if key not in obj:
+            raise StructureError(f"instance is missing {key!r}")
+        if not isinstance(obj[key], list):
+            raise StructureError(f"{key!r} must be a list, got {obj[key]!r}")
+        if len(obj[key]) > MAX_VERTICES:
+            raise StructureError(
+                f"{key!r} has {len(obj[key])} entries; an instance holds at most "
+                f"{MAX_VERTICES} vertices"
+            )
+    edges = []
+    for i, e in enumerate(obj["edges"]):
+        try:
+            eid, ends, length = e["id"], e["ends"], e["length"]
+        except (TypeError, KeyError) as exc:
+            raise StructureError(f"edge #{i} is missing {exc}") from None
+        if not isinstance(ends, list) or len(ends) != 2:
+            raise StructureError(f"edge {eid!r} needs exactly two ends")
+        _string_ids([eid, *ends])
+        edges.append((eid, (ends[0], ends[1]), fraction_from_str(length)))
+    tree = MetricTree(_string_ids(obj["vertices"]), edges)
+    if "edge_pieces" not in obj and "vertex_images" not in obj:
+        return tree, None
+    vimg_raw = _object_field(obj, "vertex_images")
+    _known_keys(vimg_raw, tree.vertex_ids, "vertex_images", "vertices")
+    vimg = {v: point(p, tree) for v, p in vimg_raw.items()}
+    for v in tree.vertex_ids:
+        if v not in vimg:
+            raise StructureError(f"vertex {v!r} has no image")
+    pieces_raw = _object_field(obj, "edge_pieces")
+    _known_keys(pieces_raw, tree.edge_ids, "edge_pieces", "edges")
+    table = {}
+    for eid in tree.edge_ids:
+        if not isinstance(pieces_raw.get(eid), list):
+            raise StructureError(f"edge {eid!r} needs a breakpoint list")
+        bps = []
+        for bp in pieces_raw[eid]:
+            if not isinstance(bp, dict) or "t" not in bp or "image" not in bp:
+                raise StructureError(f"bad breakpoint on edge {eid!r}: {bp!r}")
+            bps.append((fraction_from_str(bp["t"]), point(bp["image"], tree)))
+        table[eid] = bps
+    f = PLTreeMap(tree, table)
+    for v in tree.vertex_ids:
+        if f.vertex_image(v) != vimg[v]:
+            raise StructureError(f"vertex_images disagrees with edge_pieces at vertex {v!r}")
+    return tree, f
+
+
+def arc_offsets(arc):
+    """An arc's cumulative arclengths, each segment's share of its edge
+    times the edge's length."""
+    out = [Fraction(0)]
+    for eid, t0, t1 in arc.segments:
+        out.append(out[-1] + abs(t1 - t0) * arc.tree.edge_length(eid))
+    return tuple(out)
+
+
+def same_load(a, b):
+    """Whether two loaders' results hold equal trees and maps, piece by
+    piece: breakpoints, vertex images and each piece's image arc, with
+    the arcs' offsets as `arc_offsets` gives them."""
+    (ta, fa), (tb, fb) = a, b
+    if ta != tb or (fa is None) != (fb is None):
+        return False
+    if fa is None:
+        return True
+    arcs = [(p.arc.segments, p.arc.segment_offsets) for p in fa._pieces]
+    return (
+        all(fa.vertex_image(v) == fb.vertex_image(v) for v in ta.vertex_ids)
+        and all(fa.breakpoints(e) == fb.breakpoints(e) for e in ta.edge_ids)
+        and arcs == [(p.arc.segments, arc_offsets(p.arc)) for p in fb._pieces]
+    )
+
+
+def loaded_by_both(obj):
+    """`io.map_from_json`'s result and `load_map_directly`'s, each the
+    pair it returns or the message of the StructureError it raises."""
+    out = []
+    for load in (map_from_json, load_map_directly):
+        try:
+            out.append(load(obj))
+        except StructureError as exc:
+            out.append(str(exc))
+    return out

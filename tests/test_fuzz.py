@@ -19,6 +19,7 @@ import random
 from dendrodyn import FIXTURE_KINDS, StructureError, build_fixture, save_instance_file
 from dendrodyn.cli import main
 from dendrodyn.io import load_instance, map_to_json
+from oracles import loaded_by_both, same_load
 
 KINDS = ("tent", "rotation", "tower", "stem_collapse", "flip")
 JUNK = (
@@ -87,6 +88,24 @@ def test_malformed_instances_never_escape_the_cli(tmp_path, capsys):
                 assert code == 3 and err.startswith("error: "), text
             codes.add(code)
     assert refused > 500 and codes >= {0, 1, 3}
+
+
+def test_loader_agrees_with_the_direct_loader_on_mutated_instances():
+    """Reading each repeated value once changes no outcome: every mutated
+    instance loads to the same map as the value-by-value oracle gives, or
+    is refused by both with the same message."""
+    rng = random.Random(20_021)
+    bases = [map_to_json(build_fixture(kind)[1]) for kind in KINDS]
+    refused = 0
+    for _ in range(600):
+        obj = mutate(rng, rng.choice(bases))
+        got, want = loaded_by_both(obj)
+        if isinstance(want, str):
+            assert got == want, obj
+            refused += 1
+        else:
+            assert same_load(got, want), obj
+    assert 400 < refused < 600
 
 
 BOUND_VALUES = ("0", "-1", "1", "2", "3", "12", "abc", "1e5", "1/2", "", " 3", "9" * 30)

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import dendrodyn.io
 from dendrodyn import MetricTree, PLTreeMap, StructureError, build_fixture
+from dendrodyn.cli import main
 from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import (
     dump_instance,
@@ -12,6 +14,7 @@ from dendrodyn.io import (
     fraction_from_str,
     fraction_to_str,
     load_instance,
+    map_from_json,
     point_from_json,
     point_to_json,
     save_instance_file,
@@ -20,7 +23,7 @@ from dendrodyn.io import (
     tree_from_json,
     tree_to_json,
 )
-from oracles import maps_equal
+from oracles import load_map_directly, loaded_by_both, maps_equal, same_load
 
 
 def interval():
@@ -326,3 +329,97 @@ def test_subtree_json_is_sorted_and_exact():
     sub = f.fixed_point_set()
     obj = subtree_to_json(sub)
     assert obj == {"vertices": ["v0"], "segments": {"e": [["2/3", "2/3"]]}}
+
+
+# -- one load, each repeated value read once ----------------------------------------
+
+
+def fixture_instances():
+    for kind in FIXTURE_KINDS:
+        params = {"seed": "11"} if kind.startswith("random") else None
+        yield kind, json.loads(dump_instance(*build_fixture(kind, params)))
+
+
+def test_loader_matches_the_direct_loader_on_every_fixture():
+    for kind, obj in fixture_instances():
+        got, want = loaded_by_both(obj)
+        assert same_load(got, want), kind
+        bare = {"vertices": obj["vertices"], "edges": obj["edges"]}
+        assert same_load(map_from_json(bare), load_map_directly(bare)), kind
+
+
+# fields no point may have: the list and the object are unhashable
+ODD_FIELDS = (["c"], {"vertex": "c"}, [], 3, 1, None, True, 1.5)
+
+
+def odd_points(obj):
+    """Point objects with one field that is not a string."""
+    eid = obj["edges"][0]["id"]
+    for odd in ODD_FIELDS:
+        yield {"vertex": odd}
+        yield {"edge": odd, "t": "1/2"}
+        yield {"edge": eid, "t": odd}
+
+
+def test_point_fields_that_are_not_strings_are_read_afresh(tmp_path, capsys):
+    """A point with a field that is not a string is never kept for reuse:
+    it is refused, or loads, exactly as the value-by-value loader does,
+    and a refused file exits 3, wherever the point stands."""
+    path = tmp_path / "odd.json"
+    base = json.loads(dump_instance(*build_fixture("rotation")))
+    eid = base["edges"][0]["id"]
+    refused = 0
+    for point in odd_points(base):
+        for where in ("vertex_images", "first", "last"):
+            obj = json.loads(json.dumps(base))
+            if where == "vertex_images":
+                obj[where]["c"] = point
+            else:
+                obj["edge_pieces"][eid][0 if where == "first" else -1]["image"] = point
+            got, want = loaded_by_both(obj)
+            if isinstance(want, str):
+                assert got == want, (point, where)
+                path.write_text(json.dumps(obj))
+                assert main(["recurrence", str(path)]) == 3, (point, where)
+                assert capsys.readouterr().err.startswith("error: ")
+                refused += 1
+            else:
+                assert same_load(got, want), (point, where)
+    assert refused > 60
+
+
+def record_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the last argument of each call."""
+    seen = []
+    plain = getattr(owner, name)
+
+    def recorded(*args):
+        seen.append(args[-1])
+        return plain(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return seen
+
+
+def test_a_load_parses_and_validates_each_value_once(monkeypatch):
+    """Each distinct rational string is parsed once, each distinct point
+    object built once, and each breakpoint validated once, by the table
+    constructor, which then builds its arc unvalidated."""
+    obj = json.loads(midpoint_path(40))
+    obj["vertex_images"]["p0"] = {"vertex": "p1"}  # a vertex point too
+    obj["edge_pieces"]["e0"][0]["image"] = {"vertex": "p1"}
+    strings = [e["length"] for e in obj["edges"]]
+    points = list(obj["vertex_images"].values())
+    for bps in obj["edge_pieces"].values():
+        strings += [bp["t"] for bp in bps]
+        points += [bp["image"] for bp in bps]
+    strings += [p["t"] for p in points if "t" in p]
+    parsed = record_calls(monkeypatch, dendrodyn.io, "as_fraction")
+    vertices = record_calls(monkeypatch, MetricTree, "vertex_point")
+    edge_points = record_calls(monkeypatch, MetricTree, "edge_point")
+    validated = record_calls(monkeypatch, MetricTree, "validate_point")
+    map_from_json(obj)
+    assert sorted(parsed) == sorted(set(strings))
+    distinct = {json.dumps(p, sort_keys=True) for p in points}
+    assert len(vertices) + len(edge_points) == len(distinct)
+    assert len(validated) == sum(len(bps) for bps in obj["edge_pieces"].values())

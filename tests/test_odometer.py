@@ -229,12 +229,26 @@ def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
 
 
 def test_cycle_sets_map_into_successors():
-    tree, f = odometer_tower(2, (2, 4))
-    for cyc in detect_cycles_of_sets(f, 4):
-        for i, comp in enumerate(cyc.sets):
-            nxt = cyc.sets[(i + 1) % cyc.period]
-            img = f.image_of_subtree(comp.closure)
-            assert nxt.closure.contains_subtree(img)
+    """The containment `_follow_cycle` proves rather than checks: each set's
+    closure maps into the next set's, on towers, rotations, the injective
+    shift and random homeomorphisms."""
+    towers = ((2, (2, 4)), (2, (3, 6)), (3, (2, 4, 8)), (4, (2, 4, 8, 16)))
+    maps = [odometer_tower(d, ps)[1] for d, ps in towers]
+    maps += [rotation_star(k)[1] for k in (2, 3, 5)]
+    maps += [shift_and_tent()["shift"][1]]
+    maps += [random_finite_order_map(seed, seed + 3)[1] for seed in range(40)]
+    checked = 0
+    for f in maps:
+        try:
+            cycles = detect_cycles_of_sets(f, 8)
+        except PreconditionError:  # a cycle through a set with two contacts
+            continue
+        for cyc in cycles:
+            for i, comp in enumerate(cyc.sets):
+                nxt = cyc.sets[(i + 1) % cyc.period]
+                assert nxt.closure.contains_subtree(f.image_of_subtree(comp.closure))
+                checked += 1
+    assert checked > 100
 
 
 # -- addresses -------------------------------------------------------------------

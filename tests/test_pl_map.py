@@ -12,7 +12,12 @@ from dendrodyn import (
     Subtree,
 )
 from dendrodyn import fixtures, plmap
-from dendrodyn.fixtures import random_finite_order_map, random_folding_map, rotation_star
+from dendrodyn.fixtures import (
+    build_fixture,
+    random_finite_order_map,
+    random_folding_map,
+    rotation_star,
+)
 from dendrodyn.plmap import (
     MAX_TABLE_SIZE,
     PLTreeMap,
@@ -23,7 +28,7 @@ from dendrodyn.plmap import (
     identity_map,
     map_from_vertex_images,
 )
-from oracles import is_identity, maps_equal, orbit
+from oracles import eval_in_piece, evaluate_on_arcs, is_identity, maps_equal, orbit
 
 
 def interval():
@@ -177,6 +182,26 @@ def test_evaluate_matches_arclength_interpolation():
                     assert t.distance(q0, y) == arc.length * lam
                     assert t.distance(y, q1) == arc.length * (1 - lam)
                     assert t.on_arc(y, q0, q1)
+
+
+def test_evaluate_reads_breakpoint_images_as_the_arcs_give_them():
+    """At a breakpoint `evaluate` returns the stored image; on fixtures and
+    random maps that is the point its piece's arc gives there."""
+    rng = random.Random(112)
+    maps = [build_fixture(kind, {"seed": "5"} if kind.startswith("random") else None)[1]
+            for kind in fixtures.FIXTURE_KINDS]
+    maps += [random_map(rng, random_tree(rng, rng.randint(2, 7))) for _ in range(40)]
+    maps += [compose(f, f) for f in maps[-10:]]
+    checked = 0
+    for f in maps:
+        t = f.domain
+        for eid in t.edge_ids:
+            params = [bp for bp, _ in f.breakpoints(eid)]
+            mids = [(a + b) / 2 for a, b in zip(params, params[1:])]
+            for x in (t.edge_point(eid, u) for u in params + mids):
+                assert f.evaluate(x) == evaluate_on_arcs(f, x)
+                checked += 1
+    assert checked > 1500
 
 
 def test_evaluate_frozen_tent_values():
@@ -870,8 +895,8 @@ def oracle_image_of_arc(f, arc):
             a, b = max(lo, piece.t0), min(hi, piece.t1)
             if a > b or (a == b and not (a == lo == hi)):
                 continue
-            pa = f._eval_in_piece(piece, a)
-            pb = f._eval_in_piece(piece, b)
+            pa = eval_in_piece(piece, a)
+            pb = eval_in_piece(piece, b)
             out = out.union(tree.arc(pa, pb).as_subtree())
             out = out.union(tree.point_subtree(pa))
     return out
@@ -937,30 +962,25 @@ def test_image_routines_match_the_former_ones():
     assert onto == {True, False}
 
 
+def count_arc_calls(monkeypatch):
+    """Record every arc the tree builds: `MetricTree._arc`, which `arc`
+    calls after validating and the table constructor calls directly."""
+    calls = []
+    plain = MetricTree._arc
+
+    def counted(self, a, b):
+        calls.append(1)
+        return plain(self, a, b)
+
+    monkeypatch.setattr(MetricTree, "_arc", counted)
+    return calls
+
+
 def test_image_of_whole_pieces_reuses_their_arcs(monkeypatch):
     _, rot = rotation_star(50)
-    calls = []
-    plain = MetricTree.arc
-
-    def counted(self, a, b):
-        calls.append(1)
-        return plain(self, a, b)
-
-    monkeypatch.setattr(MetricTree, "arc", counted)
+    calls = count_arc_calls(monkeypatch)
     assert rot.image() == rot.domain.full_subtree()
     assert not calls
-
-
-def count_arc_calls(monkeypatch):
-    calls = []
-    plain = MetricTree.arc
-
-    def counted(self, a, b):
-        calls.append(1)
-        return plain(self, a, b)
-
-    monkeypatch.setattr(MetricTree, "arc", counted)
-    return calls
 
 
 def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendrodyn import build_fixture
+from dendrodyn import StructureError, build_fixture
 from dendrodyn.dynamics import fixed_set
 from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import dump_instance, load_instance
@@ -70,6 +70,26 @@ def outcome(op, a, b):
         return "value", op(a, b)
     except (ZeroDivisionError, OverflowError) as exc:
         return "raises", type(exc)
+
+
+def test_rational_strings_read_as_fraction_reads_them():
+    """A string is read from its two ints and their gcd: the value, lowest
+    terms and positive denominator are `Fraction`'s, for signs, leading
+    zeros, zero numerators and long parts alike."""
+    rng = random.Random(77)
+    cases = ["0", "-0", "+0/7", "007/0021", "-12/8", "+3", "1/1", "0/1", str(10**999)]
+    for _ in range(500):
+        num = rng.choice(("", "-", "+")) + "0" * rng.randint(0, 2) + str(abs(random_int(rng)))
+        den = str(rng.choice((1, 2, 12, rng.randint(1, 1000), abs(big(rng, 300)))))
+        cases.append(num if rng.random() < 0.2 else f"{num}/{'0' * rng.randint(0, 2)}{den}")
+    for text in cases:
+        q = as_fraction(text)
+        want = Fraction(text)
+        assert type(q) is _Q and q == want, text
+        assert (q.numerator, q.denominator) == (want.numerator, want.denominator), text
+    for text in ("0/0", "5/0", "-0/000"):
+        with pytest.raises(StructureError, match="not a rational"):
+            as_fraction(text)
 
 
 @pytest.mark.parametrize("seed", range(4))
