@@ -37,7 +37,11 @@ J, fixes only the midpoint of J when it swaps them, and otherwise moves J
 off itself.  The map's certificate (`_Certificate`) keeps N and O, and
 each Fix(f^n) is read off it without composing; `_certificate` alone
 decides it, and the verdict and `fixed_set` read it there.  Every other
-map has its powers composed, within a piece budget.
+map has its powers composed, within a piece budget, all but the last
+composition of each power: Fix(f^n) is solved from that composition's
+two factors, which are built, and checked against the budget, only when
+their cut count (at least the composite's number of normalized pieces)
+passes it.
 
 What this module learns of a map is kept in one store per map
 (`_OrbitStore`).  `_walk` is the one orbit walker: it keeps the
@@ -59,7 +63,7 @@ from itertools import count, islice
 from math import gcd, lcm
 
 from .errors import ConsistencyError, PreconditionError, UndecidedError
-from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
+from .plmap import DEFAULT_PIECE_CAP, PLTreeMap, built, composite_fixed_set, factored
 from .tree import ONE, ZERO, Subtree, TreePoint
 
 MAX_PERIOD_DEFAULT = 10_000
@@ -124,13 +128,20 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     the tree minus O whose two ends f^n fixes, and the midpoint of each
     one whose ends it swaps (the module docstring has the proof).
 
-    Any other map composes f^n within `piece_cap` pieces: one composition
-    f^(n-1) . f when f^(n-1) is the last power composed here with the same
-    budget, else by squaring.  f's store keeps f^n in its place, and no
-    other power: keeping every power raised peak memory by about 9% on
-    odometer-tower analyses.  The fixed sets are kept in f's store, keyed
-    (n, piece_cap) on this route: a smaller budget may raise where a
-    larger one succeeds, and a call that raises stores nothing.
+    Any other map has f^n = outer . inner made as `iterate` makes it, by
+    squaring, or as f^(n-1) . f when f^(n-1) is the last power made here
+    with the same budget; either way every composition but the last is
+    built within `piece_cap` pieces, and the last is solved from its two
+    factors (`plmap.composite_fixed_set`) without being built.  The
+    budget still holds: the cut count of outer . inner is at least the
+    number of its normalized pieces, so the composite is built, and
+    checked as `iterate` checks it, only when its cut count passes
+    `piece_cap`.  f's store keeps f^n in its place, as that factor pair
+    until the next power needs it built, and no other power: keeping
+    every power raised peak memory by about 9% on odometer-tower
+    analyses.  The fixed sets are kept in f's store, keyed (n, piece_cap)
+    on this route: a smaller budget may raise where a larger one
+    succeeds, and a call that raises stores nothing.
     """
     if n < 1:
         raise PreconditionError("power must be at least 1")
@@ -144,21 +155,24 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
         if cert is not None:
             fixed_sets[key] = cert.fixed_set(f.domain, key[0])
         else:
-            fixed_sets[key] = _composed_power(f, n, piece_cap).fixed_point_set()
+            fixed_sets[key] = composite_fixed_set(*_power_factors(f, n, piece_cap))
     return fixed_sets[key]
 
 
-def _composed_power(f: PLTreeMap, n: int, piece_cap: int) -> PLTreeMap:
-    """f^n within the budget, kept in f's store as its last power."""
+def _power_factors(f: PLTreeMap, n: int, piece_cap: int) -> tuple:
+    """The factor pair (outer, inner) of f^n within the budget, kept in
+    f's store as its last power; the kept f^(n-1) is built here when it
+    is a factor of f^n."""
     store = _OrbitStore.of(f)
     last = store.last_power
     if last is not None and last[:2] == (n - 1, piece_cap):
-        g = f.next_power(last[2], piece_cap)
+        pair = (built(*last[2:], piece_cap), f)
     else:
-        g = f.iterate(n, piece_cap)
+        pair = f.power_factors(n, piece_cap)
+    pair = factored(*pair, piece_cap, "iterate")
     if n > 1:
-        store.last_power = (n, piece_cap, g)
-    return g
+        store.last_power = (n, piece_cap, *pair)
+    return pair
 
 
 def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP):
@@ -331,7 +345,8 @@ def returns_to_components(
 
 class _OrbitStore:
     """What this module keeps of one map: orbit points, certificate, and
-    the fixed sets and last composed power of `fixed_set`.
+    the fixed sets and the last power of `fixed_set`, kept as its factor
+    pair until the next power builds it.
 
     `labels` maps a point whose orbit has been seen to repeat to
     (preperiod, cycle, entry): `cycle` is the tuple of the points of the
@@ -355,7 +370,7 @@ class _OrbitStore:
         self.budget = ORBIT_STORE_PER_ITEM * (len(f.domain.vertex_ids) + f.piece_count)
         self.certificate = _UNDECIDED  # until `_certificate` decides it
         self.fixed_sets = {}  # (n, piece_cap), or (gcd(n, N), None) when certified
-        self.last_power = None  # (n, piece_cap, f^n): the last power composed
+        self.last_power = None  # (n, piece_cap, outer, inner): f^n, outer None once built
 
     @staticmethod
     def of(f: PLTreeMap) -> "_OrbitStore":

@@ -23,10 +23,20 @@ they ask the tree for no arc and validate nothing again.  `normalize` is
 the one merge routine: `compose` goes through it, and it keeps the
 pieces it does not merge.
 
+The fixed points of a composition are solved from its two factors,
+without building it (`composite_fixed_set`): the solve walks the cuts
+`compose` would make and works only on those whose image returns to
+their own edge, and a map's own fixed set is the same solve with no
+outer factor.  A factor pair is built only when its cut count passes the
+piece budget (`factored`): the cut count is at least the number of the
+composite's normalized pieces, so a pair left unbuilt would pass the
+budget, and one built is checked as every composition is.
+
 `find_periodic_in_hull` starts from the nearest-point retraction onto
-the hull, built as a table, and composes with f n times, which equals
-f^n on the hull and stays constant on each component off it, so the
-fixed points of f^n in the hull come from pieces over the hull alone.
+the hull, built as a table, composes with f n - 1 times and solves the
+n-th composition from its factors.  That composition equals f^n on the
+hull and stays constant on each component off it, so the fixed points
+of f^n in the hull come from pieces over the hull alone.
 """
 
 from __future__ import annotations
@@ -352,41 +362,9 @@ class PLTreeMap:
     # -- fixed points ------------------------------------------------------------
 
     def fixed_point_set(self) -> Subtree:
-        """All points with f(x) = x, exactly; may be empty or disconnected."""
-        tree = self.domain
-        segs = []
-        verts = []
-        for v, img in self._vimg.items():
-            if img == tree.vertex_point(v):
-                verts.append(v)
-        for piece in self._pieces:
-            eid = piece.edge
-            if piece.is_constant:
-                u = _param_on_edge(tree, piece.p0, eid)
-                if u is not None and piece.t0 <= u <= piece.t1:
-                    segs.append((eid, u, u))
-                continue
-            length = tree.edge_length(eid)
-            rate = piece.arc.length / (piece.t1 - piece.t0)
-            offsets = piece.arc.segment_offsets
-            for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
-                if aeid != eid:
-                    continue
-                c = offsets[k]
-                sign = 1 if u1 > u0 else -1
-                # u(t) = u0 + sign*(rate*(t - t0) - c)/length on the window
-                alpha = sign * rate / length
-                beta = u0 - sign * (rate * piece.t0 + c) / length
-                x_lo = piece.param_at_arclength(c)
-                x_hi = piece.param_at_arclength(offsets[k + 1])
-                if alpha == 1:
-                    if beta == 0:
-                        segs.append((eid, x_lo, x_hi))
-                else:
-                    x = beta / (1 - alpha)
-                    if x_lo <= x <= x_hi:
-                        segs.append((eid, x, x))
-        return Subtree.build(tree, segs, verts)
+        """All points with f(x) = x, exactly; may be empty or disconnected.
+        The solve of `composite_fixed_set` with no outer factor."""
+        return _fixed_points(None, self)
 
     # -- iteration ----------------------------------------------------------------
 
@@ -396,6 +374,17 @@ class PLTreeMap:
             raise PreconditionError("iteration count must be nonnegative")
         if n == 0:
             return identity_map(self.domain)
+        return built(*self.power_factors(n, piece_cap), piece_cap, "iterate")
+
+    def power_factors(self, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> tuple:
+        """(outer, inner) with f^n = outer . inner, or (None, f) for n = 1.
+
+        The powers are made by squaring, as `iterate` makes them: every
+        composition but the last is built, within the budget, and the
+        last is left to the caller as its two factors.
+        """
+        if n < 1:
+            raise PreconditionError("power must be at least 1")
 
         def guarded(a, b):
             return _within_budget(compose(a, b), piece_cap, "iterate")
@@ -403,13 +392,14 @@ class PLTreeMap:
         result = None
         base = self
         k = n
-        while k:
+        while k > 1:
             if k & 1:
                 result = base if result is None else guarded(result, base)
             k >>= 1
-            if k:
-                base = guarded(base, base)
-        return result
+            if k == 1 and result is None:
+                return (base, base)  # n a power of two: the last step squares
+            base = guarded(base, base)
+        return (result, base)
 
     def next_power(self, prev: "PLTreeMap", piece_cap: int = DEFAULT_PIECE_CAP) -> "PLTreeMap":
         """f^(n+1) from prev = f^n: one composition prev . f, within the
@@ -438,18 +428,6 @@ def _continues(a: _Piece, b: _Piece) -> bool:
     if ea == eb and (u1 > u0) != (v1 > v0):
         return False
     return a.arc.length * (b.t1 - b.t0) == b.arc.length * (a.t1 - a.t0)
-
-
-def _param_on_edge(tree: MetricTree, p: TreePoint, eid) -> Fraction | None:
-    """Parameter of p on the given edge, or None if it does not lie there."""
-    u, w = tree.edge_ends(eid)
-    if p.is_vertex:
-        if p.vertex == u:
-            return ZERO
-        if p.vertex == w:
-            return ONE
-        return None
-    return p.t if p.edge == eid else None
 
 
 def _canonical_point(tree: MetricTree, sub: Subtree) -> TreePoint:
@@ -566,6 +544,161 @@ def _joined(run: list) -> _Piece:
     return _Piece(first.edge, first.t0, last.t1, first.p0, last.p1, arc)
 
 
+# -- fixed points of a composition ----------------------------------------------
+
+
+def cut_count(outer: PLTreeMap, inner: PLTreeMap) -> int:
+    """The number of pieces `compose(outer, inner)` cuts before it
+    normalizes: one per constant inner piece, and one per outer piece
+    each inner arc segment meets.  Normalizing only merges pieces, so
+    the composite has at most this many."""
+    n = 0
+    for piece in inner._pieces:
+        if piece.is_constant:
+            n += 1
+            continue
+        for aeid, u0, u1 in piece.arc.segments:
+            params = outer._edge_index[aeid][0]
+            lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
+            n += bisect_left(params, hi) - bisect_right(params, lo, 1) + 1
+    return n
+
+
+def built(outer, inner: PLTreeMap, piece_cap: int = DEFAULT_PIECE_CAP, what: str = "iterate") -> PLTreeMap:
+    """The map a factor pair stands for: inner when outer is None, else
+    outer . inner within the budget, raising ResourceLimitError naming
+    `what` past it."""
+    return inner if outer is None else _within_budget(compose(outer, inner), piece_cap, what)
+
+
+def factored(outer, inner: PLTreeMap, piece_cap: int, what: str) -> tuple:
+    """The factor pair (outer, inner), left unbuilt while its cut count is
+    within the budget; past it, (None, outer . inner) built by `built`.
+
+    The cut count is at least the composite's number of normalized
+    pieces, so a pair left unbuilt would pass the budget, and a pair
+    built is checked and refused exactly as composing it always was.
+    """
+    if outer is not None and cut_count(outer, inner) > piece_cap:
+        return (None, built(outer, inner, piece_cap, what))
+    return (outer, inner)
+
+
+def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
+    """Fix(outer . inner), solved from the two factors without building
+    the composite; Fix(inner), by `PLTreeMap.fixed_point_set`, when
+    outer is None."""
+    return inner.fixed_point_set() if outer is None else _fixed_points(outer, inner)
+
+
+def _fixed_points(outer, inner: PLTreeMap) -> Subtree:
+    """The one fixed-point solve: Fix(outer . inner), or Fix(inner) when
+    outer is None.
+
+    A vertex is fixed when its image is itself.  A fixed point x inside
+    an edge e lies in a cut `compose` would make: a window of an inner
+    piece over e on which one segment of the inner arc, on an edge a,
+    runs across one outer piece over a.  There the composite runs at
+    constant speed along a window of that outer piece's arc, so x can be
+    fixed only where that window lies on e.  The outer pieces are
+    indexed by (domain edge, image edge) (`_by_image_edge`), and only
+    the cuts whose image returns to e are solved: on each, the image's
+    parameter on e is one affine function alpha * t + beta of x's
+    parameter t (`_segment_line`, composed), a constant piece being the
+    case alpha = 0, and `_solve` reads off the fixed points.  With no
+    outer factor, the inner arc's own segment on e is solved.  Windows
+    are closed, so a fixed point where two cuts meet is found by both
+    and merged by `Subtree.build`.
+    """
+    tree = inner.domain
+    if outer is not None and outer.domain != tree:
+        raise PreconditionError("composed maps must live on the same tree")
+    segs = []
+    verts = []
+    for v, img in inner._vimg.items():
+        if outer is not None:
+            img = outer.evaluate(img)
+        if img.vertex == v:
+            verts.append(v)
+    index = None if outer is None else _by_image_edge(outer)
+    for piece in inner._pieces:
+        eid = piece.edge
+        if piece.is_constant:
+            q = piece.p0 if outer is None else outer.evaluate(piece.p0)
+            if q.edge == eid:
+                _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
+            continue
+        for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
+            if outer is None:
+                if aeid == eid:
+                    _solve(segs, eid, *_segment_line(piece, k))
+                continue
+            met = index.get((aeid, eid))
+            if met is None:
+                continue
+            t0s, t1s, entries = met
+            lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
+            a1, b1, _, _ = _segment_line(piece, k)
+            # the outer pieces whose closed windows meet [lo, hi]
+            for entry in entries[bisect_left(t1s, lo) : bisect_right(t0s, hi)]:
+                if entry[2] is None:
+                    op, j = entry[:2]
+                    entry[2] = (ZERO, op.p0.t, op.t0, op.t1) if j is None else _segment_line(op, j)
+                a2, b2, y0, y1 = entry[2]
+                ya, yb = max(lo, y0), min(hi, y1)
+                if ya > yb:
+                    continue
+                ta, tb = (ya - b1) / a1, (yb - b1) / a1
+                _solve(segs, eid, a2 * a1, a2 * b1 + b2, *((ta, tb) if a1 > 0 else (tb, ta)))
+    return Subtree.build(tree, segs, verts)
+
+
+def _by_image_edge(f: PLTreeMap) -> dict:
+    """f's pieces by (domain edge, image edge): the pieces over the domain
+    edge whose arc has a segment on the image edge, or whose constant
+    value lies inside it, in order, as (their t0s, their t1s, entries).
+    An entry is [piece, segment index or None when constant, line], the
+    line `_segment_line` gives, filled when first met."""
+    index = {}
+    for piece in f._pieces:
+        if not piece.is_constant:
+            keys = [(seg[0], k) for k, seg in enumerate(piece.arc.segments)]
+        elif piece.p0.is_vertex:
+            continue
+        else:
+            keys = [(piece.p0.edge, None)]
+        for e, k in keys:
+            t0s, t1s, entries = index.setdefault((piece.edge, e), ([], [], []))
+            t0s.append(piece.t0)
+            t1s.append(piece.t1)
+            entries.append([piece, k, None])
+    return index
+
+
+def _segment_line(piece: _Piece, k: int) -> tuple:
+    """(alpha, beta, x0, x1): on the window [x0, x1] of the piece's
+    parameter that the k-th segment of its arc covers, the image lies on
+    that segment's edge at parameter alpha * t + beta."""
+    arc = piece.arc
+    _, u0, u1 = arc.segments[k]
+    scale = (piece.t1 - piece.t0) / arc.length  # parameter per unit of arclength
+    x0 = piece.t0 + arc.segment_offsets[k] * scale
+    x1 = piece.t0 + arc.segment_offsets[k + 1] * scale
+    alpha = (u1 - u0) / (x1 - x0)
+    return alpha, u0 - alpha * x0, x0, x1
+
+
+def _solve(segs: list, eid, alpha: Fraction, beta: Fraction, lo: Fraction, hi: Fraction) -> None:
+    """Add to segs the points t of [lo, hi] on the edge with alpha * t + beta = t."""
+    if alpha == ONE:
+        if beta == ZERO:
+            segs.append((eid, lo, hi))
+    else:
+        x = beta / (ONE - alpha)
+        if lo <= x <= hi:
+            segs.append((eid, x, x))
+
+
 # -- hulls -------------------------------------------------------------------
 
 
@@ -604,13 +737,16 @@ def find_periodic_in_hull(
 
     Requires the n-times-advanced hull to contain the original one.  The
     search starts from the nearest-point retraction r onto the hull and
-    composes with f n times.  The result h = f^n . r equals f^n on the
-    hull and is constant on each component off it, so only pieces over
-    the hull grow, and the fixed points of h in the hull are exactly
-    those of f^n there.  The answer is the canonical point of that set:
-    the midpoint of its first interval, else its first corner.  A
-    composition with more than `piece_cap` pieces raises
-    ResourceLimitError.
+    composes with f n - 1 times, to h = f^(n-1) . r.  Then f . h = f^n . r
+    equals f^n on the hull and is constant on each component off it, so
+    only pieces over the hull grow, and the fixed points of f . h in the
+    hull are exactly those of f^n there; they are solved from the
+    factors (f, h), with no n-th composition built.  The answer is the
+    canonical point of that set: the midpoint of its first interval, else
+    its first corner.  A composition with more than `piece_cap` pieces
+    raises ResourceLimitError; the last one is built to be checked only
+    when its cut count, at least its number of normalized pieces, passes
+    `piece_cap`.
 
     Covering guarantees a point of period n in the hull on an interval,
     not on other trees: on a tripod, a map that swaps two ends and sends
@@ -630,9 +766,9 @@ def find_periodic_in_hull(
     if not tree.connected_hull(advanced).contains_subtree(hull):
         raise PreconditionError("advanced hull does not cover the original hull")
     h = _retraction(tree, hull)
-    for _ in range(n):
+    for _ in range(n - 1):
         h = _within_budget(compose(f, h), piece_cap, "hull search")
-    fixed = h.fixed_point_set().intersect(hull)
+    fixed = composite_fixed_set(*factored(f, h, piece_cap, "hull search")).intersect(hull)
     if fixed.is_empty():
         raise ConsistencyError("no fixed point of the n-th iterate in the hull")
     return _canonical_point(tree, fixed)

@@ -429,6 +429,13 @@ class MetricTree:
             return (e.w, (ONE - p.t) * e.length)
         return (e.u, p.t * e.length)
 
+    def _lower_vertex(self, p: TreePoint):
+        """The vertex of `_lower_end` alone, with no height worked out."""
+        if p.is_vertex:
+            return p.vertex
+        e = self._edge(p.edge)
+        return e.w if self._tin[e.w] > self._tin[e.u] else e.u
+
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
         self.validate_point(b)
@@ -476,8 +483,8 @@ class MetricTree:
         if not a.is_vertex and not b.is_vertex and a.edge == b.edge:
             return Arc(self, a, b, ((a.edge, a.t, b.t),))
         segs: list[tuple] = []
-        start, _ = self._lower_end(a)
-        low_b, _ = self._lower_end(b)
+        start = self._lower_vertex(a)
+        low_b = self._lower_vertex(b)
         if not a.is_vertex:
             # leave a's edge through its lower end exactly when b lies below it
             e = self._edges[a.edge]

@@ -9,7 +9,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
-from dendrodyn.errors import PreconditionError, StructureError
+from dendrodyn.errors import ConsistencyError, PreconditionError, ResourceLimitError, StructureError
 from dendrodyn.fixtures import stem_sweep_map
 from dendrodyn.io import (
     MAX_VERTICES,
@@ -20,8 +20,15 @@ from dendrodyn.io import (
     map_from_json,
 )
 from dendrodyn.odometer import OdometerAddress, validate_address
-from dendrodyn.plmap import PLTreeMap, identity_map
-from dendrodyn.tree import MetricTree
+from dendrodyn.plmap import (
+    DEFAULT_PIECE_CAP,
+    PLTreeMap,
+    _canonical_point,
+    _retraction,
+    compose,
+    identity_map,
+)
+from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree
 
 
 def orbit(f, p, length):
@@ -218,3 +225,106 @@ def loaded_by_both(obj):
         except StructureError as exc:
             out.append(str(exc))
     return out
+
+
+def solve_fixed_points(f):
+    """Fix(f), solved the former way: per piece, on each segment of its
+    arc that lies on the piece's own edge, from the segment's offsets and
+    the edge length; a constant piece fixes its value where that value's
+    parameter on the edge (a vertex end's too) lies in its window."""
+    tree = f.domain
+    segs = []
+    verts = [v for v in tree.vertex_ids if f.vertex_image(v) == tree.vertex_point(v)]
+    for piece in f._pieces:
+        eid = piece.edge
+        if piece.is_constant:
+            q = piece.p0
+            u, w = tree.edge_ends(eid)
+            at = {u: ZERO, w: ONE}.get(q.vertex) if q.is_vertex else (q.t if q.edge == eid else None)
+            if at is not None and piece.t0 <= at <= piece.t1:
+                segs.append((eid, at, at))
+            continue
+        length = tree.edge_length(eid)
+        rate = piece.arc.length / (piece.t1 - piece.t0)
+        offsets = piece.arc.segment_offsets
+        for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
+            if aeid != eid:
+                continue
+            c = offsets[k]
+            sign = 1 if u1 > u0 else -1
+            alpha = sign * rate / length
+            beta = u0 - sign * (rate * piece.t0 + c) / length
+            x_lo = piece.param_at_arclength(c)
+            x_hi = piece.param_at_arclength(offsets[k + 1])
+            if alpha == 1:
+                if beta == 0:
+                    segs.append((eid, x_lo, x_hi))
+            else:
+                x = beta / (1 - alpha)
+                if x_lo <= x <= x_hi:
+                    segs.append((eid, x, x))
+    return Subtree.build(tree, segs, verts)
+
+
+def composed_fixed_set(outer, inner):
+    """Fix(outer . inner) by building the composite and solving it."""
+    return solve_fixed_points(compose(outer, inner))
+
+
+class ComposingPowers:
+    """The former composing route of `dynamics.fixed_set` for one map:
+    f^n built whole, as f^(n-1) . f when f^(n-1) is the last power built
+    here with the same budget, else by squaring, and then solved.  Like
+    the map's store it keeps the last power and the fixed sets, and a
+    call that raises stores nothing."""
+
+    def __init__(self, f):
+        self.f = f
+        self.last = None
+        self.fixed = {}
+
+    def fixed_set(self, n, piece_cap=DEFAULT_PIECE_CAP):
+        if (n, piece_cap) not in self.fixed:
+            if self.last is not None and self.last[:2] == (n - 1, piece_cap):
+                g = self.f.next_power(self.last[2], piece_cap)
+            else:
+                g = self.f.iterate(n, piece_cap)
+            if n > 1:
+                self.last = (n, piece_cap, g)
+            self.fixed[(n, piece_cap)] = solve_fixed_points(g)
+        return self.fixed[(n, piece_cap)]
+
+
+def hull_by_composing(f, points, n, piece_cap=DEFAULT_PIECE_CAP):
+    """`plmap.find_periodic_in_hull` the former way: the retraction onto
+    the hull composed with f all n times, and the result solved."""
+    tree = f.domain
+    if n < 1:
+        raise PreconditionError("need at least one step")
+    pts = list(points)
+    hull = tree.connected_hull(pts)
+    advanced = pts
+    for _ in range(n):
+        advanced = [f.evaluate(p) for p in advanced]
+    if not tree.connected_hull(advanced).contains_subtree(hull):
+        raise PreconditionError("advanced hull does not cover the original hull")
+    h = _retraction(tree, hull)
+    for _ in range(n):
+        h = compose(f, h)
+        if h.piece_count > piece_cap:
+            raise ResourceLimitError(
+                f"hull search exceeded the piece budget ({h.piece_count} > {piece_cap})"
+            )
+    fixed = solve_fixed_points(h).intersect(hull)
+    if fixed.is_empty():
+        raise ConsistencyError("no fixed point of the n-th iterate in the hull")
+    return _canonical_point(tree, fixed)
+
+
+def outcome(call, *args, **kwargs):
+    """What a call gives: its value, or the type and message of the
+    package error it raises."""
+    try:
+        return call(*args, **kwargs)
+    except (ConsistencyError, PreconditionError, ResourceLimitError) as exc:
+        return (type(exc).__name__, str(exc))

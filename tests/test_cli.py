@@ -750,3 +750,31 @@ def test_deep_tower_composes_no_power(tmp_path, capsys, monkeypatch, command, co
     if command == "analyze":
         assert len(report["fixed_sets"]) == 64
         assert report["cumulative"]["64"]["segments"] == report["fixed_sets"]["64"]["segments"]
+
+
+def test_analyze_builds_only_the_factor_powers(tmp_path, capsys, monkeypatch):
+    """stem_sweep has no certificate, so `analyze --depth 4` takes its fixed
+    sets from powers: Fix(f) from f itself, and each Fix(f^n) from the
+    factors (f^(n-1), f).  So only f^2 = f . f and f^3 = f^2 . f are built,
+    each as a factor of the next power, and f^4 is never built."""
+    path = write_fixture(tmp_path, "stem_sweep")
+    composed = []
+    solved = []
+    plain_compose = plmap.compose
+    plain_solve = PLTreeMap.fixed_point_set
+
+    def counted_compose(outer, inner):
+        composed.append((outer, inner, plain_compose(outer, inner)))
+        return composed[-1][2]
+
+    def counted_solve(f):
+        solved.append(f)
+        return plain_solve(f)
+
+    monkeypatch.setattr(plmap, "compose", counted_compose)
+    monkeypatch.setattr(PLTreeMap, "fixed_point_set", counted_solve)
+    code, report = run_json(capsys, ["analyze", path, "--depth", "4"])
+    assert code == 0 and len(report["fixed_sets"]) == 4
+    (f, g, square), (cube_outer, cube_inner, _) = composed
+    assert f is g is cube_inner and cube_outer is square
+    assert solved == [f]

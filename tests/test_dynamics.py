@@ -44,8 +44,14 @@ from dendrodyn.fixtures import (
     rotation_star,
     stem_sweep_map,
 )
-from dendrodyn.plmap import DEFAULT_PIECE_CAP, PLTreeMap, identity_map, map_from_vertex_images
-from oracles import is_identity, orbit
+from dendrodyn.plmap import (
+    DEFAULT_PIECE_CAP,
+    PLTreeMap,
+    built,
+    identity_map,
+    map_from_vertex_images,
+)
+from oracles import ComposingPowers, is_identity, orbit, outcome
 
 
 def interval():
@@ -144,6 +150,39 @@ def test_fixed_set_budget_errors_are_not_stored():
     assert fixed_set(tent, 12).vertices == frozenset({"v0"})
     with pytest.raises(ResourceLimitError):
         fixed_set(tent, 12, piece_cap=100)
+
+
+def test_fixed_set_budget_outcomes_match_the_composing_route():
+    """Each fixed set, or the exact budget error, is what building every
+    power whole gives, over budgets and request orders on maps with no
+    certificate.  The tent's first requests pin the squaring schedule:
+    reaching f^5 by a fresh squaring would report (32 > 20) at n = 6."""
+    for (n, cap), message in (((6, 20), "64 > 20"), ((7, 50), "128 > 50"), ((4, 5), "16 > 5")):
+        tent = tent_on(interval())
+        error = ("ResourceLimitError", f"iterate exceeded the piece budget ({message})")
+        assert outcome(fixed_set, tent, n, piece_cap=cap) == error
+        assert outcome(ComposingPowers(tent_on(interval())).fixed_set, n, cap) == error
+    t = interval()
+    sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
+    rng = random.Random(2207)
+    maps = [(tent_on(t), 7), (sag, 7), (stem_sweep_map(3)[1], 4), (shift_on(t), 7)]
+    maps += [(random_folding_map(seed)[1], 5) for seed in range(2)]
+    maps += [(sagged(rng, rotation_star(3)[1]), 6) for _ in range(2)]
+    orders = [(1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1), (2, 4, 3, 6, 5, 7), (3, 5, 4, 7)]
+    tallies = {"fixed": 0, "refused": 0}
+    for f, top in maps:
+        for cap in (3, 5, 20, 50, 200):
+            for order in orders:
+                requests = [(n, cap) for n in order if n <= top]
+                # the same powers again under a larger budget, then the first once more
+                requests += [(n, 4 * cap) for n in order if n <= top] + requests[:1]
+                g = fresh_copy(f)
+                oracle = ComposingPowers(fresh_copy(f))
+                for n, c in requests:
+                    got = outcome(fixed_set, g, n, piece_cap=c)
+                    assert got == outcome(oracle.fixed_set, n, c), (f, cap, order, n, c)
+                    tallies["refused" if isinstance(got, tuple) else "fixed"] += 1
+    assert tallies["fixed"] > 500 and tallies["refused"] > 200
 
 
 def test_fixed_set_rejects_zero_power():
@@ -459,26 +498,27 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     t = interval()
     sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
     expected = composing_decide(sag)
-    iterated = count_calls(monkeypatch, PLTreeMap, "iterate")
+    factored = count_calls(monkeypatch, PLTreeMap, "power_factors")
     assert decide_pointwise_recurrent(sag) == expected
-    assert [args[1:] for args in iterated] == [(1, DEFAULT_PIECE_CAP)]
+    assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP)]
     # the decision stored the fixed set it computed on the map
     solved = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
     fixed_set(sag, 1)
     assert solved == []
-    # later powers in sequence: f^2 by squaring, then one composition each
+    # later powers in sequence: f^2 solved from (f, f), then each power
+    # solved from (f^(n-1), f), f^(n-1) built only as that factor
     stepped = count_calls(monkeypatch, plmap, "compose")
     for n in (2, 3, 4):
         fixed_set(sag, n)
-    assert [args[1:] for args in iterated] == [(1, DEFAULT_PIECE_CAP), (2, DEFAULT_PIECE_CAP)]
-    assert len(stepped) == 3 and len(solved) == 3
-    # the same drift behind a flip: N = 2, so f^N is composed
+    assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP), (2, DEFAULT_PIECE_CAP)]
+    assert len(stepped) == 2 and len(solved) == 0
+    # the same drift behind a flip: N = 2, so Fix(f^N) is solved from (f, f)
     swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
     expected = composing_decide(swung)
     composed = count_calls(monkeypatch, plmap, "compose")
     verdict = decide_pointwise_recurrent(swung)
     assert verdict == expected and verdict.reason == "power-not-identity"
-    assert len(composed) == 1
+    assert len(composed) == 0
 
 
 def test_piece_cap_bounds_only_the_negative_route():
@@ -897,12 +937,13 @@ def test_power_images_from_the_store_match_the_orbit_oracle():
 
 
 def test_radial_check_composes_only_for_the_fixed_set(monkeypatch):
-    """At power 2 the images come from the orbit store, so a fresh tent
-    composes once: f^2, for its fixed set.  The flip and the rotation are
-    certified, so their fixed sets come from their orbits: no composition."""
+    """At power 2 the images come from the orbit store, and a fresh tent's
+    Fix(f^2) is solved from the factors (f, f), so it composes nothing.
+    The flip and the rotation are certified, so their fixed sets come
+    from their orbits: no composition either."""
     composed = count_calls(monkeypatch, plmap, "compose")
     t = interval()
-    for f, compositions in ((tent_on(t), 1), (flip_on(t), 0), (rotation_star(4)[1], 0)):
+    for f, compositions in ((tent_on(t), 0), (flip_on(t), 0), (rotation_star(4)[1], 0)):
         composed.clear()
         got = check_no_radial_stretch(f, 2)
         assert len(composed) == compositions
@@ -1054,7 +1095,9 @@ def test_the_decision_and_fixed_set_share_one_certificate(monkeypatch, decide_fi
 
 
 def test_powers_composed_in_sequence_match_iterate():
-    """f^n kept after f^(n-1) . f equals f^n by squaring, piece for piece."""
+    """f^n kept as the factors (f^(n-1), f) equals f^n by squaring, piece
+    for piece, once built; in sequence the factor f^(n-1) is itself built
+    and equals f^(n-1) by squaring."""
 
     def pieces(g):
         return [
@@ -1070,12 +1113,16 @@ def test_powers_composed_in_sequence_match_iterate():
             if n > 1:
                 last = _OrbitStore.of(f).last_power
                 assert last[:2] == (n, DEFAULT_PIECE_CAP)
-                assert pieces(last[2]) == pieces(fresh_copy(f).iterate(n)), n
+                assert pieces(built(*last[2:])) == pieces(fresh_copy(f).iterate(n)), n
+            if n > 2:
+                assert last[3] is f
+                assert pieces(last[2]) == pieces(fresh_copy(f).iterate(n - 1)), n
     # out of order, only a power right after the last one takes the step
     for f in (tent_on(t), fresh_copy(sag)):
         for n in (5, 3, 4, 7, 6, 2):
             assert fixed_set(f, n) == fresh_copy(f).iterate(n).fixed_point_set(), n
-            assert pieces(_OrbitStore.of(f).last_power[2]) == pieces(fresh_copy(f).iterate(n)), n
+            last = _OrbitStore.of(f).last_power
+            assert pieces(built(*last[2:])) == pieces(fresh_copy(f).iterate(n)), n
 
 
 def former_returns(f, x, y, power=1, horizon=HORIZON_DEFAULT):

@@ -201,7 +201,8 @@ def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
     flip is certified, so it composes nothing at all; the rotation's
     P_1 = P_2 = P_3 is one level, kept at power 1.  The tent is refused as not injective before
     any power is composed; an injective map that is not certified (the
-    flip with a drift inside) composes one power per level past the first."""
+    flip with a drift inside) composes one power per level past the
+    second, each only as a factor of the next level's power."""
     composed = []
     plain = plmap.compose
 
@@ -222,7 +223,8 @@ def test_detect_composes_no_power_past_the_whole_tree(monkeypatch):
     swung = PLTreeMap(t, {"e": drift})
     with pytest.raises(PreconditionError, match="touches the periodic set at 2 points"):
         detect_cycles_of_sets(swung, 4)
-    assert len(composed) == 3  # f^2 = f . f, then f^3 and f^4 one composition each
+    # f^2 = f . f and f^3 = f^2 . f built as factors; Fix(f^4) solved from (f^3, f)
+    assert len(composed) == 2
     composed.clear()
     _, rot = rotation_star(4)
     assert [(c.level, c.period) for c in detect_cycles_of_sets(rot, 3)] == [(1, 4)]

@@ -19,16 +19,30 @@ from dendrodyn.fixtures import (
     rotation_star,
 )
 from dendrodyn.plmap import (
+    DEFAULT_PIECE_CAP,
     MAX_TABLE_SIZE,
     PLTreeMap,
+    _compose_piece,
     _continues,
     _retraction,
     compose,
+    composite_fixed_set,
+    cut_count,
     find_periodic_in_hull,
     identity_map,
     map_from_vertex_images,
 )
-from oracles import eval_in_piece, evaluate_on_arcs, is_identity, maps_equal, orbit
+from oracles import (
+    composed_fixed_set,
+    eval_in_piece,
+    evaluate_on_arcs,
+    hull_by_composing,
+    is_identity,
+    maps_equal,
+    orbit,
+    outcome,
+    solve_fixed_points,
+)
 
 
 def interval():
@@ -673,6 +687,68 @@ def test_fixed_set_matches_grid_scan():
             assert (f.evaluate(x) == x) == fixed.contains(x)
 
 
+def solver_maps(rng):
+    """Every fixture, the one-vertex identity, and seeded folding,
+    finite-order and random PL maps."""
+    maps = [build_fixture(kind)[1] for kind in fixtures.FIXTURE_KINDS]
+    maps += [PLTreeMap(MetricTree(["o"], []), {})]
+    maps += [random_folding_map(seed)[1] for seed in range(25)]
+    maps += [random_finite_order_map(seed, seed + 7)[1] for seed in range(25)]
+    maps += [random_map(rng, random_tree(rng, rng.randint(2, 6))) for _ in range(100)]
+    return maps
+
+
+def fixed_set_shape(sub):
+    """A tree map fixes some point, so its fixed set holds an interval or only points."""
+    return "intervals" if any(lo < hi for ivs in sub.segments.values() for lo, hi in ivs) else "points"
+
+
+def test_fixed_point_set_matches_the_former_solve():
+    rng = random.Random(4091)
+    shapes = {"points": 0, "intervals": 0}
+    for f in solver_maps(rng):
+        got = f.fixed_point_set()
+        assert got == solve_fixed_points(f), f
+        shapes[fixed_set_shape(got)] += 1
+    assert min(shapes.values()) >= 10
+
+
+def test_composite_fixed_set_matches_compose_then_solve():
+    """Fix(outer . inner) solved from the factors equals the fixed set of
+    the composite built and solved the former way: f^(n-1) and f in both
+    orders for n = 2, ..., 5, and two random maps on one tree."""
+    rng = random.Random(5147)
+    shapes = {"points": 0, "intervals": 0}
+    pairs = []
+    for f in solver_maps(rng):
+        g = f
+        for _ in range(2, 6):
+            pairs += [(g, f), (f, g)]
+            g = compose(g, f)
+            if g.piece_count > 100:
+                break
+    for _ in range(100):
+        t = random_tree(rng, rng.randint(2, 6))
+        pairs.append((random_map(rng, t), random_map(rng, t)))
+    for outer, inner in pairs:
+        got = composite_fixed_set(outer, inner)
+        assert got == composed_fixed_set(outer, inner), (outer, inner)
+        shapes[fixed_set_shape(got)] += 1
+    assert min(shapes.values()) >= 50
+    assert composite_fixed_set(None, pairs[0][1]) == pairs[0][1].fixed_point_set()
+    with pytest.raises(PreconditionError, match="same tree"):
+        composite_fixed_set(tent_on(interval()), identity_map(star3()))
+
+
+def test_cut_count_is_the_cuts_compose_makes():
+    rng = random.Random(6029)
+    for _ in range(60):
+        t = random_tree(rng, rng.randint(2, 6))
+        outer, inner = random_map(rng, t), random_map(rng, t)
+        cuts = sum(len(_compose_piece(outer, piece)) for piece in inner._pieces)
+        assert cut_count(outer, inner) == cuts >= compose(outer, inner).piece_count
+
+
 def test_compose_rejects_maps_on_different_trees():
     s = star3()
     t = star3()
@@ -799,6 +875,53 @@ def test_find_periodic_covering_without_periodic_point():
     assert f.fixed_point_set().intersect(hull).is_empty()
     with pytest.raises(ConsistencyError, match="no fixed point of the n-th iterate in the hull"):
         find_periodic_in_hull(f, ends, 1)
+
+
+def tripod_swap():
+    """The tripod map of `test_find_periodic_covering_without_periodic_point`
+    and the two ends whose hull it covers without fixing a point of it."""
+    t = MetricTree(
+        ["a", "b", "c", "d"],
+        [("ca", ("c", "a"), 1), ("cb", ("c", "b"), 1), ("cd", ("c", "d"), 1)],
+    )
+    images = {"a": "b", "b": "a", "d": "d"}
+    f = map_from_vertex_images(
+        t, {**{v: t.vertex_point(w) for v, w in images.items()}, "c": t.edge_point("cd", F(1, 2))}
+    )
+    return f, [t.vertex_point("a"), t.vertex_point("b")]
+
+
+def test_hull_search_matches_the_former_last_step():
+    """The hull search, its last composition solved from the factors,
+    answers as composing all n steps did: the same point, the same
+    budget error, or no point at all."""
+    rng = random.Random(6311)
+    t = interval()
+    cases = [(*tripod_swap(), n) for n in (1, 3)]
+    cases += [(tent_on(t), [t.vertex_point("v0"), t.edge_point("e", F(2, 3))], n) for n in (1, 2, 3, 4, 5)]
+    for _ in range(120):
+        tree = random_tree(rng, rng.randint(2, 6))
+        f = random_map(rng, tree)
+        n = rng.randint(1, 3)
+        # point sets drawn until one covers, the last one drawn kept either way
+        for _ in range(30):
+            pts = [random_point(rng, tree) for _ in range(rng.randint(1, 3))]
+            advanced = pts
+            for _ in range(n):
+                advanced = [f.evaluate(p) for p in advanced]
+            if tree.connected_hull(advanced).contains_subtree(tree.connected_hull(pts)):
+                break
+        cases.append((f, pts, n))
+    answers = {}
+    for f, pts, n in cases:
+        for cap in (DEFAULT_PIECE_CAP, 6):
+            got = outcome(find_periodic_in_hull, f, pts, n, cap)
+            assert got == outcome(hull_by_composing, f, pts, n, cap), (f, pts, n, cap)
+            kind = got[1].split(" (")[0] if isinstance(got, tuple) else "point"
+            answers[kind] = answers.get(kind, 0) + 1
+    assert answers["point"] >= 100
+    assert answers["no fixed point of the n-th iterate in the hull"] >= 3
+    assert answers["hull search exceeded the piece budget"] >= 20
 
 
 def test_find_periodic_piece_budget():

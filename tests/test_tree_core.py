@@ -294,6 +294,24 @@ def test_arc_random_sweep():
             check_arc_between(t, random_point(rng, t), random_point(rng, t))
 
 
+def test_arc_works_out_no_height(monkeypatch):
+    """An arc needs only the lower vertex of each end, which is the vertex
+    `_lower_end` gives; the heights are for `distance` alone."""
+    rng = random.Random(2005)
+    trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(30)] + deep_trees(rng)
+    ends = [(t, random_point(rng, t), random_point(rng, t)) for t in trees for _ in range(6)]
+    for t, a, b in ends:
+        assert t._lower_vertex(a) == t._lower_end(a)[0]
+    heights = []
+    plain = MetricTree._lower_end
+    monkeypatch.setattr(MetricTree, "_lower_end", lambda t, p: heights.append(p) or plain(t, p))
+    arcs = [(t, t.arc(a, b)) for t, a, b in ends]
+    assert heights == []
+    monkeypatch.undo()
+    for t, arc in arcs:
+        check_arc_wellformed(t, arc)
+
+
 def same_arc(x, y):
     return (x.a, x.b, x.segments, x.length, x.segment_offsets) == (
         y.a, y.b, y.segments, y.length, y.segment_offsets
