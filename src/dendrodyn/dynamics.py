@@ -20,8 +20,10 @@ map.
 A certified map is one the recurrence decision proves pointwise
 recurrent: injective, surjective, and every vertex and interior
 breakpoint back at itself after N steps, N the least common multiple of
-the periods of its leaves and branch vertices.  Then f^N is the identity
-(see `decide_pointwise_recurrent`), and for every n
+the periods of its leaves and branch vertices.  Surjectivity is read
+off the leaves (`_is_onto`): an injective map is onto exactly when it
+sends every leaf to a leaf, so deciding it builds no image.  Then f^N
+is the identity (see `decide_pointwise_recurrent`), and for every n
 
     Fix(f^n) = Fix(f^gcd(n, N)),
 
@@ -241,6 +243,9 @@ def decide_pointwise_recurrent(
     2. A non-surjective map leaves a gap no orbit re-enters; fail with a
        point of the gap.  (This also covers maps whose endpoint orbits
        wander forever, where a period search would not terminate.)
+       Whether the injective f is onto is read off the leaves
+       (`_is_onto`); only a map that is not has its image built, for
+       the gap.
     3. What remains is a homeomorphism.  It permutes the points of
        non-cutpoint valence (leaves, branch vertices, an isolated
        vertex); N is the least common multiple of their periods, and the
@@ -277,9 +282,8 @@ def decide_pointwise_recurrent(
             reason="not-injective",
         )
 
-    image = f.image()
-    if image != tree.full_subtree():
-        gaps = tree.components_minus(image)
+    if not _is_onto(f):
+        gaps = tree.components_minus(f.image())
         q = gaps[0].repr_point
         return RecurrenceVerdict(
             pointwise_recurrent=False,
@@ -465,6 +469,36 @@ def _power_image(f: PLTreeMap, x: TreePoint, n: int) -> TreePoint:
     return next(islice(_orbit_points(f, x), max(n, 0), None))
 
 
+def _is_onto(f: PLTreeMap) -> bool:
+    """Whether an injective f is onto the tree T, read off the leaves (the
+    vertices of degree at most one): f(T) = T exactly when f maps every
+    leaf to a leaf.  No image is built; the cost is linear in vertices.
+
+    Two facts prove it.
+    (1) An injective map can send only a leaf to a leaf.  A point x that
+        is not a leaf starts two arcs that meet only at x; their images
+        are arcs from f(x) that meet only at f(x), and no two such arcs
+        start at a leaf, where every arc leaves along the one edge.
+    (2) Every component C of T minus a proper nonempty closed subtree S
+        contains a leaf of T.  Continue the arc from a point s of S to a
+        point x of C past x, never turning back, until it ends at a leaf
+        l.  The arc [x, l] misses S: a point of S on it would put the arc
+        from s to that point, and so x, into the connected set S.
+    If f(T) = T, each leaf is f(x) for some x, a leaf by (1): the set L
+    of leaves lies in f(L), and f is injective on the finite set L, so
+    f(L) = L.  Conversely, if f maps each leaf to a leaf, then f(L) = L
+    by the same count, so the image f(T), a closed subtree, holds every
+    leaf; by (2) it is not proper.
+    """
+    tree = f.domain
+    for v in tree.vertex_ids:
+        if tree.degree(v) <= 1:
+            img = f.vertex_image(v)
+            if img.vertex is None or tree.degree(img.vertex) > 1:
+                return False
+    return True
+
+
 def _intrinsic_period(f: PLTreeMap, cap: int) -> int:
     """N for a homeomorphism f: the least common multiple of the periods of
     the leaves and branch vertices (an isolated vertex too), which f
@@ -558,7 +592,7 @@ class _Certificate:
             cycle, k = orbits[p]
             return cycle[(k + n) % len(cycle)]
 
-        verts = [v for v in tree.vertex_ids if n % len(orbits[TreePoint(vertex=v)][0]) == 0]
+        verts = [v for v in tree.vertex_ids if n % len(orbits[tree.vertex_point(v)][0]) == 0]
         segs = []
         for eid, ends in self.edges:
             for (ta, a), (tb, b) in zip(ends, ends[1:]):
@@ -575,16 +609,17 @@ class _Certificate:
 
 def _certificate(f: PLTreeMap, cap: int) -> _Certificate | None:
     """The map's certificate that f^N is the identity, or None when f has
-    none: injective, surjective, N within `cap`, and every vertex and
-    interior breakpoint back after N steps.  Decided once per map, here
-    alone.  An N past the cap raises UndecidedError and stores nothing,
-    so a larger cap may still certify f; a certificate found is returned
-    only under a cap it fits, and otherwise raises the same error."""
+    none: injective, surjective (read off the leaves by `_is_onto`, with
+    no image built), N within `cap`, and every vertex and interior
+    breakpoint back after N steps.  Decided once per map, here alone.
+    An N past the cap raises UndecidedError and stores nothing, so a
+    larger cap may still certify f; a certificate found is returned only
+    under a cap it fits, and otherwise raises the same error."""
     store = _OrbitStore.of(f)
     cert = store.certificate
     if cert is _UNDECIDED:
         cert = None
-        if f.is_injective()[0] and f.image() == f.domain.full_subtree():
+        if f.is_injective()[0] and _is_onto(f):
             power = _intrinsic_period(f, cap)
             cycles = _certified_cycles(f, power)
             if cycles is not None:

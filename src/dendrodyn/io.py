@@ -161,8 +161,10 @@ def _tree_from_json(obj, reader: _Reader) -> MetricTree:
             raise StructureError(f"edge #{i} is missing {exc}") from None
         if not isinstance(ends, list) or len(ends) != 2:
             raise StructureError(f"edge {eid!r} needs exactly two ends")
-        _string_ids([eid, *ends])
-        edges.append((eid, (ends[0], ends[1]), reader.rational(length)))
+        u, w = ends
+        if not (type(eid) is str and type(u) is str and type(w) is str):
+            _string_ids([eid, u, w])  # raises on the first id that is not a string
+        edges.append((eid, (u, w), reader.rational(length)))
     return MetricTree(_string_ids(obj["vertices"]), edges)
 
 

@@ -107,24 +107,25 @@ class PLTreeMap:
         pieces = []
         edge_index = {}
         size = 0
+        validate = domain.validate_point
         for eid in domain.edge_ids:
             if eid not in table:
                 raise StructureError(f"no breakpoints for edge {eid!r}")
             raw = list(table[eid])
             if len(raw) < 2:
                 raise StructureError(f"edge {eid!r} needs at least two breakpoints")
-            bps = [(as_fraction(t), domain.validate_point(p)) for t, p in raw]
-            params = tuple(t for t, _ in bps)
+            params, images = zip(*[(as_fraction(t), validate(p)) for t, p in raw])
             if params[0] != ZERO or params[-1] != ONE:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
-            if any(not ta < tb for ta, tb in zip(params, params[1:])):
+            # two breakpoints spanning [0, 1] increase
+            if len(params) > 2 and any(not ta < tb for ta, tb in zip(params, params[1:])):
                 raise StructureError(f"edge {eid!r} breakpoints must increase")
             u, w = domain.edge_ends(eid)
-            for v, img in ((u, bps[0][1]), (w, bps[-1][1])):
+            for v, img in ((u, images[0]), (w, images[-1])):
                 if vimg.setdefault(v, img) != img:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
             mine = []
-            for (t0, p0), (t1, p1) in zip(bps, bps[1:]):
+            for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):
                 arc = domain._arc(p0, p1)  # both ends validated above
                 size += 1 + len(arc.segments)
                 if size > MAX_TABLE_SIZE:
@@ -615,16 +616,28 @@ def _fixed_points(outer, inner: PLTreeMap) -> Subtree:
         raise PreconditionError("composed maps must live on the same tree")
     segs = []
     verts = []
+    known = {}  # outer's value at each point off the vertices, once per solve
+
+    def value(p):
+        """outer(p), p itself with no outer factor: a vertex's read off
+        the stored vertex images, any other point's evaluated once."""
+        if outer is None:
+            return p
+        if p.vertex is not None:
+            return outer._vimg[p.vertex]
+        q = known.get(p)
+        if q is None:
+            q = known[p] = outer.evaluate(p)
+        return q
+
     for v, img in inner._vimg.items():
-        if outer is not None:
-            img = outer.evaluate(img)
-        if img.vertex == v:
+        if value(img).vertex == v:
             verts.append(v)
     index = None if outer is None else _by_image_edge(outer)
     for piece in inner._pieces:
         eid = piece.edge
         if piece.is_constant:
-            q = piece.p0 if outer is None else outer.evaluate(piece.p0)
+            q = value(piece.p0)
             if q.edge == eid:
                 _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
             continue

@@ -20,8 +20,9 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -209,25 +210,60 @@ def as_fraction(value) -> Fraction:
     raise StructureError(f"not a rational: {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
 class TreePoint:
     """A point of a metric tree: a vertex, or an interior edge position.
 
     Exactly one representation is populated.  Interior points satisfy
     0 < t < 1 strictly; constructing boundary parameters goes through
     `MetricTree.edge_point`, which snaps them to the vertex form.
+
+    A hand-written slotted class that behaves as a frozen dataclass of
+    the fields (vertex, edge, t) would: the same constructor and checks,
+    equality with another `TreePoint` field by field, assignment and
+    deletion refused with `dataclasses.FrozenInstanceError`, and copy,
+    deepcopy and pickle through the constructor.  Equality tries
+    identity first, and the hash reads the vertex id, or the edge id
+    with t's numerator and denominator, so it never calls
+    `Fraction.__hash__`; equal values of t, whether `_Q` or `Fraction`,
+    have the same numerator and denominator.  The tree's `vertex_point`
+    and `edge_point` check their arguments themselves and build their
+    points with `_point`, which checks nothing again.
     """
 
-    vertex: object = None
-    edge: object = None
-    t: Fraction | None = None
+    __slots__ = ("vertex", "edge", "t")
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+    def __init__(self, vertex=None, edge=None, t=None):
+        if (vertex is None) == (edge is None):
             raise StructureError("point must be a vertex or an edge position")
-        if self.edge is not None:
-            if not isinstance(self.t, Fraction) or not (ZERO < self.t < ONE):
+        if edge is not None:
+            if not isinstance(t, Fraction) or not (ZERO < t < ONE):
                 raise StructureError("edge position needs a Fraction t in (0,1)")
+        _set_vertex(self, vertex)
+        _set_edge(self, edge)
+        _set_t(self, t)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (TreePoint, (self.vertex, self.edge, self.t))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not TreePoint:
+            return NotImplemented
+        a, b = self.t, other.t
+        return self.vertex == other.vertex and self.edge == other.edge and (a is b or a == b)
+
+    def __hash__(self):
+        if self.edge is None:
+            return hash(self.vertex)
+        t = self.t
+        return hash((self.edge, t._numerator, t._denominator))
 
     @property
     def is_vertex(self) -> bool:
@@ -239,6 +275,20 @@ class TreePoint:
         return f"TreePoint(edge={self.edge!r}, t={str(self.t)})"
 
 
+_set_vertex = TreePoint.vertex.__set__
+_set_edge = TreePoint.edge.__set__
+_set_t = TreePoint.t.__set__
+
+
+def _point(vertex, edge, t) -> TreePoint:
+    """The point with these fields, already checked: no `__init__`."""
+    p = _new(TreePoint)
+    _set_vertex(p, vertex)
+    _set_edge(p, edge)
+    _set_t(p, t)
+    return p
+
+
 def point_key(p: TreePoint):
     """Deterministic sort key for points; vertices order before edge points."""
     if p.is_vertex:
@@ -246,11 +296,13 @@ def point_key(p: TreePoint):
     return (1, str(p.edge), p.t)
 
 
-@dataclass(frozen=True, slots=True)
-class _Edge:
-    u: object
-    w: object
-    length: Fraction
+class _Edge(tuple):
+    """An edge as the tuple (u, w, length), built and compared as one."""
+
+    __slots__ = ()
+    u = property(operator.itemgetter(0))
+    w = property(operator.itemgetter(1))
+    length = property(operator.itemgetter(2))
 
 
 class MetricTree:
@@ -269,11 +321,11 @@ class MetricTree:
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         vs = list(vertices)
-        if len(set(vs)) != len(vs):
+        vset = frozenset(vs)
+        if len(vset) != len(vs):
             raise StructureError("duplicate vertex ids")
         if not vs:
             raise StructureError("a tree needs at least one vertex")
-        vset = set(vs)
         edict: dict[object, _Edge] = {}
         adj: dict[object, list] = {v: [] for v in vs}
         for item in edges:
@@ -288,15 +340,15 @@ class MetricTree:
             if u == w:
                 raise StructureError(f"edge {eid!r} is a self-loop")
             length = as_fraction(length)
-            if length <= 0:
+            if length._numerator <= 0:
                 raise StructureError(f"edge {eid!r} needs positive length")
-            edict[eid] = _Edge(u, w, length)
+            edict[eid] = _Edge((u, w, length))
             adj[u].append((eid, w))
             adj[w].append((eid, u))
         if len(edict) != len(vs) - 1:
             raise StructureError("edge count must be vertex count minus one")
 
-        self._vertices = frozenset(vs)
+        self._vertices = vset
         self._edges = edict
         self._adj = {v: tuple(nbrs) for v, nbrs in adj.items()}
         self._vkeys = tuple(sorted(vs, key=str))
@@ -382,19 +434,20 @@ class MetricTree:
     def vertex_point(self, v) -> TreePoint:
         if v not in self._vertices:
             raise StructureError(f"unknown vertex: {v!r}")
-        return TreePoint(vertex=v)
+        return _point(v, None, None)
 
     def edge_point(self, eid, t) -> TreePoint:
         """Point at parameter t on an edge; t=0 and t=1 give the vertex form."""
         e = self._edge(eid)
         t = as_fraction(t)
-        if t == ZERO:
-            return TreePoint(vertex=e.u)
-        if t == ONE:
-            return TreePoint(vertex=e.w)
-        if not (ZERO < t < ONE):
-            raise StructureError(f"parameter {t} outside [0,1] on edge {eid!r}")
-        return TreePoint(edge=eid, t=t)
+        n, d = t._numerator, t._denominator  # in lowest terms, d > 0
+        if 0 < n < d:
+            return _point(None, eid, t)
+        if n == 0:
+            return _point(e.u, None, None)
+        if n == d:
+            return _point(e.w, None, None)
+        raise StructureError(f"parameter {t} outside [0,1] on edge {eid!r}")
 
     def validate_point(self, p: TreePoint) -> TreePoint:
         if not isinstance(p, TreePoint):
@@ -477,34 +530,52 @@ class MetricTree:
         return self._arc(a, b)
 
     def _arc(self, a: TreePoint, b: TreePoint) -> "Arc":
-        """`arc` for two points known to be valid in this tree."""
+        """`arc` for two points known to be valid in this tree.
+
+        A segment between a's or b's edge position and an end of its edge
+        adds that share of the edge's length to the offsets, and every
+        segment between two vertices adds its whole edge's length.
+        """
         if a == b:
-            return Arc(self, a, b, ())
-        if not a.is_vertex and not b.is_vertex and a.edge == b.edge:
-            return Arc(self, a, b, ((a.edge, a.t, b.t),))
+            return Arc(self, a, b, (), (ZERO,))
+        edges = self._edges
+        if a.edge is not None and a.edge == b.edge:
+            step = abs(b.t - a.t) * edges[a.edge].length
+            return Arc(self, a, b, ((a.edge, a.t, b.t),), (ZERO, step))
         segs: list[tuple] = []
+        steps = []
         start = self._lower_vertex(a)
         low_b = self._lower_vertex(b)
-        if not a.is_vertex:
+        if a.edge is not None:
             # leave a's edge through its lower end exactly when b lies below it
-            e = self._edges[a.edge]
+            u, w, length = edges[a.edge]
             if not self._is_ancestor(start, low_b):
-                start = e.u if start == e.w else e.w
-            segs.append((a.edge, a.t, ZERO if start == e.u else ONE))
-        tail: tuple | None = None
+                start = u if start == w else w
+            if start == u:
+                segs.append((a.edge, a.t, ZERO))
+                steps.append(a.t * length)
+            else:
+                segs.append((a.edge, a.t, ONE))
+                steps.append((ONE - a.t) * length)
         target = low_b
-        if not b.is_vertex:
+        if b.edge is not None:
             # enter b's edge through its lower end exactly when the walk
             # starts below it
-            e = self._edges[b.edge]
+            u, w, length = edges[b.edge]
             if not self._is_ancestor(low_b, start):
-                target = e.u if low_b == e.w else e.w
-            tail = (b.edge, ZERO if target == e.u else ONE, b.t)
+                target = u if low_b == w else w
         for eid, fr, _to in self._vertex_path(start, target):
-            segs.append((eid, ZERO, ONE) if fr == self._edges[eid].u else (eid, ONE, ZERO))
-        if tail is not None:
-            segs.append(tail)
-        return Arc(self, a, b, tuple(segs))
+            e = edges[eid]
+            segs.append((eid, ZERO, ONE) if fr == e.u else (eid, ONE, ZERO))
+            steps.append(e.length)
+        if b.edge is not None:
+            if target == u:
+                segs.append((b.edge, ZERO, b.t))
+                steps.append(b.t * length)
+            else:
+                segs.append((b.edge, ONE, b.t))
+                steps.append((ONE - b.t) * length)
+        return Arc(self, a, b, tuple(segs), (ZERO, *accumulate(steps)))
 
     def on_arc(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
         """Whether x lies on the closed arc [a, b]."""
@@ -670,9 +741,9 @@ class MetricTree:
                 e = self._edges[sid]
                 for t, v in ((lo, e.u), (hi, e.w)):
                     if ZERO < t < ONE:
-                        contacts.add(TreePoint(edge=sid, t=t))
+                        contacts.add(_point(None, sid, t))
                     elif v in removed.vertices:
-                        contacts.add(TreePoint(vertex=v))
+                        contacts.add(_point(v, None, None))
                     elif v in gaps_at:
                         # the first arrival at a free vertex takes its gaps
                         verts.append(v)
@@ -683,7 +754,7 @@ class MetricTree:
             comps.append(Component(
                 closure=Subtree.build(self, segs, verts),
                 boundary=tuple(sorted(contacts, key=point_key)),
-                repr_point=TreePoint(edge=eid, t=(glo + ghi) / 2),
+                repr_point=_point(None, eid, (glo + ghi) / 2),
             ))
         if gaps_at:
             raise ConsistencyError("component without an interior segment")
@@ -724,28 +795,23 @@ class Arc:
     """An ordered traversal of the unique arc between two points.
 
     Segments are ``(edge_id, t_from, t_to)`` with exact rational
-    parameters; a degenerate arc has no segments.  Arcs are created by
-    `MetricTree.arc`, or cut, reversed and joined from arcs it made, and
-    are immutable.
+    parameters; a degenerate arc has no segments.  `offsets` are the
+    cumulative arclengths at the segment boundaries, from 0 to the
+    length, and whoever builds an arc hands them in: `MetricTree.arc`,
+    which knows which of its segments are whole edges, or the routines
+    that cut, reverse and join arcs it made, from those arcs' offsets.
+    Arcs are immutable.
     """
 
     __slots__ = ("tree", "a", "b", "segments", "length", "_cums")
 
-    def __init__(self, tree: MetricTree, a: TreePoint, b: TreePoint, segments: tuple, _cums=None):
-        if _cums is None:  # the offsets, unless cut from an arc that knows them
-            _cums = [ZERO]
-            for eid, t0, t1 in segments:
-                step = tree.edge_length(eid)
-                if not (t0 == ZERO and t1 == ONE or t0 == ONE and t1 == ZERO):  # part of an edge
-                    step = abs(t1 - t0) * step
-                _cums.append(_cums[-1] + step)
-            _cums = tuple(_cums)
+    def __init__(self, tree: MetricTree, a: TreePoint, b: TreePoint, segments: tuple, offsets: tuple):
         self.tree = tree
         self.a = a
         self.b = b
         self.segments = segments
-        self.length = _cums[-1]
-        self._cums = _cums
+        self.length = offsets[-1]
+        self._cums = offsets
 
     def window(self, sa: Fraction, sb: Fraction) -> "Arc":
         """The sub-arc from arclength sa to sb, for 0 <= sa < sb <= length.

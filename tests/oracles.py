@@ -6,6 +6,7 @@ the package runs.
 """
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -29,6 +30,32 @@ from dendrodyn.plmap import (
     identity_map,
 )
 from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree
+
+
+@dataclass(frozen=True, slots=True)
+class DataclassTreePoint:
+    """The former `TreePoint`, a frozen dataclass, kept as it was: the
+    slotted class in `dendrodyn.tree` must behave the same."""
+
+    vertex: object = None
+    edge: object = None
+    t: Fraction | None = None
+
+    def __post_init__(self):
+        if (self.vertex is None) == (self.edge is None):
+            raise StructureError("point must be a vertex or an edge position")
+        if self.edge is not None:
+            if not isinstance(self.t, Fraction) or not (ZERO < self.t < ONE):
+                raise StructureError("edge position needs a Fraction t in (0,1)")
+
+    @property
+    def is_vertex(self) -> bool:
+        return self.vertex is not None
+
+    def __repr__(self):
+        if self.is_vertex:
+            return f"TreePoint(vertex={self.vertex!r})"
+        return f"TreePoint(edge={self.edge!r}, t={str(self.t)})"
 
 
 def orbit(f, p, length):

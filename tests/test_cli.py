@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 
 import pytest
 
+import dendrodyn
 from dendrodyn import MetricTree, PLTreeMap, build_fixture, cli, plmap, save_instance_file
 from dendrodyn.cli import DEPTH_DEFAULT, MAX_ANALYZE_SIZE, MAX_DEPTH, _build_parser, main
 from dendrodyn.dynamics import MAX_PERIOD_DEFAULT
@@ -778,3 +782,33 @@ def test_analyze_builds_only_the_factor_powers(tmp_path, capsys, monkeypatch):
     (f, g, square), (cube_outer, cube_inner, _) = composed
     assert f is g is cube_inner and cube_outer is square
     assert solved == [f]
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """Every report, exit code and message is the same byte for byte under
+    two hash seeds, each run in its own process: no report order follows
+    the hashes of strings or points."""
+    files = {
+        "tower": write_fixture(tmp_path, "tower", {"periods": "2,4"}, name="tower.json"),
+        "sweep": write_fixture(tmp_path, "stem_sweep", {"k": "3"}, name="sweep.json"),
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dendrodyn.__file__)))
+    runs = {}
+    for seed in ("0", "4021"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for command in ("odometer", "verify", "analyze"):
+            for name, path in files.items():
+                out = tmp_path / f"{command}-{name}-{seed}.json"
+                argv = [sys.executable, "-m", "dendrodyn.cli", command, path, "--format", "json"]
+                done = subprocess.run(argv + ["-o", str(out)], env=env, capture_output=True, timeout=120)
+                report = out.read_bytes() if out.exists() else None
+                runs.setdefault((command, name), []).append(
+                    (done.returncode, done.stdout, done.stderr, report)
+                )
+    for key, (first, second) in runs.items():
+        assert first == second, key
+    # both sides of a verdict, and a refusal, are compared
+    codes = {key: first[0] for key, (first, _) in runs.items()}
+    assert codes[("verify", "tower")] == 0 and codes[("verify", "sweep")] == 1
+    assert codes[("odometer", "sweep")] == 3

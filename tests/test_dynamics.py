@@ -8,6 +8,7 @@ import pytest
 from dendrodyn import (
     MetricTree,
     PreconditionError,
+    Subtree,
     ResourceLimitError,
     UndecidedError,
     dynamics,
@@ -519,6 +520,67 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     verdict = decide_pointwise_recurrent(swung)
     assert verdict == expected and verdict.reason == "power-not-identity"
     assert len(composed) == 0
+
+
+def random_small_map(rng):
+    """A seeded PL map on a tree of 2 to 5 vertices: vertex images mostly
+    vertices, at most one interior breakpoint an edge."""
+    n = rng.randint(2, 5)
+    verts = [f"n{i}" for i in range(n)]
+    edges = [
+        (f"e{i}", (verts[rng.randrange(i)], verts[i]), F(rng.randint(1, 5), rng.randint(1, 3)))
+        for i in range(1, n)
+    ]
+    tree = MetricTree(verts, edges)
+
+    def point():
+        if rng.random() < 0.7:
+            return tree.vertex_point(rng.choice(tree.vertex_ids))
+        return tree.edge_point(rng.choice(tree.edge_ids), F(rng.randint(1, 9), 10))
+
+    vimg = {v: point() for v in tree.vertex_ids}
+    table = {}
+    for eid in tree.edge_ids:
+        u, w = tree.edge_ends(eid)
+        mids = [(F(rng.randint(1, 7), 8), point()) for _ in range(rng.randint(0, 1))]
+        table[eid] = [(F(0), vimg[u]), *mids, (F(1), vimg[w])]
+    return PLTreeMap(tree, table)
+
+
+def test_onto_read_off_the_leaves_matches_the_image():
+    """For an injective map, f(T) = T exactly when every leaf goes to a leaf."""
+    rng = random.Random(2310)
+    randoms = [random_small_map(rng) for _ in range(5000)]
+    t = interval()
+    named = [shift_on(t), flip_on(t), identity_map(t), tent_on(t)]
+    named.append(identity_map(MetricTree(["o"], [])))
+    named += [rotation_star(k)[1] for k in (2, 3, 7, 30)]
+    named += [
+        odometer_tower(len(ps), ps)[1] for ps in ((2, 4), (3, 6), (2, 4, 8), (2, 6, 12))
+    ]
+    named += [random_finite_order_map(seed, seed + 500)[1] for seed in range(40)]
+    named += [sagged(rng, f) for f in named[5:] if f.domain.edge_ids]
+    counts = {True: 0, False: 0}  # injective random maps, onto or not
+    for i, f in enumerate(randoms + named):
+        if not f.is_injective()[0]:
+            continue
+        onto = f.image() == f.domain.full_subtree()
+        assert dynamics._is_onto(f) == onto
+        if i < len(randoms):
+            counts[onto] += 1
+    assert counts[True] + counts[False] >= 600 and counts[False] >= 250
+    assert not dynamics._is_onto(named[0])  # the shift
+    assert all(dynamics._is_onto(f) for f in named[1:4] + named[5:])
+
+
+def test_positive_decision_builds_no_subtree_and_no_image(monkeypatch):
+    maps = [rotation_star(200)[1], identity_map(star(200))]
+    built_subtrees = count_calls(monkeypatch, Subtree, "build")
+    images = count_calls(monkeypatch, PLTreeMap, "image_of_subtree")
+    for f in maps:
+        verdict = decide_pointwise_recurrent(f)
+        assert verdict.pointwise_recurrent and verdict.reason == "identity-power"
+    assert built_subtrees == [] and images == []
 
 
 def test_piece_cap_bounds_only_the_negative_route():

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +10,8 @@ from dendrodyn import ConsistencyError, MetricTree, PreconditionError, Structure
 from dendrodyn.dynamics import fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
-from dendrodyn.tree import Component, as_fraction, point_key
-from oracles import canonical_key, measure
+from dendrodyn.tree import Component, TreePoint, as_fraction, point_key
+from oracles import DataclassTreePoint, arc_offsets, canonical_key, measure
 
 
 def path_tree():
@@ -246,6 +249,7 @@ def check_arc_wellformed(tree, arc):
         assert tree.edge_point(eid, t0) == cursor
         cursor = tree.edge_point(eid, t1)
     assert cursor == arc.b
+    assert arc.segment_offsets == arc_offsets(arc)
     total = sum(
         (abs(t1 - t0) * tree.edge_length(eid) for eid, t0, t1 in arc.segments),
         F(0),
@@ -830,3 +834,118 @@ def test_first_separated_matches_the_brute_scan():
                 assert first(t, y) == expected
                 found += expected is not None
     assert found > 500
+
+
+# -- the point type against the former dataclass ----------------------------------
+
+
+def former_and_new(rng):
+    """Seeded (oracle, package) pairs of equal-valued points, each value
+    several times over: vertex ids, and edge positions whose t is a `_Q`
+    from the tree or a plain `Fraction` of the same value."""
+    pairs = []
+    for _ in range(300):
+        if rng.random() < 0.4:
+            v = f"n{rng.randrange(6)}"
+            pairs.append((DataclassTreePoint(vertex=v), TreePoint(vertex=v)))
+            continue
+        eid = f"e{rng.randrange(4)}"
+        t = F(rng.randint(1, 5), 6)
+        q = as_fraction(t) if rng.random() < 0.5 else t
+        pairs.append((DataclassTreePoint(edge=eid, t=t), TreePoint(edge=eid, t=q)))
+    tree = random_tree(rng, 6)
+    for _ in range(100):
+        p = random_point(rng, tree)
+        pairs.append((DataclassTreePoint(p.vertex, p.edge, p.t), p))
+    return pairs
+
+
+def test_tree_point_matches_the_former_dataclass():
+    rng = random.Random(2301)
+    pairs = former_and_new(rng)
+    kinds = {type(p.t) for _, p in pairs}
+    assert {type(None), F, type(as_fraction(1))} <= kinds
+    equal = 0
+    for old_a, new_a in pairs:
+        assert repr(new_a) == repr(old_a)
+        assert new_a == new_a and not new_a != new_a
+        assert new_a.__eq__(old_a) is NotImplemented and new_a != old_a
+        assert new_a.__eq__((new_a.vertex, new_a.edge, new_a.t)) is NotImplemented
+        for old_b, new_b in rng.sample(pairs, 40):
+            assert (new_a == new_b) == (old_a == old_b)
+            assert (new_a != new_b) == (old_a != old_b)
+            if new_a == new_b:
+                assert hash(new_a) == hash(new_b)
+                equal += 1
+    assert equal > 500
+    # a set of points keeps one of each value, as the dataclass's did
+    assert len({p for _, p in pairs}) == len({p for p, _ in pairs})
+
+
+def test_tree_point_constructor_errors_match_the_former_dataclass():
+    bad = [
+        {},
+        {"vertex": "a", "edge": "e", "t": F(1, 2)},
+        {"edge": "e"},
+        {"edge": "e", "t": 0.5},
+        {"edge": "e", "t": 1},
+        {"edge": "e", "t": F(0)},
+        {"edge": "e", "t": F(1)},
+        {"edge": "e", "t": as_fraction("3/2")},
+        {"edge": "e", "t": F(-1, 2)},
+        {"t": F(1, 2)},
+    ]
+    for kwargs in bad:
+        with pytest.raises(StructureError) as old:
+            DataclassTreePoint(**kwargs)
+        with pytest.raises(StructureError) as new:
+            TreePoint(**kwargs)
+        assert str(new.value) == str(old.value), kwargs
+    # positional arguments in field order, and the fields as given
+    for args in [("a",), (None, "e", F(1, 3)), ("a", None, F(1, 2))]:
+        old, new = DataclassTreePoint(*args), TreePoint(*args)
+        assert (new.vertex, new.edge, new.t) == (old.vertex, old.edge, old.t)
+        assert repr(new) == repr(old) and new.is_vertex == old.is_vertex
+
+
+def test_tree_point_is_frozen_like_the_former_dataclass():
+    for old, new in former_and_new(random.Random(2302))[:20]:
+        for name in ("vertex", "edge", "t"):
+            with pytest.raises(FrozenInstanceError) as want:
+                setattr(old, name, "x")
+            with pytest.raises(FrozenInstanceError) as got:
+                setattr(new, name, "x")
+            assert str(got.value) == str(want.value)
+            with pytest.raises(FrozenInstanceError) as want:
+                delattr(old, name)
+            with pytest.raises(FrozenInstanceError) as got:
+                delattr(new, name)
+            assert str(got.value) == str(want.value)
+        # a name that is no field is refused the same way (the slotted
+        # dataclass of Python 3.11 raised TypeError there)
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'other'"):
+            new.other = "x"
+        assert not hasattr(new, "__dict__")
+
+
+def test_tree_point_copies_and_pickles_like_the_former_dataclass():
+    for old, new in former_and_new(random.Random(2303))[:60]:
+        for how in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+            a, b = how(old), how(new)
+            assert type(b) is TreePoint
+            assert b == new and hash(b) == hash(new)
+            assert repr(b) == repr(a)
+            assert (b.vertex, b.edge, b.t) == (a.vertex, a.edge, a.t)
+            assert type(b.t) is type(new.t)
+
+
+def test_tree_point_hash_never_calls_fraction_hash(monkeypatch):
+    """Points hash their edge id with t's numerator and denominator."""
+    tree = random_tree(random.Random(2304), 6)
+    points = [tree.edge_point(eid, F(k, 7)) for eid in tree.edge_ids for k in range(1, 7)]
+    calls = []
+    plain = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda q: calls.append(q) or plain(q))
+    monkeypatch.setattr(type(as_fraction(1)), "__hash__", F.__hash__)
+    assert len(set(points)) == len(points)
+    assert calls == []
