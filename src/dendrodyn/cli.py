@@ -80,7 +80,7 @@ def _check_json(name, result, undecided=False):
 
 
 def _run_recurrence(tree, f, args):
-    verdict = decide_pointwise_recurrent(f, args.max_period, args.piece_cap)
+    verdict = decide_pointwise_recurrent(f)
     report = {
         "command": "recurrence",
         "verdict": {
@@ -350,7 +350,7 @@ def _depth(text: str) -> int:
 
 # each analysis command: its runner, and the bound flags that runner reads
 _COMMANDS = {
-    "recurrence": (_run_recurrence, ("--max-period", "--piece-cap")),
+    "recurrence": (_run_recurrence, ()),
     "analyze": (_run_analyze, ("--max-period", "--depth", "--piece-cap")),
     "odometer": (_run_odometer, ("--depth", "--piece-cap")),
     "classify": (_run_classify, ("--max-period",)),

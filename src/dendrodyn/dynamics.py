@@ -17,13 +17,16 @@ once per map; `_periodic_levels` is the one running union P_n of the
 first n of them.  `fixed_set` takes one of two routes, chosen from the
 map.
 
-A certified map is one the recurrence decision proves pointwise
-recurrent: injective, surjective, and every vertex and interior
-breakpoint back at itself after N steps, N the least common multiple of
-the periods of its leaves and branch vertices.  Surjectivity is read
-off the leaves (`_is_onto`): an injective map is onto exactly when it
-sends every leaf to a leaf, so deciding it builds no image.  Then f^N
-is the identity (see `decide_pointwise_recurrent`), and for every n
+A homeomorphism is decided by bounded orbit walks, with no bound on its
+period and no composition (`_certificate`): each vertex and interior
+breakpoint is periodic exactly when its orbit closes within 2M steps, M
+the number of topological edges.  Surjectivity is read off the leaves
+(`_is_onto`): an injective map is onto exactly when it sends every leaf
+to a leaf, so deciding it builds no image.  A certified map is one the
+decision proves pointwise recurrent: a homeomorphism whose vertices and
+interior breakpoints are all periodic.  Then f^N is the identity, N the
+least common multiple of their periods (see
+`decide_pointwise_recurrent`), and for every n
 
     Fix(f^n) = Fix(f^gcd(n, N)),
 
@@ -37,13 +40,13 @@ are one, as arcs in a tree are unique.  So f^n fixes a point of O when
 its period divides n; on J it is the identity when it fixes both ends of
 J, fixes only the midpoint of J when it swaps them, and otherwise moves J
 off itself.  The map's certificate (`_Certificate`) keeps N and O, and
-each Fix(f^n) is read off it without composing; `_certificate` alone
-decides it, and the verdict and `fixed_set` read it there.  Every other
-map has its powers composed, within a piece budget, all but the last
-composition of each power: Fix(f^n) is solved from that composition's
-two factors, which are built, and checked against the budget, only when
-their cut count (at least the composite's number of normalized pieces)
-passes it.
+each Fix(f^n) is read off it without composing, for any N; `_certificate`
+alone decides it, and the verdict and `fixed_set` read it there.  Every
+other map has its powers composed, within a piece budget, all but the
+last composition of each power: Fix(f^n) is solved from that
+composition's two factors, which are built, and checked against the
+budget, only when their cut count (at least the composite's number of
+normalized pieces) passes it.
 
 What this module learns of a map is kept in one store per map
 (`_OrbitStore`).  `_walk` is the one orbit walker: it keeps the
@@ -61,16 +64,15 @@ walks go on without storing and answer the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, lcm
 
-from .errors import ConsistencyError, PreconditionError, UndecidedError
+from .errors import PreconditionError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap, built, composite_fixed_set, factored
 from .tree import ONE, ZERO, Subtree, TreePoint
 
 MAX_PERIOD_DEFAULT = 10_000
 HORIZON_DEFAULT = 1_000
-ABSOLUTE_POWER_CAP = 1_000_000
 CUTPOINT_POWER_BOUND = 5  # check_escape skips on a periodic cutpoint up to this power
 ORBIT_STORE_PER_ITEM = 8  # orbit store entries per vertex and per piece of the map
 _UNDECIDED = object()  # a map's certificate before it is looked for
@@ -122,10 +124,10 @@ class PeriodicStructure:
 def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """The exact set of points with f^n(x) = x, computed once per map.
 
-    On a certified map (`_certificate`: f^N is the identity, N at most
-    `MAX_PERIOD_DEFAULT`) this is
-    Fix(f^gcd(n, N)), read off the finite invariant set O of the orbits of
-    the vertices and interior breakpoints, and no budget applies: the
+    On a certified map (`_certificate`: f^N is the identity, for any N)
+    this is Fix(f^gcd(n, N)), read off the finite invariant set O of the
+    orbits of the vertices and interior breakpoints, and no budget
+    applies: the
     points of O whose period divides n, the closure of each interval of
     the tree minus O whose two ends f^n fixes, and the midpoint of each
     one whose ends it swaps (the module docstring has the proof).
@@ -147,10 +149,7 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     """
     if n < 1:
         raise PreconditionError("power must be at least 1")
-    try:
-        cert = _certificate(f, MAX_PERIOD_DEFAULT)
-    except UndecidedError:
-        cert = None
+    cert = _certificate(f)
     fixed_sets = _OrbitStore.of(f).fixed_sets
     key = (n, piece_cap) if cert is None else (gcd(n, cert.power), None)
     if key not in fixed_sets:
@@ -229,15 +228,12 @@ def periodic_structure(
 # -- the decision procedure ---------------------------------------------------
 
 
-def decide_pointwise_recurrent(
-    f: PLTreeMap,
-    max_period: int = MAX_PERIOD_DEFAULT,
-    piece_cap: int = DEFAULT_PIECE_CAP,
-) -> RecurrenceVerdict:
+def decide_pointwise_recurrent(f: PLTreeMap) -> RecurrenceVerdict:
     """Decide whether every point returns to itself under iteration.
 
-    The route is exact and samples nothing; whether f is certified is
-    decided once per map, by `_certificate`, and read here:
+    The route is exact, samples nothing, composes nothing and takes no
+    bound; whether f is certified is decided once per map, by
+    `_certificate`, and read here:
 
     1. A non-injective map has a collapsing pair; fail with it.
     2. A non-surjective map leaves a gap no orbit re-enters; fail with a
@@ -246,25 +242,19 @@ def decide_pointwise_recurrent(
        Whether the injective f is onto is read off the leaves
        (`_is_onto`); only a map that is not has its image built, for
        the gap.
-    3. What remains is a homeomorphism.  It permutes the points of
-       non-cutpoint valence (leaves, branch vertices, an isolated
-       vertex); N is the least common multiple of their periods, and the
-       map is pointwise recurrent exactly when f^N is the identity.
-       That is certified without composing: walk the orbit of every
-       vertex and interior breakpoint, and succeed when each returns to
-       its start with a period dividing N.  The union O of these orbits
-       is finite and f(O) = O, so f maps each open interval of T minus O
-       linearly onto another one; f^N fixes both ends of each interval,
-       so it is the identity there too.
-       When some orbit fails, f^N moves that point, and only then is f^N
-       composed (within `piece_cap` pieces, the only place the budget
-       applies): f^N moves some point on an arc whose endpoints it
-       fixes, and such a point drifts monotonically, never to return;
-       the midpoint of a moved gap is the witness.
+    3. What remains is a homeomorphism, and `_certificate` has walked
+       the orbit of every vertex and interior breakpoint a bounded
+       number of steps.  When each is periodic, N is the least common
+       multiple of their periods and f^N is the identity: the union O of
+       these orbits is finite and f(O) = O, so f maps each open interval
+       of T minus O linearly onto another one; f^N fixes both ends of
+       each interval, so it is the identity there too.  Otherwise the
+       first one that is not periodic is the witness, a cutpoint (f
+       permutes the vertices of degree other than 2), and a
+       pointwise-recurrent map has every cutpoint periodic.
     """
     tree = f.domain
-    cap = min(max_period, ABSOLUTE_POWER_CAP)
-    cert = _certificate(f, cap)
+    cert = _certificate(f)
     if cert is not None:
         return RecurrenceVerdict(
             pointwise_recurrent=True, identity_power=cert.power, reason="identity-power"
@@ -295,22 +285,14 @@ def decide_pointwise_recurrent(
             reason="not-surjective",
         )
 
-    # a homeomorphism whose f^N moves some vertex or breakpoint
-    power = _intrinsic_period(f, cap)
-    moved = tree.components_minus(fixed_set(f, power, piece_cap))
-    if not moved:
-        raise ConsistencyError("a power that moves a point fixes the whole tree")
-    q = moved[0].repr_point
-    if _power_image(f, q, power) == q:
-        raise ConsistencyError("complement of the fixed set contains a fixed point")
     return RecurrenceVerdict(
         pointwise_recurrent=False,
         witness=Witness(
             kind="non-periodic-cutpoint",
-            points=(q,),
+            points=(_OrbitStore.of(f).open_start,),
             detail=(
-                f"the {power}-th power moves this point along an arc with "
-                "fixed ends, so it drifts one way forever"
+                f"the orbit does not close within {_walk_horizon(tree)} steps, twice "
+                "the tree's number of topological edges, so this cutpoint is not periodic"
             ),
         ),
         reason="power-not-identity",
@@ -363,16 +345,21 @@ class _OrbitStore:
     pieces; once it is reached, walks go on without storing.  Only
     `_walk` and `_orbit_points` read and fill them.  `certificate` is the
     map's `_Certificate`, kept apart from the budget, or None once the map
-    is known to have none; only `_certificate` sets it.
+    is known to have none; only `_certificate` sets it, and with it
+    `open_start`, the first vertex or interior breakpoint that is not
+    periodic, on a homeomorphism with one.
     """
 
-    __slots__ = ("succ", "labels", "budget", "certificate", "fixed_sets", "last_power")
+    __slots__ = (
+        "succ", "labels", "budget", "certificate", "open_start", "fixed_sets", "last_power",
+    )
 
     def __init__(self, f: PLTreeMap):
         self.succ = {}
         self.labels = {}
         self.budget = ORBIT_STORE_PER_ITEM * (len(f.domain.vertex_ids) + f.piece_count)
         self.certificate = _UNDECIDED  # until `_certificate` decides it
+        self.open_start = None
         self.fixed_sets = {}  # (n, piece_cap), or (gcd(n, N), None) when certified
         self.last_power = None  # (n, piece_cap, outer, inner): f^n, outer None once built
 
@@ -499,55 +486,38 @@ def _is_onto(f: PLTreeMap) -> bool:
     return True
 
 
-def _intrinsic_period(f: PLTreeMap, cap: int) -> int:
-    """N for a homeomorphism f: the least common multiple of the periods of
-    the leaves and branch vertices (an isolated vertex too), which f
-    permutes.  UndecidedError when it exceeds `cap`."""
-    tree = f.domain
-    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
-    images = {}
-    for v in intrinsic:
-        img = f.vertex_image(v)
-        if not img.is_vertex or tree.degree(img.vertex) == 2:
-            raise ConsistencyError(
-                "a bijective PL map moved a leaf or branch vertex onto a cutpoint"
-            )
-        images[v] = img.vertex
-    power = 1
-    for v in intrinsic:
-        length = 0
-        while v in images:  # round v's cycle, taking each vertex off once
-            v = images.pop(v)
-            length += 1
-        if length:
-            power = lcm(power, length)
-        if power > cap:
-            raise UndecidedError(
-                f"the candidate identity power exceeds the bound ({power} > {cap})"
-            )
-    return power
+def _walk_horizon(tree) -> int:
+    """H = 2M, M the number of topological edges (arcs between vertices of
+    degree other than 2), or 1 for the one-vertex tree: within H steps a
+    homeomorphism brings every periodic point back (see `_certificate`).
+    Each vertex of degree 2 joins two edges into one topological edge."""
+    bends = sum(1 for v in tree.vertex_ids if tree.degree(v) == 2)
+    return max(2 * (len(tree.edge_ids) - bends), 1)
 
 
-def _certified_cycles(f: PLTreeMap, n: int) -> list | None:
-    """The cycle of each vertex and interior breakpoint, one per start, when
-    every one of them has a period dividing n; else None.
+def _certified_cycles(f: PLTreeMap, horizon: int) -> tuple:
+    """(cycles, None), the cycle of each vertex and interior breakpoint of
+    an injective f, when each one's orbit closes within `horizon` steps;
+    else (None, s), s the first start whose orbit does not.  An injective
+    map's orbits have no tail: f^a(x) = f^b(x), a < b, gives x = f^(b-a)(x).
 
     Stops at the first orbit that fails; each point of the walked orbits
-    is evaluated once, and a start already labelled costs no step.  For a
-    homeomorphism f this holds exactly when f^n is the identity (see
-    `decide_pointwise_recurrent`).
+    is evaluated once, and a start already labelled costs no step.  The
+    interior breakpoints are read off the map's pieces: every piece but
+    the first of its edge starts at one.
     """
     tree = f.domain
-    starts = [tree.vertex_point(v) for v in tree.vertex_ids]
-    for eid in tree.edge_ids:
-        starts += [tree.edge_point(eid, t) for t, _ in f.breakpoints(eid)[1:-1]]
+    starts = chain(
+        (tree.vertex_point(v) for v in tree.vertex_ids),
+        (tree.edge_point(piece.edge, piece.t0) for piece in f._pieces if piece.t0),
+    )
     cycles = []
     for s in starts:
-        label = _walk(f, s, n)
-        if label is None or label[0] or n % len(label[1]):
-            return None
+        label = _walk(f, s, horizon)
+        if label is None:
+            return None, s
         cycles.append(label[1])
-    return cycles
+    return cycles, None
 
 
 class _Certificate:
@@ -607,27 +577,37 @@ class _Certificate:
         return Subtree.build(tree, segs, verts)
 
 
-def _certificate(f: PLTreeMap, cap: int) -> _Certificate | None:
+def _certificate(f: PLTreeMap) -> _Certificate | None:
     """The map's certificate that f^N is the identity, or None when f has
-    none: injective, surjective (read off the leaves by `_is_onto`, with
-    no image built), N within `cap`, and every vertex and interior
-    breakpoint back after N steps.  Decided once per map, here alone.
-    An N past the cap raises UndecidedError and stores nothing, so a
-    larger cap may still certify f; a certificate found is returned only
-    under a cap it fits, and otherwise raises the same error."""
+    none.  Decided once per map, here alone, by bounded orbit walks.
+
+    Only a homeomorphism is walked: f injective and onto, read off the
+    leaves by `_is_onto` with no image built.  Each vertex and interior
+    breakpoint is walked at most H steps (`_walk_horizon`): H = 2M, M the
+    number of topological edges, the arcs between vertices of degree
+    other than 2, or H = 1 on the one-vertex tree.  That decides whether
+    the start is periodic.  f permutes the vertices of degree other than
+    2, at most M + 1 <= H of them, and with them the topological edges.
+    A point inside a topological edge E whose period under that
+    permutation is q <= M has f^q map E onto itself, an interval
+    homeomorphism, whose periodic points have period 1 or 2; so the
+    point is periodic exactly when f^(2q) fixes it, and its orbit then
+    closes within 2q <= H steps.
+
+    When every start is periodic, N is the least common multiple of
+    their periods, an exact integer of any size, and f^N is the identity
+    (see `decide_pointwise_recurrent`).  Otherwise the first start that
+    is not periodic is kept on the store (`open_start`), the decision's
+    witness, and f has no certificate.
+    """
     store = _OrbitStore.of(f)
-    cert = store.certificate
-    if cert is _UNDECIDED:
-        cert = None
+    if store.certificate is _UNDECIDED:
+        store.certificate = None
         if f.is_injective()[0] and _is_onto(f):
-            power = _intrinsic_period(f, cap)
-            cycles = _certified_cycles(f, power)
+            cycles, store.open_start = _certified_cycles(f, _walk_horizon(f.domain))
             if cycles is not None:
-                cert = _Certificate(power, cycles)
-        store.certificate = cert
-    elif cert is not None and cert.power > cap:
-        _intrinsic_period(f, cap)  # raises the bound's UndecidedError
-    return cert
+                store.certificate = _Certificate(lcm(*{len(c) for c in cycles}), cycles)
+    return store.certificate
 
 
 def _eventual_cycle(f: PLTreeMap, x: TreePoint, horizon: int):

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import (
-    ABSOLUTE_POWER_CAP,
     CheckResult,
     Witness,
     _certified_cycles,
-    _intrinsic_period,
+    _is_onto,
     _periodic_levels,
-    _power_image,
     _walk,
+    _walk_horizon,
     check_escape,
     check_full_invariance,
     check_no_preperiodic,
@@ -60,18 +59,19 @@ CHECK_NAMES = (
 )
 
 
-def _recurrence_verdict_consistency(f, decided, max_period) -> CheckResult:
+def _recurrence_verdict_consistency(f, verdict) -> CheckResult:
     """Re-check the verdict on f by walking orbits, without composing f^n.
 
     For an injective f, f^n is the identity exactly when every vertex and
-    interior breakpoint has a period dividing n.
+    interior breakpoint has a period dividing n.  A homeomorphism's point
+    is periodic exactly when its orbit closes within `_walk_horizon` steps.
     """
-    verdict = decided()
     if verdict.pointwise_recurrent:
         n = verdict.identity_power
         if not n or n < 1:
             return CheckResult("fail", detail="positive verdict carries no power")
-        if not (f.is_injective()[0] and _certified_cycles(f, n) is not None):
+        cycles = _certified_cycles(f, n)[0] if f.is_injective()[0] else None
+        if cycles is None or any(n % len(cycle) for cycle in cycles):
             return CheckResult("fail", detail=f"claimed power {n} is not the identity")
         return CheckResult("pass", detail=f"identity power {n}")
 
@@ -84,9 +84,8 @@ def _recurrence_verdict_consistency(f, decided, max_period) -> CheckResult:
     elif w.kind == "escaping-orbit":
         ok = not f.image().contains(w.points[0])
     elif w.kind == "non-periodic-cutpoint":
-        n = _intrinsic_period(f, min(max_period, ABSOLUTE_POWER_CAP))  # the decision's N
-        x = w.points[0]
-        ok = _power_image(f, x, n) != x
+        homeomorphism = f.is_injective()[0] and _is_onto(f)
+        ok = homeomorphism and _walk(f, w.points[0], _walk_horizon(f.domain)) is None
     else:
         return CheckResult("fail", witness=w, detail=f"unknown witness kind {w.kind!r}")
     if not ok:
@@ -110,7 +109,7 @@ def _periodic_union_monotone(f, upto, piece_cap) -> CheckResult:
     return CheckResult("pass", detail=f"powers 1..{upto}")
 
 
-def _power_recurrence_consistency(f, decided, max_period, piece_cap) -> CheckResult:
+def _power_recurrence_consistency(f, verdict, piece_cap) -> CheckResult:
     """The verdicts on f^2 and f^3, each composed and decided afresh, agree
     with the verdict on f.
 
@@ -120,11 +119,11 @@ def _power_recurrence_consistency(f, decided, max_period, piece_cap) -> CheckRes
     stop on a certified map.  f^3 is composed from f^2, so the two powers
     take two compositions.
     """
-    base = decided().pointwise_recurrent
+    base = verdict.pointwise_recurrent
     g = f
     for k in (2, 3):
         g = f.next_power(g, piece_cap)
-        got = decide_pointwise_recurrent(g, max_period, piece_cap).pointwise_recurrent
+        got = decide_pointwise_recurrent(g).pointwise_recurrent
         if got != base:
             return CheckResult(
                 "fail", detail=f"power {k} verdict {got} disagrees with {base}"
@@ -182,28 +181,19 @@ def run_checks(
 ) -> list[CheckRecord]:
     """Run every named check against a self-map of a tree.
 
-    The verdict on f is decided once, before the checks; a bound it hits
-    marks every check that uses it.
+    The verdict on f is decided once, before the checks, and shared by
+    the two checks that read it.
     """
     upto = max(2, min(depth, 4))
-    try:
-        verdict = decide_pointwise_recurrent(f, max_period, piece_cap)
-    except (UndecidedError, ResourceLimitError) as exc:
-        verdict = exc
-
-    def decided():
-        if isinstance(verdict, Exception):
-            raise verdict
-        return verdict
-
+    verdict = decide_pointwise_recurrent(f)
     plan = (
         ("recurrence-verdict-consistency",
-         lambda: _recurrence_verdict_consistency(f, decided, max_period)),
+         lambda: _recurrence_verdict_consistency(f, verdict)),
         ("fixed-sets-connected", lambda: _fixed_sets_connected(f, upto, piece_cap)),
         ("periodic-union-monotone",
          lambda: _periodic_union_monotone(f, upto, piece_cap)),
         ("power-recurrence-consistency",
-         lambda: _power_recurrence_consistency(f, decided, max_period, piece_cap)),
+         lambda: _power_recurrence_consistency(f, verdict, piece_cap)),
         ("surjectivity-and-orbit-invariance",
          lambda: check_full_invariance(f, horizon=min(horizon, 200))),
         ("no-preperiodic-samples",

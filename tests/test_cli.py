@@ -214,11 +214,11 @@ def test_escape_check_skips_before_the_piece_budget(tmp_path, capsys):
 
 
 def test_inconclusive_exit_two(tmp_path, capsys):
-    path = write_fixture(tmp_path, "rotation", {"arms": "3"})
-    code, report = run_json(capsys, ["recurrence", path, "--max-period", "2"])
+    path = write_fixture(tmp_path, "tent")
+    code, report = run_json(capsys, ["analyze", path, "--depth", "12", "--piece-cap", "100"])
     assert code == 2
     assert report["outcome"] == "inconclusive"
-    assert "3 > 2" in report["error"]
+    assert report["error"] == "iterate exceeded the piece budget (128 > 100)"
 
 
 def test_input_errors_exit_three(tmp_path, capsys):
@@ -286,8 +286,8 @@ def test_bad_flags_exit_three(tmp_path):
     "argv",
     [
         ["verify", "--horizon", "-1"],
-        ["recurrence", "--max-period", "-5"],
-        ["recurrence", "--piece-cap", "0"],
+        ["analyze", "--max-period", "-5"],
+        ["odometer", "--piece-cap", "0"],
         ["classify", "--point", "l0", "--max-period", "-1"],
         ["verify", "--depth", "0"],
     ],
@@ -369,7 +369,7 @@ def test_fixture_takes_no_bound_flags(capsys, flag):
 
 # the bound flags each analysis command reads
 READS = {
-    "recurrence": ("--max-period", "--piece-cap"),
+    "recurrence": (),
     "analyze": ("--max-period", "--depth", "--piece-cap"),
     "odometer": ("--depth", "--piece-cap"),
     "classify": ("--max-period",),
@@ -379,15 +379,13 @@ BOUND_FLAGS = ("--max-period", "--horizon", "--depth", "--piece-cap")
 # for each flag a command reads, a value and an instance on which it changes
 # the JSON report or the exit code
 CHANGED_BY = [
-    ("recurrence", "--max-period", "2", "rotation"),
-    ("recurrence", "--piece-cap", "1", "sagged"),
     ("analyze", "--max-period", "2", "rotation"),
     ("analyze", "--depth", "1", "rotation"),
     ("analyze", "--piece-cap", "1", "sagged"),
     ("odometer", "--depth", "1", "tower"),
     ("odometer", "--piece-cap", "1", "sagged"),
     ("classify", "--max-period", "2", "rotation"),
-    ("verify", "--max-period", "2", "rotation"),
+    ("verify", "--max-period", "1", "tent"),
     ("verify", "--horizon", "1", "rotation"),
     ("verify", "--depth", "1", "rotation"),
     ("verify", "--piece-cap", "1", "sagged"),
@@ -395,10 +393,12 @@ CHANGED_BY = [
 
 
 def write_named_instance(tmp_path, name):
-    """The 3-arm rotation, the (2, 4) tower, or the rotation with one arm
-    sagged: injective, not recurrent, so its powers are composed."""
+    """The 3-arm rotation, the (2, 4) tower, the tent, or the rotation with
+    one arm sagged: injective, not recurrent, so its powers are composed."""
     if name == "tower":
         return write_fixture(tmp_path, "tower", {"periods": "2,4"}, name="tower.json")
+    if name == "tent":
+        return write_fixture(tmp_path, "tent", name="tent.json")
     tree, rot = build_fixture("rotation", {"arms": "3"})
     if name == "sagged":
         table = {eid: list(rot.breakpoints(eid)) for eid in tree.edge_ids}
@@ -688,8 +688,12 @@ def test_text_rendering_of_analyze_classify_and_inconclusive(tmp_path, capsys):
     ]
 
     bound = ["--max-period", "2"]
-    assert text(["recurrence", rot3] + bound, 2) == [
-        "inconclusive: the candidate identity power exceeds the bound (3 > 2)"
+    with pytest.raises(SystemExit) as exc:
+        main(["recurrence", rot3] + bound)
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --max-period 2" in capsys.readouterr().err
+    assert text(["analyze", tent, "--depth", "12", "--piece-cap", "100"], 2) == [
+        "inconclusive: iterate exceeded the piece budget (128 > 100)"
     ]
     lines = text(["analyze", rot3] + bound, 0)
     assert "  power 3: 4 vertices, 3 segments" in lines
@@ -717,7 +721,7 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert code == 0 and report["period"] == 1
     code, report = run_json(capsys, ["recurrence", path])
     assert code == 1 and report["verdict"]["reason"] == "not-injective"
-    args = _build_parser().parse_args(["recurrence", path])
+    args = _build_parser().parse_args(["analyze", path])
     assert args.max_period == MAX_PERIOD_DEFAULT and not hasattr(args, "point")
     with pytest.raises(SystemExit) as exc:
         main(["classify", path, "--max-period", "0", "--point", "v0"])
@@ -726,8 +730,9 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     code, report = run_json(capsys, ["classify", path, "--point", "v1"])
     assert code == 0 and report["point"] == {"vertex": "v1"}
     assert report["preperiod"] == 1 and report["eventual_period"] == 1
-    code, report = run_json(capsys, ["recurrence", path, "--piece-cap", "5"])
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["recurrence", path, "--piece-cap", "5"])
+    assert exc.value.code == 3
     assert _build_parser().parse_args(["analyze", path]).depth == DEPTH_DEFAULT
 
 

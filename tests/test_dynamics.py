@@ -10,13 +10,10 @@ from dendrodyn import (
     PreconditionError,
     Subtree,
     ResourceLimitError,
-    UndecidedError,
     dynamics,
     plmap,
 )
 from dendrodyn.dynamics import (
-    ABSOLUTE_POWER_CAP,
-    MAX_PERIOD_DEFAULT,
     ORBIT_STORE_PER_ITEM,
     CheckResult,
     RecurrenceVerdict,
@@ -338,9 +335,9 @@ def test_decide_leaf_swap_on_spider():
     assert verdict.identity_power == 2
 
 
-def test_decide_raises_undecided_past_period_bound():
-    # leaf cycles of lengths 3, 5, 7, 11 and 13 force the candidate
-    # power 15015 past the default bound of 10000
+def test_decide_the_15015_leaf_cycle_tree_with_no_bound():
+    # leaf cycles of lengths 3, 5, 7, 11 and 13 give the identity power
+    # 15015, past `MAX_PERIOD_DEFAULT`, which bounds no decision
     sizes = (3, 5, 7, 11, 13)
     verts = ["c"]
     edges = []
@@ -354,16 +351,35 @@ def test_decide_raises_undecided_past_period_bound():
     tree = MetricTree(verts, edges)
     point_images = {v: tree.vertex_point(images[v] or v) for v in verts}
     rot = map_from_vertex_images(tree, point_images)
-    with pytest.raises(UndecidedError):
-        decide_pointwise_recurrent(rot)
-    verdict = decide_pointwise_recurrent(rot, max_period=20_000)
-    assert verdict.pointwise_recurrent
-    assert verdict.identity_power == 15015
+    verdict = decide_pointwise_recurrent(rot)
+    assert verdict == RecurrenceVerdict(True, identity_power=15015, reason="identity-power")
+    assert composing_decide(rot) == verdict
 
 
-def composing_decide(f, max_period=MAX_PERIOD_DEFAULT, piece_cap=DEFAULT_PIECE_CAP):
+def intrinsic_power(f):
+    """N for a homeomorphism f: the least common multiple of the cycle
+    lengths of the vertices of degree other than 2, which f permutes."""
+    tree = f.domain
+    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
+    images = {v: f.vertex_image(v).vertex for v in intrinsic}
+    power = 1
+    seen = set()
+    for v in intrinsic:
+        if v in seen:
+            continue
+        cycle = [v]
+        w = images[v]
+        while w != v:
+            cycle.append(w)
+            w = images[w]
+        seen.update(cycle)
+        power = lcm(power, len(cycle))
+    return power
+
+
+def composing_decide(f, piece_cap=DEFAULT_PIECE_CAP):
     """The former decision, which composed f^N and tested it for the
-    identity; kept as the oracle of the orbit certificate."""
+    identity; kept as the oracle of the orbit walks."""
     tree = f.domain
     injective, pair = f.is_injective()
     if not injective:
@@ -388,25 +404,7 @@ def composing_decide(f, max_period=MAX_PERIOD_DEFAULT, piece_cap=DEFAULT_PIECE_C
             ),
             reason="not-surjective",
         )
-    intrinsic = [v for v in tree.vertex_ids if tree.degree(v) != 2]
-    images = {v: f.vertex_image(v).vertex for v in intrinsic}
-    cap = min(max_period, ABSOLUTE_POWER_CAP)
-    power = 1
-    seen = set()
-    for v in intrinsic:
-        if v in seen:
-            continue
-        cycle = [v]
-        w = images[v]
-        while w != v:
-            cycle.append(w)
-            w = images[w]
-        seen.update(cycle)
-        power = lcm(power, len(cycle))
-        if power > cap:
-            raise UndecidedError(
-                f"the candidate identity power exceeds the bound ({power} > {cap})"
-            )
+    power = intrinsic_power(f)
     h = f.iterate(power, piece_cap)
     if is_identity(h):
         return RecurrenceVerdict(
@@ -453,8 +451,13 @@ def sagged(rng, f):
     return PLTreeMap(tree, table)
 
 
-def test_orbit_certificate_matches_the_composing_oracle():
-    rng = random.Random(4242)
+def two_sagged(rng, f):
+    return sagged(rng, sagged(rng, f))
+
+
+def decision_corpus(rng):
+    """The homeomorphisms, folding maps and sagged homeomorphisms every
+    decision test shares: (homeomorphisms, folding maps, sagged maps)."""
     finite = [random_finite_order_map(seed, seed + 500)[1] for seed in range(150)]
     towers = [
         odometer_tower(len(ps), ps)[1]
@@ -463,17 +466,42 @@ def test_orbit_certificate_matches_the_composing_oracle():
     rotations = [rotation_star(k)[1] for k in range(2, 31)]
     homeos = finite + towers + rotations
     homeos += [random_involution(rng, rng.randint(1, 12)) for _ in range(40)]
-    maps = homeos + [random_folding_map(seed)[1] for seed in range(100)]
+    folding = [random_folding_map(seed)[1] for seed in range(100)]
     with_edges = [f for f in homeos if f.domain.edge_ids]
-    sags = [sagged(rng, rng.choice(with_edges)) for _ in range(150)]
+    sags = [sagged(rng, rng.choice(with_edges)) for _ in range(200)]
+    sags += [two_sagged(rng, rng.choice(with_edges)) for _ in range(200)]
+    return homeos, folding, sags
+
+
+def test_orbit_certificate_matches_the_composing_oracle(monkeypatch):
+    """The walks against the composed f^N: the same verdict, power and
+    reason, and f^N composed on its own moves each drift witness."""
+    homeos, folding, sags = decision_corpus(random.Random(4242))
+    maps = homeos + folding + sags
+    powers = [
+        count_calls(monkeypatch, plmap, "compose"),
+        count_calls(monkeypatch, PLTreeMap, "iterate"),
+        count_calls(monkeypatch, PLTreeMap, "power_factors"),
+        count_calls(monkeypatch, PLTreeMap, "fixed_point_set"),
+    ]
+    verdicts = [decide_pointwise_recurrent(f) for f in maps]
+    assert powers == [[], [], [], []]
     reasons = {}
-    for f in maps + sags:
-        verdict = decide_pointwise_recurrent(f)
-        assert verdict == composing_decide(f)
+    for f, verdict in zip(maps, verdicts):
+        expected = composing_decide(f)
+        assert verdict.pointwise_recurrent == expected.pointwise_recurrent
+        assert verdict.identity_power == expected.identity_power
+        assert verdict.reason == expected.reason
+        if verdict.reason == "power-not-identity":
+            (w,) = verdict.witness.points
+            assert verdict.witness.kind == "non-periodic-cutpoint"
+            assert fresh_copy(f).iterate(intrinsic_power(f)).evaluate(w) != w
+        elif not verdict.pointwise_recurrent:
+            assert verdict == expected
         reasons[verdict.reason] = reasons.get(verdict.reason, 0) + 1
     assert reasons["identity-power"] >= len(homeos)
-    assert reasons["not-injective"] == 100
-    assert reasons["power-not-identity"] >= 100
+    assert reasons["not-injective"] == len(folding)
+    assert reasons["power-not-identity"] >= 350
 
 
 def count_calls(monkeypatch, owner, name):
@@ -495,17 +523,34 @@ def test_positive_decision_composes_nothing(monkeypatch):
     assert not composed
 
 
+@pytest.mark.parametrize("k", [50, 200])
+def test_a_drift_is_found_within_the_walk_bound(monkeypatch, k):
+    """On a sagged k-arm rotation (M = k topological edges) the decision
+    evaluates at most 2M points per vertex and interior breakpoint."""
+    f = sagged(random.Random(k), rotation_star(k)[1])
+    starts = len(f.domain.vertex_ids) + f.piece_count - len(f.domain.edge_ids)
+    walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
+    verdict = decide_pointwise_recurrent(f)
+    assert verdict.reason == "power-not-identity"
+    assert 0 < len(walked) <= starts * 2 * k
+
+
 def test_interior_drift_still_takes_the_composing_route(monkeypatch):
+    # the decision walks the drift and composes nothing; only the fixed
+    # sets of the map, which has no certificate, are composed
     t = interval()
     sag = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
     expected = composing_decide(sag)
     factored = count_calls(monkeypatch, PLTreeMap, "power_factors")
-    assert decide_pointwise_recurrent(sag) == expected
-    assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP)]
-    # the decision stored the fixed set it computed on the map
+    verdict = decide_pointwise_recurrent(sag)
+    assert (verdict.reason, verdict.witness.kind) == (expected.reason, "non-periodic-cutpoint")
+    assert verdict.witness.points == (pt(t, F(1, 2)),)
+    assert factored == []
     solved = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
     fixed_set(sag, 1)
-    assert solved == []
+    assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP)]
+    assert len(solved) == 1  # f^1 is f, solved with no outer factor
+    solved.clear()
     # later powers in sequence: f^2 solved from (f, f), then each power
     # solved from (f^(n-1), f), f^(n-1) built only as that factor
     stepped = count_calls(monkeypatch, plmap, "compose")
@@ -513,12 +558,12 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
         fixed_set(sag, n)
     assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP), (2, DEFAULT_PIECE_CAP)]
     assert len(stepped) == 2 and len(solved) == 0
-    # the same drift behind a flip: N = 2, so Fix(f^N) is solved from (f, f)
+    # the same drift behind a flip: N = 2, and the walk alone finds it
     swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
     expected = composing_decide(swung)
     composed = count_calls(monkeypatch, plmap, "compose")
     verdict = decide_pointwise_recurrent(swung)
-    assert verdict == expected and verdict.reason == "power-not-identity"
+    assert verdict.reason == expected.reason == "power-not-identity"
     assert len(composed) == 0
 
 
@@ -584,13 +629,16 @@ def test_positive_decision_builds_no_subtree_and_no_image(monkeypatch):
 
 
 def test_piece_cap_bounds_only_the_negative_route():
+    # the decision takes no budget; only the fixed sets of a map with no
+    # certificate are composed, and they meet it
     _, rot = rotation_star(3)
     with pytest.raises(ResourceLimitError):
         composing_decide(rot, piece_cap=1)
-    verdict = decide_pointwise_recurrent(rot, piece_cap=1)
-    assert verdict.pointwise_recurrent and verdict.identity_power == 3
+    assert fixed_set(rot, 3, piece_cap=1) == rot.domain.full_subtree()
+    sag = sagged(random.Random(5), rot)
+    assert decide_pointwise_recurrent(sag).reason == "power-not-identity"
     with pytest.raises(ResourceLimitError):
-        decide_pointwise_recurrent(sagged(random.Random(5), rot), piece_cap=1)
+        fixed_set(sag, 3, piece_cap=1)
 
 
 def test_decide_is_deterministic():
@@ -1088,7 +1136,7 @@ def test_orbit_route_fixed_sets_match_the_composing_oracle(monkeypatch):
     composed = count_calls(monkeypatch, plmap, "compose")
     shapes = {"interval": 0, "midpoint": 0}
     for f in certified_maps(rng):
-        cert = _certificate(f, MAX_PERIOD_DEFAULT)
+        cert = _certificate(f)
         assert cert is not None
         assert cert.power == decide_pointwise_recurrent(fresh_copy(f)).identity_power
         got = {}
@@ -1107,30 +1155,16 @@ def test_the_certificate_is_decided_once_and_only_for_recurrent_maps(monkeypatch
     rng = random.Random(6007)
     t = interval()
     for f in (tent_on(t), shift_on(t), sagged(rng, flip_on(t)), sagged(rng, rotation_star(3)[1])):
-        assert _certificate(f, MAX_PERIOD_DEFAULT) is None
+        assert _certificate(f) is None
         assert fixed_set(f, 2) == fresh_copy(f).iterate(2).fixed_point_set()
     # a decision fills the certificate, so fixed_set walks nothing again
     _, rot = rotation_star(5)
     decide_pointwise_recurrent(rot)
     walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
-    assert _certificate(rot, MAX_PERIOD_DEFAULT).power == 5
+    assert _certificate(rot).power == 5
     assert fixed_set(rot, 5) == rot.domain.full_subtree()
     assert fixed_set(rot, 7) == fixed_set(rot, 1)
     assert walked == []
-    # a period past the default bound leaves the map undecided and to the
-    # composing route; a larger cap still certifies it, and a certificate
-    # found is refused under a cap it does not fit
-    big = rotation_star(3)[1]
-    monkeypatch.setattr(dynamics, "MAX_PERIOD_DEFAULT", 2)
-    bound = r"^the candidate identity power exceeds the bound \(3 > 2\)$"
-    with pytest.raises(UndecidedError, match=bound):
-        _certificate(big, 2)
-    composed = count_calls(monkeypatch, plmap, "compose")
-    assert fixed_set(big, 2) == fresh_copy(big).iterate(2).fixed_point_set()
-    assert composed
-    assert _certificate(big, 3).power == 3
-    with pytest.raises(UndecidedError, match=bound):
-        _certificate(big, 2)
 
 
 @pytest.mark.parametrize("decide_first", [True, False])

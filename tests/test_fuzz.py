@@ -118,7 +118,7 @@ PARAMS = ("arms=3", "arms=5", "arms=-2", "arms=abc", "arms=", "arm_length=1/3", 
 REPORT = ("--format", "-o", "--output")
 # the flags each command accepts, and one that only another command accepts
 ACCEPTS = {
-    "recurrence": ("--max-period", "--piece-cap", *REPORT),
+    "recurrence": REPORT,
     "analyze": ("--max-period", "--depth", "--piece-cap", *REPORT),
     "odometer": ("--depth", "--piece-cap", *REPORT),
     "classify": ("--max-period", "--point", *REPORT),
@@ -126,7 +126,7 @@ ACCEPTS = {
     "fixture": ("--param", "-o", "--output"),
 }
 FOREIGN = {
-    "recurrence": "--horizon",
+    "recurrence": "--max-period",
     "analyze": "--horizon",
     "odometer": "--max-period",
     "classify": "--depth",

@@ -5,7 +5,6 @@ import pytest
 import dendrodyn.verify
 from dendrodyn import MetricTree, PLTreeMap, build_fixture
 from dendrodyn.dynamics import (
-    MAX_PERIOD_DEFAULT,
     CheckResult,
     RecurrenceVerdict,
     Witness,
@@ -86,9 +85,11 @@ def test_tower_semiconjugacy_detected():
 
 
 def test_undecided_marks_the_record():
+    # the decision takes no bound; composing f^2 for the power check does
     tree, f = build_fixture("rotation", {"arms": "5"})
-    recs = by_name(run_checks(f, max_period=3))
-    rec = recs["recurrence-verdict-consistency"]
+    recs = by_name(run_checks(f, piece_cap=1))
+    assert not recs["recurrence-verdict-consistency"].undecided
+    rec = recs["power-recurrence-consistency"]
     assert rec.undecided
     assert rec.result.status == "skipped"
     assert "bound" in rec.result.detail
@@ -119,7 +120,7 @@ def test_forged_positive_verdict_fails_the_recheck(case):
         v0, v1 = t.vertex_point("v0"), t.vertex_point("v1")
         f = PLTreeMap(t, {"e": [(0, mid), (F(1, 2), v0), (1, v1)]})
     forged = RecurrenceVerdict(pointwise_recurrent=True, identity_power=2, reason="identity-power")
-    result = _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT)
+    result = _recurrence_verdict_consistency(f, forged)
     assert result.status == "fail"
     assert result.detail == "claimed power 2 is not the identity"
 
@@ -150,7 +151,7 @@ def test_forged_positive_verdict_fails_the_recheck(case):
 )
 def test_forged_verdict_without_evidence_fails_the_recheck(forged, expected):
     _, f = build_fixture("rotation", {"arms": "3"})
-    assert _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT) == expected
+    assert _recurrence_verdict_consistency(f, forged) == expected
 
 
 def test_forged_drift_witness_fails_the_recheck():
@@ -158,7 +159,7 @@ def test_forged_drift_witness_fails_the_recheck():
     tree, f = build_fixture("rotation", {"arms": "3"})
     witness = Witness(kind="non-periodic-cutpoint", points=(tree.vertex_point("l0"),))
     forged = RecurrenceVerdict(pointwise_recurrent=False, witness=witness)
-    result = _recurrence_verdict_consistency(f, lambda: forged, MAX_PERIOD_DEFAULT)
+    result = _recurrence_verdict_consistency(f, forged)
     assert result.status == "fail"
     assert result.detail == "witness did not re-verify"
 
@@ -170,7 +171,7 @@ def test_drift_witness_reverifies_by_orbit():
     sag = PLTreeMap(t, {"e": [(0, v0), (F(1, 2), t.edge_point("e", F(1, 4))), (1, v1)]})
     verdict = decide_pointwise_recurrent(sag)
     assert verdict.witness.kind == "non-periodic-cutpoint"
-    result = _recurrence_verdict_consistency(sag, lambda: verdict, MAX_PERIOD_DEFAULT)
+    result = _recurrence_verdict_consistency(sag, verdict)
     assert result.status == "pass"
     assert result.detail == "negative verdict re-verified (non-periodic-cutpoint)"
 
@@ -218,16 +219,18 @@ def test_tower_checks_compute_each_power_once(monkeypatch):
     assert maps_equal(decided[2], f.iterate(3))
 
 
-def test_undecided_verdict_is_shared(monkeypatch):
+def test_verdict_is_decided_once_and_shared(monkeypatch):
+    # a period past `max_period` bounds no decision: f is decided once, and
+    # the power check decides only f^2 and f^3 afresh
     tree, f = build_fixture("rotation", {"arms": "5"})
     decided = count_calls(monkeypatch, dendrodyn.verify, "decide_pointwise_recurrent")
     recs = by_name(run_checks(f, max_period=3))
-    assert len(decided) == 1
+    assert len(decided) == 3 and decided[0] is f
     first = recs["recurrence-verdict-consistency"]
     second = recs["power-recurrence-consistency"]
-    assert first.undecided and second.undecided
-    assert first.result == second.result
-    assert first.result.detail == "bound reached: the candidate identity power exceeds the bound (5 > 3)"
+    assert not first.undecided and not second.undecided
+    assert first.result == CheckResult("pass", detail="identity power 5")
+    assert second.result.status == "pass"
 
 
 def test_finite_order_sweep_has_no_failures():
