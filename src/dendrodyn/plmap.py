@@ -32,11 +32,19 @@ piece budget (`factored`): the cut count is at least the number of the
 composite's normalized pieces, so a pair left unbuilt would pass the
 budget, and one built is checked as every composition is.
 
+Injectivity is decided by a sweep over the image arcs and, on a
+collision, a bucketing of arc ends by position; the witness is read off
+the two colliding pieces' arcs, the canonical point of their meet from
+the segments they share (`_meet_point`) and each preimage from the
+segment that holds it.  No subtree is built and no distance measured.
+
 `find_periodic_in_hull` starts from the nearest-point retraction onto
 the hull, built as a table, composes with f n - 1 times and solves the
 n-th composition from its factors.  That composition equals f^n on the
 hull and stays constant on each component off it, so the fixed points
-of f^n in the hull come from pieces over the hull alone.
+of f^n in the hull come from pieces over the hull alone.  Whether the
+advanced hull covers the hull is asked of `MetricTree.on_arc`, with no
+second hull built (`_covers`).
 """
 
 from __future__ import annotations
@@ -308,15 +316,43 @@ class PLTreeMap:
         and off every breakpoint image; so two pieces overlap in positive
         length near z.  A per-edge sweep marks every piece overlapping
         another in positive length, and no mark means injective.  Otherwise
-        segment ends are bucketed by point, since arcs meeting in one point
-        q both end a segment there, and a bucket holding two preimages of q
-        marks its pieces.  The marked pieces are exactly the colliding ones.
+        segment ends are bucketed by position (`_place`), since arcs
+        meeting in one point q both end a segment there, and a bucket
+        holding two preimages of q marks its pieces.  The marked pieces are
+        exactly the colliding ones (`_marked`).
+
+        The search pairs the least marked piece a with each later piece in
+        turn and returns the first collision, and it cannot run dry.  a is
+        marked together with a piece b it collides with, and b comes
+        later: by the sweep, when the two overlap in positive length, or
+        by a bucket whose point q has distinct preimages in a and b.  If
+        the arcs overlap in positive length, the canonical point of their
+        meet (`_meet_point`) is the midpoint of an overlap, inside both
+        arcs and an end of neither, so its preimages lie inside the two
+        windows, which share no inner point, and differ.  Otherwise the
+        arcs meet in q alone, q is the canonical point, and its preimages
+        are the bucket's two.  The tests assert that the marked pieces are
+        exactly the colliding ones, against the pairwise oracle.
         """
         tree = self.domain
         for piece in self._pieces:
             if piece.is_constant:
                 ends = (piece.t0, piece.t1)
                 return (False, tuple(tree.edge_point(piece.edge, t) for t in ends))
+        marked = self._marked()
+        if not marked:
+            return (True, None)
+        first, *later = marked
+        a = self._pieces[first]
+        pairs = (self._collision(a, self._pieces[j]) for j in later)
+        return (False, next(pair for pair in pairs if pair is not None))
+
+    def _marked(self) -> list:
+        """The indices of the pieces that collide with another piece, in
+        order, for a map with no constant piece: those that overlap
+        another in positive length, and those in a bucket of one image
+        point holding two preimages."""
+        edges = self.domain._edges
         marked = set()
         by_edge: dict = {}
         for i, piece in enumerate(self._pieces):
@@ -331,30 +367,30 @@ class PLTreeMap:
                 if hi > reach:
                     reach, holder = hi, i
         if not marked:
-            return (True, None)
-        preimages: dict = {}  # image point -> [(piece, its preimage there)]
+            return []
+        preimages: dict = {}  # image position -> [(piece, its preimage there)]
         for i, piece in enumerate(self._pieces):
-            # a window end is an edge end vertex or an (edge, parameter) pair;
-            # a vertex the arc passes through has its preimage inside the window
-            u, w = (tree.vertex_point(v) for v in tree.edge_ends(piece.edge))
-            x0 = (piece.edge, piece.t0) if piece.t0 else u
-            x1 = (piece.edge, piece.t1) if piece.t1 < ONE else w
-            passed = [(tree.edge_point(eid, u1), i) for eid, _, u1 in piece.arc.segments[:-1]]
-            for q, x in [(piece.p0, x0), (piece.p1, x1)] + passed:
-                preimages.setdefault(q, []).append((i, x))
+            # a window end is placed as an edge end vertex or an edge
+            # position; a vertex the arc passes through has its preimage
+            # inside the window, named by the piece alone
+            for t, q in ((piece.t0, piece.p0), (piece.t1, piece.p1)):
+                preimages.setdefault(_point_place(q), []).append((i, _place(edges, piece.edge, t)))
+            for aeid, _, u1 in piece.arc.segments[:-1]:
+                preimages.setdefault(_place(edges, aeid, u1), []).append((i, i))
         for hits in preimages.values():
             if len({x for _, x in hits}) > 1:
                 marked.update(i for i, _ in hits)
-        first, *later = sorted(marked)
-        a = self._pieces[first]
-        for b in (self._pieces[j] for j in later):
-            meet = a.arc.as_subtree().intersect(b.arc.as_subtree())
-            if not meet.is_empty():
-                q = _canonical_point(tree, meet)
-                xa, xb = self._preimage_in_piece(a, q), self._preimage_in_piece(b, q)
-                if xa != xb:
-                    return (False, (xa, xb))
-        raise ConsistencyError(f"marked piece {first} collides with no later piece")
+        return sorted(marked)
+
+    def _collision(self, a: _Piece, b: _Piece):
+        """(x, y) with x in a's window and y in b's, distinct, both sent to
+        the canonical point of the two arcs' meet; None when the arcs are
+        disjoint or that point has one preimage, a window end of both."""
+        q = _meet_point(self.domain, a.arc, b.arc)
+        if q is None:
+            return None
+        xa, xb = self._preimage_in_piece(a, q), self._preimage_in_piece(b, q)
+        return None if xa == xb else (xa, xb)
 
     def _preimage_in_piece(self, piece: _Piece, q: TreePoint) -> TreePoint:
         s = piece.arc.arclength_of(q)
@@ -429,6 +465,58 @@ def _continues(a: _Piece, b: _Piece) -> bool:
     if ea == eb and (u1 > u0) != (v1 > v0):
         return False
     return a.arc.length * (b.t1 - b.t0) == b.arc.length * (a.t1 - a.t0)
+
+
+def _place(edges, eid, t) -> tuple:
+    """The position key of the point at parameter t on an edge: (vertex,)
+    at an end, else (edge, numerator, denominator).  A vertex's key has one
+    entry and an edge position's three, so neither is taken for the other
+    whatever the ids are, and hashing one calls no `Fraction.__hash__`."""
+    if not t._numerator:
+        return (edges[eid][0],)
+    if t._numerator == t._denominator:
+        return (edges[eid][1],)
+    return (eid, t._numerator, t._denominator)
+
+
+def _point_place(p: TreePoint) -> tuple:
+    """`_place` of a point."""
+    if p.edge is None:
+        return (p.vertex,)
+    return (p.edge, p.t._numerator, p.t._denominator)
+
+
+def _meet_point(tree: MetricTree, a: Arc, b: Arc):
+    """The canonical point of the meet of two non-degenerate arcs, the one
+    `_canonical_point` gives for the meet as a subtree; None when the arcs
+    are disjoint.
+
+    It is read off their segments.  An arc runs over an edge at most
+    once, so two arcs share one interval of an edge they both run over,
+    and their meet is an arc, a point or nothing.  With length, the
+    point is the midpoint of the shared interval on the least edge (tree
+    order) where it has length.  Otherwise the meet is at most one
+    point, and that point ends a segment of each arc.
+    """
+    mine = {eid: (u0, u1) if u0 < u1 else (u1, u0) for eid, u0, u1 in a.segments}
+    best = None
+    for eid, v0, v1 in b.segments:
+        span = mine.get(eid)
+        if span is not None:
+            lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
+            lo, hi = max(lo, span[0]), min(hi, span[1])
+            if lo < hi and (best is None or str(eid) < str(best[0])):
+                best = (eid, lo, hi)
+    if best is not None:
+        eid, lo, hi = best
+        return tree.edge_point(eid, (lo + hi) / 2)
+    edges = tree._edges
+    ends = {_place(edges, eid, t) for eid, u0, u1 in a.segments for t in (u0, u1)}
+    for eid, v0, v1 in b.segments:
+        for t in (v0, v1):
+            if _place(edges, eid, t) in ends:
+                return tree.edge_point(eid, t)
+    return None
 
 
 def _canonical_point(tree: MetricTree, sub: Subtree) -> TreePoint:
@@ -740,6 +828,14 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
     return PLTreeMap(tree, table)
 
 
+def _covers(tree: MetricTree, cover, points) -> bool:
+    """Whether hull(cover) contains hull(points).  A hull is connected, so
+    it holds the other exactly when it holds every one of the points, and
+    hull(cover) is the union of the arcs from cover[0] to each point of
+    cover."""
+    return all(any(tree.on_arc(p, cover[0], q) for q in cover) for p in points)
+
+
 def find_periodic_in_hull(
     f: PLTreeMap,
     points,
@@ -776,7 +872,7 @@ def find_periodic_in_hull(
     advanced = pts
     for _ in range(n):
         advanced = [f.evaluate(p) for p in advanced]
-    if not tree.connected_hull(advanced).contains_subtree(hull):
+    if not _covers(tree, advanced, pts):
         raise PreconditionError("advanced hull does not cover the original hull")
     h = _retraction(tree, hull)
     for _ in range(n - 1):

@@ -9,6 +9,15 @@ and all derived notions (distance, separation, hulls, retractions,
 complement components) are computed exactly in rational arithmetic.
 No floating point enters any computation in this module.
 
+Where a point lies is read off positions, not summed distances.  One
+rooting numbers the vertices in preorder, and a point's position is its
+lower vertex with the share of that vertex's parent edge it sits up
+(`MetricTree._position`).  Whether a point is on an arc, which corner of
+a subtree a retraction picks, and how `first_separated` orders its
+points are comparisons of positions; an arc locates a point on itself
+from the segment that holds it.  `distance` is there for callers that
+ask for a length.
+
 Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
 `int` skip `Fraction`'s generic dispatch: `as_fraction`, `ZERO` and
@@ -316,7 +325,7 @@ class MetricTree:
 
     __slots__ = (
         "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout",
-        "_grids",
+        "_kids", "_grids",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -381,6 +390,7 @@ class MetricTree:
         self._rdist = rdist
         self._tin = tin
         self._tout = {x: tin[x] + size[x] for x in order}
+        self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
         self._grids = {}  # per_edge -> grid_points(per_edge), made on first use
 
     # -- basic accessors -------------------------------------------------
@@ -489,6 +499,38 @@ class MetricTree:
         e = self._edge(p.edge)
         return e.w if self._tin[e.w] > self._tin[e.u] else e.u
 
+    def _position(self, p: TreePoint) -> tuple:
+        """p's position in the rooting: its lower vertex w, and the share
+        of w's parent edge p sits up it, 0 for w itself and in (0, 1)
+        inside the edge.  Distinct points have distinct positions, and two
+        points with one lower vertex lie in the order of their shares.
+        """
+        if p.edge is None:
+            return (p.vertex, ZERO)
+        u, w, _ = self._edges[p.edge]
+        if self._tin[w] > self._tin[u]:
+            return (w, ONE - p.t)
+        return (u, p.t)
+
+    def _on_root_path(self, x: tuple, p: tuple) -> bool:
+        """Whether the point at position x lies on the path from the point
+        at position p to the root: x's lower vertex is p's or an ancestor
+        of it, and on p's own edge x is no lower than p."""
+        (wx, hx), (wp, hp) = x, p
+        return self._tin[wx] <= self._tin[wp] < self._tout[wx] and (wx != wp or hx >= hp)
+
+    def _child_window(self, v, w) -> tuple:
+        """The window (tin, tout) of the child of v whose subtree holds w,
+        for a vertex w strictly below v.  Each vertex's children windows
+        are listed in preorder once, on first use, and bisected."""
+        kids = self._kids.get(v)
+        if kids is None:
+            tin, tout = self._tin, self._tout
+            kids = self._kids[v] = sorted(
+                (tin[x], tout[x]) for _, x in self._adj[v] if tin[x] > tin[v]
+            )
+        return kids[bisect_left(kids, (self._tin[w] + 1,)) - 1]
+
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
         self.validate_point(b)
@@ -578,8 +620,30 @@ class MetricTree:
         return Arc(self, a, b, tuple(segs), (ZERO, *accumulate(steps)))
 
     def on_arc(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
-        """Whether x lies on the closed arc [a, b]."""
-        return self.distance(a, x) + self.distance(x, b) == self.distance(a, b)
+        """Whether x lies on the closed arc [a, b], read off positions.
+
+        The root paths of a and b share the root path of their meet m, the
+        point of [a, b] nearest the root, and [a, b] is the rest of each
+        with m.  So x is on the arc when it lies on exactly one of the two
+        root paths, and when it lies on both, only if it is m: a or b when
+        x has the lower vertex of either, else the branch vertex that
+        a and b lie below through different children.
+        """
+        for p in (x, a, b):
+            self.validate_point(p)
+        px, pa, pb = self._position(x), self._position(a), self._position(b)
+        on_a, on_b = self._on_root_path(px, pa), self._on_root_path(px, pb)
+        if on_a != on_b:
+            return True
+        if not on_a:
+            return False
+        (wx, hx), (wa, ha), (wb, hb) = px, pa, pb
+        if wx == wa or wx == wb:
+            return (wx == wa and hx == ha) or (wx == wb and hx == hb)
+        if hx:
+            return False  # inside an edge above both lower vertices, so above m
+        c_in, c_out = self._child_window(wx, wa)
+        return not c_in <= self._tin[wb] < c_out
 
     def first_separated(self, points: Sequence[TreePoint]):
         """A query (t, y) -> the least i with t strictly inside the arc from
@@ -587,16 +651,17 @@ class MetricTree:
 
         That holds when points[i] differs from t and lies in another
         component of the tree minus t than y does.  Each point is keyed by
-        its lower end's preorder number and its height above that end.  In
-        key order the part of the tree below t is at most two runs: the
-        points under t on its own edge, then the window [tin, tout) of
-        the vertices strictly below.  The other components are the runs
-        around those.  A sparse table gives the least index in each run,
-        so a query is a few bisections and range minima.
+        its lower vertex's preorder number and its share up that vertex's
+        parent edge (`_position`).  In key order the part of the tree
+        below t is at most two runs: the points under t on its own edge,
+        then the window [tin, tout) of the vertices strictly below.  The
+        other components are the runs around those.  A sparse table gives
+        the least index in each run, so a query is a few bisections and
+        range minima.
         """
         keyed = sorted(
             (self._tin[w], h, i)
-            for i, (w, h) in enumerate(self._lower_end(self.validate_point(p)) for p in points)
+            for i, (w, h) in enumerate(self._position(self.validate_point(p)) for p in points)
         )
         keys = [(a, h) for a, h, _ in keyed]
         table = [[i for _, _, i in keyed]]
@@ -617,15 +682,14 @@ class MetricTree:
             """The first key position at or after the given key prefix."""
             return bisect_left(keys, key)
 
-        kids = {}  # vertex -> its children's windows (tin, tout), in preorder
-
         def query(t: TreePoint, y: TreePoint):
             if t == y:
                 raise PreconditionError("the separating point must differ from the image")
-            wt, ht = self._lower_end(self.validate_point(t))
-            wy, hy = self._lower_end(self.validate_point(y))
+            pt = self._position(self.validate_point(t))
+            py = self._position(self.validate_point(y))
+            (wt, ht), wy = pt, py[0]
             a, b = self._tin[wt], self._tout[wt]
-            if not (a <= self._tin[wy] < b and (wy != wt or hy < ht)):
+            if not self._on_root_path(pt, py):
                 # y is not below t: the points below t
                 return least(((start(a), start(a, ht)), (start(a + 1), start(b))))
             past_t = bisect_right(keys, (a, ht))
@@ -633,15 +697,8 @@ class MetricTree:
                 # t inside an edge and y below it: the points above t
                 return least(((0, start(a)), (past_t, start(a + 1)), (start(b), len(keys))))
             # t a vertex and y below it, under the child whose window holds
-            # y's lower end: every point but t and those in that window
-            if wt not in kids:
-                kids[wt] = sorted(
-                    (self._tin[x], self._tout[x])
-                    for _, x in self._adj[wt]
-                    if self._up[x] is not None and self._up[x][0] == wt
-                )
-            windows = kids[wt]
-            c_in, c_out = windows[bisect_left(windows, (self._tin[wy] + 1,)) - 1]
+            # y's lower vertex: every point but t and those in that window
+            c_in, c_out = self._child_window(wt, wy)
             return least(((0, start(a)), (past_t, start(c_in)), (start(c_out), len(keys))))
 
         return query
@@ -776,10 +833,16 @@ class MetricTree:
         """Nearest-point retraction onto a closed connected nonempty subset.
 
         Returns the unique w in the target with the half-open arc (w, z]
-        disjoint from it; the identity on points already inside.  Every
-        other point q of the target has d(z, q) = d(z, w) + d(w, q), and w
-        is a vertex of the target or an end of one of its intervals, so it
-        is the corner point nearest z.
+        disjoint from it; the identity on points already inside.  w is
+        where a walk from z toward the root first meets the target: the
+        deepest point of the target on z's root path, which the walk
+        reaches from below, so a corner (a vertex of the target or an end
+        of one of its intervals).  When the walk misses the target, the
+        target lies below the walk's turning point and is entered through
+        its top corner, the one above all the others.  Positions
+        (`_position`) order the corners on one root path: the deeper
+        point has the later lower vertex in preorder, or the same one and
+        the smaller share.
         """
         if target.is_empty():
             raise PreconditionError("cannot retract onto an empty set")
@@ -788,7 +851,16 @@ class MetricTree:
         self.validate_point(z)
         if target.contains(z):
             return z
-        return min(target.corner_points(), key=lambda w: self.distance(z, w))
+        pz = self._position(z)
+        on_path, top = None, None  # (depth key, corner)
+        for c in target.corner_points():
+            pc = self._position(c)
+            key = (self._tin[pc[0]], -pc[1])
+            if top is None or key < top[0]:
+                top = (key, c)
+            if self._on_root_path(pc, pz) and (on_path is None or key > on_path[0]):
+                on_path = (key, c)
+        return (on_path or top)[1]
 
 
 class Arc:
@@ -857,14 +929,42 @@ class Arc:
         return self.tree.edge_point(eid, t0 + step if t1 >= t0 else t0 - step)
 
     def contains(self, x: TreePoint) -> bool:
-        d = self.tree.distance
-        return d(self.a, x) + d(x, self.b) == self.length
+        return self._locate(x) is not None
 
     def arclength_of(self, x: TreePoint) -> Fraction:
         """Arclength position of a point known to lie on the arc."""
-        if not self.contains(x):
+        s = self._locate(x)
+        if s is None:
             raise PreconditionError("point does not lie on the arc")
-        return self.tree.distance(self.a, x)
+        return s
+
+    def _locate(self, x: TreePoint):
+        """x's arclength from a, read off the segment that holds x, or None
+        off the arc.  An arc runs over an edge at most once, so a point
+        inside an edge is held by that edge's segment or by none, and a
+        vertex is held where a segment starts or ends at it."""
+        self.tree.validate_point(x)
+        if not self.segments:
+            return ZERO if x == self.a else None
+        edges, cums = self.tree._edges, self._cums
+        if x.edge is not None:
+            t = x.t
+            for k, (eid, u0, u1) in enumerate(self.segments):
+                if eid == x.edge:
+                    if u0 <= t <= u1 or u1 <= t <= u0:
+                        return cums[k] + abs(t - u0) * edges[eid].length
+                    return None
+            return None
+        v = x.vertex
+        for k, (eid, u0, u1) in enumerate(self.segments):
+            u, w, _ = edges[eid]
+            if v == u or v == w:
+                at = ZERO if v == u else ONE
+                if u0 == at:
+                    return cums[k]
+                if u1 == at:
+                    return cums[k + 1]
+        return None
 
     def reversed(self) -> "Arc":
         segs = tuple((eid, t1, t0) for eid, t0, t1 in reversed(self.segments))

@@ -348,6 +348,77 @@ def hull_by_composing(f, points, n, piece_cap=DEFAULT_PIECE_CAP):
     return _canonical_point(tree, fixed)
 
 
+# -- locating points by summed distances ------------------------------------------
+#
+# The package locates points by position (`MetricTree._position`); these
+# are the routes it took before, each a sum of `MetricTree.distance`
+# calls, kept to check it against.
+
+
+def distance_on_arc(tree, x, a, b):
+    """Whether x lies on [a, b]: d(a, x) + d(x, b) = d(a, b)."""
+    return tree.distance(a, x) + tree.distance(x, b) == tree.distance(a, b)
+
+
+def distance_retract(tree, target, z):
+    """The retraction of z onto a connected subtree: z when inside, else
+    the target's corner nearest z."""
+    if target.contains(z):
+        return z
+    return min(target.corner_points(), key=lambda w: tree.distance(z, w))
+
+
+def distance_arc_contains(arc, x):
+    """Whether x lies on the arc: d(a, x) + d(x, b) is the arc's length."""
+    d = arc.tree.distance
+    return d(arc.a, x) + d(x, arc.b) == arc.length
+
+
+def distance_arclength_of(arc, x):
+    """The arclength of a point of the arc from its start, d(a, x)."""
+    if not distance_arc_contains(arc, x):
+        raise PreconditionError("point does not lie on the arc")
+    return arc.tree.distance(arc.a, x)
+
+
+def subtree_meet_point(tree, a, b):
+    """The canonical point of the meet of two arcs, with the meet built as
+    the intersection of their subtrees; None when they are disjoint."""
+    meet = a.as_subtree().intersect(b.as_subtree())
+    return None if meet.is_empty() else _canonical_point(tree, meet)
+
+
+def subtree_collision(f, a, b):
+    """The pieces a and b collide as the injectivity search used to find
+    it: the preimages, by `distance_arclength_of`, of the canonical point
+    of `subtree_meet_point`, when they differ; else None."""
+    q = subtree_meet_point(f.domain, a.arc, b.arc)
+    if q is None:
+        return None
+    xa, xb = (
+        f.domain.edge_point(p.edge, p.param_at_arclength(distance_arclength_of(p.arc, q)))
+        for p in (a, b)
+    )
+    return None if xa == xb else (xa, xb)
+
+
+def colliding_pieces(f):
+    """The indices of the pieces of a map with no constant piece that
+    collide with another, by `subtree_collision` on every pair."""
+    pieces = f._pieces
+    out = set()
+    for i in range(len(pieces)):
+        for j in range(i + 1, len(pieces)):
+            if subtree_collision(f, pieces[i], pieces[j]) is not None:
+                out.update((i, j))
+    return sorted(out)
+
+
+def covers_by_hulls(tree, cover, points):
+    """Whether hull(cover) contains hull(points), both hulls built."""
+    return tree.connected_hull(cover).contains_subtree(tree.connected_hull(points))
+
+
 def outcome(call, *args, **kwargs):
     """What a call gives: its value, or the type and message of the
     package error it raises."""

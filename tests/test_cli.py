@@ -48,7 +48,17 @@ def test_recurrence_tent_exit_one_with_witness(tmp_path, capsys):
     assert code == 1
     w = report["verdict"]["witness"]
     assert w["kind"] == "non-injective"
-    assert len(w["points"]) == 2
+    assert w["points"] == [{"edge": "e", "t": "1/4"}, {"edge": "e", "t": "3/4"}]
+
+
+def test_recurrence_stem_sweep_witness_points(tmp_path, capsys):
+    # the stem's far end and the deepest cut collapse together
+    path = write_fixture(tmp_path, "stem_sweep")
+    code, report = run_json(capsys, ["recurrence", path])
+    assert code == 1
+    w = report["verdict"]["witness"]
+    assert w["kind"] == "non-injective"
+    assert w["points"] == [{"vertex": "s"}, {"edge": "stem", "t": "1/32"}]
 
 
 def test_odometer_tower_depth_two(tmp_path, capsys):

@@ -1238,18 +1238,18 @@ def test_returns_to_components_answers_at_the_start_without_measuring(monkeypatc
     f = identity_map(s)
     anchors = [s.vertex_point(v) for v in s.vertex_ids]
     probes = s.grid_points(1)[:5]
-    measured = count_calls(monkeypatch, MetricTree, "distance")
+    measured = count_calls(monkeypatch, MetricTree, "on_arc")
     for x in anchors:
         for y in probes:
             if y != x:
                 assert returns_to_components(f, x, y)
     assert measured == []
     # a leaf of the rotation is back after 6 steps: the 5 other leaves are
-    # measured (3 distances each), the return itself is not
+    # each tested on the arc, the return itself is not
     _, rot = rotation_star(6)
     x, y = rot.domain.vertex_point("l0"), rot.domain.vertex_point("c")
     assert returns_to_components(rot, x, y)
-    assert len(measured) == 3 * 5
+    assert len(measured) == 5
 
 
 def test_returns_to_components_matches_the_former_loop():

@@ -13,6 +13,7 @@ from dendrodyn import (
 )
 from dendrodyn import fixtures, plmap
 from dendrodyn.fixtures import (
+    FIXTURE_KINDS,
     build_fixture,
     random_finite_order_map,
     random_folding_map,
@@ -24,6 +25,8 @@ from dendrodyn.plmap import (
     PLTreeMap,
     _compose_piece,
     _continues,
+    _covers,
+    _meet_point,
     _retraction,
     compose,
     composite_fixed_set,
@@ -33,7 +36,10 @@ from dendrodyn.plmap import (
     map_from_vertex_images,
 )
 from oracles import (
+    colliding_pieces,
     composed_fixed_set,
+    covers_by_hulls,
+    distance_arclength_of,
     eval_in_piece,
     evaluate_on_arcs,
     hull_by_composing,
@@ -42,6 +48,8 @@ from oracles import (
     orbit,
     outcome,
     solve_fixed_points,
+    subtree_collision,
+    subtree_meet_point,
 )
 
 
@@ -572,7 +580,7 @@ def pairwise_is_injective(f):
         return sub.corner_points()[0]
 
     def preimage(piece, q):
-        s = piece.arc.arclength_of(q)
+        s = distance_arclength_of(piece.arc, q)
         return f.domain.edge_point(piece.edge, piece.param_at_arclength(s))
 
     subs = [p.arc.as_subtree() for p in pieces]
@@ -650,6 +658,114 @@ def test_late_collision_intersects_one_pair(monkeypatch):
     assert not ok
     assert (a, b) == (f.domain.edge_point("a398", F(1, 2)), f.domain.edge_point("a399", F(1, 2)))
     assert len(calls) <= 1
+
+
+def fixture_maps():
+    """Every fixture at its default parameters, and the stem maps deeper."""
+    maps = [build_fixture(kind)[1] for kind in FIXTURE_KINDS]
+    maps += [build_fixture(kind, {"k": "6"})[1] for kind in ("stem_collapse", "stem_sweep")]
+    return maps
+
+
+def test_piece_collisions_match_the_subtree_oracle():
+    """Every pair of non-constant pieces of 500 random folding maps and of
+    the fixtures: the meet's canonical point read off the arcs, and the
+    collision read off it, against the meet built as a subtree."""
+    maps = [random_folding_map(seed)[1] for seed in range(500)] + fixture_maps()
+    pairs = met = collided = 0
+    for f in maps:
+        pieces = [p for p in f._pieces if not p.is_constant]
+        for i, a in enumerate(pieces):
+            for b in pieces[i + 1 :]:
+                q = _meet_point(f.domain, a.arc, b.arc)
+                assert q == subtree_meet_point(f.domain, a.arc, b.arc)
+                pair = f._collision(a, b)
+                assert pair == subtree_collision(f, a, b)
+                pairs += 1
+                met += q is not None
+                collided += pair is not None
+    assert pairs > 10_000 and met > 1000 and collided > 500
+
+
+def injectivity_maps(rng):
+    """Maps with no constant piece: random folding maps and their squares,
+    random maps, finite-order maps and the fixtures."""
+    maps = []
+    for seed in range(80):
+        f = random_folding_map(seed + 500)[1]
+        maps += [f, compose(f, f)]
+    for _ in range(100):
+        maps.append(random_map(rng, random_tree(rng, rng.randint(2, 6))))
+    maps += [random_finite_order_map(seed, seed + 1)[1] for seed in range(40)]
+    maps += fixture_maps() + [late_collision_star(12), tent_on(interval()).iterate(4)]
+    return [f for f in maps if not any(p.is_constant for p in f._pieces)]
+
+
+def test_marked_pieces_are_exactly_the_colliding_ones():
+    """The sweep and the buckets mark exactly the pieces the pairwise oracle
+    finds colliding, so the least marked piece collides with a later one
+    and the witness search returns (the guard `_decide_injective` proves)."""
+    rng = random.Random(9191)
+    marked_maps = unmarked_maps = 0
+    for f in injectivity_maps(rng):
+        marked = f._marked()
+        assert marked == colliding_pieces(f)
+        if marked:
+            marked_maps += 1
+            first, pieces = marked[0], f._pieces
+            assert any(subtree_collision(f, pieces[first], pieces[j]) for j in marked[1:])
+        else:
+            unmarked_maps += 1
+    assert marked_maps > 100 and unmarked_maps > 30
+
+
+def test_bucket_keys_tell_tuple_vertex_ids_from_edge_positions():
+    """Vertex ids that are tuples shaped like edge positions: a folding map
+    whose collision is a single point, and vertices (("e", 1, 2),) and
+    ("e", 1, 2) next to the edge position e at 1/2, decided as the oracle
+    decides them."""
+    ids = [("e", 1, 2), (("e", 1, 2),), ("e",), ("w", 0)]
+    tree = MetricTree(
+        ids,
+        [("e", (ids[0], ids[1]), 1), ("f", (ids[0], ids[2]), 2), ("g", (ids[0], ids[3]), 1)],
+    )
+    mid = tree.edge_point("e", F(1, 2))
+    maps = [
+        # the three leaves meet only at e's midpoint: a vertex-free collision
+        map_from_vertex_images(tree, {ids[0]: tree.vertex_point(ids[1]), ids[1]: mid,
+                                      ids[2]: mid, ids[3]: mid}),
+        # two legs folded onto the third, meeting at the branch vertex
+        map_from_vertex_images(tree, {ids[0]: tree.vertex_point(ids[0]),
+                                      ids[1]: tree.vertex_point(ids[2]),
+                                      ids[2]: tree.vertex_point(ids[2]),
+                                      ids[3]: tree.vertex_point(ids[3])}),
+        # an injective map that sends a leaf to the midpoint of e
+        map_from_vertex_images(tree, {ids[0]: tree.vertex_point(ids[0]), ids[1]: mid,
+                                      ids[2]: tree.vertex_point(ids[2]),
+                                      ids[3]: tree.vertex_point(ids[3])}),
+    ]
+    verdicts = []
+    for f in maps:
+        got = f.is_injective()
+        assert got == pairwise_is_injective(f)
+        assert f._marked() == colliding_pieces(f)
+        verdicts.append(got[0])
+    assert verdicts == [False, False, True]
+
+
+def test_injectivity_builds_no_subtree_and_measures_nothing(monkeypatch):
+    maps = [build_fixture("tent")[1], build_fixture("stem_sweep")[1]]
+    maps += [random_folding_map(seed + 2000)[1] for seed in range(200)]
+    measured, built = [], []
+    plain_distance, plain_build = MetricTree.distance, Subtree.build
+    monkeypatch.setattr(
+        MetricTree, "distance", lambda self, a, b: measured.append(1) or plain_distance(self, a, b)
+    )
+    monkeypatch.setattr(
+        Subtree, "build", classmethod(lambda cls, *args: built.append(1) or plain_build(*args))
+    )
+    assert all(f.is_injective()[0] is False for f in maps)
+    assert measured == [] and built == []
 
 
 # -- fixed points -------------------------------------------------------------------
@@ -922,6 +1038,41 @@ def test_hull_search_matches_the_former_last_step():
     assert answers["point"] >= 100
     assert answers["no fixed point of the n-th iterate in the hull"] >= 3
     assert answers["hull search exceeded the piece budget"] >= 20
+
+
+def test_cover_test_matches_the_hull_oracle():
+    """hull(cover) holds hull(points) exactly when every point lies on an
+    arc from cover[0]: against both hulls built, on advanced point sets
+    that cover and on sets that do not."""
+    rng = random.Random(6312)
+    answers = {True: 0, False: 0}
+    for _ in range(300):
+        tree = random_tree(rng, rng.randint(2, 7))
+        f = random_map(rng, tree)
+        pts = [random_point(rng, tree) for _ in range(rng.randint(1, 4))]
+        cover = [f.evaluate(p) for p in pts]
+        for cover in (cover, [random_point(rng, tree) for _ in range(rng.randint(1, 4))], pts):
+            got = _covers(tree, cover, pts)
+            assert got == covers_by_hulls(tree, cover, pts)
+            answers[got] += 1
+    assert min(answers.values()) > 150
+
+
+def test_hull_search_builds_one_hull(monkeypatch):
+    calls = []
+    plain = MetricTree.connected_hull
+    monkeypatch.setattr(
+        MetricTree, "connected_hull", lambda self, pts: calls.append(1) or plain(self, pts)
+    )
+    t = interval()
+    searches = [
+        (tent_on(t), [t.vertex_point("v0"), t.edge_point("e", F(2, 3))], n) for n in (1, 2, 3)
+    ]
+    searches.append((rotation_on(star3()), [star3().edge_point("a1", F(1, 2))], 3))
+    for f, pts, n in searches:
+        x = find_periodic_in_hull(f, pts, n)
+        assert orbit(f, x, n)[-1] == x
+    assert len(calls) == len(searches)
 
 
 def test_find_periodic_piece_budget():

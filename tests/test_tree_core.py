@@ -11,7 +11,16 @@ from dendrodyn.dynamics import fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, TreePoint, as_fraction, point_key
-from oracles import DataclassTreePoint, arc_offsets, canonical_key, measure
+from oracles import (
+    DataclassTreePoint,
+    arc_offsets,
+    canonical_key,
+    distance_arc_contains,
+    distance_arclength_of,
+    distance_on_arc,
+    distance_retract,
+    measure,
+)
 
 
 def path_tree():
@@ -625,6 +634,86 @@ def test_retract_rejects_bad_targets():
         t.retract(disc, t.vertex_point("l3"))
 
 
+def position_trees(rng):
+    """Trees for the position routines: one-edge trees (either orientation
+    of the edge against the root), a one-vertex tree, the star and spider,
+    random trees and the deep ones."""
+    trees = [
+        MetricTree(["a", "b"], [("e", ("a", "b"), F(3, 2))]),
+        MetricTree(["a", "b"], [("e", ("b", "a"), 1)]),
+        MetricTree(["o"], []),
+        star3(),
+        spider(),
+    ]
+    trees += [random_tree(rng, rng.randint(3, 8)) for _ in range(8)]
+    return trees + deep_trees(rng)
+
+
+def test_on_arc_matches_the_distance_oracle():
+    """Over 100,000 triples: every triple of grid points on the small
+    trees, equal points and triples on one edge among them, and sampled
+    triples on the deep trees."""
+    rng = random.Random(7001)
+    triples = same_edge = equal = 0
+    hits = 0
+    for tree in position_trees(rng):
+        grid = list(tree.grid_points(3))
+        if len(grid) <= 32:
+            cases = [(x, a, b) for x in grid for a in grid for b in grid]
+        else:
+            cases = [tuple(rng.choice(grid) for _ in range(3)) for _ in range(4000)]
+        for x, a, b in cases:
+            got = tree.on_arc(x, a, b)
+            assert got == distance_on_arc(tree, x, a, b), (x, a, b)
+            hits += got
+            triples += 1
+            equal += x == a or x == b or a == b
+            same_edge += not any(p.is_vertex for p in (x, a, b)) and x.edge == a.edge == b.edge
+    assert triples >= 100_000
+    assert equal > 10_000 and same_edge > 500 and 0.1 < hits / triples < 0.9
+
+
+def test_retract_matches_the_distance_oracle():
+    """Every grid point retracted onto random hulls, by positions and by
+    the nearest corner."""
+    rng = random.Random(7002)
+    cases = inside = 0
+    for tree in position_trees(rng):
+        grid = tree.grid_points(2)
+        for _ in range(12 if len(grid) < 100 else 2):
+            y = tree.connected_hull([random_point(rng, tree) for _ in range(rng.randint(1, 4))])
+            for z in grid:
+                w = tree.retract(y, z)
+                assert w == distance_retract(tree, y, z), (y, z)
+                cases += 1
+                inside += w == z
+    assert cases > 4000 and 0 < inside < cases
+
+
+def test_arc_location_matches_the_distance_oracle():
+    """`Arc.contains` and `Arc.arclength_of` read off the segments, for
+    every grid point against arcs between random points, degenerate arcs
+    among them."""
+    rng = random.Random(7003)
+    on = off = degenerate = 0
+    for tree in position_trees(rng):
+        grid = tree.grid_points(3)
+        for _ in range(6):
+            arc = tree.arc(random_point(rng, tree), rng.choice(grid))
+            degenerate += arc.is_degenerate()
+            for x in grid:
+                inside = arc.contains(x)
+                assert inside == distance_arc_contains(arc, x)
+                if inside:
+                    assert arc.arclength_of(x) == distance_arclength_of(arc, x)
+                    on += 1
+                else:
+                    with pytest.raises(PreconditionError):
+                        arc.arclength_of(x)
+                    off += 1
+    assert on > 1000 and off > 1000 and degenerate > 0
+
+
 # -- complement components -------------------------------------------------
 
 
@@ -828,7 +917,7 @@ def test_first_separated_matches_the_brute_scan():
                         first(t, y)
                     continue
                 expected = next(
-                    (i for i, a in enumerate(points) if a != t and tree.on_arc(t, a, y)),
+                    (i for i, a in enumerate(points) if a != t and distance_on_arc(tree, t, a, y)),
                     None,
                 )
                 assert first(t, y) == expected
