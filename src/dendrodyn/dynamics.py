@@ -17,6 +17,11 @@ once per map; `_periodic_levels` is the one running union P_n of the
 first n of them.  `fixed_set` takes one of two routes, chosen from the
 map.
 
+The two sampled checks (`check_full_invariance`, `check_no_preperiodic`)
+fail only on a strictly preperiodic sample, and an injective map has no
+strictly preperiodic point; so they walk samples only on a map that is
+not injective, and an injective one is decided by its onto-ness alone.
+
 A homeomorphism is decided by bounded orbit walks, with no bound on its
 period and no composition (`_certificate`): each vertex and interior
 breakpoint is periodic exactly when its orbit closes within 2M steps, M
@@ -54,11 +59,12 @@ successors it has evaluated, and a label (preperiod, cycle, entry) on
 every point whose orbit it has seen repeat.  A walk stops at the first
 labelled point and labels the points it passed, so over all the samples
 of a map each orbit point is evaluated once.  Periods, eventual cycles,
-the sampled orbit checks and the recurrence decision's certificate are
-read off the labels, and every image f^n(x) off the store
-(`_power_image`), never off a power map.  The store's orbit entries are
-at most a fixed multiple of the map's vertices plus pieces; past that,
-walks go on without storing and answer the same.
+the sampled orbit checks of a map that is not injective and the
+recurrence decision's certificate are read off the labels, and every
+image f^n(x) off the store (`_power_image`), never off a power map.
+The store's orbit entries are at most a fixed multiple of the map's
+vertices plus pieces; past that, walks go on without storing and
+answer the same.
 """
 
 from __future__ import annotations
@@ -624,9 +630,20 @@ def check_full_invariance(
     horizon: int = 200,
 ) -> CheckResult:
     """Surjectivity plus: no sampled point feeds into a periodic orbit
-    from outside.  Periodic orbits of such a map own their preimages."""
+    from outside.  Periodic orbits of such a map own their preimages.
+
+    An injective map walks no sample, since it has no strictly
+    preperiodic point: if f^p(x) lies on a cycle and x does not, the point
+    y of that cycle p steps behind f^p(x) has f^p(y) = f^p(x) with
+    y != x, while f^p is injective with f.  So it passes exactly when it
+    is onto, which is read off the leaves (`_is_onto`), and its image is
+    built only for the gap witness.  Any other map has its image built and
+    every sample walked; a sample whose orbit does not repeat within the
+    horizon is counted as undetermined.
+    """
     tree = f.domain
-    if f.image() != tree.full_subtree():
+    injective = f.is_injective()[0]
+    if not (_is_onto(f) if injective else f.image() == tree.full_subtree()):
         gap = tree.components_minus(f.image())[0].repr_point
         return CheckResult(
             status="fail",
@@ -637,7 +654,7 @@ def check_full_invariance(
             ),
         )
     unresolved = 0
-    for x in tree.grid_points(3):
+    for x in () if injective else tree.grid_points(3):
         label = _walk(f, x, horizon)
         if label is None:
             unresolved += 1
@@ -666,10 +683,13 @@ def check_no_preperiodic(
 ) -> CheckResult:
     """No sampled point is strictly preperiodic.  A violation also yields
     a separator lying strictly between the point and where its orbit
-    settles, showing the point never comes back to its own side."""
+    settles, showing the point never comes back to its own side.
+
+    An injective map has no such point (see `check_full_invariance`), so
+    its samples are not walked."""
     tree = f.domain
     horizon = min(horizon, max_period)
-    for x in tree.grid_points(3):
+    for x in () if f.is_injective()[0] else tree.grid_points(3):
         label = _walk(f, x, horizon)
         if label is None or not label[0]:
             continue

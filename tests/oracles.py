@@ -11,7 +11,13 @@ from fractions import Fraction
 from itertools import product
 
 from dendrodyn.errors import ConsistencyError, PreconditionError, ResourceLimitError, StructureError
-from dendrodyn.fixtures import stem_sweep_map
+from dendrodyn.fixtures import (
+    odometer_tower,
+    random_finite_order_map,
+    random_folding_map,
+    rotation_star,
+    stem_sweep_map,
+)
 from dendrodyn.io import (
     MAX_VERTICES,
     _known_keys,
@@ -20,7 +26,12 @@ from dendrodyn.io import (
     fraction_from_str,
     map_from_json,
 )
-from dendrodyn.odometer import OdometerAddress, validate_address
+from dendrodyn.odometer import (
+    AddingMachineReport,
+    OdometerAddress,
+    classify_adding_machine,
+    validate_address,
+)
 from dendrodyn.plmap import (
     DEFAULT_PIECE_CAP,
     PLTreeMap,
@@ -29,7 +40,7 @@ from dendrodyn.plmap import (
     compose,
     identity_map,
 )
-from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree
+from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree, TreePoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -426,3 +437,217 @@ def outcome(call, *args, **kwargs):
         return call(*args, **kwargs)
     except (ConsistencyError, PreconditionError, ResourceLimitError) as exc:
         return (type(exc).__name__, str(exc))
+
+
+# -- a shared corpus of maps -------------------------------------------------------
+
+
+def random_involution(rng, k):
+    """The unit interval with k seeded pieces, t_i sent to t_(k-i)."""
+    tree = MetricTree(["v0", "v1"], [("e", ("v0", "v1"), 1)])
+    cuts = [0]
+    for _ in range(k):
+        cuts.append(cuts[-1] + rng.randint(1, 9))
+    ts = [Fraction(c, cuts[-1]) for c in cuts]
+
+    def at(t):
+        return tree.vertex_point("v1" if t else "v0") if t in (0, 1) else tree.edge_point("e", t)
+
+    return PLTreeMap(tree, {"e": [(ts[i], at(ts[k - i])) for i in range(k + 1)]})
+
+
+def sagged(rng, f):
+    """f with a new breakpoint inside one piece, its image moved off the
+    piece's midpoint along the image arc; a homeomorphism stays one."""
+    tree = f.domain
+    eid = rng.choice(tree.edge_ids)
+    bps = list(f.breakpoints(eid))
+    i = rng.randrange(len(bps) - 1)
+    (t0, p0), (t1, p1) = bps[i], bps[i + 1]
+    arc = tree.arc(p0, p1)
+    share = Fraction(rng.choice([1, 2, 3, 5, 6, 7]), 8)
+    bps.insert(i + 1, ((t0 + t1) / 2, arc.point_at(arc.length * share)))
+    table = {e: f.breakpoints(e) for e in tree.edge_ids}
+    table[eid] = bps
+    return PLTreeMap(tree, table)
+
+
+def two_sagged(rng, f):
+    return sagged(rng, sagged(rng, f))
+
+
+def decision_corpus(rng):
+    """The homeomorphisms, folding maps and sagged homeomorphisms every
+    decision test shares: (homeomorphisms, folding maps, sagged maps)."""
+    finite = [random_finite_order_map(seed, seed + 500)[1] for seed in range(150)]
+    towers = [
+        odometer_tower(len(ps), ps)[1]
+        for ps in ((2, 4), (3, 6), (2, 6, 12), (2, 4, 8), (2, 4, 8, 16), (2, 4, 8, 16, 32))
+    ]
+    rotations = [rotation_star(k)[1] for k in range(2, 31)]
+    homeos = finite + towers + rotations
+    homeos += [random_involution(rng, rng.randint(1, 12)) for _ in range(40)]
+    folding = [random_folding_map(seed)[1] for seed in range(100)]
+    with_edges = [f for f in homeos if f.domain.edge_ids]
+    sags = [sagged(rng, rng.choice(with_edges)) for _ in range(200)]
+    sags += [two_sagged(rng, rng.choice(with_edges)) for _ in range(200)]
+    return homeos, folding, sags
+
+
+# -- the grading of a tower, by reading its sets -------------------------------------
+
+
+def meet_only_at_boundaries(tree, sets):
+    """Whether every two of the closures meet in at most finitely many
+    points, each on the boundary of one of the two sets.
+
+    Every point lying in two closures is found by one sweep.  Shared
+    vertices are read off the vertex sets.  On each edge the intervals
+    of all closures are taken by left end, keeping the one that reaches
+    farthest so far: an interval starting before that reach overlaps it
+    in positive length unless the interval is a single point or only
+    touches the reach, and then the point is shared.  A point fails when
+    two of the closures holding it lack it on their boundary.
+    """
+    holders = {}  # point -> indices of the closures holding it
+    by_edge = {}
+    for i, s in enumerate(sets):
+        for v in s.closure.vertices:
+            holders.setdefault(TreePoint(vertex=v), set()).add(i)
+        for eid, intervals in s.closure.segments.items():
+            by_edge.setdefault(eid, []).extend((lo, hi, i) for lo, hi in intervals)
+    for eid, intervals in by_edge.items():
+        intervals.sort()
+        reach, holder = None, None
+        for lo, hi, i in intervals:
+            if reach is not None and reach >= lo:
+                if reach > lo and hi > lo:
+                    return False
+                holders.setdefault(tree.edge_point(eid, lo), set()).update((holder, i))
+            if reach is None or hi > reach:
+                reach, holder = hi, i
+    return not any(
+        sum(p not in sets[i].boundary for i in held) > 1
+        for p, held in holders.items()
+        if len(held) > 1
+    )
+
+
+def is_branch(tree, comp):
+    """Whether a set is a whole branch at its attachment a: the closure C
+    of the component of the tree minus a that holds its representative p.
+
+    That holds exactly when C holds p != a, every interval of C ending
+    inside an edge ends at a, every other vertex of C has all its edges
+    starting in C, and one edge germ at a leads into C.  Then C minus a
+    is open and closed in the tree minus a, so it is one component and
+    needs no connectedness test.  Germs are counted as interval ends, so
+    an a strictly inside an interval of C counts none.
+    """
+    c, a, p = comp.closure, comp.attachment, comp.repr_point
+    if p == a or not c.contains(p):
+        return False
+    germs = dict.fromkeys([a, *map(tree.vertex_point, c.vertices)], 0)
+    for eid, intervals in c.segments.items():
+        for lo, hi in intervals:
+            for end in (tree.edge_point(eid, lo), tree.edge_point(eid, hi)):
+                if end not in germs:
+                    return False
+                germs[end] += 1
+    return all(n == (1 if q == a else tree.degree(q.vertex)) for q, n in germs.items())
+
+
+def grade(openness_ok, chains_ok, disjoint_ok, full_ok, periods):
+    """The report the former classification gave for its four flags."""
+    if not (openness_ok and chains_ok and disjoint_ok):
+        label = "weak"
+    elif full_ok:
+        label = "topological (full)"
+    else:
+        label = "topological weak"
+    return AddingMachineReport(label, openness_ok, chains_ok, disjoint_ok, full_ok, periods)
+
+
+def classify_by_closures(cycles):
+    """The former `classify_adding_machine`, which read every closure:
+    openness by `is_branch`, disjointness of the deepest closures by
+    `meet_only_at_boundaries`, each in time linear in the closures."""
+    if not cycles:
+        raise PreconditionError("no cycle levels to classify")
+    tree = cycles[0].sets[0].closure.tree
+    # a list, not a generator: every set's attachment is read, in order
+    openness_ok = all([
+        not comp.closure.is_empty() and is_branch(tree, comp)
+        for cyc in cycles
+        for comp in cyc.sets
+    ])
+    deepest = cycles[-1]
+    chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
+    disjoint_ok = meet_only_at_boundaries(tree, deepest.sets)
+    distinct = {c.closure for c in deepest.sets}
+    full_ok = chains_ok and disjoint_ok and len(distinct) == deepest.period
+    return grade(openness_ok, chains_ok, disjoint_ok, full_ok, tuple(c.period for c in cycles))
+
+
+def former_classify(cycles):
+    """The per-set openness loop and pairwise disjointness loop that
+    `classify_by_closures` replaced: each set's component re-derived by
+    splitting the tree at its attachment, each pair of closures met."""
+    if not cycles:
+        raise PreconditionError("no cycle levels to classify")
+    tree = cycles[0].sets[0].closure.tree
+    openness_ok = True
+    for cyc in cycles:
+        for comp in cyc.sets:
+            if comp.closure.is_empty():
+                openness_ok = False
+                continue
+            others = tree.components_minus(tree.point_subtree(comp.attachment))
+            rederived = next((c for c in others if c.contains(comp.repr_point)), None)
+            if rederived is None or rederived.closure != comp.closure:
+                openness_ok = False
+    deepest = cycles[-1]
+    chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
+    disjoint_ok = True
+    for i in range(len(deepest.sets)):
+        for j in range(i + 1, len(deepest.sets)):
+            si, sj = deepest.sets[i], deepest.sets[j]
+            inter = si.closure.intersect(sj.closure)
+            if inter.is_empty():
+                continue
+            if measure(inter) != 0:
+                disjoint_ok = False
+                continue
+            allowed = set(si.boundary) | set(sj.boundary)
+            if any(p not in allowed for p in inter.corner_points()):
+                disjoint_ok = False
+    keys = {canonical_key(c.closure) for c in deepest.sets}
+    full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
+    return grade(openness_ok, chains_ok, disjoint_ok, full_ok, tuple(c.period for c in cycles))
+
+
+def assert_tower_facts(f, cycles):
+    """What `detect_cycles_of_sets` and `classify_adding_machine` prove
+    of a tower f carries, asserted on the tower itself:
+    - the deepest root set lies in the root set of every level (the
+      anchor is off every periodic set);
+    - f maps each set's representative point into the next set of its
+      cycle (f(y) is off P for y off P), and each attachment onto the
+      next attachment;
+    - the sets of a cycle are distinct, each a whole branch at its
+      attachment, and the deepest closures meet only at boundaries; so
+      the closures read afresh grade the tower as `classify_adding_machine`
+      does, "topological (full)" with every flag true.
+    """
+    root = cycles[-1].sets[0].repr_point
+    for cyc in cycles:
+        assert cyc.period == len(cyc.sets) == len({id(s) for s in cyc.sets})
+        assert cyc.sets[0].contains(root)
+        for i, s in enumerate(cyc.sets):
+            nxt = cyc.sets[(i + 1) % cyc.period]
+            assert nxt.contains(f.evaluate(s.repr_point))
+            assert f.evaluate(s.attachment) == nxt.attachment
+    report = classify_adding_machine(cycles)
+    assert report == classify_by_closures(cycles)
+    assert report.label == "topological (full)"
+    return report

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import islice
 from math import lcm
@@ -49,7 +50,15 @@ from dendrodyn.plmap import (
     identity_map,
     map_from_vertex_images,
 )
-from oracles import ComposingPowers, is_identity, orbit, outcome
+from oracles import (
+    ComposingPowers,
+    decision_corpus,
+    is_identity,
+    orbit,
+    outcome,
+    random_involution,
+    sagged,
+)
 
 
 def interval():
@@ -423,54 +432,6 @@ def composing_decide(f, piece_cap=DEFAULT_PIECE_CAP):
         ),
         reason="power-not-identity",
     )
-
-
-def random_involution(rng, k):
-    """The unit interval with k seeded pieces, t_i sent to t_(k-i)."""
-    t = interval()
-    cuts = [0]
-    for _ in range(k):
-        cuts.append(cuts[-1] + rng.randint(1, 9))
-    ts = [F(c, cuts[-1]) for c in cuts]
-    return PLTreeMap(t, {"e": [(ts[i], pt(t, ts[k - i])) for i in range(k + 1)]})
-
-
-def sagged(rng, f):
-    """f with a new breakpoint inside one piece, its image moved off the
-    piece's midpoint along the image arc; a homeomorphism stays one."""
-    tree = f.domain
-    eid = rng.choice(tree.edge_ids)
-    bps = list(f.breakpoints(eid))
-    i = rng.randrange(len(bps) - 1)
-    (t0, p0), (t1, p1) = bps[i], bps[i + 1]
-    arc = tree.arc(p0, p1)
-    share = F(rng.choice([1, 2, 3, 5, 6, 7]), 8)
-    bps.insert(i + 1, ((t0 + t1) / 2, arc.point_at(arc.length * share)))
-    table = {e: f.breakpoints(e) for e in tree.edge_ids}
-    table[eid] = bps
-    return PLTreeMap(tree, table)
-
-
-def two_sagged(rng, f):
-    return sagged(rng, sagged(rng, f))
-
-
-def decision_corpus(rng):
-    """The homeomorphisms, folding maps and sagged homeomorphisms every
-    decision test shares: (homeomorphisms, folding maps, sagged maps)."""
-    finite = [random_finite_order_map(seed, seed + 500)[1] for seed in range(150)]
-    towers = [
-        odometer_tower(len(ps), ps)[1]
-        for ps in ((2, 4), (3, 6), (2, 6, 12), (2, 4, 8), (2, 4, 8, 16), (2, 4, 8, 16, 32))
-    ]
-    rotations = [rotation_star(k)[1] for k in range(2, 31)]
-    homeos = finite + towers + rotations
-    homeos += [random_involution(rng, rng.randint(1, 12)) for _ in range(40)]
-    folding = [random_folding_map(seed)[1] for seed in range(100)]
-    with_edges = [f for f in homeos if f.domain.edge_ids]
-    sags = [sagged(rng, rng.choice(with_edges)) for _ in range(200)]
-    sags += [two_sagged(rng, rng.choice(with_edges)) for _ in range(200)]
-    return homeos, folding, sags
 
 
 def test_orbit_certificate_matches_the_composing_oracle(monkeypatch):
@@ -933,24 +894,68 @@ def test_labelled_walk_matches_the_former_loop():
     assert boundary > 200 and preperiodic > 100 and unresolved > 200
 
 
+def assert_samples_walk_as_former(f, horizon):
+    """Every grid sample walked at the horizon, as the sampled checks walk
+    the samples of a map that is not injective, against `former_walk`."""
+    for x in f.domain.grid_points(3):
+        assert_tail_matches_former_walk(f, x, 0, horizon)
+
+
 def test_orbit_checks_match_the_former_loop():
+    """On maps that are not injective the sampled checks walk their
+    samples and answer as the former loop, witnesses and undetermined
+    counts included.  On injective maps they walk nothing: the former
+    loop finds no preperiodic sample there, and the checks answer as it
+    does, less its count of undetermined samples."""
     rng = random.Random(77)
     maps = walk_maps() + [sagged(rng, rotation_star(3)[1]) for _ in range(6)]
     outcomes = set()
     for f in maps:
+        injective = f.is_injective()[0]
         for horizon in (1, 4, 60):
             got = check_full_invariance(f, horizon), check_no_preperiodic(f, horizon=horizon)
-            assert got == (former_full_invariance(f, horizon), former_no_preperiodic(f, horizon))
-            outcomes.update((r.status, r.detail != "") for r in got)
+            former = former_full_invariance(f, horizon), former_no_preperiodic(f, horizon)
+            if injective:
+                assert all(r.status == "pass" or r.witness.kind == "escaping-orbit" for r in former)
+                former = tuple(replace(r, detail="") if r.status == "pass" else r for r in former)
+            assert got == former
+            outcomes.update((injective, r.status, r.detail != "") for r in got)
         for x in f.domain.grid_points(1):
             for burn_in, window in ((0, 1), (3, 5), (20, 30)):
                 assert_tail_matches_former_walk(f, x, burn_in, window)
-    assert {("pass", True), ("pass", False), ("fail", False)} <= outcomes
+    assert {
+        (False, "pass", True), (False, "pass", False), (False, "fail", False),
+        (True, "pass", False), (True, "fail", False),
+    } <= outcomes
+
+
+def test_sampled_checks_walk_only_maps_that_are_not_injective():
+    """The proof that spares an injective map its sample walks, against
+    the former loop: over the decision corpus's homeomorphisms, sagged
+    and two-sagged ones included, the former loop finds no preperiodic
+    sample, and both checks pass without walking one.  On the tent and
+    the folding maps the checks walk, and answer as the former loop,
+    witnesses included."""
+    homeos, folding, sags = decision_corpus(random.Random(4242))
+    for f in homeos + sags:
+        assert former_full_invariance(f, 20).status == "pass"
+        assert former_no_preperiodic(f, 20) == CheckResult("pass")
+        assert check_full_invariance(f, 20) == check_no_preperiodic(f, horizon=20)
+        assert check_no_preperiodic(f, horizon=20) == CheckResult("pass")
+        assert f._orbits is None  # no orbit was walked, so no store was made
+    kinds = set()
+    for f in [tent_on(interval())] + folding:
+        for horizon in (4, 20):
+            got = check_full_invariance(f, horizon), check_no_preperiodic(f, horizon=horizon)
+            assert got == (former_full_invariance(f, horizon), former_no_preperiodic(f, horizon))
+            kinds.update((r.status, r.witness and r.witness.kind) for r in got)
+    assert {("fail", "preperiodic-sample"), ("fail", "escaping-orbit"), ("pass", None)} <= kinds
 
 
 def test_store_stays_within_its_budget_where_orbits_never_repeat():
-    """The shift, and an interval drift with fixed ends (surjective, so
-    the sampled orbits are walked), at horizon 1,000."""
+    """The shift, and an interval drift with fixed ends, each sample
+    walked at horizon 1,000 as the sampled checks walk the samples of a
+    map that is not injective."""
     t = interval()
     drift = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 1))]})
     for f in (shift_on(t), drift):
@@ -959,12 +964,12 @@ def test_store_stays_within_its_budget_where_orbits_never_repeat():
             assert vertex_period(f, v, 1000) == loop_vertex_period(f, v, 1000)
         for x in samples:
             assert_tail_matches_former_walk(f, x, 400, 600)
-        assert check_full_invariance(f, 1000) == former_full_invariance(f, 1000)
         store = f._orbits
         assert store.budget == ORBIT_STORE_PER_ITEM * (len(t.vertex_ids) + f.piece_count)
         assert len(store.succ) + len(store.labels) == store.budget
-    result = check_full_invariance(drift, 1000)
-    assert result.detail == "3 sample orbits undetermined at horizon 1000"
+    assert sum(_walk(drift, x, 1000) is None for x in t.grid_points(3)) == 3
+    assert former_full_invariance(drift, 1000).detail == "3 sample orbits undetermined at horizon 1000"
+    assert check_full_invariance(drift, 1000) == CheckResult("pass")
 
 
 def nearly_full_store(f, room):
@@ -1006,10 +1011,10 @@ def test_a_cycle_met_with_the_store_nearly_full_is_labelled_whole():
                             checked += 1
                 for v in tree.vertex_ids:
                     assert vertex_period(f, v, k) == loop_vertex_period(f, v, k)
-                assert check_full_invariance(f, k) == former_full_invariance(f, k)
+                assert_samples_walk_as_former(f, k)
             nearly_full_store(f, room)
-            assert check_full_invariance(f, 30) == former_full_invariance(f, 30)
-            assert check_no_preperiodic(f, horizon=30) == former_no_preperiodic(f, 30)
+            assert_samples_walk_as_former(f, 30)  # fills the store
+            assert_samples_walk_as_former(f, 30)  # reads it
     assert checked > 100
 
 

@@ -26,7 +26,13 @@ from dendrodyn.odometer import (
 )
 from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Component, Subtree
-from oracles import canonical_key, measure, valid_addresses
+from oracles import (
+    assert_tower_facts,
+    classify_by_closures,
+    decision_corpus,
+    former_classify,
+    valid_addresses,
+)
 
 
 def compatible(digits, periods):
@@ -355,6 +361,9 @@ def test_classify_tower_is_full():
 
 
 def test_classify_emptied_chain_is_weak():
+    """Detection never returns an emptied set, so only the two former
+    gradings still read one, and both grade it "weak"; the detected
+    cycle it was cut from is "topological (full)"."""
     tree, rot = rotation_star(3)
     good = detect_cycles_of_sets(rot, 1)[0]
     hollow = Component(
@@ -367,57 +376,16 @@ def test_classify_emptied_chain_is_weak():
         period=3,
         sets=(good.sets[0], hollow, good.sets[2]),
     )
-    report = classify_adding_machine((maimed,))
-    assert report.label == "weak"
-    assert not report.chains_ok
+    for former in (classify_by_closures, former_classify):
+        report = former((maimed,))
+        assert report.label == "weak"
+        assert not report.chains_ok
+    assert assert_tower_facts(rot, (good,)).chains_ok
 
 
 def test_classify_requires_cycles():
     with pytest.raises(PreconditionError):
         classify_adding_machine(())
-
-
-def former_classify(cycles):
-    """The former per-set openness loop and pairwise disjointness loop,
-    the oracle of `classify_adding_machine`."""
-    if not cycles:
-        raise PreconditionError("no cycle levels to classify")
-    tree = cycles[0].sets[0].closure.tree
-    openness_ok = True
-    for cyc in cycles:
-        for comp in cyc.sets:
-            if comp.closure.is_empty():
-                openness_ok = False
-                continue
-            others = tree.components_minus(tree.point_subtree(comp.attachment))
-            rederived = next((c for c in others if c.contains(comp.repr_point)), None)
-            if rederived is None or rederived.closure != comp.closure:
-                openness_ok = False
-    deepest = cycles[-1]
-    chains_ok = all(not c.closure.is_empty() for c in deepest.sets)
-    disjoint_ok = True
-    for i in range(len(deepest.sets)):
-        for j in range(i + 1, len(deepest.sets)):
-            si, sj = deepest.sets[i], deepest.sets[j]
-            inter = si.closure.intersect(sj.closure)
-            if inter.is_empty():
-                continue
-            if measure(inter) != 0:
-                disjoint_ok = False
-                continue
-            allowed = set(si.boundary) | set(sj.boundary)
-            if any(p not in allowed for p in inter.corner_points()):
-                disjoint_ok = False
-    periods = tuple(c.period for c in cycles)
-    keys = {canonical_key(c.closure) for c in deepest.sets}
-    full_ok = chains_ok and disjoint_ok and len(keys) == deepest.period
-    if not (openness_ok and chains_ok and disjoint_ok):
-        label = "weak"
-    elif full_ok:
-        label = "topological (full)"
-    else:
-        label = "topological weak"
-    return AddingMachineReport(label, openness_ok, chains_ok, disjoint_ok, full_ok, periods)
 
 
 def tampered(rng, cycles):
@@ -489,6 +457,11 @@ def outcome(classify, cycles):
 
 
 def test_classify_matches_the_former_loops():
+    """On the towers detection returns, the proven grade equals both
+    former gradings.  On tampered cycles, which detection never returns,
+    and on hand-built levels, the closure-reading grading that
+    `assert_tower_facts` asserts equals the former loops: it tells a
+    weak tower from a full one."""
     rng = random.Random(911)
     towers = [rotation_star(k)[1] for k in (2, 3, 5, 8)]
     towers += [odometer_tower(d, ps)[1] for d, ps in ((2, (2, 4)), (2, (3, 6)), (3, (2, 4, 8)))]
@@ -500,17 +473,17 @@ def test_classify_matches_the_former_loops():
         except PreconditionError:
             continue
         if cycles:
+            assert assert_tower_facts(f, cycles) == former_classify(cycles)
             real.append(cycles)
     labels = {}
-    cases = list(real) + [tampered(rng, rng.choice(real)) for _ in range(300)]
-    for cycles in cases:
-        got = outcome(classify_adding_machine, cycles)
+    for cycles in [tampered(rng, rng.choice(real)) for _ in range(300)]:
+        got = outcome(classify_by_closures, cycles)
         assert got == outcome(former_classify, cycles)
         if isinstance(got, AddingMachineReport):
             labels[got.label] = labels.get(got.label, 0) + 1
             labels[got.disjoint_ok, got.openness_ok] = 1
     for cycles, open_ in openness_cases():
-        got = classify_adding_machine(cycles)
+        got = classify_by_closures(cycles)
         assert got == former_classify(cycles)
         assert got.openness_ok == open_
     assert len(real) >= 15
@@ -521,15 +494,37 @@ def test_classify_matches_the_former_loops():
 def test_classify_maimed_matches_the_former_loops():
     tree, rot = rotation_star(3)
     good = detect_cycles_of_sets(rot, 1)[0]
+    assert assert_tower_facts(rot, (good,)) == former_classify((good,))
     hollow = Component(Subtree.empty(tree), (tree.vertex_point("c"),), good.sets[1].repr_point)
     maimed = CycleOfSets(1, 3, (good.sets[0], hollow, good.sets[2]))
-    assert classify_adding_machine((maimed,)) == former_classify((maimed,))
+    assert classify_by_closures((maimed,)) == former_classify((maimed,))
     # a set already not open does not stop the grading: the next set's two
     # contacts are still read, and refused
     c = tree.vertex_point("c")
     shut = Component(good.sets[0].closure, good.sets[0].boundary, c)
     torn = Component(good.sets[2].closure, (c, tree.vertex_point("l2")), good.sets[2].repr_point)
     cut = (CycleOfSets(1, 3, (shut, good.sets[1], torn)),)
-    refusal = outcome(classify_adding_machine, cut)
+    refusal = outcome(classify_by_closures, cut)
     assert refusal == outcome(former_classify, cut)
     assert refusal[0] is ConsistencyError
+
+
+def test_every_detected_tower_is_full_by_the_former_loops():
+    """Every tower detected at depths 1, 2, 4 and 8 over the decision
+    corpus and the shift: the former loops grade it "topological (full)"
+    with every flag true, as `classify_adding_machine` reports, and the
+    facts that detection rests on hold (`assert_tower_facts`)."""
+    homeos, folding, sags = decision_corpus(random.Random(4242))
+    maps = homeos + folding + sags + [shift_and_tent()["shift"][1]]
+    towers = refused = 0
+    for f in maps:
+        for depth in (8, 4, 2, 1):
+            try:
+                cycles = detect_cycles_of_sets(f, depth)
+            except PreconditionError:
+                refused += 1
+                continue
+            if cycles:
+                assert assert_tower_facts(f, cycles) == former_classify(cycles)
+                towers += 1
+    assert towers > 1000 and refused > 1000

@@ -7,21 +7,25 @@ no time budget: a quadratic step shows as a count that about quadruples
 when the star doubles.  On a star the periodic set is the same at every
 level, so the tree is split at most once, whatever the number of arms.
 On towers the tree is split once per distinct periodic set, and the
-openness test of the classification splits it not at all: it reads each
-set's own closure.  The running union of the fixed sets merges each
-distinct fixed set once.
+classification reads no set at all.  The running union of the fixed
+sets merges each distinct fixed set once.  From horizon 3 on, `verify`
+walks no grid sample of an injective map and probes no anchor.
 """
+
+import inspect
+import random
 
 import pytest
 
-from dendrodyn import MetricTree, PLTreeMap, save_instance_file
+from dendrodyn import MetricTree, PLTreeMap, dynamics, save_instance_file, verify
 from dendrodyn.cli import main
 from dendrodyn.dynamics import _periodic_levels
-from dendrodyn.fixtures import odometer_tower
+from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.odometer import classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, Subtree
 from dendrodyn.verify import run_checks
+from oracles import sagged
 
 
 def star_map(arms, moved):
@@ -122,3 +126,62 @@ def test_tower_union_merges_each_distinct_fixed_set_once(monkeypatch):
     for _, fixed, union in levels:
         running = running.union(fixed)
         assert union == running
+
+
+@pytest.mark.parametrize("horizon", [3, 1000])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: odometer_tower(3, (2, 4, 8)), lambda: (None, sagged(random.Random(7), rotation_star(5)[1]))],
+    ids=["tower", "sagged-rotation"],
+)
+def test_checks_walk_no_sample_and_probe_no_anchor(monkeypatch, build, horizon):
+    """An injective map has no strictly preperiodic sample, and every
+    anchor of P_3 is back within 3 steps: no grid sample other than a
+    vertex or breakpoint is walked, and `returns_to_components` is not
+    called."""
+    f = build()[1]
+    tree = f.domain
+    starts = []
+    plain = dynamics._walk
+
+    def walk(g, x, h):
+        if g is f:  # not a power the verdict check decides afresh
+            starts.append(x)
+        return plain(g, x, h)
+
+    tally = {"returns_to_components": 0}
+    monkeypatch.setattr(dynamics, "_walk", walk)
+    monkeypatch.setattr(verify, "_walk", walk)
+    counted(monkeypatch, dynamics, "returns_to_components", tally)
+    counted(monkeypatch, verify, "returns_to_components", tally)
+    records = run_checks(f, horizon=horizon)
+    assert not any(r.result.status == "fail" or r.undecided for r in records)
+    breaks = {tree.edge_point(piece.edge, piece.t0) for piece in f._pieces if piece.t0}
+    samples = set(tree.grid_points(3)[len(tree.vertex_ids):]) - breaks
+    assert starts and samples.isdisjoint(starts)
+    assert tally["returns_to_components"] == 0
+
+
+def test_classify_calls_no_subtree_method(monkeypatch):
+    _, f = odometer_tower(3, (2, 4, 8))
+    cycles = detect_cycles_of_sets(f, 8)
+    tally = {}
+    for cls in (Subtree, Component):
+        for name, attr in vars(cls).items():
+            plain = attr.__func__ if isinstance(attr, (classmethod, staticmethod)) else attr
+            if not inspect.isfunction(plain):
+                continue
+            key = f"{cls.__name__}.{name}"
+            tally[key] = 0
+
+            def wrapped(*args, _plain=plain, _key=key, **kwargs):
+                tally[_key] += 1
+                return _plain(*args, **kwargs)
+
+            if isinstance(attr, (classmethod, staticmethod)):
+                wrapped = type(attr)(wrapped)
+            monkeypatch.setattr(cls, name, wrapped)
+    report = classify_adding_machine(cycles)
+    monkeypatch.undo()
+    assert report.label == "topological (full)" and report.detected_periods == (2, 4, 8)
+    assert len(tally) > 20 and not any(tally.values()), tally

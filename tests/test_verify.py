@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,11 +9,20 @@ from dendrodyn.dynamics import (
     CheckResult,
     RecurrenceVerdict,
     Witness,
+    _walk,
     decide_pointwise_recurrent,
+    periodic_union,
+    returns_to_components,
 )
 from dendrodyn.fixtures import odometer_tower
-from dendrodyn.verify import CHECK_NAMES, _recurrence_verdict_consistency, run_checks
-from oracles import maps_equal
+from dendrodyn.plmap import DEFAULT_PIECE_CAP
+from dendrodyn.verify import (
+    CHECK_NAMES,
+    _periodic_points_totally_return,
+    _recurrence_verdict_consistency,
+    run_checks,
+)
+from oracles import decision_corpus, maps_equal, orbit
 
 
 def by_name(records):
@@ -268,9 +278,48 @@ def test_totally_return_catches_a_planted_failure(monkeypatch):
     rec = by_name(run_checks(f, horizon=3))["periodic-points-totally-return"]
     assert not rec.undecided
     assert rec.result == CheckResult("pass", detail="4 periodic points probed")
-    # a missing return from an orbit that closed within the horizon fails
+    # below horizon 3, where anchors are still probed, a missing return
+    # from an orbit that closed within the horizon fails: the flip's
+    # anchors have period at most 2
     monkeypatch.setattr(dendrodyn.verify, "returns_to_components", lambda *a, **k: False)
-    rec = by_name(run_checks(f, horizon=3))["periodic-points-totally-return"]
+    _, flip = build_fixture("flip")
+    rec = by_name(run_checks(flip, horizon=2))["periodic-points-totally-return"]
     assert not rec.undecided
     assert rec.result.status == "fail"
     assert rec.result.witness.kind == "missing-return"
+
+
+def former_totally_return(f, horizon):
+    """The former `periodic-points-totally-return`, which probed every
+    anchor at every horizon."""
+    anchors = periodic_union(f, 3).corner_points()
+    if not anchors:
+        return CheckResult("skipped", detail="no low-period points found")
+    others = f.domain.grid_points(1)
+    for x in anchors:
+        for y in [y for y in others[:5] if y != x][:4]:
+            if not returns_to_components(f, x, y, power=1, horizon=horizon):
+                if _walk(f, x, horizon) is None:
+                    return "undecided"
+                return CheckResult(
+                    "fail",
+                    witness=Witness("missing-return", (x, y)),
+                    detail="periodic point never re-entered its side of a cut",
+                )
+    return CheckResult("pass", detail=f"{len(anchors)} periodic points probed")
+
+
+def test_anchors_of_p3_return_within_three_steps():
+    """Every corner of P_3 is back at itself within 3 steps, by the plain
+    orbit, so from horizon 3 on the check that probes nothing answers as
+    the former probe loop: over the decision corpus and the tent."""
+    homeos, folding, sags = decision_corpus(random.Random(4242))
+    anchors = 0
+    for f in homeos + folding + sags + [build_fixture("tent")[1]]:
+        for x in periodic_union(f, 3).corner_points():
+            assert x in orbit(f, x, 3)[1:]
+            anchors += 1
+        for horizon in (3, 10):
+            got = _periodic_points_totally_return(f, horizon, DEFAULT_PIECE_CAP)
+            assert got == former_totally_return(f, horizon)
+    assert anchors > 2000
