@@ -434,11 +434,7 @@ def main(argv=None) -> int:
             }
             code = 2
 
-        rendered = (
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-            if args.format == "json"
-            else _render_text(report)
-        )
+        rendered = dio.dump_json(report) if args.format == "json" else _render_text(report)
         _emit(rendered, args.output)
     except (StructureError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,8 @@ The two sampled checks (`check_full_invariance`, `check_no_preperiodic`)
 fail only on a strictly preperiodic sample, and an injective map has no
 strictly preperiodic point; so they walk samples only on a map that is
 not injective, and an injective one is decided by its onto-ness alone.
+The radial check (`check_no_radial_stretch`) cannot fail on a certified
+map, so it walks samples only on a map with no certificate.
 
 A homeomorphism is decided by bounded orbit walks, with no bound on its
 period and no composition (`_certificate`): each vertex and interior
@@ -724,12 +726,25 @@ def check_no_radial_stretch(
     fixed anchor of the n-th power: the arc [anchor, t] never sits inside
     [anchor, f^n(t)).  Pointwise-recurrent maps can never do this.
 
-    Each sample's image f^n(t) is read from the orbit store once.  The
-    anchors that t pushes outward are those outside the component of the
-    tree minus t that holds the image, and the least of them comes from
-    `MetricTree.first_separated`.  The witness is the least such anchor,
-    with the first sample that it serves.
+    A certified map (`_certificate`: f^N is the identity) passes with no
+    sample walked.  f^n is a homeomorphism fixing each anchor a.  If
+    [a, t] lay strictly inside [a, f^n(t)], then f^n would map [a, t]
+    onto that larger arc, and applying f^n again keeps a strict
+    inclusion, so the arcs f^(kn)([a, t]) would form a strictly
+    increasing chain; but f^(Nn) is the identity and brings [a, t] back
+    to itself.  Fix(f^n) holds Fix(f), which is never empty on a tree, so
+    the answer there is never "skipped".
+
+    On any other map each sample's image f^n(t) is read from the orbit
+    store once.  The anchors that t pushes outward are those outside the
+    component of the tree minus t that holds the image, and the least of
+    them comes from `MetricTree.first_separated`.  The witness is the
+    least such anchor, with the first sample that it serves.
     """
+    if n < 1:
+        raise PreconditionError("power must be at least 1")
+    if _certificate(f) is not None:
+        return CheckResult(status="pass")
     tree = f.domain
     fixed = fixed_set(f, n, piece_cap)
     anchors = list(fixed.corner_points())

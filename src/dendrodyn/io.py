@@ -16,7 +16,14 @@ validates each distinct rational string and each distinct point object
 once and hands out the same value for every repeat.  A value that is
 not a string, or a point with a field that is not, is never kept (a list
 or an object could not be a key): it is read afresh wherever it stands,
-so a malformed one is refused there.
+so a malformed one is refused there.  The map's breakpoint builder
+takes the values as read (`PLTreeMap._from_read_table`) and validates
+none of them again.
+
+Every instance file and every JSON report of the command line is
+written by one writer, `dump_json`: the bytes of `json.dumps(obj,
+sort_keys=True, indent=2)` and a newline, without the standard library's
+pure-Python encoder, which it uses whenever `indent` is set.
 """
 
 from __future__ import annotations
@@ -211,7 +218,8 @@ def map_from_json(obj) -> tuple:
     """The tree of an instance, and its map or None, in one pass.
 
     Every value goes through one `_Reader`, so a repeated rational or
-    point is parsed and validated once for the whole load.
+    point is parsed and validated once for the whole load, and the map's
+    builder takes the values as read, validating none again.
     """
     reader = _Reader()
     tree = _tree_from_json(obj, reader)
@@ -236,7 +244,7 @@ def map_from_json(obj) -> tuple:
                 raise StructureError(f"bad breakpoint on edge {eid!r}: {bp!r}")
             bps.append((reader.rational(bp["t"]), reader.point(bp["image"], tree)))
         table[eid] = bps
-    f = PLTreeMap(tree, table)
+    f = PLTreeMap._from_read_table(tree, table)
     for v in tree.vertex_ids:
         if f.vertex_image(v) != vimg[v]:
             raise StructureError(
@@ -245,9 +253,69 @@ def map_from_json(obj) -> tuple:
     return tree, f
 
 
+_escape = json.encoder.encode_basestring_ascii  # the standard library's C string encoder
+
+
+def dump_json(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\\n"`, byte for byte.
+
+    With `indent` set the standard library encodes in pure Python, one
+    generator per level; this writer appends to one list instead.  It
+    takes what reports and instances hold: dicts with `str` keys, lists
+    and tuples, strings, ints, booleans and None.  Anything else, a float
+    or a key that is not a string among them, raises `TypeError`.
+    """
+    out = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, out: list, newline: str) -> None:
+    """Append obj's JSON to out; `newline` is the line break and indent of
+    obj's own level."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            _write(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dump_instance(tree: MetricTree, f: PLTreeMap | None = None) -> str:
-    obj = tree_to_json(tree) if f is None else map_to_json(f)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return dump_json(tree_to_json(tree) if f is None else map_to_json(f))
 
 
 def load_instance(text: str) -> tuple:

@@ -9,8 +9,10 @@ import pytest
 
 import dendrodyn
 from dendrodyn import MetricTree, PLTreeMap, build_fixture, cli, plmap, save_instance_file
+from dendrodyn import io as dio
 from dendrodyn.cli import DEPTH_DEFAULT, MAX_ANALYZE_SIZE, MAX_DEPTH, _build_parser, main
 from dendrodyn.dynamics import MAX_PERIOD_DEFAULT
+from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import MAX_VERTICES, load_instance_file
 from dendrodyn.tree import MAX_DIGITS
 
@@ -656,6 +658,57 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     main(["verify", path, "--format", "json", "-o", str(a)])
     main(["verify", path, "--format", "json", "-o", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def written_reports(monkeypatch):
+    """The objects the CLI hands its JSON writer, in order."""
+    reports = []
+    plain = dio.dump_json
+
+    def recorded(obj):
+        reports.append(obj)
+        return plain(obj)
+
+    monkeypatch.setattr(dio, "dump_json", recorded)
+    return reports
+
+
+WRITER_FIXTURES = [(kind, ["seed=11"] if kind.startswith("random") else [])
+                   for kind in FIXTURE_KINDS]
+WRITER_FIXTURES += [("tower", ["periods=2,4,8"]), ("tower", ["periods=3,6"])]
+
+
+def test_every_json_report_is_the_standard_librarys(tmp_path, capsys, monkeypatch):
+    """Every `--format json` report, inconclusive ones included, and every
+    fixture file is byte for byte what `json.dumps(obj, sort_keys=True,
+    indent=2)` writes for the object the CLI wrote."""
+    reports = written_reports(monkeypatch)
+
+    def oracle():
+        return [json.dumps(obj, sort_keys=True, indent=2) + "\n" for obj in reports]
+
+    path = tmp_path / "inst.json"
+    codes = set()
+    for kind, params in WRITER_FIXTURES:
+        reports.clear()
+        argv = ["fixture", kind, *(f"--param={p}" for p in params), "-o", str(path)]
+        assert main(argv) == 0
+        assert [path.read_text()] == oracle()
+        vertex = load_instance_file(path)[0].vertex_ids[-1]
+        runs = [[command, str(path)] for command in ("recurrence", "analyze", "odometer", "verify")]
+        runs += [["classify", str(path), "--point", vertex],
+                 ["verify", str(path), "--horizon", "1"],
+                 ["analyze", str(path), "--depth", "12", "--piece-cap", "100"]]
+        for run in runs:
+            reports.clear()
+            code = main(run + ["--format", "json"])
+            codes.add(code)
+            out = capsys.readouterr().out
+            if code == 3:  # refused: no report
+                assert (out, reports) == ("", []), (kind, run)
+            else:
+                assert [out] == oracle(), (kind, run)
+    assert codes == {0, 1, 2, 3}
 
 
 def test_text_rendering_mentions_the_essentials(tmp_path, capsys):

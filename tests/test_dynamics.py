@@ -1100,6 +1100,47 @@ def former_radial(f, n=1, piece_cap=DEFAULT_PIECE_CAP):
     return CheckResult(status="pass")
 
 
+def test_certified_radial_check_walks_no_sample(monkeypatch):
+    """A certified map passes from its certificate, for n = 1, 2 and 3:
+    no image read off the store, no anchor ordering and no sample grid,
+    and the same result as the former loop.  Over the decision corpus's
+    homeomorphisms, towers among them, and two more towers."""
+    homeos, _, _ = decision_corpus(random.Random(4242))
+    homeos += [odometer_tower(3, (2, 4, 8))[1], odometer_tower(2, (3, 6))[1]]
+    images = count_calls(monkeypatch, dynamics, "_power_image")
+    separated = count_calls(monkeypatch, MetricTree, "first_separated")
+    grids = count_calls(monkeypatch, MetricTree, "grid_points")
+    for f in homeos:
+        assert _certificate(f) is not None
+        for n in (1, 2, 3):
+            got = check_no_radial_stretch(f, n)
+            assert (images, separated, grids) == ([], [], [])
+            assert got == former_radial(f, n) == CheckResult("pass")
+            for calls in (images, separated, grids):
+                calls.clear()
+
+
+def test_radial_check_refuses_power_zero():
+    t = interval()
+    for f in (flip_on(t), tent_on(t), sagged(random.Random(5), rotation_star(3)[1])):
+        with pytest.raises(PreconditionError):
+            check_no_radial_stretch(f, 0)
+
+
+def test_uncertified_homeomorphism_still_fails_the_radial_check():
+    """The PL homeomorphism of [0, 1] fixing 0 and 1 with f(1/2) = 3/4 is
+    injective and onto but not periodic: it has no certificate, and it
+    pushes points outward from the anchor 0."""
+    t = interval()
+    f = PLTreeMap(t, {"e": [(0, pt(t, 0)), (F(1, 2), pt(t, F(3, 4))), (1, pt(t, 1))]})
+    assert f.is_injective()[0] and _certificate(f) is None
+    for n in (1, 2, 3):
+        got = check_no_radial_stretch(f, n)
+        assert got.status == "fail"
+        assert got.witness.points[0] == pt(t, 0)
+        assert got == former_radial(f, n)
+
+
 def test_radial_witness_matches_the_former_loop():
     rng = random.Random(3407)
     maps = walk_maps() + [random_folding_map(seed)[1] for seed in range(16, 60)]
