@@ -16,9 +16,7 @@ validates each distinct rational string and each distinct point object
 once and hands out the same value for every repeat.  A value that is
 not a string, or a point with a field that is not, is never kept (a list
 or an object could not be a key): it is read afresh wherever it stands,
-so a malformed one is refused there.  The map's breakpoint builder
-takes the values as read (`PLTreeMap._from_read_table`) and validates
-none of them again.
+so a malformed one is refused there.
 
 Every instance file and every JSON report of the command line is
 written by one writer, `dump_json`: the bytes of `json.dumps(obj,
@@ -218,8 +216,7 @@ def map_from_json(obj) -> tuple:
     """The tree of an instance, and its map or None, in one pass.
 
     Every value goes through one `_Reader`, so a repeated rational or
-    point is parsed and validated once for the whole load, and the map's
-    builder takes the values as read, validating none again.
+    point is parsed and validated once for the whole load.
     """
     reader = _Reader()
     tree = _tree_from_json(obj, reader)
@@ -244,7 +241,7 @@ def map_from_json(obj) -> tuple:
                 raise StructureError(f"bad breakpoint on edge {eid!r}: {bp!r}")
             bps.append((reader.rational(bp["t"]), reader.point(bp["image"], tree)))
         table[eid] = bps
-    f = PLTreeMap._from_read_table(tree, table)
+    f = PLTreeMap(tree, table)
     for v in tree.vertex_ids:
         if f.vertex_image(v) != vimg[v]:
             raise StructureError(

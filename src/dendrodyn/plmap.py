@@ -13,17 +13,15 @@ facts about it decided here, its image and its injectivity, once asked;
 and it holds one slot for `dynamics`, whose per-map store (orbits,
 certificate, fixed sets of powers) is opaque to this module.
 
-A map is built two ways.  The table constructor reads and validates
-breakpoints and asks the tree for each piece's arc; it is the entry
-point for fixtures and users, and it refuses a table whose pieces and
-image arcs together pass `MAX_TABLE_SIZE`.  A file's table, whose values
-`io` has already read and validated, goes through the same builder
-(`_build`) with nothing read again (`_from_read_table`).  Derived maps
-(`compose` and `normalize`) are built pieces first, from pieces whose
-arcs are cut (`Arc.window`), reversed or joined from arcs the map
-already stores, so they ask the tree for no arc and validate nothing
-again.  `normalize` is the one merge routine: `compose` goes through it,
-and it keeps the pieces it does not merge.
+A map is built two ways.  The table constructor validates breakpoints
+and asks the tree for each piece's arc; it is the entry point for files,
+fixtures and users, and it refuses a table whose pieces and image arcs
+together pass `MAX_TABLE_SIZE`.  Derived maps (`compose` and
+`normalize`) are built pieces first, from pieces whose arcs are cut
+(`Arc.window`), reversed or joined from arcs the map already stores, so
+they ask the tree for no arc and validate nothing again.  `normalize` is
+the one merge routine: `compose` goes through it, and it keeps the
+pieces it does not merge.
 
 The fixed points of a composition are solved from its two factors,
 without building it (`composite_fixed_set`): the solve walks the cuts
@@ -113,42 +111,18 @@ class PLTreeMap:
     )
 
     def __init__(self, domain: MetricTree, table):
-        validate = domain.validate_point
-
-        def read(raw):
-            return zip(*[(as_fraction(t), validate(p)) for t, p in raw])
-
-        self._build(domain, table, read)
-        extra = set(table) - set(domain.edge_ids)
-        if extra:
-            raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
-
-    @classmethod
-    def _from_read_table(cls, domain: MetricTree, table) -> "PLTreeMap":
-        """The map of a table read as `io` reads a file: one breakpoint list
-        for each edge of `domain` and none for any other, each parameter
-        already a `_Q` and each point already a point of `domain`.  It is
-        checked as the constructor checks it, with no value read again."""
-        f = cls.__new__(cls)
-        f._build(domain, table, lambda raw: zip(*raw))
-        return f
-
-    def _build(self, domain: MetricTree, table, read) -> None:
-        """The one breakpoint builder: per edge, at least two breakpoints,
-        read into parameters and points by `read`, spanning [0, 1] and
-        increasing, ends that agree on each vertex's image, and one piece
-        with its arc between each two, within `MAX_TABLE_SIZE`."""
         vimg: dict = {}
         pieces = []
         edge_index = {}
         size = 0
+        validate = domain.validate_point
         for eid in domain.edge_ids:
             if eid not in table:
                 raise StructureError(f"no breakpoints for edge {eid!r}")
             raw = list(table[eid])
             if len(raw) < 2:
                 raise StructureError(f"edge {eid!r} needs at least two breakpoints")
-            params, images = read(raw)
+            params, images = zip(*[(as_fraction(t), validate(p)) for t, p in raw])
             if params[0] != ZERO or params[-1] != ONE:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
             # two breakpoints spanning [0, 1] increase
@@ -160,7 +134,7 @@ class PLTreeMap:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
             mine = []
             for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):
-                arc = domain._arc(p0, p1)  # both ends are points of the domain
+                arc = domain._arc(p0, p1)  # both ends validated above
                 size += 1 + len(arc.segments)
                 if size > MAX_TABLE_SIZE:
                     raise StructureError(
@@ -169,6 +143,9 @@ class PLTreeMap:
                 mine.append(_Piece(eid, t0, t1, p0, p1, arc))
             pieces.extend(mine)
             edge_index[eid] = (params, tuple(mine))
+        extra = set(table) - set(domain.edge_ids)
+        if extra:
+            raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
         self._fill(domain, vimg, pieces, edge_index)
 
     @classmethod

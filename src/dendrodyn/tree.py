@@ -364,11 +364,12 @@ class MetricTree:
         self._ekeys = tuple(sorted(edict, key=str))
 
         # One rooting, linear in the vertex count: each vertex keeps its
-        # parent edge and the preorder window [tin, tout) that numbers
-        # exactly its subtree, so "u is an ancestor of w" is two integer
-        # comparisons.  Its distance from the root waits for `distance`.
+        # parent edge, its distance from the root, and the preorder window
+        # [tin, tout) that numbers exactly its subtree, so "u is an
+        # ancestor of w" is two integer comparisons.
         root = self._vkeys[0]
         up = {root: None}
+        rdist = {root: ZERO}
         order = []
         stack = [root]
         while stack:
@@ -377,6 +378,7 @@ class MetricTree:
             for eid, y in self._adj[x]:
                 if y not in up:
                     up[y] = (x, eid)
+                    rdist[y] = rdist[x] + edict[eid].length
                     stack.append(y)
         if len(order) != len(vs):
             raise StructureError("tree is not connected")
@@ -385,7 +387,7 @@ class MetricTree:
         for x in reversed(order[1:]):
             size[up[x][0]] += size[x]
         self._up = up
-        self._rdist = None  # vertex -> distance from the root, made on first use
+        self._rdist = rdist
         self._tin = tin
         self._tout = {x: tin[x] + size[x] for x in order}
         self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
@@ -532,19 +534,13 @@ class MetricTree:
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
         self.validate_point(b)
-        rdist = self._rdist
-        if rdist is None:
-            rdist = self._rdist = {}
-            for x in self._tin:  # in preorder, so each parent comes first
-                up = self._up[x]
-                rdist[x] = ZERO if up is None else rdist[up[0]] + self._edges[up[1]].length
         ca, ha = self._lower_end(a)
         cb, hb = self._lower_end(b)
-        ra = rdist[ca] - ha
-        rb = rdist[cb] - hb
+        ra = self._rdist[ca] - ha
+        rb = self._rdist[cb] - hb
         # The root paths of a and b merge at whichever of a, b and the lca
         # of their lower ends lies nearest the root.
-        meet = min(ra, rb, rdist[self._lca(ca, cb)])
+        meet = min(ra, rb, self._rdist[self._lca(ca, cb)])
         return ra + rb - 2 * meet
 
     def _vertex_path(self, u, w):

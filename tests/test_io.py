@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 import dendrodyn.io
-import dendrodyn.plmap
 from dendrodyn import MetricTree, PLTreeMap, StructureError, build_fixture
 from dendrodyn.cli import main
 from dendrodyn.fixtures import FIXTURE_KINDS
@@ -420,40 +419,6 @@ def test_point_fields_that_are_not_strings_are_read_afresh(tmp_path, capsys):
     assert refused > 60
 
 
-def rotation_with(edits):
-    """The 3-arm rotation's file with `edits(obj)` applied."""
-    obj = json.loads(dump_instance(*build_fixture("rotation", {"arms": "3"})))
-    edits(obj)
-    return obj
-
-
-def bps(obj, eid):
-    return obj["edge_pieces"][eid]
-
-
-BUILDER_ERRORS = {
-    "one breakpoint": lambda o: bps(o, "a1").pop(),
-    "no span": lambda o: bps(o, "a1")[-1].update(t="1/2"),
-    "no increase": lambda o: bps(o, "a1").insert(1, {"t": "1/1", "image": {"vertex": "c"}}),
-    "ends disagree": lambda o: bps(o, "a1")[0].update(image={"vertex": "l0"}),
-    "two errors": lambda o: (bps(o, "a2").pop(), bps(o, "a1")[-1].update(t="1/2")),
-    "one breakpoint, and a bad one": lambda o: (bps(o, "a2").pop(), bps(o, "a2")[0].update(t="x")),
-}
-
-
-@pytest.mark.parametrize("name", BUILDER_ERRORS)
-def test_a_file_is_refused_by_the_builder_as_the_constructor_refuses_it(name):
-    got, want = loaded_by_both(rotation_with(BUILDER_ERRORS[name]))
-    assert isinstance(want, str) and got == want
-
-
-def test_a_file_past_the_table_size_is_refused_as_by_the_constructor(monkeypatch):
-    obj = rotation_with(lambda o: None)
-    monkeypatch.setattr(dendrodyn.plmap, "MAX_TABLE_SIZE", 5)
-    got, want = loaded_by_both(obj)
-    assert got == want == "the map has more than 5 pieces and image-arc segments"
-
-
 def record_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that records the last argument of each call."""
     seen = []
@@ -468,9 +433,9 @@ def record_calls(monkeypatch, owner, name):
 
 
 def test_a_load_parses_and_validates_each_value_once(monkeypatch):
-    """Each distinct rational string is parsed once and each distinct
-    point object built once, by the reader; the map's builder takes them
-    as read, validating no point again, and builds the arcs."""
+    """Each distinct rational string is parsed once, each distinct point
+    object built once, and each breakpoint validated once, by the table
+    constructor, which then builds its arc unvalidated."""
     obj = json.loads(midpoint_path(40))
     obj["vertex_images"]["p0"] = {"vertex": "p1"}  # a vertex point too
     obj["edge_pieces"]["e0"][0]["image"] = {"vertex": "p1"}
@@ -488,4 +453,4 @@ def test_a_load_parses_and_validates_each_value_once(monkeypatch):
     assert sorted(parsed) == sorted(set(strings))
     distinct = {json.dumps(p, sort_keys=True) for p in points}
     assert len(vertices) + len(edge_points) == len(distinct)
-    assert validated == []
+    assert len(validated) == sum(len(bps) for bps in obj["edge_pieces"].values())
