@@ -7,6 +7,14 @@ cycles of sets: at each depth the complement of the periodic points
 breaks into components the map permutes cyclically, and the index chain
 of a point through those components is its address.
 
+Each set of a tower is a whole branch of the tree at its one attachment
+(`classify_adding_machine`), so it is named by that point and by a side
+of it: a child's preorder window, or up toward the root.  Detection
+follows a cycle by sending (attachment, point) to their images and
+checks each branch against the periodic set, splitting no tree; a point's
+set is found by one bisection over the cycle's windows, and a set's
+closure is built from its window only when it is read.
+
 Everything is finite-depth: a finite tree only ever shows a truncation
 of the tower, so fullness is certified per depth, never asserted in the
 limit.
@@ -14,12 +22,13 @@ limit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .dynamics import CheckResult, Witness, _periodic_levels
-from .errors import ConsistencyError, PreconditionError, StructureError
+from .errors import PreconditionError, StructureError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
-from .tree import Component, TreePoint
+from .tree import ONE, ZERO, Subtree, TreePoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,35 +86,116 @@ def tau(a: OdometerAddress) -> OdometerAddress:
 
 
 # -- cycles of sets --------------------------------------------------------
+#
+# A point's key is its place in the rooting's preorder of points: its lower
+# vertex's preorder number, then minus its share up that vertex's parent edge
+# (`MetricTree._position`).  So the closed part of the tree below a point a
+# with lower vertex w, a and all it sits above, is the keys in
+# [key(a), (tout[w], -1)), and the part below a vertex v through one child c
+# is the keys strictly between (tin[c], -1) and (tout[c], -1).
 
 
-def _locator(comps):
-    """A lookup from a point to the index of the first component holding it.
+def _key(tree, x: TreePoint) -> tuple:
+    w, h = tree._position(x)
+    return (tree._tin[w], -h)
 
-    A component holds an edge point only if its closure has an interval
-    on that edge, and a vertex only if the vertex is in its closure and
-    not on its boundary.  So each lookup tries the few components filed
-    under the point's edge or vertex, not every component.
+
+def _window(tree, a: TreePoint, r: TreePoint) -> tuple:
+    """(lo, hi, up) for the branch of the tree minus a that holds r != a.
+    A branch below a holds the keys strictly between lo and hi: a child's
+    window when a is a vertex, else the part below a on its edge and
+    under.  The branch up toward the root (up true) holds every key
+    outside [lo, hi), the closed part below a."""
+    ka, kr = _key(tree, a), _key(tree, r)
+    end = (tree._tout[tree._lower_vertex(a)], -1)
+    if not ka < kr < end:
+        return (ka, end, True)
+    if a.edge is None:
+        c_in, c_out = tree._child_window(a.vertex, tree._lower_vertex(r))
+        return ((c_in, -1), (c_out, -1), False)
+    return (ka, end, False)
+
+
+def _holds(window: tuple, k: tuple) -> bool:
+    lo, hi, up = window
+    return not lo <= k < hi if up else lo < k < hi
+
+
+def _branch(tree, a: TreePoint, window: tuple) -> tuple:
+    """The vertices of a branch at a, and its edge intervals (eid, lo, hi).
+
+    The window's preorder slice, or the rest of the preorder for the
+    branch up toward the root, is the branch's vertices.  Each but the
+    root brings its parent edge, and the branch up brings the edge just
+    above a's lower vertex too: whole, or on a's own edge the part on the
+    branch's side of a.
     """
-    filed: dict = {}
-    for i, c in enumerate(comps):
-        for eid in c.closure.segments:
-            filed.setdefault(("edge", eid), []).append(i)
-        boundary = {p.vertex for p in c.boundary if p.is_vertex}
-        for v in c.closure.vertices:
-            if v not in boundary:
-                filed.setdefault(("vertex", v), []).append(i)
+    lo, hi, up = window
+    order, parent = tree._preorder(), tree._up
+    verts = order[: lo[0]] + order[hi[0] :] if up else order[lo[0] : hi[0]]
+    eids = [parent[y][1] for y in verts if parent[y] is not None]
+    low = tree._lower_vertex(a)
+    if up and parent[low] is not None:
+        eids.append(parent[low][1])
+    pieces = []
+    for eid in eids:
+        if eid != a.edge:
+            pieces.append((eid, ZERO, ONE))
+        elif (tree._edges[eid].w == low) != up:  # the branch runs to parameter 1
+            pieces.append((eid, a.t, ONE))
+        else:
+            pieces.append((eid, ZERO, a.t))
+    return verts, pieces
 
-    def locate(p: TreePoint):
-        key = ("vertex", p.vertex) if p.is_vertex else ("edge", p.edge)
-        return next((i for i in filed.get(key, ()) if comps[i].contains(p)), None)
 
-    return locate
+def _edge_order(piece) -> str:
+    return str(piece[0])
+
+
+class TowerSet:
+    """A set of a detected cycle: the branch of the tree minus its
+    attachment that holds its representative point, given by a window
+    (`_window`).  Detection checks that the branch misses the periodic
+    set, so it is a component of the tree minus that set with the one
+    boundary point `attachment`.  The representative point is the
+    midpoint of the branch's least interval in edge order, the point
+    `MetricTree.components_minus` picks; the closure is built from the
+    window, in canonical form, when it is first read.
+    """
+
+    __slots__ = ("tree", "attachment", "repr_point", "window", "_closure")
+
+    def __init__(self, tree, attachment: TreePoint, repr_point: TreePoint, window: tuple):
+        self.tree = tree
+        self.attachment = attachment
+        self.repr_point = repr_point
+        self.window = window
+        self._closure = None
+
+    @property
+    def boundary(self) -> tuple:
+        return (self.attachment,)
+
+    def contains(self, p: TreePoint) -> bool:
+        return _holds(self.window, _key(self.tree, self.tree.validate_point(p)))
+
+    @property
+    def closure(self) -> Subtree:
+        if self._closure is None:
+            verts, pieces = _branch(self.tree, self.attachment, self.window)
+            segments = {eid: ((lo, hi),) for eid, lo, hi in sorted(pieces, key=_edge_order)}
+            if self.attachment.edge is None:
+                verts.append(self.attachment.vertex)
+            self._closure = Subtree(self.tree, segments, frozenset(verts))
+        return self._closure
+
+    def __repr__(self):
+        return f"TowerSet(attachment={self.attachment!r}, repr_point={self.repr_point!r})"
 
 
 @dataclass(frozen=True, slots=True)
 class CycleOfSets:
-    """Components cyclically permuted by the map at one depth.
+    """Sets cyclically permuted by the map at one depth.
 
     `sets[i]` maps into `sets[(i + 1) % period]` and touches the removed
     periodic set in the single point `sets[i].attachment`.
@@ -115,59 +205,152 @@ class CycleOfSets:
     level: int
     period: int
     sets: tuple
-    _locate: object = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_locate", _locator(self.sets))
+    _windows: object = field(default=None, init=False, repr=False, compare=False)
 
     def index_of(self, x: TreePoint):
-        """The index of the first set holding x, or None."""
-        return self._locate(x)
+        """The index of the set holding x, or None."""
+        tree = self.sets[0].tree
+        return self._index(_key(tree, tree.validate_point(x)))
+
+    def _index(self, k: tuple):
+        """The index of the set holding the point with key k, or None: one
+        bisection over the windows of the sets below their attachments,
+        which are disjoint, then the one set, if any, that runs up toward
+        the root."""
+        if self._windows is None:
+            below, up = [], None
+            for i, s in enumerate(self.sets):
+                w = _window(s.tree, s.attachment, s.repr_point)
+                if w[2]:
+                    up = (w, i)
+                else:
+                    below.append((w[0], w[1], i))
+            below.sort()
+            object.__setattr__(self, "_windows", ([lo for lo, _, _ in below], below, up))
+        los, below, up = self._windows
+        j = bisect_left(los, k) - 1
+        if j >= 0 and k < below[j][1]:
+            return below[j][2]
+        if up is not None and _holds(up[0], k):
+            return up[1]
+        return None
 
 
-def _follow_cycle(f: PLTreeMap, comps, locate, start: Component):
-    """Order the components reachable from `start` by repeated application
-    of the map.  `locate` is the `_locator` of `comps`, the components of
-    the complement of P = Fix(f) ∪ ... ∪ Fix(f^n).
+def _refuse(tree, removed: Subtree, x: TreePoint):
+    """Refuse the component of the tree minus `removed` that holds x,
+    which touches it at other than one point: split the tree to count."""
+    comp = next(c for c in tree.components_minus(removed) if c.contains(x))
+    raise PreconditionError(
+        f"a component on the cycle touches the periodic set at "
+        f"{len(comp.boundary)} points, so it is no set of an adding machine"
+    )
 
-    Each set maps into the next one, with no check needed.  f is
-    injective (`detect_cycles_of_sets` refuses any other map).  It maps
-    each Fix(f^k) into itself, and onto it, since x = f(f^(k-1)(x)) there;
-    so f(P) = P.  A point y off P then has f(y) off P, or f(y) = f(z) for
-    some z in P and y = z.  So f carries a component C into one component,
-    the one holding f of C's representative point, and by continuity its
-    closure into that component's closure.  In particular f of C's
-    representative point is off P, so `locate` finds the component that
-    holds it.  The tests assert both on every tower they detect, among
-    them those of the shift and of random homeomorphisms.
+
+def _tower_set(tree, removed: Subtree, a: TreePoint, x: TreePoint) -> TowerSet:
+    """The set holding x, a point off `removed`, when the branch of the
+    tree minus a that holds x misses `removed`, for a in `removed`; else
+    the refusal.
+
+    A branch B missing the removed set P is open, connected and closed in
+    the tree minus a, so the component of the tree minus P that holds x
+    lies in B and is B, with the one boundary point a.  The callers pass
+    the only a that can be the attachment of x's component C, so when B
+    meets P, C has other than one contact, and is refused.
+    """
+    window = _window(tree, a, x)
+    verts, pieces = _branch(tree, a, window)
+    segments, inside = removed.segments, removed.vertices
+    if any(y in inside for y in verts) or any(
+        lo < hi_p and lo_p < hi for eid, lo, hi in pieces for lo_p, hi_p in segments.get(eid, ())
+    ):
+        _refuse(tree, removed, x)
+    eid, lo, hi = min(pieces, key=_edge_order)
+    return TowerSet(tree, a, tree.edge_point(eid, (lo + hi) / 2), window)
+
+
+def _first_attachment(tree, removed: Subtree, x: TreePoint) -> TreePoint:
+    """The only point of `removed` that can be the attachment of the
+    component C of the tree minus it that holds x.
+
+    If C has one contact a, C is the branch at a holding x (see
+    `classify_adding_machine`).  Walking from x toward the root, the
+    first point of the removed set met is then a, since the walk runs in
+    C until it leaves it through its boundary.  When the walk meets none,
+    C holds the root; so it is the branch up from a, the removed set
+    lies in the closed part below a, and a is its corner first in
+    preorder (`_key`).
+    """
+    segments, inside = removed.segments, removed.vertices
+    w, share = tree._position(x)
+    while tree._up[w] is not None:
+        p, eid = tree._up[w]
+        at_one = tree._edges[eid].w == w  # w's end of its parent edge is parameter 1
+        ends = [(ONE - t if at_one else t, t) for iv in segments.get(eid, ()) for t in iv]
+        above = [end for end in ends if end[0] > share]  # (share up from w, parameter)
+        if above:
+            return tree.edge_point(eid, min(above)[1])
+        if p in inside:
+            return tree.vertex_point(p)
+        w, share = p, ZERO
+    corners = [tree.vertex_point(v) for v in inside]
+    corners += [tree.edge_point(e, t) for e, ivs in segments.items() for iv in ivs for t in iv]
+    return min(corners, key=lambda c: _key(tree, c))
+
+
+def _follow_cycle(f: PLTreeMap, removed: Subtree, anchor: TreePoint) -> tuple:
+    """The cycle of the set holding `anchor`, a point off `removed`, the
+    periodic set P = Fix(f) ∪ ... ∪ Fix(f^n), in the order f visits it.
+
+    f is injective (`detect_cycles_of_sets` refuses any other map).  It
+    maps each Fix(f^k) into itself, and onto it, since x = f(f^(k-1)(x))
+    there; so f(P) = P.  A point y off P then has f(y) off P, or
+    f(y) = f(z) for some z in P and y = z.  So f carries a component C of
+    the tree minus P into one component, the one holding f of any point
+    r of C, and by continuity C's closure into that component's closure.
+    The cycle is followed by sending (a, r), a set's attachment and
+    representative point, to (f(a), f(r)), checking each new set by
+    `_tower_set`:
+    - Carried: the next component's closure holds f(a), a point of P, and
+      its one point of P is its attachment; so when the next component
+      has one contact, it is f(a), and the branch at f(a) holding f(r).
+    - Returns: the first set met again is the start.  Say the sets met
+      are S_0, S_1, ..., and S_j is the first repeat, S_j = S_i with
+      0 < i < j.  Then S_(i-1) != S_(j-1) both map into S_i, and their
+      attachments both map to S_i's, so by injectivity they are one
+      point a, and the two sets are two branches at a.  Arcs from a into
+      each meet only at a, so their images, arcs from f(a), meet only at
+      f(a); yet both lie in the closure of S_i, which near f(a) is one
+      edge germ, so they overlap there.  So i = 0, and the finitely many
+      components of the tree minus P bound the walk.
+    The tests assert both on every tower they detect, among them those of
+    the shift and of random homeomorphisms (`assert_tower_facts`).
 
     A set of a tower hangs off the periodic set at a single point; a
     component on the cycle that touches it at any other number of points
-    (an open arc between two fixed points, say) means there is no tower.
+    (an open arc between two fixed points, say) means there is no tower,
+    and is refused.
     """
-
-    def attachment(comp: Component) -> TreePoint:
-        if len(comp.boundary) != 1:
-            raise PreconditionError(
-                f"a component on the cycle touches the periodic set at "
-                f"{len(comp.boundary)} points, so it is no set of an adding machine"
-            )
-        return comp.boundary[0]
-
+    tree = f.domain
+    start = _tower_set(tree, removed, _first_attachment(tree, removed, anchor), anchor)
     cycle = [start]
     cur = start
     while True:
-        nxt = comps[locate(f.evaluate(cur.repr_point))]
-        if f.evaluate(attachment(cur)) != attachment(nxt):
-            raise ConsistencyError(
-                "attachment points are not carried onto each other"
-            )
-        if nxt is start:
+        a, r = f.evaluate(cur.attachment), f.evaluate(cur.repr_point)
+        if a == start.attachment and start.contains(r):
             return tuple(cycle)
-        if len(cycle) == len(comps):
-            raise ConsistencyError("component orbit never returns to its start")
-        cycle.append(nxt)
-        cur = nxt
+        cur = _tower_set(tree, removed, a, r)
+        cycle.append(cur)
+
+
+def _first_gap_midpoint(tree, removed: Subtree) -> TreePoint:
+    """The midpoint of the first gap, in edge order, that a closed set
+    other than the whole tree leaves: the representative point of the
+    first of `MetricTree.components_minus`."""
+    for eid in tree.edge_ids:
+        ends = [ZERO, *(t for iv in removed.segments.get(eid, ()) for t in iv), ONE]
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            if lo < hi:
+                return tree.edge_point(eid, (lo + hi) / 2)
 
 
 def detect_cycles_of_sets(
@@ -176,15 +359,18 @@ def detect_cycles_of_sets(
     """Nested cycles of components of the complement of the periodic set.
 
     For each n up to `depth` the points of period at most n are removed
-    and the component containing the root is followed around its cycle.
-    Levels that do not refine the previous period are dropped, so the
-    returned periods strictly increase.  The root is the first component
-    (in `components_minus` order) of the deepest level that has any.
-    The tree is split once per distinct periodic set.
+    and the component containing the anchor is followed around its
+    cycle.  Levels that do not refine the previous period are dropped,
+    so the returned periods strictly increase.  The anchor is the
+    midpoint of the first gap, in edge order, of the deepest level that
+    leaves any.  No tree is split: each set is the branch at its
+    attachment on one side, found from the attachment alone and checked
+    to miss the periodic set in time linear in its size
+    (`_follow_cycle`), so a level costs time linear in the tree.
     A component on a followed cycle that touches the removed set at other
     than one point raises `PreconditionError`: no tower passes through it.
 
-    The root's point lies in a set of every level: it is off the deepest
+    The anchor lies in a set of every level: it is off the deepest
     periodic set, and each shallower one is a subset of it, as P_n is a
     running union.
     """
@@ -199,22 +385,21 @@ def detect_cycles_of_sets(
 
     # each distinct periodic set once, with the first power giving it: a
     # repeat has the same components, so the same cycle
-    levels = []  # (n, removed, components, their locator)
+    levels = []  # (n, removed)
     full = tree.full_subtree()
     for n, _, removed in _periodic_levels(f, depth, piece_cap):
         if removed == full:
             break
         if not levels or removed != levels[-1][1]:
-            comps = tree.components_minus(removed)
-            levels.append((n, removed, comps, _locator(comps)))
+            levels.append((n, removed))
     if not levels:
         return ()
 
-    anchor = levels[-1][2][0].repr_point
+    anchor = _first_gap_midpoint(tree, levels[-1][1])
     out = []
     last_period = 0
-    for n, _, comps, locate in levels:
-        cycle = _follow_cycle(f, comps, locate, comps[locate(anchor)])
+    for n, removed in levels:
+        cycle = _follow_cycle(f, removed, anchor)
         if len(cycle) <= last_period:
             continue
         last_period = len(cycle)
@@ -226,9 +411,11 @@ def address_of(cycles, x: TreePoint) -> OdometerAddress:
     """The index chain of a point through the nested cycles."""
     if not cycles:
         raise PreconditionError("no cycle levels to address against")
+    tree = cycles[0].sets[0].tree
+    k = _key(tree, tree.validate_point(x))
     digits = []
     for cyc in cycles:
-        hit = cyc.index_of(x)
+        hit = cyc._index(k)
         if hit is None:
             raise PreconditionError(
                 f"the point is outside every set at level {cyc.level}"

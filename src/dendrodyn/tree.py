@@ -35,7 +35,7 @@ from itertools import accumulate
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConsistencyError, PreconditionError, StructureError
+from .errors import PreconditionError, StructureError
 
 # -- exact rationals: `_Q` and the integer formulas it runs -------------------
 
@@ -325,7 +325,7 @@ class MetricTree:
 
     __slots__ = (
         "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout",
-        "_kids", "_grids",
+        "_kids", "_grids", "_order",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
@@ -392,6 +392,7 @@ class MetricTree:
         self._tout = {x: tin[x] + size[x] for x in order}
         self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
         self._grids = {}  # per_edge -> grid_points(per_edge), made on first use
+        self._order = None  # the vertices in preorder, made on first use
 
     # -- basic accessors -------------------------------------------------
 
@@ -530,6 +531,15 @@ class MetricTree:
                 (tin[x], tout[x]) for _, x in self._adj[v] if tin[x] > tin[v]
             )
         return kids[bisect_left(kids, (self._tin[w] + 1,)) - 1]
+
+    def _preorder(self) -> list:
+        """The vertices in preorder, listed once on first use: a window
+        [tin, tout) is the slice of the vertices it numbers."""
+        if self._order is None:
+            order = self._order = [None] * len(self._tin)
+            for x, i in self._tin.items():
+                order[i] = x
+        return self._order
 
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
@@ -759,7 +769,8 @@ class MetricTree:
         free vertex of an edge always has a gap there: a removed interval
         reaching an edge end carries that end's vertex.  Only a vertex
         with no edge at all, in a one-vertex tree with nothing removed,
-        is a component without a gap, and that raises.
+        is a component without a gap: the closure is that vertex, with no
+        boundary, and the vertex is its representative point.
 
         Gaps are numbered in edge-id order, and a walk starts from the
         least gap not yet reached, so the start lies on the component's
@@ -813,8 +824,8 @@ class MetricTree:
                 boundary=tuple(sorted(contacts, key=point_key)),
                 repr_point=_point(None, eid, (glo + ghi) / 2),
             ))
-        if gaps_at:
-            raise ConsistencyError("component without an interior segment")
+        for v in gaps_at:  # never reached by a gap: a vertex with no edge
+            comps.append(Component(Subtree(self, {}, frozenset((v,))), (), _point(v, None, None)))
         return tuple(comps)
 
     # -- hulls and retractions ----------------------------------------------
@@ -1175,13 +1186,19 @@ class Component:
     boundary: tuple
     repr_point: TreePoint
 
+    @property
+    def tree(self) -> MetricTree:
+        return self.closure.tree
+
     def contains(self, p: TreePoint) -> bool:
         return self.closure.contains(p) and p not in self.boundary
 
     @property
     def attachment(self) -> TreePoint:
+        """The one boundary point; a component touching the removed set
+        at any other number of points has none, and that is refused."""
         if len(self.boundary) != 1:
-            raise ConsistencyError(
+            raise PreconditionError(
                 f"component touches the removed set at {len(self.boundary)} points"
             )
         return self.boundary[0]

@@ -26,6 +26,7 @@ from dendrodyn.io import (
     fraction_from_str,
     map_from_json,
 )
+from dendrodyn.dynamics import _periodic_levels
 from dendrodyn.odometer import (
     AddingMachineReport,
     OdometerAddress,
@@ -633,15 +634,16 @@ def assert_tower_facts(f, cycles):
       anchor is off every periodic set);
     - f maps each set's representative point into the next set of its
       cycle (f(y) is off P for y off P), and each attachment onto the
-      next attachment;
-    - the sets of a cycle are distinct, each a whole branch at its
-      attachment, and the deepest closures meet only at boundaries; so
-      the closures read afresh grade the tower as `classify_adding_machine`
-      does, "topological (full)" with every flag true.
+      next attachment (carried), the last set's into the first's;
+    - the sets of a cycle are distinct, so the first set met again is
+      the start (returns), each a whole branch at its attachment, and
+      the deepest closures meet only at boundaries; so the closures read
+      afresh grade the tower as `classify_adding_machine` does,
+      "topological (full)" with every flag true.
     """
     root = cycles[-1].sets[0].repr_point
     for cyc in cycles:
-        assert cyc.period == len(cyc.sets) == len({id(s) for s in cyc.sets})
+        assert cyc.period == len(cyc.sets) == len({s.repr_point for s in cyc.sets})
         assert cyc.sets[0].contains(root)
         for i, s in enumerate(cyc.sets):
             nxt = cyc.sets[(i + 1) % cyc.period]
@@ -651,3 +653,117 @@ def assert_tower_facts(f, cycles):
     assert report == classify_by_closures(cycles)
     assert report.label == "topological (full)"
     return report
+
+
+# -- cycles of sets by splitting the tree -------------------------------------------
+#
+# `odometer.detect_cycles_of_sets` finds each set as the branch at its
+# attachment; this is the route it took before, splitting the tree into the
+# components of its complement at every level and filing them by edge and
+# vertex.
+
+
+def component_locator(comps):
+    """A lookup from a point to the index of the first component holding it.
+
+    A component holds an edge point only if its closure has an interval
+    on that edge, and a vertex only if the vertex is in its closure and
+    not on its boundary.  So each lookup tries the few components filed
+    under the point's edge or vertex, not every component.
+    """
+    filed: dict = {}
+    for i, c in enumerate(comps):
+        for eid in c.closure.segments:
+            filed.setdefault(("edge", eid), []).append(i)
+        boundary = {p.vertex for p in c.boundary if p.is_vertex}
+        for v in c.closure.vertices:
+            if v not in boundary:
+                filed.setdefault(("vertex", v), []).append(i)
+
+    def locate(p):
+        key = ("vertex", p.vertex) if p.is_vertex else ("edge", p.edge)
+        return next((i for i in filed.get(key, ()) if comps[i].contains(p)), None)
+
+    return locate
+
+
+@dataclass(frozen=True)
+class SplitCycle:
+    """One level of `split_cycles_of_sets`: components of the tree minus
+    the periodic set, in the order the map visits them, and a locator."""
+
+    level: int
+    period: int
+    sets: tuple
+    locate: object
+
+    def index_of(self, x):
+        return self.locate(x)
+
+
+def follow_split_cycle(f, comps, locate, start):
+    """The components reachable from `start` by repeated application of
+    the map, each checked to carry its one attachment onto the next."""
+
+    def attachment(comp):
+        if len(comp.boundary) != 1:
+            raise PreconditionError(
+                f"a component on the cycle touches the periodic set at "
+                f"{len(comp.boundary)} points, so it is no set of an adding machine"
+            )
+        return comp.boundary[0]
+
+    cycle = [start]
+    cur = start
+    while True:
+        nxt = comps[locate(f.evaluate(cur.repr_point))]
+        assert f.evaluate(attachment(cur)) == attachment(nxt)
+        if nxt is start:
+            return tuple(cycle)
+        assert len(cycle) < len(comps), "the component orbit never returns to its start"
+        cycle.append(nxt)
+        cur = nxt
+
+
+def split_cycles_of_sets(f, depth, piece_cap=DEFAULT_PIECE_CAP):
+    """`detect_cycles_of_sets` by splitting the tree once per distinct
+    periodic set, rooted at the first component of the deepest level."""
+    if depth < 1:
+        raise PreconditionError("depth must be at least 1")
+    injective, pair = f.is_injective()
+    if not injective:
+        raise PreconditionError(
+            f"cycle detection needs an injective map; {pair[0]} and {pair[1]} collide"
+        )
+    tree = f.domain
+    levels = []
+    full = tree.full_subtree()
+    for n, _, removed in _periodic_levels(f, depth, piece_cap):
+        if removed == full:
+            break
+        if not levels or removed != levels[-1][1]:
+            comps = tree.components_minus(removed)
+            levels.append((n, removed, comps, component_locator(comps)))
+    if not levels:
+        return ()
+    anchor = levels[-1][2][0].repr_point
+    out = []
+    last_period = 0
+    for n, _, comps, locate in levels:
+        cycle = follow_split_cycle(f, comps, locate, comps[locate(anchor)])
+        if len(cycle) <= last_period:
+            continue
+        last_period = len(cycle)
+        out.append(SplitCycle(n, len(cycle), cycle, component_locator(cycle)))
+    return tuple(out)
+
+
+def split_address_digits(cycles, x):
+    """x's digits through split cycles, or the error `address_of` gives."""
+    digits = []
+    for cyc in cycles:
+        hit = cyc.index_of(x)
+        if hit is None:
+            return ("PreconditionError", f"the point is outside every set at level {cyc.level}")
+        digits.append(hit)
+    return tuple(digits)

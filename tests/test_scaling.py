@@ -6,8 +6,8 @@ Rotation, identity and half-rotated stars at 200 and 400 arms go through
 no time budget: a quadratic step shows as a count that about quadruples
 when the star doubles.  On a star the periodic set is the same at every
 level, so the tree is split at most once, whatever the number of arms.
-On towers the tree is split once per distinct periodic set, and the
-classification reads no set at all.  The running union of the fixed
+On towers detection splits no tree, `verify` builds no set's closure,
+and the classification reads no set at all.  The running union of the fixed
 sets merges each distinct fixed set once.  From horizon 3 on, `verify`
 walks no grid sample of an injective map and probes no anchor.
 """
@@ -21,7 +21,7 @@ from dendrodyn import MetricTree, PLTreeMap, dynamics, save_instance_file, verif
 from dendrodyn.cli import main
 from dendrodyn.dynamics import _periodic_levels
 from dendrodyn.fixtures import odometer_tower, rotation_star
-from dendrodyn.odometer import classify_adding_machine, detect_cycles_of_sets
+from dendrodyn.odometer import TowerSet, classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, Subtree
 from dendrodyn.verify import run_checks
@@ -101,15 +101,41 @@ def test_odometer_command_grows_linearly(monkeypatch, tmp_path, shape, capsys):
     ids=["t2-depth4", "t3-depth4", "t3-depth8", "t6-depth64"],
 )
 def test_towers_split_once_per_level_and_never_to_classify(monkeypatch, periods, depth):
-    # P_1 is the stem and P_p adds the level of period p; the last level
-    # makes P the whole tree, which is not split
+    # each set is found from its attachment, so neither detection nor the
+    # classification splits the tree
     _, f = odometer_tower(len(periods), periods)
     tally = {"components_minus": 0}
     counted(monkeypatch, MetricTree, "components_minus", tally)
     cycles = detect_cycles_of_sets(f, depth)
-    assert tally["components_minus"] == 1 + sum(p <= depth for p in periods[:-1])
-    tally["components_minus"] = 0
+    assert tally["components_minus"] == 0
     assert classify_adding_machine(cycles).label == "topological (full)"
+    assert tally["components_minus"] == 0
+
+
+def test_verify_builds_no_set_closure(monkeypatch):
+    _, f = odometer_tower(6, (2, 4, 8, 16, 32, 64))
+    tally = {"closure": 0}
+    plain = TowerSet.closure
+
+    def closure(s):
+        tally["closure"] += 1
+        return plain.__get__(s)
+
+    monkeypatch.setattr(TowerSet, "closure", property(closure))
+    records = {r.name: r.result for r in run_checks(f, depth=64)}
+    tower = records["adding-machine-semiconjugacy"]
+    assert tower.status == "pass" and "[2, 4, 8, 16, 32, 64]" in tower.detail
+    assert tally["closure"] == 0
+
+
+def test_odometer_command_splits_no_tower(monkeypatch, tmp_path, capsys):
+    tree, f = odometer_tower(6, (2, 4, 8, 16, 32, 64))
+    path = tmp_path / "tower64.json"
+    save_instance_file(path, tree, f)
+    tally = {"components_minus": 0}
+    counted(monkeypatch, MetricTree, "components_minus", tally)
+    assert main(["odometer", str(path), "--depth", "64", "--format", "json"]) == 0
+    assert '"periods": [' in capsys.readouterr().out
     assert tally["components_minus"] == 0
 
 

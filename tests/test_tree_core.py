@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import ConsistencyError, MetricTree, PreconditionError, StructureError, Subtree
+from dendrodyn import MetricTree, PreconditionError, StructureError, Subtree
 from dendrodyn.dynamics import fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
@@ -811,8 +811,8 @@ def union_find_components(tree, removed):
                 if rep is None:
                     rep = tree.edge_point(eid, (glo + ghi) / 2)
             cts.extend(contacts[key])
-        if rep is None:
-            raise ConsistencyError("component without an interior segment")
+        if rep is None:  # a vertex with no edge: the one-point tree, nothing removed
+            rep = tree.vertex_point(verts[0])
         comps.append(
             Component(
                 closure=Subtree.build(tree, segs, verts),
@@ -843,21 +843,24 @@ def test_components_walk_matches_union_find_oracle():
         cases += [(t, t.point_subtree(random_point(rng, t))) for _ in range(3)]
         hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(3)]
         cases += [(t, hulls[0].union(hulls[1]).union(hulls[2]))]
-    multi = errors = 0
+    multi = alone = 0
     for t, sub in cases:
-        try:
-            expected = component_fields(union_find_components(t, sub))
-        except ConsistencyError as exc:
-            with pytest.raises(ConsistencyError, match=str(exc)):
-                t.components_minus(sub)
-            errors += 1
-            continue
         comps = t.components_minus(sub)
-        assert component_fields(comps) == expected
+        assert component_fields(comps) == component_fields(union_find_components(t, sub))
         multi += any(len(c.boundary) > 1 for c in comps)
+        alone += any(not c.closure.segments for c in comps)
     # every kind of removal shows up: several contacts, and the one-vertex
     # tree with nothing removed, the only component without a gap
-    assert multi > 100 and errors > 0
+    assert multi > 100 and alone > 0
+
+
+def test_components_of_the_one_point_tree():
+    t = MetricTree(["v"], [])
+    v = t.vertex_point("v")
+    (comp,) = t.components_minus(Subtree.empty(t))
+    assert (comp.closure, comp.boundary, comp.repr_point) == (t.full_subtree(), (), v)
+    assert comp.contains(v)
+    assert t.components_minus(t.full_subtree()) == ()
 
 
 def test_components_of_disconnected_removal():
@@ -871,7 +874,7 @@ def test_components_of_disconnected_removal():
         t.edge_point("e1", F(1, 2)),
         t.edge_point("e2", F(1, 2)),
     )
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError, match="touches the removed set at 2 points"):
         middle[0].attachment
 
 
