@@ -211,7 +211,6 @@ def _run_classify(tree, f, args):
 def _run_verify(tree, f, args):
     records = run_checks(
         f,
-        max_period=args.max_period,
         horizon=args.horizon,
         depth=args.depth,
         piece_cap=args.piece_cap,
@@ -354,7 +353,7 @@ _COMMANDS = {
     "analyze": (_run_analyze, ("--max-period", "--depth", "--piece-cap")),
     "odometer": (_run_odometer, ("--depth", "--piece-cap")),
     "classify": (_run_classify, ("--max-period",)),
-    "verify": (_run_verify, ("--max-period", "--horizon", "--depth", "--piece-cap")),
+    "verify": (_run_verify, ("--horizon", "--depth", "--piece-cap")),
 }
 _BOUNDS = {
     "--max-period": (_bound, MAX_PERIOD_DEFAULT),

@@ -281,13 +281,11 @@ def decide_pointwise_recurrent(f: PLTreeMap) -> RecurrenceVerdict:
         )
 
     if not _is_onto(f):
-        gaps = tree.components_minus(f.image())
-        q = gaps[0].repr_point
         return RecurrenceVerdict(
             pointwise_recurrent=False,
             witness=Witness(
                 kind="escaping-orbit",
-                points=(q,),
+                points=(tree.first_gap(f.image()),),
                 detail="the point is outside the image, so no orbit ever revisits it",
             ),
             reason="not-surjective",
@@ -395,15 +393,11 @@ def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
     when it closes a cycle, and labels every point it passed; so while
     the budget lasts, each orbit point of a map is evaluated and labelled
     once over all walks.
-    Past the horizon a walk goes on only while the store has room for
-    what it walked, which bounds the extra steps by the store's budget:
-    that lets one walk label a long cycle that many samples share.
     """
     store = _OrbitStore.of(f)
     labels, succ = store.labels, store.succ
     label = labels.get(x)
     if label is None:
-        room = store.room()
         path = []
         index = {}  # point -> its place on the path
         z = x
@@ -420,7 +414,7 @@ def _walk(f: PLTreeMap, x: TreePoint, horizon: int):
                 del path[j:]
                 break
             path.append(z)
-            if len(path) > horizon and 2 * len(path) >= room:
+            if len(path) > horizon:
                 store.keep(succ, zip(path, path[1:]))
                 return None
             y = succ.get(z) if succ else None
@@ -646,12 +640,11 @@ def check_full_invariance(
     tree = f.domain
     injective = f.is_injective()[0]
     if not (_is_onto(f) if injective else f.image() == tree.full_subtree()):
-        gap = tree.components_minus(f.image())[0].repr_point
         return CheckResult(
             status="fail",
             witness=Witness(
                 kind="escaping-orbit",
-                points=(gap,),
+                points=(tree.first_gap(f.image()),),
                 detail="not surjective: the point has no preimage",
             ),
         )
@@ -678,11 +671,7 @@ def check_full_invariance(
     return CheckResult(status="pass", detail=detail)
 
 
-def check_no_preperiodic(
-    f: PLTreeMap,
-    max_period: int = MAX_PERIOD_DEFAULT,
-    horizon: int = 200,
-) -> CheckResult:
+def check_no_preperiodic(f: PLTreeMap, horizon: int = 200) -> CheckResult:
     """No sampled point is strictly preperiodic.  A violation also yields
     a separator lying strictly between the point and where its orbit
     settles, showing the point never comes back to its own side.
@@ -690,7 +679,6 @@ def check_no_preperiodic(
     An injective map has no such point (see `check_full_invariance`), so
     its samples are not walked."""
     tree = f.domain
-    horizon = min(horizon, max_period)
     for x in () if f.is_injective()[0] else tree.grid_points(3):
         label = _walk(f, x, horizon)
         if label is None or not label[0]:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from .dynamics import CheckResult, Witness, _periodic_levels
 from .errors import PreconditionError, StructureError
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
-from .tree import ONE, ZERO, Subtree, TreePoint
+from .tree import MetricTree, Subtree, TreePoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,66 +86,6 @@ def tau(a: OdometerAddress) -> OdometerAddress:
 
 
 # -- cycles of sets --------------------------------------------------------
-#
-# A point's key is its place in the rooting's preorder of points: its lower
-# vertex's preorder number, then minus its share up that vertex's parent edge
-# (`MetricTree._position`).  So the closed part of the tree below a point a
-# with lower vertex w, a and all it sits above, is the keys in
-# [key(a), (tout[w], -1)), and the part below a vertex v through one child c
-# is the keys strictly between (tin[c], -1) and (tout[c], -1).
-
-
-def _key(tree, x: TreePoint) -> tuple:
-    w, h = tree._position(x)
-    return (tree._tin[w], -h)
-
-
-def _window(tree, a: TreePoint, r: TreePoint) -> tuple:
-    """(lo, hi, up) for the branch of the tree minus a that holds r != a.
-    A branch below a holds the keys strictly between lo and hi: a child's
-    window when a is a vertex, else the part below a on its edge and
-    under.  The branch up toward the root (up true) holds every key
-    outside [lo, hi), the closed part below a."""
-    ka, kr = _key(tree, a), _key(tree, r)
-    end = (tree._tout[tree._lower_vertex(a)], -1)
-    if not ka < kr < end:
-        return (ka, end, True)
-    if a.edge is None:
-        c_in, c_out = tree._child_window(a.vertex, tree._lower_vertex(r))
-        return ((c_in, -1), (c_out, -1), False)
-    return (ka, end, False)
-
-
-def _holds(window: tuple, k: tuple) -> bool:
-    lo, hi, up = window
-    return not lo <= k < hi if up else lo < k < hi
-
-
-def _branch(tree, a: TreePoint, window: tuple) -> tuple:
-    """The vertices of a branch at a, and its edge intervals (eid, lo, hi).
-
-    The window's preorder slice, or the rest of the preorder for the
-    branch up toward the root, is the branch's vertices.  Each but the
-    root brings its parent edge, and the branch up brings the edge just
-    above a's lower vertex too: whole, or on a's own edge the part on the
-    branch's side of a.
-    """
-    lo, hi, up = window
-    order, parent = tree._preorder(), tree._up
-    verts = order[: lo[0]] + order[hi[0] :] if up else order[lo[0] : hi[0]]
-    eids = [parent[y][1] for y in verts if parent[y] is not None]
-    low = tree._lower_vertex(a)
-    if up and parent[low] is not None:
-        eids.append(parent[low][1])
-    pieces = []
-    for eid in eids:
-        if eid != a.edge:
-            pieces.append((eid, ZERO, ONE))
-        elif (tree._edges[eid].w == low) != up:  # the branch runs to parameter 1
-            pieces.append((eid, a.t, ONE))
-        else:
-            pieces.append((eid, ZERO, a.t))
-    return verts, pieces
 
 
 def _edge_order(piece) -> str:
@@ -155,12 +95,12 @@ def _edge_order(piece) -> str:
 class TowerSet:
     """A set of a detected cycle: the branch of the tree minus its
     attachment that holds its representative point, given by a window
-    (`_window`).  Detection checks that the branch misses the periodic
-    set, so it is a component of the tree minus that set with the one
-    boundary point `attachment`.  The representative point is the
-    midpoint of the branch's least interval in edge order, the point
-    `MetricTree.components_minus` picks; the closure is built from the
-    window, in canonical form, when it is first read.
+    (`MetricTree.branch_window`).  Detection checks that the branch
+    misses the periodic set, so it is a component of the tree minus that
+    set with the one boundary point `attachment`.  The representative
+    point is the midpoint of the branch's least interval in edge order,
+    the point `MetricTree.components_minus` picks; the closure is built
+    from the window, in canonical form, when it is first read.
     """
 
     __slots__ = ("tree", "attachment", "repr_point", "window", "_closure")
@@ -177,12 +117,13 @@ class TowerSet:
         return (self.attachment,)
 
     def contains(self, p: TreePoint) -> bool:
-        return _holds(self.window, _key(self.tree, self.tree.validate_point(p)))
+        tree = self.tree
+        return tree.in_branch(self.window, tree.key(tree.validate_point(p)))
 
     @property
     def closure(self) -> Subtree:
         if self._closure is None:
-            verts, pieces = _branch(self.tree, self.attachment, self.window)
+            verts, pieces = self.tree.branch(self.attachment, self.window)
             segments = {eid: ((lo, hi),) for eid, lo, hi in sorted(pieces, key=_edge_order)}
             if self.attachment.edge is None:
                 verts.append(self.attachment.vertex)
@@ -210,7 +151,7 @@ class CycleOfSets:
     def index_of(self, x: TreePoint):
         """The index of the set holding x, or None."""
         tree = self.sets[0].tree
-        return self._index(_key(tree, tree.validate_point(x)))
+        return self._index(tree.key(tree.validate_point(x)))
 
     def _index(self, k: tuple):
         """The index of the set holding the point with key k, or None: one
@@ -220,18 +161,18 @@ class CycleOfSets:
         if self._windows is None:
             below, up = [], None
             for i, s in enumerate(self.sets):
-                w = _window(s.tree, s.attachment, s.repr_point)
-                if w[2]:
-                    up = (w, i)
+                lo, hi, runs_up = s.window
+                if runs_up:
+                    up = (s.window, i)
                 else:
-                    below.append((w[0], w[1], i))
+                    below.append((lo, hi, i))
             below.sort()
             object.__setattr__(self, "_windows", ([lo for lo, _, _ in below], below, up))
         los, below, up = self._windows
         j = bisect_left(los, k) - 1
         if j >= 0 and k < below[j][1]:
             return below[j][2]
-        if up is not None and _holds(up[0], k):
+        if up is not None and MetricTree.in_branch(up[0], k):
             return up[1]
         return None
 
@@ -257,8 +198,8 @@ def _tower_set(tree, removed: Subtree, a: TreePoint, x: TreePoint) -> TowerSet:
     the only a that can be the attachment of x's component C, so when B
     meets P, C has other than one contact, and is refused.
     """
-    window = _window(tree, a, x)
-    verts, pieces = _branch(tree, a, window)
+    window = tree.branch_window(a, x)
+    verts, pieces = tree.branch(a, window)
     segments, inside = removed.segments, removed.vertices
     if any(y in inside for y in verts) or any(
         lo < hi_p and lo_p < hi for eid, lo, hi in pieces for lo_p, hi_p in segments.get(eid, ())
@@ -266,35 +207,6 @@ def _tower_set(tree, removed: Subtree, a: TreePoint, x: TreePoint) -> TowerSet:
         _refuse(tree, removed, x)
     eid, lo, hi = min(pieces, key=_edge_order)
     return TowerSet(tree, a, tree.edge_point(eid, (lo + hi) / 2), window)
-
-
-def _first_attachment(tree, removed: Subtree, x: TreePoint) -> TreePoint:
-    """The only point of `removed` that can be the attachment of the
-    component C of the tree minus it that holds x.
-
-    If C has one contact a, C is the branch at a holding x (see
-    `classify_adding_machine`).  Walking from x toward the root, the
-    first point of the removed set met is then a, since the walk runs in
-    C until it leaves it through its boundary.  When the walk meets none,
-    C holds the root; so it is the branch up from a, the removed set
-    lies in the closed part below a, and a is its corner first in
-    preorder (`_key`).
-    """
-    segments, inside = removed.segments, removed.vertices
-    w, share = tree._position(x)
-    while tree._up[w] is not None:
-        p, eid = tree._up[w]
-        at_one = tree._edges[eid].w == w  # w's end of its parent edge is parameter 1
-        ends = [(ONE - t if at_one else t, t) for iv in segments.get(eid, ()) for t in iv]
-        above = [end for end in ends if end[0] > share]  # (share up from w, parameter)
-        if above:
-            return tree.edge_point(eid, min(above)[1])
-        if p in inside:
-            return tree.vertex_point(p)
-        w, share = p, ZERO
-    corners = [tree.vertex_point(v) for v in inside]
-    corners += [tree.edge_point(e, t) for e, ivs in segments.items() for iv in ivs for t in iv]
-    return min(corners, key=lambda c: _key(tree, c))
 
 
 def _follow_cycle(f: PLTreeMap, removed: Subtree, anchor: TreePoint) -> tuple:
@@ -307,6 +219,14 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, anchor: TreePoint) -> tuple:
     f(y) = f(z) for some z in P and y = z.  So f carries a component C of
     the tree minus P into one component, the one holding f of any point
     r of C, and by continuity C's closure into that component's closure.
+    The start's attachment is the first point of P met walking from the
+    anchor toward the root, else P's corner first in preorder
+    (`MetricTree.first_met`).  If the anchor's component C has one
+    contact a, C is the branch at a that holds the anchor, so the walk
+    runs in C until it leaves it through a; a walk that meets no point of
+    P ends at the root, so C holds the root and is the branch up from a,
+    P lies in the closed part below a, and a is its corner first in
+    preorder.
     The cycle is followed by sending (a, r), a set's attachment and
     representative point, to (f(a), f(r)), checking each new set by
     `_tower_set`:
@@ -331,7 +251,7 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, anchor: TreePoint) -> tuple:
     and is refused.
     """
     tree = f.domain
-    start = _tower_set(tree, removed, _first_attachment(tree, removed, anchor), anchor)
+    start = _tower_set(tree, removed, tree.first_met(removed, anchor), anchor)
     cycle = [start]
     cur = start
     while True:
@@ -340,17 +260,6 @@ def _follow_cycle(f: PLTreeMap, removed: Subtree, anchor: TreePoint) -> tuple:
             return tuple(cycle)
         cur = _tower_set(tree, removed, a, r)
         cycle.append(cur)
-
-
-def _first_gap_midpoint(tree, removed: Subtree) -> TreePoint:
-    """The midpoint of the first gap, in edge order, that a closed set
-    other than the whole tree leaves: the representative point of the
-    first of `MetricTree.components_minus`."""
-    for eid in tree.edge_ids:
-        ends = [ZERO, *(t for iv in removed.segments.get(eid, ()) for t in iv), ONE]
-        for lo, hi in zip(ends[::2], ends[1::2]):
-            if lo < hi:
-                return tree.edge_point(eid, (lo + hi) / 2)
 
 
 def detect_cycles_of_sets(
@@ -395,7 +304,7 @@ def detect_cycles_of_sets(
     if not levels:
         return ()
 
-    anchor = _first_gap_midpoint(tree, levels[-1][1])
+    anchor = tree.first_gap(levels[-1][1])
     out = []
     last_period = 0
     for n, removed in levels:
@@ -412,7 +321,7 @@ def address_of(cycles, x: TreePoint) -> OdometerAddress:
     if not cycles:
         raise PreconditionError("no cycle levels to address against")
     tree = cycles[0].sets[0].tree
-    k = _key(tree, tree.validate_point(x))
+    k = tree.key(tree.validate_point(x))
     digits = []
     for cyc in cycles:
         hit = cyc._index(k)

@@ -423,34 +423,17 @@ class PLTreeMap:
         if n < 1:
             raise PreconditionError("power must be at least 1")
 
-        def guarded(a, b):
-            return _within_budget(compose(a, b), piece_cap, "iterate")
-
         result = None
         base = self
         k = n
         while k > 1:
             if k & 1:
-                result = base if result is None else guarded(result, base)
+                result = base if result is None else built(result, base, piece_cap)
             k >>= 1
             if k == 1 and result is None:
                 return (base, base)  # n a power of two: the last step squares
-            base = guarded(base, base)
+            base = built(base, base, piece_cap)
         return (result, base)
-
-    def next_power(self, prev: "PLTreeMap", piece_cap: int = DEFAULT_PIECE_CAP) -> "PLTreeMap":
-        """f^(n+1) from prev = f^n: one composition prev . f, within the
-        budget `iterate` applies."""
-        return _within_budget(compose(prev, self), piece_cap, "iterate")
-
-
-def _within_budget(g: PLTreeMap, piece_cap: int, what: str) -> PLTreeMap:
-    """g, or ResourceLimitError naming `what` when g has more than piece_cap pieces."""
-    if g.piece_count > piece_cap:
-        raise ResourceLimitError(
-            f"{what} exceeded the piece budget ({g.piece_count} > {piece_cap})"
-        )
-    return g
 
 
 def _continues(a: _Piece, b: _Piece) -> bool:
@@ -657,7 +640,14 @@ def built(outer, inner: PLTreeMap, piece_cap: int = DEFAULT_PIECE_CAP, what: str
     """The map a factor pair stands for: inner when outer is None, else
     outer . inner within the budget, raising ResourceLimitError naming
     `what` past it."""
-    return inner if outer is None else _within_budget(compose(outer, inner), piece_cap, what)
+    if outer is None:
+        return inner
+    g = compose(outer, inner)
+    if g.piece_count > piece_cap:
+        raise ResourceLimitError(
+            f"{what} exceeded the piece budget ({g.piece_count} > {piece_cap})"
+        )
+    return g
 
 
 def factored(outer, inner: PLTreeMap, piece_cap: int, what: str) -> tuple:
@@ -876,7 +866,7 @@ def find_periodic_in_hull(
         raise PreconditionError("advanced hull does not cover the original hull")
     h = _retraction(tree, hull)
     for _ in range(n - 1):
-        h = _within_budget(compose(f, h), piece_cap, "hull search")
+        h = built(f, h, piece_cap, "hull search")
     fixed = composite_fixed_set(*factored(f, h, piece_cap, "hull search")).intersect(hull)
     if fixed.is_empty():
         raise ConsistencyError("no fixed point of the n-th iterate in the hull")

@@ -12,11 +12,14 @@ No floating point enters any computation in this module.
 Where a point lies is read off positions, not summed distances.  One
 rooting numbers the vertices in preorder, and a point's position is its
 lower vertex with the share of that vertex's parent edge it sits up
-(`MetricTree._position`).  Whether a point is on an arc, which corner of
-a subtree a retraction picks, and how `first_separated` orders its
-points are comparisons of positions; an arc locates a point on itself
-from the segment that holds it.  `distance` is there for callers that
-ask for a length.
+(`MetricTree._position`).  Whether a point is on an arc, where a walk
+toward the root first meets a closed set (`first_met`, which a retraction
+returns), and how `first_separated` orders its points are comparisons of
+positions; an arc locates a point on itself from the segment that holds
+it.  The branch of the tree minus a point that holds another is a window
+of the preorder (`branch_window`), so membership is two comparisons of
+keys.  This module is the one that reads the rooting.  `distance` is
+there for callers that ask for a length.
 
 Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
@@ -541,6 +544,68 @@ class MetricTree:
                 order[i] = x
         return self._order
 
+    # -- branches at a point -----------------------------------------------
+    #
+    # A point's key is its place in the rooting's preorder of points: its
+    # lower vertex's preorder number, then minus its share up that vertex's
+    # parent edge (`_position`).  So the closed part of the tree below a point
+    # a with lower vertex w, a and all it sits above, is the keys in
+    # [key(a), (tout[w], -1)), and the part below a vertex v through one
+    # child c is the keys strictly between (tin[c], -1) and (tout[c], -1).
+
+    def key(self, x: TreePoint) -> tuple:
+        """x's place in the rooting's preorder of points."""
+        w, h = self._position(x)
+        return (self._tin[w], -h)
+
+    def branch_window(self, a: TreePoint, r: TreePoint) -> tuple:
+        """(lo, hi, up) for the branch of the tree minus a that holds r != a.
+        A branch below a holds the keys strictly between lo and hi: a child's
+        window when a is a vertex, else the part below a on its edge and
+        under.  The branch up toward the root (up true) holds every key
+        outside [lo, hi), the closed part below a."""
+        ka, kr = self.key(a), self.key(r)
+        end = (self._tout[self._lower_vertex(a)], -1)
+        if not ka < kr < end:
+            return (ka, end, True)
+        if a.edge is None:
+            c_in, c_out = self._child_window(a.vertex, self._lower_vertex(r))
+            return ((c_in, -1), (c_out, -1), False)
+        return (ka, end, False)
+
+    @staticmethod
+    def in_branch(window: tuple, k: tuple) -> bool:
+        """Whether the point with key k lies in the branch of `window`."""
+        lo, hi, up = window
+        return not lo <= k < hi if up else lo < k < hi
+
+    def branch(self, a: TreePoint, window: tuple) -> tuple:
+        """The vertices of the branch at a with this window, and its edge
+        intervals (eid, lo, hi).
+
+        The window's preorder slice, or the rest of the preorder for the
+        branch up toward the root, is the branch's vertices.  Each but the
+        root brings its parent edge, and the branch up brings the edge just
+        above a's lower vertex too: whole, or on a's own edge the part on the
+        branch's side of a.
+        """
+        lo, hi, up = window
+        order, parent = self._preorder(), self._up
+        verts = order[: lo[0]] + order[hi[0] :] if up else order[lo[0] : hi[0]]
+        eids = [parent[y][1] for y in verts if parent[y] is not None]
+        low = self._lower_vertex(a)
+        if up and parent[low] is not None:
+            eids.append(parent[low][1])
+        pieces = []
+        for eid in eids:
+            if eid != a.edge:
+                pieces.append((eid, ZERO, ONE))
+            elif (self._edges[eid].w == low) != up:  # the branch runs to parameter 1
+                pieces.append((eid, a.t, ONE))
+            else:
+                pieces.append((eid, ZERO, a.t))
+        return verts, pieces
+
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         self.validate_point(a)
         self.validate_point(b)
@@ -828,6 +893,44 @@ class MetricTree:
             comps.append(Component(Subtree(self, {}, frozenset((v,))), (), _point(v, None, None)))
         return tuple(comps)
 
+    def first_gap(self, removed: "Subtree"):
+        """The midpoint of the first gap, in edge order, that a closed set
+        leaves on an edge, or None when it holds every edge: the
+        representative point of the first of `components_minus`, with no
+        tree split."""
+        for eid in self._ekeys:
+            ends = [ZERO, *(t for iv in removed.segments.get(eid, ()) for t in iv), ONE]
+            for lo, hi in zip(ends[::2], ends[1::2]):
+                if lo < hi:
+                    return _point(None, eid, (lo + hi) / 2)
+        return None
+
+    def first_met(self, closed: "Subtree", z: TreePoint) -> TreePoint:
+        """The first point of a nonempty closed set met walking from z, a
+        point off it, toward the root; when the walk meets none, the set's
+        corner first in preorder (`key`).
+
+        The walk reads each parent edge on the way for the set's interval
+        end just above it, then the vertex at the edge's top.  Why the
+        corner is the answer when the walk meets nothing is the callers'
+        to show: `retract` and `odometer._follow_cycle`.
+        """
+        segments, inside = closed.segments, closed.vertices
+        w, share = self._position(z)
+        while self._up[w] is not None:
+            p, eid = self._up[w]
+            at_one = self._edges[eid].w == w  # w's end of its parent edge is parameter 1
+            ends = [(ONE - t if at_one else t, t) for iv in segments.get(eid, ()) for t in iv]
+            above = [end for end in ends if end[0] > share]  # (share up from w, parameter)
+            if above:
+                return self.edge_point(eid, min(above)[1])
+            if p in inside:
+                return _point(p, None, None)
+            w, share = p, ZERO
+        corners = [_point(v, None, None) for v in inside]
+        corners += [self.edge_point(e, t) for e, ivs in segments.items() for iv in ivs for t in iv]
+        return min(corners, key=self.key)
+
     # -- hulls and retractions ----------------------------------------------
 
     def connected_hull(self, points: Sequence[TreePoint]) -> "Subtree":
@@ -845,15 +948,10 @@ class MetricTree:
 
         Returns the unique w in the target with the half-open arc (w, z]
         disjoint from it; the identity on points already inside.  w is
-        where a walk from z toward the root first meets the target: the
-        deepest point of the target on z's root path, which the walk
-        reaches from below, so a corner (a vertex of the target or an end
-        of one of its intervals).  When the walk misses the target, the
-        target lies below the walk's turning point and is entered through
-        its top corner, the one above all the others.  Positions
-        (`_position`) order the corners on one root path: the deeper
-        point has the later lower vertex in preorder, or the same one and
-        the smaller share.
+        where a walk from z toward the root first meets the target
+        (`first_met`).  When the walk misses the target, the target lies
+        below the walk's turning point and is entered through its top
+        corner, the one above all the others and so first in preorder.
         """
         if target.is_empty():
             raise PreconditionError("cannot retract onto an empty set")
@@ -862,16 +960,7 @@ class MetricTree:
         self.validate_point(z)
         if target.contains(z):
             return z
-        pz = self._position(z)
-        on_path, top = None, None  # (depth key, corner)
-        for c in target.corner_points():
-            pc = self._position(c)
-            key = (self._tin[pc[0]], -pc[1])
-            if top is None or key < top[0]:
-                top = (key, c)
-            if self._on_root_path(pc, pz) and (on_path is None or key > on_path[0]):
-                on_path = (key, c)
-        return (on_path or top)[1]
+        return self.first_met(target, z)
 
 
 class Arc:
@@ -1185,10 +1274,6 @@ class Component:
     closure: Subtree
     boundary: tuple
     repr_point: TreePoint
-
-    @property
-    def tree(self) -> MetricTree:
-        return self.closure.tree
 
     def contains(self, p: TreePoint) -> bool:
         return self.closure.contains(p) and p not in self.boundary

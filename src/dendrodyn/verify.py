@@ -26,7 +26,6 @@ from .dynamics import (
     periodic_union,
     returns_to_components,
     HORIZON_DEFAULT,
-    MAX_PERIOD_DEFAULT,
 )
 from .errors import PreconditionError, ResourceLimitError, UndecidedError
 from .odometer import (
@@ -34,7 +33,7 @@ from .odometer import (
     detect_cycles_of_sets,
     verify_semiconjugacy,
 )
-from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
+from .plmap import DEFAULT_PIECE_CAP, PLTreeMap, built
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,7 +118,7 @@ def _power_recurrence_consistency(f, verdict, piece_cap) -> CheckResult:
     base = verdict.pointwise_recurrent
     g = f
     for k in (2, 3):
-        g = f.next_power(g, piece_cap)
+        g = built(g, f, piece_cap)
         got = decide_pointwise_recurrent(g).pointwise_recurrent
         if got != base:
             return CheckResult(
@@ -180,7 +179,6 @@ def _adding_machine_semiconjugacy(f, depth, piece_cap) -> CheckResult:
 
 def run_checks(
     f: PLTreeMap,
-    max_period: int = MAX_PERIOD_DEFAULT,
     horizon: int = HORIZON_DEFAULT,
     depth: int = 4,
     piece_cap: int = DEFAULT_PIECE_CAP,
@@ -202,7 +200,7 @@ def run_checks(
         ("surjectivity-and-orbit-invariance",
          lambda: check_full_invariance(f, horizon=min(horizon, 200))),
         ("no-preperiodic-samples",
-         lambda: check_no_preperiodic(f, max_period, horizon=min(horizon, 200))),
+         lambda: check_no_preperiodic(f, horizon=min(horizon, 200))),
         ("periodic-points-totally-return",
          lambda: _periodic_points_totally_return(f, horizon, piece_cap)),
         ("no-radial-stretch",

@@ -38,6 +38,7 @@ from dendrodyn.plmap import (
     PLTreeMap,
     _canonical_point,
     _retraction,
+    built,
     compose,
     identity_map,
 )
@@ -325,7 +326,7 @@ class ComposingPowers:
     def fixed_set(self, n, piece_cap=DEFAULT_PIECE_CAP):
         if (n, piece_cap) not in self.fixed:
             if self.last is not None and self.last[:2] == (n - 1, piece_cap):
-                g = self.f.next_power(self.last[2], piece_cap)
+                g = built(self.last[2], self.f, piece_cap)
             else:
                 g = self.f.iterate(n, piece_cap)
             if n > 1:
@@ -378,6 +379,24 @@ def distance_retract(tree, target, z):
     if target.contains(z):
         return z
     return min(target.corner_points(), key=lambda w: tree.distance(z, w))
+
+
+def corner_scan_first_met(tree, closed, z):
+    """`MetricTree.first_met` by scanning every corner of the set, as
+    `MetricTree.retract` once did: the deepest corner on z's root path,
+    else the top corner, the one first in preorder.  The first point of
+    the set a walk from z toward the root meets is reached from below, so
+    it is a corner, and no corner on the path lies deeper."""
+    pz = tree._position(z)
+    on_path, top = None, None  # (depth key, corner)
+    for c in closed.corner_points():
+        pc = tree._position(c)
+        key = (tree._tin[pc[0]], -pc[1])
+        if top is None or key < top[0]:
+            top = (key, c)
+        if tree._on_root_path(pc, pz) and (on_path is None or key > on_path[0]):
+            on_path = (key, c)
+    return (on_path or top)[1]
 
 
 def distance_arc_contains(arc, x):

@@ -330,11 +330,11 @@ def test_criterion_8_invariance_and_preperiodic_suites():
     with criterion(8, "invariance and preperiodic suites", budget=30.0):
         for tree, f, v in finite_order_suite():
             assert check_full_invariance(f).status == "pass"
-            assert check_no_preperiodic(f, 10_000).status == "pass"
+            assert check_no_preperiodic(f).status == "pass"
 
         negatives = [shift_and_tent()["tent"], stem_collapse_map(3), stem_collapse_map(5)]
         for tree, f in negatives:
             a = check_full_invariance(f)
             assert a.status == "fail" and a.witness is not None
-            b = check_no_preperiodic(f, 10_000)
+            b = check_no_preperiodic(f)
             assert b.status == "fail" and b.witness is not None

@@ -385,7 +385,7 @@ READS = {
     "analyze": ("--max-period", "--depth", "--piece-cap"),
     "odometer": ("--depth", "--piece-cap"),
     "classify": ("--max-period",),
-    "verify": ("--max-period", "--horizon", "--depth", "--piece-cap"),
+    "verify": ("--horizon", "--depth", "--piece-cap"),
 }
 BOUND_FLAGS = ("--max-period", "--horizon", "--depth", "--piece-cap")
 # for each flag a command reads, a value and an instance on which it changes
@@ -397,7 +397,6 @@ CHANGED_BY = [
     ("odometer", "--depth", "1", "tower"),
     ("odometer", "--piece-cap", "1", "sagged"),
     ("classify", "--max-period", "2", "rotation"),
-    ("verify", "--max-period", "1", "tent"),
     ("verify", "--horizon", "1", "rotation"),
     ("verify", "--depth", "1", "rotation"),
     ("verify", "--piece-cap", "1", "sagged"),

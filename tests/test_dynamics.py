@@ -496,6 +496,16 @@ def test_a_drift_is_found_within_the_walk_bound(monkeypatch, k):
     assert 0 < len(walked) <= starts * 2 * k
 
 
+def test_a_drift_walk_stops_at_its_horizon(monkeypatch):
+    """On the 200-arm rotation with one arm sagged, 201 evaluations close
+    the vertex cycles, and the walk from the drift start stops at its
+    horizon, 2M = 400 steps, whatever room the orbit store has left."""
+    f = sagged(random.Random(200), rotation_star(200)[1])
+    walked = count_calls(monkeypatch, PLTreeMap, "evaluate")
+    assert decide_pointwise_recurrent(f).reason == "power-not-identity"
+    assert len(walked) <= 601
+
+
 def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     # the decision walks the drift and composes nothing; only the fixed
     # sets of the map, which has no certificate, are composed

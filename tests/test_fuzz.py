@@ -122,7 +122,7 @@ ACCEPTS = {
     "analyze": ("--max-period", "--depth", "--piece-cap", *REPORT),
     "odometer": ("--depth", "--piece-cap", *REPORT),
     "classify": ("--max-period", "--point", *REPORT),
-    "verify": ("--max-period", "--horizon", "--depth", "--piece-cap", *REPORT),
+    "verify": ("--horizon", "--depth", "--piece-cap", *REPORT),
     "fixture": ("--param", "-o", "--output"),
 }
 FOREIGN = {

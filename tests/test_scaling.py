@@ -9,7 +9,8 @@ level, so the tree is split at most once, whatever the number of arms.
 On towers detection splits no tree, `verify` builds no set's closure,
 and the classification reads no set at all.  The running union of the fixed
 sets merges each distinct fixed set once.  From horizon 3 on, `verify`
-walks no grid sample of an injective map and probes no anchor.
+walks no grid sample of an injective map and probes no anchor.  A map
+that is not onto is refuted at the first gap of its image, with no split.
 """
 
 import inspect
@@ -19,8 +20,8 @@ import pytest
 
 from dendrodyn import MetricTree, PLTreeMap, dynamics, save_instance_file, verify
 from dendrodyn.cli import main
-from dendrodyn.dynamics import _periodic_levels
-from dendrodyn.fixtures import odometer_tower, rotation_star
+from dendrodyn.dynamics import _periodic_levels, check_full_invariance, decide_pointwise_recurrent
+from dendrodyn.fixtures import build_fixture, odometer_tower, rotation_star
 from dendrodyn.odometer import TowerSet, classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, Subtree
@@ -211,3 +212,16 @@ def test_classify_calls_no_subtree_method(monkeypatch):
     monkeypatch.undo()
     assert report.label == "topological (full)" and report.detected_periods == (2, 4, 8)
     assert len(tally) > 20 and not any(tally.values()), tally
+
+
+def test_a_gap_witness_splits_no_tree(monkeypatch):
+    # the shift is injective and not onto: the decision and the invariance
+    # check both name the first gap of its image, found with no split
+    _, f = build_fixture("shift", {})
+    tally = {"components_minus": 0}
+    counted(monkeypatch, MetricTree, "components_minus", tally)
+    verdict = decide_pointwise_recurrent(f)
+    result = check_full_invariance(f)
+    assert verdict.reason == "not-surjective" and result.status == "fail"
+    assert verdict.witness.points == result.witness.points
+    assert tally["components_minus"] == 0

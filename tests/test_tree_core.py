@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, StructureError, Subtree
-from dendrodyn.dynamics import fixed_set
+from dendrodyn import MetricTree, PreconditionError, ResourceLimitError, StructureError, Subtree
+from dendrodyn.dynamics import _periodic_levels, fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Component, TreePoint, as_fraction, point_key
@@ -15,6 +15,8 @@ from oracles import (
     DataclassTreePoint,
     arc_offsets,
     canonical_key,
+    corner_scan_first_met,
+    decision_corpus,
     distance_arc_contains,
     distance_arclength_of,
     distance_on_arc,
@@ -688,6 +690,38 @@ def test_retract_matches_the_distance_oracle():
                 cases += 1
                 inside += w == z
     assert cases > 4000 and 0 < inside < cases
+
+
+def test_first_met_and_first_gap_match_the_corner_scan_and_the_split():
+    """On P_1, ..., P_4 of every map of the decision corpus and of two
+    towers, connected or not: the first point met toward the root from
+    every grid point off the set is the corner scan's, and the first gap's
+    midpoint is the representative point of the first component."""
+    homeos, folding, sags = decision_corpus(random.Random(7004))
+    maps = homeos + folding + sags
+    maps += [odometer_tower(len(ps), ps)[1] for ps in ((2, 4, 8, 16, 32, 64), (3, 9, 27))]
+    sets = disconnected = points = off_path = 0
+    for f in maps:
+        tree = f.domain
+        root = tree.vertex_point(tree.vertex_ids[0])
+        try:
+            levels = [union for _, _, union in _periodic_levels(f, 4)]
+        except ResourceLimitError:
+            continue
+        for s in set(levels):
+            comps = tree.components_minus(s)
+            assert tree.first_gap(s) == (comps[0].repr_point if comps else None)
+            if s.is_empty() or not comps:
+                continue
+            for z in tree.grid_points(3):
+                if not s.contains(z):
+                    w = tree.first_met(s, z)
+                    assert w == corner_scan_first_met(tree, s, z), (s, z)
+                    points += 1
+                    off_path += not tree.on_arc(w, z, root)  # the walk met nothing
+            sets += 1
+            disconnected += not s.is_connected()
+    assert sets > 1000 and disconnected > 500 and points > 20_000 and off_path > 1000
 
 
 def test_arc_location_matches_the_distance_oracle():

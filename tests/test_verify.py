@@ -230,11 +230,10 @@ def test_tower_checks_compute_each_power_once(monkeypatch):
 
 
 def test_verdict_is_decided_once_and_shared(monkeypatch):
-    # a period past `max_period` bounds no decision: f is decided once, and
-    # the power check decides only f^2 and f^3 afresh
+    # f is decided once, and the power check decides only f^2 and f^3 afresh
     tree, f = build_fixture("rotation", {"arms": "5"})
     decided = count_calls(monkeypatch, dendrodyn.verify, "decide_pointwise_recurrent")
-    recs = by_name(run_checks(f, max_period=3))
+    recs = by_name(run_checks(f))
     assert len(decided) == 3 and decided[0] is f
     first = recs["recurrence-verdict-consistency"]
     second = recs["power-recurrence-consistency"]
