@@ -46,14 +46,16 @@ whose ends are the images of J's ends; two components with the same ends
 are one, as arcs in a tree are unique.  So f^n fixes a point of O when
 its period divides n; on J it is the identity when it fixes both ends of
 J, fixes only the midpoint of J when it swaps them, and otherwise moves J
-off itself.  The map's certificate (`_Certificate`) keeps N and O, and
-each Fix(f^n) is read off it without composing, for any N; `_certificate`
-alone decides it, and the verdict and `fixed_set` read it there.  Every
-other map has its powers composed, within a piece budget, all but the
-last composition of each power: Fix(f^n) is solved from that
-composition's two factors, which are built, and checked against the
-budget, only when their cut count (at least the composite's number of
-normalized pieces) passes it.
+off itself.  The map's certificate (`_Certificate`) lays O out once as
+items with periods, and each Fix(f^n), for any N, is the items whose
+period divides n: a vertex or point of O with its cycle's length, J's
+closure with the lcm of its ends' periods, and J's midpoint with 1 when
+its ends form a 2-cycle.  `_certificate` alone decides it, and the
+verdict and `fixed_set` read it there.  Every other map has its powers
+composed, within a piece budget, all but the last composition of each
+power: Fix(f^n) is solved from that composition's two factors, which
+are built, and checked against the budget, only when their cut count
+(at least the composite's number of normalized pieces) passes it.
 
 What this module learns of a map is kept in one store per map
 (`_OrbitStore`).  `_walk` is the one orbit walker: it keeps the
@@ -133,12 +135,11 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     """The exact set of points with f^n(x) = x, computed once per map.
 
     On a certified map (`_certificate`: f^N is the identity, for any N)
-    this is Fix(f^gcd(n, N)), read off the finite invariant set O of the
-    orbits of the vertices and interior breakpoints, and no budget
-    applies: the
-    points of O whose period divides n, the closure of each interval of
-    the tree minus O whose two ends f^n fixes, and the midpoint of each
-    one whose ends it swaps (the module docstring has the proof).
+    this is Fix(f^gcd(n, N)), with no budget: of the items laid out from
+    O (`_Certificate`), those whose period divides n.  A vertex or point
+    of O carries its cycle's length, the closure of an interval between
+    neighbouring points of O the lcm of its ends' periods, and the
+    midpoint of one whose ends form a 2-cycle of f the period 1.
 
     Any other map has f^n = outer . inner made as `iterate` makes it, by
     squaring, or as f^(n-1) . f when f^(n-1) is the last power made here
@@ -525,58 +526,56 @@ def _certified_cycles(f: PLTreeMap, horizon: int) -> tuple:
 class _Certificate:
     """A proof that f^power is the identity, and the orbit partition it
     rests on, the cycles of the vertices and interior breakpoints.  The
-    first `fixed_set` call lays it out: `orbits` maps each point of O to
-    (its cycle, its index there), and `edges` lists per edge, in the
-    tree's order, the points of O on it with their parameters, in order
-    from 0 to 1; the intervals between neighbours are the components of
-    the tree minus O."""
+    first `fixed_set` call lays O out as `items`, each (period, vertex,
+    segment) with one of the last two set, as `fixed_set` lists them.
 
-    __slots__ = ("power", "cycles", "orbits", "edges")
+    A midpoint item stands for every swapped interval: an interval J that
+    some f^k swaps has ends that form a 2-cycle of f.
+    1. Fix(f^k) is connected: f^k fixes the arc between two of its fixed
+       points, since an increasing interval map of finite order is the
+       identity.
+    2. Fix(f^k) holds Fix(f), which is never empty on a tree.
+    3. Of J, f^k fixes the midpoint m alone, so an arc in Fix(f^k) from a
+       point of Fix(f) to m is m itself.  So f maps J onto the component
+       of the tree minus O that holds f(m) = m, J itself, and not as the
+       identity, as f^k is not; f swaps J's ends."""
+
+    __slots__ = ("power", "cycles", "items")
 
     def __init__(self, power: int, cycles: list):
         self.power = power
         self.cycles = cycles
-        self.orbits = None
-        self.edges = None
+        self.items = None
 
-    def _lay_out(self, tree) -> None:
-        self.orbits = {}
+    def _lay_out(self, tree) -> list:
+        cycle_of = {}  # each point of O -> the one cycle tuple kept for it
         for cycle in self.cycles:
-            if cycle[0] not in self.orbits:  # a cycle met again, maybe rotated
-                self.orbits.update((p, (cycle, k)) for k, p in enumerate(cycle))
+            if cycle[0] not in cycle_of:  # a cycle met again, maybe rotated
+                cycle_of.update((p, cycle) for p in cycle)
+        items = [(len(cycle_of[tree.vertex_point(v)]), v, None) for v in tree.vertex_ids]
         on_edge = {eid: [] for eid in tree.edge_ids}
-        for p in self.orbits:
+        for p, cycle in cycle_of.items():
             if not p.is_vertex:
                 on_edge[p.edge].append((p.t, p))
-        self.edges = []
+                items.append((len(cycle), None, (p.edge, p.t, p.t)))
         for eid, inner in on_edge.items():
             u, w = tree.edge_ends(eid)
             ends = [(ZERO, tree.vertex_point(u)), *sorted(inner), (ONE, tree.vertex_point(w))]
-            self.edges.append((eid, ends))
+            for (ta, a), (tb, b) in zip(ends, ends[1:]):
+                ca, cb = cycle_of[a], cycle_of[b]
+                items.append((lcm(len(ca), len(cb)), None, (eid, ta, tb)))
+                if ca is cb and len(ca) == 2:
+                    mid = (ta + tb) / 2
+                    items.append((1, None, (eid, mid, mid)))
+        return items
 
     def fixed_set(self, tree, n: int) -> Subtree:
-        """Fix(f^n), read off O in one pass (see `fixed_set`)."""
-        if self.orbits is None:
-            self._lay_out(tree)
-        orbits = self.orbits
-
-        def image(p):
-            cycle, k = orbits[p]
-            return cycle[(k + n) % len(cycle)]
-
-        verts = [v for v in tree.vertex_ids if n % len(orbits[tree.vertex_point(v)][0]) == 0]
-        segs = []
-        for eid, ends in self.edges:
-            for (ta, a), (tb, b) in zip(ends, ends[1:]):
-                fa, fb = image(a), image(b)
-                if fa == a and not a.is_vertex:
-                    segs.append((eid, ta, ta))
-                if (fa, fb) == (a, b):
-                    segs.append((eid, ta, tb))
-                elif (fa, fb) == (b, a):
-                    mid = (ta + tb) / 2
-                    segs.append((eid, mid, mid))
-        return Subtree.build(tree, segs, verts)
+        """Fix(f^n): the laid-out items whose period divides n."""
+        if self.items is None:
+            self.items = self._lay_out(tree)
+        kept = [(v, seg) for period, v, seg in self.items if n % period == 0]
+        segs = [seg for _, seg in kept if seg is not None]
+        return Subtree.build(tree, segs, [v for v, seg in kept if seg is None])
 
 
 def _certificate(f: PLTreeMap) -> _Certificate | None:

@@ -798,8 +798,10 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
 
     A connected subtree holds at most one interval of an edge: the map is
     the identity on it and constant at its ends beyond it.  An edge the
-    hull holds in no interval of positive length retracts to one point.
+    hull holds in no interval of positive length retracts to one point,
+    where its end u does (`MetricTree.vertex_retractions`).
     """
+    where = tree.vertex_retractions(hull)
     table = {}
     for eid in tree.edge_ids:
         ivs = hull.segments.get(eid, ())
@@ -813,7 +815,7 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
                 bps.append((hi, b))
             table[eid] = bps + [(ONE, b)]
         else:
-            q = tree.retract(hull, tree.vertex_point(tree.edge_ends(eid)[0]))
+            q = where[tree.edge_ends(eid)[0]]
             table[eid] = [(ZERO, q), (ONE, q)]
     return PLTreeMap(tree, table)
 

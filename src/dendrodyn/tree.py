@@ -962,6 +962,25 @@ class MetricTree:
             return z
         return self.first_met(target, z)
 
+    def vertex_retractions(self, target: "Subtree") -> dict:
+        """Every vertex's `retract` onto a closed connected nonempty set, in
+        one preorder pass.  The root is retracted, which checks the set; a
+        vertex in the set is itself, and one whose parent edge holds an
+        interval of the set meets it on that edge (`first_met`).  Any other
+        vertex has the arc up to its parent p miss the set, so it retracts
+        where p does."""
+        order = self._preorder()
+        out = {order[0]: self.retract(target, _point(order[0], None, None))}
+        for v in order[1:]:
+            p, eid = self._up[v]
+            if v in target.vertices:
+                out[v] = _point(v, None, None)
+            elif eid in target.segments:
+                out[v] = self.first_met(target, _point(v, None, None))
+            else:
+                out[v] = out[p]
+        return out
+
 
 class Arc:
     """An ordered traversal of the unique arc between two points.

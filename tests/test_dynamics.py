@@ -1207,6 +1207,36 @@ def test_orbit_route_fixed_sets_match_the_composing_oracle(monkeypatch):
     assert shapes["interval"] > 20 and shapes["midpoint"] > 5
 
 
+def test_each_midpoint_item_is_fixed_on_an_interval_that_f_swaps():
+    """A certified map's layout: a point item off O is the midpoint of the
+    interval item around it, lies in Fix(f) with period 1, and f swaps that
+    interval's ends; and every interval whose ends f swaps has one."""
+    homeos, _, _ = decision_corpus(random.Random(7006))
+    midpoints = maps = 0
+    for f in certified_maps(random.Random(8191)) + homeos:
+        cert = _certificate(f)
+        if cert is None:
+            continue
+        tree, fixed = f.domain, fixed_set(f, 1)  # the first call lays the items out
+        orbit_points = {p for cycle in cert.cycles for p in cycle}
+        segs = [(period, seg) for period, _, seg in cert.items if seg is not None]
+        intervals = [seg for _, seg in segs if seg[1] < seg[2]]
+        mids = {}
+        for period, (eid, lo, hi) in segs:
+            x = tree.edge_point(eid, lo)
+            if lo == hi and x not in orbit_points:
+                (ta, tb), = [(a, b) for e, a, b in intervals if e == eid and a < lo < b]
+                assert lo == (ta + tb) / 2 and period == 1 and fixed.contains(x)
+                mids[eid, ta, tb] = x
+        for eid, ta, tb in intervals:
+            a, b = tree.edge_point(eid, ta), tree.edge_point(eid, tb)
+            swapped = f.evaluate(a) == b and f.evaluate(b) == a
+            assert swapped == ((eid, ta, tb) in mids), (f, eid, ta, tb)
+        midpoints += len(mids)
+        maps += 1
+    assert maps > 200 and midpoints > 20
+
+
 def test_the_certificate_is_decided_once_and_only_for_recurrent_maps(monkeypatch):
     rng = random.Random(6007)
     t = interval()

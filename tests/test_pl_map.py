@@ -1477,3 +1477,28 @@ def test_retraction_matches_the_table_route():
                 assert r.evaluate(x) == t.retract(hull, x)
             cases += 1
     assert cases == 6 * len(trees)
+
+
+def test_retraction_of_a_deep_path_retracts_one_vertex(monkeypatch):
+    """On a 4,000-vertex path, onto a hull at the root, the far leaf and the
+    middle, `_retraction` retracts the root alone and reads every other
+    vertex off the one preorder pass; it agrees with `retract` at the
+    vertices, checked at every 50th."""
+    n = 4000
+    names = [f"p{i}" for i in range(n)]
+    t = MetricTree(names, [(f"e{i}", (names[i], names[i + 1]), 1) for i in range(n - 1)])
+    retracted = []
+    plain = MetricTree.retract
+
+    def retract(tree, target, z):
+        retracted.append(z)
+        return plain(tree, target, z)
+
+    monkeypatch.setattr(MetricTree, "retract", retract)
+    for i in (0, n - 2, n // 2):
+        hull = t.connected_hull([t.vertex_point(f"p{i}"), t.edge_point(f"e{i}", F(1, 2))])
+        r = _retraction(t, hull)
+        assert len(retracted) == 1
+        for v in names[::50]:
+            assert r.evaluate(t.vertex_point(v)) == plain(t, hull, t.vertex_point(v))
+        retracted.clear()

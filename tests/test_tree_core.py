@@ -692,6 +692,39 @@ def test_retract_matches_the_distance_oracle():
     assert cases > 4000 and 0 < inside < cases
 
 
+def unit_path(n):
+    """An n-vertex path of unit edges e_i = [p_i, p_(i+1)], rooted at p0."""
+    names = [f"p{i}" for i in range(n)]
+    return MetricTree(names, [(f"e{i}", (names[i], names[i + 1]), 1) for i in range(n - 1)])
+
+
+def test_vertex_retractions_match_the_distance_oracle():
+    """Every vertex's retraction from the one preorder pass, against the
+    nearest corner: random hulls on the position trees, and on a deep path
+    hulls at the root, in the middle and at the far leaf, each a vertex, a
+    point inside an edge or a stretch across a vertex."""
+    rng = random.Random(7005)
+    cases = 0
+    path = unit_path(300)
+    hulls = []
+    for tree in position_trees(rng):
+        for _ in range(6):
+            pts = [random_point(rng, tree) for _ in range(rng.randint(1, 4))]
+            hulls.append((tree, tree.connected_hull(pts)))
+    for i in (0, 150, 298):
+        a, b = path.vertex_point(f"p{i}"), path.vertex_point(f"p{i + 1}")
+        inner = path.edge_point(f"e{i}", F(1, 3))
+        for pts in ([a], [b], [inner], [inner, b], [a, b]):
+            hulls.append((path, path.connected_hull(pts)))
+    for tree, y in hulls:
+        got = tree.vertex_retractions(y)
+        assert sorted(got) == sorted(tree.vertex_ids)
+        for v in tree.vertex_ids:
+            assert got[v] == distance_retract(tree, y, tree.vertex_point(v)), (y, v)
+            cases += 1
+    assert cases > 7000
+
+
 def test_first_met_and_first_gap_match_the_corner_scan_and_the_split():
     """On P_1, ..., P_4 of every map of the decision corpus and of two
     towers, connected or not: the first point met toward the root from
