@@ -98,9 +98,9 @@ class TowerSet:
     (`MetricTree.branch_window`).  Detection checks that the branch
     misses the periodic set, so it is a component of the tree minus that
     set with the one boundary point `attachment`.  The representative
-    point is the midpoint of the branch's least interval in edge order,
-    the point `MetricTree.components_minus` picks; the closure is built
-    from the window, in canonical form, when it is first read.
+    point is the midpoint of the branch's least interval in edge order;
+    the closure is built from the window, in canonical form, when it is
+    first read.
     """
 
     __slots__ = ("tree", "attachment", "repr_point", "window", "_closure")
@@ -148,11 +148,6 @@ class CycleOfSets:
     sets: tuple
     _windows: object = field(default=None, init=False, repr=False, compare=False)
 
-    def index_of(self, x: TreePoint):
-        """The index of the set holding x, or None."""
-        tree = self.sets[0].tree
-        return self._index(tree.key(tree.validate_point(x)))
-
     def _index(self, k: tuple):
         """The index of the set holding the point with key k, or None: one
         bisection over the windows of the sets below their attachments,
@@ -179,11 +174,11 @@ class CycleOfSets:
 
 def _refuse(tree, removed: Subtree, x: TreePoint):
     """Refuse the component of the tree minus `removed` that holds x,
-    which touches it at other than one point: split the tree to count."""
-    comp = next(c for c in tree.components_minus(removed) if c.contains(x))
+    which touches it at other than one point, counted by one walk from x
+    (`MetricTree.contacts`)."""
     raise PreconditionError(
         f"a component on the cycle touches the periodic set at "
-        f"{len(comp.boundary)} points, so it is no set of an adding machine"
+        f"{len(tree.contacts(removed, x))} points, so it is no set of an adding machine"
     )
 
 

@@ -401,7 +401,7 @@ class PLTreeMap:
     def fixed_point_set(self) -> Subtree:
         """All points with f(x) = x, exactly; may be empty or disconnected.
         The solve of `composite_fixed_set` with no outer factor."""
-        return _fixed_points(None, self)
+        return composite_fixed_set(None, self)
 
     # -- iteration ----------------------------------------------------------------
 
@@ -664,15 +664,9 @@ def factored(outer, inner: PLTreeMap, piece_cap: int, what: str) -> tuple:
 
 
 def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
-    """Fix(outer . inner), solved from the two factors without building
-    the composite; Fix(inner), by `PLTreeMap.fixed_point_set`, when
-    outer is None."""
-    return inner.fixed_point_set() if outer is None else _fixed_points(outer, inner)
-
-
-def _fixed_points(outer, inner: PLTreeMap) -> Subtree:
-    """The one fixed-point solve: Fix(outer . inner), or Fix(inner) when
-    outer is None.
+    """The one fixed-point solve: Fix(outer . inner), solved from the two
+    factors without building the composite, or Fix(inner) when outer is
+    None.
 
     A vertex is fixed when its image is itself.  A fixed point x inside
     an edge e lies in a cut `compose` would make: a window of an inner

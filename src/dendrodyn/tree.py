@@ -5,8 +5,9 @@ rational lengths.  Points live either at a vertex or strictly inside an
 edge, addressed by a rational parameter in (0, 1); the parameter values
 0 and 1 normalize to the incident vertex, so point equality is plain
 structural equality.  Every pair of points is joined by a unique arc,
-and all derived notions (distance, separation, hulls, retractions,
-complement components) are computed exactly in rational arithmetic.
+and all derived notions (distance, separation, hulls, retractions, the
+contacts of a complement component) are computed exactly in rational
+arithmetic.
 No floating point enters any computation in this module.
 
 Where a point lies is read off positions, not summed distances.  One
@@ -19,7 +20,7 @@ positions; an arc locates a point on itself from the segment that holds
 it.  The branch of the tree minus a point that holds another is a window
 of the preorder (`branch_window`), so membership is two comparisons of
 keys.  This module is the one that reads the rooting.  `distance` is
-there for callers that ask for a length.
+the length of the arc between two points.
 
 Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
@@ -32,7 +33,7 @@ from __future__ import annotations
 import operator
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd
@@ -327,7 +328,7 @@ class MetricTree:
     """
 
     __slots__ = (
-        "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_rdist", "_tin", "_tout",
+        "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_tin", "_tout",
         "_kids", "_grids", "_order",
     )
 
@@ -367,12 +368,11 @@ class MetricTree:
         self._ekeys = tuple(sorted(edict, key=str))
 
         # One rooting, linear in the vertex count: each vertex keeps its
-        # parent edge, its distance from the root, and the preorder window
-        # [tin, tout) that numbers exactly its subtree, so "u is an
-        # ancestor of w" is two integer comparisons.
+        # parent edge and the preorder window [tin, tout) that numbers
+        # exactly its subtree, so "u is an ancestor of w" is two integer
+        # comparisons.
         root = self._vkeys[0]
         up = {root: None}
-        rdist = {root: ZERO}
         order = []
         stack = [root]
         while stack:
@@ -381,7 +381,6 @@ class MetricTree:
             for eid, y in self._adj[x]:
                 if y not in up:
                     up[y] = (x, eid)
-                    rdist[y] = rdist[x] + edict[eid].length
                     stack.append(y)
         if len(order) != len(vs):
             raise StructureError("tree is not connected")
@@ -390,7 +389,6 @@ class MetricTree:
         for x in reversed(order[1:]):
             size[up[x][0]] += size[x]
         self._up = up
-        self._rdist = rdist
         self._tin = tin
         self._tout = {x: tin[x] + size[x] for x in order}
         self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
@@ -479,25 +477,9 @@ class MetricTree:
         """Whether vertex u lies on the path from the root to vertex w."""
         return self._tin[u] <= self._tin[w] < self._tout[u]
 
-    def _lca(self, u, w):
-        while not self._is_ancestor(u, w):
-            u = self._up[u][0]
-        return u
-
-    def _lower_end(self, p: TreePoint) -> tuple:
-        """The vertex p sits on or just above, with p's height above it.
-
-        For an edge point this is the edge's end farther from the root.
-        """
-        if p.is_vertex:
-            return (p.vertex, ZERO)
-        e = self._edge(p.edge)
-        if self._tin[e.w] > self._tin[e.u]:
-            return (e.w, (ONE - p.t) * e.length)
-        return (e.u, p.t * e.length)
-
     def _lower_vertex(self, p: TreePoint):
-        """The vertex of `_lower_end` alone, with no height worked out."""
+        """The vertex p sits on or just above: for an edge point, the
+        edge's end farther from the root."""
         if p.is_vertex:
             return p.vertex
         e = self._edge(p.edge)
@@ -607,16 +589,8 @@ class MetricTree:
         return verts, pieces
 
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
-        self.validate_point(a)
-        self.validate_point(b)
-        ca, ha = self._lower_end(a)
-        cb, hb = self._lower_end(b)
-        ra = self._rdist[ca] - ha
-        rb = self._rdist[cb] - hb
-        # The root paths of a and b merge at whichever of a, b and the lca
-        # of their lower ends lies nearest the root.
-        meet = min(ra, rb, self._rdist[self._lca(ca, cb)])
-        return ra + rb - 2 * meet
+        """The length of the arc from a to b."""
+        return self.arc(a, b).length
 
     def _vertex_path(self, u, w):
         """Edges from u to w as (edge_id, from_vertex, to_vertex) triples."""
@@ -820,83 +794,54 @@ class MetricTree:
 
     # -- complements -------------------------------------------------------
 
-    def components_minus(self, removed: "Subtree") -> tuple["Component", ...]:
-        """Path components of the complement of a closed subset.
-
-        Each component is returned through its closure together with the
-        boundary points where that closure meets the removed set.
+    def contacts(self, removed: "Subtree", x: TreePoint) -> tuple:
+        """The points where the component of the tree minus a closed set
+        that holds x, a point off the set, touches it, sorted by `point_key`.
 
         On each edge the removed intervals leave open gaps.  A gap ends
-        either at a contact point of the removed set or at a free vertex
-        (one outside it), and through a free vertex it continues into
-        the gaps at that vertex on its other edges.  So a component is
-        what one stack walk over gaps reaches, passing free vertices.  A
-        free vertex of an edge always has a gap there: a removed interval
-        reaching an edge end carries that end's vertex.  Only a vertex
-        with no edge at all, in a one-vertex tree with nothing removed,
-        is a component without a gap: the closure is that vertex, with no
-        boundary, and the vertex is its representative point.
-
-        Gaps are numbered in edge-id order, and a walk starts from the
-        least gap not yet reached, so the start lies on the component's
-        least edge and its midpoint is the representative point.  The
-        components come out in the order of their least gaps.
+        either at a contact point or at a free vertex (one outside the
+        set), and through a free vertex the component runs on into the
+        gap at that vertex on each of its other edges.  So the walk starts
+        at x's gap, or at x when it is a vertex, and passes each free
+        vertex it reaches once.
         """
-        if removed.tree is not self and removed.tree != self:
-            raise PreconditionError("subtree belongs to a different tree")
-        gaps: list = []
-        gaps_at = {v: [] for v in self._vkeys if v not in removed.vertices}
-        for eid in self._ekeys:
-            e = self._edges[eid]
-            prev = ZERO
-            # the sentinel (1, 1) closes the gap that runs to the edge's end
-            for lo, hi in (*removed.segments.get(eid, ()), (ONE, ONE)):
-                if prev < lo:
-                    if prev == ZERO and e.u in gaps_at:
-                        gaps_at[e.u].append(len(gaps))
-                    if lo == ONE and e.w in gaps_at:
-                        gaps_at[e.w].append(len(gaps))
-                    gaps.append((eid, prev, lo))
-                prev = hi
+        if removed.contains(self.validate_point(x)):
+            raise PreconditionError("the point lies in the removed set")
+        segments, inside, edges = removed.segments, removed.vertices, self._edges
+        found, seen, stack = set(), set(), []
 
-        reached = [False] * len(gaps)
-        comps = []
-        for start, (eid, glo, ghi) in enumerate(gaps):
-            if reached[start]:
-                continue
-            reached[start] = True
-            stack = [start]
-            segs, verts, contacts = [], [], set()
-            while stack:
-                seg = gaps[stack.pop()]
-                segs.append(seg)
-                sid, lo, hi = seg
-                e = self._edges[sid]
-                for t, v in ((lo, e.u), (hi, e.w)):
-                    if ZERO < t < ONE:
-                        contacts.add(_point(None, sid, t))
-                    elif v in removed.vertices:
-                        contacts.add(_point(v, None, None))
-                    elif v in gaps_at:
-                        # the first arrival at a free vertex takes its gaps
-                        verts.append(v)
-                        for j in gaps_at.pop(v):
-                            if not reached[j]:
-                                reached[j] = True
-                                stack.append(j)
-            comps.append(Component(
-                closure=Subtree.build(self, segs, verts),
-                boundary=tuple(sorted(contacts, key=point_key)),
-                repr_point=_point(None, eid, (glo + ghi) / 2),
-            ))
-        for v in gaps_at:  # never reached by a gap: a vertex with no edge
-            comps.append(Component(Subtree(self, {}, frozenset((v,))), (), _point(v, None, None)))
-        return tuple(comps)
+        def reach(eid, lo, hi):
+            u, w, _ = edges[eid]
+            for t, v in ((lo, u), (hi, w)):
+                if ZERO < t < ONE:
+                    found.add(_point(None, eid, t))
+                elif v in inside:
+                    found.add(_point(v, None, None))
+                elif v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+
+        if x.edge is None:
+            seen.add(x.vertex)
+            stack.append(x.vertex)
+        else:
+            ivs = segments.get(x.edge, ())
+            start = max((b for _, b in ivs if b < x.t), default=ZERO)
+            end = min((a for a, _ in ivs if a > x.t), default=ONE)
+            reach(x.edge, start, end)
+        while stack:
+            v = stack.pop()
+            for eid, _ in self._adj[v]:
+                ivs = segments.get(eid, ())
+                if edges[eid].u == v:  # no interval reaches v, a free end
+                    reach(eid, ZERO, ivs[0][0] if ivs else ONE)
+                else:
+                    reach(eid, ivs[-1][1] if ivs else ZERO, ONE)
+        return tuple(sorted(found, key=point_key))
 
     def first_gap(self, removed: "Subtree"):
         """The midpoint of the first gap, in edge order, that a closed set
-        leaves on an edge, or None when it holds every edge: the
-        representative point of the first of `components_minus`, with no
+        leaves on an edge, or None when it holds every edge, found with no
         tree split."""
         for eid in self._ekeys:
             ends = [ZERO, *(t for iv in removed.segments.get(eid, ()) for t in iv), ONE]
@@ -1187,16 +1132,6 @@ class Subtree:
                 return True
         return False
 
-    def contains_subtree(self, other: "Subtree") -> bool:
-        if not other.vertices <= self.vertices:
-            return False
-        for eid, ivs in other.segments.items():
-            mine = self.segments.get(eid, ())
-            for lo, hi in ivs:
-                if not any(a <= lo and hi <= b for a, b in mine):
-                    return False
-        return True
-
     def union(self, other: "Subtree") -> "Subtree":
         segs = [(e, lo, hi) for e, ivs in self.segments.items() for lo, hi in ivs]
         segs += [(e, lo, hi) for e, ivs in other.segments.items() for lo, hi in ivs]
@@ -1280,30 +1215,3 @@ def _merge_intervals(intervals: list) -> list:
         else:
             out.append((lo, hi))
     return out
-
-
-@dataclass(frozen=True, slots=True)
-class Component:
-    """A path component of a complement, carried by its closure.
-
-    The open component itself is ``closure`` minus the ``boundary``
-    points where it touches the removed set.
-    """
-
-    closure: Subtree
-    boundary: tuple
-    repr_point: TreePoint
-
-    def contains(self, p: TreePoint) -> bool:
-        return self.closure.contains(p) and p not in self.boundary
-
-    @property
-    def attachment(self) -> TreePoint:
-        """The one boundary point; a component touching the removed set
-        at any other number of points has none, and that is refused."""
-        if len(self.boundary) != 1:
-            raise PreconditionError(
-                f"component touches the removed set at {len(self.boundary)} points"
-            )
-        return self.boundary[0]
-

@@ -42,7 +42,7 @@ from dendrodyn.plmap import (
     compose,
     identity_map,
 )
-from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree, TreePoint
+from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree, TreePoint, point_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,7 +346,8 @@ def hull_by_composing(f, points, n, piece_cap=DEFAULT_PIECE_CAP):
     advanced = pts
     for _ in range(n):
         advanced = [f.evaluate(p) for p in advanced]
-    if not tree.connected_hull(advanced).contains_subtree(hull):
+    covering = tree.connected_hull(advanced)
+    if covering.union(hull) != covering:
         raise PreconditionError("advanced hull does not cover the original hull")
     h = _retraction(tree, hull)
     for _ in range(n):
@@ -447,7 +448,8 @@ def colliding_pieces(f):
 
 def covers_by_hulls(tree, cover, points):
     """Whether hull(cover) contains hull(points), both hulls built."""
-    return tree.connected_hull(cover).contains_subtree(tree.connected_hull(points))
+    covering = tree.connected_hull(cover)
+    return covering.union(tree.connected_hull(points)) == covering
 
 
 def outcome(call, *args, **kwargs):
@@ -622,7 +624,7 @@ def former_classify(cycles):
             if comp.closure.is_empty():
                 openness_ok = False
                 continue
-            others = tree.components_minus(tree.point_subtree(comp.attachment))
+            others = union_find_components(tree, tree.point_subtree(comp.attachment))
             rederived = next((c for c in others if c.contains(comp.repr_point)), None)
             if rederived is None or rederived.closure != comp.closure:
                 openness_ok = False
@@ -672,6 +674,122 @@ def assert_tower_facts(f, cycles):
     assert report == classify_by_closures(cycles)
     assert report.label == "topological (full)"
     return report
+
+
+# -- complement components by union-find ---------------------------------------------
+#
+# The package splits no tree: it counts one component's contacts by a walk
+# from a point (`MetricTree.contacts`).  The whole split is kept here, for
+# the tests and the split-route oracle below.
+
+
+@dataclass(frozen=True, slots=True)
+class Component:
+    """A path component of a complement, carried by its closure.
+
+    The open component itself is ``closure`` minus the ``boundary``
+    points where it touches the removed set.
+    """
+
+    closure: Subtree
+    boundary: tuple
+    repr_point: TreePoint
+
+    def contains(self, p):
+        return self.closure.contains(p) and p not in self.boundary
+
+    @property
+    def attachment(self):
+        """The one boundary point; a component touching the removed set
+        at any other number of points has none, and that is refused."""
+        if len(self.boundary) != 1:
+            raise PreconditionError(
+                f"component touches the removed set at {len(self.boundary)} points"
+            )
+        return self.boundary[0]
+
+
+def union_find_components(tree, removed):
+    """The components of the tree minus a closed set, by union-find over
+    free vertices and gaps, linked where a gap reaches a free vertex.
+
+    A component's representative point is the midpoint of its least gap
+    in edge order, or its vertex when it has no gap (the one-point tree
+    with nothing removed), and the components are sorted by their
+    closures' `canonical_key`.
+    """
+    parent: dict = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    units: list = []
+    contacts: dict = {}
+    for v in tree.vertex_ids:
+        if v not in removed.vertices:
+            key = ("vx", v)
+            parent[key] = key
+            units.append(key)
+            contacts[key] = []
+    for eid in tree.edge_ids:
+        u, w = tree.edge_ends(eid)
+        gaps = []
+        prev = Fraction(0)
+        for lo, hi in removed.segments.get(eid, ()):
+            if prev < lo:
+                gaps.append((prev, lo))
+            prev = hi
+        if prev < 1:
+            gaps.append((prev, Fraction(1)))
+        for glo, ghi in gaps:
+            key = ("seg", eid, glo, ghi)
+            parent[key] = key
+            units.append(key)
+            cts = []
+            for t, v in ((glo, u), (ghi, w)):
+                if 0 < t < 1:
+                    cts.append(tree.edge_point(eid, t))
+                elif v in removed.vertices:
+                    cts.append(tree.vertex_point(v))
+                else:
+                    union(key, ("vx", v))
+            contacts[key] = cts
+
+    groups: dict = {}
+    for key in units:
+        groups.setdefault(find(key), []).append(key)
+    comps = []
+    for members in groups.values():
+        segs, verts, cts = [], [], []
+        rep = None
+        for key in sorted(members, key=lambda k: (k[0], str(k[1]))):
+            if key[0] == "vx":
+                verts.append(key[1])
+            else:
+                _, eid, glo, ghi = key
+                segs.append((eid, glo, ghi))
+                if rep is None:
+                    rep = tree.edge_point(eid, (glo + ghi) / 2)
+            cts.extend(contacts[key])
+        if rep is None:  # a vertex with no edge: the one-point tree, nothing removed
+            rep = tree.vertex_point(verts[0])
+        comps.append(
+            Component(
+                closure=Subtree.build(tree, segs, verts),
+                boundary=tuple(sorted(set(cts), key=point_key)),
+                repr_point=rep,
+            )
+        )
+    comps.sort(key=lambda c: canonical_key(c.closure))
+    return tuple(comps)
 
 
 # -- cycles of sets by splitting the tree -------------------------------------------
@@ -761,7 +879,7 @@ def split_cycles_of_sets(f, depth, piece_cap=DEFAULT_PIECE_CAP):
         if removed == full:
             break
         if not levels or removed != levels[-1][1]:
-            comps = tree.components_minus(removed)
+            comps = union_find_components(tree, removed)
             levels.append((n, removed, comps, component_locator(comps)))
     if not levels:
         return ()

@@ -236,7 +236,8 @@ def test_criterion_4_periodic_point_in_hull():
             advanced = pts
             for _ in range(n):
                 advanced = [f.evaluate(p) for p in advanced]
-            if not tree.connected_hull(advanced).contains_subtree(hull):
+            covering = tree.connected_hull(advanced)
+            if covering.union(hull) != covering:
                 continue
             kept += 1
 

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 import dendrodyn
-from dendrodyn import MetricTree, PLTreeMap, build_fixture, cli, plmap, save_instance_file
+from dendrodyn import MetricTree, PLTreeMap, build_fixture, cli, dynamics, plmap, save_instance_file
 from dendrodyn import io as dio
 from dendrodyn.cli import DEPTH_DEFAULT, MAX_ANALYZE_SIZE, MAX_DEPTH, _build_parser, main
 from dendrodyn.dynamics import MAX_PERIOD_DEFAULT
@@ -826,29 +826,32 @@ def test_deep_tower_composes_no_power(tmp_path, capsys, monkeypatch, command, co
 def test_analyze_builds_only_the_factor_powers(tmp_path, capsys, monkeypatch):
     """stem_sweep has no certificate, so `analyze --depth 4` takes its fixed
     sets from powers: Fix(f) from f itself, and each Fix(f^n) from the
-    factors (f^(n-1), f).  So only f^2 = f . f and f^3 = f^2 . f are built,
-    each as a factor of the next power, and f^4 is never built."""
+    factors (f^(n-1), f), by the one solver.  So only f^2 = f . f and
+    f^3 = f^2 . f are built, each as a factor of the next power, and f^4 is
+    never built."""
     path = write_fixture(tmp_path, "stem_sweep")
     composed = []
     solved = []
     plain_compose = plmap.compose
-    plain_solve = PLTreeMap.fixed_point_set
+    plain_solve = dynamics.composite_fixed_set
 
     def counted_compose(outer, inner):
         composed.append((outer, inner, plain_compose(outer, inner)))
         return composed[-1][2]
 
-    def counted_solve(f):
-        solved.append(f)
-        return plain_solve(f)
+    def counted_solve(outer, inner):
+        solved.append((outer, inner))
+        return plain_solve(outer, inner)
 
     monkeypatch.setattr(plmap, "compose", counted_compose)
-    monkeypatch.setattr(PLTreeMap, "fixed_point_set", counted_solve)
+    monkeypatch.setattr(dynamics, "composite_fixed_set", counted_solve)
     code, report = run_json(capsys, ["analyze", path, "--depth", "4"])
     assert code == 0 and len(report["fixed_sets"]) == 4
-    (f, g, square), (cube_outer, cube_inner, _) = composed
+    (f, g, square), (cube_outer, cube_inner, cube) = composed
     assert f is g is cube_inner and cube_outer is square
-    assert solved == [f]
+    assert [(outer, inner is f) for outer, inner in solved] == [
+        (None, True), (f, True), (square, True), (cube, True)
+    ]
 
 
 def test_reports_do_not_depend_on_the_hash_seed(tmp_path):

@@ -58,6 +58,7 @@ from oracles import (
     outcome,
     random_involution,
     sagged,
+    union_find_components,
 )
 
 
@@ -217,7 +218,7 @@ def test_periodic_structure_cumulative_is_monotone():
     assert sorted(ps.fixed_sets) == [1, 2, 3, 4]
     for n in range(2, 5):
         prev, cur = ps.cumulative[n - 1], ps.cumulative[n]
-        assert cur.contains_subtree(prev)
+        assert cur.union(prev) == cur
     assert ps.vertex_periods == {"v0": 1, "v1": None}
 
 
@@ -403,7 +404,7 @@ def composing_decide(f, piece_cap=DEFAULT_PIECE_CAP):
         )
     image = f.image()
     if image != tree.full_subtree():
-        q = tree.components_minus(image)[0].repr_point
+        q = union_find_components(tree, image)[0].repr_point
         return RecurrenceVerdict(
             pointwise_recurrent=False,
             witness=Witness(
@@ -419,7 +420,7 @@ def composing_decide(f, piece_cap=DEFAULT_PIECE_CAP):
         return RecurrenceVerdict(
             pointwise_recurrent=True, identity_power=power, reason="identity-power"
         )
-    q = tree.components_minus(h.fixed_point_set())[0].repr_point
+    q = union_find_components(tree, h.fixed_point_set())[0].repr_point
     return RecurrenceVerdict(
         pointwise_recurrent=False,
         witness=Witness(
@@ -443,10 +444,11 @@ def test_orbit_certificate_matches_the_composing_oracle(monkeypatch):
         count_calls(monkeypatch, plmap, "compose"),
         count_calls(monkeypatch, PLTreeMap, "iterate"),
         count_calls(monkeypatch, PLTreeMap, "power_factors"),
-        count_calls(monkeypatch, PLTreeMap, "fixed_point_set"),
+        count_calls(monkeypatch, dynamics, "composite_fixed_set"),
+        count_calls(monkeypatch, plmap, "composite_fixed_set"),
     ]
     verdicts = [decide_pointwise_recurrent(f) for f in maps]
-    assert powers == [[], [], [], []]
+    assert powers == [[], [], [], [], []]
     reasons = {}
     for f, verdict in zip(maps, verdicts):
         expected = composing_decide(f)
@@ -517,10 +519,10 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     assert (verdict.reason, verdict.witness.kind) == (expected.reason, "non-periodic-cutpoint")
     assert verdict.witness.points == (pt(t, F(1, 2)),)
     assert factored == []
-    solved = count_calls(monkeypatch, PLTreeMap, "fixed_point_set")
+    solved = count_calls(monkeypatch, dynamics, "composite_fixed_set")
     fixed_set(sag, 1)
     assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP)]
-    assert len(solved) == 1  # f^1 is f, solved with no outer factor
+    assert solved == [(None, sag)]  # f^1 is f, solved with no outer factor
     solved.clear()
     # later powers in sequence: f^2 solved from (f, f), then each power
     # solved from (f^(n-1), f), f^(n-1) built only as that factor
@@ -528,7 +530,8 @@ def test_interior_drift_still_takes_the_composing_route(monkeypatch):
     for n in (2, 3, 4):
         fixed_set(sag, n)
     assert [args[1:] for args in factored] == [(1, DEFAULT_PIECE_CAP), (2, DEFAULT_PIECE_CAP)]
-    assert len(stepped) == 2 and len(solved) == 0
+    assert len(stepped) == 2 and len(solved) == 3
+    assert all(outer is not None for outer, _ in solved)
     # the same drift behind a flip: N = 2, and the walk alone finds it
     swung = PLTreeMap(t, {"e": [(0, pt(t, 1)), (F(1, 2), pt(t, F(1, 4))), (1, pt(t, 0))]})
     expected = composing_decide(swung)
@@ -802,7 +805,7 @@ def assert_tail_matches_former_walk(f, x, burn_in, window):
 def former_full_invariance(f, horizon=200):
     tree = f.domain
     if f.image() != tree.full_subtree():
-        gap = tree.components_minus(f.image())[0].repr_point
+        gap = union_find_components(tree, f.image())[0].repr_point
         return CheckResult(
             status="fail",
             witness=Witness(

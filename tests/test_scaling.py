@@ -2,10 +2,11 @@
 
 Rotation, identity and half-rotated stars at 200 and 400 arms go through
 `run_checks` and `cli.main odometer`, counting `PLTreeMap.evaluate`,
-`MetricTree.components_minus` and `Component.contains` calls.  There is
-no time budget: a quadratic step shows as a count that about quadruples
-when the star doubles.  Detection finds each set from its attachment, so
-neither a star nor a tower is split, whatever its size; on towers
+`MetricTree.contacts` and `TowerSet.contains` calls.  There is no time
+budget: a quadratic step shows as a count that about quadruples when the
+star doubles.  Detection finds each set from its attachment, so neither a
+star nor a tower is split, whatever its size, nor has a component's
+contacts counted, which only a refusal does; on towers
 `verify` builds no set's closure, and the classification reads no set
 at all.  The running union of the fixed sets merges each distinct fixed
 set once.  From horizon 3 on, `verify` walks no grid sample of an
@@ -24,7 +25,7 @@ from dendrodyn.dynamics import _periodic_levels, check_full_invariance, decide_p
 from dendrodyn.fixtures import build_fixture, odometer_tower, rotation_star
 from dendrodyn.odometer import TowerSet, classify_adding_machine, detect_cycles_of_sets
 from dendrodyn.plmap import map_from_vertex_images
-from dendrodyn.tree import Component, Subtree
+from dendrodyn.tree import Subtree
 from dendrodyn.verify import run_checks
 from oracles import sagged
 
@@ -58,11 +59,11 @@ def counted(monkeypatch, owner, name, tally):
 
 
 def calls(monkeypatch, run, arms, build):
-    tally = {"evaluate": 0, "components_minus": 0, "contains": 0}
+    tally = {"evaluate": 0, "contacts": 0, "contains": 0}
     with monkeypatch.context() as patch:
         counted(patch, PLTreeMap, "evaluate", tally)
-        counted(patch, MetricTree, "components_minus", tally)
-        counted(patch, Component, "contains", tally)
+        counted(patch, MetricTree, "contacts", tally)
+        counted(patch, TowerSet, "contains", tally)
         run(*build(arms))
     return tally
 
@@ -70,7 +71,7 @@ def calls(monkeypatch, run, arms, build):
 def assert_linear(small, large):
     for name in small:
         assert large[name] <= 2.1 * small[name] + 2, (name, small, large)
-    assert large["components_minus"] == small["components_minus"] == 0, (small, large)
+    assert large["contacts"] == small["contacts"] == 0, (small, large)
 
 
 def checks(tree, f):
@@ -103,14 +104,14 @@ def test_odometer_command_grows_linearly(monkeypatch, tmp_path, shape, capsys):
 )
 def test_towers_split_no_tree_to_detect_or_classify(monkeypatch, periods, depth):
     # each set is found from its attachment, so neither detection nor the
-    # classification splits the tree
+    # classification walks a component for its contacts
     _, f = odometer_tower(len(periods), periods)
-    tally = {"components_minus": 0}
-    counted(monkeypatch, MetricTree, "components_minus", tally)
+    tally = {"contacts": 0}
+    counted(monkeypatch, MetricTree, "contacts", tally)
     cycles = detect_cycles_of_sets(f, depth)
-    assert tally["components_minus"] == 0
+    assert tally["contacts"] == 0
     assert classify_adding_machine(cycles).label == "topological (full)"
-    assert tally["components_minus"] == 0
+    assert tally["contacts"] == 0
 
 
 def test_verify_builds_no_set_closure(monkeypatch):
@@ -133,11 +134,11 @@ def test_odometer_command_splits_no_tower(monkeypatch, tmp_path, capsys):
     tree, f = odometer_tower(6, (2, 4, 8, 16, 32, 64))
     path = tmp_path / "tower64.json"
     save_instance_file(path, tree, f)
-    tally = {"components_minus": 0}
-    counted(monkeypatch, MetricTree, "components_minus", tally)
+    tally = {"contacts": 0}
+    counted(monkeypatch, MetricTree, "contacts", tally)
     assert main(["odometer", str(path), "--depth", "64", "--format", "json"]) == 0
     assert '"periods": [' in capsys.readouterr().out
-    assert tally["components_minus"] == 0
+    assert tally["contacts"] == 0
 
 
 def test_tower_union_merges_each_distinct_fixed_set_once(monkeypatch):
@@ -193,9 +194,13 @@ def test_classify_calls_no_subtree_method(monkeypatch):
     _, f = odometer_tower(3, (2, 4, 8))
     cycles = detect_cycles_of_sets(f, 8)
     tally = {}
-    for cls in (Subtree, Component):
+    # the classification reads no set of a cycle, no subtree and no tree
+    for cls in (Subtree, TowerSet, MetricTree):
         for name, attr in vars(cls).items():
-            plain = attr.__func__ if isinstance(attr, (classmethod, staticmethod)) else attr
+            if isinstance(attr, property):
+                plain = attr.fget
+            else:
+                plain = attr.__func__ if isinstance(attr, (classmethod, staticmethod)) else attr
             if not inspect.isfunction(plain):
                 continue
             key = f"{cls.__name__}.{name}"
@@ -205,7 +210,9 @@ def test_classify_calls_no_subtree_method(monkeypatch):
                 tally[_key] += 1
                 return _plain(*args, **kwargs)
 
-            if isinstance(attr, (classmethod, staticmethod)):
+            if isinstance(attr, property):
+                wrapped = property(wrapped)
+            elif isinstance(attr, (classmethod, staticmethod)):
                 wrapped = type(attr)(wrapped)
             monkeypatch.setattr(cls, name, wrapped)
     report = classify_adding_machine(cycles)
@@ -218,10 +225,10 @@ def test_a_gap_witness_splits_no_tree(monkeypatch):
     # the shift is injective and not onto: the decision and the invariance
     # check both name the first gap of its image, found with no split
     _, f = build_fixture("shift", {})
-    tally = {"components_minus": 0}
-    counted(monkeypatch, MetricTree, "components_minus", tally)
+    tally = {"contacts": 0}
+    counted(monkeypatch, MetricTree, "contacts", tally)
     verdict = decide_pointwise_recurrent(f)
     result = check_full_invariance(f)
     assert verdict.reason == "not-surjective" and result.status == "fail"
     assert verdict.witness.points == result.witness.points
-    assert tally["components_minus"] == 0
+    assert tally["contacts"] == 0

@@ -10,11 +10,10 @@ from dendrodyn import MetricTree, PreconditionError, ResourceLimitError, Structu
 from dendrodyn.dynamics import _periodic_levels, fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
-from dendrodyn.tree import Component, TreePoint, as_fraction, point_key
+from dendrodyn.tree import TreePoint, as_fraction, point_key
 from oracles import (
     DataclassTreePoint,
     arc_offsets,
-    canonical_key,
     corner_scan_first_met,
     decision_corpus,
     distance_arc_contains,
@@ -22,6 +21,7 @@ from oracles import (
     distance_on_arc,
     distance_retract,
     measure,
+    union_find_components,
 )
 
 
@@ -309,22 +309,20 @@ def test_arc_random_sweep():
             check_arc_between(t, random_point(rng, t), random_point(rng, t))
 
 
-def test_arc_works_out_no_height(monkeypatch):
-    """An arc needs only the lower vertex of each end, which is the vertex
-    `_lower_end` gives; the heights are for `distance` alone."""
+def test_arc_works_out_no_height():
+    """An arc needs only the lower vertex of each end: the point itself
+    for a vertex, else the end of its edge whose arc to the root runs
+    through it.  No height above the root is worked out."""
     rng = random.Random(2005)
     trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(30)] + deep_trees(rng)
     ends = [(t, random_point(rng, t), random_point(rng, t)) for t in trees for _ in range(6)]
     for t, a, b in ends:
-        assert t._lower_vertex(a) == t._lower_end(a)[0]
-    heights = []
-    plain = MetricTree._lower_end
-    monkeypatch.setattr(MetricTree, "_lower_end", lambda t, p: heights.append(p) or plain(t, p))
-    arcs = [(t, t.arc(a, b)) for t, a, b in ends]
-    assert heights == []
-    monkeypatch.undo()
-    for t, arc in arcs:
-        check_arc_wellformed(t, arc)
+        low, root = t._lower_vertex(a), t.vertex_point(t.vertex_ids[0])
+        if a.is_vertex:
+            assert low == a.vertex
+        else:
+            assert low in t.edge_ends(a.edge) and t.on_arc(a, t.vertex_point(low), root)
+        check_arc_wellformed(t, t.arc(a, b))
 
 
 def same_arc(x, y):
@@ -406,12 +404,12 @@ def test_subtree_algebra():
     x = Subtree.build(t, [("b", F(0), F(2, 3)), ("up", F(0), F(1))], [])
     y = Subtree.build(t, [("b", F(1, 3), F(1)), ("vr", F(0), F(1))], [])
     u = x.union(y)
-    assert u.contains_subtree(x) and u.contains_subtree(y)
+    assert u.union(x) == u and u.union(y) == u
     assert u.segments["b"] == ((F(0), F(1)),)
     i = x.intersect(y)
     assert i.segments == {"b": ((F(1, 3), F(2, 3)),)}
     assert i.vertices == frozenset()
-    assert x.contains_subtree(i) and y.contains_subtree(i)
+    assert x.union(i) == x and y.union(i) == y
     assert measure(u) == F(3) + 1 + F(1, 2)
     assert measure(i) == 1
 
@@ -467,10 +465,10 @@ def test_every_subtree_lists_its_edges_in_the_tree_order():
         made += subs + [first.union(other), hulls[0].union(hulls[1]), hulls[0].intersect(first)]
         made += [f.image_of_subtree(s) for s in subs]
         made += [f.fixed_point_set(), t.arc(random_point(rng, t), random_point(rng, t)).as_subtree()]
-        made += [c.closure for s in subs[2:] for c in t.components_minus(s)]
+        made += [c.closure for s in subs[2:] for c in union_find_components(t, s)]
     for tree, f in (rotation_star(12), odometer_tower(3, (2, 4, 8))):
         fixed = [fixed_set(f, n) for n in range(1, 9)]
-        made += fixed + [c.closure for s in fixed for c in tree.components_minus(s)]
+        made += fixed + [c.closure for s in fixed for c in union_find_components(tree, s)]
     assert sum(len(s.segments) > 1 for s in made) > 200
     assert all(in_edge_order(s) for s in made)
 
@@ -742,7 +740,7 @@ def test_first_met_and_first_gap_match_the_corner_scan_and_the_split():
         except ResourceLimitError:
             continue
         for s in set(levels):
-            comps = tree.components_minus(s)
+            comps = union_find_components(tree, s)
             assert tree.first_gap(s) == (comps[0].repr_point if comps else None)
             if s.is_empty() or not comps:
                 continue
@@ -782,6 +780,9 @@ def test_arc_location_matches_the_distance_oracle():
 
 
 # -- complement components -------------------------------------------------
+#
+# The package counts one component's contacts by a walk from a point of it
+# (`MetricTree.contacts`); the whole split is the union-find oracle's.
 
 
 def test_components_partition_random_sweep():
@@ -790,7 +791,7 @@ def test_components_partition_random_sweep():
         t = random_tree(rng, rng.randint(2, 8))
         pts = [random_point(rng, t) for _ in range(2)]
         d = t.connected_hull(pts)
-        comps = t.components_minus(d)
+        comps = union_find_components(t, d)
         # closures plus the removed set tile the tree by measure
         total = measure(d) + sum((measure(c.closure) for c in comps), F(0))
         assert total == measure(t.full_subtree())
@@ -798,8 +799,11 @@ def test_components_partition_random_sweep():
             holders = [c for c in comps if c.contains(g)]
             if d.contains(g):
                 assert not holders
+                with pytest.raises(PreconditionError, match="lies in the removed set"):
+                    t.contacts(d, g)
             else:
                 assert len(holders) == 1
+                assert t.contacts(d, g) == holders[0].boundary
                 # connectivity within the component: arc to repr avoids d
                 arc = t.arc(g, holders[0].repr_point)
                 hits = d.intersect_arc(arc)
@@ -812,87 +816,17 @@ def test_components_partition_random_sweep():
             assert not c.contains(c.attachment)
 
 
-def union_find_components(tree, removed):
-    """Union-find over free vertices and gaps, linked where a gap reaches
-    a free vertex.  The oracle for `MetricTree.components_minus`, which
-    walks instead; returns the same components in the same order.
-    """
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    units: list = []
-    contacts: dict = {}
-    for v in tree.vertex_ids:
-        if v not in removed.vertices:
-            key = ("vx", v)
-            parent[key] = key
-            units.append(key)
-            contacts[key] = []
-    for eid in tree.edge_ids:
-        u, w = tree.edge_ends(eid)
-        gaps = []
-        prev = F(0)
-        for lo, hi in removed.segments.get(eid, ()):
-            if prev < lo:
-                gaps.append((prev, lo))
-            prev = hi
-        if prev < 1:
-            gaps.append((prev, F(1)))
-        for glo, ghi in gaps:
-            key = ("seg", eid, glo, ghi)
-            parent[key] = key
-            units.append(key)
-            cts = []
-            for t, v in ((glo, u), (ghi, w)):
-                if 0 < t < 1:
-                    cts.append(tree.edge_point(eid, t))
-                elif v in removed.vertices:
-                    cts.append(tree.vertex_point(v))
-                else:
-                    union(key, ("vx", v))
-            contacts[key] = cts
-
-    groups: dict = {}
-    for key in units:
-        groups.setdefault(find(key), []).append(key)
-    comps = []
-    for members in groups.values():
-        segs, verts, cts = [], [], []
-        rep = None
-        for key in sorted(members, key=lambda k: (k[0], str(k[1]))):
-            if key[0] == "vx":
-                verts.append(key[1])
-            else:
-                _, eid, glo, ghi = key
-                segs.append((eid, glo, ghi))
-                if rep is None:
-                    rep = tree.edge_point(eid, (glo + ghi) / 2)
-            cts.extend(contacts[key])
-        if rep is None:  # a vertex with no edge: the one-point tree, nothing removed
-            rep = tree.vertex_point(verts[0])
-        comps.append(
-            Component(
-                closure=Subtree.build(tree, segs, verts),
-                boundary=tuple(sorted(set(cts), key=point_key)),
-                repr_point=rep,
-            )
-        )
-    comps.sort(key=lambda c: canonical_key(c.closure))
-    return tuple(comps)
-
-
-def component_fields(comps):
-    return [(c.closure, c.closure.segments, c.boundary, c.repr_point) for c in comps]
+def other_point(tree, comp):
+    """A point of a component besides its representative, which lies in
+    its first gap: a free vertex when it has one, else a point of its
+    last gap."""
+    free = [v for v in tree.vertex_ids if v in comp.closure.vertices]
+    free = [v for v in free if tree.vertex_point(v) not in comp.boundary]
+    if free:
+        return tree.vertex_point(free[0])
+    eid, intervals = list(comp.closure.segments.items())[-1]
+    lo, hi = intervals[-1]
+    return tree.edge_point(eid, (3 * lo + hi) / 4)
 
 
 def test_components_walk_matches_union_find_oracle():
@@ -910,51 +844,66 @@ def test_components_walk_matches_union_find_oracle():
         cases += [(t, t.point_subtree(random_point(rng, t))) for _ in range(3)]
         hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(3)]
         cases += [(t, hulls[0].union(hulls[1]).union(hulls[2]))]
-    multi = alone = 0
+    multi = alone = at_vertex = elsewhere = 0
     for t, sub in cases:
-        comps = t.components_minus(sub)
-        assert component_fields(comps) == component_fields(union_find_components(t, sub))
+        comps = union_find_components(t, sub)
+        for c in comps:
+            other = other_point(t, c)
+            for x in (c.repr_point, other):
+                assert t.contacts(sub, x) == c.boundary, (sub, x)
+            at_vertex += other.is_vertex
+            elsewhere += other != c.repr_point and not other.is_vertex
         multi += any(len(c.boundary) > 1 for c in comps)
         alone += any(not c.closure.segments for c in comps)
     # every kind of removal shows up: several contacts, and the one-vertex
-    # tree with nothing removed, the only component without a gap
-    assert multi > 100 and alone > 0
+    # tree with nothing removed, the only component without a gap; the
+    # walk starts at free vertices and at gaps other than the first
+    assert multi > 100 and alone > 0 and at_vertex > 2000 and elsewhere > 500
 
 
 def test_components_of_the_one_point_tree():
     t = MetricTree(["v"], [])
     v = t.vertex_point("v")
-    (comp,) = t.components_minus(Subtree.empty(t))
+    (comp,) = union_find_components(t, Subtree.empty(t))
     assert (comp.closure, comp.boundary, comp.repr_point) == (t.full_subtree(), (), v)
     assert comp.contains(v)
-    assert t.components_minus(t.full_subtree()) == ()
+    assert t.contacts(Subtree.empty(t), v) == ()
+    assert union_find_components(t, t.full_subtree()) == ()
 
 
 def test_components_of_disconnected_removal():
     t = path_tree()
     d = Subtree.build(t, [("e1", F(1, 4), F(1, 2)), ("e2", F(1, 2), F(3, 4))], [])
-    comps = t.components_minus(d)
+    comps = union_find_components(t, d)
     assert len(comps) == 3
     middle = [c for c in comps if len(c.boundary) == 2]
     assert len(middle) == 1
-    assert middle[0].boundary == (
-        t.edge_point("e1", F(1, 2)),
-        t.edge_point("e2", F(1, 2)),
-    )
+    two = (t.edge_point("e1", F(1, 2)), t.edge_point("e2", F(1, 2)))
+    assert middle[0].boundary == two
+    for x in (t.edge_point("e1", F(3, 4)), t.vertex_point("b"), t.edge_point("e2", F(1, 4))):
+        assert t.contacts(d, x) == two
+    assert t.contacts(d, t.vertex_point("a")) == (t.edge_point("e1", F(1, 4)),)
+    assert t.contacts(d, t.edge_point("e3", F(1, 2))) == (t.edge_point("e2", F(3, 4)),)
     with pytest.raises(PreconditionError, match="touches the removed set at 2 points"):
         middle[0].attachment
 
 
-def test_components_minus_point_star():
+def test_components_of_a_point_star():
     t = star3()
-    comps = t.components_minus(t.point_subtree(t.vertex_point("c0")))
+    c0 = t.vertex_point("c0")
+    removed = t.point_subtree(c0)
+    comps = union_find_components(t, removed)
     assert len(comps) == 3
     leaves = sorted(str(c.closure.vertices - {"c0"}) for c in comps)
     assert leaves == ["frozenset({'l1'})", "frozenset({'l2'})", "frozenset({'l3'})"]
-    comps = t.components_minus(t.point_subtree(t.edge_point("a1", F(1, 2))))
-    assert len(comps) == 2
-    comps = t.components_minus(t.point_subtree(t.vertex_point("l1")))
-    assert len(comps) == 1
+    assert all(t.contacts(removed, t.vertex_point(v)) == (c0,) for v in ("l1", "l2", "l3"))
+    half = t.edge_point("a1", F(1, 2))
+    removed = t.point_subtree(half)
+    assert len(union_find_components(t, removed)) == 2
+    assert t.contacts(removed, t.vertex_point("l1")) == t.contacts(removed, c0) == (half,)
+    removed = t.point_subtree(t.vertex_point("l1"))
+    assert len(union_find_components(t, removed)) == 1
+    assert t.contacts(removed, c0) == (t.vertex_point("l1"),)
 
 
 def test_grid_points_deterministic():
