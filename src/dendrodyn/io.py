@@ -112,10 +112,14 @@ class _Reader:
     def point(self, obj, tree: MetricTree) -> TreePoint:
         key = None  # {"vertex": v} is kept under v, {"edge": e, "t": t} under (e, t)
         if type(obj) is dict:
-            if len(obj) == 1 and type(obj.get("vertex")) is str:
-                key = obj["vertex"]
-            elif len(obj) == 2 and type(obj.get("edge")) is str and type(obj.get("t")) is str:
-                key = (obj["edge"], obj["t"])
+            if len(obj) == 1:
+                v = obj.get("vertex")
+                if type(v) is str:
+                    key = v
+            elif len(obj) == 2:
+                e, t = obj.get("edge"), obj.get("t")
+                if type(e) is str and type(t) is str:
+                    key = (e, t)
         if key is None:
             return self._read_point(obj, tree)
         p = self._points.get(key)
@@ -243,7 +247,8 @@ def map_from_json(obj) -> tuple:
         table[eid] = bps
     f = PLTreeMap(tree, table)
     for v in tree.vertex_ids:
-        if f.vertex_image(v) != vimg[v]:
+        got, want = f.vertex_image(v), vimg[v]
+        if got is not want and got != want:
             raise StructureError(
                 f"vertex_images disagrees with edge_pieces at vertex {v!r}"
             )

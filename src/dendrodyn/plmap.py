@@ -65,6 +65,7 @@ from .tree import (
     MetricTree,
     Subtree,
     TreePoint,
+    _Q,
     as_fraction,
 )
 
@@ -111,26 +112,41 @@ class PLTreeMap:
     )
 
     def __init__(self, domain: MetricTree, table):
+        """The map of a breakpoint table, checked as it is read.
+
+        Each breakpoint's parameter is read once, a `_Q` as it stands, and
+        its point is validated once (`validate_point`).  Each edge's ends
+        come off its record in the tree, and a vertex image met again is
+        compared by identity before value, since a load hands out one
+        point for every repeat.  Each piece's arc comes from
+        `MetricTree._arc`, which validates nothing again, and the pieces
+        and image-arc segments are counted against `MAX_TABLE_SIZE` as
+        each piece is built.
+        """
         vimg: dict = {}
         pieces = []
         edge_index = {}
         size = 0
         validate = domain.validate_point
+        edges = domain._edges
         for eid in domain.edge_ids:
             if eid not in table:
                 raise StructureError(f"no breakpoints for edge {eid!r}")
             raw = list(table[eid])
             if len(raw) < 2:
                 raise StructureError(f"edge {eid!r} needs at least two breakpoints")
-            params, images = zip(*[(as_fraction(t), validate(p)) for t, p in raw])
+            params, images = zip(
+                *[(t if type(t) is _Q else as_fraction(t), validate(p)) for t, p in raw]
+            )
             if params[0] != ZERO or params[-1] != ONE:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
             # two breakpoints spanning [0, 1] increase
             if len(params) > 2 and any(not ta < tb for ta, tb in zip(params, params[1:])):
                 raise StructureError(f"edge {eid!r} breakpoints must increase")
-            u, w = domain.edge_ends(eid)
+            u, w, _ = edges[eid]
             for v, img in ((u, images[0]), (w, images[-1])):
-                if vimg.setdefault(v, img) != img:
+                held = vimg.setdefault(v, img)
+                if held is not img and held != img:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
             mine = []
             for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):

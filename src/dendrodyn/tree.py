@@ -26,6 +26,10 @@ Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
 `int` skip `Fraction`'s generic dispatch: `as_fraction`, `ZERO` and
 `ONE` hand them out, and whatever is computed from them stays one.
+Each of its `+ - * /` is one method frame that runs `Fraction`'s own
+formulas, Knuth's, inline.  A tree keeps each edge as the plain tuple
+(u, w, length), and an arc is one walk that reads the rooting's tables
+directly (`MetricTree._arc`).
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def _q(n: int, d: int) -> _Q:
 
 # The formulas of `Fraction` (Knuth, TAOCP 4.5.1) on numerator and
 # denominator pairs in lowest terms, denominators positive: each result is
-# in lowest terms already.
+# in lowest terms already.  The forward operators of `_Q` run them inline;
+# the reverse operators, rare in the program, call these.
 
 
 def _add(na, da, nb, db):
@@ -104,24 +109,16 @@ def _div(na, da, nb, db):
     return _q(n, d)
 
 
-def _operators(op, forward_fallback, reverse_fallback):
-    def forward(a, b):
-        tb = type(b)
-        if tb is _Q or tb is Fraction:
-            return op(a._numerator, a._denominator, b._numerator, b._denominator)
-        if tb is int:
-            return op(a._numerator, a._denominator, b, 1)
-        return forward_fallback(a, b)
-
+def _reverse(op, fallback):
     def reverse(b, a):  # a op b, with b the _Q
         ta = type(a)
         if ta is Fraction:
             return op(a._numerator, a._denominator, b._numerator, b._denominator)
         if ta is int:
             return op(a, 1, b._numerator, b._denominator)
-        return reverse_fallback(b, a)
+        return fallback(b, a)
 
-    return forward, reverse
+    return reverse
 
 
 def _comparison(cmp, fallback):
@@ -142,10 +139,12 @@ class _Q(Fraction):
     When the other operand's type is exactly `_Q`, `Fraction` or `int`,
     `+ - * /` (either side), `-`, `abs`, `==` and the order comparisons
     read the numerators and denominators directly, reduce with the gcd
-    formulas `Fraction` uses, and build a `_Q` without normalizing again.
-    Any other operand (bool, float, Decimal, complex) goes to
-    `Fraction`'s own method.  Value, `str`, `repr` and `hash` are those of
-    the equal `Fraction`.
+    formulas `Fraction` uses (Knuth's), and build a `_Q` without
+    normalizing again.  Each forward operator is one frame: it picks its
+    operand apart, runs the formula and builds its result inline.  Any
+    other operand (bool, float, Decimal, complex) goes to `Fraction`'s own
+    method.  Value, `str`, `repr` and `hash` are those of the equal
+    `Fraction`.
     """
 
     __slots__ = ()
@@ -174,10 +173,112 @@ class _Q(Fraction):
     def __abs__(a):
         return _q(abs(a._numerator), a._denominator)
 
-    __add__, __radd__ = _operators(_add, Fraction.__add__, Fraction.__radd__)
-    __sub__, __rsub__ = _operators(_sub, Fraction.__sub__, Fraction.__rsub__)
-    __mul__, __rmul__ = _operators(_mul, Fraction.__mul__, Fraction.__rmul__)
-    __truediv__, __rtruediv__ = _operators(_div, Fraction.__truediv__, Fraction.__rtruediv__)
+    def __add__(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__add__(a, b)
+        na, da = a._numerator, a._denominator
+        x = _new(_Q)
+        g = gcd(da, db)
+        if g == 1:
+            x._numerator = na * db + da * nb
+            x._denominator = da * db
+            return x
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            x._numerator = t
+            x._denominator = s * db
+        else:
+            x._numerator = t // g2
+            x._denominator = s * (db // g2)
+        return x
+
+    def __sub__(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__sub__(a, b)
+        na, da = a._numerator, a._denominator
+        x = _new(_Q)
+        g = gcd(da, db)
+        if g == 1:
+            x._numerator = na * db - da * nb
+            x._denominator = da * db
+            return x
+        s = da // g
+        t = na * (db // g) - nb * s
+        g2 = gcd(t, g)
+        if g2 == 1:
+            x._numerator = t
+            x._denominator = s * db
+        else:
+            x._numerator = t // g2
+            x._denominator = s * (db // g2)
+        return x
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__mul__(a, b)
+        na, da = a._numerator, a._denominator
+        g1 = gcd(na, db)
+        if g1 > 1:
+            na //= g1
+            db //= g1
+        g2 = gcd(nb, da)
+        if g2 > 1:
+            nb //= g2
+            da //= g2
+        x = _new(_Q)
+        x._numerator = na * nb
+        x._denominator = db * da
+        return x
+
+    def __truediv__(a, b):
+        tb = type(b)
+        if tb is _Q or tb is Fraction:
+            nb, db = b._numerator, b._denominator
+        elif tb is int:
+            nb, db = b, 1
+        else:
+            return Fraction.__truediv__(a, b)
+        na, da = a._numerator, a._denominator
+        if not nb:
+            raise ZeroDivisionError(f"Fraction({na * db}, 0)")
+        g1 = gcd(na, nb)
+        if g1 > 1:
+            na //= g1
+            nb //= g1
+        g2 = gcd(db, da)
+        if g2 > 1:
+            da //= g2
+            db //= g2
+        x = _new(_Q)
+        if nb < 0:
+            x._numerator = -na * db
+            x._denominator = -nb * da
+        else:
+            x._numerator = na * db
+            x._denominator = nb * da
+        return x
+
+    __radd__ = _reverse(_add, Fraction.__radd__)
+    __rsub__ = _reverse(_sub, Fraction.__rsub__)
+    __rmul__ = _reverse(_mul, Fraction.__rmul__)
+    __rtruediv__ = _reverse(_div, Fraction.__rtruediv__)
     __lt__ = _comparison(operator.lt, Fraction.__lt__)
     __le__ = _comparison(operator.le, Fraction.__le__)
     __gt__ = _comparison(operator.gt, Fraction.__gt__)
@@ -189,7 +290,7 @@ ONE = _q(1, 1)
 
 
 MAX_DIGITS = 1000
-_RATIONAL = re.compile(rf"[+-]?[0-9]{{1,{MAX_DIGITS}}}(/[0-9]{{1,{MAX_DIGITS}}})?")
+_RATIONAL = re.compile(rf"([+-]?[0-9]{{1,{MAX_DIGITS}}})(?:/([0-9]{{1,{MAX_DIGITS}}}))?")
 
 
 def as_fraction(value) -> Fraction:
@@ -204,14 +305,17 @@ def as_fraction(value) -> Fraction:
     if type(value) is _Q:
         return value
     if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
+        m = _RATIONAL.fullmatch(value)
+        if m is None:
             shown = value if len(value) <= 40 else value[:40] + "..."
             raise StructureError(
                 f"not a rational: {shown!r} (want [sign]digits[/digits], "
                 f"at most {MAX_DIGITS} digits a part)"
             )
-        num, _, den = value.partition("/")
-        n, d = int(num), int(den or 1)  # the grammar gives d no sign
+        num, den = m.groups()
+        if den is None:  # an integer, in lowest terms as it stands
+            return _q(int(num), 1)
+        n, d = int(num), int(den)  # the grammar gives d no sign
         if not d:
             raise StructureError(f"not a rational: {value!r}")
         g = gcd(n, d)
@@ -309,22 +413,14 @@ def point_key(p: TreePoint):
     return (1, str(p.edge), p.t)
 
 
-class _Edge(tuple):
-    """An edge as the tuple (u, w, length), built and compared as one."""
-
-    __slots__ = ()
-    u = property(operator.itemgetter(0))
-    w = property(operator.itemgetter(1))
-    length = property(operator.itemgetter(2))
-
-
 class MetricTree:
     """Immutable finite metric tree.
 
     `edges` is an iterable of ``(edge_id, (u, w), length)`` triples; the
     orientation u -> w fixes which end the edge parameter 0 refers to.
     Vertex and edge ids may be any hashable values with distinct `str`
-    forms (serialization uses strings throughout).
+    forms (serialization uses strings throughout).  Each edge is kept as
+    the plain tuple (u, w, length).
     """
 
     __slots__ = (
@@ -339,7 +435,7 @@ class MetricTree:
             raise StructureError("duplicate vertex ids")
         if not vs:
             raise StructureError("a tree needs at least one vertex")
-        edict: dict[object, _Edge] = {}
+        edict: dict[object, tuple] = {}
         adj: dict[object, list] = {v: [] for v in vs}
         for item in edges:
             try:
@@ -352,10 +448,11 @@ class MetricTree:
                 raise StructureError(f"edge {eid!r} references unknown vertex")
             if u == w:
                 raise StructureError(f"edge {eid!r} is a self-loop")
-            length = as_fraction(length)
+            if type(length) is not _Q:
+                length = as_fraction(length)
             if length._numerator <= 0:
                 raise StructureError(f"edge {eid!r} needs positive length")
-            edict[eid] = _Edge((u, w, length))
+            edict[eid] = (u, w, length)
             adj[u].append((eid, w))
             adj[w].append((eid, u))
         if len(edict) != len(vs) - 1:
@@ -384,13 +481,18 @@ class MetricTree:
                     stack.append(y)
         if len(order) != len(vs):
             raise StructureError("tree is not connected")
-        tin = {x: i for i, x in enumerate(order)}
-        size = dict.fromkeys(order, 1)
-        for x in reversed(order[1:]):
-            size[up[x][0]] += size[x]
+        # A subtree's window ends where its last vertex in preorder does.
+        # Walking the preorder backwards meets that vertex first, and a
+        # parent first through its last child, which hands the end up.
+        tout = {}
+        for i in range(len(order) - 1, 0, -1):
+            x = order[i]
+            end = tout.setdefault(x, i + 1)  # a leaf's own slot, else set by its last child
+            tout.setdefault(up[x][0], end)
+        tout[root] = len(order)
         self._up = up
-        self._tin = tin
-        self._tout = {x: tin[x] + size[x] for x in order}
+        self._tin = {x: i for i, x in enumerate(order)}
+        self._tout = tout
         self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
         self._grids = {}  # per_edge -> grid_points(per_edge), made on first use
         self._order = None  # the vertices in preorder, made on first use
@@ -406,11 +508,10 @@ class MetricTree:
         return self._ekeys
 
     def edge_ends(self, eid) -> tuple:
-        e = self._edge(eid)
-        return (e.u, e.w)
+        return self._edge(eid)[:2]
 
     def edge_length(self, eid) -> Fraction:
-        return self._edge(eid).length
+        return self._edge(eid)[2]
 
     def degree(self, v) -> int:
         if v not in self._vertices:
@@ -423,7 +524,7 @@ class MetricTree:
     def has_edge(self, eid) -> bool:
         return eid in self._edges
 
-    def _edge(self, eid) -> _Edge:
+    def _edge(self, eid) -> tuple:
         try:
             return self._edges[eid]
         except KeyError:
@@ -450,40 +551,37 @@ class MetricTree:
 
     def edge_point(self, eid, t) -> TreePoint:
         """Point at parameter t on an edge; t=0 and t=1 give the vertex form."""
-        e = self._edge(eid)
-        t = as_fraction(t)
+        u, w, _ = self._edge(eid)
+        if type(t) is not _Q:
+            t = as_fraction(t)
         n, d = t._numerator, t._denominator  # in lowest terms, d > 0
         if 0 < n < d:
             return _point(None, eid, t)
         if n == 0:
-            return _point(e.u, None, None)
+            return _point(u, None, None)
         if n == d:
-            return _point(e.w, None, None)
+            return _point(w, None, None)
         raise StructureError(f"parameter {t} outside [0,1] on edge {eid!r}")
 
     def validate_point(self, p: TreePoint) -> TreePoint:
-        if not isinstance(p, TreePoint):
+        if p.__class__ is not TreePoint and not isinstance(p, TreePoint):
             raise StructureError(f"not a TreePoint: {p!r}")
-        if p.is_vertex:
+        if p.vertex is not None:
             if p.vertex not in self._vertices:
                 raise StructureError(f"point references unknown vertex: {p.vertex!r}")
-        else:
-            self._edge(p.edge)
+        elif p.edge not in self._edges:
+            raise StructureError(f"unknown edge: {p.edge!r}")
         return p
 
     # -- metric ----------------------------------------------------------
-
-    def _is_ancestor(self, u, w) -> bool:
-        """Whether vertex u lies on the path from the root to vertex w."""
-        return self._tin[u] <= self._tin[w] < self._tout[u]
 
     def _lower_vertex(self, p: TreePoint):
         """The vertex p sits on or just above: for an edge point, the
         edge's end farther from the root."""
         if p.is_vertex:
             return p.vertex
-        e = self._edge(p.edge)
-        return e.w if self._tin[e.w] > self._tin[e.u] else e.u
+        u, w, _ = self._edge(p.edge)
+        return w if self._tin[w] > self._tin[u] else u
 
     def _position(self, p: TreePoint) -> tuple:
         """p's position in the rooting: its lower vertex w, and the share
@@ -582,7 +680,7 @@ class MetricTree:
         for eid in eids:
             if eid != a.edge:
                 pieces.append((eid, ZERO, ONE))
-            elif (self._edges[eid].w == low) != up:  # the branch runs to parameter 1
+            elif (self._edges[eid][1] == low) != up:  # the branch runs to parameter 1
                 pieces.append((eid, a.t, ONE))
             else:
                 pieces.append((eid, ZERO, a.t))
@@ -591,21 +689,6 @@ class MetricTree:
     def distance(self, a: TreePoint, b: TreePoint) -> Fraction:
         """The length of the arc from a to b."""
         return self.arc(a, b).length
-
-    def _vertex_path(self, u, w):
-        """Edges from u to w as (edge_id, from_vertex, to_vertex) triples."""
-        steps = []
-        while not self._is_ancestor(u, w):
-            pu, eid = self._up[u]
-            steps.append((eid, u, pu))
-            u = pu
-        down = []
-        while w != u:
-            pw, eid = self._up[w]
-            down.append((eid, pw, w))
-            w = pw
-        steps.extend(reversed(down))
-        return steps
 
     # -- arcs ------------------------------------------------------------
 
@@ -623,49 +706,70 @@ class MetricTree:
     def _arc(self, a: TreePoint, b: TreePoint) -> "Arc":
         """`arc` for two points known to be valid in this tree.
 
-        A segment between a's or b's edge position and an end of its edge
-        adds that share of the edge's length to the offsets, and every
-        segment between two vertices adds its whole edge's length.
+        The walk reads the rooting inline.  It starts at a's lower vertex,
+        or for a point inside an edge at the end the arc leaves it by: the
+        lower end exactly when b lies below it.  It ends at b's lower
+        vertex, or at the end the arc enters b's edge by: the lower end
+        exactly when the walk starts below it.  In between it climbs parent
+        edges until it stands on an ancestor of its end, then runs down the
+        end's parent edges, which are read climbing from the end and
+        reversed.  A segment between a's or b's edge position and an end of
+        its edge adds that share of the edge's length to the offsets, and
+        every segment between two vertices adds its whole edge's length.
         """
         if a == b:
             return Arc(self, a, b, (), (ZERO,))
-        edges = self._edges
-        if a.edge is not None and a.edge == b.edge:
-            step = abs(b.t - a.t) * edges[a.edge].length
-            return Arc(self, a, b, ((a.edge, a.t, b.t),), (ZERO, step))
+        edges, tin, tout, up = self._edges, self._tin, self._tout, self._up
+        ea, eb = a.edge, b.edge
+        if ea is not None and ea == eb:
+            step = abs(b.t - a.t) * edges[ea][2]
+            return Arc(self, a, b, ((ea, a.t, b.t),), (ZERO, step))
         segs: list[tuple] = []
         steps = []
-        start = self._lower_vertex(a)
-        low_b = self._lower_vertex(b)
-        if a.edge is not None:
-            # leave a's edge through its lower end exactly when b lies below it
-            u, w, length = edges[a.edge]
-            if not self._is_ancestor(start, low_b):
-                start = u if start == w else w
-            if start == u:
-                segs.append((a.edge, a.t, ZERO))
+        if eb is None:
+            end = b.vertex
+        else:
+            bu, bw, b_length = edges[eb]
+            end = bw if tin[bw] > tin[bu] else bu  # b's lower vertex
+        if ea is None:
+            x = a.vertex
+        else:
+            u, w, length = edges[ea]
+            low, high = (w, u) if tin[w] > tin[u] else (u, w)
+            x = low if tin[low] <= tin[end] < tout[low] else high
+            if x == u:
+                segs.append((ea, a.t, ZERO))
                 steps.append(a.t * length)
             else:
-                segs.append((a.edge, a.t, ONE))
+                segs.append((ea, a.t, ONE))
                 steps.append((ONE - a.t) * length)
-        target = low_b
-        if b.edge is not None:
-            # enter b's edge through its lower end exactly when the walk
-            # starts below it
-            u, w, length = edges[b.edge]
-            if not self._is_ancestor(low_b, start):
-                target = u if low_b == w else w
-        for eid, fr, _to in self._vertex_path(start, target):
-            e = edges[eid]
-            segs.append((eid, ZERO, ONE) if fr == e.u else (eid, ONE, ZERO))
-            steps.append(e.length)
-        if b.edge is not None:
-            if target == u:
-                segs.append((b.edge, ZERO, b.t))
-                steps.append(b.t * length)
+        if eb is not None and not tin[end] <= tin[x] < tout[end]:
+            end = bu if end == bw else bw
+        at = tin[end]
+        while not tin[x] <= at < tout[x]:
+            p, eid = up[x]
+            u, w, length = edges[eid]
+            segs.append((eid, ZERO, ONE) if x == u else (eid, ONE, ZERO))
+            steps.append(length)
+            x = p
+        k = len(segs)
+        y = end
+        while y != x:
+            p, eid = up[y]
+            u, w, length = edges[eid]
+            segs.append((eid, ZERO, ONE) if p == u else (eid, ONE, ZERO))
+            steps.append(length)
+            y = p
+        if len(segs) > k + 1:  # read climbing from the end: reverse them
+            segs[k:] = segs[k:][::-1]
+            steps[k:] = steps[k:][::-1]
+        if eb is not None:
+            if end == bu:
+                segs.append((eb, ZERO, b.t))
+                steps.append(b.t * b_length)
             else:
-                segs.append((b.edge, ONE, b.t))
-                steps.append((ONE - b.t) * length)
+                segs.append((eb, ONE, b.t))
+                steps.append((ONE - b.t) * b_length)
         return Arc(self, a, b, tuple(segs), (ZERO, *accumulate(steps)))
 
     def on_arc(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
@@ -833,7 +937,7 @@ class MetricTree:
             v = stack.pop()
             for eid, _ in self._adj[v]:
                 ivs = segments.get(eid, ())
-                if edges[eid].u == v:  # no interval reaches v, a free end
+                if edges[eid][0] == v:  # no interval reaches v, a free end
                     reach(eid, ZERO, ivs[0][0] if ivs else ONE)
                 else:
                     reach(eid, ivs[-1][1] if ivs else ZERO, ONE)
@@ -864,7 +968,7 @@ class MetricTree:
         w, share = self._position(z)
         while self._up[w] is not None:
             p, eid = self._up[w]
-            at_one = self._edges[eid].w == w  # w's end of its parent edge is parameter 1
+            at_one = self._edges[eid][1] == w  # w's end of its parent edge is parameter 1
             ends = [(ONE - t if at_one else t, t) for iv in segments.get(eid, ()) for t in iv]
             above = [end for end in ends if end[0] > share]  # (share up from w, parameter)
             if above:
@@ -1016,7 +1120,7 @@ class Arc:
             for k, (eid, u0, u1) in enumerate(self.segments):
                 if eid == x.edge:
                     if u0 <= t <= u1 or u1 <= t <= u0:
-                        return cums[k] + abs(t - u0) * edges[eid].length
+                        return cums[k] + abs(t - u0) * edges[eid][2]
                     return None
             return None
         v = x.vertex
@@ -1079,8 +1183,10 @@ class Subtree:
         by_edge: dict[object, list] = {}
         for eid, lo, hi in segments:
             tree._edge(eid)
-            lo = as_fraction(lo)
-            hi = as_fraction(hi)
+            if type(lo) is not _Q:
+                lo = as_fraction(lo)
+            if type(hi) is not _Q:
+                hi = as_fraction(hi)
             if not (ZERO <= lo <= hi <= ONE):
                 raise StructureError(f"bad interval [{lo}, {hi}] on edge {eid!r}")
             by_edge.setdefault(eid, []).append((lo, hi))
@@ -1091,7 +1197,7 @@ class Subtree:
             verts.add(v)
         canon: dict[object, tuple] = {}
         for eid in sorted(by_edge, key=str):  # the order of `tree.edge_ids`
-            u, w = tree.edge_ends(eid)
+            u, w, _ = tree._edges[eid]
             out = []
             for lo, hi in _merge_intervals(by_edge[eid]):
                 if lo == ZERO:

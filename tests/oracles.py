@@ -8,7 +8,7 @@ the package runs.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from dendrodyn.errors import ConsistencyError, PreconditionError, ResourceLimitError, StructureError
 from dendrodyn.fixtures import (
@@ -42,7 +42,7 @@ from dendrodyn.plmap import (
     compose,
     identity_map,
 )
-from dendrodyn.tree import ONE, ZERO, MetricTree, Subtree, TreePoint, point_key
+from dendrodyn.tree import ONE, ZERO, Arc, MetricTree, Subtree, TreePoint, point_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,6 +236,92 @@ def arc_offsets(arc):
     for eid, t0, t1 in arc.segments:
         out.append(out[-1] + abs(t1 - t0) * arc.tree.edge_length(eid))
     return tuple(out)
+
+
+def size_table_rooting(tree):
+    """(up, tin, tout) as `MetricTree` once made them: a stack walk from
+    the least vertex for the parents and the preorder, then a table of
+    subtree sizes summed up the reversed preorder, with tout = tin + size."""
+    root = tree.vertex_ids[0]
+    up = {root: None}
+    order = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for eid, y in tree._adj[x]:
+            if y not in up:
+                up[y] = (x, eid)
+                stack.append(y)
+    tin = {x: i for i, x in enumerate(order)}
+    size = dict.fromkeys(order, 1)
+    for x in reversed(order[1:]):
+        size[up[x][0]] += size[x]
+    return up, tin, {x: tin[x] + size[x] for x in order}
+
+
+def vertex_path_arc(tree, a, b):
+    """The arc from a to b as `MetricTree._arc` once walked it: each end's
+    lower vertex and each ancestor test a call, and the path between the
+    two walk ends listed as (edge, from, to) steps before it becomes
+    segments."""
+    edges, tin, tout, up = tree._edges, tree._tin, tree._tout, tree._up
+
+    def is_ancestor(u, w):
+        return tin[u] <= tin[w] < tout[u]
+
+    def lower_vertex(p):
+        if p.is_vertex:
+            return p.vertex
+        u, w, _ = edges[p.edge]
+        return w if tin[w] > tin[u] else u
+
+    def vertex_path(u, w):
+        steps = []
+        while not is_ancestor(u, w):
+            pu, eid = up[u]
+            steps.append((eid, u, pu))
+            u = pu
+        down = []
+        while w != u:
+            pw, eid = up[w]
+            down.append((eid, pw, w))
+            w = pw
+        return steps + down[::-1]
+
+    if a == b:
+        return Arc(tree, a, b, (), (ZERO,))
+    if a.edge is not None and a.edge == b.edge:
+        return Arc(tree, a, b, ((a.edge, a.t, b.t),), (ZERO, abs(b.t - a.t) * edges[a.edge][2]))
+    segs, steps = [], []
+    start, low_b = lower_vertex(a), lower_vertex(b)
+    if a.edge is not None:
+        u, w, length = edges[a.edge]
+        if not is_ancestor(start, low_b):
+            start = u if start == w else w
+        if start == u:
+            segs.append((a.edge, a.t, ZERO))
+            steps.append(a.t * length)
+        else:
+            segs.append((a.edge, a.t, ONE))
+            steps.append((ONE - a.t) * length)
+    target = low_b
+    if b.edge is not None:
+        u, w, length = edges[b.edge]
+        if not is_ancestor(low_b, start):
+            target = u if low_b == w else w
+    for eid, fr, _to in vertex_path(start, target):
+        e = edges[eid]
+        segs.append((eid, ZERO, ONE) if fr == e[0] else (eid, ONE, ZERO))
+        steps.append(e[2])
+    if b.edge is not None:
+        if target == u:
+            segs.append((b.edge, ZERO, b.t))
+            steps.append(b.t * length)
+        else:
+            segs.append((b.edge, ONE, b.t))
+            steps.append((ONE - b.t) * length)
+    return Arc(tree, a, b, tuple(segs), (ZERO, *accumulate(steps)))
 
 
 def same_load(a, b):

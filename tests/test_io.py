@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ import pytest
 import dendrodyn.io
 from dendrodyn import MetricTree, PLTreeMap, StructureError, build_fixture
 from dendrodyn.cli import main
-from dendrodyn.fixtures import FIXTURE_KINDS
+from dendrodyn.fixtures import FIXTURE_KINDS, odometer_tower
 from dendrodyn.io import (
     dump_instance,
     dump_json,
@@ -454,3 +455,20 @@ def test_a_load_parses_and_validates_each_value_once(monkeypatch):
     distinct = {json.dumps(p, sort_keys=True) for p in points}
     assert len(vertices) + len(edge_points) == len(distinct)
     assert len(validated) == sum(len(bps) for bps in obj["edge_pieces"].values())
+
+
+def test_loading_a_tower_tracks_no_more_objects_than_before():
+    """The objects the cyclic collector tracks after a depth-8 tower
+    (512 vertices) is loaded and kept.  A load added 5,129, about 10 per
+    edge, while edges were still a tuple subclass; it may not add more.
+    CPython 3.10 to 3.13 count the same; another interpreter may not."""
+    depth = 8
+    text = dump_instance(*odometer_tower(depth, [2**i for i in range(1, depth + 1)]))
+    load_instance(text)  # whatever a first load makes once
+    gc.collect()
+    before = len(gc.get_objects())
+    held = load_instance(text)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(held[0].edge_ids) == 511
+    assert added <= 5_129

@@ -6,11 +6,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from dendrodyn import MetricTree, PreconditionError, ResourceLimitError, StructureError, Subtree
+from dendrodyn import (
+    FIXTURE_KINDS,
+    MetricTree,
+    PreconditionError,
+    ResourceLimitError,
+    StructureError,
+    Subtree,
+    build_fixture,
+)
 from dendrodyn.dynamics import _periodic_levels, fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
 from dendrodyn.plmap import map_from_vertex_images
-from dendrodyn.tree import TreePoint, as_fraction, point_key
+from dendrodyn.tree import TreePoint, _Q, as_fraction, point_key
 from oracles import (
     DataclassTreePoint,
     arc_offsets,
@@ -21,7 +29,9 @@ from oracles import (
     distance_on_arc,
     distance_retract,
     measure,
+    size_table_rooting,
     union_find_components,
+    vertex_path_arc,
 )
 
 
@@ -323,6 +333,40 @@ def test_arc_works_out_no_height():
         else:
             assert low in t.edge_ends(a.edge) and t.on_arc(a, t.vertex_point(low), root)
         check_arc_wellformed(t, t.arc(a, b))
+
+
+def kernel_trees(rng):
+    """Seeded random trees of 1 to 12 vertices and every fixture's tree."""
+    trees = [random_tree(rng, rng.randint(1, 12)) for _ in range(40)]
+    return trees + [build_fixture(kind)[0] for kind in FIXTURE_KINDS]
+
+
+def test_rooting_matches_the_size_table_oracle():
+    """The windows filled in one reverse pass over the preorder are those
+    a table of subtree sizes gives, on small, deep and fixture trees."""
+    rng = random.Random(7101)
+    for tree in kernel_trees(rng) + deep_trees(rng):
+        assert (tree._up, tree._tin, tree._tout) == size_table_rooting(tree)
+
+
+def test_arc_walk_matches_the_vertex_path_oracle():
+    """The arc walk that reads the rooting inline gives the segments and
+    offsets of the former walk through `_vertex_path`: every ordered pair
+    of `grid_points(2)` on the small and fixture trees, and sampled pairs
+    on the deep ones."""
+    rng = random.Random(7102)
+    cases = [(tree, a, b) for tree in kernel_trees(rng) for a in tree.grid_points(2)
+             for b in tree.grid_points(2)]
+    for tree in deep_trees(rng):
+        grid = tree.grid_points(2)
+        cases += [(tree, rng.choice(grid), rng.choice(grid)) for _ in range(3000)]
+    long = 0
+    for tree, a, b in cases:
+        got, want = tree._arc(a, b), vertex_path_arc(tree, a, b)
+        assert (got.segments, got.segment_offsets) == (want.segments, want.segment_offsets), (a, b)
+        assert all(type(x) is _Q for x in got.segment_offsets)
+        long += len(got.segments) > 3
+    assert len(cases) > 20_000 and long > 5_000
 
 
 def same_arc(x, y):
