@@ -88,6 +88,13 @@ ORBIT_STORE_PER_ITEM = 8  # orbit store entries per vertex and per piece of the 
 _UNDECIDED = object()  # a map's certificate before it is looked for
 
 
+def _at_least_one(**bounds) -> None:
+    """Refuse a bound below 1, by name: none of them answers below it."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True, slots=True)
 class Witness:
     """Checkable evidence for a negative verdict.
@@ -156,8 +163,7 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     on this route: a smaller budget may raise where a larger one
     succeeds, and a call that raises stores nothing.
     """
-    if n < 1:
-        raise PreconditionError("power must be at least 1")
+    _at_least_one(power=n)
     cert = _certificate(f)
     fixed_sets = _OrbitStore.of(f).fixed_sets
     key = (n, piece_cap) if cert is None else (gcd(n, cert.power), None)
@@ -204,8 +210,10 @@ def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP
 
 def periodic_union(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """Union of the fixed sets of the first n powers."""
-    levels = list(_periodic_levels(f, n, piece_cap))
-    return levels[-1][2] if levels else Subtree.empty(f.domain)
+    _at_least_one(n=n)
+    for _, _, union in _periodic_levels(f, n, piece_cap):
+        pass
+    return union
 
 
 def vertex_period(f: PLTreeMap, v, max_period: int = MAX_PERIOD_DEFAULT) -> int | None:
@@ -214,6 +222,7 @@ def vertex_period(f: PLTreeMap, v, max_period: int = MAX_PERIOD_DEFAULT) -> int 
     The orbit is walked with repetition detection, so a vertex that falls
     into a cycle not containing it is reported non-periodic immediately.
     """
+    _at_least_one(max_period=max_period)
     label = _walk(f, f.domain.vertex_point(v), max_period)
     return len(label[1]) if label is not None and label[0] == 0 else None
 
@@ -227,6 +236,7 @@ def periodic_structure(
     """Fixed sets and cumulative unions for powers 1..upto, plus vertex periods."""
     if upto < 1:
         raise PreconditionError("need at least one power")
+    _at_least_one(max_period=max_period)
     levels = list(_periodic_levels(f, upto, piece_cap))
     fixed = {n: sub for n, sub, _ in levels}
     cumulative = {n: union for n, _, union in levels}
@@ -323,6 +333,7 @@ def returns_to_components(
     ones, so no more of them are looked at.  An orbit point equal to x
     answers at once, since y is not on the one-point arc [x, x].
     """
+    _at_least_one(power=power, horizon=horizon)
     tree = f.domain
     tree.validate_point(x)
     tree.validate_point(y)
@@ -636,6 +647,7 @@ def check_full_invariance(
     every sample walked; a sample whose orbit does not repeat within the
     horizon is counted as undetermined.
     """
+    _at_least_one(horizon=horizon)
     tree = f.domain
     injective = f.is_injective()[0]
     if not (_is_onto(f) if injective else f.image() == tree.full_subtree()):
@@ -677,6 +689,7 @@ def check_no_preperiodic(f: PLTreeMap, horizon: int = 200) -> CheckResult:
 
     An injective map has no such point (see `check_full_invariance`), so
     its samples are not walked."""
+    _at_least_one(horizon=horizon)
     tree = f.domain
     for x in () if f.is_injective()[0] else tree.grid_points(3):
         label = _walk(f, x, horizon)
@@ -728,8 +741,7 @@ def check_no_radial_stretch(
     them comes from `MetricTree.first_separated`.  The witness is the
     least such anchor, with the first sample that it serves.
     """
-    if n < 1:
-        raise PreconditionError("power must be at least 1")
+    _at_least_one(power=n)
     if _certificate(f) is not None:
         return CheckResult(status="pass")
     tree = f.domain
@@ -778,8 +790,7 @@ def check_escape(
     itself).  Reports "skipped" when periodic cutpoints exist, since the
     containment claim assumes there are none.  The powers are tried in
     order and the first fixed set with a cutpoint answers."""
-    if n < 1:
-        raise PreconditionError("power must be at least 1")
+    _at_least_one(power=n)
     tree = f.domain
     for k in range(1, CUTPOINT_POWER_BOUND + 1):
         fixed = fixed_set(f, k, piece_cap)

@@ -13,23 +13,28 @@ No floating point enters any computation in this module.
 Where a point lies is read off positions, not summed distances.  One
 rooting numbers the vertices in preorder, and a point's position is its
 lower vertex with the share of that vertex's parent edge it sits up
-(`MetricTree._position`).  Whether a point is on an arc, where a walk
-toward the root first meets a closed set (`first_met`, which a retraction
-returns), and how `first_separated` orders its points are comparisons of
-positions; an arc locates a point on itself from the segment that holds
-it.  The branch of the tree minus a point that holds another is a window
-of the preorder (`branch_window`), so membership is two comparisons of
-keys.  This module is the one that reads the rooting.  `distance` is
-the length of the arc between two points.
+(`MetricTree._position`); its key is its place in the preorder of points.
+The branch of the tree minus a point that holds another is a window of
+keys (`branch_window`), so membership is two comparisons of keys.  In a
+tree x lies on the arc [a, b] exactly when it is an end or separates a
+from b, so `on_arc` asks whether a and b lie in different branches at x,
+and `first_separated` takes the points outside the branch that holds its
+second argument.  The walk toward the root to the first point of a
+closed set it meets (`first_met`, which a retraction returns) compares
+positions, and an arc locates a point on itself from the segment that
+holds it.  This module
+is the one that reads the rooting.  `distance` is the length of the arc
+between two points.
 
 Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
 `int` skip `Fraction`'s generic dispatch: `as_fraction`, `ZERO` and
 `ONE` hand them out, and whatever is computed from them stays one.
 Each of its `+ - * /` is one method frame that runs `Fraction`'s own
-formulas, Knuth's, inline.  A tree keeps each edge as the plain tuple
-(u, w, length), and an arc is one walk that reads the rooting's tables
-directly (`MetricTree._arc`).
+formulas, Knuth's, inline, and each reverse operator runs the forward
+one on its left operand made a `_Q`.  A tree keeps each edge as the
+plain tuple (u, w, length), and an arc is one walk that reads the
+rooting's tables directly (`MetricTree._arc`).
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, StructureError
 
-# -- exact rationals: `_Q` and the integer formulas it runs -------------------
+# -- exact rationals: `_Q` ------------------------------------------------------
 
 _new = object.__new__
 
@@ -58,64 +63,13 @@ def _q(n: int, d: int) -> _Q:
     return x
 
 
-# The formulas of `Fraction` (Knuth, TAOCP 4.5.1) on numerator and
-# denominator pairs in lowest terms, denominators positive: each result is
-# in lowest terms already.  The forward operators of `_Q` run them inline;
-# the reverse operators, rare in the program, call these.
-
-
-def _add(na, da, nb, db):
-    g = gcd(da, db)
-    if g == 1:
-        return _q(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = gcd(t, g)
-    if g2 == 1:
-        return _q(t, s * db)
-    return _q(t // g2, s * (db // g2))
-
-
-def _sub(na, da, nb, db):
-    return _add(na, da, -nb, db)
-
-
-def _mul(na, da, nb, db):
-    g1 = gcd(na, db)
-    if g1 > 1:
-        na //= g1
-        db //= g1
-    g2 = gcd(nb, da)
-    if g2 > 1:
-        nb //= g2
-        da //= g2
-    return _q(na * nb, db * da)
-
-
-def _div(na, da, nb, db):
-    if not nb:
-        raise ZeroDivisionError(f"Fraction({na * db}, 0)")
-    g1 = gcd(na, nb)
-    if g1 > 1:
-        na //= g1
-        nb //= g1
-    g2 = gcd(db, da)
-    if g2 > 1:
-        da //= g2
-        db //= g2
-    n, d = na * db, nb * da
-    if d < 0:
-        n, d = -n, -d
-    return _q(n, d)
-
-
 def _reverse(op, fallback):
-    def reverse(b, a):  # a op b, with b the _Q
+    def reverse(b, a):  # a op b, with b the _Q: a made a _Q runs the forward op
         ta = type(a)
         if ta is Fraction:
-            return op(a._numerator, a._denominator, b._numerator, b._denominator)
+            return op(_q(a._numerator, a._denominator), b)
         if ta is int:
-            return op(a, 1, b._numerator, b._denominator)
+            return op(_q(a, 1), b)
         return fallback(b, a)
 
     return reverse
@@ -141,10 +95,11 @@ class _Q(Fraction):
     read the numerators and denominators directly, reduce with the gcd
     formulas `Fraction` uses (Knuth's), and build a `_Q` without
     normalizing again.  Each forward operator is one frame: it picks its
-    operand apart, runs the formula and builds its result inline.  Any
-    other operand (bool, float, Decimal, complex) goes to `Fraction`'s own
-    method.  Value, `str`, `repr` and `hash` are those of the equal
-    `Fraction`.
+    operand apart, runs the formula and builds its result inline.  A
+    reverse operator, rare in the program, makes its `int` or `Fraction`
+    left operand a `_Q` and runs the forward one.  Any other operand
+    (bool, float, Decimal, complex) goes to `Fraction`'s own method.
+    Value, `str`, `repr` and `hash` are those of the equal `Fraction`.
     """
 
     __slots__ = ()
@@ -275,10 +230,10 @@ class _Q(Fraction):
             x._denominator = nb * da
         return x
 
-    __radd__ = _reverse(_add, Fraction.__radd__)
-    __rsub__ = _reverse(_sub, Fraction.__rsub__)
-    __rmul__ = _reverse(_mul, Fraction.__rmul__)
-    __rtruediv__ = _reverse(_div, Fraction.__rtruediv__)
+    __radd__ = _reverse(__add__, Fraction.__radd__)
+    __rsub__ = _reverse(__sub__, Fraction.__rsub__)
+    __rmul__ = _reverse(__mul__, Fraction.__rmul__)
+    __rtruediv__ = _reverse(__truediv__, Fraction.__rtruediv__)
     __lt__ = _comparison(operator.lt, Fraction.__lt__)
     __le__ = _comparison(operator.le, Fraction.__le__)
     __gt__ = _comparison(operator.gt, Fraction.__gt__)
@@ -491,11 +446,11 @@ class MetricTree:
             tout.setdefault(up[x][0], end)
         tout[root] = len(order)
         self._up = up
+        self._order = tuple(order)  # a window [tin, tout) is the slice it numbers
         self._tin = {x: i for i, x in enumerate(order)}
         self._tout = tout
         self._kids = {}  # vertex -> its children's windows (tin, tout), made on first use
         self._grids = {}  # per_edge -> grid_points(per_edge), made on first use
-        self._order = None  # the vertices in preorder, made on first use
 
     # -- basic accessors -------------------------------------------------
 
@@ -575,14 +530,6 @@ class MetricTree:
 
     # -- metric ----------------------------------------------------------
 
-    def _lower_vertex(self, p: TreePoint):
-        """The vertex p sits on or just above: for an edge point, the
-        edge's end farther from the root."""
-        if p.is_vertex:
-            return p.vertex
-        u, w, _ = self._edge(p.edge)
-        return w if self._tin[w] > self._tin[u] else u
-
     def _position(self, p: TreePoint) -> tuple:
         """p's position in the rooting: its lower vertex w, and the share
         of w's parent edge p sits up it, 0 for w itself and in (0, 1)
@@ -596,13 +543,6 @@ class MetricTree:
             return (w, ONE - p.t)
         return (u, p.t)
 
-    def _on_root_path(self, x: tuple, p: tuple) -> bool:
-        """Whether the point at position x lies on the path from the point
-        at position p to the root: x's lower vertex is p's or an ancestor
-        of it, and on p's own edge x is no lower than p."""
-        (wx, hx), (wp, hp) = x, p
-        return self._tin[wx] <= self._tin[wp] < self._tout[wx] and (wx != wp or hx >= hp)
-
     def _child_window(self, v, w) -> tuple:
         """The window (tin, tout) of the child of v whose subtree holds w,
         for a vertex w strictly below v.  Each vertex's children windows
@@ -614,15 +554,6 @@ class MetricTree:
                 (tin[x], tout[x]) for _, x in self._adj[v] if tin[x] > tin[v]
             )
         return kids[bisect_left(kids, (self._tin[w] + 1,)) - 1]
-
-    def _preorder(self) -> list:
-        """The vertices in preorder, listed once on first use: a window
-        [tin, tout) is the slice of the vertices it numbers."""
-        if self._order is None:
-            order = self._order = [None] * len(self._tin)
-            for x, i in self._tin.items():
-                order[i] = x
-        return self._order
 
     # -- branches at a point -----------------------------------------------
     #
@@ -644,12 +575,13 @@ class MetricTree:
         window when a is a vertex, else the part below a on its edge and
         under.  The branch up toward the root (up true) holds every key
         outside [lo, hi), the closed part below a."""
-        ka, kr = self.key(a), self.key(r)
-        end = (self._tout[self._lower_vertex(a)], -1)
+        (wa, ha), (wr, hr) = self._position(a), self._position(r)
+        ka, kr = (self._tin[wa], -ha), (self._tin[wr], -hr)
+        end = (self._tout[wa], -1)
         if not ka < kr < end:
             return (ka, end, True)
         if a.edge is None:
-            c_in, c_out = self._child_window(a.vertex, self._lower_vertex(r))
+            c_in, c_out = self._child_window(wa, wr)
             return ((c_in, -1), (c_out, -1), False)
         return (ka, end, False)
 
@@ -664,16 +596,16 @@ class MetricTree:
         intervals (eid, lo, hi).
 
         The window's preorder slice, or the rest of the preorder for the
-        branch up toward the root, is the branch's vertices.  Each but the
-        root brings its parent edge, and the branch up brings the edge just
-        above a's lower vertex too: whole, or on a's own edge the part on the
-        branch's side of a.
+        branch up toward the root, is the branch's vertices, as a new list.
+        Each but the root brings its parent edge, and the branch up brings
+        the edge just above a's lower vertex too: whole, or on a's own edge
+        the part on the branch's side of a.
         """
         lo, hi, up = window
-        order, parent = self._preorder(), self._up
-        verts = order[: lo[0]] + order[hi[0] :] if up else order[lo[0] : hi[0]]
+        order, parent = self._order, self._up
+        verts = list(order[: lo[0]] + order[hi[0] :] if up else order[lo[0] : hi[0]])
         eids = [parent[y][1] for y in verts if parent[y] is not None]
-        low = self._lower_vertex(a)
+        low = self._position(a)[0]
         if up and parent[low] is not None:
             eids.append(parent[low][1])
         pieces = []
@@ -773,51 +705,30 @@ class MetricTree:
         return Arc(self, a, b, tuple(segs), (ZERO, *accumulate(steps)))
 
     def on_arc(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
-        """Whether x lies on the closed arc [a, b], read off positions.
-
-        The root paths of a and b share the root path of their meet m, the
-        point of [a, b] nearest the root, and [a, b] is the rest of each
-        with m.  So x is on the arc when it lies on exactly one of the two
-        root paths, and when it lies on both, only if it is m: a or b when
-        x has the lower vertex of either, else the branch vertex that
-        a and b lie below through different children.
-        """
+        """Whether x lies on the closed arc [a, b]: x is a or b, or it
+        separates them, so that a and b lie in different branches of the
+        tree minus x (`branch_window`)."""
         for p in (x, a, b):
             self.validate_point(p)
-        px, pa, pb = self._position(x), self._position(a), self._position(b)
-        on_a, on_b = self._on_root_path(px, pa), self._on_root_path(px, pb)
-        if on_a != on_b:
+        if x == a or x == b:
             return True
-        if not on_a:
-            return False
-        (wx, hx), (wa, ha), (wb, hb) = px, pa, pb
-        if wx == wa or wx == wb:
-            return (wx == wa and hx == ha) or (wx == wb and hx == hb)
-        if hx:
-            return False  # inside an edge above both lower vertices, so above m
-        c_in, c_out = self._child_window(wx, wa)
-        return not c_in <= self._tin[wb] < c_out
+        return not self.in_branch(self.branch_window(x, a), self.key(b))
 
     def first_separated(self, points: Sequence[TreePoint]):
         """A query (t, y) -> the least i with t strictly inside the arc from
         points[i] to y, or None; t and y must differ.
 
         That holds when points[i] differs from t and lies in another
-        component of the tree minus t than y does.  Each point is keyed by
-        its lower vertex's preorder number and its share up that vertex's
-        parent edge (`_position`).  In key order the part of the tree
-        below t is at most two runs: the points under t on its own edge,
-        then the window [tin, tout) of the vertices strictly below.  The
-        other components are the runs around those.  A sparse table gives
-        the least index in each run, so a query is a few bisections and
-        range minima.
+        branch of the tree minus t than y does.  In the sorted keys of the
+        points (`key`), the branch that holds y is one run or, for the
+        branch up toward the root, everything but one run
+        (`branch_window`), so the other branches are at most three runs
+        with t's own key left out.  A sparse table gives the least index
+        in each run, so a query is a few bisections and range minima.
         """
-        keyed = sorted(
-            (self._tin[w], h, i)
-            for i, (w, h) in enumerate(self._position(self.validate_point(p)) for p in points)
-        )
-        keys = [(a, h) for a, h, _ in keyed]
-        table = [[i for _, _, i in keyed]]
+        keyed = sorted((self.key(self.validate_point(p)), i) for i, p in enumerate(points))
+        keys = [k for k, _ in keyed]
+        table = [[i for _, i in keyed]]
         while 2 ** len(table) <= len(keyed):
             prev, span = table[-1], 2 ** (len(table) - 1)
             table.append([min(prev[j], prev[j + span]) for j in range(len(prev) - span)])
@@ -831,28 +742,17 @@ class MetricTree:
                     best = i if best is None else min(best, i)
             return best
 
-        def start(*key):
-            """The first key position at or after the given key prefix."""
-            return bisect_left(keys, key)
-
         def query(t: TreePoint, y: TreePoint):
             if t == y:
                 raise PreconditionError("the separating point must differ from the image")
-            pt = self._position(self.validate_point(t))
-            py = self._position(self.validate_point(y))
-            (wt, ht), wy = pt, py[0]
-            a, b = self._tin[wt], self._tout[wt]
-            if not self._on_root_path(pt, py):
-                # y is not below t: the points below t
-                return least(((start(a), start(a, ht)), (start(a + 1), start(b))))
-            past_t = bisect_right(keys, (a, ht))
-            if ht:
-                # t inside an edge and y below it: the points above t
-                return least(((0, start(a)), (past_t, start(a + 1)), (start(b), len(keys))))
-            # t a vertex and y below it, under the child whose window holds
-            # y's lower vertex: every point but t and those in that window
-            c_in, c_out = self._child_window(wt, wy)
-            return least(((0, start(a)), (past_t, start(c_in)), (start(c_out), len(keys))))
+            lo, hi, up = self.branch_window(self.validate_point(t), self.validate_point(y))
+            kt = self.key(t)
+            at, past = bisect_left(keys, kt), bisect_right(keys, kt)
+            end = bisect_left(keys, hi)
+            if up:  # y's branch is all but the closed part [lo, hi) below t: that part, but t
+                return least(((past, end),))
+            # y's branch is the keys strictly between lo and hi: all the others but t's
+            return least(((0, at), (past, bisect_right(keys, lo)), (end, len(keys))))
 
         return query
 
@@ -976,9 +876,7 @@ class MetricTree:
             if p in inside:
                 return _point(p, None, None)
             w, share = p, ZERO
-        corners = [_point(v, None, None) for v in inside]
-        corners += [self.edge_point(e, t) for e, ivs in segments.items() for iv in ivs for t in iv]
-        return min(corners, key=self.key)
+        return min(closed.corner_points(), key=self.key)
 
     # -- hulls and retractions ----------------------------------------------
 
@@ -1018,7 +916,7 @@ class MetricTree:
         interval of the set meets it on that edge (`first_met`).  Any other
         vertex has the arc up to its parent p miss the set, so it retracts
         where p does."""
-        order = self._preorder()
+        order = self._order
         out = {order[0]: self.retract(target, _point(order[0], None, None))}
         for v in order[1:]:
             p, eid = self._up[v]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .dynamics import (
     CheckResult,
     Witness,
+    _at_least_one,
     _certified_cycles,
     _is_onto,
     _walk,
@@ -188,6 +189,7 @@ def run_checks(
     The verdict on f is decided once, before the checks, and shared by
     the two checks that read it.
     """
+    _at_least_one(horizon=horizon, depth=depth)
     upto = max(2, min(depth, 4))
     verdict = decide_pointwise_recurrent(f)
     plan = (

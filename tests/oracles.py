@@ -5,7 +5,7 @@ each answers by the most direct route, for comparison with the routines
 the package runs.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -481,9 +481,97 @@ def corner_scan_first_met(tree, closed, z):
         key = (tree._tin[pc[0]], -pc[1])
         if top is None or key < top[0]:
             top = (key, c)
-        if tree._on_root_path(pc, pz) and (on_path is None or key > on_path[0]):
+        if on_root_path(tree, pc, pz) and (on_path is None or key > on_path[0]):
             on_path = (key, c)
     return (on_path or top)[1]
+
+
+# -- separation by root paths ------------------------------------------------------
+#
+# The package reads "x lies on [a, b]" and "which points does t separate
+# from y" off the branch windows (`MetricTree.branch_window`); these are
+# the routes it took before, comparing positions on root paths.
+
+
+def on_root_path(tree, x, p):
+    """Whether the point at position x lies on the path from the point at
+    position p to the root: x's lower vertex is p's or an ancestor of it,
+    and on p's own edge x is no lower than p."""
+    (wx, hx), (wp, hp) = x, p
+    return tree._tin[wx] <= tree._tin[wp] < tree._tout[wx] and (wx != wp or hx >= hp)
+
+
+def root_path_on_arc(tree, x, a, b):
+    """`MetricTree.on_arc` as it was: the root paths of a and b share the
+    root path of their meet m, and [a, b] is the rest of each with m.  So
+    x is on the arc when it lies on exactly one of the two root paths, and
+    when it lies on both, only if it is m: a or b when x has the lower
+    vertex of either, else the branch vertex that a and b lie below
+    through different children."""
+    for p in (x, a, b):
+        tree.validate_point(p)
+    px, pa, pb = tree._position(x), tree._position(a), tree._position(b)
+    on_a, on_b = on_root_path(tree, px, pa), on_root_path(tree, px, pb)
+    if on_a != on_b:
+        return True
+    if not on_a:
+        return False
+    (wx, hx), (wa, ha), (wb, hb) = px, pa, pb
+    if wx == wa or wx == wb:
+        return (wx == wa and hx == ha) or (wx == wb and hx == hb)
+    if hx:
+        return False  # inside an edge above both lower vertices, so above m
+    c_in, c_out = tree._child_window(wx, wa)
+    return not c_in <= tree._tin[wb] < c_out
+
+
+def root_path_first_separated(tree, points):
+    """`MetricTree.first_separated` as it was: the points keyed by lower
+    vertex preorder number and share up its parent edge, and the part of
+    the tree below t found in three cases from positions, as at most two
+    runs of keys, with a sparse table for the least index in each run."""
+    keyed = sorted(
+        (tree._tin[w], h, i)
+        for i, (w, h) in enumerate(tree._position(tree.validate_point(p)) for p in points)
+    )
+    keys = [(a, h) for a, h, _ in keyed]
+    table = [[i for _, _, i in keyed]]
+    while 2 ** len(table) <= len(keyed):
+        prev, span = table[-1], 2 ** (len(table) - 1)
+        table.append([min(prev[j], prev[j + span]) for j in range(len(prev) - span)])
+
+    def least(runs):
+        best = None
+        for lo, hi in runs:
+            if lo < hi:
+                k = (hi - lo).bit_length() - 1
+                i = min(table[k][lo], table[k][hi - 2**k])
+                best = i if best is None else min(best, i)
+        return best
+
+    def start(*key):
+        return bisect_left(keys, key)
+
+    def query(t, y):
+        if t == y:
+            raise PreconditionError("the separating point must differ from the image")
+        pt = tree._position(tree.validate_point(t))
+        py = tree._position(tree.validate_point(y))
+        (wt, ht), wy = pt, py[0]
+        a, b = tree._tin[wt], tree._tout[wt]
+        if not on_root_path(tree, pt, py):
+            # y is not below t: the points below t
+            return least(((start(a), start(a, ht)), (start(a + 1), start(b))))
+        past_t = bisect_right(keys, (a, ht))
+        if ht:
+            # t inside an edge and y below it: the points above t
+            return least(((0, start(a)), (past_t, start(a + 1)), (start(b), len(keys))))
+        # t a vertex and y below it: every point but t and those under the
+        # child whose window holds y's lower vertex
+        c_in, c_out = tree._child_window(wt, wy)
+        return least(((0, start(a)), (past_t, start(c_in)), (start(c_out), len(keys))))
+
+    return query
 
 
 def distance_arc_contains(arc, x):

@@ -50,6 +50,7 @@ from dendrodyn.plmap import (
     identity_map,
     map_from_vertex_images,
 )
+from dendrodyn.verify import run_checks
 from oracles import (
     ComposingPowers,
     decision_corpus,
@@ -201,6 +202,41 @@ def test_fixed_set_rejects_zero_power():
 def test_periodic_structure_rejects_zero_powers():
     with pytest.raises(PreconditionError, match="need at least one power"):
         periodic_structure(tent_on(interval()), 0)
+
+
+BELOW_ONE = [
+    ("returns_to_components", "power", 0),
+    ("returns_to_components", "power", -2),
+    ("returns_to_components", "horizon", -5),
+    ("returns_to_components", "horizon", 0),
+    ("vertex_period", "max_period", 0),
+    ("periodic_structure", "max_period", 0),
+    ("periodic_union", "n", 0),
+    ("periodic_union", "n", -2),
+    ("check_full_invariance", "horizon", -1),
+    ("check_no_preperiodic", "horizon", -1),
+    ("run_checks", "depth", 0),
+]
+
+
+@pytest.mark.parametrize("name, param, value", BELOW_ONE)
+def test_bounds_below_one_are_refused_by_name(name, param, value):
+    """A bound below 1 answers no question, so it is refused on entry,
+    never answered as "not periodic", an empty set, a pass or a skip."""
+    t = interval()
+    f = tent_on(t)
+    bound = {param: value}
+    calls = {
+        "returns_to_components": lambda: returns_to_components(f, pt(t, F(1, 4)), pt(t, F(1, 2)), **bound),
+        "vertex_period": lambda: vertex_period(f, "v0", **bound),
+        "periodic_structure": lambda: periodic_structure(f, 2, **bound),
+        "periodic_union": lambda: periodic_union(f, **bound),
+        "check_full_invariance": lambda: check_full_invariance(f, **bound),
+        "check_no_preperiodic": lambda: check_no_preperiodic(f, **bound),
+        "run_checks": lambda: run_checks(f, **bound),
+    }
+    with pytest.raises(PreconditionError, match=f"^{param} must be at least 1, got "):
+        calls[name]()
 
 
 def test_periodic_union_is_union_of_fixed_sets():

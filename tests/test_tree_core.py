@@ -29,6 +29,8 @@ from oracles import (
     distance_on_arc,
     distance_retract,
     measure,
+    root_path_first_separated,
+    root_path_on_arc,
     size_table_rooting,
     union_find_components,
     vertex_path_arc,
@@ -327,7 +329,7 @@ def test_arc_works_out_no_height():
     trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(30)] + deep_trees(rng)
     ends = [(t, random_point(rng, t), random_point(rng, t)) for t in trees for _ in range(6)]
     for t, a, b in ends:
-        low, root = t._lower_vertex(a), t.vertex_point(t.vertex_ids[0])
+        low, root = t._position(a)[0], t.vertex_point(t.vertex_ids[0])
         if a.is_vertex:
             assert low == a.vertex
         else:
@@ -987,6 +989,59 @@ def test_first_separated_matches_the_brute_scan():
                 found += expected is not None
     assert found > 500
 
+
+
+def separation_trees(rng):
+    """Every fixture's tree, 40 seeded random trees, the (2, 6, 12, 24)
+    tower and a 200-vertex path with its root mid-path."""
+    trees = kernel_trees(rng) + [odometer_tower(4, (2, 6, 12, 24))[0]]
+    return trees + deep_trees(rng)[:1]
+
+
+def test_separation_matches_the_root_path_oracle():
+    """`on_arc` and `first_separated` read the branch windows; the former
+    root-path comparisons must give the same answers.  Over 100,000
+    triples of `grid_points(3)`: every triple on the small trees, and
+    sampled ones, a share of them with x an end or a = b, on the large
+    ones; then (t, y) queries against random anchor sets of 1 to 30
+    points, repeats among them."""
+    rng = random.Random(7201)
+    triples = ends = equal = interior = hits = 0
+    queries = found = 0
+    for tree in separation_trees(rng):
+        grid = tree.grid_points(3)
+        if len(grid) <= 24:
+            cases = [(x, a, b) for x in grid for a in grid for b in grid]
+        else:
+            cases = []
+            for _ in range(4000):
+                x, a, b = rng.choice(grid), rng.choice(grid), rng.choice(grid)
+                roll = rng.random()
+                cases.append((a, a, b) if roll < 0.1 else (x, a, a) if roll < 0.2 else (x, a, b))
+        for x, a, b in cases:
+            got = tree.on_arc(x, a, b)
+            assert got == root_path_on_arc(tree, x, a, b), (x, a, b)
+            triples += 1
+            hits += got
+            ends += x == a or x == b
+            equal += a == b
+            interior += not x.is_vertex
+        for _ in range(4):
+            anchors = rng.choices(grid, k=rng.randint(1, 30))
+            first, want = tree.first_separated(anchors), root_path_first_separated(tree, anchors)
+            for _ in range(60):
+                t, y = rng.choice(grid), rng.choice(grid)
+                if t == y:
+                    with pytest.raises(PreconditionError):
+                        first(t, y)
+                    continue
+                got = first(t, y)
+                assert got == want(t, y), (anchors, t, y)
+                queries += 1
+                found += got is not None
+    assert triples >= 100_000 and queries >= 10_000
+    assert ends > 5_000 and equal > 5_000 and interior > triples // 2
+    assert 0.1 < hits / triples < 0.9 and 0.1 < found / queries < 0.9
 
 # -- the point type against the former dataclass ----------------------------------
 
