@@ -789,8 +789,12 @@ def check_escape(
     far side, in the component of its first image (or back at the point
     itself).  Reports "skipped" when periodic cutpoints exist, since the
     containment claim assumes there are none.  The powers are tried in
-    order and the first fixed set with a cutpoint answers."""
+    order and the first fixed set with a cutpoint answers.  Horizon 0
+    takes the first image alone, as horizon 1 does; a negative horizon
+    is refused."""
     _at_least_one(power=n)
+    if horizon < 0:
+        raise PreconditionError(f"horizon must be at least 0, got {horizon}")
     tree = f.domain
     for k in range(1, CUTPOINT_POWER_BOUND + 1):
         fixed = fixed_set(f, k, piece_cap)

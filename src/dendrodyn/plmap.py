@@ -13,15 +13,16 @@ facts about it decided here, its image and its injectivity, once asked;
 and it holds one slot for `dynamics`, whose per-map store (orbits,
 certificate, fixed sets of powers) is opaque to this module.
 
-A map is built two ways.  The table constructor validates breakpoints
-and asks the tree for each piece's arc; it is the entry point for files,
-fixtures and users, and it refuses a table whose pieces and image arcs
-together pass `MAX_TABLE_SIZE`.  Derived maps (`compose` and
-`normalize`) are built pieces first, from pieces whose arcs are cut
-(`Arc.window`), reversed or joined from arcs the map already stores, so
-they ask the tree for no arc and validate nothing again.  `normalize` is
-the one merge routine: `compose` goes through it, and it keeps the
-pieces it does not merge.
+A piece is its segment table: for each segment of its image path, the
+image edge, the segment's two parameters on it, and the domain parameter
+where it starts.  A piece is affine on each segment, so every reader
+takes parameters off the entries and measures no arclength.  The table
+constructor validates breakpoints and walks the tree's path for each
+piece (`MetricTree._path`), refusing a table whose pieces and segments
+pass `MAX_TABLE_SIZE`.  Derived maps (`compose`, `normalize`, the hull
+retraction) are built pieces first, from tables cut (`_cut`) or joined
+from stored ones, asking the tree for nothing; `_merged` is the one
+merge routine, and keeps the pieces it does not merge.
 
 The fixed points of a composition are solved from its two factors,
 without building it (`composite_fixed_set`): the solve walks the cuts
@@ -32,14 +33,13 @@ piece budget (`factored`): the cut count is at least the number of the
 composite's normalized pieces, so a pair left unbuilt would pass the
 budget, and one built is checked as every composition is.
 
-Injectivity is decided by a sweep over the image arcs and, on a
-collision, a bucketing of arc ends by position; the witness is read off
-the two colliding pieces' arcs, the canonical point of their meet from
-the segments they share (`_meet_point`) and each preimage from the
-segment that holds it.  No subtree is built and no distance measured.
+Injectivity is decided by a sweep over the table segments and, on a
+collision, a bucketing of segment ends by position; the witness is the
+canonical point of two colliding pieces' meet (`_meet_point`) and each
+preimage, read off their tables.  No subtree is built.
 
 `find_periodic_in_hull` starts from the nearest-point retraction onto
-the hull, built as a table, composes with f n - 1 times and solves the
+the hull, built from its pieces, composes with f n - 1 times and solves the
 n-th composition from its factors.  That composition equals f^n on the
 hull and stays constant on each component off it, so the fixed points
 of f^n in the hull come from pieces over the hull alone.  Whether the
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from .errors import (
     ConsistencyError,
@@ -61,7 +62,6 @@ from .errors import (
 from .tree import (
     ONE,
     ZERO,
-    Arc,
     MetricTree,
     Subtree,
     TreePoint,
@@ -70,33 +70,88 @@ from .tree import (
 )
 
 DEFAULT_PIECE_CAP = 100_000
-# pieces plus image-arc segments a breakpoint table may build: five times
+# pieces plus image-path segments a breakpoint table may build: five times
 # the largest fixture's, and far below the quadratic worst case of a file
 MAX_TABLE_SIZE = 200_000
 
 
 class _Piece:
-    """One linear piece: a domain parameter window and its image arc."""
+    """One linear piece: a domain window [t0, t1], its image points p0 and
+    p1, and its table, one entry (edge, u0, u1, x) per segment of the
+    image path from p0 to p1: the image edge, the segment's parameters on
+    it, and the domain parameter x where it starts.  The first starts at
+    t0 and each ends where the next starts, the last at t1; on a
+    segment's window the image parameter is affine in t (`_line`).  A
+    constant piece has an empty table."""
 
-    __slots__ = ("edge", "t0", "t1", "p0", "p1", "arc")
+    __slots__ = ("edge", "t0", "t1", "p0", "p1", "table")
 
-    def __init__(self, edge, t0, t1, p0, p1, arc):
+    def __init__(self, edge, t0, t1, p0, p1, table):
         self.edge = edge
         self.t0 = t0
         self.t1 = t1
         self.p0 = p0
         self.p1 = p1
-        self.arc = arc
+        self.table = table
 
-    @property
-    def is_constant(self) -> bool:
-        return not self.arc.segments  # p0 == p1, without comparing points
 
-    def param_at_arclength(self, s: Fraction) -> Fraction:
-        return self.t0 + (self.t1 - self.t0) * s / self.arc.length
+_start = itemgetter(3)  # a table entry's domain start
+_low = itemgetter(0)
+_window_start = attrgetter("t0")  # a piece's domain start
 
-    def arclength_at_param(self, t: Fraction) -> Fraction:
-        return self.arc.length * (t - self.t0) / (self.t1 - self.t0)
+
+def _table(edges, segs: list, t0: Fraction, t1: Fraction) -> tuple:
+    """The table of a piece over [t0, t1] whose image path has two or
+    more segments (edge, from, to): each starts at t0 plus the window's
+    share that the arclength before it is of the path's.  Only the first
+    and last segments can run part of an edge, where the path's end lies
+    inside it, at its parameter of denominator other than 1."""
+    e, u0, u1 = segs[0]
+    run = edges[e][2]
+    if u0._denominator != 1:
+        run = (u0 if u1._numerator == 0 else ONE - u0) * run
+    ends = [run]  # the arclength where each segment but the first starts
+    for e, _, _ in segs[1:-1]:
+        run = run + edges[e][2]
+        ends.append(run)
+    e, u0, u1 = segs[-1]
+    last = edges[e][2]
+    if u1._denominator != 1:
+        last = (u1 if u0._numerator == 0 else ONE - u1) * last
+    total = run + last
+    out = [(*segs[0], t0)]
+    if t0._numerator == 0 and t1._numerator == 1 == t1._denominator:  # the whole edge
+        for (e, u0, u1), c in zip(segs[1:], ends):
+            out.append((e, u0, u1, c / total))
+    else:
+        scale = (t1 - t0) / total
+        for (e, u0, u1), c in zip(segs[1:], ends):
+            out.append((e, u0, u1, t0 + c * scale))
+    return tuple(out)
+
+
+def _cut(piece: _Piece, a: Fraction, b: Fraction) -> list:
+    """The piece's table cut to the window t0 <= a < b <= t1: each segment
+    meeting it in positive length, its ends and start moved in to it."""
+    table = piece.table
+    n = len(table)
+    k = bisect_right(table, a, 1, key=_start) - 1  # the segment holding a
+    out = []
+    while k < n:
+        e, u0, u1, x0 = table[k]
+        if x0 >= b:
+            break
+        k += 1
+        x1 = table[k][3] if k < n else piece.t1
+        if x0 < a or x1 > b:
+            slope = (u1 - u0) / (x1 - x0)
+            if x1 > b:
+                u1 = u0 + (b - x0) * slope
+            if x0 < a:
+                u0 = u0 + (a - x0) * slope
+                x0 = a
+        out.append((e, u0, u1, x0))
+    return out
 
 
 class PLTreeMap:
@@ -112,22 +167,19 @@ class PLTreeMap:
     )
 
     def __init__(self, domain: MetricTree, table):
-        """The map of a breakpoint table, checked as it is read.
-
-        Each breakpoint's parameter is read once, a `_Q` as it stands, and
-        its point is validated once (`validate_point`).  Each edge's ends
-        come off its record in the tree, and a vertex image met again is
-        compared by identity before value, since a load hands out one
-        point for every repeat.  Each piece's arc comes from
-        `MetricTree._arc`, which validates nothing again, and the pieces
-        and image-arc segments are counted against `MAX_TABLE_SIZE` as
-        each piece is built.
+        """The map of a breakpoint table, checked as it is read: each
+        parameter read once, a `_Q` as it stands, and each point validated
+        once; a vertex image met again is compared by identity before value,
+        since a load hands out one point for every repeat.  Each piece's
+        table comes from the path `MetricTree._path` walks (`_table`), and
+        pieces and segments are counted against `MAX_TABLE_SIZE` as built.
         """
         vimg: dict = {}
         pieces = []
         edge_index = {}
         size = 0
         validate = domain.validate_point
+        walk = domain._path
         edges = domain._edges
         for eid in domain.edge_ids:
             if eid not in table:
@@ -138,7 +190,7 @@ class PLTreeMap:
             params, images = zip(
                 *[(t if type(t) is _Q else as_fraction(t), validate(p)) for t, p in raw]
             )
-            if params[0] != ZERO or params[-1] != ONE:
+            if params[0]._numerator or params[-1]._numerator != params[-1]._denominator:
                 raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
             # two breakpoints spanning [0, 1] increase
             if len(params) > 2 and any(not ta < tb for ta, tb in zip(params, params[1:])):
@@ -150,13 +202,15 @@ class PLTreeMap:
                     raise StructureError(f"edges disagree on the image of vertex {v!r}")
             mine = []
             for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):
-                arc = domain._arc(p0, p1)  # both ends validated above
-                size += 1 + len(arc.segments)
+                segs = walk(p0, p1)  # both ends validated above
+                n = len(segs)
+                size += 1 + n
                 if size > MAX_TABLE_SIZE:
                     raise StructureError(
                         f"the map has more than {MAX_TABLE_SIZE} pieces and image-arc segments"
                     )
-                mine.append(_Piece(eid, t0, t1, p0, p1, arc))
+                entries = _table(edges, segs, t0, t1) if n > 1 else ((*segs[0], t0),) if n else ()
+                mine.append(_Piece(eid, t0, t1, p0, p1, entries))
             pieces.extend(mine)
             edge_index[eid] = (params, tuple(mine))
         extra = set(table) - set(domain.edge_ids)
@@ -174,12 +228,13 @@ class PLTreeMap:
         vimg: dict = {}
         pieces = []
         edge_index = {}
+        edges = domain._edges
         for eid, mine in by_edge.items():
-            u, w = domain.edge_ends(eid)
+            u, w, _ = edges[eid]
             vimg.setdefault(u, mine[0].p0)
             vimg.setdefault(w, mine[-1].p1)
             pieces.extend(mine)
-            edge_index[eid] = ((*(piece.t0 for piece in mine), ONE), tuple(mine))
+            edge_index[eid] = ((*map(_window_start, mine), ONE), tuple(mine))
         f = cls.__new__(cls)
         f._fill(domain, vimg, pieces, edge_index)
         return f
@@ -219,22 +274,24 @@ class PLTreeMap:
         return self._vimg[v]
 
     def evaluate(self, p: TreePoint) -> TreePoint:
-        """f(p), read off the map where it stores it.
-
-        A vertex's image and a breakpoint's image (the end `p1` of the
-        piece ending there) are stored; any other point lies inside one
-        piece and is found on that piece's arc at the same share of its
-        length.
+        """f(p): a vertex's and a breakpoint's image (the end `p1` of the
+        piece ending there) as stored, any other point's by the affine map
+        of the first segment of its piece's table that ends at or past it.
         """
         self.domain.validate_point(p)
         if p.is_vertex:
             return self._vimg[p.vertex]
+        t = p.t
         params, pieces = self._edge_index[p.edge]
-        i = bisect_left(params, p.t, 1)  # the first breakpoint at or past p.t
+        i = bisect_left(params, t, 1)  # the first breakpoint at or past t
         piece = pieces[i - 1]
-        if params[i] == p.t or piece.is_constant:
+        table = piece.table
+        if params[i] == t or not table:
             return piece.p1
-        return piece.arc.point_at(piece.arclength_at_param(p.t))
+        k = bisect_left(table, t, 1, key=_start)  # the first segment starting at or past t
+        e, u0, u1, x0 = table[k - 1]
+        x1 = table[k][3] if k < len(table) else piece.t1
+        return self.domain.edge_point(e, u0 + (u1 - u0) * (t - x0) / (x1 - x0))
 
     def image(self) -> Subtree:
         """The exact image of the whole tree, as a subtree."""
@@ -246,9 +303,9 @@ class PLTreeMap:
         """Exact image of a closed subtree, built in one pass.
 
         Each vertex adds its image and each single point its value.  An
-        interval adds the image arcs of the pieces it meets in positive
-        length, found by bisecting the edge's breakpoints: a window of each
-        one's stored arc, or the whole arc where the interval covers it.
+        interval adds the segments of the pieces it meets in positive
+        length, found by bisecting the edge's breakpoints, each table cut to
+        the interval (`_cut`).
         """
         tree = self.domain
         if sub.tree != tree:
@@ -272,14 +329,13 @@ class PLTreeMap:
                     continue
                 # the pieces with t0 < hi and t1 > lo
                 for piece in pieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]:
-                    if piece.is_constant:
+                    table = piece.table
+                    if not table:
                         add_point(piece.p0)
                         continue
-                    arc = piece.arc
                     if lo > piece.t0 or hi < piece.t1:
-                        ends = (max(lo, piece.t0), min(hi, piece.t1))
-                        arc = arc.window(*map(piece.arclength_at_param, ends))
-                    segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1 in arc.segments]
+                        table = _cut(piece, max(lo, piece.t0), min(hi, piece.t1))
+                    segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1, _ in table]
         return Subtree.build(tree, segs, verts)
 
     # -- normal form ---------------------------------------------------------
@@ -291,18 +347,12 @@ class PLTreeMap:
         same speed and do not turn back at B (see `_continues`); in a tree
         they then form the arc [A, C].  A merged run keeps the speed and
         last segment of its last piece, so neighbouring pieces decide.
-        A run becomes one piece whose arc is its pieces' arcs joined
-        (`_joined`); a piece that continues neither neighbour is kept.
+        A run becomes one piece whose table is its pieces' tables joined
+        (`_joined`); a piece that continues neither neighbour is kept
+        (`_merged`).
         """
-        by_edge = {}
-        for eid, (_, pieces) in self._edge_index.items():
-            runs = [[pieces[0]]]
-            for a, b in zip(pieces, pieces[1:]):
-                if _continues(a, b):
-                    runs[-1].append(b)
-                else:
-                    runs.append([b])
-            by_edge[eid] = [_joined(run) for run in runs]
+        edges = self.domain._edges
+        by_edge = {eid: _merged(edges, pieces) for eid, (_, pieces) in self._edge_index.items()}
         if sum(map(len, by_edge.values())) == len(self._pieces):
             return self  # no breakpoint dropped
         return PLTreeMap._from_pieces(self.domain, by_edge)
@@ -320,12 +370,13 @@ class PLTreeMap:
         """The one injectivity sweep.
 
         The witness is the window ends of the first constant piece, else
-        the first pair of pieces i < j whose arcs meet at distinct
+        the first pair of pieces i < j whose image arcs meet at distinct
         preimages of the canonical point of their meet.  Arcs in a tree
         meet in an arc, each non-constant piece is injective, and a point
         inside a window is the preimage for that piece alone; so i and j
         collide unless their arcs are disjoint or meet only in f(x) for a
-        domain point x that ends both windows.
+        domain point x that ends both windows.  Each arc is read as its
+        piece's table segments.
 
         With no piece constant, f(x) = f(y) for x != y maps [x, y] onto a
         closed path, which cannot turn at a point z inside an edge off f(x)
@@ -352,7 +403,7 @@ class PLTreeMap:
         """
         tree = self.domain
         for piece in self._pieces:
-            if piece.is_constant:
+            if not piece.table:
                 ends = (piece.t0, piece.t1)
                 return (False, tuple(tree.edge_point(piece.edge, t) for t in ends))
         marked = self._marked()
@@ -364,34 +415,35 @@ class PLTreeMap:
         return (False, next(pair for pair in pairs if pair is not None))
 
     def _marked(self) -> list:
-        """The indices of the pieces that collide with another piece, in
-        order, for a map with no constant piece: those that overlap
-        another in positive length, and those in a bucket of one image
-        point holding two preimages."""
+        """The indices, in order, of the pieces of a map with no constant piece that
+        collide with another: those overlapping another in positive length, and
+        those in a bucket of one image point holding two preimages."""
         edges = self.domain._edges
         marked = set()
         by_edge: dict = {}
-        for i, piece in enumerate(self._pieces):
-            for eid, u0, u1 in piece.arc.segments:
-                by_edge.setdefault(eid, []).append((u0, u1, i) if u0 < u1 else (u1, u0, i))
+        for i, piece in enumerate(self._pieces):  # rationals compared by cross products
+            for eid, u0, u1, _ in piece.table:
+                up = u0._numerator * u1._denominator < u1._numerator * u0._denominator
+                by_edge.setdefault(eid, []).append((u0, u1, i) if up else (u1, u0, i))
         for segs in by_edge.values():
-            segs.sort()
+            segs.sort(key=_low)  # any order of ties gives the same marks
             _, reach, holder = segs[0]  # the farthest segment end so far
             for lo, hi, i in segs[1:]:
-                if lo < reach:
+                rn, rd = reach._numerator, reach._denominator
+                if lo._numerator * rd < rn * lo._denominator:
                     marked.update((i, holder))
-                if hi > reach:
+                if hi._numerator * rd > rn * hi._denominator:
                     reach, holder = hi, i
         if not marked:
             return []
         preimages: dict = {}  # image position -> [(piece, its preimage there)]
         for i, piece in enumerate(self._pieces):
             # a window end is placed as an edge end vertex or an edge
-            # position; a vertex the arc passes through has its preimage
+            # position; a vertex the path passes through has its preimage
             # inside the window, named by the piece alone
             for t, q in ((piece.t0, piece.p0), (piece.t1, piece.p1)):
                 preimages.setdefault(_point_place(q), []).append((i, _place(edges, piece.edge, t)))
-            for aeid, _, u1 in piece.arc.segments[:-1]:
+            for aeid, _, u1, _ in piece.table[:-1]:
                 preimages.setdefault(_place(edges, aeid, u1), []).append((i, i))
         for hits in preimages.values():
             if len({x for _, x in hits}) > 1:
@@ -400,17 +452,27 @@ class PLTreeMap:
 
     def _collision(self, a: _Piece, b: _Piece):
         """(x, y) with x in a's window and y in b's, distinct, both sent to
-        the canonical point of the two arcs' meet; None when the arcs are
-        disjoint or that point has one preimage, a window end of both."""
-        q = _meet_point(self.domain, a.arc, b.arc)
+        the canonical point of the two image arcs' meet; None when the arcs
+        are disjoint or that point has one preimage, a window end of both."""
+        q = _meet_point(self.domain, a.table, b.table)
         if q is None:
             return None
         xa, xb = self._preimage_in_piece(a, q), self._preimage_in_piece(b, q)
         return None if xa == xb else (xa, xb)
 
     def _preimage_in_piece(self, piece: _Piece, q: TreePoint) -> TreePoint:
-        s = piece.arc.arclength_of(q)
-        return self.domain.edge_point(piece.edge, piece.param_at_arclength(s))
+        """The point of the piece's window sent to q, a point of its image,
+        read off the segment that holds q: the one on q's edge, or one that
+        starts or ends at the vertex q (a path runs over an edge once)."""
+        edges, table = self.domain._edges, piece.table
+        for k, (e, u0, u1, x0) in enumerate(table):
+            u, w, _ = edges[e]
+            at = q.t if q.edge == e else ZERO if q.vertex == u else ONE if q.vertex == w else None
+            if at is None or q.edge is None and at != u0 and at != u1:
+                continue
+            x1 = table[k + 1][3] if k + 1 < len(table) else piece.t1
+            x = x0 if at == u0 else x1 if at == u1 else x0 + (at - u0) * (x1 - x0) / (u1 - u0)
+            return self.domain.edge_point(piece.edge, x)
 
     # -- fixed points ------------------------------------------------------------
 
@@ -452,18 +514,21 @@ class PLTreeMap:
         return (result, base)
 
 
-def _continues(a: _Piece, b: _Piece) -> bool:
-    """Same speed, and no turn back at the shared breakpoint.
-
-    Both pieces are constant, or the last segment of a's arc and the
-    first of b's lie on different edges, or on one edge the same way.
-    """
-    if a.is_constant or b.is_constant:
-        return a.is_constant and b.is_constant
-    (ea, u0, u1), (eb, v0, v1) = a.arc.segments[-1], b.arc.segments[0]
-    if ea == eb and (u1 > u0) != (v1 > v0):
-        return False
-    return a.arc.length * (b.t1 - b.t0) == b.arc.length * (a.t1 - a.t0)
+def _continues(edges, a: _Piece, b: _Piece) -> bool:
+    """Same speed, and no turn back at the shared breakpoint: both pieces
+    constant, or a's last segment and b's first at one arclength per unit
+    of domain parameter.  On one edge the lengths cancel, and equal
+    products of the steps and the positive windows have one sign: the two
+    run the same way."""
+    if not a.table or not b.table:
+        return not a.table and not b.table
+    ea, u0, u1, xa = a.table[-1]
+    eb, v0, v1, _ = b.table[0]
+    xb = b.table[1][3] if len(b.table) > 1 else b.t1
+    if ea == eb:
+        return (u1 - u0) * (xb - b.t0) == (v1 - v0) * (a.t1 - xa)
+    du, dv = u1 - u0, v1 - v0
+    return abs(du) * edges[ea][2] * (xb - b.t0) == abs(dv) * edges[eb][2] * (a.t1 - xa)
 
 
 def _place(edges, eid, t) -> tuple:
@@ -485,21 +550,17 @@ def _point_place(p: TreePoint) -> tuple:
     return (p.edge, p.t._numerator, p.t._denominator)
 
 
-def _meet_point(tree: MetricTree, a: Arc, b: Arc):
-    """The canonical point of the meet of two non-degenerate arcs, the one
-    `_canonical_point` gives for the meet as a subtree; None when the arcs
-    are disjoint.
-
-    It is read off their segments.  An arc runs over an edge at most
-    once, so two arcs share one interval of an edge they both run over,
-    and their meet is an arc, a point or nothing.  With length, the
-    point is the midpoint of the shared interval on the least edge (tree
-    order) where it has length.  Otherwise the meet is at most one
-    point, and that point ends a segment of each arc.
+def _meet_point(tree: MetricTree, a: tuple, b: tuple):
+    """The canonical point (`_canonical_point`) of the meet of two
+    non-constant pieces' arcs, read off their tables a and b; None when
+    the arcs are disjoint.  An arc runs over an edge at most once, so the
+    meet is an arc, a point or nothing: with length, the point is the
+    midpoint of the shared interval on the least edge (tree order) where
+    it has length; else it ends a segment of each arc.
     """
-    mine = {eid: (u0, u1) if u0 < u1 else (u1, u0) for eid, u0, u1 in a.segments}
+    mine = {eid: (u0, u1) if u0 < u1 else (u1, u0) for eid, u0, u1, _ in a}
     best = None
-    for eid, v0, v1 in b.segments:
+    for eid, v0, v1, _ in b:
         span = mine.get(eid)
         if span is not None:
             lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
@@ -510,8 +571,8 @@ def _meet_point(tree: MetricTree, a: Arc, b: Arc):
         eid, lo, hi = best
         return tree.edge_point(eid, (lo + hi) / 2)
     edges = tree._edges
-    ends = {_place(edges, eid, t) for eid, u0, u1 in a.segments for t in (u0, u1)}
-    for eid, v0, v1 in b.segments:
+    ends = {_place(edges, eid, t) for eid, u0, u1, _ in a for t in (u0, u1)}
+    for eid, v0, v1, _ in b:
         for t in (v0, v1):
             if _place(edges, eid, t) in ends:
                 return tree.edge_point(eid, t)
@@ -546,90 +607,116 @@ def map_from_vertex_images(tree: MetricTree, images) -> PLTreeMap:
 def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     """The exact composition outer(inner(.)), refined and normalized.
 
-    Each inner piece is cut wherever its image arc crosses a vertex or
+    Each inner piece is cut wherever its image path crosses a vertex or
     an outer breakpoint; between cuts the composite is again a
-    constant-speed arc traversal, so the result is a valid PL map.  The
-    image arc of each cut piece is a window of one outer piece's arc,
-    reversed where the inner arc runs its edge backwards.  The result is
-    built from those pieces directly: nothing in it is looked up in the
-    tree again.
+    constant-speed traversal (`_compose_piece`).  The result is built
+    from those pieces, merged as `normalize` merges (`_merged`): nothing
+    in it is looked up in the tree again.
     """
     if inner.domain != outer.domain:
         raise PreconditionError("composed maps must live on the same tree")
+    edges = inner.domain._edges
     by_edge = {
-        eid: [new for piece in pieces for new in _compose_piece(outer, piece)]
+        eid: _merged(edges, [new for piece in pieces for new in _compose_piece(outer, piece)])
         for eid, (_, pieces) in inner._edge_index.items()
     }
-    return PLTreeMap._from_pieces(inner.domain, by_edge).normalize()
+    return PLTreeMap._from_pieces(inner.domain, by_edge)
 
 
 def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
-    """The pieces of outer . piece: one per outer piece each inner segment meets."""
-    tree = outer.domain
-    if piece.is_constant:
-        return [_constant(tree, piece.edge, piece.t0, piece.t1, outer.evaluate(piece.p0))]
+    """The pieces of outer . piece: one per outer piece each inner segment
+    meets, with that outer piece's table cut to the segment's window
+    (`_cut`), read in reverse and turned round where the segment runs its
+    edge backwards.  On a segment from x0 to x1 the inner map runs its
+    edge from u0 to u1 affinely, so each cut and each carried outer start
+    y lies at x0 + (y - u0) * rate, rate = (x1 - x0) / (u1 - u0), worked
+    out only when one falls inside the segment."""
+    edge = piece.edge
+    table = piece.table
+    if not table:
+        q = outer.evaluate(piece.p0)
+        return [_Piece(edge, piece.t0, piece.t1, q, q, ())]
+    point = outer.domain.edge_point
     out = []
-    arc = piece.arc
-    offsets = arc.segment_offsets
-    scale = (piece.t1 - piece.t0) / arc.length  # domain parameter per unit of arclength
     ta = piece.t0
-    for k, (aeid, u0, u1) in enumerate(arc.segments):
+    last = len(table) - 1
+    for k, (aeid, u0, u1, x0) in enumerate(table):
+        x1 = table[k + 1][3] if k < last else piece.t1
+        rate = None  # inner parameter per unit of aeid's parameter
         params, opieces = outer._edge_index[aeid]
-        length = tree.edge_length(aeid)
         forward = u0 < u1
         lo, hi = (u0, u1) if forward else (u1, u0)
         # the outer pieces with t0 < hi and t1 > lo, in the segment's direction
         met = opieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]
         for op in met if forward else reversed(met):
-            a, b = max(lo, op.t0), min(hi, op.t1)
-            # the cut where this piece ends: a vertex the inner arc passes,
+            whole_a, whole_b = op.t0 >= lo, op.t1 <= hi
+            a = op.t0 if whole_a else lo
+            b = op.t1 if whole_b else hi
+            # the cut where this piece ends: a vertex the inner path passes,
             # the inner piece's end, or an outer breakpoint
             end = b if forward else a
-            s = offsets[k + 1] if end == u1 else offsets[k] + abs(end - u0) * length
-            tb = piece.t1 if s == arc.length else piece.t0 + s * scale
-            if op.is_constant:
-                out.append(_constant(tree, piece.edge, ta, tb, op.p0))
+            if end == u1:
+                tb = x1
             else:
-                image = op.arc
-                if a != op.t0 or b != op.t1:
-                    image = image.window(op.arclength_at_param(a), op.arclength_at_param(b))
-                if not forward:
-                    image = image.reversed()
-                out.append(_Piece(piece.edge, ta, tb, image.a, image.b, image))
+                if rate is None:
+                    rate = (x1 - x0) / (u1 - u0)
+                tb = x0 + (end - u0) * rate
+            if not op.table:
+                out.append(_Piece(edge, ta, tb, op.p0, op.p0, ()))
+                ta = tb
+                continue
+            cut = op.table if whole_a and whole_b else _cut(op, a, b)
+            p0 = op.p0 if whole_a else point(cut[0][0], cut[0][1])
+            p1 = op.p1 if whole_b else point(cut[-1][0], cut[-1][2])
+            ys = [y for _, _, _, y in cut[1:]]  # the outer starts to carry back
+            if not forward:
+                cut = [(e, w1, w0, y) for e, w0, w1, y in reversed(cut)]
+                ys.reverse()
+                p0, p1 = p1, p0
+            if ys and rate is None:
+                rate = (x1 - x0) / (u1 - u0)
+            starts = [ta, *(x0 + (y - u0) * rate for y in ys)]
+            new = tuple((e, w0, w1, x) for (e, w0, w1, _), x in zip(cut, starts))
+            out.append(_Piece(edge, ta, tb, p0, p1, new))
             ta = tb
     return out
 
 
-def _constant(tree: MetricTree, eid, t0: Fraction, t1: Fraction, q: TreePoint) -> _Piece:
-    return _Piece(eid, t0, t1, q, q, Arc(tree, q, q, (), (ZERO,)))
+def _merged(edges, pieces: list) -> list:
+    """The pieces over one edge, each run that continues one traversal joined (`_joined`)."""
+    out = []
+    run = [pieces[0]]
+    for a, b in zip(pieces, pieces[1:]):
+        if _continues(edges, a, b):
+            run.append(b)
+        else:
+            out.append(_joined(run))
+            run = [b]
+    out.append(_joined(run))
+    return out
 
 
 def _joined(run: list) -> _Piece:
-    """One piece for a run of pieces that continue one traversal.
-
-    Its arc is theirs laid end to end.  No piece turns back into the one
-    before it (`_continues`), so that is the arc between the run's ends,
-    with a segment continued along its edge across a junction made one.
-    """
+    """One piece for a run of pieces that continue one traversal: their
+    tables laid end to end, the path between the run's ends since none
+    turns back (`_continues`), a segment continued across a junction made
+    one with the earlier start."""
     first, last = run[0], run[-1]
     if len(run) == 1:
         return first
-    arc = first.arc  # a constant run stays at its one point
-    if not first.is_constant:
-        segs = list(arc.segments)
-        cums = list(arc.segment_offsets)
+    table = first.table  # a constant run stays at its one point
+    if table:
+        segs = list(table)
         for piece in run[1:]:
-            more, offsets = piece.arc.segments, piece.arc.segment_offsets
-            shift = cums[-1]
-            k = 0
+            more = piece.table
             if segs[-1][0] == more[0][0]:  # one segment across the junction
-                segs[-1] = (more[0][0], segs[-1][1], more[0][2])
-                cums[-1] = shift + offsets[1]
-                k = 1
-            segs.extend(more[k:])
-            cums.extend(shift + c for c in offsets[k + 1 :])
-        arc = Arc(arc.tree, first.p0, last.p1, tuple(segs), tuple(cums))
-    return _Piece(first.edge, first.t0, last.t1, first.p0, last.p1, arc)
+                e, u0, _, x0 = segs[-1]
+                segs[-1] = (e, u0, more[0][2], x0)
+                segs.extend(more[1:])
+            else:
+                segs.extend(more)
+        table = tuple(segs)
+    return _Piece(first.edge, first.t0, last.t1, first.p0, last.p1, table)
 
 
 # -- fixed points of a composition ----------------------------------------------
@@ -638,14 +725,14 @@ def _joined(run: list) -> _Piece:
 def cut_count(outer: PLTreeMap, inner: PLTreeMap) -> int:
     """The number of pieces `compose(outer, inner)` cuts before it
     normalizes: one per constant inner piece, and one per outer piece
-    each inner arc segment meets.  Normalizing only merges pieces, so
+    each inner table segment meets.  Normalizing only merges pieces, so
     the composite has at most this many."""
     n = 0
     for piece in inner._pieces:
-        if piece.is_constant:
+        if not piece.table:
             n += 1
             continue
-        for aeid, u0, u1 in piece.arc.segments:
+        for aeid, u0, u1, _ in piece.table:
             params = outer._edge_index[aeid][0]
             lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
             n += bisect_left(params, hi) - bisect_right(params, lo, 1) + 1
@@ -684,20 +771,19 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
     factors without building the composite, or Fix(inner) when outer is
     None.
 
-    A vertex is fixed when its image is itself.  A fixed point x inside
-    an edge e lies in a cut `compose` would make: a window of an inner
-    piece over e on which one segment of the inner arc, on an edge a,
-    runs across one outer piece over a.  There the composite runs at
-    constant speed along a window of that outer piece's arc, so x can be
-    fixed only where that window lies on e.  The outer pieces are
-    indexed by (domain edge, image edge) (`_by_image_edge`), and only
-    the cuts whose image returns to e are solved: on each, the image's
-    parameter on e is one affine function alpha * t + beta of x's
-    parameter t (`_segment_line`, composed), a constant piece being the
-    case alpha = 0, and `_solve` reads off the fixed points.  With no
-    outer factor, the inner arc's own segment on e is solved.  Windows
-    are closed, so a fixed point where two cuts meet is found by both
-    and merged by `Subtree.build`.
+    A vertex is fixed when its image is itself.  A fixed point t inside
+    an edge e lies in a cut `compose` would make: a segment y = a1 t + b1
+    of an inner piece over e, on an edge a, across an outer segment z =
+    a2 y + b2 over a whose image lies on e (their `_line`s; a2 = 0 for a
+    constant outer piece).  The outer segments over a are indexed by
+    image edge when a is first met (`_by_image_edge`).  t is fixed exactly
+    when y is fixed by y -> a1 (a2 y + b2) + b1, at y* = (a1 b2 + b1) / (1
+    - a1 a2), and then t = a2 y* + b2; so y* is tested on the part [ya,
+    yb] of a both segments cover, and carried to t only when it lies
+    there.  With a1 a2 = 1 every point is fixed or none is.  With no outer
+    factor, the inner table's own segment on e is solved.  Windows are
+    closed, so a point where two cuts meet is found by both and merged by
+    `Subtree.build`.
     """
     tree = inner.domain
     if outer is not None and outer.domain != tree:
@@ -707,8 +793,7 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
     known = {}  # outer's value at each point off the vertices, once per solve
 
     def value(p):
-        """outer(p), p itself with no outer factor: a vertex's read off
-        the stored vertex images, any other point's evaluated once."""
+        """outer(p), or p with no outer factor; a point off the vertices evaluated once."""
         if outer is None:
             return p
         if p.vertex is not None:
@@ -721,70 +806,79 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
     for v, img in inner._vimg.items():
         if value(img).vertex == v:
             verts.append(v)
-    index = None if outer is None else _by_image_edge(outer)
+    index = {}  # outer's segments over a domain edge, by image edge
     for piece in inner._pieces:
         eid = piece.edge
-        if piece.is_constant:
+        if not piece.table:
             q = value(piece.p0)
             if q.edge == eid:
                 _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
             continue
-        for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
+        for k, (aeid, u0, u1, _) in enumerate(piece.table):
             if outer is None:
                 if aeid == eid:
-                    _solve(segs, eid, *_segment_line(piece, k))
+                    _solve(segs, eid, *_line(piece, k))
                 continue
-            met = index.get((aeid, eid))
+            by_image = index.get(aeid)
+            if by_image is None:
+                by_image = index[aeid] = _by_image_edge(outer, aeid)
+            met = by_image.get(eid)
             if met is None:
                 continue
-            t0s, t1s, entries = met
+            y0s, y1s, entries = met
             lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
-            a1, b1, _, _ = _segment_line(piece, k)
-            # the outer pieces whose closed windows meet [lo, hi]
-            for entry in entries[bisect_left(t1s, lo) : bisect_right(t0s, hi)]:
+            # the outer segments whose closed windows meet [lo, hi]
+            met = entries[bisect_left(y1s, lo) : bisect_right(y0s, hi)]
+            if not met:
+                continue
+            a1, b1, _, _ = _line(piece, k)
+            for entry in met:
                 if entry[2] is None:
                     op, j = entry[:2]
-                    entry[2] = (ZERO, op.p0.t, op.t0, op.t1) if j is None else _segment_line(op, j)
+                    entry[2] = (ZERO, op.p0.t, op.t0, op.t1) if j is None else _line(op, j)
                 a2, b2, y0, y1 = entry[2]
-                ya, yb = max(lo, y0), min(hi, y1)
-                if ya > yb:
+                ya = y0 if y0 > lo else lo  # ya <= yb: the windows meet
+                yb = y1 if y1 < hi else hi
+                alpha = a1 * a2
+                if alpha == ONE:
+                    if a1 * b2 + b1 == ZERO:
+                        ta, tb = (ya - b1) / a1, (yb - b1) / a1
+                        segs.append((eid, ta, tb) if ta < tb else (eid, tb, ta))
                     continue
-                ta, tb = (ya - b1) / a1, (yb - b1) / a1
-                _solve(segs, eid, a2 * a1, a2 * b1 + b2, *((ta, tb) if a1 > 0 else (tb, ta)))
+                y = (a1 * b2 + b1) / (ONE - alpha)
+                if ya <= y <= yb:
+                    x = a2 * y + b2
+                    segs.append((eid, x, x))
     return Subtree.build(tree, segs, verts)
 
 
-def _by_image_edge(f: PLTreeMap) -> dict:
-    """f's pieces by (domain edge, image edge): the pieces over the domain
-    edge whose arc has a segment on the image edge, or whose constant
-    value lies inside it, in order, as (their t0s, their t1s, entries).
-    An entry is [piece, segment index or None when constant, line], the
-    line `_segment_line` gives, filled when first met."""
+def _by_image_edge(f: PLTreeMap, eid) -> dict:
+    """f's segments over the domain edge eid by image edge (a constant piece's value inside an
+    edge counts), as (window starts, window ends, entries), increasing since a path runs over
+    an edge once.  An entry is [piece, segment index or None, line filled when first met]."""
     index = {}
-    for piece in f._pieces:
-        if not piece.is_constant:
-            keys = [(seg[0], k) for k, seg in enumerate(piece.arc.segments)]
-        elif piece.p0.is_vertex:
-            continue
+    for piece in f._edge_index[eid][1]:
+        table = piece.table
+        if table:
+            ends = [*(x for _, _, _, x in table[1:]), piece.t1]
+            keys = [(seg[0], k, seg[3], x1) for k, (seg, x1) in enumerate(zip(table, ends))]
         else:
-            keys = [(piece.p0.edge, None)]
-        for e, k in keys:
-            t0s, t1s, entries = index.setdefault((piece.edge, e), ([], [], []))
-            t0s.append(piece.t0)
-            t1s.append(piece.t1)
+            keys = [] if piece.p0.is_vertex else [(piece.p0.edge, None, piece.t0, piece.t1)]
+        for e, k, y0, y1 in keys:
+            y0s, y1s, entries = index.setdefault(e, ([], [], []))
+            y0s.append(y0)
+            y1s.append(y1)
             entries.append([piece, k, None])
     return index
 
 
-def _segment_line(piece: _Piece, k: int) -> tuple:
-    """(alpha, beta, x0, x1): on the window [x0, x1] of the piece's
-    parameter that the k-th segment of its arc covers, the image lies on
-    that segment's edge at parameter alpha * t + beta."""
-    arc = piece.arc
-    _, u0, u1 = arc.segments[k]
-    scale = (piece.t1 - piece.t0) / arc.length  # parameter per unit of arclength
-    x0 = piece.t0 + arc.segment_offsets[k] * scale
-    x1 = piece.t0 + arc.segment_offsets[k + 1] * scale
+def _line(piece: _Piece, k: int) -> tuple:
+    """(alpha, beta, x0, x1): the k-th segment of the piece's table covers
+    the window [x0, x1] of its parameter, where the image lies on the
+    segment's edge at parameter alpha * t + beta."""
+    table = piece.table
+    _, u0, u1, x0 = table[k]
+    x1 = table[k + 1][3] if k + 1 < len(table) else piece.t1
     alpha = (u1 - u0) / (x1 - x0)
     return alpha, u0 - alpha * x0, x0, x1
 
@@ -807,27 +901,28 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
     """The nearest-point retraction onto a connected subtree, in normal form.
 
     A connected subtree holds at most one interval of an edge: the map is
-    the identity on it and constant at its ends beyond it.  An edge the
+    the identity there and constant at its ends beyond it.  An edge the
     hull holds in no interval of positive length retracts to one point,
-    where its end u does (`MetricTree.vertex_retractions`).
+    where its end u does (`MetricTree.vertex_retractions`).  The pieces
+    are built as they stand (`PLTreeMap._from_pieces`); none merge.
     """
     where = tree.vertex_retractions(hull)
-    table = {}
+    by_edge = {}
     for eid in tree.edge_ids:
         ivs = hull.segments.get(eid, ())
         if ivs and ivs[0][0] < ivs[0][1]:
             ((lo, hi),) = ivs
             a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
-            bps = [(ZERO, a)]
+            mine = [_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo),))]
             if lo > ZERO:
-                bps.append((lo, a))
+                mine.insert(0, _Piece(eid, ZERO, lo, a, a, ()))
             if hi < ONE:
-                bps.append((hi, b))
-            table[eid] = bps + [(ONE, b)]
+                mine.append(_Piece(eid, hi, ONE, b, b, ()))
         else:
             q = where[tree.edge_ends(eid)[0]]
-            table[eid] = [(ZERO, q), (ONE, q)]
-    return PLTreeMap(tree, table)
+            mine = [_Piece(eid, ZERO, ONE, q, q, ())]
+        by_edge[eid] = mine
+    return PLTreeMap._from_pieces(tree, by_edge)
 
 
 def _covers(tree: MetricTree, cover, points) -> bool:

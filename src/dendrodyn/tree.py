@@ -21,10 +21,8 @@ from b, so `on_arc` asks whether a and b lie in different branches at x,
 and `first_separated` takes the points outside the branch that holds its
 second argument.  The walk toward the root to the first point of a
 closed set it meets (`first_met`, which a retraction returns) compares
-positions, and an arc locates a point on itself from the segment that
-holds it.  This module
-is the one that reads the rooting.  `distance` is the length of the arc
-between two points.
+positions.  This module is the one that reads the rooting.  `distance`
+is the length of the arc between two points.
 
 Every rational the program makes is a `_Q`, a `fractions.Fraction`
 whose arithmetic and comparisons with its own kind, `Fraction` and
@@ -33,8 +31,10 @@ whose arithmetic and comparisons with its own kind, `Fraction` and
 Each of its `+ - * /` is one method frame that runs `Fraction`'s own
 formulas, Knuth's, inline, and each reverse operator runs the forward
 one on its left operand made a `_Q`.  A tree keeps each edge as the
-plain tuple (u, w, length), and an arc is one walk that reads the
-rooting's tables directly (`MetricTree._arc`).
+plain tuple (u, w, length), and the path between two points is one
+walk that reads the rooting's tables directly and does no arithmetic
+(`MetricTree._path`): an `Arc` sums its segments' lengths, and a map's
+table constructor reads the segments.
 """
 
 from __future__ import annotations
@@ -625,84 +625,64 @@ class MetricTree:
     # -- arcs ------------------------------------------------------------
 
     def arc(self, a: TreePoint, b: TreePoint) -> "Arc":
-        """The unique arc from a to b, as an ordered edge-segment traversal.
-
-        Both points are validated here and the arc is built by `_arc`,
-        which callers holding points already validated in this tree (the
-        table constructor of a map) call directly.
-        """
+        """The unique arc from a to b, as an ordered edge-segment traversal:
+        both points validated, the segments of `_path`, and each segment's
+        share of its edge times the edge's length summed into the offsets."""
         self.validate_point(a)
         self.validate_point(b)
-        return self._arc(a, b)
+        segs = self._path(a, b)
+        edges = self._edges
+        offsets = (ZERO, *accumulate(abs(u1 - u0) * edges[e][2] for e, u0, u1 in segs))
+        return Arc(self, a, b, tuple(segs), offsets)
 
-    def _arc(self, a: TreePoint, b: TreePoint) -> "Arc":
-        """`arc` for two points known to be valid in this tree.
-
-        The walk reads the rooting inline.  It starts at a's lower vertex,
-        or for a point inside an edge at the end the arc leaves it by: the
-        lower end exactly when b lies below it.  It ends at b's lower
-        vertex, or at the end the arc enters b's edge by: the lower end
-        exactly when the walk starts below it.  In between it climbs parent
-        edges until it stands on an ancestor of its end, then runs down the
-        end's parent edges, which are read climbing from the end and
-        reversed.  A segment between a's or b's edge position and an end of
-        its edge adds that share of the edge's length to the offsets, and
-        every segment between two vertices adds its whole edge's length.
+    def _path(self, a: TreePoint, b: TreePoint) -> list:
+        """The segments (edge, from, to) of the arc from a to b, two valid
+        points, with no arithmetic: the walk `arc` and a map's table
+        constructor read.  It reads the rooting inline, starting at a's
+        lower vertex, or for a point inside an edge at the end the arc
+        leaves it by: the lower end exactly when b lies below it.  It ends
+        at b's lower vertex, or at the end the arc enters b's edge by: the
+        lower end exactly when the walk starts below it.  In between it
+        climbs parent edges until it stands on an ancestor of its end, then
+        runs down the end's parent edges, read climbing and reversed.
         """
         if a == b:
-            return Arc(self, a, b, (), (ZERO,))
+            return []
         edges, tin, tout, up = self._edges, self._tin, self._tout, self._up
         ea, eb = a.edge, b.edge
         if ea is not None and ea == eb:
-            step = abs(b.t - a.t) * edges[ea][2]
-            return Arc(self, a, b, ((ea, a.t, b.t),), (ZERO, step))
+            return [(ea, a.t, b.t)]
         segs: list[tuple] = []
-        steps = []
         if eb is None:
             end = b.vertex
         else:
-            bu, bw, b_length = edges[eb]
+            bu, bw, _ = edges[eb]
             end = bw if tin[bw] > tin[bu] else bu  # b's lower vertex
         if ea is None:
             x = a.vertex
         else:
-            u, w, length = edges[ea]
+            u, w, _ = edges[ea]
             low, high = (w, u) if tin[w] > tin[u] else (u, w)
             x = low if tin[low] <= tin[end] < tout[low] else high
-            if x == u:
-                segs.append((ea, a.t, ZERO))
-                steps.append(a.t * length)
-            else:
-                segs.append((ea, a.t, ONE))
-                steps.append((ONE - a.t) * length)
+            segs.append((ea, a.t, ZERO if x == u else ONE))
         if eb is not None and not tin[end] <= tin[x] < tout[end]:
             end = bu if end == bw else bw
         at = tin[end]
         while not tin[x] <= at < tout[x]:
             p, eid = up[x]
-            u, w, length = edges[eid]
-            segs.append((eid, ZERO, ONE) if x == u else (eid, ONE, ZERO))
-            steps.append(length)
+            segs.append((eid, ZERO, ONE) if x == edges[eid][0] else (eid, ONE, ZERO))
             x = p
         k = len(segs)
         y = end
         while y != x:
             p, eid = up[y]
-            u, w, length = edges[eid]
-            segs.append((eid, ZERO, ONE) if p == u else (eid, ONE, ZERO))
-            steps.append(length)
+            segs.append((eid, ZERO, ONE) if p == edges[eid][0] else (eid, ONE, ZERO))
             y = p
         if len(segs) > k + 1:  # read climbing from the end: reverse them
             segs[k:] = segs[k:][::-1]
-            steps[k:] = steps[k:][::-1]
         if eb is not None:
-            if end == bu:
-                segs.append((eb, ZERO, b.t))
-                steps.append(b.t * b_length)
-            else:
-                segs.append((eb, ONE, b.t))
-                steps.append((ONE - b.t) * b_length)
-        return Arc(self, a, b, tuple(segs), (ZERO, *accumulate(steps)))
+            segs.append((eb, ZERO if end == bu else ONE, b.t))
+        return segs
 
     def on_arc(self, x: TreePoint, a: TreePoint, b: TreePoint) -> bool:
         """Whether x lies on the closed arc [a, b]: x is a or b, or it
@@ -881,14 +861,16 @@ class MetricTree:
     # -- hulls and retractions ----------------------------------------------
 
     def connected_hull(self, points: Sequence[TreePoint]) -> "Subtree":
-        """Smallest closed connected set containing the given points."""
+        """Smallest closed connected set containing the given points: the
+        union of the paths from the first point to the others, built once."""
         pts = [self.validate_point(p) for p in points]
         if not pts:
             raise PreconditionError("hull needs at least one point")
-        out = self.point_subtree(pts[0])
+        first = pts[0]
+        segs = [] if first.edge is None else [(first.edge, first.t, first.t)]
         for p in pts[1:]:
-            out = out.union(self.arc(pts[0], p).as_subtree())
-        return out
+            segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1 in self._path(first, p)]
+        return Subtree.build(self, segs, [p.vertex for p in pts if p.edge is None])
 
     def retract(self, target: "Subtree", z: TreePoint) -> TreePoint:
         """Nearest-point retraction onto a closed connected nonempty subset.
@@ -930,18 +912,17 @@ class MetricTree:
 
 
 class Arc:
-    """An ordered traversal of the unique arc between two points.
+    """An ordered traversal of the unique arc between two points, for
+    tree-level callers (`MetricTree.arc`): a map's pieces keep tables of
+    their own, not arcs.
 
     Segments are ``(edge_id, t_from, t_to)`` with exact rational
     parameters; a degenerate arc has no segments.  `offsets` are the
     cumulative arclengths at the segment boundaries, from 0 to the
-    length, and whoever builds an arc hands them in: `MetricTree.arc`,
-    which knows which of its segments are whole edges, or the routines
-    that cut, reverse and join arcs it made, from those arcs' offsets.
-    Arcs are immutable.
+    length.  Arcs are immutable.
     """
 
-    __slots__ = ("tree", "a", "b", "segments", "length", "_cums")
+    __slots__ = ("tree", "a", "b", "segments", "length", "offsets")
 
     def __init__(self, tree: MetricTree, a: TreePoint, b: TreePoint, segments: tuple, offsets: tuple):
         self.tree = tree
@@ -949,38 +930,10 @@ class Arc:
         self.b = b
         self.segments = segments
         self.length = offsets[-1]
-        self._cums = offsets
-
-    def window(self, sa: Fraction, sb: Fraction) -> "Arc":
-        """The sub-arc from arclength sa to sb, for 0 <= sa < sb <= length.
-
-        It equals ``tree.arc(point_at(sa), point_at(sb))`` and is read off
-        this arc's segments: those the window meets, the first and last cut
-        at its ends unless they are vertices.  The whole window is this arc.
-        """
-        if not ZERO <= sa < sb <= self.length:
-            raise PreconditionError(f"window [{sa}, {sb}] outside [0, {self.length}]")
-        if sa == ZERO and sb == self.length:
-            return self
-        cums = self._cums
-        i = bisect_right(cums, sa) - 1
-        j = bisect_left(cums, sb, i + 1) - 1
-        a, b = self.point_at(sa), self.point_at(sb)
-        segs = list(self.segments[i : j + 1])
-        if not a.is_vertex:
-            segs[0] = (a.edge, a.t, segs[0][2])
-        if not b.is_vertex:
-            segs[-1] = (b.edge, segs[-1][1], b.t)
-        offsets = (ZERO, *(c - sa for c in cums[i + 1 : j + 1]), sb - sa)
-        return Arc(self.tree, a, b, tuple(segs), offsets)
+        self.offsets = offsets
 
     def is_degenerate(self) -> bool:
         return not self.segments
-
-    @property
-    def segment_offsets(self) -> tuple:
-        """Cumulative arclengths at segment boundaries, from 0 to length."""
-        return self._cums
 
     def point_at(self, s: Fraction) -> TreePoint:
         """The point at arclength s from the start, 0 <= s <= length."""
@@ -989,66 +942,10 @@ class Arc:
             raise PreconditionError(f"arclength {s} outside [0, {self.length}]")
         if not self.segments:
             return self.a
-        i = bisect_left(self._cums, s, 1) - 1  # the first segment ending at or past s
+        i = bisect_left(self.offsets, s, 1) - 1  # the first segment ending at or past s
         eid, t0, t1 = self.segments[i]
-        step = (s - self._cums[i]) / self.tree.edge_length(eid)
+        step = (s - self.offsets[i]) / self.tree.edge_length(eid)
         return self.tree.edge_point(eid, t0 + step if t1 >= t0 else t0 - step)
-
-    def contains(self, x: TreePoint) -> bool:
-        return self._locate(x) is not None
-
-    def arclength_of(self, x: TreePoint) -> Fraction:
-        """Arclength position of a point known to lie on the arc."""
-        s = self._locate(x)
-        if s is None:
-            raise PreconditionError("point does not lie on the arc")
-        return s
-
-    def _locate(self, x: TreePoint):
-        """x's arclength from a, read off the segment that holds x, or None
-        off the arc.  An arc runs over an edge at most once, so a point
-        inside an edge is held by that edge's segment or by none, and a
-        vertex is held where a segment starts or ends at it."""
-        self.tree.validate_point(x)
-        if not self.segments:
-            return ZERO if x == self.a else None
-        edges, cums = self.tree._edges, self._cums
-        if x.edge is not None:
-            t = x.t
-            for k, (eid, u0, u1) in enumerate(self.segments):
-                if eid == x.edge:
-                    if u0 <= t <= u1 or u1 <= t <= u0:
-                        return cums[k] + abs(t - u0) * edges[eid][2]
-                    return None
-            return None
-        v = x.vertex
-        for k, (eid, u0, u1) in enumerate(self.segments):
-            u, w, _ = edges[eid]
-            if v == u or v == w:
-                at = ZERO if v == u else ONE
-                if u0 == at:
-                    return cums[k]
-                if u1 == at:
-                    return cums[k + 1]
-        return None
-
-    def reversed(self) -> "Arc":
-        segs = tuple((eid, t1, t0) for eid, t0, t1 in reversed(self.segments))
-        cums = tuple(self.length - c for c in reversed(self._cums))
-        return Arc(self.tree, self.b, self.a, segs, cums)
-
-    def as_subtree(self) -> "Subtree":
-        segs = []
-        verts = []
-        for p in (self.a, self.b):
-            if p.is_vertex:
-                verts.append(p.vertex)
-        for eid, t0, t1 in self.segments:
-            lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-            segs.append((eid, lo, hi))
-        if not segs and not self.a.is_vertex:
-            segs.append((self.a.edge, self.a.t, self.a.t))
-        return Subtree.build(self.tree, segs, verts)
 
     def __repr__(self):
         return f"Arc({self.a!r} -> {self.b!r}, length={str(self.length)})"
@@ -1079,13 +976,17 @@ class Subtree:
     def build(cls, tree: MetricTree, segments: Iterable, vertices: Iterable) -> "Subtree":
         """Canonicalize raw interval and vertex data into a Subtree."""
         by_edge: dict[object, list] = {}
+        edges = tree._edges
         for eid, lo, hi in segments:
-            tree._edge(eid)
+            if eid not in edges:
+                raise StructureError(f"unknown edge: {eid!r}")
             if type(lo) is not _Q:
                 lo = as_fraction(lo)
             if type(hi) is not _Q:
                 hi = as_fraction(hi)
-            if not (ZERO <= lo <= hi <= ONE):
+            # 0 <= lo <= hi <= 1, read off the numerators and the positive denominators
+            ln, ld, hn, hd = lo._numerator, lo._denominator, hi._numerator, hi._denominator
+            if ln < 0 or hn > hd or ln * hd > hn * ld:
                 raise StructureError(f"bad interval [{lo}, {hi}] on edge {eid!r}")
             by_edge.setdefault(eid, []).append((lo, hi))
         verts = set()

@@ -38,6 +38,7 @@ from dendrodyn.plmap import (
     PLTreeMap,
     _canonical_point,
     _retraction,
+    _solve,
     built,
     compose,
     identity_map,
@@ -132,7 +133,7 @@ def stem_sweep_spread(k, radius=None):
     if not 0 < radius <= 1:
         raise PreconditionError("radius must lie in (0, 1]")
     ball = tree.arc(tree.vertex_point("s"), tree.edge_point("stem", radius))
-    once = f.image_of_subtree(ball.as_subtree())
+    once = f.image_of_subtree(arc_subtree(ball))
     twice = f.image_of_subtree(once)
     corners = twice.corner_points()
     return max(
@@ -141,21 +142,318 @@ def stem_sweep_spread(k, radius=None):
     )
 
 
-def eval_in_piece(piece, t):
+# -- a piece's image arc, and the routes that read it ---------------------------------
+#
+# A map's pieces keep segment tables (`plmap._Piece`).  These are the
+# routes the package took while each piece kept its image arc, with that
+# arc walked from the piece's ends by `MetricTree.arc`, kept to check the
+# tables against.
+
+
+def piece_arc(tree, piece):
+    """A piece's image arc, walked from its ends."""
+    return tree.arc(piece.p0, piece.p1)
+
+
+def arc_subtree(arc):
+    """The former `Arc.as_subtree`: the closed set an arc covers."""
+    segs = []
+    verts = [p.vertex for p in (arc.a, arc.b) if p.is_vertex]
+    for eid, t0, t1 in arc.segments:
+        segs.append((eid, t0, t1) if t0 <= t1 else (eid, t1, t0))
+    if not segs and not arc.a.is_vertex:
+        segs.append((arc.a.edge, arc.a.t, arc.a.t))
+    return Subtree.build(arc.tree, segs, verts)
+
+
+def arc_table(piece, arc):
+    """The table an image arc gives a piece: each segment, starting at the
+    domain parameter whose share of the window is the share of the arc's
+    length before the segment."""
+    width = piece.t1 - piece.t0
+    return tuple(
+        (e, u0, u1, piece.t0 + width * c / arc.length)
+        for (e, u0, u1), c in zip(arc.segments, arc.offsets)
+    )
+
+
+class ArcPiece:
+    """A piece as the package once kept it: its window, its ends and its
+    image arc."""
+
+    __slots__ = ("edge", "t0", "t1", "p0", "p1", "arc")
+
+    def __init__(self, edge, t0, t1, p0, p1, arc):
+        self.edge, self.t0, self.t1, self.p0, self.p1, self.arc = edge, t0, t1, p0, p1, arc
+
+    @classmethod
+    def of(cls, tree, piece):
+        return cls(piece.edge, piece.t0, piece.t1, piece.p0, piece.p1, piece_arc(tree, piece))
+
+    @property
+    def is_constant(self):
+        return not self.arc.segments
+
+    def param_at_arclength(self, s):
+        return self.t0 + (self.t1 - self.t0) * s / self.arc.length
+
+    def arclength_at_param(self, t):
+        return self.arc.length * (t - self.t0) / (self.t1 - self.t0)
+
+
+def arc_index(f):
+    """f's `_edge_index` with each piece an `ArcPiece`."""
+    tree = f.domain
+    return {
+        eid: (params, [ArcPiece.of(tree, p) for p in pieces])
+        for eid, (params, pieces) in f._edge_index.items()
+    }
+
+
+def tables_match_arcs(g, by_edge):
+    """Whether g's pieces are the arc pieces `by_edge` gives, edge by edge:
+    the same windows and ends, and each table the one its arc gives."""
+    if list(g._edge_index) != list(by_edge):
+        return False
+    for (_, pieces), arcs in zip(g._edge_index.values(), by_edge.values()):
+        if [(p.edge, p.t0, p.t1, p.p0, p.p1, p.table) for p in pieces] != [
+            (q.edge, q.t0, q.t1, q.p0, q.p1, arc_table(q, q.arc)) for q in arcs
+        ]:
+            return False
+    return True
+
+
+def arc_window(arc, sa, sb):
+    """The former `Arc.window`: the sub-arc from arclength sa to sb, for
+    0 <= sa < sb <= length, read off the arc's segments; the whole window
+    is the arc."""
+    if not ZERO <= sa < sb <= arc.length:
+        raise PreconditionError(f"window [{sa}, {sb}] outside [0, {arc.length}]")
+    if sa == ZERO and sb == arc.length:
+        return arc
+    cums = arc.offsets
+    i = bisect_right(cums, sa) - 1
+    j = bisect_left(cums, sb, i + 1) - 1
+    a, b = arc.point_at(sa), arc.point_at(sb)
+    segs = list(arc.segments[i : j + 1])
+    if not a.is_vertex:
+        segs[0] = (a.edge, a.t, segs[0][2])
+    if not b.is_vertex:
+        segs[-1] = (b.edge, segs[-1][1], b.t)
+    offsets = (ZERO, *(c - sa for c in cums[i + 1 : j + 1]), sb - sa)
+    return Arc(arc.tree, a, b, tuple(segs), offsets)
+
+
+def arc_reversed(arc):
+    """The former `Arc.reversed`."""
+    segs = tuple((eid, t1, t0) for eid, t0, t1 in reversed(arc.segments))
+    cums = tuple(arc.length - c for c in reversed(arc.offsets))
+    return Arc(arc.tree, arc.b, arc.a, segs, cums)
+
+
+def eval_in_piece(tree, piece, t):
     """The image of parameter t of a piece's window, on the piece's arc at
     the same share of its length: never read off a stored breakpoint."""
-    if piece.is_constant:
+    arc = ArcPiece.of(tree, piece)
+    if arc.is_constant:
         return piece.p0
-    return piece.arc.point_at(piece.arclength_at_param(t))
+    return arc.arc.point_at(arc.arclength_at_param(t))
 
 
 def evaluate_on_arcs(f, p):
-    """f(p) by `eval_in_piece` on the first piece whose window ends at or
-    past p, with a vertex's stored image."""
+    """The former `evaluate`: f(p) by `eval_in_piece` on the first piece
+    whose window ends at or past p, with a vertex's stored image."""
     if p.is_vertex:
         return f.vertex_image(p.vertex)
     params, pieces = f._edge_index[p.edge]
-    return eval_in_piece(pieces[bisect_left(params, p.t, 1) - 1], p.t)
+    return eval_in_piece(f.domain, pieces[bisect_left(params, p.t, 1) - 1], p.t)
+
+
+def arc_constant(tree, eid, t0, t1, q):
+    return ArcPiece(eid, t0, t1, q, q, Arc(tree, q, q, (), (ZERO,)))
+
+
+def arc_compose(outer, inner):
+    """The former `compose`, on arc pieces: {edge: [ArcPiece]}, cut by
+    `arc_compose_piece` and merged as the former `normalize` merged."""
+    tree = inner.domain
+    index = arc_index(outer)
+    by_edge = {
+        eid: [new for piece in pieces for new in arc_compose_piece(tree, index, outer, piece)]
+        for eid, (_, pieces) in arc_index(inner).items()
+    }
+    return arc_normalize(tree, by_edge)
+
+
+def arc_normalize(tree, by_edge):
+    """The former `normalize`: runs of pieces that `arc_continues` joined
+    by `arc_joined`."""
+    out = {}
+    for eid, pieces in by_edge.items():
+        runs = [[pieces[0]]]
+        for a, b in zip(pieces, pieces[1:]):
+            if arc_continues(a, b):
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+        out[eid] = [arc_joined(run) for run in runs]
+    return out
+
+
+def arc_continues(a, b):
+    """The former `_continues`: same speed, read off the arcs' lengths,
+    and no turn back at the shared breakpoint."""
+    if a.is_constant or b.is_constant:
+        return a.is_constant and b.is_constant
+    (ea, u0, u1), (eb, v0, v1) = a.arc.segments[-1], b.arc.segments[0]
+    if ea == eb and (u1 > u0) != (v1 > v0):
+        return False
+    return a.arc.length * (b.t1 - b.t0) == b.arc.length * (a.t1 - a.t0)
+
+
+def arc_compose_piece(tree, index, outer, piece):
+    """The former `_compose_piece`: the pieces of outer . piece, one per
+    outer piece each inner arc segment meets, each image arc a window of
+    the outer piece's arc, reversed where the inner arc runs its edge
+    backwards."""
+    if piece.is_constant:
+        return [arc_constant(tree, piece.edge, piece.t0, piece.t1, outer.evaluate(piece.p0))]
+    out = []
+    arc = piece.arc
+    offsets = arc.offsets
+    scale = (piece.t1 - piece.t0) / arc.length
+    ta = piece.t0
+    for k, (aeid, u0, u1) in enumerate(arc.segments):
+        params, opieces = index[aeid]
+        length = tree.edge_length(aeid)
+        forward = u0 < u1
+        lo, hi = (u0, u1) if forward else (u1, u0)
+        met = opieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]
+        for op in met if forward else reversed(met):
+            a, b = max(lo, op.t0), min(hi, op.t1)
+            end = b if forward else a
+            s = offsets[k + 1] if end == u1 else offsets[k] + abs(end - u0) * length
+            tb = piece.t1 if s == arc.length else piece.t0 + s * scale
+            if op.is_constant:
+                out.append(arc_constant(tree, piece.edge, ta, tb, op.p0))
+            else:
+                image = op.arc
+                if a != op.t0 or b != op.t1:
+                    image = arc_window(image, op.arclength_at_param(a), op.arclength_at_param(b))
+                if not forward:
+                    image = arc_reversed(image)
+                out.append(ArcPiece(piece.edge, ta, tb, image.a, image.b, image))
+            ta = tb
+    return out
+
+
+def arc_joined(run):
+    """The former `_joined`: the run's arcs laid end to end, a segment
+    continued along its edge across a junction made one."""
+    first, last = run[0], run[-1]
+    if len(run) == 1:
+        return first
+    arc = first.arc
+    if not first.is_constant:
+        segs = list(arc.segments)
+        cums = list(arc.offsets)
+        for piece in run[1:]:
+            more, offsets = piece.arc.segments, piece.arc.offsets
+            shift = cums[-1]
+            k = 0
+            if segs[-1][0] == more[0][0]:
+                segs[-1] = (more[0][0], segs[-1][1], more[0][2])
+                cums[-1] = shift + offsets[1]
+                k = 1
+            segs.extend(more[k:])
+            cums.extend(shift + c for c in offsets[k + 1 :])
+        arc = Arc(arc.tree, first.p0, last.p1, tuple(segs), tuple(cums))
+    return ArcPiece(first.edge, first.t0, last.t1, first.p0, last.p1, arc)
+
+
+def segment_line(piece, k):
+    """The former `_segment_line`: (alpha, beta, x0, x1) for the k-th
+    segment of an arc piece, from the arc's offsets and length."""
+    arc = piece.arc
+    _, u0, u1 = arc.segments[k]
+    scale = (piece.t1 - piece.t0) / arc.length
+    x0 = piece.t0 + arc.offsets[k] * scale
+    x1 = piece.t0 + arc.offsets[k + 1] * scale
+    alpha = (u1 - u0) / (x1 - x0)
+    return alpha, u0 - alpha * x0, x0, x1
+
+
+def arc_composite_fixed_set(outer, inner):
+    """The former `composite_fixed_set`: Fix(outer . inner), or Fix(inner)
+    with outer None, each cut's line composed from `segment_line`s of the
+    two factors' arc pieces."""
+    tree = inner.domain
+    segs = []
+    verts = []
+
+    def value(p):
+        return p if outer is None else outer.evaluate(p)
+
+    for v, img in inner._vimg.items():
+        if value(img).vertex == v:
+            verts.append(v)
+    index = {}
+    if outer is not None:
+        for _, pieces in arc_index(outer).values():
+            for op in pieces:
+                if not op.is_constant:
+                    keys = [(seg[0], k) for k, seg in enumerate(op.arc.segments)]
+                elif op.p0.is_vertex:
+                    continue
+                else:
+                    keys = [(op.p0.edge, None)]
+                for e, k in keys:
+                    index.setdefault((op.edge, e), []).append((op, k))
+    for _, pieces in arc_index(inner).values():
+        for piece in pieces:
+            eid = piece.edge
+            if piece.is_constant:
+                q = value(piece.p0)
+                if q.edge == eid:
+                    _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
+                continue
+            for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
+                if outer is None:
+                    if aeid == eid:
+                        _solve(segs, eid, *segment_line(piece, k))
+                    continue
+                lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
+                a1, b1, _, _ = segment_line(piece, k)
+                for op, j in index.get((aeid, eid), ()):
+                    a2, b2, y0, y1 = (ZERO, op.p0.t, op.t0, op.t1) if j is None else segment_line(op, j)
+                    ya, yb = max(lo, y0), min(hi, y1)
+                    if ya > yb:
+                        continue
+                    ta, tb = (ya - b1) / a1, (yb - b1) / a1
+                    _solve(segs, eid, a2 * a1, a2 * b1 + b2, *((ta, tb) if a1 > 0 else (tb, ta)))
+    return Subtree.build(tree, segs, verts)
+
+
+def table_retraction(tree, hull):
+    """The former `_retraction`: the nearest-point retraction onto a
+    connected subtree, built through the validating table constructor."""
+    where = tree.vertex_retractions(hull)
+    table = {}
+    for eid in tree.edge_ids:
+        ivs = hull.segments.get(eid, ())
+        if ivs and ivs[0][0] < ivs[0][1]:
+            ((lo, hi),) = ivs
+            a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
+            bps = [(ZERO, a)]
+            if lo > ZERO:
+                bps.append((lo, a))
+            if hi < ONE:
+                bps.append((hi, b))
+            table[eid] = bps + [(ONE, b)]
+        else:
+            q = where[tree.edge_ends(eid)[0]]
+            table[eid] = [(ZERO, q), (ONE, q)]
+    return PLTreeMap(tree, table)
 
 
 def load_map_directly(obj):
@@ -326,18 +624,19 @@ def vertex_path_arc(tree, a, b):
 
 def same_load(a, b):
     """Whether two loaders' results hold equal trees and maps, piece by
-    piece: breakpoints, vertex images and each piece's image arc, with
-    the arcs' offsets as `arc_offsets` gives them."""
+    piece: breakpoints, vertex images and each piece's table, which is
+    also the one its image arc gives (`arc_table`)."""
     (ta, fa), (tb, fb) = a, b
     if ta != tb or (fa is None) != (fb is None):
         return False
     if fa is None:
         return True
-    arcs = [(p.arc.segments, p.arc.segment_offsets) for p in fa._pieces]
+    tables = [p.table for p in fa._pieces]
     return (
         all(fa.vertex_image(v) == fb.vertex_image(v) for v in ta.vertex_ids)
         and all(fa.breakpoints(e) == fb.breakpoints(e) for e in ta.edge_ids)
-        and arcs == [(p.arc.segments, arc_offsets(p.arc)) for p in fb._pieces]
+        and tables == [p.table for p in fb._pieces]
+        and tables == [arc_table(p, piece_arc(tb, p)) for p in fb._pieces]
     )
 
 
@@ -355,13 +654,14 @@ def loaded_by_both(obj):
 
 def solve_fixed_points(f):
     """Fix(f), solved the former way: per piece, on each segment of its
-    arc that lies on the piece's own edge, from the segment's offsets and
-    the edge length; a constant piece fixes its value where that value's
-    parameter on the edge (a vertex end's too) lies in its window."""
+    image arc that lies on the piece's own edge, from the segment's
+    offsets and the edge length; a constant piece fixes its value where
+    that value's parameter on the edge (a vertex end's too) lies in its
+    window."""
     tree = f.domain
     segs = []
     verts = [v for v in tree.vertex_ids if f.vertex_image(v) == tree.vertex_point(v)]
-    for piece in f._pieces:
+    for piece in (ArcPiece.of(tree, p) for p in f._pieces):
         eid = piece.edge
         if piece.is_constant:
             q = piece.p0
@@ -372,7 +672,7 @@ def solve_fixed_points(f):
             continue
         length = tree.edge_length(eid)
         rate = piece.arc.length / (piece.t1 - piece.t0)
-        offsets = piece.arc.segment_offsets
+        offsets = piece.arc.offsets
         for k, (aeid, u0, u1) in enumerate(piece.arc.segments):
             if aeid != eid:
                 continue
@@ -590,7 +890,7 @@ def distance_arclength_of(arc, x):
 def subtree_meet_point(tree, a, b):
     """The canonical point of the meet of two arcs, with the meet built as
     the intersection of their subtrees; None when they are disjoint."""
-    meet = a.as_subtree().intersect(b.as_subtree())
+    meet = arc_subtree(a).intersect(arc_subtree(b))
     return None if meet.is_empty() else _canonical_point(tree, meet)
 
 
@@ -598,11 +898,13 @@ def subtree_collision(f, a, b):
     """The pieces a and b collide as the injectivity search used to find
     it: the preimages, by `distance_arclength_of`, of the canonical point
     of `subtree_meet_point`, when they differ; else None."""
-    q = subtree_meet_point(f.domain, a.arc, b.arc)
+    tree = f.domain
+    a, b = ArcPiece.of(tree, a), ArcPiece.of(tree, b)
+    q = subtree_meet_point(tree, a.arc, b.arc)
     if q is None:
         return None
     xa, xb = (
-        f.domain.edge_point(p.edge, p.param_at_arclength(distance_arclength_of(p.arc, q)))
+        tree.edge_point(p.edge, p.param_at_arclength(distance_arclength_of(p.arc, q)))
         for p in (a, b)
     )
     return None if xa == xb else (xa, xb)
@@ -890,7 +1192,10 @@ def union_find_components(tree, removed):
     A component's representative point is the midpoint of its least gap
     in edge order, or its vertex when it has no gap (the one-point tree
     with nothing removed), and the components are sorted by their
-    closures' `canonical_key`.
+    closures' `canonical_key`.  A gap's node is keyed by the numerators
+    and denominators of its ends, so no lookup hashes a `Fraction`, and
+    its ends are kernel rationals (`ZERO`, `ONE` and the set's own), so no
+    comparison takes `Fraction`'s generic route.
     """
     parent: dict = {}
 
@@ -907,6 +1212,7 @@ def union_find_components(tree, removed):
 
     units: list = []
     contacts: dict = {}
+    ends: dict = {}  # a gap's node -> (lo, hi)
     for v in tree.vertex_ids:
         if v not in removed.vertices:
             key = ("vx", v)
@@ -916,15 +1222,16 @@ def union_find_components(tree, removed):
     for eid in tree.edge_ids:
         u, w = tree.edge_ends(eid)
         gaps = []
-        prev = Fraction(0)
+        prev = ZERO
         for lo, hi in removed.segments.get(eid, ()):
             if prev < lo:
                 gaps.append((prev, lo))
             prev = hi
         if prev < 1:
-            gaps.append((prev, Fraction(1)))
+            gaps.append((prev, ONE))
         for glo, ghi in gaps:
-            key = ("seg", eid, glo, ghi)
+            key = ("seg", eid, glo.numerator, glo.denominator, ghi.numerator, ghi.denominator)
+            ends[key] = (glo, ghi)
             parent[key] = key
             units.append(key)
             cts = []
@@ -948,7 +1255,7 @@ def union_find_components(tree, removed):
             if key[0] == "vx":
                 verts.append(key[1])
             else:
-                _, eid, glo, ghi = key
+                eid, (glo, ghi) = key[1], ends[key]
                 segs.append((eid, glo, ghi))
                 if rep is None:
                     rep = tree.edge_point(eid, (glo + ghi) / 2)

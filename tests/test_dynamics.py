@@ -776,6 +776,16 @@ def test_escape_at_horizon_zero_takes_only_the_first_image():
         check_escape(shift_on(t), n=0)
 
 
+@pytest.mark.parametrize("horizon", [-1, -5])
+def test_escape_refuses_a_negative_horizon_by_name(horizon):
+    """Horizon 0 answers (the first image); a negative one is refused on
+    entry, never answered as horizon 1."""
+    t = interval()
+    assert check_escape(shift_on(t), horizon=0).status == "pass"
+    with pytest.raises(PreconditionError, match=f"^horizon must be at least 0, got {horizon}$"):
+        check_escape(shift_on(t), horizon=horizon)
+
+
 # -- sweeps over random homeomorphisms -----------------------------------------
 
 
@@ -1322,7 +1332,7 @@ def test_powers_composed_in_sequence_match_iterate():
 
     def pieces(g):
         return [
-            (p.edge, p.t0, p.t1, p.p0, p.p1, p.arc.segments, p.arc.length)
+            (p.edge, p.t0, p.t1, p.p0, p.p1, p.table)
             for p in g._pieces
         ]
 

@@ -21,7 +21,7 @@ from dendrodyn.fixtures import (
     stem_collapse_map,
     stem_sweep_map,
 )
-from oracles import is_identity, maps_equal, stem_sweep_spread
+from oracles import arc_subtree, is_identity, maps_equal, stem_sweep_spread
 
 
 # -- interval instances ----------------------------------------------------------
@@ -111,13 +111,13 @@ def test_stem_sweep_covers_each_arm_from_its_segment():
     tree, f = stem_sweep_map(4)
     # the segment between heights 1/4 and 1/2 sweeps the first arm
     seg = tree.arc(tree.edge_point("stem", F(1, 4)), tree.edge_point("stem", F(1, 2)))
-    image = f.image_of_subtree(seg.as_subtree())
+    image = f.image_of_subtree(arc_subtree(seg))
     assert image.segments == {"arm2": ((F(0), F(1)),)}
     # deepest available segment reaches the last arm
     deep = tree.arc(
         tree.edge_point("stem", F(1, 32)), tree.edge_point("stem", F(1, 16))
     )
-    assert "arm5" in f.image_of_subtree(deep.as_subtree()).segments
+    assert "arm5" in f.image_of_subtree(arc_subtree(deep)).segments
 
 
 def test_stem_sweep_pointwise_values():

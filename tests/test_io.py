@@ -460,8 +460,10 @@ def test_a_load_parses_and_validates_each_value_once(monkeypatch):
 def test_loading_a_tower_tracks_no_more_objects_than_before():
     """The objects the cyclic collector tracks after a depth-8 tower
     (512 vertices) is loaded and kept.  A load added 5,129, about 10 per
-    edge, while edges were still a tuple subclass; it may not add more.
-    CPython 3.10 to 3.13 count the same; another interpreter may not."""
+    edge, while each piece kept its image arc; with a segment table in
+    its place, and no `Arc` or offset tuple per piece, it adds 4,107, and
+    it may not add more.  CPython 3.10 to 3.13 count the same; another
+    interpreter may not."""
     depth = 8
     text = dump_instance(*odometer_tower(depth, [2**i for i in range(1, depth + 1)]))
     load_instance(text)  # whatever a first load makes once
@@ -471,4 +473,4 @@ def test_loading_a_tower_tracks_no_more_objects_than_before():
     gc.collect()
     added = len(gc.get_objects()) - before
     assert len(held[0].edge_ids) == 511
-    assert added <= 5_129
+    assert added <= 4_107

@@ -28,6 +28,7 @@ from dendrodyn.plmap import PLTreeMap, identity_map
 from dendrodyn.tree import Subtree
 from oracles import (
     Component,
+    arc_subtree,
     assert_tower_facts,
     classify_by_closures,
     decision_corpus,
@@ -470,7 +471,7 @@ def tampered(rng, cycles):
     elif action == 2:
         grown = tree.point_subtree(rng.choice(far))
         if rng.random() < 0.5:
-            grown = tree.arc(comp.repr_point, rng.choice(far)).as_subtree()
+            grown = arc_subtree(tree.arc(comp.repr_point, rng.choice(far)))
         comp = Component(comp.closure.union(grown), comp.boundary, comp.repr_point)
     elif action == 3:
         comp = Component(comp.closure, other.boundary, comp.repr_point)

@@ -26,6 +26,7 @@ from dendrodyn.plmap import (
     _compose_piece,
     _continues,
     _covers,
+    _cut,
     _meet_point,
     _retraction,
     compose,
@@ -36,9 +37,17 @@ from dendrodyn.plmap import (
     map_from_vertex_images,
 )
 from oracles import (
+    ArcPiece,
+    arc_composite_fixed_set,
+    arc_compose,
+    arc_subtree,
+    arc_table,
+    arc_window,
     colliding_pieces,
     composed_fixed_set,
     covers_by_hulls,
+    decision_corpus,
+    distance_arc_contains,
     distance_arclength_of,
     eval_in_piece,
     evaluate_on_arcs,
@@ -50,6 +59,8 @@ from oracles import (
     solve_fixed_points,
     subtree_collision,
     subtree_meet_point,
+    table_retraction,
+    tables_match_arcs,
     union_find_components,
 )
 
@@ -567,7 +578,7 @@ def pairwise_is_injective(f):
     pair, in piece order, whose arcs meet with different preimages at one
     canonical shared point gives the witness.
     """
-    pieces = f._pieces
+    pieces = [ArcPiece.of(f.domain, p) for p in f._pieces]
     for piece in pieces:
         if piece.is_constant:
             return (False, (f.domain.edge_point(piece.edge, piece.t0),
@@ -584,7 +595,7 @@ def pairwise_is_injective(f):
         s = distance_arclength_of(piece.arc, q)
         return f.domain.edge_point(piece.edge, piece.param_at_arclength(s))
 
-    subs = [p.arc.as_subtree() for p in pieces]
+    subs = [arc_subtree(p.arc) for p in pieces]
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             meet = subs[i].intersect(subs[j])
@@ -675,11 +686,12 @@ def test_piece_collisions_match_the_subtree_oracle():
     maps = [random_folding_map(seed)[1] for seed in range(500)] + fixture_maps()
     pairs = met = collided = 0
     for f in maps:
-        pieces = [p for p in f._pieces if not p.is_constant]
+        pieces = [p for p in f._pieces if p.table]
         for i, a in enumerate(pieces):
             for b in pieces[i + 1 :]:
-                q = _meet_point(f.domain, a.arc, b.arc)
-                assert q == subtree_meet_point(f.domain, a.arc, b.arc)
+                q = _meet_point(f.domain, a.table, b.table)
+                arcs = (ArcPiece.of(f.domain, a).arc, ArcPiece.of(f.domain, b).arc)
+                assert q == subtree_meet_point(f.domain, *arcs)
                 pair = f._collision(a, b)
                 assert pair == subtree_collision(f, a, b)
                 pairs += 1
@@ -699,7 +711,7 @@ def injectivity_maps(rng):
         maps.append(random_map(rng, random_tree(rng, rng.randint(2, 6))))
     maps += [random_finite_order_map(seed, seed + 1)[1] for seed in range(40)]
     maps += fixture_maps() + [late_collision_star(12), tent_on(interval()).iterate(4)]
-    return [f for f in maps if not any(p.is_constant for p in f._pieces)]
+    return [f for f in maps if all(p.table for p in f._pieces)]
 
 
 def test_marked_pieces_are_exactly_the_colliding_ones():
@@ -1145,7 +1157,7 @@ def oracle_image(f):
     """The former `image`: every piece arc as a subtree, plus vertex images."""
     segs, verts = [], []
     for piece in f._pieces:
-        sub = piece.arc.as_subtree()
+        sub = arc_subtree(ArcPiece.of(f.domain, piece).arc)
         segs += [(e, lo, hi) for e, ivs in sub.segments.items() for lo, hi in ivs]
         verts += list(sub.vertices)
     for img in f._vimg.values():
@@ -1170,9 +1182,9 @@ def oracle_image_of_arc(f, arc):
             a, b = max(lo, piece.t0), min(hi, piece.t1)
             if a > b or (a == b and not (a == lo == hi)):
                 continue
-            pa = eval_in_piece(piece, a)
-            pb = eval_in_piece(piece, b)
-            out = out.union(tree.arc(pa, pb).as_subtree())
+            pa = eval_in_piece(tree, piece, a)
+            pb = eval_in_piece(tree, piece, b)
+            out = out.union(arc_subtree(tree.arc(pa, pb)))
             out = out.union(tree.point_subtree(pa))
     return out
 
@@ -1233,21 +1245,21 @@ def test_image_routines_match_the_former_ones():
             a = any_point(rng, tree)
             b = a if rng.random() < 0.25 else any_point(rng, tree)
             arc = tree.arc(a, b)
-            assert f.image_of_subtree(arc.as_subtree()) == oracle_image_of_arc(f, arc)
+            assert f.image_of_subtree(arc_subtree(arc)) == oracle_image_of_arc(f, arc)
     assert onto == {True, False}
 
 
 def count_arc_calls(monkeypatch):
-    """Record every arc the tree builds: `MetricTree._arc`, which `arc`
+    """Record every path the tree walks: `MetricTree._path`, which `arc`
     calls after validating and the table constructor calls directly."""
     calls = []
-    plain = MetricTree._arc
+    plain = MetricTree._path
 
     def counted(self, a, b):
         calls.append(1)
         return plain(self, a, b)
 
-    monkeypatch.setattr(MetricTree, "_arc", counted)
+    monkeypatch.setattr(MetricTree, "_path", counted)
     return calls
 
 
@@ -1259,8 +1271,8 @@ def test_image_of_whole_pieces_reuses_their_arcs(monkeypatch):
 
 
 def test_compose_reuses_the_arcs_of_inner_pieces(monkeypatch):
-    # every result piece's arc is cut, reversed or joined from the outer
-    # pieces' stored arcs; the tree is asked for none
+    # every result piece's table is cut, turned round or joined from the
+    # outer pieces' stored tables; the tree is asked for no path
     _, rot = rotation_star(50)
     calls = count_arc_calls(monkeypatch)
     h = compose(rot, rot)
@@ -1278,7 +1290,11 @@ def test_project_onto_and_normalize_ask_the_tree_for_no_arc(monkeypatch):
         hull = t.connected_hull([random_point(rng, t) for _ in range(rng.randint(1, 3))])
         cases.append((f, hull, _retraction(t, hull), refine(rng, compose(f, f))))
     # pieces whose arcs miss the hull take the retraction
-    missing = sum(not hull.intersect_arc(p.arc) for f, hull, _, _ in cases for p in f._pieces)
+    missing = sum(
+        not hull.intersect_arc(ArcPiece.of(f.domain, p).arc)
+        for f, hull, _, _ in cases
+        for p in f._pieces
+    )
     calls = count_arc_calls(monkeypatch)
     dropped = 0
     for f, _, r, refined in cases:
@@ -1305,7 +1321,10 @@ def table_normalize(f):
     """The former `normalize`: the merged breakpoints rebuilt through the table."""
     table = {}
     for eid, (_, pieces) in f._edge_index.items():
-        starts = [pieces[0], *(b for a, b in zip(pieces, pieces[1:]) if not _continues(a, b))]
+        starts = [
+            pieces[0],
+            *(b for a, b in zip(pieces, pieces[1:]) if not _continues(f.domain._edges, a, b)),
+        ]
         table[eid] = [(p.t0, p.p0) for p in starts] + [(F(1), pieces[-1].p1)]
     if sum(map(len, table.values())) == len(f._pieces) + len(table):
         return f
@@ -1329,13 +1348,14 @@ def table_compose(outer, inner):
 
 def table_compose_piece(outer, piece):
     """The former `_compose_piece`: `evaluate` at every cut of the inner arc."""
+    piece = ArcPiece.of(outer.domain, piece)
     t0, t1 = piece.t0, piece.t1
     if piece.is_constant:
         q = outer.evaluate(piece.p0)
         return [(t0, q), (t1, q)]
     arc = piece.arc
     cuts = set()
-    offsets = arc.segment_offsets
+    offsets = arc.offsets
     for s in offsets[1:-1]:
         cuts.add(s)
     for k, (aeid, u0, u1) in enumerate(arc.segments):
@@ -1360,6 +1380,7 @@ def arc_retract(tree, target, z):
 
 def table_project_onto(f, target):
     def rewrite(piece):
+        piece = ArcPiece.of(f.domain, piece)
         t0, t1 = piece.t0, piece.t1
         hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
         if not hits:
@@ -1390,9 +1411,7 @@ def assert_same_pieces(g, h):
         assert len(pieces) == len(h_pieces)
         for p, q in zip(pieces, h_pieces):
             assert (p.edge, p.t0, p.t1, p.p0, p.p1) == (q.edge, q.t0, q.t1, q.p0, q.p1)
-            assert (p.arc.a, p.arc.b, p.arc.segments) == (q.arc.a, q.arc.b, q.arc.segments)
-            assert p.arc.length == q.arc.length
-            assert p.arc.segment_offsets == q.arc.segment_offsets
+            assert p.table == q.table
     assert g._pieces == tuple(p for _, pieces in g._edge_index.values() for p in pieces)
 
 
@@ -1503,3 +1522,149 @@ def test_retraction_of_a_deep_path_retracts_one_vertex(monkeypatch):
         for v in names[::50]:
             assert r.evaluate(t.vertex_point(v)) == plain(t, hull, t.vertex_point(v))
         retracted.clear()
+
+
+# -- segment tables against the image arcs they replace --------------------------------
+
+
+def corpus_maps():
+    """Every map of `decision_corpus` and every fixture map."""
+    homeos, folding, sags = decision_corpus(random.Random(3636))
+    return homeos + folding + sags + fixture_maps()
+
+
+def window_maps():
+    """Maps whose pieces run long image paths: random maps and their
+    squares, folding maps and the fixtures."""
+    rng = random.Random(3737)
+    maps = []
+    for _ in range(40):
+        f = random_map(rng, random_tree(rng, rng.randint(2, 8)))
+        maps += [f, compose(f, f)]
+    return maps + [random_folding_map(seed + 3700)[1] for seed in range(30)] + fixture_maps()
+
+
+def test_piece_window_is_the_arc_between_its_ends():
+    """A piece's table cut to a window of its parameter (`_cut`) is the
+    table of the arc between the window's images, and the former window of
+    the piece's image arc at the same shares of its length: windows ending
+    on a grid, at segment starts and inside segments.  The whole window is
+    the table itself."""
+    rng = random.Random(2004)
+    windows = 0
+    for f in window_maps():
+        tree = f.domain
+        for piece in f._pieces:
+            if not piece.table:
+                continue
+            assert _cut(piece, piece.t0, piece.t1) == list(piece.table)
+            arc = ArcPiece.of(tree, piece)
+            width = piece.t1 - piece.t0
+            grid = {piece.t0 + width * k / 6 for k in range(7)} | {x for *_, x in piece.table}
+            grid = sorted(grid | {piece.t0 + width * F(rng.randint(1, 97), 98)})
+            for a, b in rng.sample([(a, b) for a in grid for b in grid if a < b], 3):
+                cut = _cut(piece, a, b)
+                pa, pb = (evaluate_on_arcs(f, tree.edge_point(piece.edge, t)) for t in (a, b))
+                between = tree.arc(pa, pb)
+                sub = ArcPiece(piece.edge, a, b, pa, pb, between)
+                assert tuple(cut) == arc_table(sub, between)
+                former = arc_window(arc.arc, arc.arclength_at_param(a), arc.arclength_at_param(b))
+                assert tuple((e, u0, u1) for e, u0, u1, _ in cut) == former.segments
+                windows += 1
+    assert windows > 1000
+
+
+def test_piece_location_matches_the_distance_oracle():
+    """The preimage in a piece of a point of its image, read off the table
+    segment that holds the point (`_preimage_in_piece`), is the one the
+    point's distance along the piece's image arc gives: every grid point
+    on the arc of each piece."""
+    on = 0
+    for f in window_maps():
+        tree = f.domain
+        for piece in f._pieces:
+            if not piece.table:
+                continue
+            arc = ArcPiece.of(tree, piece)
+            for q in tree.grid_points(3):
+                if distance_arc_contains(arc.arc, q):
+                    s = distance_arclength_of(arc.arc, q)
+                    want = tree.edge_point(piece.edge, arc.param_at_arclength(s))
+                    assert f._preimage_in_piece(piece, q) == want, (piece.edge, q)
+                    on += 1
+    assert on > 1000
+
+
+def test_evaluate_matches_the_arc_route_on_the_corpus():
+    """`evaluate` from the tables against the former route on the image
+    arcs, at every grid point and breakpoint of every corpus and fixture
+    map."""
+    checked = 0
+    for f in corpus_maps():
+        tree = f.domain
+        points = list(tree.grid_points(3))
+        points += [tree.edge_point(eid, t) for eid in tree.edge_ids for t, _ in f.breakpoints(eid)]
+        for x in points:
+            assert f.evaluate(x) == evaluate_on_arcs(f, x)
+        checked += len(points)
+    assert checked > 25_000
+
+
+def test_compose_matches_the_arc_route_on_the_corpus():
+    """f^n composed from the tables, for n = 1..6 while f^n has at most 200
+    pieces: each step f^(n-1) . f has the pieces, tables and ends the
+    former arc route cuts and joins, and f^n equals f^n by squaring."""
+    steps = 0
+    for f in corpus_maps():
+        g = f
+        for n in range(2, 7):
+            h = compose(g, f)
+            assert tables_match_arcs(h, arc_compose(g, f)), n
+            assert maps_equal(h, f.iterate(n))
+            steps += 1
+            if h.piece_count > 200:
+                break
+            g = h
+    assert steps > 3000
+
+
+def test_composite_fixed_set_matches_the_arc_solve_on_the_corpus():
+    """The table solve of Fix(f), Fix(f . f) and Fix(f^2 . f) from their
+    factors against the former solve through the arcs' offsets."""
+    pairs = 0
+    for f in corpus_maps():
+        g = compose(f, f)
+        for outer, inner in ((None, f), (f, f), (g, f)):
+            assert composite_fixed_set(outer, inner) == arc_composite_fixed_set(outer, inner)
+            pairs += 1
+    assert pairs > 2000
+
+
+def test_retraction_matches_the_table_built_one_on_the_corpus():
+    """The retraction built from pieces equals, piece for piece, the one
+    the validating table constructor builds, on the whole tree, a point
+    and hulls of random points of every corpus tree."""
+    rng = random.Random(3838)
+    cases = 0
+    for f in corpus_maps():
+        t = f.domain
+        hulls = [t.full_subtree(), t.point_subtree(any_point(rng, t))]
+        hulls += [t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 4))])]
+        for hull in hulls:
+            r = _retraction(t, hull)
+            assert_same_pieces(r, table_retraction(t, hull))
+            assert list(r._vimg.items()) == list(table_retraction(t, hull)._vimg.items())
+            cases += 1
+    assert cases > 2000
+
+
+def test_injectivity_witness_matches_the_pairwise_oracle_on_the_corpus():
+    """The sweep's verdict and witness pair, read off the tables, against
+    the pairwise intersection of the image arcs, on every corpus and
+    fixture map."""
+    verdicts = {True: 0, False: 0}
+    for f in corpus_maps():
+        got = f.is_injective()
+        assert got == pairwise_is_injective(f)
+        verdicts[got[0]] += 1
+    assert min(verdicts.values()) > 50

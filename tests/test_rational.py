@@ -172,8 +172,13 @@ def arc_rationals(arc):
     yield from point_rationals(arc.b)
     for _, t0, t1 in arc.segments:
         yield from (t0, t1)
-    yield from arc.segment_offsets
+    yield from arc.offsets
     yield arc.length
+
+
+def table_rationals(table):
+    for _, u0, u1, x in table:
+        yield from (u0, u1, x)
 
 
 def tree_rationals(tree):
@@ -192,7 +197,7 @@ def map_rationals(f):
         yield from (piece.t0, piece.t1)
         yield from point_rationals(piece.p0)
         yield from point_rationals(piece.p1)
-        yield from arc_rationals(piece.arc)
+        yield from table_rationals(piece.table)
 
 
 def subtree_rationals(sub):
@@ -222,3 +227,4 @@ def test_every_rational_held_is_the_kernel(kind):
     for p in tree.grid_points():
         assert_all_kernel(point_rationals(p), "grid point")
         assert_all_kernel(point_rationals(f.evaluate(p)), "image point")
+        assert_all_kernel(arc_rationals(tree.arc(tree.grid_points()[0], p)), "arc")

@@ -22,10 +22,10 @@ from dendrodyn.tree import TreePoint, _Q, as_fraction, point_key
 from oracles import (
     DataclassTreePoint,
     arc_offsets,
+    arc_subtree,
     corner_scan_first_met,
     decision_corpus,
     distance_arc_contains,
-    distance_arclength_of,
     distance_on_arc,
     distance_retract,
     measure,
@@ -272,7 +272,7 @@ def check_arc_wellformed(tree, arc):
         assert tree.edge_point(eid, t0) == cursor
         cursor = tree.edge_point(eid, t1)
     assert cursor == arc.b
-    assert arc.segment_offsets == arc_offsets(arc)
+    assert arc.offsets == arc_offsets(arc)
     total = sum(
         (abs(t1 - t0) * tree.edge_length(eid) for eid, t0, t1 in arc.segments),
         F(0),
@@ -298,16 +298,16 @@ def test_arc_frozen_shapes():
 def check_arc_between(t, a, b):
     arc = t.arc(a, b)
     check_arc_wellformed(t, arc)
-    rev = arc.reversed()
-    assert rev.a == b and rev.b == a and rev.length == arc.length
-    check_arc_wellformed(t, rev)
+    back = t.arc(b, a)
+    assert back.a == b and back.b == a and back.length == arc.length
+    assert back.segments == tuple((e, u1, u0) for e, u0, u1 in reversed(arc.segments))
+    check_arc_wellformed(t, back)
     # interior sample points sit on the arc, and point_at inverts arclength
     for k in (1, 2, 3):
         s = arc.length * k / 4
         p = arc.point_at(s)
-        assert arc.contains(p)
+        assert distance_arc_contains(arc, p)
         assert t.distance(a, p) == s
-        assert arc.arclength_of(p) == s
 
 
 def test_arc_random_sweep():
@@ -352,10 +352,10 @@ def test_rooting_matches_the_size_table_oracle():
 
 
 def test_arc_walk_matches_the_vertex_path_oracle():
-    """The arc walk that reads the rooting inline gives the segments and
-    offsets of the former walk through `_vertex_path`: every ordered pair
-    of `grid_points(2)` on the small and fixture trees, and sampled pairs
-    on the deep ones."""
+    """The path walk that reads the rooting inline gives the segments of
+    the former walk through `_vertex_path`, and an arc its offsets: every
+    ordered pair of `grid_points(2)` on the small and fixture trees, and
+    sampled pairs on the deep ones."""
     rng = random.Random(7102)
     cases = [(tree, a, b) for tree in kernel_trees(rng) for a in tree.grid_points(2)
              for b in tree.grid_points(2)]
@@ -364,42 +364,12 @@ def test_arc_walk_matches_the_vertex_path_oracle():
         cases += [(tree, rng.choice(grid), rng.choice(grid)) for _ in range(3000)]
     long = 0
     for tree, a, b in cases:
-        got, want = tree._arc(a, b), vertex_path_arc(tree, a, b)
-        assert (got.segments, got.segment_offsets) == (want.segments, want.segment_offsets), (a, b)
-        assert all(type(x) is _Q for x in got.segment_offsets)
+        got, want = tree.arc(a, b), vertex_path_arc(tree, a, b)
+        assert tuple(tree._path(a, b)) == got.segments == want.segments, (a, b)
+        assert got.offsets == want.offsets, (a, b)
+        assert all(type(x) is _Q for x in got.offsets)
         long += len(got.segments) > 3
     assert len(cases) > 20_000 and long > 5_000
-
-
-def same_arc(x, y):
-    return (x.a, x.b, x.segments, x.length, x.segment_offsets) == (
-        y.a, y.b, y.segments, y.length, y.segment_offsets
-    )
-
-
-def test_arc_window_is_the_arc_between_its_ends():
-    rng = random.Random(2004)
-    trees = [random_tree(rng, rng.randint(2, 9)) for _ in range(40)]
-    trees += deep_trees(rng)
-    windows = 0
-    for t in trees:
-        for _ in range(8):
-            arc = t.arc(random_point(rng, t), random_point(rng, t))
-            assert arc.reversed() is not arc and same_arc(arc.reversed(), t.arc(arc.b, arc.a))
-            if arc.is_degenerate():
-                continue
-            assert arc.window(0, arc.length) is arc
-            # window ends on a grid, at segment boundaries (vertices), and inside segments
-            grid = {arc.length * k / 12 for k in range(13)} | set(arc.segment_offsets)
-            grid = sorted(grid | {arc.length * F(rng.randint(1, 97), 98) for _ in range(2)})
-            for sa, sb in rng.sample([(a, b) for a in grid for b in grid if a < b], 6):
-                cut = arc.window(sa, sb)
-                assert same_arc(cut, t.arc(arc.point_at(sa), arc.point_at(sb)))
-                windows += 1
-            for sa, sb in [(-arc.length, arc.length), (0, 2 * arc.length), (arc.length, 0), (0, 0)]:
-                with pytest.raises(PreconditionError):
-                    arc.window(sa, sb)
-    assert windows > 1000
 
 
 def test_point_at_bounds():
@@ -510,7 +480,7 @@ def test_every_subtree_lists_its_edges_in_the_tree_order():
         subs = [first, other, random_subtree(rng, t), *hulls, t.full_subtree()]
         made += subs + [first.union(other), hulls[0].union(hulls[1]), hulls[0].intersect(first)]
         made += [f.image_of_subtree(s) for s in subs]
-        made += [f.fixed_point_set(), t.arc(random_point(rng, t), random_point(rng, t)).as_subtree()]
+        made += [f.fixed_point_set(), arc_subtree(t.arc(random_point(rng, t), random_point(rng, t)))]
         made += [c.closure for s in subs[2:] for c in union_find_components(t, s)]
     for tree, f in (rotation_star(12), odometer_tower(3, (2, 4, 8))):
         fixed = [fixed_set(f, n) for n in range(1, 9)]
@@ -601,7 +571,7 @@ def test_connected_hull_equals_pairwise_arc_union():
         oracle = t.point_subtree(pts[0])
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                oracle = oracle.union(t.arc(pts[i], pts[j]).as_subtree())
+                oracle = oracle.union(arc_subtree(t.arc(pts[i], pts[j])))
         for p in pts:
             oracle = oracle.union(t.point_subtree(p))
         assert hull == oracle
@@ -799,30 +769,6 @@ def test_first_met_and_first_gap_match_the_corner_scan_and_the_split():
             sets += 1
             disconnected += not s.is_connected()
     assert sets > 1000 and disconnected > 500 and points > 20_000 and off_path > 1000
-
-
-def test_arc_location_matches_the_distance_oracle():
-    """`Arc.contains` and `Arc.arclength_of` read off the segments, for
-    every grid point against arcs between random points, degenerate arcs
-    among them."""
-    rng = random.Random(7003)
-    on = off = degenerate = 0
-    for tree in position_trees(rng):
-        grid = tree.grid_points(3)
-        for _ in range(6):
-            arc = tree.arc(random_point(rng, tree), rng.choice(grid))
-            degenerate += arc.is_degenerate()
-            for x in grid:
-                inside = arc.contains(x)
-                assert inside == distance_arc_contains(arc, x)
-                if inside:
-                    assert arc.arclength_of(x) == distance_arclength_of(arc, x)
-                    on += 1
-                else:
-                    with pytest.raises(PreconditionError):
-                        arc.arclength_of(x)
-                    off += 1
-    assert on > 1000 and off > 1000 and degenerate > 0
 
 
 # -- complement components -------------------------------------------------
