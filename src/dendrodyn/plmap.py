@@ -14,9 +14,9 @@ and it holds one slot for `dynamics`, whose per-map store (orbits,
 certificate, fixed sets of powers) is opaque to this module.
 
 A piece is its segment table: for each segment of its image path, the
-image edge, the segment's two parameters on it, and the domain parameter
-where it starts.  A piece is affine on each segment, so every reader
-takes parameters off the entries and measures no arclength.  The table
+image edge, the segment's two parameters on it, and the window of domain
+parameters it covers.  A piece is affine on each segment, so every reader
+takes parameters off one entry and measures no arclength.  The table
 constructor validates breakpoints and walks the tree's path for each
 piece (`MetricTree._path`), refusing a table whose pieces and segments
 pass `MAX_TABLE_SIZE`.  Derived maps (`compose`, `normalize`, the hull
@@ -77,12 +77,11 @@ MAX_TABLE_SIZE = 200_000
 
 class _Piece:
     """One linear piece: a domain window [t0, t1], its image points p0 and
-    p1, and its table, one entry (edge, u0, u1, x) per segment of the
-    image path from p0 to p1: the image edge, the segment's parameters on
-    it, and the domain parameter x where it starts.  The first starts at
-    t0 and each ends where the next starts, the last at t1; on a
-    segment's window the image parameter is affine in t (`_line`).  A
-    constant piece has an empty table."""
+    p1, and its table, one entry (edge, u0, u1, x0, x1) per segment of
+    the image path from p0 to p1: the image edge, the segment's parameters
+    on it, and its window [x0, x1] of the domain parameter.  The windows
+    tile [t0, t1] in order, and on each the image parameter is affine in t
+    (`_line`).  A constant piece has an empty table."""
 
     __slots__ = ("edge", "t0", "t1", "p0", "p1", "table")
 
@@ -95,22 +94,23 @@ class _Piece:
         self.table = table
 
 
-_start = itemgetter(3)  # a table entry's domain start
+_end = itemgetter(4)  # a table entry's domain end
 _low = itemgetter(0)
 _window_start = attrgetter("t0")  # a piece's domain start
 
 
 def _table(edges, segs: list, t0: Fraction, t1: Fraction) -> tuple:
     """The table of a piece over [t0, t1] whose image path has two or
-    more segments (edge, from, to): each starts at t0 plus the window's
-    share that the arclength before it is of the path's.  Only the first
-    and last segments can run part of an edge, where the path's end lies
-    inside it, at its parameter of denominator other than 1."""
+    more segments (edge, from, to): each ends at t0 plus the window's
+    share that the arclength up to its end is of the path's, the last at
+    t1, and starts where the one before ends.  Only the first and last
+    segments can run part of an edge, where the path's end lies inside
+    it, at its parameter of denominator other than 1."""
     e, u0, u1 = segs[0]
     run = edges[e][2]
     if u0._denominator != 1:
         run = (u0 if u1._numerator == 0 else ONE - u0) * run
-    ends = [run]  # the arclength where each segment but the first starts
+    ends = [run]  # the arclength where each segment but the last ends
     for e, _, _ in segs[1:-1]:
         run = run + edges[e][2]
         ends.append(run)
@@ -119,38 +119,38 @@ def _table(edges, segs: list, t0: Fraction, t1: Fraction) -> tuple:
     if u1._denominator != 1:
         last = (u1 if u0._numerator == 0 else ONE - u1) * last
     total = run + last
-    out = [(*segs[0], t0)]
-    if t0._numerator == 0 and t1._numerator == 1 == t1._denominator:  # the whole edge
-        for (e, u0, u1), c in zip(segs[1:], ends):
-            out.append((e, u0, u1, c / total))
-    else:
-        scale = (t1 - t0) / total
-        for (e, u0, u1), c in zip(segs[1:], ends):
-            out.append((e, u0, u1, t0 + c * scale))
+    whole = t0._numerator == 0 and t1._numerator == 1 == t1._denominator  # the whole edge
+    scale = None if whole else (t1 - t0) / total
+    out = []
+    x0 = t0
+    for (e, u0, u1), c in zip(segs, ends):
+        x1 = c / total if whole else t0 + c * scale
+        out.append((e, u0, u1, x0, x1))
+        x0 = x1
+    out.append((*segs[-1], x0, t1))
     return tuple(out)
 
 
-def _cut(piece: _Piece, a: Fraction, b: Fraction) -> list:
-    """The piece's table cut to the window t0 <= a < b <= t1: each segment
-    meeting it in positive length, its ends and start moved in to it."""
-    table = piece.table
+def _cut(table: tuple, a: Fraction, b: Fraction) -> list:
+    """A piece's table cut to the window t0 <= a < b <= t1: each segment
+    meeting it in positive length, its ends and window moved in to it."""
     n = len(table)
-    k = bisect_right(table, a, 1, key=_start) - 1  # the segment holding a
+    k = bisect_right(table, a, key=_end)  # the segment holding a, the first ending past it
     out = []
     while k < n:
-        e, u0, u1, x0 = table[k]
+        e, u0, u1, x0, x1 = table[k]
         if x0 >= b:
             break
         k += 1
-        x1 = table[k][3] if k < n else piece.t1
         if x0 < a or x1 > b:
             slope = (u1 - u0) / (x1 - x0)
             if x1 > b:
                 u1 = u0 + (b - x0) * slope
+                x1 = b
             if x0 < a:
                 u0 = u0 + (a - x0) * slope
                 x0 = a
-        out.append((e, u0, u1, x0))
+        out.append((e, u0, u1, x0, x1))
     return out
 
 
@@ -209,7 +209,10 @@ class PLTreeMap:
                     raise StructureError(
                         f"the map has more than {MAX_TABLE_SIZE} pieces and image-arc segments"
                     )
-                entries = _table(edges, segs, t0, t1) if n > 1 else ((*segs[0], t0),) if n else ()
+                if n > 1:
+                    entries = _table(edges, segs, t0, t1)
+                else:
+                    entries = ((*segs[0], t0, t1),) if n else ()
                 mine.append(_Piece(eid, t0, t1, p0, p1, entries))
             pieces.extend(mine)
             edge_index[eid] = (params, tuple(mine))
@@ -288,9 +291,7 @@ class PLTreeMap:
         table = piece.table
         if params[i] == t or not table:
             return piece.p1
-        k = bisect_left(table, t, 1, key=_start)  # the first segment starting at or past t
-        e, u0, u1, x0 = table[k - 1]
-        x1 = table[k][3] if k < len(table) else piece.t1
+        e, u0, u1, x0, x1 = table[bisect_left(table, t, key=_end)]
         return self.domain.edge_point(e, u0 + (u1 - u0) * (t - x0) / (x1 - x0))
 
     def image(self) -> Subtree:
@@ -334,8 +335,8 @@ class PLTreeMap:
                         add_point(piece.p0)
                         continue
                     if lo > piece.t0 or hi < piece.t1:
-                        table = _cut(piece, max(lo, piece.t0), min(hi, piece.t1))
-                    segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1, _ in table]
+                        table = _cut(table, max(lo, piece.t0), min(hi, piece.t1))
+                    segs += [(e, u0, u1) if u0 <= u1 else (e, u1, u0) for e, u0, u1, _, _ in table]
         return Subtree.build(tree, segs, verts)
 
     # -- normal form ---------------------------------------------------------
@@ -422,7 +423,7 @@ class PLTreeMap:
         marked = set()
         by_edge: dict = {}
         for i, piece in enumerate(self._pieces):  # rationals compared by cross products
-            for eid, u0, u1, _ in piece.table:
+            for eid, u0, u1, _, _ in piece.table:
                 up = u0._numerator * u1._denominator < u1._numerator * u0._denominator
                 by_edge.setdefault(eid, []).append((u0, u1, i) if up else (u1, u0, i))
         for segs in by_edge.values():
@@ -443,7 +444,7 @@ class PLTreeMap:
             # inside the window, named by the piece alone
             for t, q in ((piece.t0, piece.p0), (piece.t1, piece.p1)):
                 preimages.setdefault(_point_place(q), []).append((i, _place(edges, piece.edge, t)))
-            for aeid, _, u1, _ in piece.table[:-1]:
+            for aeid, _, u1, _, _ in piece.table[:-1]:
                 preimages.setdefault(_place(edges, aeid, u1), []).append((i, i))
         for hits in preimages.values():
             if len({x for _, x in hits}) > 1:
@@ -464,22 +465,14 @@ class PLTreeMap:
         """The point of the piece's window sent to q, a point of its image,
         read off the segment that holds q: the one on q's edge, or one that
         starts or ends at the vertex q (a path runs over an edge once)."""
-        edges, table = self.domain._edges, piece.table
-        for k, (e, u0, u1, x0) in enumerate(table):
+        edges = self.domain._edges
+        for e, u0, u1, x0, x1 in piece.table:
             u, w, _ = edges[e]
             at = q.t if q.edge == e else ZERO if q.vertex == u else ONE if q.vertex == w else None
             if at is None or q.edge is None and at != u0 and at != u1:
                 continue
-            x1 = table[k + 1][3] if k + 1 < len(table) else piece.t1
             x = x0 if at == u0 else x1 if at == u1 else x0 + (at - u0) * (x1 - x0) / (u1 - u0)
             return self.domain.edge_point(piece.edge, x)
-
-    # -- fixed points ------------------------------------------------------------
-
-    def fixed_point_set(self) -> Subtree:
-        """All points with f(x) = x, exactly; may be empty or disconnected.
-        The solve of `composite_fixed_set` with no outer factor."""
-        return composite_fixed_set(None, self)
 
     # -- iteration ----------------------------------------------------------------
 
@@ -522,13 +515,12 @@ def _continues(edges, a: _Piece, b: _Piece) -> bool:
     run the same way."""
     if not a.table or not b.table:
         return not a.table and not b.table
-    ea, u0, u1, xa = a.table[-1]
-    eb, v0, v1, _ = b.table[0]
-    xb = b.table[1][3] if len(b.table) > 1 else b.t1
+    ea, u0, u1, xa0, xa1 = a.table[-1]
+    eb, v0, v1, xb0, xb1 = b.table[0]
     if ea == eb:
-        return (u1 - u0) * (xb - b.t0) == (v1 - v0) * (a.t1 - xa)
+        return (u1 - u0) * (xb1 - xb0) == (v1 - v0) * (xa1 - xa0)
     du, dv = u1 - u0, v1 - v0
-    return abs(du) * edges[ea][2] * (xb - b.t0) == abs(dv) * edges[eb][2] * (a.t1 - xa)
+    return abs(du) * edges[ea][2] * (xb1 - xb0) == abs(dv) * edges[eb][2] * (xa1 - xa0)
 
 
 def _place(edges, eid, t) -> tuple:
@@ -558,9 +550,9 @@ def _meet_point(tree: MetricTree, a: tuple, b: tuple):
     midpoint of the shared interval on the least edge (tree order) where
     it has length; else it ends a segment of each arc.
     """
-    mine = {eid: (u0, u1) if u0 < u1 else (u1, u0) for eid, u0, u1, _ in a}
+    mine = {eid: (u0, u1) if u0 < u1 else (u1, u0) for eid, u0, u1, _, _ in a}
     best = None
-    for eid, v0, v1, _ in b:
+    for eid, v0, v1, _, _ in b:
         span = mine.get(eid)
         if span is not None:
             lo, hi = (v0, v1) if v0 < v1 else (v1, v0)
@@ -571,8 +563,8 @@ def _meet_point(tree: MetricTree, a: tuple, b: tuple):
         eid, lo, hi = best
         return tree.edge_point(eid, (lo + hi) / 2)
     edges = tree._edges
-    ends = {_place(edges, eid, t) for eid, u0, u1, _ in a for t in (u0, u1)}
-    for eid, v0, v1, _ in b:
+    ends = {_place(edges, eid, t) for eid, u0, u1, _, _ in a for t in (u0, u1)}
+    for eid, v0, v1, _, _ in b:
         for t in (v0, v1):
             if _place(edges, eid, t) in ends:
                 return tree.edge_point(eid, t)
@@ -580,12 +572,18 @@ def _meet_point(tree: MetricTree, a: tuple, b: tuple):
 
 
 def _canonical_point(tree: MetricTree, sub: Subtree) -> TreePoint:
-    """A deterministic representative: first interval midpoint, else a corner."""
+    """A deterministic representative of a nonempty set: the midpoint of
+    the first interval of positive length that opens an edge, else its
+    least corner by `point_key`: the vertex with the least `str` id, else
+    the low end of the first interval on the first edge listed."""
     for eid, intervals in sub.segments.items():
         lo, hi = intervals[0]
         if lo < hi:
             return tree.edge_point(eid, (lo + hi) / 2)
-    return sub.corner_points()[0]
+    if sub.vertices:
+        return tree.vertex_point(min(sub.vertices, key=str))
+    eid, intervals = next(iter(sub.segments.items()))
+    return tree.edge_point(eid, intervals[0][0])
 
 
 def identity_map(tree: MetricTree) -> PLTreeMap:
@@ -628,9 +626,9 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
     meets, with that outer piece's table cut to the segment's window
     (`_cut`), read in reverse and turned round where the segment runs its
     edge backwards.  On a segment from x0 to x1 the inner map runs its
-    edge from u0 to u1 affinely, so each cut and each carried outer start
-    y lies at x0 + (y - u0) * rate, rate = (x1 - x0) / (u1 - u0), worked
-    out only when one falls inside the segment."""
+    edge from u0 to u1 affinely, so each cut and each carried outer
+    segment end y lies at x0 + (y - u0) * rate, rate = (x1 - x0) / (u1 -
+    u0), worked out only when one falls inside the segment."""
     edge = piece.edge
     table = piece.table
     if not table:
@@ -639,9 +637,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
     point = outer.domain.edge_point
     out = []
     ta = piece.t0
-    last = len(table) - 1
-    for k, (aeid, u0, u1, x0) in enumerate(table):
-        x1 = table[k + 1][3] if k < last else piece.t1
+    for aeid, u0, u1, x0, x1 in table:
         rate = None  # inner parameter per unit of aeid's parameter
         params, opieces = outer._edge_index[aeid]
         forward = u0 < u1
@@ -665,18 +661,17 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
                 out.append(_Piece(edge, ta, tb, op.p0, op.p0, ()))
                 ta = tb
                 continue
-            cut = op.table if whole_a and whole_b else _cut(op, a, b)
+            cut = op.table if whole_a and whole_b else _cut(op.table, a, b)
             p0 = op.p0 if whole_a else point(cut[0][0], cut[0][1])
             p1 = op.p1 if whole_b else point(cut[-1][0], cut[-1][2])
-            ys = [y for _, _, _, y in cut[1:]]  # the outer starts to carry back
-            if not forward:
-                cut = [(e, w1, w0, y) for e, w0, w1, y in reversed(cut)]
-                ys.reverse()
+            if not forward:  # each entry's last field is where it ends in the inner direction
+                cut = [(e, w1, w0, y1, y0) for e, w0, w1, y0, y1 in reversed(cut)]
                 p0, p1 = p1, p0
-            if ys and rate is None:
+            if len(cut) > 1 and rate is None:
                 rate = (x1 - x0) / (u1 - u0)
-            starts = [ta, *(x0 + (y - u0) * rate for y in ys)]
-            new = tuple((e, w0, w1, x) for (e, w0, w1, _), x in zip(cut, starts))
+            # each entry ends at its outer end carried back, the last at tb
+            xs = [ta, *(x0 + (y - u0) * rate for _, _, _, _, y in cut[:-1]), tb]
+            new = tuple((e, w0, w1, xa, xb) for (e, w0, w1, _, _), xa, xb in zip(cut, xs, xs[1:]))
             out.append(_Piece(edge, ta, tb, p0, p1, new))
             ta = tb
     return out
@@ -700,7 +695,7 @@ def _joined(run: list) -> _Piece:
     """One piece for a run of pieces that continue one traversal: their
     tables laid end to end, the path between the run's ends since none
     turns back (`_continues`), a segment continued across a junction made
-    one with the earlier start."""
+    one from the earlier entry's start to the later one's end."""
     first, last = run[0], run[-1]
     if len(run) == 1:
         return first
@@ -710,8 +705,9 @@ def _joined(run: list) -> _Piece:
         for piece in run[1:]:
             more = piece.table
             if segs[-1][0] == more[0][0]:  # one segment across the junction
-                e, u0, _, x0 = segs[-1]
-                segs[-1] = (e, u0, more[0][2], x0)
+                e, u0, _, x0, _ = segs[-1]
+                _, _, u1, _, x1 = more[0]
+                segs[-1] = (e, u0, u1, x0, x1)
                 segs.extend(more[1:])
             else:
                 segs.extend(more)
@@ -732,7 +728,7 @@ def cut_count(outer: PLTreeMap, inner: PLTreeMap) -> int:
         if not piece.table:
             n += 1
             continue
-        for aeid, u0, u1, _ in piece.table:
+        for aeid, u0, u1, _, _ in piece.table:
             params = outer._edge_index[aeid][0]
             lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
             n += bisect_left(params, hi) - bisect_right(params, lo, 1) + 1
@@ -776,7 +772,8 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
     of an inner piece over e, on an edge a, across an outer segment z =
     a2 y + b2 over a whose image lies on e (their `_line`s; a2 = 0 for a
     constant outer piece).  The outer segments over a are indexed by
-    image edge when a is first met (`_by_image_edge`).  t is fixed exactly
+    image edge when a is first met (`_by_image_edge`), each line worked
+    out when its segment is first met.  t is fixed exactly
     when y is fixed by y -> a1 (a2 y + b2) + b1, at y* = (a1 b2 + b1) / (1
     - a1 a2), and then t = a2 y* + b2; so y* is tested on the part [ya,
     yb] of a both segments cover, and carried to t only when it lies
@@ -814,10 +811,11 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
             if q.edge == eid:
                 _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
             continue
-        for k, (aeid, u0, u1, _) in enumerate(piece.table):
+        for seg in piece.table:
+            aeid, u0, u1, _, _ = seg
             if outer is None:
                 if aeid == eid:
-                    _solve(segs, eid, *_line(piece, k))
+                    _solve(segs, eid, *_line(seg))
                 continue
             by_image = index.get(aeid)
             if by_image is None:
@@ -831,12 +829,12 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
             met = entries[bisect_left(y1s, lo) : bisect_right(y0s, hi)]
             if not met:
                 continue
-            a1, b1, _, _ = _line(piece, k)
+            a1, b1, _, _ = _line(seg)
             for entry in met:
-                if entry[2] is None:
-                    op, j = entry[:2]
-                    entry[2] = (ZERO, op.p0.t, op.t0, op.t1) if j is None else _line(op, j)
-                a2, b2, y0, y1 = entry[2]
+                line = entry[1]
+                if line is None:
+                    line = entry[1] = _line(entry[0])
+                a2, b2, y0, y1 = line
                 ya = y0 if y0 > lo else lo  # ya <= yb: the windows meet
                 yb = y1 if y1 < hi else hi
                 alpha = a1 * a2
@@ -853,32 +851,29 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
 
 
 def _by_image_edge(f: PLTreeMap, eid) -> dict:
-    """f's segments over the domain edge eid by image edge (a constant piece's value inside an
-    edge counts), as (window starts, window ends, entries), increasing since a path runs over
-    an edge once.  An entry is [piece, segment index or None, line filled when first met]."""
+    """f's table segments over the domain edge eid by image edge, as (window starts, window
+    ends, entries), increasing since a path runs over an edge once; a constant piece whose
+    value lies inside an edge is the segment standing at it over the piece's window.  An
+    entry is [segment, its line once met]."""
     index = {}
     for piece in f._edge_index[eid][1]:
         table = piece.table
-        if table:
-            ends = [*(x for _, _, _, x in table[1:]), piece.t1]
-            keys = [(seg[0], k, seg[3], x1) for k, (seg, x1) in enumerate(zip(table, ends))]
-        else:
-            keys = [] if piece.p0.is_vertex else [(piece.p0.edge, None, piece.t0, piece.t1)]
-        for e, k, y0, y1 in keys:
-            y0s, y1s, entries = index.setdefault(e, ([], [], []))
-            y0s.append(y0)
-            y1s.append(y1)
-            entries.append([piece, k, None])
+        q = piece.p0
+        if not table and not q.is_vertex:
+            table = ((q.edge, q.t, q.t, piece.t0, piece.t1),)
+        for seg in table:
+            y0s, y1s, entries = index.setdefault(seg[0], ([], [], []))
+            y0s.append(seg[3])
+            y1s.append(seg[4])
+            entries.append([seg, None])
     return index
 
 
-def _line(piece: _Piece, k: int) -> tuple:
-    """(alpha, beta, x0, x1): the k-th segment of the piece's table covers
-    the window [x0, x1] of its parameter, where the image lies on the
-    segment's edge at parameter alpha * t + beta."""
-    table = piece.table
-    _, u0, u1, x0 = table[k]
-    x1 = table[k + 1][3] if k + 1 < len(table) else piece.t1
+def _line(seg: tuple) -> tuple:
+    """(alpha, beta, x0, x1): a table segment covers the window [x0, x1]
+    of its piece's parameter, where the image lies on the segment's edge
+    at parameter alpha * t + beta."""
+    _, u0, u1, x0, x1 = seg
     alpha = (u1 - u0) / (x1 - x0)
     return alpha, u0 - alpha * x0, x0, x1
 
@@ -913,7 +908,7 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
         if ivs and ivs[0][0] < ivs[0][1]:
             ((lo, hi),) = ivs
             a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
-            mine = [_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo),))]
+            mine = [_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo, hi),))]
             if lo > ZERO:
                 mine.insert(0, _Piece(eid, ZERO, lo, a, a, ()))
             if hi < ONE:

@@ -757,12 +757,6 @@ class MetricTree:
         `Subtree.build`; each call gets its own per-edge dict."""
         return Subtree(self, {eid: ((ZERO, ONE),) for eid in self._ekeys}, self._vertices)
 
-    def point_subtree(self, p: TreePoint) -> "Subtree":
-        self.validate_point(p)
-        if p.is_vertex:
-            return Subtree.build(self, [], [p.vertex])
-        return Subtree.build(self, [(p.edge, p.t, p.t)], [])
-
     def grid_points(self, per_edge: int = 3) -> tuple[TreePoint, ...]:
         """Vertices plus an evenly spaced rational sample inside each edge.
 

@@ -36,7 +36,6 @@ from dendrodyn.odometer import (
 from dendrodyn.plmap import (
     DEFAULT_PIECE_CAP,
     PLTreeMap,
-    _canonical_point,
     _retraction,
     _solve,
     built,
@@ -105,6 +104,13 @@ def measure(sub):
     return total
 
 
+def point_subtree(tree, p):
+    """The closed set {p}, in the canonical form `Subtree.build` gives."""
+    if p.is_vertex:
+        return Subtree.build(tree, [], [p.vertex])
+    return Subtree.build(tree, [(p.edge, p.t, p.t)], [])
+
+
 def canonical_key(sub):
     """A subtree's intervals by the `str` of their edge, then its vertices
     by `str`: an order worked out apart from the package, for sorting
@@ -167,14 +173,26 @@ def arc_subtree(arc):
 
 
 def arc_table(piece, arc):
-    """The table an image arc gives a piece: each segment, starting at the
-    domain parameter whose share of the window is the share of the arc's
-    length before the segment."""
+    """The table an image arc gives a piece: each segment over the window
+    of domain parameters whose shares of the piece's window are the shares
+    of the arc's length before the segment's two ends; none for a
+    degenerate arc."""
+    if not arc.segments:
+        return ()
     width = piece.t1 - piece.t0
+    xs = [piece.t0 + width * c / arc.length for c in arc.offsets]
     return tuple(
-        (e, u0, u1, piece.t0 + width * c / arc.length)
-        for (e, u0, u1), c in zip(arc.segments, arc.offsets)
+        (e, u0, u1, x0, x1) for (e, u0, u1), x0, x1 in zip(arc.segments, xs, xs[1:])
     )
+
+
+def windows_tile(table, t0, t1):
+    """Whether a nonempty table's windows tile [t0, t1] in order: the
+    first starts at t0, each ends where the next starts, the last ends at
+    t1, and each has positive length."""
+    starts = [t0] + [x1 for *_, x1 in table]
+    ends = [x0 for *_, x0, _ in table] + [t1]
+    return starts == ends and all(x0 < x1 for *_, x0, x1 in table)
 
 
 class ArcPiece:
@@ -745,27 +763,101 @@ def hull_by_composing(f, points, n, piece_cap=DEFAULT_PIECE_CAP):
     fixed = solve_fixed_points(h).intersect(hull)
     if fixed.is_empty():
         raise ConsistencyError("no fixed point of the n-th iterate in the hull")
-    return _canonical_point(tree, fixed)
+    return sorted_canonical_point(tree, fixed)
 
 
-# -- locating points by summed distances ------------------------------------------
+def sorted_canonical_point(tree, sub):
+    """The former `plmap._canonical_point`: the midpoint of the first
+    interval of positive length that opens an edge, else the first of
+    every corner point sorted by `point_key`."""
+    for eid, intervals in sub.segments.items():
+        lo, hi = intervals[0]
+        if lo < hi:
+            return tree.edge_point(eid, (lo + hi) / 2)
+    return sub.corner_points()[0]
+
+
+# -- locating points by walks of their own -----------------------------------------
 #
-# The package locates points by position (`MetricTree._position`); these
-# are the routes it took before, each a sum of `MetricTree.distance`
-# calls, kept to check it against.
+# The package locates points by position (`MetricTree._position`), read off
+# its rooting.  These walk the tree's adjacency and edge records from a
+# point instead, reading no rooting and building no `Arc`, and are kept to
+# check it against.
 
 
-def distance_on_arc(tree, x, a, b):
-    """Whether x lies on [a, b]: d(a, x) + d(x, b) = d(a, b)."""
-    return tree.distance(a, x) + tree.distance(x, b) == tree.distance(a, b)
+def walk_on_arc(tree, x, a, b):
+    """Whether x lies on [a, b], read off the arc a walk finds: its
+    vertices, its whole edges and the parts of a's and b's edges it
+    covers.  The walk runs from a's end vertices to b's with a's and b's
+    own edges left out; the rest of the tree splits at them, so exactly
+    one start and one goal meet."""
+    edges = tree._edges
+    if a.edge is not None and a.edge == b.edge:
+        return x.edge == a.edge and min(a.t, b.t) <= x.t <= max(a.t, b.t)
+
+    def ends(p):  # each end vertex of p's edge, with the part of the edge up to p
+        if p.is_vertex:
+            return {p.vertex: None}
+        u, w, _ = edges[p.edge]
+        return {u: (p.edge, (ZERO, p.t)), w: (p.edge, (p.t, ONE))}
+
+    starts, goals = ends(a), ends(b)
+    skip = {a.edge, b.edge}
+    up = {v: None for v in starts}
+    stack = list(starts)
+    while stack:
+        v = stack.pop()
+        if v in goals:
+            break
+        for eid, y in tree._adj[v]:
+            if eid not in skip and y not in up:
+                up[y] = (v, eid)
+                stack.append(y)
+    goal, vertices, whole = v, {v}, set()
+    while up[v] is not None:
+        v, eid = up[v]
+        vertices.add(v)
+        whole.add(eid)
+    if x.is_vertex:
+        return x.vertex in vertices
+    parts = dict(part for part in (starts[v], goals[goal]) if part)
+    part = parts.get(x.edge)
+    return x.edge in whole or part is not None and part[0] <= x.t <= part[1]
 
 
-def distance_retract(tree, target, z):
+def walk_retract(tree, target, z):
     """The retraction of z onto a connected subtree: z when inside, else
-    the target's corner nearest z."""
+    the first point of the target a walk from z meets, over the tree's
+    adjacency and edge records.  The target is connected and misses z, so
+    the path from z to any of its points runs through the retraction, and
+    the walk leaves a vertex only once its own path from z has met none of
+    the target."""
     if target.contains(z):
         return z
-    return min(target.corner_points(), key=lambda w: tree.distance(z, w))
+    edges, segments = tree._edges, target.segments
+    if z.is_vertex:
+        stack = [z.vertex]
+    else:
+        ivs = segments.get(z.edge, ())
+        below = [hi for _, hi in ivs if hi < z.t]
+        above = [lo for lo, _ in ivs if lo > z.t]
+        if below or above:  # the target lies on one side of z on its edge
+            return tree.edge_point(z.edge, below[-1] if below else above[0])
+        stack = list(edges[z.edge][:2])
+    seen = set(stack)
+    while stack:
+        x = stack.pop()
+        if x in target.vertices:
+            return tree.vertex_point(x)
+        for eid, y in tree._adj[x]:
+            if eid == z.edge or y in seen:
+                continue
+            ivs = segments.get(eid)
+            if ivs:  # the target's end nearest x on the edge
+                return tree.edge_point(eid, ivs[0][0] if x == edges[eid][0] else ivs[-1][1])
+            seen.add(y)
+            stack.append(y)
+    raise AssertionError("a nonempty target is met")
 
 
 def corner_scan_first_met(tree, closed, z):
@@ -891,7 +983,7 @@ def subtree_meet_point(tree, a, b):
     """The canonical point of the meet of two arcs, with the meet built as
     the intersection of their subtrees; None when they are disjoint."""
     meet = arc_subtree(a).intersect(arc_subtree(b))
-    return None if meet.is_empty() else _canonical_point(tree, meet)
+    return None if meet.is_empty() else sorted_canonical_point(tree, meet)
 
 
 def subtree_collision(f, a, b):
@@ -1100,7 +1192,7 @@ def former_classify(cycles):
             if comp.closure.is_empty():
                 openness_ok = False
                 continue
-            others = union_find_components(tree, tree.point_subtree(comp.attachment))
+            others = union_find_components(tree, point_subtree(tree, comp.attachment))
             rederived = next((c for c in others if c.contains(comp.repr_point)), None)
             if rederived is None or rederived.closure != comp.closure:
                 openness_ok = False

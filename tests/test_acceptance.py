@@ -38,6 +38,7 @@ from dendrodyn.fixtures import (
     stem_collapse_map,
     stem_sweep_map,
 )
+from dendrodyn.plmap import composite_fixed_set
 from oracles import is_identity, stem_sweep_spread, valid_addresses
 
 
@@ -312,7 +313,7 @@ def test_criterion_7_truncated_counterexamples():
     with criterion(7, "truncated counterexample fixtures", budget=5.0):
         for k in (3, 5, 8):
             tree, f = stem_collapse_map(k)
-            fs = f.fixed_point_set()
+            fs = composite_fixed_set(None, f)
             center = tree.vertex_point("c")
             assert not fs.contains(center)
             gap = min(tree.distance(center, p) for p in fs.corner_points())

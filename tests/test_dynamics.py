@@ -47,6 +47,7 @@ from dendrodyn.plmap import (
     DEFAULT_PIECE_CAP,
     PLTreeMap,
     built,
+    composite_fixed_set,
     identity_map,
     map_from_vertex_images,
 )
@@ -147,7 +148,7 @@ def test_fixed_set_matches_the_fixed_set_of_the_power():
     maps += [permuted_star_map(rng, rng.randint(2, 6))[1] for _ in range(6)]
     for f in maps:
         for n in (1, 2, 3, 4):
-            expected = f.iterate(n, 5000).fixed_point_set()
+            expected = composite_fixed_set(None, f.iterate(n, 5000))
             assert fixed_set(f, n, 5000) == expected
             assert fixed_set(f, n, 5000) == expected  # served from the map's store
 
@@ -456,7 +457,7 @@ def composing_decide(f, piece_cap=DEFAULT_PIECE_CAP):
         return RecurrenceVerdict(
             pointwise_recurrent=True, identity_power=power, reason="identity-power"
         )
-    q = union_find_components(tree, h.fixed_point_set())[0].repr_point
+    q = union_find_components(tree, composite_fixed_set(None, h))[0].repr_point
     return RecurrenceVerdict(
         pointwise_recurrent=False,
         witness=Witness(
@@ -1249,7 +1250,7 @@ def test_orbit_route_fixed_sets_match_the_composing_oracle(monkeypatch):
             got[n] = fixed_set(f, n)
         assert composed == []
         for n, sub in got.items():
-            assert sub == fresh_copy(f).iterate(n).fixed_point_set(), (f, n)
+            assert sub == composite_fixed_set(None, fresh_copy(f).iterate(n)), (f, n)
             shapes["interval"] += any(lo < hi for ivs in sub.segments.values() for lo, hi in ivs)
             shapes["midpoint"] += n % 2 == 1 and cert.power % 2 == 0 and bool(sub.segments)
         composed.clear()
@@ -1291,7 +1292,7 @@ def test_the_certificate_is_decided_once_and_only_for_recurrent_maps(monkeypatch
     t = interval()
     for f in (tent_on(t), shift_on(t), sagged(rng, flip_on(t)), sagged(rng, rotation_star(3)[1])):
         assert _certificate(f) is None
-        assert fixed_set(f, 2) == fresh_copy(f).iterate(2).fixed_point_set()
+        assert fixed_set(f, 2) == composite_fixed_set(None, fresh_copy(f).iterate(2))
     # a decision fills the certificate, so fixed_set walks nothing again
     _, rot = rotation_star(5)
     decide_pointwise_recurrent(rot)
@@ -1351,7 +1352,7 @@ def test_powers_composed_in_sequence_match_iterate():
     # out of order, only a power right after the last one takes the step
     for f in (tent_on(t), fresh_copy(sag)):
         for n in (5, 3, 4, 7, 6, 2):
-            assert fixed_set(f, n) == fresh_copy(f).iterate(n).fixed_point_set(), n
+            assert fixed_set(f, n) == composite_fixed_set(None, fresh_copy(f).iterate(n)), n
             last = _OrbitStore.of(f).last_power
             assert pieces(built(*last[2:])) == pieces(fresh_copy(f).iterate(n)), n
 

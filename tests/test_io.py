@@ -25,6 +25,7 @@ from dendrodyn.io import (
     tree_from_json,
     tree_to_json,
 )
+from dendrodyn.plmap import composite_fixed_set
 from oracles import load_map_directly, loaded_by_both, maps_equal, same_load
 
 
@@ -358,7 +359,7 @@ def test_dump_json_refuses_what_no_report_holds(obj):
 
 def test_subtree_json_is_sorted_and_exact():
     tree, f = build_fixture("tent")
-    sub = f.fixed_point_set()
+    sub = composite_fixed_set(None, f)
     obj = subtree_to_json(sub)
     assert obj == {"vertices": ["v0"], "segments": {"e": [["2/3", "2/3"]]}}
 

@@ -33,6 +33,7 @@ from oracles import (
     classify_by_closures,
     decision_corpus,
     former_classify,
+    point_subtree,
     split_address_digits,
     split_cycles_of_sets,
     valid_addresses,
@@ -469,7 +470,7 @@ def tampered(rng, cycles):
     elif action == 1:
         comp = other
     elif action == 2:
-        grown = tree.point_subtree(rng.choice(far))
+        grown = point_subtree(tree, rng.choice(far))
         if rng.random() < 0.5:
             grown = arc_subtree(tree.arc(comp.repr_point, rng.choice(far)))
         comp = Component(comp.closure.union(grown), comp.boundary, comp.repr_point)

@@ -27,6 +27,7 @@ from dendrodyn.plmap import (
     _continues,
     _covers,
     _cut,
+    _canonical_point,
     _meet_point,
     _retraction,
     compose,
@@ -56,12 +57,15 @@ from oracles import (
     maps_equal,
     orbit,
     outcome,
+    point_subtree,
     solve_fixed_points,
+    sorted_canonical_point,
     subtree_collision,
     subtree_meet_point,
     table_retraction,
     tables_match_arcs,
     union_find_components,
+    windows_tile,
 )
 
 
@@ -787,23 +791,23 @@ def test_injectivity_builds_no_subtree_and_measures_nothing(monkeypatch):
 def test_fixed_sets_frozen():
     t = interval()
     tent = tent_on(t)
-    assert tent.fixed_point_set().vertices == frozenset({"v0"})
-    assert tent.fixed_point_set().segments == {"e": ((F(2, 3), F(2, 3)),)}
-    fx2 = tent.iterate(2).fixed_point_set()
+    assert composite_fixed_set(None, tent).vertices == frozenset({"v0"})
+    assert composite_fixed_set(None, tent).segments == {"e": ((F(2, 3), F(2, 3)),)}
+    fx2 = composite_fixed_set(None, tent.iterate(2))
     assert fx2.segments == {
         "e": ((F(2, 5), F(2, 5)), (F(2, 3), F(2, 3)), (F(4, 5), F(4, 5)))
     }
     shift = PLTreeMap(t, {"e": [(0, t.edge_point("e", F(1, 2))), (1, t.vertex_point("v1"))]})
-    assert shift.fixed_point_set() == t.point_subtree(t.vertex_point("v1"))
+    assert composite_fixed_set(None, shift) == point_subtree(t, t.vertex_point("v1"))
     flip = map_from_vertex_images(
         t, {"v0": t.vertex_point("v1"), "v1": t.vertex_point("v0")}
     )
-    assert flip.fixed_point_set() == t.point_subtree(t.edge_point("e", F(1, 2)))
+    assert composite_fixed_set(None, flip) == point_subtree(t, t.edge_point("e", F(1, 2)))
 
 
 def test_identity_fixes_everything():
     s = star3()
-    assert identity_map(s).fixed_point_set() == s.full_subtree()
+    assert composite_fixed_set(None, identity_map(s)) == s.full_subtree()
 
 
 def test_fixed_set_matches_grid_scan():
@@ -811,7 +815,7 @@ def test_fixed_set_matches_grid_scan():
     for _ in range(25):
         t = random_tree(rng, rng.randint(2, 6))
         f = random_map(rng, t)
-        fixed = f.fixed_point_set()
+        fixed = composite_fixed_set(None, f)
         for x in domain_samples(t):
             assert (f.evaluate(x) == x) == fixed.contains(x)
 
@@ -836,7 +840,7 @@ def test_fixed_point_set_matches_the_former_solve():
     rng = random.Random(4091)
     shapes = {"points": 0, "intervals": 0}
     for f in solver_maps(rng):
-        got = f.fixed_point_set()
+        got = composite_fixed_set(None, f)
         assert got == solve_fixed_points(f), f
         shapes[fixed_set_shape(got)] += 1
     assert min(shapes.values()) >= 10
@@ -864,7 +868,7 @@ def test_composite_fixed_set_matches_compose_then_solve():
         assert got == composed_fixed_set(outer, inner), (outer, inner)
         shapes[fixed_set_shape(got)] += 1
     assert min(shapes.values()) >= 50
-    assert composite_fixed_set(None, pairs[0][1]) == pairs[0][1].fixed_point_set()
+    assert composite_fixed_set(None, pairs[0][1]) == solve_fixed_points(pairs[0][1])
     with pytest.raises(PreconditionError, match="same tree"):
         composite_fixed_set(tent_on(interval()), identity_map(star3()))
 
@@ -1001,7 +1005,7 @@ def test_find_periodic_covering_without_periodic_point():
     ends = [t.vertex_point("a"), t.vertex_point("b")]
     hull = t.connected_hull(ends)
     assert covers_by_hulls(t, [f.evaluate(p) for p in ends], ends)
-    assert f.fixed_point_set().intersect(hull).is_empty()
+    assert composite_fixed_set(None, f).intersect(hull).is_empty()
     with pytest.raises(ConsistencyError, match="no fixed point of the n-th iterate in the hull"):
         find_periodic_in_hull(f, ends, 1)
 
@@ -1117,8 +1121,8 @@ def test_single_point_domain_maps():
     assert f.evaluate(o) == o
     assert f.iterate(3).evaluate(o) == o
     assert is_identity(f.iterate(3))
-    assert f.fixed_point_set() == t.full_subtree()
-    assert f.fixed_point_set().vertices == frozenset({"o"})
+    assert composite_fixed_set(None, f) == t.full_subtree()
+    assert composite_fixed_set(None, f).vertices == frozenset({"o"})
 
 
 def test_one_vertex_tree_has_only_the_identity():
@@ -1172,7 +1176,7 @@ def oracle_image_of_arc(f, arc):
     """The former `image_of_arc`: every piece scanned per arc segment."""
     tree = f.domain
     if arc.is_degenerate():
-        return tree.point_subtree(f.evaluate(arc.a))
+        return point_subtree(tree, f.evaluate(arc.a))
     out = Subtree.empty(tree)
     for eid, t0, t1 in arc.segments:
         lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
@@ -1185,7 +1189,7 @@ def oracle_image_of_arc(f, arc):
             pa = eval_in_piece(tree, piece, a)
             pb = eval_in_piece(tree, piece, b)
             out = out.union(arc_subtree(tree.arc(pa, pb)))
-            out = out.union(tree.point_subtree(pa))
+            out = out.union(point_subtree(tree, pa))
     return out
 
 
@@ -1194,13 +1198,13 @@ def oracle_image_of_subtree(f, sub):
     tree = f.domain
     out = Subtree.empty(tree)
     for v in sub.vertices:
-        out = out.union(tree.point_subtree(f.evaluate(tree.vertex_point(v))))
+        out = out.union(point_subtree(tree, f.evaluate(tree.vertex_point(v))))
     for eid, intervals in sub.segments.items():
         for lo, hi in intervals:
             a = tree.edge_point(eid, lo)
             b = tree.edge_point(eid, hi)
             if a == b:
-                out = out.union(tree.point_subtree(f.evaluate(a)))
+                out = out.union(point_subtree(tree, f.evaluate(a)))
             else:
                 out = out.union(oracle_image_of_arc(f, tree.arc(a, b)))
     return out
@@ -1238,7 +1242,7 @@ def test_image_routines_match_the_former_ones():
         assert f.image() == oracle_image(f)
         onto.add(f.image() == tree.full_subtree())
         subs = [random_subtree(rng, tree) for _ in range(4)] if tree.edge_ids else []
-        subs += [tree.full_subtree(), tree.point_subtree(any_point(rng, tree))]
+        subs += [tree.full_subtree(), point_subtree(tree, any_point(rng, tree))]
         for sub in subs:
             assert f.image_of_subtree(sub) == oracle_image_of_subtree(f, sub)
         for _ in range(4):
@@ -1486,7 +1490,7 @@ def test_retraction_matches_the_table_route():
     trees += [random_tree(rng, rng.randint(2, 8)) for _ in range(40)]
     cases = 0
     for t in trees:
-        hulls = [t.full_subtree(), t.point_subtree(any_point(rng, t))]
+        hulls = [t.full_subtree(), point_subtree(t, any_point(rng, t))]
         for _ in range(4):
             hulls.append(t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 4))]))
         for hull in hulls:
@@ -1557,21 +1561,96 @@ def test_piece_window_is_the_arc_between_its_ends():
         for piece in f._pieces:
             if not piece.table:
                 continue
-            assert _cut(piece, piece.t0, piece.t1) == list(piece.table)
+            assert _cut(piece.table, piece.t0, piece.t1) == list(piece.table)
             arc = ArcPiece.of(tree, piece)
             width = piece.t1 - piece.t0
-            grid = {piece.t0 + width * k / 6 for k in range(7)} | {x for *_, x in piece.table}
+            grid = {piece.t0 + width * k / 6 for k in range(7)} | {x for *_, x, _ in piece.table}
             grid = sorted(grid | {piece.t0 + width * F(rng.randint(1, 97), 98)})
             for a, b in rng.sample([(a, b) for a in grid for b in grid if a < b], 3):
-                cut = _cut(piece, a, b)
+                cut = _cut(piece.table, a, b)
                 pa, pb = (evaluate_on_arcs(f, tree.edge_point(piece.edge, t)) for t in (a, b))
                 between = tree.arc(pa, pb)
                 sub = ArcPiece(piece.edge, a, b, pa, pb, between)
                 assert tuple(cut) == arc_table(sub, between)
                 former = arc_window(arc.arc, arc.arclength_at_param(a), arc.arclength_at_param(b))
-                assert tuple((e, u0, u1) for e, u0, u1, _ in cut) == former.segments
+                assert tuple((e, u0, u1) for e, u0, u1, _, _ in cut) == former.segments
                 windows += 1
     assert windows > 1000
+
+
+def assert_windows_tile(g, what):
+    for piece in g._pieces:
+        if piece.table:
+            assert windows_tile(piece.table, piece.t0, piece.t1), (what, piece.table)
+
+
+def test_table_windows_tile_every_piece():
+    """Every table's windows tile its piece's window in order (`windows_tile`):
+    on every corpus and fixture map as loaded; composed, f^(n-1) . f for
+    n = 2..6 while f^(n-1) has at most 200 pieces; normalized after added
+    breakpoints; cut to random windows (`_cut`), which the cut's windows
+    tile; and the hull retraction onto a random hull."""
+    rng = random.Random(3939)
+    cuts = joined = 0
+    for f in corpus_maps():
+        t = f.domain
+        assert_windows_tile(f, "loaded")
+        g = f
+        for n in range(2, 7):
+            g = compose(g, f)
+            assert_windows_tile(g, n)
+            if g.piece_count > 200:
+                break
+        refined = refine(rng, f) if t.edge_ids else f
+        normal = refined.normalize()
+        assert_windows_tile(normal, "normalized")
+        joined += normal.piece_count < refined.piece_count
+        for piece in f._pieces:
+            if piece.table:
+                grid = [piece.t0 + (piece.t1 - piece.t0) * F(k, 12) for k in range(13)]
+                a, b = sorted(rng.sample(grid, 2))
+                assert windows_tile(_cut(piece.table, a, b), a, b), (piece.table, a, b)
+                cuts += 1
+        hull = t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 3))])
+        assert_windows_tile(_retraction(t, hull), "retraction")
+    assert cuts > 5000 and joined > 500
+
+
+def test_canonical_point_is_the_least_corner():
+    """The canonical point read directly equals the former one, the least of
+    every corner sorted by `point_key` when no edge opens with an interval of
+    positive length: on random subtrees, and on every fixed set the hull
+    search answers from over the decision corpus, one to three steps."""
+    rng = random.Random(4040)
+    sets = []
+    for _ in range(300):
+        t = random_tree(rng, rng.randint(2, 7))
+        sets.append(random_subtree(rng, t))
+    seen = []
+    plain = plmap._canonical_point
+
+    def canonical(tree, sub):
+        seen.append(sub)
+        return plain(tree, sub)
+
+    homeos, folding, sags = decision_corpus(random.Random(4141))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plmap, "_canonical_point", canonical)
+        for f in homeos + folding + sags:
+            t = f.domain
+            for n in (1, 2, 3):
+                pts = [any_point(rng, t) for _ in range(rng.randint(1, 3))]
+                outcome(find_periodic_in_hull, f, pts, n, 200)
+    sets += seen
+    corners = {True: 0, False: 0}  # by whether the set holds a vertex
+    for sub in sets:
+        if sub.is_empty():
+            continue
+        assert _canonical_point(sub.tree, sub) == sorted_canonical_point(sub.tree, sub), sub
+        if not any(lo < hi for ivs in sub.segments.values() for lo, hi in ivs[:1]):
+            assert _canonical_point(sub.tree, sub) == sub.corner_points()[0]
+            corners[bool(sub.vertices)] += 1
+    assert len(seen) > 500 and min(corners.values()) > 50
 
 
 def test_piece_location_matches_the_distance_oracle():
@@ -1648,7 +1727,7 @@ def test_retraction_matches_the_table_built_one_on_the_corpus():
     cases = 0
     for f in corpus_maps():
         t = f.domain
-        hulls = [t.full_subtree(), t.point_subtree(any_point(rng, t))]
+        hulls = [t.full_subtree(), point_subtree(t, any_point(rng, t))]
         hulls += [t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 4))])]
         for hull in hulls:
             r = _retraction(t, hull)

@@ -23,7 +23,7 @@ from dendrodyn import StructureError, build_fixture
 from dendrodyn.dynamics import fixed_set
 from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import dump_instance, load_instance
-from dendrodyn.plmap import compose
+from dendrodyn.plmap import compose, composite_fixed_set
 from dendrodyn.tree import ONE, ZERO, _Q, as_fraction
 
 BINARY = (
@@ -177,8 +177,8 @@ def arc_rationals(arc):
 
 
 def table_rationals(table):
-    for _, u0, u1, x in table:
-        yield from (u0, u1, x)
+    for _, u0, u1, x0, x1 in table:
+        yield from (u0, u1, x0, x1)
 
 
 def tree_rationals(tree):
@@ -222,7 +222,7 @@ def test_every_rational_held_is_the_kernel(kind):
     for n in (1, 2, 3, 4):
         fixed = fixed_set(loaded, n)
         assert_all_kernel(subtree_rationals(fixed), f"Fix(f^{n})")
-    assert_all_kernel(subtree_rationals(loaded.fixed_point_set()), "fixed_point_set")
+    assert_all_kernel(subtree_rationals(composite_fixed_set(None, loaded)), "fixed_point_set")
     assert_all_kernel(subtree_rationals(loaded.image()), "image")
     for p in tree.grid_points():
         assert_all_kernel(point_rationals(p), "grid point")

@@ -17,7 +17,7 @@ from dendrodyn import (
 )
 from dendrodyn.dynamics import _periodic_levels, fixed_set
 from dendrodyn.fixtures import odometer_tower, rotation_star
-from dendrodyn.plmap import map_from_vertex_images
+from dendrodyn.plmap import composite_fixed_set, map_from_vertex_images
 from dendrodyn.tree import TreePoint, _Q, as_fraction, point_key
 from oracles import (
     DataclassTreePoint,
@@ -26,14 +26,15 @@ from oracles import (
     corner_scan_first_met,
     decision_corpus,
     distance_arc_contains,
-    distance_on_arc,
-    distance_retract,
     measure,
+    point_subtree,
     root_path_first_separated,
     root_path_on_arc,
     size_table_rooting,
     union_find_components,
     vertex_path_arc,
+    walk_on_arc,
+    walk_retract,
 )
 
 
@@ -480,7 +481,8 @@ def test_every_subtree_lists_its_edges_in_the_tree_order():
         subs = [first, other, random_subtree(rng, t), *hulls, t.full_subtree()]
         made += subs + [first.union(other), hulls[0].union(hulls[1]), hulls[0].intersect(first)]
         made += [f.image_of_subtree(s) for s in subs]
-        made += [f.fixed_point_set(), arc_subtree(t.arc(random_point(rng, t), random_point(rng, t)))]
+        arc = t.arc(random_point(rng, t), random_point(rng, t))
+        made += [composite_fixed_set(None, f), arc_subtree(arc)]
         made += [c.closure for s in subs[2:] for c in union_find_components(t, s)]
     for tree, f in (rotation_star(12), odometer_tower(3, (2, 4, 8))):
         fixed = [fixed_set(f, n) for n in range(1, 9)]
@@ -568,12 +570,12 @@ def test_connected_hull_equals_pairwise_arc_union():
         t = random_tree(rng, rng.randint(2, 8))
         pts = [random_point(rng, t) for _ in range(rng.randint(1, 5))]
         hull = t.connected_hull(pts)
-        oracle = t.point_subtree(pts[0])
+        oracle = point_subtree(t, pts[0])
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 oracle = oracle.union(arc_subtree(t.arc(pts[i], pts[j])))
         for p in pts:
-            oracle = oracle.union(t.point_subtree(p))
+            oracle = oracle.union(point_subtree(t, p))
         assert hull == oracle
         assert hull.is_connected()
         for p in pts:
@@ -666,9 +668,10 @@ def position_trees(rng):
 
 
 def test_on_arc_matches_the_distance_oracle():
-    """Over 100,000 triples: every triple of grid points on the small
-    trees, equal points and triples on one edge among them, and sampled
-    triples on the deep trees."""
+    """`on_arc` against the arc a walk of the oracle's own finds
+    (`walk_on_arc`), over 100,000 triples: every triple of grid points on
+    the small trees, equal points and triples on one edge among them, and
+    sampled triples on the deep trees."""
     rng = random.Random(7001)
     triples = same_edge = equal = 0
     hits = 0
@@ -680,7 +683,7 @@ def test_on_arc_matches_the_distance_oracle():
             cases = [tuple(rng.choice(grid) for _ in range(3)) for _ in range(4000)]
         for x, a, b in cases:
             got = tree.on_arc(x, a, b)
-            assert got == distance_on_arc(tree, x, a, b), (x, a, b)
+            assert got == walk_on_arc(tree, x, a, b), (x, a, b)
             hits += got
             triples += 1
             equal += x == a or x == b or a == b
@@ -691,7 +694,7 @@ def test_on_arc_matches_the_distance_oracle():
 
 def test_retract_matches_the_distance_oracle():
     """Every grid point retracted onto random hulls, by positions and by
-    the nearest corner."""
+    the first point of the hull a walk from it meets (`walk_retract`)."""
     rng = random.Random(7002)
     cases = inside = 0
     for tree in position_trees(rng):
@@ -700,7 +703,7 @@ def test_retract_matches_the_distance_oracle():
             y = tree.connected_hull([random_point(rng, tree) for _ in range(rng.randint(1, 4))])
             for z in grid:
                 w = tree.retract(y, z)
-                assert w == distance_retract(tree, y, z), (y, z)
+                assert w == walk_retract(tree, y, z), (y, z)
                 cases += 1
                 inside += w == z
     assert cases > 4000 and 0 < inside < cases
@@ -714,9 +717,10 @@ def unit_path(n):
 
 def test_vertex_retractions_match_the_distance_oracle():
     """Every vertex's retraction from the one preorder pass, against the
-    nearest corner: random hulls on the position trees, and on a deep path
-    hulls at the root, in the middle and at the far leaf, each a vertex, a
-    point inside an edge or a stretch across a vertex."""
+    first point of the hull a walk from the vertex meets: random hulls on
+    the position trees, and on a deep path hulls at the root, in the
+    middle and at the far leaf, each a vertex, a point inside an edge or a
+    stretch across a vertex."""
     rng = random.Random(7005)
     cases = 0
     path = unit_path(300)
@@ -734,7 +738,7 @@ def test_vertex_retractions_match_the_distance_oracle():
         got = tree.vertex_retractions(y)
         assert sorted(got) == sorted(tree.vertex_ids)
         for v in tree.vertex_ids:
-            assert got[v] == distance_retract(tree, y, tree.vertex_point(v)), (y, v)
+            assert got[v] == walk_retract(tree, y, tree.vertex_point(v)), (y, v)
             cases += 1
     assert cases > 7000
 
@@ -828,12 +832,12 @@ def test_components_walk_matches_union_find_oracle():
         t = random_tree(rng, rng.randint(1, 10))
         subs = [Subtree.empty(t), t.full_subtree(), random_subtree(rng, t), random_subtree(rng, t)]
         hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(2)]
-        subs += hulls + [hulls[0].union(hulls[1]), t.point_subtree(random_point(rng, t))]
+        subs += hulls + [hulls[0].union(hulls[1]), point_subtree(t, random_point(rng, t))]
         cases += [(t, sub) for sub in subs]
     for t in deep_trees(rng):
         cases += [(t, Subtree.empty(t)), (t, t.full_subtree())]
         cases += [(t, random_subtree(rng, t)) for _ in range(3)]
-        cases += [(t, t.point_subtree(random_point(rng, t))) for _ in range(3)]
+        cases += [(t, point_subtree(t, random_point(rng, t))) for _ in range(3)]
         hulls = [t.connected_hull([random_point(rng, t) for _ in range(2)]) for _ in range(3)]
         cases += [(t, hulls[0].union(hulls[1]).union(hulls[2]))]
     multi = alone = at_vertex = elsewhere = 0
@@ -883,17 +887,17 @@ def test_components_of_disconnected_removal():
 def test_components_of_a_point_star():
     t = star3()
     c0 = t.vertex_point("c0")
-    removed = t.point_subtree(c0)
+    removed = point_subtree(t, c0)
     comps = union_find_components(t, removed)
     assert len(comps) == 3
     leaves = sorted(str(c.closure.vertices - {"c0"}) for c in comps)
     assert leaves == ["frozenset({'l1'})", "frozenset({'l2'})", "frozenset({'l3'})"]
     assert all(t.contacts(removed, t.vertex_point(v)) == (c0,) for v in ("l1", "l2", "l3"))
     half = t.edge_point("a1", F(1, 2))
-    removed = t.point_subtree(half)
+    removed = point_subtree(t, half)
     assert len(union_find_components(t, removed)) == 2
     assert t.contacts(removed, t.vertex_point("l1")) == t.contacts(removed, c0) == (half,)
-    removed = t.point_subtree(t.vertex_point("l1"))
+    removed = point_subtree(t, t.vertex_point("l1"))
     assert len(union_find_components(t, removed)) == 1
     assert t.contacts(removed, c0) == (t.vertex_point("l1"),)
 
@@ -928,7 +932,7 @@ def test_first_separated_matches_the_brute_scan():
                         first(t, y)
                     continue
                 expected = next(
-                    (i for i, a in enumerate(points) if a != t and distance_on_arc(tree, t, a, y)),
+                    (i for i, a in enumerate(points) if a != t and walk_on_arc(tree, t, a, y)),
                     None,
                 )
                 assert first(t, y) == expected
