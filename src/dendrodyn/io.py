@@ -18,6 +18,12 @@ not a string, or a point with a field that is not, is never kept (a list
 or an object could not be a key): it is read afresh wherever it stands,
 so a malformed one is refused there.
 
+A map's breakpoints are read edge by edge into two columns, parameters
+and points, and once every edge is read the columns go to the table
+builder of `plmap` (`PLTreeMap._from_columns`), which checks each edge in
+turn and validates no point the reader built.  No list of (t, point)
+pairs is made.
+
 Every instance file and every JSON report of the command line is
 written by one writer, `dump_json`: the bytes of `json.dumps(obj,
 sort_keys=True, indent=2)` and a newline, without the standard library's
@@ -220,7 +226,11 @@ def map_from_json(obj) -> tuple:
     """The tree of an instance, and its map or None, in one pass.
 
     Every value goes through one `_Reader`, so a repeated rational or
-    point is parsed and validated once for the whole load.
+    point is parsed and validated once for the whole load.  Every edge's
+    breakpoint list is read first, into a column of parameters and one
+    of points; the columns go to `PLTreeMap`'s table builder as they
+    stand, which validates no point again, and the vertex images the
+    file declares are compared with the ones the edges gave.
     """
     reader = _Reader()
     tree = _tree_from_json(obj, reader)
@@ -228,26 +238,32 @@ def map_from_json(obj) -> tuple:
         return tree, None
     vimg_raw = _object_field(obj, "vertex_images")
     _known_keys(vimg_raw, tree.vertex_ids, "vertex_images", "vertices")
-    vimg = {v: reader.point(p, tree) for v, p in vimg_raw.items()}
+    point = reader.point
+    vimg = {v: point(p, tree) for v, p in vimg_raw.items()}
     for v in tree.vertex_ids:
         if v not in vimg:
             raise StructureError(f"vertex {v!r} has no image")
 
     pieces_raw = _object_field(obj, "edge_pieces")
     _known_keys(pieces_raw, tree.edge_ids, "edge_pieces", "edges")
-    table = {}
+    rational = reader.rational
+    columns = []
     for eid in tree.edge_ids:
-        if not isinstance(pieces_raw.get(eid), list):
+        bps = pieces_raw.get(eid)
+        if not isinstance(bps, list):
             raise StructureError(f"edge {eid!r} needs a breakpoint list")
-        bps = []
-        for bp in pieces_raw[eid]:
+        params = []
+        images = []
+        for bp in bps:
             if not isinstance(bp, dict) or "t" not in bp or "image" not in bp:
                 raise StructureError(f"bad breakpoint on edge {eid!r}: {bp!r}")
-            bps.append((reader.rational(bp["t"]), reader.point(bp["image"], tree)))
-        table[eid] = bps
-    f = PLTreeMap(tree, table)
+            params.append(rational(bp["t"]))
+            images.append(point(bp["image"], tree))
+        columns.append((eid, params, images))
+    f = PLTreeMap._from_columns(tree, columns)
+    built = f._vimg
     for v in tree.vertex_ids:
-        got, want = f.vertex_image(v), vimg[v]
+        got, want = built[v], vimg[v]
         if got is not want and got != want:
             raise StructureError(
                 f"vertex_images disagrees with edge_pieces at vertex {v!r}"

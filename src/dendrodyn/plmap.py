@@ -16,13 +16,19 @@ certificate, fixed sets of powers) is opaque to this module.
 A piece is its segment table: for each segment of its image path, the
 image edge, the segment's two parameters on it, and the window of domain
 parameters it covers.  A piece is affine on each segment, so every reader
-takes parameters off one entry and measures no arclength.  The table
-constructor validates breakpoints and walks the tree's path for each
-piece (`MetricTree._path`), refusing a table whose pieces and segments
-pass `MAX_TABLE_SIZE`.  Derived maps (`compose`, `normalize`, the hull
-retraction) are built pieces first, from tables cut (`_cut`) or joined
-from stored ones, asking the tree for nothing; `_merged` is the one
-merge routine, and keeps the pieces it does not merge.
+takes parameters off one entry and measures no arclength.  One builder
+(`_built`) makes every map from breakpoints: it takes each edge's
+parameters and images as two columns, checks the edge, walks the tree's
+path for each piece (`MetricTree._path`) and refuses a table whose pieces
+and segments pass `MAX_TABLE_SIZE`.  `PLTreeMap(tree, table)` reads its
+table into columns edge by edge, validating each point (`_columns`); a
+load hands over the columns its reader has already checked.  A piece's
+window ends come from its segments' arclengths summed as integers over
+one common denominator (`_table`).  Derived maps (`compose`,
+`normalize`, the hull retraction) are built pieces first, from tables
+cut (`_cut`) or joined from stored ones, asking the tree for nothing;
+`_merged` is the one merge routine, and keeps the pieces it does not
+merge.
 
 The fixed points of a composition are solved from its two factors,
 without building it (`composite_fixed_set`): the solve walks the cuts
@@ -51,6 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
 from .errors import (
@@ -66,6 +73,7 @@ from .tree import (
     Subtree,
     TreePoint,
     _Q,
+    _new,
     as_fraction,
 )
 
@@ -105,26 +113,48 @@ def _table(edges, segs: list, t0: Fraction, t1: Fraction) -> tuple:
     share that the arclength up to its end is of the path's, the last at
     t1, and starts where the one before ends.  Only the first and last
     segments can run part of an edge, where the path's end lies inside
-    it, at its parameter of denominator other than 1."""
-    e, u0, u1 = segs[0]
-    run = edges[e][2]
-    if u0._denominator != 1:
-        run = (u0 if u1._numerator == 0 else ONE - u0) * run
-    ends = [run]  # the arclength where each segment but the last ends
-    for e, _, _ in segs[1:-1]:
-        run = run + edges[e][2]
+    it, at its parameter of denominator other than 1.
+
+    The arclengths are put over one common denominator and summed as
+    ints, so each window end is one integer fraction over the path's
+    total, reduced by one gcd: the same reduced `_Q` that rational sums
+    and a division would give.
+    """
+    nums = []
+    dens = []
+    for e, _, _ in segs:
+        length = edges[e][2]
+        nums.append(length._numerator)
+        dens.append(length._denominator)
+    _, u0, u1 = segs[0]
+    d = u0._denominator
+    if d != 1:  # the path leaves the first edge's interior for its end u1
+        nums[0] *= u0._numerator if u1._numerator == 0 else d - u0._numerator
+        dens[0] *= d
+    _, u0, u1 = segs[-1]
+    d = u1._denominator
+    if d != 1:  # the path enters the last edge at its end u0
+        nums[-1] *= u1._numerator if u0._numerator == 0 else d - u1._numerator
+        dens[-1] *= d
+    common = lcm(*dens)
+    run = 0
+    ends = []  # the arclength up to each segment's end, over common
+    for n, d in zip(nums, dens):
+        run += n * (common // d)
         ends.append(run)
-    e, u0, u1 = segs[-1]
-    last = edges[e][2]
-    if u1._denominator != 1:
-        last = (u1 if u0._numerator == 0 else ONE - u1) * last
-    total = run + last
-    whole = t0._numerator == 0 and t1._numerator == 1 == t1._denominator  # the whole edge
-    scale = None if whole else (t1 - t0) / total
+    # t0 + (t1 - t0) * c / run is (base + width * c) / den
+    n0, d0, n1, d1 = t0._numerator, t0._denominator, t1._numerator, t1._denominator
+    den = d0 * d1 * run
+    base = n0 * d1 * run
+    width = n1 * d0 - n0 * d1
     out = []
     x0 = t0
-    for (e, u0, u1), c in zip(segs, ends):
-        x1 = c / total if whole else t0 + c * scale
+    for (e, u0, u1), c in zip(segs, ends[:-1]):  # the last ends at t1
+        num = base + width * c
+        g = gcd(num, den)
+        x1 = _new(_Q)
+        x1._numerator = num // g
+        x1._denominator = den // g
         out.append((e, u0, u1, x0, x1))
         x0 = x1
     out.append((*segs[-1], x0, t1))
@@ -154,6 +184,88 @@ def _cut(table: tuple, a: Fraction, b: Fraction) -> list:
     return out
 
 
+def _columns(domain: MetricTree, table):
+    """Each edge's breakpoints in a table, in the domain's edge order, as
+    (edge, parameters, images): the parameters `_Q`s and the images
+    validated points.  A record that is not a (t, point) pair, or a list
+    that is not one, is refused naming the edge; a list of fewer than two
+    records is handed on unread, for `_built` to refuse by its length.
+    Once every edge is read, a key naming no edge is refused.
+    """
+    validate = domain.validate_point
+    for eid in domain.edge_ids:
+        if eid not in table:
+            raise StructureError(f"no breakpoints for edge {eid!r}")
+        try:
+            raw = list(table[eid])
+            if len(raw) < 2:
+                yield eid, raw, raw
+                continue
+            params, images = zip(
+                *[(t if type(t) is _Q else as_fraction(t), validate(p)) for t, p in raw]
+            )
+        except StructureError:  # a value refused by name, as read
+            raise
+        except (TypeError, ValueError):  # not a list of pairs
+            raise StructureError(f"bad breakpoint record on edge {eid!r}") from None
+        yield eid, params, images
+    extra = set(table) - set(domain.edge_ids)
+    if extra:
+        raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
+
+
+def _built(domain: MetricTree, columns) -> tuple:
+    """The vertex images, pieces and per-edge index of the map with these
+    breakpoint columns, one (edge, parameters, images) per edge of the
+    domain, in its order: the parameters `_Q`s and the images points of
+    the domain, as the caller read and checked them.
+
+    Each edge is checked before the next is taken: at least two
+    breakpoints, spanning [0, 1] and increasing, its end images agreeing
+    with those earlier edges gave the same vertex (compared by identity
+    before value, since a load hands out one point for every repeat), and
+    the running count of pieces and segments within `MAX_TABLE_SIZE`.
+    Each piece's table comes from the path `MetricTree._path` walks
+    (`_table`).
+    """
+    vimg: dict = {}
+    pieces = []
+    edge_index = {}
+    size = 0
+    walk = domain._path
+    edges = domain._edges
+    for eid, params, images in columns:
+        if len(params) < 2:
+            raise StructureError(f"edge {eid!r} needs at least two breakpoints")
+        if params[0]._numerator or params[-1]._numerator != params[-1]._denominator:
+            raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
+        # two breakpoints spanning [0, 1] increase
+        if len(params) > 2 and any(not ta < tb for ta, tb in zip(params, params[1:])):
+            raise StructureError(f"edge {eid!r} breakpoints must increase")
+        u, w, _ = edges[eid]
+        for v, img in ((u, images[0]), (w, images[-1])):
+            held = vimg.setdefault(v, img)
+            if held is not img and held != img:
+                raise StructureError(f"edges disagree on the image of vertex {v!r}")
+        mine = []
+        for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):
+            segs = walk(p0, p1)
+            n = len(segs)
+            size += 1 + n
+            if size > MAX_TABLE_SIZE:
+                raise StructureError(
+                    f"the map has more than {MAX_TABLE_SIZE} pieces and image-arc segments"
+                )
+            if n > 1:
+                entries = _table(edges, segs, t0, t1)
+            else:
+                entries = ((*segs[0], t0, t1),) if n else ()
+            mine.append(_Piece(eid, t0, t1, p0, p1, entries))
+        pieces.extend(mine)
+        edge_index[eid] = (tuple(params), tuple(mine))
+    return vimg, pieces, edge_index
+
+
 class PLTreeMap:
     """An exact piecewise-linear self-map of a metric tree.
 
@@ -168,58 +280,20 @@ class PLTreeMap:
 
     def __init__(self, domain: MetricTree, table):
         """The map of a breakpoint table, checked as it is read: each
-        parameter read once, a `_Q` as it stands, and each point validated
-        once; a vertex image met again is compared by identity before value,
-        since a load hands out one point for every repeat.  Each piece's
-        table comes from the path `MetricTree._path` walks (`_table`), and
-        pieces and segments are counted against `MAX_TABLE_SIZE` as built.
+        edge's records read into a column of parameters, each a `_Q` as it
+        stands, and a column of points, each validated once, then built
+        by `_built`, which runs the rest of the checks for that edge
+        before the next edge is read.
         """
-        vimg: dict = {}
-        pieces = []
-        edge_index = {}
-        size = 0
-        validate = domain.validate_point
-        walk = domain._path
-        edges = domain._edges
-        for eid in domain.edge_ids:
-            if eid not in table:
-                raise StructureError(f"no breakpoints for edge {eid!r}")
-            raw = list(table[eid])
-            if len(raw) < 2:
-                raise StructureError(f"edge {eid!r} needs at least two breakpoints")
-            params, images = zip(
-                *[(t if type(t) is _Q else as_fraction(t), validate(p)) for t, p in raw]
-            )
-            if params[0]._numerator or params[-1]._numerator != params[-1]._denominator:
-                raise StructureError(f"edge {eid!r} breakpoints must span [0, 1]")
-            # two breakpoints spanning [0, 1] increase
-            if len(params) > 2 and any(not ta < tb for ta, tb in zip(params, params[1:])):
-                raise StructureError(f"edge {eid!r} breakpoints must increase")
-            u, w, _ = edges[eid]
-            for v, img in ((u, images[0]), (w, images[-1])):
-                held = vimg.setdefault(v, img)
-                if held is not img and held != img:
-                    raise StructureError(f"edges disagree on the image of vertex {v!r}")
-            mine = []
-            for t0, t1, p0, p1 in zip(params, params[1:], images, images[1:]):
-                segs = walk(p0, p1)  # both ends validated above
-                n = len(segs)
-                size += 1 + n
-                if size > MAX_TABLE_SIZE:
-                    raise StructureError(
-                        f"the map has more than {MAX_TABLE_SIZE} pieces and image-arc segments"
-                    )
-                if n > 1:
-                    entries = _table(edges, segs, t0, t1)
-                else:
-                    entries = ((*segs[0], t0, t1),) if n else ()
-                mine.append(_Piece(eid, t0, t1, p0, p1, entries))
-            pieces.extend(mine)
-            edge_index[eid] = (params, tuple(mine))
-        extra = set(table) - set(domain.edge_ids)
-        if extra:
-            raise StructureError(f"breakpoints for unknown edges: {sorted(map(str, extra))}")
-        self._fill(domain, vimg, pieces, edge_index)
+        self._fill(domain, *_built(domain, _columns(domain, table)))
+
+    @classmethod
+    def _from_columns(cls, domain: MetricTree, columns) -> "PLTreeMap":
+        """The map of breakpoint columns a caller has read and validated
+        itself, as a load does: see `_built`."""
+        f = cls.__new__(cls)
+        f._fill(domain, *_built(domain, columns))
+        return f
 
     @classmethod
     def _from_pieces(cls, domain: MetricTree, by_edge) -> "PLTreeMap":

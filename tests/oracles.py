@@ -186,6 +186,37 @@ def arc_table(piece, arc):
     )
 
 
+def rational_table(edges, segs, t0, t1):
+    """The former `plmap._table`, by rational arithmetic: the arclength
+    up to each segment's end summed as rationals, and each window end
+    t0 plus the window's width times that arclength's share of the path's
+    total, the last at t1.  `segs` has two or more segments (edge, from,
+    to); only the first and last can run part of their edge."""
+    e, u0, u1 = segs[0]
+    run = edges[e][2]
+    if u0._denominator != 1:
+        run = (u0 if u1._numerator == 0 else ONE - u0) * run
+    ends = [run]
+    for e, _, _ in segs[1:-1]:
+        run = run + edges[e][2]
+        ends.append(run)
+    e, u0, u1 = segs[-1]
+    last = edges[e][2]
+    if u1._denominator != 1:
+        last = (u1 if u0._numerator == 0 else ONE - u1) * last
+    total = run + last
+    whole = t0._numerator == 0 and t1._numerator == 1 == t1._denominator
+    scale = None if whole else (t1 - t0) / total
+    out = []
+    x0 = t0
+    for (e, u0, u1), c in zip(segs, ends):
+        x1 = c / total if whole else t0 + c * scale
+        out.append((e, u0, u1, x0, x1))
+        x0 = x1
+    out.append((*segs[-1], x0, t1))
+    return tuple(out)
+
+
 def windows_tile(table, t0, t1):
     """Whether a nonempty table's windows tile [t0, t1] in order: the
     first starts at t0, each ends where the next starts, the last ends at

@@ -435,9 +435,11 @@ def record_calls(monkeypatch, owner, name):
 
 
 def test_a_load_parses_and_validates_each_value_once(monkeypatch):
-    """Each distinct rational string is parsed once, each distinct point
-    object built once, and each breakpoint validated once, by the table
-    constructor, which then builds its arc unvalidated."""
+    """A load parses each distinct rational string once and builds each
+    distinct point object once, checked against the tree as it is built,
+    and hands the columns it reads to the table builder, which calls
+    `validate_point` for none; a table handed to `PLTreeMap` directly has
+    each breakpoint validated once."""
     obj = json.loads(midpoint_path(40))
     obj["vertex_images"]["p0"] = {"vertex": "p1"}  # a vertex point too
     obj["edge_pieces"]["e0"][0]["image"] = {"vertex": "p1"}
@@ -451,11 +453,54 @@ def test_a_load_parses_and_validates_each_value_once(monkeypatch):
     vertices = record_calls(monkeypatch, MetricTree, "vertex_point")
     edge_points = record_calls(monkeypatch, MetricTree, "edge_point")
     validated = record_calls(monkeypatch, MetricTree, "validate_point")
-    map_from_json(obj)
+    tree, f = map_from_json(obj)
     assert sorted(parsed) == sorted(set(strings))
     distinct = {json.dumps(p, sort_keys=True) for p in points}
     assert len(vertices) + len(edge_points) == len(distinct)
-    assert len(validated) == sum(len(bps) for bps in obj["edge_pieces"].values())
+    assert validated == []
+    table = {eid: f.breakpoints(eid) for eid in tree.edge_ids}
+    assert maps_equal(PLTreeMap(tree, table), f)
+    assert len(validated) == sum(len(bps) for bps in table.values())
+
+
+def short(bps):
+    return bps[:1]
+
+
+def unspanned(bps):
+    return [bps[0], {"t": "1/2", "image": bps[-1]["image"]}]
+
+
+def unsorted(bps):
+    return [bps[0], {"t": "0", "image": bps[0]["image"]}, *bps[1:]]
+
+
+FAULTS = {
+    short: "needs at least two breakpoints",
+    unspanned: "breakpoints must span [0, 1]",
+    unsorted: "breakpoints must increase",
+}
+
+
+@pytest.mark.parametrize("first", FAULTS)
+@pytest.mark.parametrize("second", FAULTS)
+def test_the_earlier_edges_fault_is_refused_first(first, second):
+    """A table with a fault on each of two edges is refused for the first
+    edge's fault, by a load and by `PLTreeMap` on the same table: each
+    edge is checked in full before the next."""
+    obj = json.loads(midpoint_path(3))
+    pieces = obj["edge_pieces"]
+    pieces["e0"], pieces["e1"] = first(pieces["e0"]), second(pieces["e1"])
+    want = f"edge 'e0' {FAULTS[first]}"
+    with pytest.raises(StructureError, match=re.escape(want)):
+        map_from_json(obj)
+    tree = tree_from_json(obj)
+    table = {
+        eid: [(fraction_from_str(bp["t"]), point_from_json(bp["image"], tree)) for bp in bps]
+        for eid, bps in pieces.items()
+    }
+    with pytest.raises(StructureError, match=re.escape(want)):
+        PLTreeMap(tree, table)
 
 
 def test_loading_a_tower_tracks_no_more_objects_than_before():

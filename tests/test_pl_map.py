@@ -30,6 +30,7 @@ from dendrodyn.plmap import (
     _canonical_point,
     _meet_point,
     _retraction,
+    _table,
     compose,
     composite_fixed_set,
     cut_count,
@@ -37,6 +38,8 @@ from dendrodyn.plmap import (
     identity_map,
     map_from_vertex_images,
 )
+from dendrodyn.io import dump_instance, load_instance
+from dendrodyn.tree import as_fraction
 from oracles import (
     ArcPiece,
     arc_composite_fixed_set,
@@ -58,6 +61,7 @@ from oracles import (
     orbit,
     outcome,
     point_subtree,
+    rational_table,
     solve_fixed_points,
     sorted_canonical_point,
     subtree_collision,
@@ -154,6 +158,16 @@ def test_table_validation():
         PLTreeMap(t, {"e": [(0, p0), (F(1, 2), p0), (F(1, 2), p0), (1, p0)]})
     with pytest.raises(StructureError):
         PLTreeMap(t, {"e": [(0, p0), (1, p0)], "zzz": [(0, p0), (1, p0)]})
+
+
+def test_a_malformed_breakpoint_record_is_refused_naming_its_edge():
+    """A breakpoint list that is not a list of (t, point) pairs is refused
+    as input, naming the edge, as `MetricTree` refuses a bad edge record."""
+    t = interval()
+    p0, p1 = t.vertex_point("v0"), t.vertex_point("v1")
+    for bps in ([1, 2], None, [(0, p0), (1,)], [(0, p0), (1, p1, 3)]):
+        with pytest.raises(StructureError, match="bad breakpoint record on edge 'e'"):
+            PLTreeMap(t, {"e": bps})
 
 
 def test_shared_vertex_consistency():
@@ -1614,6 +1628,48 @@ def test_table_windows_tile_every_piece():
         hull = t.connected_hull([any_point(rng, t) for _ in range(rng.randint(1, 3))])
         assert_windows_tile(_retraction(t, hull), "retraction")
     assert cuts > 5000 and joined > 500
+
+
+def entry_fields(table):
+    """A table's entries with each rational spelled out as its type and its
+    stored numerator and denominator, so that tables compare field by field."""
+    return [
+        tuple((type(x), x._numerator, x._denominator) if isinstance(x, F) else x for x in entry)
+        for entry in table
+    ]
+
+
+def test_table_matches_the_rational_table():
+    """The integer-arclength `_table` gives every entry the rational one
+    gives (`rational_table`), as the same reduced `_Q`: on every piece of
+    more than one segment of every corpus and fixture map as loaded, and
+    on random pieces whose windows and whose first and last segments run
+    part of their edge."""
+    compared = partial = 0
+    for f in corpus_maps():
+        _, g = load_instance(dump_instance(f.domain, f))
+        edges = g.domain._edges
+        for piece in g._pieces:
+            if len(piece.table) > 1:
+                segs = [entry[:3] for entry in piece.table]
+                want = rational_table(edges, segs, piece.t0, piece.t1)
+                assert entry_fields(piece.table) == entry_fields(want), (piece.table, want)
+                compared += 1
+    rng = random.Random(4141)
+    for _ in range(3000):
+        t = random_tree(rng, rng.randint(3, 8))
+        segs = t._path(random_point(rng, t), random_point(rng, t))
+        if len(segs) < 2:
+            continue
+        t0, t1 = sorted(rng.sample([F(k, 12) for k in range(13)], 2))
+        if rng.random() < 0.3:
+            t0, t1 = F(0), F(1)
+        t0, t1 = as_fraction(t0), as_fraction(t1)
+        got = _table(t._edges, segs, t0, t1)
+        want = rational_table(t._edges, segs, t0, t1)
+        assert entry_fields(got) == entry_fields(want), (segs, t0, t1)
+        partial += (t0, t1) != (0, 1) and segs[0][1].denominator != 1 != segs[-1][2].denominator
+    assert compared > 400 and partial > 300, (compared, partial)
 
 
 def test_canonical_point_is_the_least_corner():

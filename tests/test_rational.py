@@ -16,6 +16,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -207,7 +208,13 @@ def subtree_rationals(sub):
 
 
 def assert_all_kernel(values, what):
-    strays = [v for v in values if type(v) is not _Q]
+    """Every value a `_Q` in lowest terms with a positive denominator: `_Q`
+    compares numerators and denominators, so an unreduced value would be
+    unequal to its reduced form."""
+    strays = [
+        v for v in values
+        if type(v) is not _Q or v._denominator <= 0 or gcd(v._numerator, v._denominator) != 1
+    ]
     assert not strays, (what, strays[:3])
 
 
