@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import gcd, lcm
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _at_least_one
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap, built, composite_fixed_set, factored
 from .tree import ONE, ZERO, Subtree, TreePoint
 
@@ -86,13 +86,6 @@ HORIZON_DEFAULT = 1_000
 CUTPOINT_POWER_BOUND = 5  # check_escape skips on a periodic cutpoint up to this power
 ORBIT_STORE_PER_ITEM = 8  # orbit store entries per vertex and per piece of the map
 _UNDECIDED = object()  # a map's certificate before it is looked for
-
-
-def _at_least_one(**bounds) -> None:
-    """Refuse a bound below 1, by name: none of them answers below it."""
-    for name, value in bounds.items():
-        if value < 1:
-            raise PreconditionError(f"{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +156,7 @@ def fixed_set(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtr
     on this route: a smaller budget may raise where a larger one
     succeeds, and a call that raises stores nothing.
     """
-    _at_least_one(power=n)
+    _at_least_one(power=n, piece_cap=piece_cap)
     cert = _certificate(f)
     fixed_sets = _OrbitStore.of(f).fixed_sets
     key = (n, piece_cap) if cert is None else (gcd(n, cert.power), None)
@@ -210,7 +203,7 @@ def _periodic_levels(f: PLTreeMap, upto: int, piece_cap: int = DEFAULT_PIECE_CAP
 
 def periodic_union(f: PLTreeMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> Subtree:
     """Union of the fixed sets of the first n powers."""
-    _at_least_one(n=n)
+    _at_least_one(n=n, piece_cap=piece_cap)
     for _, _, union in _periodic_levels(f, n, piece_cap):
         pass
     return union
@@ -236,7 +229,7 @@ def periodic_structure(
     """Fixed sets and cumulative unions for powers 1..upto, plus vertex periods."""
     if upto < 1:
         raise PreconditionError("need at least one power")
-    _at_least_one(max_period=max_period)
+    _at_least_one(max_period=max_period, piece_cap=piece_cap)
     levels = list(_periodic_levels(f, upto, piece_cap))
     fixed = {n: sub for n, sub, _ in levels}
     cumulative = {n: union for n, _, union in levels}
@@ -741,7 +734,7 @@ def check_no_radial_stretch(
     them comes from `MetricTree.first_separated`.  The witness is the
     least such anchor, with the first sample that it serves.
     """
-    _at_least_one(power=n)
+    _at_least_one(power=n, piece_cap=piece_cap)
     if _certificate(f) is not None:
         return CheckResult(status="pass")
     tree = f.domain
@@ -792,7 +785,7 @@ def check_escape(
     order and the first fixed set with a cutpoint answers.  Horizon 0
     takes the first image alone, as horizon 1 does; a negative horizon
     is refused."""
-    _at_least_one(power=n)
+    _at_least_one(power=n, piece_cap=piece_cap)
     if horizon < 0:
         raise PreconditionError(f"horizon must be at least 0, got {horizon}")
     tree = f.domain

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and one refusal of bounds.
 
 The split mirrors how callers need to react: bad input data, a violated
 call contract, a blown resource budget, a question we could not settle,
@@ -24,3 +24,10 @@ class UndecidedError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not a user error."""
+
+
+def _at_least_one(**bounds) -> None:
+    """Refuse a bound below 1, by name: none of them answers below it."""
+    for name, value in bounds.items():
+        if value < 1:
+            raise PreconditionError(f"{name} must be at least 1, got {value}")

@@ -19,10 +19,10 @@ or an object could not be a key): it is read afresh wherever it stands,
 so a malformed one is refused there.
 
 A map's breakpoints are read edge by edge into two columns, parameters
-and points, and once every edge is read the columns go to the table
-builder of `plmap` (`PLTreeMap._from_columns`), which checks each edge in
-turn and validates no point the reader built.  No list of (t, point)
-pairs is made.
+and points; once every edge is read, `plmap`'s table builder (`_built`)
+checks each edge in turn, validating no point the reader built, and its
+pieces go to the one assembler (`PLTreeMap._from_pieces`).  No list of
+(t, point) pairs is made.
 
 Every instance file and every JSON report of the command line is
 written by one writer, `dump_json`: the bytes of `json.dumps(obj,
@@ -36,8 +36,8 @@ import json
 from fractions import Fraction
 
 from .errors import StructureError
-from .plmap import PLTreeMap
-from .tree import MAX_DIGITS, MetricTree, Subtree, TreePoint, as_fraction
+from .plmap import PLTreeMap, _built
+from .tree import MAX_DIGITS, MetricTree, Subtree, TreePoint, _new, as_fraction
 
 
 def fraction_to_str(x) -> str:
@@ -228,9 +228,10 @@ def map_from_json(obj) -> tuple:
     Every value goes through one `_Reader`, so a repeated rational or
     point is parsed and validated once for the whole load.  Every edge's
     breakpoint list is read first, into a column of parameters and one
-    of points; the columns go to `PLTreeMap`'s table builder as they
-    stand, which validates no point again, and the vertex images the
-    file declares are compared with the ones the edges gave.
+    of points; the columns go to the table builder (`plmap._built`) and
+    its pieces to `PLTreeMap._from_pieces`, with no point validated
+    again, and the vertex images the file declares are compared with
+    the ones the edges gave.
     """
     reader = _Reader()
     tree = _tree_from_json(obj, reader)
@@ -260,7 +261,7 @@ def map_from_json(obj) -> tuple:
             params.append(rational(bp["t"]))
             images.append(point(bp["image"], tree))
         columns.append((eid, params, images))
-    f = PLTreeMap._from_columns(tree, columns)
+    f = _new(PLTreeMap)._from_pieces(tree, *_built(tree, columns))
     built = f._vimg
     for v in tree.vertex_ids:
         got, want = built[v], vimg[v]

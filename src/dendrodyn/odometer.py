@@ -26,19 +26,22 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .dynamics import CheckResult, Witness, _periodic_levels
-from .errors import PreconditionError, StructureError
+from .errors import PreconditionError, StructureError, _at_least_one
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap
 from .tree import MetricTree, Subtree, TreePoint
 
 
 @dataclass(frozen=True, slots=True)
 class OdometerType:
-    """A strictly increasing divisibility chain of periods."""
+    """A strictly increasing divisibility chain of periods, each an `int`
+    (not a `bool`): nothing is truncated into one."""
 
     periods: tuple
 
     def __post_init__(self):
-        ms = tuple(int(m) for m in self.periods)
+        ms = tuple(self.periods)
+        if any(type(m) is not int for m in ms):
+            raise StructureError(f"periods must be ints, got {ms!r}")
         object.__setattr__(self, "periods", ms)
         if not ms:
             raise StructureError("an odometer type needs at least one period")
@@ -57,13 +60,17 @@ class OdometerType:
 
 @dataclass(frozen=True, slots=True)
 class OdometerAddress:
-    """A digit tuple of a given type; validity is checked separately."""
+    """A digit tuple of a given type, each an `int` as the periods are;
+    validity is checked separately."""
 
     type: OdometerType
     digits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "digits", tuple(int(j) for j in self.digits))
+        js = tuple(self.digits)
+        if any(type(j) is not int for j in js):
+            raise StructureError(f"digits must be ints, got {js!r}")
+        object.__setattr__(self, "digits", js)
 
 
 def validate_address(a: OdometerAddress) -> bool:
@@ -278,8 +285,7 @@ def detect_cycles_of_sets(
     periodic set, and each shallower one is a subset of it, as P_n is a
     running union.
     """
-    if depth < 1:
-        raise PreconditionError("depth must be at least 1")
+    _at_least_one(depth=depth, piece_cap=piece_cap)
     injective, pair = f.is_injective()
     if not injective:
         raise PreconditionError(

@@ -13,22 +13,25 @@ facts about it decided here, its image and its injectivity, once asked;
 and it holds one slot for `dynamics`, whose per-map store (orbits,
 certificate, fixed sets of powers) is opaque to this module.
 
-A piece is its segment table: for each segment of its image path, the
+A map holds, per edge, only the tuple of its pieces, so each breakpoint
+parameter is held once, as a window end; the pieces at a parameter, or
+meeting a window, are one bisection of the windows (`_meeting`).  A
+piece is its segment table: for each segment of its image path, the
 image edge, the segment's two parameters on it, and the window of domain
 parameters it covers.  A piece is affine on each segment, so every reader
 takes parameters off one entry and measures no arclength.  One builder
-(`_built`) makes every map from breakpoints: it takes each edge's
-parameters and images as two columns, checks the edge, walks the tree's
-path for each piece (`MetricTree._path`) and refuses a table whose pieces
-and segments pass `MAX_TABLE_SIZE`.  `PLTreeMap(tree, table)` reads its
-table into columns edge by edge, validating each point (`_columns`); a
-load hands over the columns its reader has already checked.  A piece's
-window ends come from its segments' arclengths summed as integers over
-one common denominator (`_table`).  Derived maps (`compose`,
-`normalize`, the hull retraction) are built pieces first, from tables
-cut (`_cut`) or joined from stored ones, asking the tree for nothing;
-`_merged` is the one merge routine, and keeps the pieces it does not
-merge.
+(`_built`) makes the pieces of every map read from breakpoints: it takes
+each edge's parameters and images as two columns, checks the edge, walks
+the tree's path for each piece (`MetricTree._path`) and refuses a table
+whose pieces and segments pass `MAX_TABLE_SIZE`.  `PLTreeMap(tree,
+table)` reads its table into columns edge by edge, validating each point
+(`_columns`); a load hands over the columns its reader has already
+checked.  A piece's window ends come from its segments' arclengths summed
+as integers over one common denominator (`_table`).  Derived maps
+(`compose`, `normalize`, the hull retraction) are built pieces first,
+from tables cut (`_cut`) or joined from stored ones, asking the tree for
+nothing; `_merged` is the one merge routine.  Every map ends in one
+assembler, `PLTreeMap._from_pieces`, handed its vertex images by `_built`.
 
 The fixed points of a composition are solved from its two factors,
 without building it (`composite_fixed_set`): the solve walks the cuts
@@ -57,6 +60,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter, itemgetter
 
@@ -65,6 +69,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     StructureError,
+    _at_least_one,
 )
 from .tree import (
     ONE,
@@ -105,6 +110,12 @@ class _Piece:
 _end = itemgetter(4)  # a table entry's domain end
 _low = itemgetter(0)
 _window_start = attrgetter("t0")  # a piece's domain start
+_window_end = attrgetter("t1")  # a piece's domain end
+
+
+def _meeting(pieces: tuple, lo: Fraction, hi: Fraction) -> slice:
+    """The slice of an edge's pieces whose windows meet [lo, hi], lo < hi: t0 < hi, t1 > lo."""
+    return slice(bisect_right(pieces, lo, key=_window_end), bisect_left(pieces, hi, key=_window_start))
 
 
 def _table(edges, segs: list, t0: Fraction, t1: Fraction) -> tuple:
@@ -215,10 +226,10 @@ def _columns(domain: MetricTree, table):
 
 
 def _built(domain: MetricTree, columns) -> tuple:
-    """The vertex images, pieces and per-edge index of the map with these
-    breakpoint columns, one (edge, parameters, images) per edge of the
-    domain, in its order: the parameters `_Q`s and the images points of
-    the domain, as the caller read and checked them.
+    """(the tuple of pieces of each edge, vertex images) of the map with
+    these breakpoint columns, one (edge, parameters, images) per edge of
+    the domain, in its order: the parameters `_Q`s and the images points
+    of the domain, as the caller read and checked them.
 
     Each edge is checked before the next is taken: at least two
     breakpoints, spanning [0, 1] and increasing, its end images agreeing
@@ -229,8 +240,7 @@ def _built(domain: MetricTree, columns) -> tuple:
     (`_table`).
     """
     vimg: dict = {}
-    pieces = []
-    edge_index = {}
+    by_edge = {}
     size = 0
     walk = domain._path
     edges = domain._edges
@@ -261,9 +271,8 @@ def _built(domain: MetricTree, columns) -> tuple:
             else:
                 entries = ((*segs[0], t0, t1),) if n else ()
             mine.append(_Piece(eid, t0, t1, p0, p1, entries))
-        pieces.extend(mine)
-        edge_index[eid] = (tuple(params), tuple(mine))
-    return vimg, pieces, edge_index
+        by_edge[eid] = tuple(mine)
+    return by_edge, vimg
 
 
 class PLTreeMap:
@@ -275,59 +284,41 @@ class PLTreeMap:
     """
 
     __slots__ = (
-        "domain", "_vimg", "_pieces", "_edge_index", "_image", "_injective", "_orbits",
+        "domain", "_vimg", "_pieces", "_by_edge", "_image", "_injective", "_orbits",
     )
 
     def __init__(self, domain: MetricTree, table):
         """The map of a breakpoint table, checked as it is read: each
-        edge's records read into a column of parameters, each a `_Q` as it
-        stands, and a column of points, each validated once, then built
-        by `_built`, which runs the rest of the checks for that edge
-        before the next edge is read.
+        edge's records read into columns, each point validated once
+        (`_columns`), then built by `_built`, which checks that edge before
+        the next is read, and assembled by `_from_pieces`."""
+        self._from_pieces(domain, *_built(domain, _columns(domain, table)))
+
+    def _from_pieces(self, domain: MetricTree, by_edge: dict, vimg: dict | None = None) -> "PLTreeMap":
+        """The one assembler: fills this map, fresh from `__init__` or
+        `object.__new__`, with `by_edge`, each edge's tuple of pieces in
+        order (trusted, not checked), and returns it.  The vertex images are
+        read off the piece ends unless `_built` hands over those it checked.
         """
-        self._fill(domain, *_built(domain, _columns(domain, table)))
-
-    @classmethod
-    def _from_columns(cls, domain: MetricTree, columns) -> "PLTreeMap":
-        """The map of breakpoint columns a caller has read and validated
-        itself, as a load does: see `_built`."""
-        f = cls.__new__(cls)
-        f._fill(domain, *_built(domain, columns))
-        return f
-
-    @classmethod
-    def _from_pieces(cls, domain: MetricTree, by_edge) -> "PLTreeMap":
-        """The map made of pieces already built, as derived maps are.
-
-        `by_edge` gives each edge of the domain, in its order, the pieces
-        over it in order; they are trusted, not checked.
-        """
-        vimg: dict = {}
-        pieces = []
-        edge_index = {}
-        edges = domain._edges
-        for eid, mine in by_edge.items():
-            u, w, _ = edges[eid]
-            vimg.setdefault(u, mine[0].p0)
-            vimg.setdefault(w, mine[-1].p1)
-            pieces.extend(mine)
-            edge_index[eid] = ((*map(_window_start, mine), ONE), tuple(mine))
-        f = cls.__new__(cls)
-        f._fill(domain, vimg, pieces, edge_index)
-        return f
-
-    def _fill(self, domain, vimg, pieces, edge_index):
+        if vimg is None:
+            vimg = {}
+            for eid, mine in by_edge.items():
+                u, w, _ = domain._edges[eid]
+                vimg.setdefault(u, mine[0].p0)
+                vimg.setdefault(w, mine[-1].p1)
         if not domain.edge_ids:
             only = domain.vertex_ids[0]
             vimg[only] = domain.vertex_point(only)
         self.domain = domain
         self._vimg = vimg
-        self._pieces = tuple(pieces)
-        # per edge: breakpoint parameters, and the pieces between them (the map's one form)
-        self._edge_index = edge_index
+        # per edge: its pieces, whose windows hold the breakpoints (the map's one form)
+        self._by_edge = by_edge
+        # copied from a list: a tuple grown from an iterator keeps up to a quarter spare
+        self._pieces = tuple(list(chain.from_iterable(by_edge.values())))
         self._image = None
         self._injective = None
         self._orbits = None  # the store made and kept by dynamics
+        return self
 
     # -- inspection --------------------------------------------------------
 
@@ -337,8 +328,8 @@ class PLTreeMap:
 
     def breakpoints(self, eid) -> tuple:
         self.domain._edge(eid)
-        params, pieces = self._edge_index[eid]
-        return tuple(zip(params, [pieces[0].p0] + [piece.p1 for piece in pieces]))
+        pieces = self._by_edge[eid]
+        return ((ZERO, pieces[0].p0), *((piece.t1, piece.p1) for piece in pieces))
 
     def __repr__(self):
         return f"PLTreeMap({self.piece_count} pieces)"
@@ -359,11 +350,10 @@ class PLTreeMap:
         if p.is_vertex:
             return self._vimg[p.vertex]
         t = p.t
-        params, pieces = self._edge_index[p.edge]
-        i = bisect_left(params, t, 1)  # the first breakpoint at or past t
-        piece = pieces[i - 1]
+        pieces = self._by_edge[p.edge]
+        piece = pieces[bisect_left(pieces, t, key=_window_end)]  # the first ending at or past t
         table = piece.table
-        if params[i] == t or not table:
+        if piece.t1 == t or not table:
             return piece.p1
         e, u0, u1, x0, x1 = table[bisect_left(table, t, key=_end)]
         return self.domain.edge_point(e, u0 + (u1 - u0) * (t - x0) / (x1 - x0))
@@ -379,8 +369,8 @@ class PLTreeMap:
 
         Each vertex adds its image and each single point its value.  An
         interval adds the segments of the pieces it meets in positive
-        length, found by bisecting the edge's breakpoints, each table cut to
-        the interval (`_cut`).
+        length, found by bisecting the edge's piece windows (`_meeting`),
+        each table cut to the interval (`_cut`).
         """
         tree = self.domain
         if sub.tree != tree:
@@ -397,13 +387,12 @@ class PLTreeMap:
         for v in sub.vertices:
             add_point(self._vimg[v])
         for eid, intervals in sub.segments.items():
-            params, pieces = self._edge_index[eid]
+            pieces = self._by_edge[eid]
             for lo, hi in intervals:
                 if lo == hi:
                     add_point(self.evaluate(tree.edge_point(eid, lo)))
                     continue
-                # the pieces with t0 < hi and t1 > lo
-                for piece in pieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]:
+                for piece in pieces[_meeting(pieces, lo, hi)]:
                     table = piece.table
                     if not table:
                         add_point(piece.p0)
@@ -427,10 +416,10 @@ class PLTreeMap:
         (`_merged`).
         """
         edges = self.domain._edges
-        by_edge = {eid: _merged(edges, pieces) for eid, (_, pieces) in self._edge_index.items()}
+        by_edge = {eid: _merged(edges, pieces) for eid, pieces in self._by_edge.items()}
         if sum(map(len, by_edge.values())) == len(self._pieces):
             return self  # no breakpoint dropped
-        return PLTreeMap._from_pieces(self.domain, by_edge)
+        return _new(PLTreeMap)._from_pieces(self.domain, by_edge)
 
     # -- injectivity -----------------------------------------------------------
 
@@ -554,6 +543,7 @@ class PLTreeMap:
         """The n-th compositional power, by squaring, with a piece budget."""
         if n < 0:
             raise PreconditionError("iteration count must be nonnegative")
+        _at_least_one(piece_cap=piece_cap)
         if n == 0:
             return identity_map(self.domain)
         return built(*self.power_factors(n, piece_cap), piece_cap, "iterate")
@@ -567,6 +557,7 @@ class PLTreeMap:
         """
         if n < 1:
             raise PreconditionError("power must be at least 1")
+        _at_least_one(piece_cap=piece_cap)
 
         result = None
         base = self
@@ -690,9 +681,9 @@ def compose(outer: PLTreeMap, inner: PLTreeMap) -> PLTreeMap:
     edges = inner.domain._edges
     by_edge = {
         eid: _merged(edges, [new for piece in pieces for new in _compose_piece(outer, piece)])
-        for eid, (_, pieces) in inner._edge_index.items()
+        for eid, pieces in inner._by_edge.items()
     }
-    return PLTreeMap._from_pieces(inner.domain, by_edge)
+    return _new(PLTreeMap)._from_pieces(inner.domain, by_edge)
 
 
 def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
@@ -713,11 +704,10 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
     ta = piece.t0
     for aeid, u0, u1, x0, x1 in table:
         rate = None  # inner parameter per unit of aeid's parameter
-        params, opieces = outer._edge_index[aeid]
+        opieces = outer._by_edge[aeid]
         forward = u0 < u1
         lo, hi = (u0, u1) if forward else (u1, u0)
-        # the outer pieces with t0 < hi and t1 > lo, in the segment's direction
-        met = opieces[bisect_right(params, lo, 1) - 1 : bisect_left(params, hi)]
+        met = opieces[_meeting(opieces, lo, hi)]
         for op in met if forward else reversed(met):
             whole_a, whole_b = op.t0 >= lo, op.t1 <= hi
             a = op.t0 if whole_a else lo
@@ -751,7 +741,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
     return out
 
 
-def _merged(edges, pieces: list) -> list:
+def _merged(edges, pieces) -> tuple:
     """The pieces over one edge, each run that continues one traversal joined (`_joined`)."""
     out = []
     run = [pieces[0]]
@@ -762,7 +752,7 @@ def _merged(edges, pieces: list) -> list:
             out.append(_joined(run))
             run = [b]
     out.append(_joined(run))
-    return out
+    return tuple(out)
 
 
 def _joined(run: list) -> _Piece:
@@ -803,9 +793,9 @@ def cut_count(outer: PLTreeMap, inner: PLTreeMap) -> int:
             n += 1
             continue
         for aeid, u0, u1, _, _ in piece.table:
-            params = outer._edge_index[aeid][0]
             lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
-            n += bisect_left(params, hi) - bisect_right(params, lo, 1) + 1
+            met = _meeting(outer._by_edge[aeid], lo, hi)
+            n += met.stop - met.start
     return n
 
 
@@ -930,7 +920,7 @@ def _by_image_edge(f: PLTreeMap, eid) -> dict:
     value lies inside an edge is the segment standing at it over the piece's window.  An
     entry is [segment, its line once met]."""
     index = {}
-    for piece in f._edge_index[eid][1]:
+    for piece in f._by_edge[eid]:
         table = piece.table
         q = piece.p0
         if not table and not q.is_vertex:
@@ -973,7 +963,7 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
     the identity there and constant at its ends beyond it.  An edge the
     hull holds in no interval of positive length retracts to one point,
     where its end u does (`MetricTree.vertex_retractions`).  The pieces
-    are built as they stand (`PLTreeMap._from_pieces`); none merge.
+    are assembled as they stand (`PLTreeMap._from_pieces`); none merge.
     """
     where = tree.vertex_retractions(hull)
     by_edge = {}
@@ -982,16 +972,16 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
         if ivs and ivs[0][0] < ivs[0][1]:
             ((lo, hi),) = ivs
             a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
-            mine = [_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo, hi),))]
+            mine = (_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo, hi),)),)
             if lo > ZERO:
-                mine.insert(0, _Piece(eid, ZERO, lo, a, a, ()))
+                mine = (_Piece(eid, ZERO, lo, a, a, ()), *mine)
             if hi < ONE:
-                mine.append(_Piece(eid, hi, ONE, b, b, ()))
+                mine = (*mine, _Piece(eid, hi, ONE, b, b, ()))
         else:
             q = where[tree.edge_ends(eid)[0]]
-            mine = [_Piece(eid, ZERO, ONE, q, q, ())]
+            mine = (_Piece(eid, ZERO, ONE, q, q, ()),)
         by_edge[eid] = mine
-    return PLTreeMap._from_pieces(tree, by_edge)
+    return _new(PLTreeMap)._from_pieces(tree, by_edge)
 
 
 def _covers(tree: MetricTree, cover, points) -> bool:
@@ -1033,6 +1023,7 @@ def find_periodic_in_hull(
     tree = f.domain
     if n < 1:
         raise PreconditionError("need at least one step")
+    _at_least_one(piece_cap=piece_cap)
     pts = list(points)
     hull = tree.connected_hull(pts)  # validates the points and rejects none
     advanced = pts

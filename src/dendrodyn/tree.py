@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .errors import PreconditionError, StructureError
+from .errors import PreconditionError, StructureError, _at_least_one
 
 # -- exact rationals: `_Q` ------------------------------------------------------
 
@@ -763,6 +763,7 @@ class MetricTree:
         The tree is immutable, so each sample is built once and kept.
         """
         if per_edge not in self._grids:
+            _at_least_one(per_edge=per_edge)
             pts = [self.vertex_point(v) for v in self._vkeys]
             for eid in self._ekeys:
                 for i in range(1, per_edge + 1):

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .dynamics import (
     CheckResult,
     Witness,
-    _at_least_one,
     _certified_cycles,
     _is_onto,
     _walk,
@@ -28,7 +27,7 @@ from .dynamics import (
     returns_to_components,
     HORIZON_DEFAULT,
 )
-from .errors import PreconditionError, ResourceLimitError, UndecidedError
+from .errors import PreconditionError, ResourceLimitError, UndecidedError, _at_least_one
 from .odometer import (
     classify_adding_machine,
     detect_cycles_of_sets,
@@ -189,7 +188,7 @@ def run_checks(
     The verdict on f is decided once, before the checks, and shared by
     the two checks that read it.
     """
-    _at_least_one(horizon=horizon, depth=depth)
+    _at_least_one(horizon=horizon, depth=depth, piece_cap=piece_cap)
     upto = max(2, min(depth, 4))
     verdict = decide_pointwise_recurrent(f)
     plan = (

@@ -250,21 +250,46 @@ class ArcPiece:
         return self.arc.length * (t - self.t0) / (self.t1 - self.t0)
 
 
+def breakpoint_params(pieces):
+    """The former per-edge `params` column: the pieces' window starts,
+    then 1, each breakpoint parameter held a second time."""
+    return (*(p.t0 for p in pieces), ONE)
+
+
+def meeting_by_params(pieces, lo, hi):
+    """The former slice of the pieces meeting [lo, hi], lo < hi, in
+    positive length, by bisecting the `params` column."""
+    params = breakpoint_params(pieces)
+    return slice(bisect_right(params, lo, 1) - 1, bisect_left(params, hi))
+
+
+def piece_at_by_params(pieces, t):
+    """The former `evaluate` lookup: the first piece whose window ends at
+    or past t, 0 < t <= 1, by bisecting the `params` column."""
+    return pieces[bisect_left(breakpoint_params(pieces), t, 1) - 1]
+
+
+def breakpoints_by_params(f, eid):
+    """The former `breakpoints`: the `params` column beside the pieces' ends."""
+    pieces = f._by_edge[eid]
+    return tuple(zip(breakpoint_params(pieces), [pieces[0].p0] + [p.p1 for p in pieces]))
+
+
 def arc_index(f):
-    """f's `_edge_index` with each piece an `ArcPiece`."""
+    """f's pieces per edge, each an `ArcPiece`, beside the edge's `params` column."""
     tree = f.domain
     return {
-        eid: (params, [ArcPiece.of(tree, p) for p in pieces])
-        for eid, (params, pieces) in f._edge_index.items()
+        eid: (breakpoint_params(pieces), [ArcPiece.of(tree, p) for p in pieces])
+        for eid, pieces in f._by_edge.items()
     }
 
 
 def tables_match_arcs(g, by_edge):
     """Whether g's pieces are the arc pieces `by_edge` gives, edge by edge:
     the same windows and ends, and each table the one its arc gives."""
-    if list(g._edge_index) != list(by_edge):
+    if list(g._by_edge) != list(by_edge):
         return False
-    for (_, pieces), arcs in zip(g._edge_index.values(), by_edge.values()):
+    for pieces, arcs in zip(g._by_edge.values(), by_edge.values()):
         if [(p.edge, p.t0, p.t1, p.p0, p.p1, p.table) for p in pieces] != [
             (q.edge, q.t0, q.t1, q.p0, q.p1, arc_table(q, q.arc)) for q in arcs
         ]:
@@ -314,8 +339,7 @@ def evaluate_on_arcs(f, p):
     whose window ends at or past p, with a vertex's stored image."""
     if p.is_vertex:
         return f.vertex_image(p.vertex)
-    params, pieces = f._edge_index[p.edge]
-    return eval_in_piece(f.domain, pieces[bisect_left(params, p.t, 1) - 1], p.t)
+    return eval_in_piece(f.domain, piece_at_by_params(f._by_edge[p.edge], p.t), p.t)
 
 
 def arc_constant(tree, eid, t0, t1, q):

@@ -48,9 +48,11 @@ from dendrodyn.plmap import (
     PLTreeMap,
     built,
     composite_fixed_set,
+    find_periodic_in_hull,
     identity_map,
     map_from_vertex_images,
 )
+from dendrodyn.odometer import detect_cycles_of_sets
 from dendrodyn.verify import run_checks
 from oracles import (
     ComposingPowers,
@@ -217,13 +219,26 @@ BELOW_ONE = [
     ("check_full_invariance", "horizon", -1),
     ("check_no_preperiodic", "horizon", -1),
     ("run_checks", "depth", 0),
+    ("fixed_set", "piece_cap", -5),
+    ("fixed_set", "piece_cap", 0),
+    ("periodic_union", "piece_cap", 0),
+    ("periodic_structure", "piece_cap", 0),
+    ("check_no_radial_stretch", "piece_cap", 0),
+    ("check_escape", "piece_cap", 0),
+    ("detect_cycles_of_sets", "piece_cap", 0),
+    ("run_checks", "piece_cap", 0),
+    ("find_periodic_in_hull", "piece_cap", 0),
+    ("iterate", "piece_cap", 0),
+    ("power_factors", "piece_cap", -1),
+    ("grid_points", "per_edge", 0),
 ]
 
 
 @pytest.mark.parametrize("name, param, value", BELOW_ONE)
 def test_bounds_below_one_are_refused_by_name(name, param, value):
     """A bound below 1 answers no question, so it is refused on entry,
-    never answered as "not periodic", an empty set, a pass or a skip."""
+    never answered as "not periodic", an empty set, a pass, a skip or a
+    blown piece budget."""
     t = interval()
     f = tent_on(t)
     bound = {param: value}
@@ -231,10 +246,18 @@ def test_bounds_below_one_are_refused_by_name(name, param, value):
         "returns_to_components": lambda: returns_to_components(f, pt(t, F(1, 4)), pt(t, F(1, 2)), **bound),
         "vertex_period": lambda: vertex_period(f, "v0", **bound),
         "periodic_structure": lambda: periodic_structure(f, 2, **bound),
-        "periodic_union": lambda: periodic_union(f, **bound),
+        "periodic_union": lambda: periodic_union(f, **{"n": 2, **bound}),
         "check_full_invariance": lambda: check_full_invariance(f, **bound),
         "check_no_preperiodic": lambda: check_no_preperiodic(f, **bound),
         "run_checks": lambda: run_checks(f, **bound),
+        "fixed_set": lambda: fixed_set(f, 2, **bound),
+        "check_no_radial_stretch": lambda: check_no_radial_stretch(f, **bound),
+        "check_escape": lambda: check_escape(f, **bound),
+        "detect_cycles_of_sets": lambda: detect_cycles_of_sets(f, 2, **bound),
+        "find_periodic_in_hull": lambda: find_periodic_in_hull(f, [pt(t, F(1, 4)), pt(t, F(3, 4))], 2, **bound),
+        "iterate": lambda: f.iterate(2, **bound),
+        "power_factors": lambda: f.power_factors(2, **bound),
+        "grid_points": lambda: t.grid_points(**bound),
     }
     with pytest.raises(PreconditionError, match=f"^{param} must be at least 1, got "):
         calls[name]()

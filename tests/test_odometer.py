@@ -67,6 +67,15 @@ def test_type_validation():
         OdometerType((2, 3))
     with pytest.raises(StructureError, match="periods must be positive"):
         OdometerType((0, 2))
+    # a period is an int: a flag or a float is refused, never coerced
+    for periods in ((True, 2), (2.5, 5), (2, F(4))):
+        with pytest.raises(StructureError, match=r"^periods must be ints, got \("):
+            OdometerType(periods)
+    assert OdometerType([2, 4]).periods == (2, 4)
+    t24 = OdometerType((2, 4))
+    for digits in ((1.9, 3), (True, 3), (1, F(3))):
+        with pytest.raises(StructureError, match=r"^digits must be ints, got \("):
+            OdometerAddress(t24, digits)
 
 
 def test_validate_address_frozen_cases():

@@ -47,6 +47,8 @@ from oracles import (
     arc_subtree,
     arc_table,
     arc_window,
+    breakpoint_params,
+    breakpoints_by_params,
     colliding_pieces,
     composed_fixed_set,
     covers_by_hulls,
@@ -58,8 +60,10 @@ from oracles import (
     hull_by_composing,
     is_identity,
     maps_equal,
+    meeting_by_params,
     orbit,
     outcome,
+    piece_at_by_params,
     point_subtree,
     rational_table,
     solve_fixed_points,
@@ -1338,7 +1342,7 @@ def test_image_of_subtree_rejects_another_tree():
 def table_normalize(f):
     """The former `normalize`: the merged breakpoints rebuilt through the table."""
     table = {}
-    for eid, (_, pieces) in f._edge_index.items():
+    for eid, pieces in f._by_edge.items():
         starts = [
             pieces[0],
             *(b for a, b in zip(pieces, pieces[1:]) if not _continues(f.domain._edges, a, b)),
@@ -1352,7 +1356,7 @@ def table_normalize(f):
 def table_derive(f, rewrite):
     """The former `_derive`: rewritten breakpoints, built and normalized as a table."""
     table = {}
-    for eid, (_, pieces) in f._edge_index.items():
+    for eid, pieces in f._by_edge.items():
         bps = []
         for piece in pieces:
             bps.extend(rewrite(piece)[1 if bps else 0 :])
@@ -1378,7 +1382,7 @@ def table_compose_piece(outer, piece):
         cuts.add(s)
     for k, (aeid, u0, u1) in enumerate(arc.segments):
         lo, hi = (u0, u1) if u0 <= u1 else (u1, u0)
-        for tb in outer._edge_index[aeid][0][1:-1]:
+        for tb in breakpoint_params(outer._by_edge[aeid])[1:-1]:
             if lo < tb < hi:
                 cuts.add(offsets[k] + abs(tb - u0) * outer.domain.edge_length(aeid))
     bps = [(t0, outer.evaluate(piece.p0))]
@@ -1421,16 +1425,13 @@ def table_project_onto(f, target):
 
 def assert_same_pieces(g, h):
     assert g._vimg == h._vimg
-    assert g._edge_index.keys() == h._edge_index.keys()
-    for (params, pieces), (h_params, h_pieces) in zip(
-        g._edge_index.values(), h._edge_index.values()
-    ):
-        assert params == h_params
+    assert g._by_edge.keys() == h._by_edge.keys()
+    for pieces, h_pieces in zip(g._by_edge.values(), h._by_edge.values()):
         assert len(pieces) == len(h_pieces)
         for p, q in zip(pieces, h_pieces):
             assert (p.edge, p.t0, p.t1, p.p0, p.p1) == (q.edge, q.t0, q.t1, q.p0, q.p1)
             assert p.table == q.table
-    assert g._pieces == tuple(p for _, pieces in g._edge_index.values() for p in pieces)
+    assert g._pieces == tuple(p for pieces in g._by_edge.values() for p in pieces)
 
 
 def analysis_maps():
@@ -1549,6 +1550,39 @@ def corpus_maps():
     """Every map of `decision_corpus` and every fixture map."""
     homeos, folding, sags = decision_corpus(random.Random(3636))
     return homeos + folding + sags + fixture_maps()
+
+
+def test_the_window_lookup_matches_the_params_column():
+    """An edge holds only its pieces, so each lookup bisects their windows:
+    `_meeting`, `evaluate` and `breakpoints` against the former bisection
+    of a column of the window starts followed by 1, on every corpus and
+    fixture map and its square.  The windows are random, some ending on a
+    breakpoint, on 0 or on 1.  `cut_count` is the number of pieces
+    `compose` cuts before it merges them."""
+    rng = random.Random(3939)
+    windows = on_breakpoint = on_ends = 0
+    for f in corpus_maps():
+        tree = f.domain
+        f2 = compose(f, f)
+        for outer, inner in ((f, f), (f, f2), (f2, f)):
+            cuts = sum(len(_compose_piece(outer, piece)) for piece in inner._pieces)
+            assert cut_count(outer, inner) == cuts
+        for g in (f, f2):
+            for eid in tree.edge_ids:
+                pieces = g._by_edge[eid]
+                assert g.breakpoints(eid) == breakpoints_by_params(g, eid)
+                params = breakpoint_params(pieces)
+                ends = sorted({*params, *(F(rng.randint(1, 59), 60) for _ in range(3))})
+                for _ in range(5):
+                    lo, hi = sorted(rng.sample(ends, 2))
+                    assert plmap._meeting(pieces, lo, hi) == meeting_by_params(pieces, lo, hi)
+                    windows += 1
+                    on_breakpoint += lo in params[1:-1] or hi in params[1:-1]
+                    on_ends += lo == 0 or hi == 1
+                for t in ends[1:-1]:
+                    want = eval_in_piece(tree, piece_at_by_params(pieces, t), t)
+                    assert g.evaluate(tree.edge_point(eid, t)) == want
+    assert windows > 40_000 and on_breakpoint > 4_000 and on_ends > 4_000
 
 
 def window_maps():
