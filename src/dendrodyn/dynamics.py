@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from itertools import chain, count, islice
 from math import gcd, lcm
 
-from .errors import PreconditionError, _at_least_one
+from .errors import PreconditionError, _at_least, _at_least_one
 from .plmap import DEFAULT_PIECE_CAP, PLTreeMap, built, composite_fixed_set, factored
 from .tree import ONE, ZERO, Subtree, TreePoint
 
@@ -227,8 +227,7 @@ def periodic_structure(
     piece_cap: int = DEFAULT_PIECE_CAP,
 ) -> PeriodicStructure:
     """Fixed sets and cumulative unions for powers 1..upto, plus vertex periods."""
-    if upto < 1:
-        raise PreconditionError("need at least one power")
+    _at_least("upto", upto, 1, "need at least one power")
     _at_least_one(max_period=max_period, piece_cap=piece_cap)
     levels = list(_periodic_levels(f, upto, piece_cap))
     fixed = {n: sub for n, sub, _ in levels}
@@ -516,7 +515,7 @@ def _certified_cycles(f: PLTreeMap, horizon: int) -> tuple:
     tree = f.domain
     starts = chain(
         (tree.vertex_point(v) for v in tree.vertex_ids),
-        (tree.edge_point(piece.edge, piece.t0) for piece in f._pieces if piece.t0),
+        (tree.edge_point(eid, piece.t0) for eid, mine in f._by_edge.items() for piece in mine[1:]),
     )
     cycles = []
     for s in starts:
@@ -786,8 +785,7 @@ def check_escape(
     takes the first image alone, as horizon 1 does; a negative horizon
     is refused."""
     _at_least_one(power=n, piece_cap=piece_cap)
-    if horizon < 0:
-        raise PreconditionError(f"horizon must be at least 0, got {horizon}")
+    _at_least("horizon", horizon, 0)
     tree = f.domain
     for k in range(1, CUTPOINT_POWER_BOUND + 1):
         fixed = fixed_set(f, k, piece_cap)

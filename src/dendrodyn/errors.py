@@ -26,8 +26,16 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not a user error."""
 
 
+def _at_least(name: str, value, low: int, refusal: str = "") -> None:
+    """Refuse, by name, a count that is not an `int` (a float or a bool is
+    none), or one below `low`, with `refusal` as the message if given."""
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise PreconditionError(refusal or f"{name} must be at least {low}, got {value}")
+
+
 def _at_least_one(**bounds) -> None:
-    """Refuse a bound below 1, by name: none of them answers below it."""
+    """Refuse, by name, a bound that is not an int or is below 1: none answers below it."""
     for name, value in bounds.items():
-        if value < 1:
-            raise PreconditionError(f"{name} must be at least 1, got {value}")
+        _at_least(name, value, 1)

@@ -325,12 +325,13 @@ def build_fixture(kind: str, params: dict | None = None):
     params = dict(params or {})
 
     def number(name, value, convert=int):
-        try:
-            return convert(value)
-        except (TypeError, ValueError, StructureError):
-            raise PreconditionError(
-                f"fixture {kind!r} parameter {name!r} is not a number: {value!r}"
-            ) from None
+        """Read from an int (not a bool) or a string, the CLI's form; nothing else is coerced."""
+        if type(value) is int or isinstance(value, str):
+            try:
+                return convert(value)
+            except (ValueError, StructureError):
+                pass
+        raise PreconditionError(f"fixture {kind!r} parameter {name!r} is not a number: {value!r}")
 
     def bounded(name, vertices):
         """Refuse, before anything is built, a size parameter whose instance

@@ -106,18 +106,17 @@ class TowerSet:
     misses the periodic set, so it is a component of the tree minus that
     set with the one boundary point `attachment`.  The representative
     point is the midpoint of the branch's least interval in edge order;
-    the closure is built from the window, in canonical form, when it is
-    first read.
+    the closure is built from the window, in canonical form, on each read:
+    no caller reads it twice.
     """
 
-    __slots__ = ("tree", "attachment", "repr_point", "window", "_closure")
+    __slots__ = ("tree", "attachment", "repr_point", "window")
 
     def __init__(self, tree, attachment: TreePoint, repr_point: TreePoint, window: tuple):
         self.tree = tree
         self.attachment = attachment
         self.repr_point = repr_point
         self.window = window
-        self._closure = None
 
     @property
     def boundary(self) -> tuple:
@@ -129,13 +128,11 @@ class TowerSet:
 
     @property
     def closure(self) -> Subtree:
-        if self._closure is None:
-            verts, pieces = self.tree.branch(self.attachment, self.window)
-            segments = {eid: ((lo, hi),) for eid, lo, hi in sorted(pieces, key=_edge_order)}
-            if self.attachment.edge is None:
-                verts.append(self.attachment.vertex)
-            self._closure = Subtree(self.tree, segments, frozenset(verts))
-        return self._closure
+        verts, pieces = self.tree.branch(self.attachment, self.window)
+        segments = {eid: ((lo, hi),) for eid, lo, hi in sorted(pieces, key=_edge_order)}
+        if self.attachment.edge is None:
+            verts.append(self.attachment.vertex)
+        return Subtree(self.tree, segments, frozenset(verts))
 
     def __repr__(self):
         return f"TowerSet(attachment={self.attachment!r}, repr_point={self.repr_point!r})"

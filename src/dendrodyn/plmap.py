@@ -13,12 +13,12 @@ facts about it decided here, its image and its injectivity, once asked;
 and it holds one slot for `dynamics`, whose per-map store (orbits,
 certificate, fixed sets of powers) is opaque to this module.
 
-A map holds, per edge, only the tuple of its pieces, so each breakpoint
-parameter is held once, as a window end; the pieces at a parameter, or
-meeting a window, are one bisection of the windows (`_meeting`).  A
-piece is its segment table: for each segment of its image path, the
-image edge, the segment's two parameters on it, and the window of domain
-parameters it covers.  A piece is affine on each segment, so every reader
+A map holds each piece once, in its edge's tuple (`_by_edge`), whose key
+alone names the edge; each breakpoint parameter is held once, as a window
+end.  The pieces at a parameter, or meeting a window, are one bisection
+of the windows (`_meeting`).  A piece is its segment table: for each
+segment of its image path, the image edge, the segment's two parameters
+on it, and the window of domain parameters it covers.  A piece is affine on each segment, so every reader
 takes parameters off one entry and measures no arclength.  One builder
 (`_built`) makes the pieces of every map read from breakpoints: it takes
 each edge's parameters and images as two columns, checks the edge, walks
@@ -69,6 +69,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     StructureError,
+    _at_least,
     _at_least_one,
 )
 from .tree import (
@@ -94,12 +95,12 @@ class _Piece:
     the image path from p0 to p1: the image edge, the segment's parameters
     on it, and its window [x0, x1] of the domain parameter.  The windows
     tile [t0, t1] in order, and on each the image parameter is affine in t
-    (`_line`).  A constant piece has an empty table."""
+    (`_line`).  A constant piece has an empty table.  Its domain edge is the
+    key of the map's tuple that holds it."""
 
-    __slots__ = ("edge", "t0", "t1", "p0", "p1", "table")
+    __slots__ = ("t0", "t1", "p0", "p1", "table")
 
-    def __init__(self, edge, t0, t1, p0, p1, table):
-        self.edge = edge
+    def __init__(self, t0, t1, p0, p1, table):
         self.t0 = t0
         self.t1 = t1
         self.p0 = p0
@@ -270,7 +271,7 @@ def _built(domain: MetricTree, columns) -> tuple:
                 entries = _table(edges, segs, t0, t1)
             else:
                 entries = ((*segs[0], t0, t1),) if n else ()
-            mine.append(_Piece(eid, t0, t1, p0, p1, entries))
+            mine.append(_Piece(t0, t1, p0, p1, entries))
         by_edge[eid] = tuple(mine)
     return by_edge, vimg
 
@@ -284,7 +285,7 @@ class PLTreeMap:
     """
 
     __slots__ = (
-        "domain", "_vimg", "_pieces", "_by_edge", "_image", "_injective", "_orbits",
+        "domain", "_vimg", "_by_edge", "_image", "_injective", "_orbits",
     )
 
     def __init__(self, domain: MetricTree, table):
@@ -313,8 +314,6 @@ class PLTreeMap:
         self._vimg = vimg
         # per edge: its pieces, whose windows hold the breakpoints (the map's one form)
         self._by_edge = by_edge
-        # copied from a list: a tuple grown from an iterator keeps up to a quarter spare
-        self._pieces = tuple(list(chain.from_iterable(by_edge.values())))
         self._image = None
         self._injective = None
         self._orbits = None  # the store made and kept by dynamics
@@ -324,7 +323,7 @@ class PLTreeMap:
 
     @property
     def piece_count(self) -> int:
-        return len(self._pieces)
+        return sum(map(len, self._by_edge.values()))
 
     def breakpoints(self, eid) -> tuple:
         self.domain._edge(eid)
@@ -417,7 +416,7 @@ class PLTreeMap:
         """
         edges = self.domain._edges
         by_edge = {eid: _merged(edges, pieces) for eid, pieces in self._by_edge.items()}
-        if sum(map(len, by_edge.values())) == len(self._pieces):
+        if sum(map(len, by_edge.values())) == self.piece_count:
             return self  # no breakpoint dropped
         return _new(PLTreeMap)._from_pieces(self.domain, by_edge)
 
@@ -466,26 +465,26 @@ class PLTreeMap:
         exactly the colliding ones, against the pairwise oracle.
         """
         tree = self.domain
-        for piece in self._pieces:
-            if not piece.table:
-                ends = (piece.t0, piece.t1)
-                return (False, tuple(tree.edge_point(piece.edge, t) for t in ends))
+        for eid, mine in self._by_edge.items():
+            for piece in mine:
+                if not piece.table:
+                    return (False, (tree.edge_point(eid, piece.t0), tree.edge_point(eid, piece.t1)))
         marked = self._marked()
         if not marked:
             return (True, None)
         first, *later = marked
-        a = self._pieces[first]
-        pairs = (self._collision(a, self._pieces[j]) for j in later)
+        pairs = (self._collision(*first, *piece) for piece in later)
         return (False, next(pair for pair in pairs if pair is not None))
 
     def _marked(self) -> list:
-        """The indices, in order, of the pieces of a map with no constant piece that
-        collide with another: those overlapping another in positive length, and
+        """The pieces, as (edge, piece) in edge order, of a map with no constant piece
+        that collide with another: those overlapping another in positive length, and
         those in a bucket of one image point holding two preimages."""
         edges = self.domain._edges
         marked = set()
         by_edge: dict = {}
-        for i, piece in enumerate(self._pieces):  # rationals compared by cross products
+        pieces = chain.from_iterable(self._by_edge.values())
+        for i, piece in enumerate(pieces):  # rationals compared by cross products
             for eid, u0, u1, _, _ in piece.table:
                 up = u0._numerator * u1._denominator < u1._numerator * u0._denominator
                 by_edge.setdefault(eid, []).append((u0, u1, i) if up else (u1, u0, i))
@@ -501,33 +500,36 @@ class PLTreeMap:
         if not marked:
             return []
         preimages: dict = {}  # image position -> [(piece, its preimage there)]
-        for i, piece in enumerate(self._pieces):
-            # a window end is placed as an edge end vertex or an edge
-            # position; a vertex the path passes through has its preimage
-            # inside the window, named by the piece alone
-            for t, q in ((piece.t0, piece.p0), (piece.t1, piece.p1)):
-                preimages.setdefault(_point_place(q), []).append((i, _place(edges, piece.edge, t)))
+        pieces = [(eid, piece) for eid, mine in self._by_edge.items() for piece in mine]
+        for i, (eid, piece) in enumerate(pieces):
+            # a window end's image is where the table starts or ends, its
+            # preimage an edge end vertex or an edge position; a vertex the
+            # path passes through has its preimage inside the window, named
+            # by the piece alone
+            (e0, u0, *_), (e1, _, u1, *_) = piece.table[0], piece.table[-1]
+            for q, t in ((_place(edges, e0, u0), piece.t0), (_place(edges, e1, u1), piece.t1)):
+                preimages.setdefault(q, []).append((i, _place(edges, eid, t)))
             for aeid, _, u1, _, _ in piece.table[:-1]:
                 preimages.setdefault(_place(edges, aeid, u1), []).append((i, i))
         for hits in preimages.values():
             if len({x for _, x in hits}) > 1:
                 marked.update(i for i, _ in hits)
-        return sorted(marked)
+        return [pieces[i] for i in sorted(marked)]
 
-    def _collision(self, a: _Piece, b: _Piece):
-        """(x, y) with x in a's window and y in b's, distinct, both sent to
-        the canonical point of the two image arcs' meet; None when the arcs
-        are disjoint or that point has one preimage, a window end of both."""
+    def _collision(self, ea, a: _Piece, eb, b: _Piece):
+        """(x, y) with x in a's window on the edge ea and y in b's on eb, distinct,
+        both sent to the canonical point of the two image arcs' meet; None when
+        the arcs are disjoint or that point has one preimage, a window end of both."""
         q = _meet_point(self.domain, a.table, b.table)
         if q is None:
             return None
-        xa, xb = self._preimage_in_piece(a, q), self._preimage_in_piece(b, q)
+        xa, xb = self._preimage_in_piece(ea, a, q), self._preimage_in_piece(eb, b, q)
         return None if xa == xb else (xa, xb)
 
-    def _preimage_in_piece(self, piece: _Piece, q: TreePoint) -> TreePoint:
-        """The point of the piece's window sent to q, a point of its image,
-        read off the segment that holds q: the one on q's edge, or one that
-        starts or ends at the vertex q (a path runs over an edge once)."""
+    def _preimage_in_piece(self, eid, piece: _Piece, q: TreePoint) -> TreePoint:
+        """The point of the window of a piece over the edge eid sent to q, a point
+        of its image, read off the segment that holds q: the one on q's edge, or
+        one that starts or ends at the vertex q (a path runs over an edge once)."""
         edges = self.domain._edges
         for e, u0, u1, x0, x1 in piece.table:
             u, w, _ = edges[e]
@@ -535,14 +537,13 @@ class PLTreeMap:
             if at is None or q.edge is None and at != u0 and at != u1:
                 continue
             x = x0 if at == u0 else x1 if at == u1 else x0 + (at - u0) * (x1 - x0) / (u1 - u0)
-            return self.domain.edge_point(piece.edge, x)
+            return self.domain.edge_point(eid, x)
 
     # -- iteration ----------------------------------------------------------------
 
     def iterate(self, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> "PLTreeMap":
         """The n-th compositional power, by squaring, with a piece budget."""
-        if n < 0:
-            raise PreconditionError("iteration count must be nonnegative")
+        _at_least("n", n, 0, "iteration count must be nonnegative")
         _at_least_one(piece_cap=piece_cap)
         if n == 0:
             return identity_map(self.domain)
@@ -555,8 +556,7 @@ class PLTreeMap:
         composition but the last is built, within the budget, and the
         last is left to the caller as its two factors.
         """
-        if n < 1:
-            raise PreconditionError("power must be at least 1")
+        _at_least("n", n, 1, "power must be at least 1")
         _at_least_one(piece_cap=piece_cap)
 
         result = None
@@ -598,13 +598,6 @@ def _place(edges, eid, t) -> tuple:
     if t._numerator == t._denominator:
         return (edges[eid][1],)
     return (eid, t._numerator, t._denominator)
-
-
-def _point_place(p: TreePoint) -> tuple:
-    """`_place` of a point."""
-    if p.edge is None:
-        return (p.vertex,)
-    return (p.edge, p.t._numerator, p.t._denominator)
 
 
 def _meet_point(tree: MetricTree, a: tuple, b: tuple):
@@ -694,11 +687,10 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
     edge from u0 to u1 affinely, so each cut and each carried outer
     segment end y lies at x0 + (y - u0) * rate, rate = (x1 - x0) / (u1 -
     u0), worked out only when one falls inside the segment."""
-    edge = piece.edge
     table = piece.table
     if not table:
         q = outer.evaluate(piece.p0)
-        return [_Piece(edge, piece.t0, piece.t1, q, q, ())]
+        return [_Piece(piece.t0, piece.t1, q, q, ())]
     point = outer.domain.edge_point
     out = []
     ta = piece.t0
@@ -722,7 +714,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
                     rate = (x1 - x0) / (u1 - u0)
                 tb = x0 + (end - u0) * rate
             if not op.table:
-                out.append(_Piece(edge, ta, tb, op.p0, op.p0, ()))
+                out.append(_Piece(ta, tb, op.p0, op.p0, ()))
                 ta = tb
                 continue
             cut = op.table if whole_a and whole_b else _cut(op.table, a, b)
@@ -736,7 +728,7 @@ def _compose_piece(outer: PLTreeMap, piece: _Piece) -> list:
             # each entry ends at its outer end carried back, the last at tb
             xs = [ta, *(x0 + (y - u0) * rate for _, _, _, _, y in cut[:-1]), tb]
             new = tuple((e, w0, w1, xa, xb) for (e, w0, w1, _, _), xa, xb in zip(cut, xs, xs[1:]))
-            out.append(_Piece(edge, ta, tb, p0, p1, new))
+            out.append(_Piece(ta, tb, p0, p1, new))
             ta = tb
     return out
 
@@ -776,7 +768,7 @@ def _joined(run: list) -> _Piece:
             else:
                 segs.extend(more)
         table = tuple(segs)
-    return _Piece(first.edge, first.t0, last.t1, first.p0, last.p1, table)
+    return _Piece(first.t0, last.t1, first.p0, last.p1, table)
 
 
 # -- fixed points of a composition ----------------------------------------------
@@ -788,7 +780,7 @@ def cut_count(outer: PLTreeMap, inner: PLTreeMap) -> int:
     each inner table segment meets.  Normalizing only merges pieces, so
     the composite has at most this many."""
     n = 0
-    for piece in inner._pieces:
+    for piece in chain.from_iterable(inner._by_edge.values()):
         if not piece.table:
             n += 1
             continue
@@ -868,49 +860,49 @@ def composite_fixed_set(outer, inner: PLTreeMap) -> Subtree:
         if value(img).vertex == v:
             verts.append(v)
     index = {}  # outer's segments over a domain edge, by image edge
-    for piece in inner._pieces:
-        eid = piece.edge
-        if not piece.table:
-            q = value(piece.p0)
-            if q.edge == eid:
-                _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
-            continue
-        for seg in piece.table:
-            aeid, u0, u1, _, _ = seg
-            if outer is None:
-                if aeid == eid:
-                    _solve(segs, eid, *_line(seg))
+    for eid, pieces in inner._by_edge.items():
+        for piece in pieces:
+            if not piece.table:
+                q = value(piece.p0)
+                if q.edge == eid:
+                    _solve(segs, eid, ZERO, q.t, piece.t0, piece.t1)
                 continue
-            by_image = index.get(aeid)
-            if by_image is None:
-                by_image = index[aeid] = _by_image_edge(outer, aeid)
-            met = by_image.get(eid)
-            if met is None:
-                continue
-            y0s, y1s, entries = met
-            lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
-            # the outer segments whose closed windows meet [lo, hi]
-            met = entries[bisect_left(y1s, lo) : bisect_right(y0s, hi)]
-            if not met:
-                continue
-            a1, b1, _, _ = _line(seg)
-            for entry in met:
-                line = entry[1]
-                if line is None:
-                    line = entry[1] = _line(entry[0])
-                a2, b2, y0, y1 = line
-                ya = y0 if y0 > lo else lo  # ya <= yb: the windows meet
-                yb = y1 if y1 < hi else hi
-                alpha = a1 * a2
-                if alpha == ONE:
-                    if a1 * b2 + b1 == ZERO:
-                        ta, tb = (ya - b1) / a1, (yb - b1) / a1
-                        segs.append((eid, ta, tb) if ta < tb else (eid, tb, ta))
+            for seg in piece.table:
+                aeid, u0, u1, _, _ = seg
+                if outer is None:
+                    if aeid == eid:
+                        _solve(segs, eid, *_line(seg))
                     continue
-                y = (a1 * b2 + b1) / (ONE - alpha)
-                if ya <= y <= yb:
-                    x = a2 * y + b2
-                    segs.append((eid, x, x))
+                by_image = index.get(aeid)
+                if by_image is None:
+                    by_image = index[aeid] = _by_image_edge(outer, aeid)
+                met = by_image.get(eid)
+                if met is None:
+                    continue
+                y0s, y1s, entries = met
+                lo, hi = (u0, u1) if u0 < u1 else (u1, u0)
+                # the outer segments whose closed windows meet [lo, hi]
+                met = entries[bisect_left(y1s, lo) : bisect_right(y0s, hi)]
+                if not met:
+                    continue
+                a1, b1, _, _ = _line(seg)
+                for entry in met:
+                    line = entry[1]
+                    if line is None:
+                        line = entry[1] = _line(entry[0])
+                    a2, b2, y0, y1 = line
+                    ya = y0 if y0 > lo else lo  # ya <= yb: the windows meet
+                    yb = y1 if y1 < hi else hi
+                    alpha = a1 * a2
+                    if alpha == ONE:
+                        if a1 * b2 + b1 == ZERO:
+                            ta, tb = (ya - b1) / a1, (yb - b1) / a1
+                            segs.append((eid, ta, tb) if ta < tb else (eid, tb, ta))
+                        continue
+                    y = (a1 * b2 + b1) / (ONE - alpha)
+                    if ya <= y <= yb:
+                        x = a2 * y + b2
+                        segs.append((eid, x, x))
     return Subtree.build(tree, segs, verts)
 
 
@@ -972,14 +964,14 @@ def _retraction(tree: MetricTree, hull: Subtree) -> PLTreeMap:
         if ivs and ivs[0][0] < ivs[0][1]:
             ((lo, hi),) = ivs
             a, b = tree.edge_point(eid, lo), tree.edge_point(eid, hi)
-            mine = (_Piece(eid, lo, hi, a, b, ((eid, lo, hi, lo, hi),)),)
+            mine = (_Piece(lo, hi, a, b, ((eid, lo, hi, lo, hi),)),)
             if lo > ZERO:
-                mine = (_Piece(eid, ZERO, lo, a, a, ()), *mine)
+                mine = (_Piece(ZERO, lo, a, a, ()), *mine)
             if hi < ONE:
-                mine = (*mine, _Piece(eid, hi, ONE, b, b, ()))
+                mine = (*mine, _Piece(hi, ONE, b, b, ()))
         else:
             q = where[tree.edge_ends(eid)[0]]
-            mine = (_Piece(eid, ZERO, ONE, q, q, ()),)
+            mine = (_Piece(ZERO, ONE, q, q, ()),)
         by_edge[eid] = mine
     return _new(PLTreeMap)._from_pieces(tree, by_edge)
 
@@ -1021,8 +1013,7 @@ def find_periodic_in_hull(
     hull").
     """
     tree = f.domain
-    if n < 1:
-        raise PreconditionError("need at least one step")
+    _at_least("n", n, 1, "need at least one step")
     _at_least_one(piece_cap=piece_cap)
     pts = list(points)
     hull = tree.connected_hull(pts)  # validates the points and rejects none

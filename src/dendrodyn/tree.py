@@ -375,23 +375,23 @@ class MetricTree:
     orientation u -> w fixes which end the edge parameter 0 refers to.
     Vertex and edge ids may be any hashable values with distinct `str`
     forms (serialization uses strings throughout).  Each edge is kept as
-    the plain tuple (u, w, length).
+    the plain tuple (u, w, length), and each vertex once, as a key of the
+    adjacency, with no vertex set beside it.
     """
 
     __slots__ = (
-        "_vertices", "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_tin", "_tout",
+        "_edges", "_adj", "_vkeys", "_ekeys", "_up", "_tin", "_tout",
         "_kids", "_grids", "_order",
     )
 
     def __init__(self, vertices: Iterable, edges: Iterable):
         vs = list(vertices)
-        vset = frozenset(vs)
-        if len(vset) != len(vs):
+        adj: dict[object, list] = {v: [] for v in vs}
+        if len(adj) != len(vs):
             raise StructureError("duplicate vertex ids")
         if not vs:
             raise StructureError("a tree needs at least one vertex")
         edict: dict[object, tuple] = {}
-        adj: dict[object, list] = {v: [] for v in vs}
         for item in edges:
             try:
                 eid, (u, w), length = item
@@ -399,7 +399,7 @@ class MetricTree:
                 raise StructureError(f"bad edge record: {item!r}") from exc
             if eid in edict:
                 raise StructureError(f"duplicate edge id: {eid!r}")
-            if u not in vset or w not in vset:
+            if u not in adj or w not in adj:
                 raise StructureError(f"edge {eid!r} references unknown vertex")
             if u == w:
                 raise StructureError(f"edge {eid!r} is a self-loop")
@@ -413,7 +413,6 @@ class MetricTree:
         if len(edict) != len(vs) - 1:
             raise StructureError("edge count must be vertex count minus one")
 
-        self._vertices = vset
         self._edges = edict
         self._adj = {v: tuple(nbrs) for v, nbrs in adj.items()}
         self._vkeys = tuple(sorted(vs, key=str))
@@ -469,12 +468,12 @@ class MetricTree:
         return self._edge(eid)[2]
 
     def degree(self, v) -> int:
-        if v not in self._vertices:
+        if v not in self._adj:
             raise StructureError(f"unknown vertex: {v!r}")
         return len(self._adj[v])
 
     def has_vertex(self, v) -> bool:
-        return v in self._vertices
+        return v in self._adj
 
     def has_edge(self, eid) -> bool:
         return eid in self._edges
@@ -490,17 +489,17 @@ class MetricTree:
             return True
         if not isinstance(other, MetricTree):
             return NotImplemented
-        return self._vertices == other._vertices and self._edges == other._edges
+        return self._adj.keys() == other._adj.keys() and self._edges == other._edges
 
     __hash__ = None
 
     def __repr__(self):
-        return f"MetricTree({len(self._vertices)} vertices, {len(self._edges)} edges)"
+        return f"MetricTree({len(self._adj)} vertices, {len(self._edges)} edges)"
 
     # -- points ----------------------------------------------------------
 
     def vertex_point(self, v) -> TreePoint:
-        if v not in self._vertices:
+        if v not in self._adj:
             raise StructureError(f"unknown vertex: {v!r}")
         return _point(v, None, None)
 
@@ -522,7 +521,7 @@ class MetricTree:
         if p.__class__ is not TreePoint and not isinstance(p, TreePoint):
             raise StructureError(f"not a TreePoint: {p!r}")
         if p.vertex is not None:
-            if p.vertex not in self._vertices:
+            if p.vertex not in self._adj:
                 raise StructureError(f"point references unknown vertex: {p.vertex!r}")
         elif p.edge not in self._edges:
             raise StructureError(f"unknown edge: {p.edge!r}")
@@ -754,16 +753,16 @@ class MetricTree:
 
     def full_subtree(self) -> "Subtree":
         """The whole tree as a Subtree, in canonical form with no
-        `Subtree.build`; each call gets its own per-edge dict."""
-        return Subtree(self, {eid: ((ZERO, ONE),) for eid in self._ekeys}, self._vertices)
+        `Subtree.build`; each call gets its own per-edge dict and vertex set."""
+        return Subtree(self, {eid: ((ZERO, ONE),) for eid in self._ekeys}, frozenset(self._adj))
 
     def grid_points(self, per_edge: int = 3) -> tuple[TreePoint, ...]:
         """Vertices plus an evenly spaced rational sample inside each edge.
 
         The tree is immutable, so each sample is built once and kept.
         """
+        _at_least_one(per_edge=per_edge)
         if per_edge not in self._grids:
-            _at_least_one(per_edge=per_edge)
             pts = [self.vertex_point(v) for v in self._vkeys]
             for eid in self._ekeys:
                 for i in range(1, per_edge + 1):

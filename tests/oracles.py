@@ -156,6 +156,13 @@ def stem_sweep_spread(k, radius=None):
 # tables against.
 
 
+def pieces_with_edges(f):
+    """f's pieces as (edge, piece) pairs, edge by edge in the order of
+    `_by_edge`: the order `_marked` counts them in.  A piece holds no edge
+    id of its own; the key of the tuple that holds it names its edge."""
+    return [(eid, piece) for eid, pieces in f._by_edge.items() for piece in pieces]
+
+
 def piece_arc(tree, piece):
     """A piece's image arc, walked from its ends."""
     return tree.arc(piece.p0, piece.p1)
@@ -236,8 +243,9 @@ class ArcPiece:
         self.edge, self.t0, self.t1, self.p0, self.p1, self.arc = edge, t0, t1, p0, p1, arc
 
     @classmethod
-    def of(cls, tree, piece):
-        return cls(piece.edge, piece.t0, piece.t1, piece.p0, piece.p1, piece_arc(tree, piece))
+    def of(cls, tree, eid, piece):
+        """The arc piece of a map's piece over the edge eid."""
+        return cls(eid, piece.t0, piece.t1, piece.p0, piece.p1, piece_arc(tree, piece))
 
     @property
     def is_constant(self):
@@ -279,7 +287,7 @@ def arc_index(f):
     """f's pieces per edge, each an `ArcPiece`, beside the edge's `params` column."""
     tree = f.domain
     return {
-        eid: (breakpoint_params(pieces), [ArcPiece.of(tree, p) for p in pieces])
+        eid: (breakpoint_params(pieces), [ArcPiece.of(tree, eid, p) for p in pieces])
         for eid, pieces in f._by_edge.items()
     }
 
@@ -289,8 +297,8 @@ def tables_match_arcs(g, by_edge):
     the same windows and ends, and each table the one its arc gives."""
     if list(g._by_edge) != list(by_edge):
         return False
-    for pieces, arcs in zip(g._by_edge.values(), by_edge.values()):
-        if [(p.edge, p.t0, p.t1, p.p0, p.p1, p.table) for p in pieces] != [
+    for (eid, pieces), arcs in zip(g._by_edge.items(), by_edge.values()):
+        if [(eid, p.t0, p.t1, p.p0, p.p1, p.table) for p in pieces] != [
             (q.edge, q.t0, q.t1, q.p0, q.p1, arc_table(q, q.arc)) for q in arcs
         ]:
             return False
@@ -328,10 +336,10 @@ def arc_reversed(arc):
 def eval_in_piece(tree, piece, t):
     """The image of parameter t of a piece's window, on the piece's arc at
     the same share of its length: never read off a stored breakpoint."""
-    arc = ArcPiece.of(tree, piece)
-    if arc.is_constant:
+    arc = piece_arc(tree, piece)
+    if not arc.segments:
         return piece.p0
-    return arc.arc.point_at(arc.arclength_at_param(t))
+    return arc.point_at(arc.length * (t - piece.t0) / (piece.t1 - piece.t0))
 
 
 def evaluate_on_arcs(f, p):
@@ -704,12 +712,12 @@ def same_load(a, b):
         return False
     if fa is None:
         return True
-    tables = [p.table for p in fa._pieces]
+    tables = [p.table for _, p in pieces_with_edges(fa)]
     return (
         all(fa.vertex_image(v) == fb.vertex_image(v) for v in ta.vertex_ids)
         and all(fa.breakpoints(e) == fb.breakpoints(e) for e in ta.edge_ids)
-        and tables == [p.table for p in fb._pieces]
-        and tables == [arc_table(p, piece_arc(tb, p)) for p in fb._pieces]
+        and tables == [p.table for _, p in pieces_with_edges(fb)]
+        and tables == [arc_table(p, piece_arc(tb, p)) for _, p in pieces_with_edges(fb)]
     )
 
 
@@ -734,7 +742,7 @@ def solve_fixed_points(f):
     tree = f.domain
     segs = []
     verts = [v for v in tree.vertex_ids if f.vertex_image(v) == tree.vertex_point(v)]
-    for piece in (ArcPiece.of(tree, p) for p in f._pieces):
+    for piece in (ArcPiece.of(tree, eid, p) for eid, p in pieces_with_edges(f)):
         eid = piece.edge
         if piece.is_constant:
             q = piece.p0
@@ -1042,11 +1050,12 @@ def subtree_meet_point(tree, a, b):
 
 
 def subtree_collision(f, a, b):
-    """The pieces a and b collide as the injectivity search used to find
-    it: the preimages, by `distance_arclength_of`, of the canonical point
-    of `subtree_meet_point`, when they differ; else None."""
+    """The pieces a and b, each an (edge, piece) pair, collide as the
+    injectivity search used to find it: the preimages, by
+    `distance_arclength_of`, of the canonical point of
+    `subtree_meet_point`, when they differ; else None."""
     tree = f.domain
-    a, b = ArcPiece.of(tree, a), ArcPiece.of(tree, b)
+    a, b = ArcPiece.of(tree, *a), ArcPiece.of(tree, *b)
     q = subtree_meet_point(tree, a.arc, b.arc)
     if q is None:
         return None
@@ -1058,15 +1067,16 @@ def subtree_collision(f, a, b):
 
 
 def colliding_pieces(f):
-    """The indices of the pieces of a map with no constant piece that
-    collide with another, by `subtree_collision` on every pair."""
-    pieces = f._pieces
+    """The pieces, as (edge, piece) in edge order, of a map with no
+    constant piece that collide with another, by `subtree_collision` on
+    every pair."""
+    pieces = pieces_with_edges(f)
     out = set()
     for i in range(len(pieces)):
         for j in range(i + 1, len(pieces)):
             if subtree_collision(f, pieces[i], pieces[j]) is not None:
                 out.update((i, j))
-    return sorted(out)
+    return [pieces[i] for i in sorted(out)]
 
 
 def covers_by_hulls(tree, cover, points):

@@ -60,6 +60,7 @@ from oracles import (
     is_identity,
     orbit,
     outcome,
+    pieces_with_edges,
     random_involution,
     sagged,
     union_find_components,
@@ -231,6 +232,23 @@ BELOW_ONE = [
     ("iterate", "piece_cap", 0),
     ("power_factors", "piece_cap", -1),
     ("grid_points", "per_edge", 0),
+    # not an int: refused by type before any count is read
+    ("returns_to_components", "power", True),
+    ("vertex_period", "max_period", 2.5),
+    ("periodic_structure", "upto", 2.0),
+    ("periodic_union", "n", 1.5),
+    ("run_checks", "depth", 2.5),
+    ("run_checks", "horizon", False),
+    ("fixed_set", "piece_cap", True),
+    ("check_escape", "horizon", 1.5),
+    ("check_escape", "horizon", True),
+    ("detect_cycles_of_sets", "depth", 2.0),
+    ("find_periodic_in_hull", "n", True),
+    ("iterate", "n", 2.5),
+    ("iterate", "n", False),
+    ("power_factors", "n", 1.5),
+    ("grid_points", "per_edge", 1.5),
+    ("grid_points", "per_edge", True),
 ]
 
 
@@ -238,14 +256,15 @@ BELOW_ONE = [
 def test_bounds_below_one_are_refused_by_name(name, param, value):
     """A bound below 1 answers no question, so it is refused on entry,
     never answered as "not periodic", an empty set, a pass, a skip or a
-    blown piece budget."""
+    blown piece budget.  A bound that is not an int (a float, a bool) is
+    refused by its type, never read as some other count."""
     t = interval()
     f = tent_on(t)
     bound = {param: value}
     calls = {
         "returns_to_components": lambda: returns_to_components(f, pt(t, F(1, 4)), pt(t, F(1, 2)), **bound),
         "vertex_period": lambda: vertex_period(f, "v0", **bound),
-        "periodic_structure": lambda: periodic_structure(f, 2, **bound),
+        "periodic_structure": lambda: periodic_structure(f, **{"upto": 2, **bound}),
         "periodic_union": lambda: periodic_union(f, **{"n": 2, **bound}),
         "check_full_invariance": lambda: check_full_invariance(f, **bound),
         "check_no_preperiodic": lambda: check_no_preperiodic(f, **bound),
@@ -253,13 +272,16 @@ def test_bounds_below_one_are_refused_by_name(name, param, value):
         "fixed_set": lambda: fixed_set(f, 2, **bound),
         "check_no_radial_stretch": lambda: check_no_radial_stretch(f, **bound),
         "check_escape": lambda: check_escape(f, **bound),
-        "detect_cycles_of_sets": lambda: detect_cycles_of_sets(f, 2, **bound),
-        "find_periodic_in_hull": lambda: find_periodic_in_hull(f, [pt(t, F(1, 4)), pt(t, F(3, 4))], 2, **bound),
-        "iterate": lambda: f.iterate(2, **bound),
-        "power_factors": lambda: f.power_factors(2, **bound),
+        "detect_cycles_of_sets": lambda: detect_cycles_of_sets(f, **{"depth": 2, **bound}),
+        "find_periodic_in_hull": lambda: find_periodic_in_hull(
+            f, [pt(t, F(1, 4)), pt(t, F(3, 4))], **{"n": 2, **bound}
+        ),
+        "iterate": lambda: f.iterate(**{"n": 2, **bound}),
+        "power_factors": lambda: f.power_factors(**{"n": 2, **bound}),
         "grid_points": lambda: t.grid_points(**bound),
     }
-    with pytest.raises(PreconditionError, match=f"^{param} must be at least 1, got "):
+    refusal = "at least 1" if type(value) is int else "an int"
+    with pytest.raises(PreconditionError, match=f"^{param} must be {refusal}, got {value!r}$"):
         calls[name]()
 
 
@@ -1356,8 +1378,8 @@ def test_powers_composed_in_sequence_match_iterate():
 
     def pieces(g):
         return [
-            (p.edge, p.t0, p.t1, p.p0, p.p1, p.table)
-            for p in g._pieces
+            (eid, p.t0, p.t1, p.p0, p.p1, p.table)
+            for eid, p in pieces_with_edges(g)
         ]
 
     t = interval()

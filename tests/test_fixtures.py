@@ -261,6 +261,12 @@ def test_build_fixture_rejects_bad_input():
         ("random_finite_order", {"seed": "zz"}, "seed"),
         ("random_finite_order", {"order_seed": "1.5"}, "order_seed"),
         ("star", {"k": "four"}, "k"),
+        # only an int that is not a bool, or a string, is read: nothing is coerced
+        ("rotation", {"arms": 4.7}, "arms"),
+        ("tower", {"periods": [2.5, 5]}, "periods"),
+        ("star", {"k": True}, "k"),
+        ("random_folding", {"seed": 3.9}, "seed"),
+        ("rotation", {"arm_length": 1.5}, "arm_length"),
     ],
 )
 def test_build_fixture_names_a_parameter_that_is_not_a_number(kind, params, name):

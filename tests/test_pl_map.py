@@ -63,7 +63,9 @@ from oracles import (
     meeting_by_params,
     orbit,
     outcome,
+    piece_arc,
     piece_at_by_params,
+    pieces_with_edges,
     point_subtree,
     rational_table,
     solve_fixed_points,
@@ -600,7 +602,7 @@ def pairwise_is_injective(f):
     pair, in piece order, whose arcs meet with different preimages at one
     canonical shared point gives the witness.
     """
-    pieces = [ArcPiece.of(f.domain, p) for p in f._pieces]
+    pieces = [ArcPiece.of(f.domain, eid, p) for eid, p in pieces_with_edges(f)]
     for piece in pieces:
         if piece.is_constant:
             return (False, (f.domain.edge_point(piece.edge, piece.t0),
@@ -708,13 +710,13 @@ def test_piece_collisions_match_the_subtree_oracle():
     maps = [random_folding_map(seed)[1] for seed in range(500)] + fixture_maps()
     pairs = met = collided = 0
     for f in maps:
-        pieces = [p for p in f._pieces if p.table]
+        pieces = [(eid, p) for eid, p in pieces_with_edges(f) if p.table]
         for i, a in enumerate(pieces):
             for b in pieces[i + 1 :]:
-                q = _meet_point(f.domain, a.table, b.table)
-                arcs = (ArcPiece.of(f.domain, a).arc, ArcPiece.of(f.domain, b).arc)
+                q = _meet_point(f.domain, a[1].table, b[1].table)
+                arcs = (ArcPiece.of(f.domain, *a).arc, ArcPiece.of(f.domain, *b).arc)
                 assert q == subtree_meet_point(f.domain, *arcs)
-                pair = f._collision(a, b)
+                pair = f._collision(*a, *b)
                 assert pair == subtree_collision(f, a, b)
                 pairs += 1
                 met += q is not None
@@ -733,7 +735,7 @@ def injectivity_maps(rng):
         maps.append(random_map(rng, random_tree(rng, rng.randint(2, 6))))
     maps += [random_finite_order_map(seed, seed + 1)[1] for seed in range(40)]
     maps += fixture_maps() + [late_collision_star(12), tent_on(interval()).iterate(4)]
-    return [f for f in maps if all(p.table for p in f._pieces)]
+    return [f for f in maps if all(p.table for _, p in pieces_with_edges(f))]
 
 
 def test_marked_pieces_are_exactly_the_colliding_ones():
@@ -747,8 +749,7 @@ def test_marked_pieces_are_exactly_the_colliding_ones():
         assert marked == colliding_pieces(f)
         if marked:
             marked_maps += 1
-            first, pieces = marked[0], f._pieces
-            assert any(subtree_collision(f, pieces[first], pieces[j]) for j in marked[1:])
+            assert any(subtree_collision(f, marked[0], b) for b in marked[1:])
         else:
             unmarked_maps += 1
     assert marked_maps > 100 and unmarked_maps > 30
@@ -896,7 +897,7 @@ def test_cut_count_is_the_cuts_compose_makes():
     for _ in range(60):
         t = random_tree(rng, rng.randint(2, 6))
         outer, inner = random_map(rng, t), random_map(rng, t)
-        cuts = sum(len(_compose_piece(outer, piece)) for piece in inner._pieces)
+        cuts = sum(len(_compose_piece(outer, piece)) for _, piece in pieces_with_edges(inner))
         assert cut_count(outer, inner) == cuts >= compose(outer, inner).piece_count
 
 
@@ -1178,8 +1179,8 @@ def test_vertex_keyed_table_is_rejected():
 def oracle_image(f):
     """The former `image`: every piece arc as a subtree, plus vertex images."""
     segs, verts = [], []
-    for piece in f._pieces:
-        sub = arc_subtree(ArcPiece.of(f.domain, piece).arc)
+    for _, piece in pieces_with_edges(f):
+        sub = arc_subtree(piece_arc(f.domain, piece))
         segs += [(e, lo, hi) for e, ivs in sub.segments.items() for lo, hi in ivs]
         verts += list(sub.vertices)
     for img in f._vimg.values():
@@ -1198,9 +1199,7 @@ def oracle_image_of_arc(f, arc):
     out = Subtree.empty(tree)
     for eid, t0, t1 in arc.segments:
         lo, hi = (t0, t1) if t0 <= t1 else (t1, t0)
-        for piece in f._pieces:
-            if piece.edge != eid:
-                continue
+        for piece in f._by_edge[eid]:
             a, b = max(lo, piece.t0), min(hi, piece.t1)
             if a > b or (a == b and not (a == lo == hi)):
                 continue
@@ -1313,9 +1312,9 @@ def test_project_onto_and_normalize_ask_the_tree_for_no_arc(monkeypatch):
         cases.append((f, hull, _retraction(t, hull), refine(rng, compose(f, f))))
     # pieces whose arcs miss the hull take the retraction
     missing = sum(
-        not hull.intersect_arc(ArcPiece.of(f.domain, p).arc)
+        not hull.intersect_arc(piece_arc(f.domain, p))
         for f, hull, _, _ in cases
-        for p in f._pieces
+        for _, p in pieces_with_edges(f)
     )
     calls = count_arc_calls(monkeypatch)
     dropped = 0
@@ -1348,7 +1347,7 @@ def table_normalize(f):
             *(b for a, b in zip(pieces, pieces[1:]) if not _continues(f.domain._edges, a, b)),
         ]
         table[eid] = [(p.t0, p.p0) for p in starts] + [(F(1), pieces[-1].p1)]
-    if sum(map(len, table.values())) == len(f._pieces) + len(table):
+    if sum(map(len, table.values())) == f.piece_count + len(table):
         return f
     return PLTreeMap(f.domain, table)
 
@@ -1359,18 +1358,18 @@ def table_derive(f, rewrite):
     for eid, pieces in f._by_edge.items():
         bps = []
         for piece in pieces:
-            bps.extend(rewrite(piece)[1 if bps else 0 :])
+            bps.extend(rewrite(eid, piece)[1 if bps else 0 :])
         table[eid] = bps
     return table_normalize(PLTreeMap(f.domain, table))
 
 
 def table_compose(outer, inner):
-    return table_derive(inner, lambda piece: table_compose_piece(outer, piece))
+    return table_derive(inner, lambda eid, piece: table_compose_piece(outer, eid, piece))
 
 
-def table_compose_piece(outer, piece):
+def table_compose_piece(outer, eid, piece):
     """The former `_compose_piece`: `evaluate` at every cut of the inner arc."""
-    piece = ArcPiece.of(outer.domain, piece)
+    piece = ArcPiece.of(outer.domain, eid, piece)
     t0, t1 = piece.t0, piece.t1
     if piece.is_constant:
         q = outer.evaluate(piece.p0)
@@ -1401,8 +1400,8 @@ def arc_retract(tree, target, z):
 
 
 def table_project_onto(f, target):
-    def rewrite(piece):
-        piece = ArcPiece.of(f.domain, piece)
+    def rewrite(eid, piece):
+        piece = ArcPiece.of(f.domain, eid, piece)
         t0, t1 = piece.t0, piece.t1
         hits = [] if piece.is_constant else target.intersect_arc(piece.arc)
         if not hits:
@@ -1429,9 +1428,8 @@ def assert_same_pieces(g, h):
     for pieces, h_pieces in zip(g._by_edge.values(), h._by_edge.values()):
         assert len(pieces) == len(h_pieces)
         for p, q in zip(pieces, h_pieces):
-            assert (p.edge, p.t0, p.t1, p.p0, p.p1) == (q.edge, q.t0, q.t1, q.p0, q.p1)
+            assert (p.t0, p.t1, p.p0, p.p1) == (q.t0, q.t1, q.p0, q.p1)
             assert p.table == q.table
-    assert g._pieces == tuple(p for pieces in g._by_edge.values() for p in pieces)
 
 
 def analysis_maps():
@@ -1565,7 +1563,7 @@ def test_the_window_lookup_matches_the_params_column():
         tree = f.domain
         f2 = compose(f, f)
         for outer, inner in ((f, f), (f, f2), (f2, f)):
-            cuts = sum(len(_compose_piece(outer, piece)) for piece in inner._pieces)
+            cuts = sum(len(_compose_piece(outer, piece)) for _, piece in pieces_with_edges(inner))
             assert cut_count(outer, inner) == cuts
         for g in (f, f2):
             for eid in tree.edge_ids:
@@ -1606,19 +1604,19 @@ def test_piece_window_is_the_arc_between_its_ends():
     windows = 0
     for f in window_maps():
         tree = f.domain
-        for piece in f._pieces:
+        for eid, piece in pieces_with_edges(f):
             if not piece.table:
                 continue
             assert _cut(piece.table, piece.t0, piece.t1) == list(piece.table)
-            arc = ArcPiece.of(tree, piece)
+            arc = ArcPiece.of(tree, eid, piece)
             width = piece.t1 - piece.t0
             grid = {piece.t0 + width * k / 6 for k in range(7)} | {x for *_, x, _ in piece.table}
             grid = sorted(grid | {piece.t0 + width * F(rng.randint(1, 97), 98)})
             for a, b in rng.sample([(a, b) for a in grid for b in grid if a < b], 3):
                 cut = _cut(piece.table, a, b)
-                pa, pb = (evaluate_on_arcs(f, tree.edge_point(piece.edge, t)) for t in (a, b))
+                pa, pb = (evaluate_on_arcs(f, tree.edge_point(eid, t)) for t in (a, b))
                 between = tree.arc(pa, pb)
-                sub = ArcPiece(piece.edge, a, b, pa, pb, between)
+                sub = ArcPiece(eid, a, b, pa, pb, between)
                 assert tuple(cut) == arc_table(sub, between)
                 former = arc_window(arc.arc, arc.arclength_at_param(a), arc.arclength_at_param(b))
                 assert tuple((e, u0, u1) for e, u0, u1, _, _ in cut) == former.segments
@@ -1627,7 +1625,7 @@ def test_piece_window_is_the_arc_between_its_ends():
 
 
 def assert_windows_tile(g, what):
-    for piece in g._pieces:
+    for _, piece in pieces_with_edges(g):
         if piece.table:
             assert windows_tile(piece.table, piece.t0, piece.t1), (what, piece.table)
 
@@ -1653,7 +1651,7 @@ def test_table_windows_tile_every_piece():
         normal = refined.normalize()
         assert_windows_tile(normal, "normalized")
         joined += normal.piece_count < refined.piece_count
-        for piece in f._pieces:
+        for _, piece in pieces_with_edges(f):
             if piece.table:
                 grid = [piece.t0 + (piece.t1 - piece.t0) * F(k, 12) for k in range(13)]
                 a, b = sorted(rng.sample(grid, 2))
@@ -1683,7 +1681,7 @@ def test_table_matches_the_rational_table():
     for f in corpus_maps():
         _, g = load_instance(dump_instance(f.domain, f))
         edges = g.domain._edges
-        for piece in g._pieces:
+        for _, piece in pieces_with_edges(g):
             if len(piece.table) > 1:
                 segs = [entry[:3] for entry in piece.table]
                 want = rational_table(edges, segs, piece.t0, piece.t1)
@@ -1751,15 +1749,15 @@ def test_piece_location_matches_the_distance_oracle():
     on = 0
     for f in window_maps():
         tree = f.domain
-        for piece in f._pieces:
+        for eid, piece in pieces_with_edges(f):
             if not piece.table:
                 continue
-            arc = ArcPiece.of(tree, piece)
+            arc = ArcPiece.of(tree, eid, piece)
             for q in tree.grid_points(3):
                 if distance_arc_contains(arc.arc, q):
                     s = distance_arclength_of(arc.arc, q)
-                    want = tree.edge_point(piece.edge, arc.param_at_arclength(s))
-                    assert f._preimage_in_piece(piece, q) == want, (piece.edge, q)
+                    want = tree.edge_point(eid, arc.param_at_arclength(s))
+                    assert f._preimage_in_piece(eid, piece, q) == want, (eid, q)
                     on += 1
     assert on > 1000
 

@@ -26,6 +26,7 @@ from dendrodyn.fixtures import FIXTURE_KINDS
 from dendrodyn.io import dump_instance, load_instance
 from dendrodyn.plmap import compose, composite_fixed_set
 from dendrodyn.tree import ONE, ZERO, _Q, as_fraction
+from oracles import pieces_with_edges
 
 BINARY = (
     operator.add, operator.sub, operator.mul, operator.truediv,
@@ -194,7 +195,7 @@ def map_rationals(f):
         for t, p in f.breakpoints(eid):
             yield t
             yield from point_rationals(p)
-    for piece in f._pieces:
+    for _, piece in pieces_with_edges(f):
         yield from (piece.t0, piece.t1)
         yield from point_rationals(piece.p0)
         yield from point_rationals(piece.p1)

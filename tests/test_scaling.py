@@ -27,7 +27,7 @@ from dendrodyn.odometer import TowerSet, classify_adding_machine, detect_cycles_
 from dendrodyn.plmap import map_from_vertex_images
 from dendrodyn.tree import Subtree
 from dendrodyn.verify import run_checks
-from oracles import sagged
+from oracles import pieces_with_edges, sagged
 
 
 def star_map(arms, moved):
@@ -184,7 +184,7 @@ def test_checks_walk_no_sample_and_probe_no_anchor(monkeypatch, build, horizon):
     counted(monkeypatch, verify, "returns_to_components", tally)
     records = run_checks(f, horizon=horizon)
     assert not any(r.result.status == "fail" or r.undecided for r in records)
-    breaks = {tree.edge_point(piece.edge, piece.t0) for piece in f._pieces if piece.t0}
+    breaks = {tree.edge_point(eid, piece.t0) for eid, piece in pieces_with_edges(f) if piece.t0}
     samples = set(tree.grid_points(3)[len(tree.vertex_ids):]) - breaks
     assert starts and samples.isdisjoint(starts)
     assert tally["returns_to_components"] == 0

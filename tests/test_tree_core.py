@@ -176,6 +176,29 @@ def test_rejects_bad_lengths_and_ids():
         MetricTree(["a", "b"], [("e1", ("a", "x"), 1)])
 
 
+def test_a_tree_is_its_adjacency_keys():
+    """A tree keeps its vertices only as the keys of its adjacency: the
+    same vertices listed in another order make an equal tree with the
+    same whole subtree, an id that is not a vertex is refused by every
+    membership method, and a repeated or unknown id is refused on build."""
+    t = spider()
+    edges = [(e, t.edge_ends(e), t.edge_length(e)) for e in t.edge_ids]
+    shuffled = MetricTree(["t", "q", "v", "s", "u", "r", "p"], reversed(edges))
+    assert shuffled == t and shuffled.vertex_ids == t.vertex_ids
+    full = Subtree.build(t, [(e, F(0), F(1)) for e in t.edge_ids], t.vertex_ids)
+    assert shuffled.full_subtree() == full == t.full_subtree()
+    assert t != MetricTree(["u", "v"], [("b", ("u", "v"), 3)])
+    for ghost in ("w", "b", ("u",)):
+        assert not t.has_vertex(ghost)
+        for refuse in (t.degree, t.vertex_point, lambda v: t.validate_point(TreePoint(vertex=v))):
+            with pytest.raises(StructureError, match="unknown vertex"):
+                refuse(ghost)
+    with pytest.raises(StructureError, match="duplicate vertex ids"):
+        MetricTree(["u", "v", "u"], [("b", ("u", "v"), 3)])
+    with pytest.raises(StructureError, match="unknown vertex"):
+        MetricTree(["u", "v"], [("b", ("u", "w"), 3)])
+
+
 def test_rationals_take_the_file_grammar():
     assert as_fraction("-6/8") == F(-3, 4)
     assert as_fraction("+7") == 7
